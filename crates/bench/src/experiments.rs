@@ -465,6 +465,12 @@ pub fn fig10_conflicts() -> String {
 
 /// Fig. 10(c,d): active registers per bank over time, with and without
 /// spilling pressure (R=64 vs unconstrained).
+///
+/// The one experiment that single-steps the oracle interpreter
+/// (`Machine::step`): occupancy is sampled *between* instructions, which
+/// the run-to-completion decoded executor has no hook for. It plots
+/// occupancy against the issue cycle; no activity counter or output from
+/// here feeds a reproduced number.
 pub fn fig10_occupancy() -> String {
     let scale = env_scale(0.5);
     let w = load_small_suite(scale)

@@ -114,13 +114,16 @@ impl Dpu {
         compile(dag, &self.config, &self.options)
     }
 
-    /// Runs a compiled program with the given DAG inputs.
+    /// Runs a compiled program once with the given DAG inputs (decode,
+    /// fresh machine, run — [`sim::execute`]). To run one program many
+    /// times, decode once and use [`sim::run_decoded_on`], or serve it
+    /// through [`Dpu::engine`].
     ///
     /// # Errors
     ///
     /// See [`SimError`].
     pub fn execute(&self, compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
-        dpu_sim::run(compiled, inputs)
+        dpu_sim::execute(compiled, inputs)
     }
 
     /// Runs and verifies against the reference evaluator.

@@ -85,7 +85,7 @@ pub fn evaluate_config(
     let mut edp = 0.0f64;
     for (dag, inputs) in workloads {
         let compiled = compile(dag, cfg, &opts).map_err(|e| DseError::Compile(e.to_string()))?;
-        let run = dpu_sim::run(&compiled, inputs).map_err(|e| DseError::Sim(e.to_string()))?;
+        let run = dpu_sim::execute(&compiled, inputs).map_err(|e| DseError::Sim(e.to_string()))?;
         let m: Metrics = dpu_energy::metrics(cfg, &run);
         lat += m.latency_per_op_ns;
         en += m.energy_per_op_pj;

@@ -182,6 +182,13 @@ mod tests {
     }
 
     #[test]
+    fn unpack_rejects_truncated_image() {
+        let p = small_program();
+        let bytes = p.pack();
+        assert!(Program::unpack(p.config, &bytes[..bytes.len() / 2], p.len()).is_err());
+    }
+
+    #[test]
     fn size_matches_kind_bits_sum() {
         let p = small_program();
         assert_eq!(

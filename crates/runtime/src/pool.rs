@@ -2,9 +2,13 @@
 //! a pool of host worker threads each owning one reusable machine.
 //!
 //! Execution model: host workers (`EngineOptions::workers` threads) pull
-//! requests from a shared queue, compile through the
-//! [`ProgramCache`] on first touch, and simulate on their private
-//! [`Machine`] (reset, not reallocated, between requests). The *modelled*
+//! requests from a shared queue, compile and decode through the
+//! [`ProgramCache`] on first touch, and run the pre-decoded program on
+//! their private [`Machine`] (reset, not reallocated, between requests).
+//! There is one executor: [`Engine::execute`], [`Engine::serve`] and the
+//! dispatcher all go through [`Engine::execute_round`]. Only
+//! [`Engine::serve_serial`] — the reference pass — interprets. The
+//! *modelled*
 //! hardware parallelism — the paper's DPU-v2 (L) cores — is accounted
 //! separately by [`plan_rounds`]: host threads decide how fast the
 //! simulation runs on this machine, cores decide how many simulated
@@ -319,11 +323,13 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Serves `requests` across the engine's worker threads and packs the
-    /// results into a batch plan over the modelled cores.
+    /// Serves `requests` across the engine's worker threads — each worker
+    /// owns one machine and calls [`Engine::execute`] per request — and
+    /// packs the results into a batch plan over the modelled cores.
     ///
     /// Outputs are byte-identical to [`Engine::serve_serial`] on the same
-    /// stream — worker count affects only host wall-clock.
+    /// stream — worker count affects only host wall-clock, and the
+    /// executor (decoded here, interpreted there) affects nothing.
     ///
     /// Failures are isolated per request, never fate-shared across a
     /// batch: every failing request is reported in
@@ -346,7 +352,10 @@ impl Engine {
                         if idx >= requests.len() {
                             break;
                         }
-                        let outcome = self.execute_one(&mut machine, idx, &requests[idx]);
+                        let mut outcome = self.execute(&mut machine, &requests[idx]);
+                        if let Err(ServeError::Sim { request, .. }) = &mut outcome {
+                            *request = idx; // `execute` cannot know the stream position
+                        }
                         *slots[idx].lock().expect("result slot poisoned") = Some(outcome);
                     }
                 });
@@ -368,8 +377,14 @@ impl Engine {
         self.finish_report(results, failures, workers, started)
     }
 
-    /// Serves `requests` strictly serially on one reusable machine — the
-    /// reference pass that threaded serving is verified against.
+    /// Serves `requests` strictly serially on one reusable machine — *the
+    /// reference pass* that threaded serving and the dispatcher are
+    /// verified against. It is deliberately the one caller of the oracle
+    /// interpreter ([`dpu_sim::run_on`]) outside tests: every
+    /// "byte-identical to serial" assertion in the test suite and the bench
+    /// binaries is thereby also a decoded-vs-interpreted differential
+    /// check, on real traffic, for free. Not a serving path — use
+    /// [`Engine::serve`].
     ///
     /// # Errors
     ///
@@ -379,16 +394,23 @@ impl Engine {
         let mut machine = Machine::new(self.config);
         let mut results = Vec::with_capacity(requests.len());
         for (idx, request) in requests.iter().enumerate() {
-            results.push(self.execute_one(&mut machine, idx, request)?);
+            let key = request.dag;
+            let dag = self.dag(key).ok_or(ServeError::UnknownDag(key))?;
+            let compiled = self.cache.get_or_compile(&dag, key, &self.config)?;
+            let run = run_on(&mut machine, &compiled, &request.inputs);
+            results.push(run.map_err(|error| ServeError::Sim {
+                request: idx,
+                error,
+            })?);
         }
         Ok(self.finish_report(results, Vec::new(), 1, started))
     }
 
     /// Executes one request on a caller-owned machine through this
-    /// engine's registry and program cache — the per-shard hot path of the
-    /// [`Dispatcher`](crate::Dispatcher). The machine is reset (not
-    /// reallocated) per call; the result is byte-identical to serving the
-    /// request any other way.
+    /// engine's registry and program cache: a one-element
+    /// [`Engine::execute_round`], so a single request and a dispatcher
+    /// round run the same pre-decoded program through the same code. The
+    /// machine is reset (not reallocated) per call.
     ///
     /// # Errors
     ///
@@ -399,7 +421,9 @@ impl Engine {
         machine: &mut Machine,
         request: &Request,
     ) -> Result<RunResult, ServeError> {
-        self.execute_one(machine, 0, request)
+        self.execute_round(machine, &[request])
+            .pop()
+            .expect("one outcome per request")
     }
 
     /// Executes one dispatcher round's worth of requests on one
@@ -411,11 +435,12 @@ impl Engine {
     /// and each group runs its **pre-decoded** program
     /// ([`ProgramCache::get_decoded`]) across all of the group's input
     /// sets in one pass: the repeated requests of a round pay program
-    /// lookup and micro-op decode once instead of per request. Every
-    /// outcome is byte-identical to calling [`Engine::execute`] per
-    /// request in order — grouping changes neither results, cycle
-    /// counts, activity counters, nor which requests fail (a failing
-    /// group member does not fate-share its group).
+    /// lookup once instead of per request, and micro-op decode once per
+    /// cache entry. Every outcome is byte-identical to calling
+    /// [`Engine::execute`] per request in order — grouping changes
+    /// neither results, cycle counts, activity counters, nor which
+    /// requests fail (a failing group member does not fate-share its
+    /// group).
     pub fn execute_round(
         &self,
         machine: &mut Machine,
@@ -481,22 +506,6 @@ impl Engine {
             )
             .map_err(|error| ServeError::Sim { request: 0, error })?;
         Ok((compiled, decoded))
-    }
-
-    fn execute_one(
-        &self,
-        machine: &mut Machine,
-        idx: usize,
-        request: &Request,
-    ) -> Result<RunResult, ServeError> {
-        let dag = self
-            .dag(request.dag)
-            .ok_or(ServeError::UnknownDag(request.dag))?;
-        let compiled = self.cache.get_or_compile(&dag, request.dag, &self.config)?;
-        run_on(machine, &compiled, &request.inputs).map_err(|error| ServeError::Sim {
-            request: idx,
-            error,
-        })
     }
 
     fn finish_report(

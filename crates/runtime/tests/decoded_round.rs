@@ -1,8 +1,9 @@
 //! Integration tests of the pre-decoded round-execution path: grouped
-//! `execute_round` must be observably identical to per-request `execute`
-//! — byte-identical results through the dispatcher at 1/2/4 shards, and
-//! unchanged per-request latency accounting (own timeline stamps, own
-//! `service_cycles`, deadline sheds resolved before execution).
+//! `execute_round` must be observably identical to running each request
+//! alone on the oracle interpreter — byte-identical results through the
+//! dispatcher at 1/2/4 shards, and unchanged per-request latency
+//! accounting (own timeline stamps, own `service_cycles`, deadline sheds
+//! resolved before execution).
 
 use std::time::{Duration, Instant};
 
@@ -64,8 +65,10 @@ fn assert_identical(got: &dpu_sim::RunResult, want: &dpu_sim::RunResult, ctx: &s
 }
 
 /// `Engine::execute_round` over a mixed, repeat-heavy request set is
-/// byte-identical to per-request `Engine::execute`, while decoding each
-/// distinct program exactly once.
+/// byte-identical to running each request alone — on the oracle
+/// interpreter (`dpu_sim::run_on`, the cross-executor check; `execute` is
+/// itself a one-element round now) and through `Engine::execute` (grouping
+/// changes nothing) — while decoding each distinct program exactly once.
 #[test]
 fn execute_round_matches_execute_per_request() {
     let engine = Engine::new(arch(), CompileOptions::default(), EngineOptions::default());
@@ -81,8 +84,15 @@ fn execute_round_matches_execute_per_request() {
     let mut one_by_one = Machine::new(arch());
     let expected: Vec<_> = requests
         .iter()
-        .map(|r| engine.execute(&mut one_by_one, r).unwrap())
+        .map(|r| {
+            let compiled = engine.warm(r.dag).unwrap();
+            dpu_sim::run_on(&mut one_by_one, &compiled, &r.inputs).unwrap()
+        })
         .collect();
+    for (i, r) in requests.iter().enumerate() {
+        let alone = engine.execute(&mut one_by_one, r).unwrap();
+        assert_identical(&alone, &expected[i], &format!("execute req {i}"));
+    }
 
     let mut round_machine = Machine::new(arch());
     let refs: Vec<&Request> = requests.iter().collect();

@@ -1,13 +1,13 @@
-//! Pre-decoded execution: flat micro-op programs for the serving hot
-//! path.
+//! Pre-decoded execution: flat micro-op programs, the production
+//! executor.
 //!
-//! [`Machine::step`] re-interprets the [`Instr`] enum on every cycle of
-//! every request: it walks heap `Vec`s inside the instruction for operand
-//! fetch, re-derives each PE's operand wiring from `(tree, layer, index)`
-//! arithmetic, scans every PE slot (including the idle ones) and
-//! re-decides broadcast dedup per `exec`. None of that depends on the
-//! input data — it is a pure function of the program — so a cached
-//! program can pay it **once**.
+//! Interpreting the [`Instr`] enum directly (the oracle,
+//! [`Machine::step`]) walks heap `Vec`s inside every instruction for
+//! operand fetch, re-derives each PE's operand wiring from
+//! `(tree, layer, index)` arithmetic, scans every PE slot (including the
+//! idle ones) and re-decides broadcast dedup per `exec`. None of that
+//! depends on the input data — it is a pure function of the program — so
+//! it is paid **once**, at decode.
 //!
 //! [`DecodedProgram::decode`] lowers a [`Program`] into arena-backed
 //! structure-of-arrays micro-op tables:
@@ -20,27 +20,27 @@
 //! - every `exec` operand pre-resolved to an index into one flat value
 //!   array (ports first, then PE outputs layer by layer), with broadcast
 //!   dedup decided at decode time (`ReadOp::copy_from` names the port
-//!   that already fetched the bank) and idle PEs simply absent;
+//!   that already fetched the register) and idle PEs simply absent;
 //! - static program properties (`load`/`store` bounds, writebacks that
 //!   would latch an idle PE) checked once at decode instead of per cycle.
 //!
 //! [`Machine::run_decoded`] then drives the tables by program counter
 //! with **zero per-cycle allocation** (lint-enforced by
 //! `tests/forbidden_patterns.rs`), producing outputs, cycle counts and
-//! [`Activity`](crate::Activity) counters byte-identical to
-//! [`Machine::run_program`] / [`Machine::run_packed`] on the same
-//! program. The decoded form is derived state: it is never persisted
-//! (the spill layer stores only the verified [`Compiled`]
-//! representation) and is rebuilt from the compiled program wherever it
-//! is needed.
+//! [`Activity`](crate::Activity) counters byte-identical to the oracle's
+//! [`Machine::run_program`] on the same program (differential-fuzzed in
+//! `tests/decoded_differential.rs`). The decoded form is derived state: it
+//! is never persisted (the spill layer stores only the verified
+//! [`Compiled`] representation) and is rebuilt from the compiled program
+//! wherever it is needed.
 
 use dpu_compiler::Compiled;
 use dpu_isa::{encode, ArchConfig, Instr, PeOpcode, Program};
 
-use crate::{Machine, RunResult, SimError};
+use crate::{run_staged, Machine, RunResult, SimError};
 
 /// Sentinel index: "no source" (an undriven operand evaluates as NaN,
-/// exactly like the interpreter's `unwrap_or(f32::NAN)`), or for
+/// exactly like the oracle's `unwrap_or(f32::NAN)`), or for
 /// [`ReadOp::copy_from`] "fetch from the register file".
 const NONE: u32 = u32::MAX;
 
@@ -98,8 +98,9 @@ struct CopyOp {
 /// One driven crossbar port of an `exec`. `copy_from == NONE` fetches
 /// `(bank, addr)` from the register file (counting one register read);
 /// otherwise the port broadcasts the value port `copy_from` already
-/// fetched this cycle — the dedup decision the interpreter makes with a
-/// per-`exec` linear scan, made once here.
+/// fetched this cycle — the dedup decision [`Machine::step`] makes with a
+/// linear scan over the `exec`'s fetched `(bank, addr)` pairs, made once
+/// here.
 #[derive(Debug, Clone, Copy)]
 struct ReadOp {
     /// Value-array index this port drives (ports occupy `0..banks`).
@@ -152,7 +153,7 @@ struct ExecOp {
 pub struct DecodedProgram {
     config: ArchConfig,
     /// Fetch width `IL` in bits, pre-computed (per-cycle fetch
-    /// accounting matches the interpreted and packed paths).
+    /// accounting matches [`Machine::run_program`]).
     fetch_bits: u64,
     /// Pipeline depth `D`: an `exec` issued at cycle `c` lands its
     /// writebacks at the end of cycle `c + land_offset`.
@@ -178,13 +179,13 @@ pub struct DecodedProgram {
 impl DecodedProgram {
     /// Lowers `program` into flat micro-op arrays.
     ///
-    /// Static program properties the interpreter checks per cycle are
+    /// Static program properties the oracle checks per cycle are
     /// checked here once instead: a `load`/`store` row outside the data
     /// memory ([`SimError::RowOutOfRange`]) and an `exec` writeback
     /// selecting an idle PE ([`SimError::IdlePeWriteback`]) reject the
     /// program at decode time. State-dependent hazards (empty-register
     /// reads, write-port clashes, bank overflow) remain runtime checks
-    /// in [`Machine::run_decoded`], exactly as interpreted.
+    /// in [`Machine::run_decoded`], exactly as in [`Machine::step`].
     ///
     /// # Errors
     ///
@@ -293,8 +294,10 @@ impl DecodedProgram {
                     let reads_start = d.reads.len();
                     // Broadcast dedup, decided once: the first port to
                     // read a `(bank, addr)` fetches; later ports copy
-                    // its port slot. Same linear-scan relation the
-                    // interpreter applies per cycle.
+                    // its port slot. `Machine::step` scans its fetched
+                    // list for the same `(bank, addr)` key, so the two
+                    // count identical register reads on any instruction,
+                    // validated or not.
                     for (port, r) in e.reads.iter().enumerate() {
                         let Some(r) = r else { continue };
                         let copy_from = d.reads[reads_start..]
@@ -318,7 +321,7 @@ impl DecodedProgram {
                             });
                         }
                     }
-                    // Active PEs only, in the interpreter's evaluation
+                    // Active PEs only, in the oracle's evaluation
                     // order, operands pre-resolved to value-array slots.
                     let pes_start = d.pes.len();
                     for l in 1..=cfg.depth {
@@ -394,9 +397,9 @@ impl DecodedProgram {
 
 impl Machine {
     /// Runs a decoded program (plus pipeline drain) from the current
-    /// state — the pre-decoded equivalent of [`Machine::run_program`],
-    /// with outputs, cycle counts and activity counters byte-identical
-    /// to it on any program that passes decode.
+    /// state, with outputs, cycle counts and activity counters
+    /// byte-identical to the oracle's [`Machine::run_program`] on any
+    /// program that passes decode.
     ///
     /// # Errors
     ///
@@ -417,8 +420,8 @@ impl Machine {
         let il = prog.fetch_bits;
         let ring = self.pending.len() as u64;
         // All buffers the loop needs, sized up front; early error
-        // returns leave them empty in scratch — harmless, a failed run
-        // aborts the request (same caveat as `Machine::step`).
+        // returns leave them empty in scratch — harmless, every use site
+        // clears and resizes first, and a failed run aborts the request.
         let mut vals = std::mem::take(&mut self.scratch.vals);
         vals.clear();
         vals.resize(prog.vals_len, 0.0);
@@ -544,10 +547,13 @@ impl Machine {
     }
 }
 
-/// Like [`crate::run_on`], but executing the pre-decoded form: stages
-/// inputs, runs [`Machine::run_decoded`], reads back outputs. `decoded`
-/// must be the decode of `compiled.program`; the result is byte-identical
-/// to [`crate::run_on`] for the same `(compiled, inputs)`.
+/// Runs `compiled` on `inputs` (in input-ordinal order) on a caller-owned
+/// [`Machine`]: resets it (or rebuilds it on a configuration mismatch),
+/// stages the inputs into data memory, runs [`Machine::run_decoded`], reads
+/// the outputs back. This is the serving hot path — decode once, keep one
+/// machine per worker, call this per request. `decoded` must be the decode
+/// of `compiled.program`; the result is byte-identical to the oracle's
+/// [`crate::run_on`] for the same `(compiled, inputs)`.
 ///
 /// # Errors
 ///
@@ -564,34 +570,27 @@ pub fn run_decoded_on(
     inputs: &[f32],
 ) -> Result<RunResult, SimError> {
     assert_eq!(
-        inputs.len(),
-        compiled.layout.input_slots.len(),
-        "input count mismatch"
-    );
-    assert_eq!(
         *decoded.config(),
         compiled.program.config,
         "decoded program configuration mismatch"
     );
-    if *m.config() == compiled.program.config {
-        m.reset();
-    } else {
-        *m = Machine::new(compiled.program.config);
-    }
-    for (&(row, col), &v) in compiled.layout.input_slots.iter().zip(inputs) {
-        if row != u32::MAX {
-            m.poke(row, col, v)?;
-        }
-    }
-    m.run_decoded(decoded)?;
-    let mut outputs = Vec::with_capacity(compiled.layout.output_slots.len());
-    for &(row, col) in &compiled.layout.output_slots {
-        outputs.push(m.peek(row, col)?);
-    }
-    Ok(RunResult {
-        cycles: m.cycle(),
-        outputs,
-        activity: m.activity(),
-        dag_ops: compiled.bin_dag.op_count() as u64,
-    })
+    run_staged(m, compiled, inputs, |m| m.run_decoded(decoded))
+}
+
+/// One-shot run: decode `compiled.program`, build a fresh machine, run it
+/// on `inputs` — the form for callers that execute a program once
+/// (`Dpu::execute`, the DSE sweep, the experiment binaries). Callers that
+/// run one program many times decode once and call [`run_decoded_on`].
+///
+/// # Errors
+///
+/// See [`SimError`]; static program faults are reported by the decode.
+///
+/// # Panics
+///
+/// Panics if `inputs` does not match the DAG's input count.
+pub fn execute(compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
+    let decoded = DecodedProgram::decode(&compiled.program)?;
+    let mut m = Machine::new(compiled.program.config);
+    run_decoded_on(&mut m, compiled, &decoded, inputs)
 }

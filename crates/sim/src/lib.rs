@@ -22,6 +22,23 @@
 //! [`run_and_verify`], which is the end-to-end proof that compiler and
 //! architecture agree.
 //!
+//! # Two executors, one of them for tests
+//!
+//! - **Production:** [`DecodedProgram::decode`] → [`Machine::run_decoded`].
+//!   [`execute`] is the one-shot form (decode, fresh machine, run);
+//!   [`run_decoded_on`] is the decode-once/run-many form the serving
+//!   runtime and [`run_batch`] use. Everything that reports a number —
+//!   `Dpu::execute`, the serving engine, the DSE sweep, every experiment
+//!   binary — goes through these.
+//! - **Oracle:** [`Machine::step`] / [`Machine::run_program`] / [`run`] /
+//!   [`run_on`] interpret the [`Instr`] enum directly. They are the plain
+//!   specification of the ISA semantics, written for reading rather than
+//!   speed, and exist so the differential tests have something
+//!   independent to compare the decoded executor against (and so a
+//!   per-cycle probe such as the Fig. 10 occupancy sampler can single-step
+//!   a machine). No serving or measurement path calls them —
+//!   `tests/forbidden_patterns.rs` enforces that.
+//!
 //! # Example
 //!
 //! ```
@@ -53,7 +70,7 @@ use dpu_isa::{encode, ArchConfig, Instr, PeOpcode, Program};
 use serde::{Deserialize, Serialize};
 
 mod decoded;
-pub use decoded::{run_decoded_on, DecodedProgram};
+pub use decoded::{execute, run_decoded_on, DecodedProgram};
 
 /// Simulation errors — every variant indicates a compiler bug or a corrupt
 /// program, never a data-dependent condition.
@@ -92,11 +109,6 @@ pub enum SimError {
         /// The bank latching the idle output.
         bank: u32,
     },
-    /// A packed instruction image failed to decode.
-    BadImage {
-        /// Decoder diagnostic.
-        detail: String,
-    },
     /// A batch run was requested with zero cores.
     NoCores,
     /// A batch run was requested with an empty batch.
@@ -128,7 +140,6 @@ impl std::fmt::Display for SimError {
             SimError::IdlePeWriteback { bank } => {
                 write!(f, "bank {bank} latches an idle PE output")
             }
-            SimError::BadImage { detail } => write!(f, "packed image: {detail}"),
             SimError::NoCores => write!(f, "batch run requested with zero cores"),
             SimError::EmptyBatch => write!(f, "batch run requested with an empty batch"),
             SimError::Mismatch {
@@ -240,10 +251,9 @@ pub struct Machine {
     pending_count: usize,
     cycle: u64,
     activity: Activity,
-    /// Reusable per-machine scratch for [`Machine::step`]'s hot path, so
-    /// steady-state execution allocates nothing per `exec`/`load`. Each
-    /// buffer is cleared and resized at its point of use (cheap once
-    /// capacity is warm); none carries state across instructions, so
+    /// Reusable buffers for [`Machine::run_decoded`], so steady-state
+    /// execution allocates nothing per cycle. Each is cleared at its
+    /// point of use and none carries state across runs, so
     /// [`Machine::reset`] does not need to touch them.
     scratch: Scratch,
 }
@@ -251,34 +261,16 @@ pub struct Machine {
 /// Per-machine scratch buffers (see the field doc on [`Machine`]).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Crossbar port values of the current `exec` (one per port).
-    ports: Vec<Option<f32>>,
-    /// Broadcast-dedup memo, one slot per bank: the register fetched from
-    /// each bank this `exec`, stamped with [`Scratch::epoch`]. A stale
-    /// stamp means "not fetched this exec", so the memo is reused across
-    /// cycles (and requests) without ever being cleared — replacing the
-    /// linear re-scan of an already-fetched list per port, which made
-    /// operand fetch O(reads²) per `exec`. `ExecInstr::validate` permits
-    /// one read address per bank, so a single slot per bank suffices; the
-    /// address is still checked so hand-built (unvalidated) instructions
-    /// keep exact `(bank, addr)` dedup semantics.
-    fetch_epoch: Vec<u64>,
-    fetch_addr: Vec<u32>,
-    fetch_val: Vec<f32>,
-    /// Monotonic `exec` counter stamping [`Scratch::fetch_epoch`].
-    epoch: u64,
-    /// Per-layer PE outputs of the current `exec`.
-    layers: Vec<Vec<Option<f32>>>,
     /// Staging copy of a data row during `load` (the row must be copied
     /// out before writes because the priority-encoder write borrows the
     /// register file mutably).
     row: Vec<f32>,
-    /// [`Machine::run_decoded`] value array (ports + PE outputs).
+    /// Value array of the current `exec` (ports + PE outputs).
     vals: Vec<f32>,
-    /// [`Machine::run_decoded`] immediate-write banks of the current
-    /// cycle (doubles as the write-port conflict set when landing).
+    /// Immediate-write banks of the current cycle (doubles as the
+    /// write-port conflict set when landing).
     imm: Vec<u32>,
-    /// [`Machine::run_decoded`] staging buffer for `copy.k` moves.
+    /// Staging buffer for `copy.k` moves.
     staged: Vec<(u32, f32)>,
 }
 
@@ -410,15 +402,14 @@ impl Machine {
     }
 
     /// Lands the exec writebacks scheduled for the end of the current
-    /// cycle. `extra_writes` lists banks already written this cycle by the
+    /// cycle. `written` lists banks already written this cycle by the
     /// issuing instruction (write-port conflict detection).
-    fn land_pending(&mut self, extra_writes: &[u32]) -> Result<(), SimError> {
+    fn land_pending(&mut self, mut written: Vec<u32>) -> Result<(), SimError> {
         let slot = (self.cycle % self.pending.len() as u64) as usize;
         if self.pending[slot].is_empty() {
             return Ok(());
         }
-        let mut seen: Vec<u32> = extra_writes.to_vec();
-        self.land_slot(slot, &mut seen)
+        self.land_slot(slot, &mut written)
     }
 
     /// Lands ring slot `slot` (which must be non-empty). `seen` lists
@@ -446,74 +437,76 @@ impl Machine {
         Ok(())
     }
 
+    /// Reads `(bank, addr)` for a `store`/`copy` word, clearing the valid
+    /// bit on a last read.
+    fn read_word(&mut self, bank: u32, addr: u32, valid_rst: bool) -> Result<f32, SimError> {
+        let v = self.read_reg(bank, addr)?;
+        self.activity.reg_reads += 1;
+        if valid_rst {
+            self.banks[bank as usize][addr as usize] = None;
+        }
+        Ok(v)
+    }
+
     /// Issues one instruction (one cycle) and lands due writebacks.
+    ///
+    /// This is the **reference oracle**: the ISA semantics written out
+    /// plainly, with local `Vec`s and linear scans, for tests to compare
+    /// [`Machine::run_decoded`] against. It is not tuned and nothing on a
+    /// serving or measurement path calls it (see the crate docs).
     ///
     /// # Errors
     ///
     /// See [`SimError`].
     pub fn step(&mut self, instr: &Instr) -> Result<(), SimError> {
         let cfg = self.cfg;
+        let check_row = |row: u32| {
+            if row < cfg.data_mem_rows {
+                Ok(row as usize)
+            } else {
+                Err(SimError::RowOutOfRange { row })
+            }
+        };
+        // Banks written by this instruction itself, this cycle.
         let mut immediate_writes: Vec<u32> = Vec::new();
         match instr {
             Instr::Nop => {}
             Instr::Load { row, mask } => {
-                if *row >= cfg.data_mem_rows {
-                    return Err(SimError::RowOutOfRange { row: *row });
-                }
+                let row_vals = self.data[check_row(*row)?].clone();
                 self.activity.mem_reads += 1;
-                let mut row_vals = std::mem::take(&mut self.scratch.row);
-                row_vals.clear();
-                row_vals.extend_from_slice(&self.data[*row as usize]);
                 for (bank, &m) in mask.iter().enumerate() {
                     if m {
                         self.auto_write(bank as u32, row_vals[bank])?;
                         immediate_writes.push(bank as u32);
                     }
                 }
-                self.scratch.row = row_vals;
             }
             Instr::Store { row, reads } => {
-                if *row >= cfg.data_mem_rows {
-                    return Err(SimError::RowOutOfRange { row: *row });
-                }
+                let row_idx = check_row(*row)?;
                 self.activity.mem_writes += 1;
                 self.mark_dirty(*row);
-                for (bank, r) in reads.iter().enumerate() {
+                for (col, r) in reads.iter().enumerate() {
                     if let Some(r) = r {
-                        let v = self.read_reg(r.bank, r.addr)?;
-                        self.activity.reg_reads += 1;
-                        if r.valid_rst {
-                            self.banks[r.bank as usize][r.addr as usize] = None;
-                        }
-                        self.data[*row as usize][bank] = v;
+                        self.data[row_idx][col] = self.read_word(r.bank, r.addr, r.valid_rst)?;
                     }
                 }
             }
             Instr::StoreK { row, reads } => {
-                if *row >= cfg.data_mem_rows {
-                    return Err(SimError::RowOutOfRange { row: *row });
-                }
+                let row_idx = check_row(*row)?;
                 self.activity.mem_writes += 1;
                 self.mark_dirty(*row);
+                // A `store.k` word lands at the column of its source bank.
                 for r in reads {
-                    let v = self.read_reg(r.bank, r.addr)?;
-                    self.activity.reg_reads += 1;
-                    if r.valid_rst {
-                        self.banks[r.bank as usize][r.addr as usize] = None;
-                    }
-                    self.data[*row as usize][r.bank as usize] = v;
+                    self.data[row_idx][r.bank as usize] =
+                        self.read_word(r.bank, r.addr, r.valid_rst)?;
                 }
             }
             Instr::CopyK { moves } => {
                 // All reads happen before any write lands (crossbar pass).
                 let mut staged = Vec::with_capacity(moves.len());
                 for m in moves {
-                    let v = self.read_reg(m.src.bank, m.src.addr)?;
-                    self.activity.reg_reads += 1;
+                    let v = self.read_word(m.src.bank, m.src.addr, m.src.valid_rst)?;
                     self.activity.crossbar_hops += 1;
-                    if m.src.valid_rst {
-                        self.banks[m.src.bank as usize][m.src.addr as usize] = None;
-                    }
                     staged.push((m.dst_bank, v));
                 }
                 for (bank, v) in staged {
@@ -523,61 +516,46 @@ impl Machine {
             }
             Instr::Exec(e) => {
                 self.activity.execs += 1;
-                // The scratch buffers are taken out of `self` for the
-                // duration of the arm (the register file is borrowed
-                // mutably in between) and put back at the end. Early error
-                // returns leave them empty — harmless, because every use
-                // site clears and resizes first, and a failed step aborts
-                // the run anyway.
-                //
-                // 1. Operand fetch through the input crossbar. Broadcast
-                // reads (same bank+addr on several ports) count once,
-                // deduplicated through the epoch-stamped per-bank memo
-                // (see the field docs on [`Scratch`]).
-                let mut port_vals = std::mem::take(&mut self.scratch.ports);
-                port_vals.clear();
-                port_vals.resize(cfg.banks as usize, None);
-                let mut fetch_epoch = std::mem::take(&mut self.scratch.fetch_epoch);
-                let mut fetch_addr = std::mem::take(&mut self.scratch.fetch_addr);
-                let mut fetch_val = std::mem::take(&mut self.scratch.fetch_val);
-                fetch_epoch.resize(cfg.banks as usize, 0);
-                fetch_addr.resize(cfg.banks as usize, 0);
-                fetch_val.resize(cfg.banks as usize, 0.0);
-                self.scratch.epoch += 1;
-                let epoch = self.scratch.epoch;
+                // 1. Operand fetch through the input crossbar. A broadcast
+                // (the same `(bank, addr)` on several ports) reads the
+                // register file once: the first port fetches, later ports
+                // find it in `fetched`. `DecodedProgram::decode` makes the
+                // same decision with the same linear scan.
+                let mut fetched: Vec<(u32, u32, f32)> = Vec::new();
+                let mut port_vals: Vec<Option<f32>> = vec![None; cfg.banks as usize];
                 for (port, r) in e.reads.iter().enumerate() {
                     let Some(r) = r else { continue };
-                    let bank = r.bank as usize;
-                    let v = if fetch_epoch[bank] == epoch && fetch_addr[bank] == r.addr {
-                        fetch_val[bank]
-                    } else {
-                        let v = self.read_reg(r.bank, r.addr)?;
-                        self.activity.reg_reads += 1;
-                        fetch_epoch[bank] = epoch;
-                        fetch_addr[bank] = r.addr;
-                        fetch_val[bank] = v;
-                        v
+                    let hit = fetched.iter().find(|f| (f.0, f.1) == (r.bank, r.addr));
+                    let v = match hit {
+                        Some(&(_, _, v)) => v,
+                        None => {
+                            let v = self.read_reg(r.bank, r.addr)?;
+                            self.activity.reg_reads += 1;
+                            fetched.push((r.bank, r.addr, v));
+                            v
+                        }
                     };
                     self.activity.crossbar_hops += 1;
                     port_vals[port] = Some(v);
                 }
-                self.scratch.fetch_epoch = fetch_epoch;
-                self.scratch.fetch_addr = fetch_addr;
-                self.scratch.fetch_val = fetch_val;
                 // rst after all reads of the cycle (idempotent per bank).
                 for r in e.reads.iter().flatten() {
                     if r.valid_rst {
                         self.banks[r.bank as usize][r.addr as usize] = None;
                     }
                 }
-                // 2. Evaluate the trees layer by layer.
-                let mut layer_out = std::mem::take(&mut self.scratch.layers);
-                layer_out.resize_with(cfg.depth as usize, Vec::new);
+                // 2. Evaluate the trees layer by layer; `layer_out[l - 1]`
+                // holds layer `l`'s outputs, `None` for an idle PE.
+                let mut layer_out: Vec<Vec<Option<f32>>> = Vec::new();
                 for l in 1..=cfg.depth {
-                    let (prev_layers, rest) = layer_out.split_at_mut((l - 1) as usize);
-                    let outs = &mut rest[0];
-                    outs.clear();
-                    outs.resize((cfg.trees() * cfg.pes_in_layer(l)) as usize, None);
+                    // Layer 1 reads its tree's ports, layer `l` the layer
+                    // below it; both are laid out tree-major, and PE `i`
+                    // takes inputs `2i` and `2i + 1` of its tree.
+                    let (prev, inputs_per_tree) = match layer_out.last() {
+                        None => (&port_vals, cfg.ports_per_tree()),
+                        Some(below) => (below, cfg.pes_in_layer(l - 1)),
+                    };
+                    let mut outs = vec![None; (cfg.trees() * cfg.pes_in_layer(l)) as usize];
                     for t in 0..cfg.trees() {
                         for i in 0..cfg.pes_in_layer(l) {
                             let pe = dpu_isa::PeId::new(t, l, i);
@@ -585,25 +563,18 @@ impl Machine {
                             if op == PeOpcode::Nop {
                                 continue;
                             }
-                            let (a, b) = if l == 1 {
-                                let base = (t * cfg.ports_per_tree() + 2 * i) as usize;
-                                (port_vals[base], port_vals[base + 1])
-                            } else {
-                                let prev = &prev_layers[(l - 2) as usize];
-                                let base = (t * cfg.pes_in_layer(l - 1) + 2 * i) as usize;
-                                (prev[base], prev[base + 1])
-                            };
-                            let av = a.unwrap_or(f32::NAN);
-                            let bv = b.unwrap_or(f32::NAN);
-                            let out = op.apply(av, bv);
+                            let base = (t * inputs_per_tree + 2 * i) as usize;
+                            let av = prev[base].unwrap_or(f32::NAN);
+                            let bv = prev[base + 1].unwrap_or(f32::NAN);
                             if matches!(op, PeOpcode::BypassL | PeOpcode::BypassR) {
                                 self.activity.pe_bypass_ops += 1;
                             } else {
                                 self.activity.pe_arith_ops += 1;
                             }
-                            outs[(t * cfg.pes_in_layer(l) + i) as usize] = Some(out);
+                            outs[(t * cfg.pes_in_layer(l) + i) as usize] = Some(op.apply(av, bv));
                         }
                     }
+                    layer_out.push(outs);
                 }
                 // 3. Schedule writebacks for cycle + D (its ring slot is
                 // necessarily empty: it drained at cycle - 1).
@@ -617,16 +588,15 @@ impl Machine {
                     self.pending[slot].push((bank as u32, v));
                     self.pending_count += 1;
                 }
-                self.scratch.ports = port_vals;
-                self.scratch.layers = layer_out;
             }
         }
-        self.land_pending(&immediate_writes)?;
+        self.land_pending(immediate_writes)?;
         self.cycle += 1;
         Ok(())
     }
 
-    /// Runs a whole program (plus pipeline drain) from the current state.
+    /// Runs a whole program (plus pipeline drain) from the current state,
+    /// one [`Machine::step`] per instruction — the oracle's program loop.
     ///
     /// # Errors
     ///
@@ -639,42 +609,17 @@ impl Machine {
         }
         // Drain the pipeline.
         while self.pending_count > 0 {
-            self.land_pending(&[])?;
-            self.cycle += 1;
-        }
-        Ok(())
-    }
-
-    /// Runs a **packed** instruction-memory image: fetch `IL` bits per
-    /// cycle, align with the shifter, decode, execute — the full Fig. 7(b)
-    /// path rather than the pre-decoded list. Equivalent to
-    /// [`Machine::run_program`] on the unpacked program; used to verify
-    /// that the binary image is self-contained.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadImage`] if the stream does not decode; otherwise as
-    /// [`Machine::step`].
-    pub fn run_packed(&mut self, image: &[u8], count: usize) -> Result<(), SimError> {
-        let il = u64::from(encode::fetch_width(&self.cfg));
-        let mut reader = encode::BitReader::new(image);
-        for _ in 0..count {
-            let instr = encode::decode(&mut reader, &self.cfg).map_err(|e| SimError::BadImage {
-                detail: e.to_string(),
-            })?;
-            self.step(&instr)?;
-            self.activity.instr_bits_fetched += il;
-        }
-        while self.pending_count > 0 {
-            self.land_pending(&[])?;
+            self.land_pending(Vec::new())?;
             self.cycle += 1;
         }
         Ok(())
     }
 }
 
-/// Runs `compiled` with the given DAG `inputs` (in input-ordinal order):
-/// stages inputs into data memory, executes, and reads back outputs.
+/// **Oracle** one-shot run: stages `inputs` (in input-ordinal order) into
+/// the data memory of a fresh machine, interprets the program with
+/// [`Machine::run_program`], and reads back outputs. Production code
+/// calls [`execute`]; the two agree byte for byte.
 ///
 /// # Errors
 ///
@@ -688,11 +633,11 @@ pub fn run(compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
     run_on(&mut m, compiled, inputs)
 }
 
-/// Like [`run`], but executes on a caller-owned [`Machine`], resetting it
-/// first instead of allocating a fresh one. This is the serving hot path:
-/// a worker thread owns one machine and reuses it across requests. If the
-/// machine's configuration does not match the program's, it is rebuilt
-/// (the one case that still allocates).
+/// Like [`run`], on a caller-owned [`Machine`] that is reset first (or
+/// rebuilt, if its configuration does not match the program's) — the
+/// **oracle** counterpart of [`run_decoded_on`], and what the serving
+/// runtime's reference pass (`Engine::serve_serial`) runs so that every
+/// dispatcher-vs-serial comparison is also decoded-vs-interpreted.
 ///
 /// The result is identical to [`run`] for the same `(compiled, inputs)`.
 ///
@@ -704,6 +649,19 @@ pub fn run(compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
 ///
 /// Panics if `inputs` does not match the DAG's input count.
 pub fn run_on(m: &mut Machine, compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
+    run_staged(m, compiled, inputs, |m| m.run_program(&compiled.program))
+}
+
+/// The host side of one run, shared by both executors: reset `m` (rebuild
+/// it if its configuration does not match the program's — the one case
+/// that allocates), stage `inputs` into data memory, let `execute` run the
+/// program, read the outputs back.
+fn run_staged(
+    m: &mut Machine,
+    compiled: &Compiled,
+    inputs: &[f32],
+    execute: impl FnOnce(&mut Machine) -> Result<(), SimError>,
+) -> Result<RunResult, SimError> {
     assert_eq!(
         inputs.len(),
         compiled.layout.input_slots.len(),
@@ -719,7 +677,7 @@ pub fn run_on(m: &mut Machine, compiled: &Compiled, inputs: &[f32]) -> Result<Ru
             m.poke(row, col, v)?;
         }
     }
-    m.run_program(&compiled.program)?;
+    execute(m)?;
     let mut outputs = Vec::with_capacity(compiled.layout.output_slots.len());
     for &(row, col) in &compiled.layout.output_slots {
         outputs.push(m.peek(row, col)?);
@@ -749,7 +707,7 @@ pub struct VerifyReport {
 /// Any [`SimError`], including [`SimError::Mismatch`] on the first
 /// disagreeing output.
 pub fn run_and_verify(compiled: &Compiled, inputs: &[f32]) -> Result<VerifyReport, SimError> {
-    let result = run(compiled, inputs)?;
+    let result = execute(compiled, inputs)?;
     let reference = eval::evaluate(&compiled.bin_dag, inputs).expect("compiled DAG evaluates");
     for (i, (&got, out_node)) in result
         .outputs
@@ -823,11 +781,12 @@ pub fn run_batch(
     if batch.is_empty() {
         return Err(SimError::EmptyBatch);
     }
-    // One machine, reset per input: no per-request allocation.
+    // One program, many inputs: decode once, one machine reset per input.
+    let decoded = DecodedProgram::decode(&compiled.program)?;
     let mut m = Machine::new(compiled.program.config);
     let mut runs = Vec::with_capacity(batch.len());
     for inputs in batch {
-        runs.push(run_on(&mut m, compiled, inputs)?);
+        runs.push(run_decoded_on(&mut m, compiled, &decoded, inputs)?);
     }
     let rounds = batch.len().div_ceil(cores) as u64;
     let per_run = runs.iter().map(|r| r.cycles).max().expect("non-empty");
@@ -1007,8 +966,7 @@ mod tests {
         m.step(&exec).unwrap();
         assert_eq!(m.activity().reg_reads, 1, "broadcast fetch counts once");
         assert_eq!(m.activity().crossbar_hops, 2, "both ports hop the crossbar");
-        // The next exec is a fresh epoch: the bank is fetched again even
-        // though the memo still physically holds the stale entry.
+        // Dedup is per `exec`: the next one fetches the bank again.
         m.step(&exec).unwrap();
         assert_eq!(m.activity().reg_reads, 2);
         assert_eq!(m.activity().crossbar_hops, 4);

@@ -1,14 +1,14 @@
-//! Differential fuzz: the three execution paths — interpreted
-//! ([`Machine::run_program`]), packed fetch+decode
-//! ([`Machine::run_packed`]) and pre-decoded
-//! ([`Machine::run_decoded`]) — must be indistinguishable on every
-//! program: bit-identical outputs, identical cycle counts and identical
-//! activity counters, across random workloads × architecture configs
-//! (including a tiny-register config that forces compiler spills).
+//! Differential fuzz: the oracle ([`Machine::run_program`], one
+//! [`Machine::step`] per instruction) and the production executor
+//! ([`Machine::run_decoded`]) must be indistinguishable on every program:
+//! bit-identical outputs, identical cycle counts and identical activity
+//! counters, across random workloads × architecture configs (including a
+//! tiny-register config that forces compiler spills) — and on hand-built
+//! instructions the compiler would never emit.
 
-use dpu_compiler::{compile, CompileOptions, Compiled};
+use dpu_compiler::{compile, CompileOptions};
 use dpu_dag::{Dag, DagBuilder, NodeId, Op};
-use dpu_isa::ArchConfig;
+use dpu_isa::{ArchConfig, ExecInstr, Instr, PeId, PeOpcode, PortRead, Program};
 use dpu_sim::{run_decoded_on, run_on, DecodedProgram, Machine, RunResult};
 
 use rand::rngs::SmallRng;
@@ -37,31 +37,6 @@ fn random_dag(seed: u64) -> (Dag, Vec<f32>) {
     (dag, inputs)
 }
 
-/// Runs `compiled` through one staged machine path and returns
-/// `(outputs, cycles, activity)` for exact comparison.
-fn run_packed_path(compiled: &Compiled, inputs: &[f32]) -> RunResult {
-    let mut m = Machine::new(compiled.program.config);
-    for (&(row, col), &v) in compiled.layout.input_slots.iter().zip(inputs) {
-        if row != u32::MAX {
-            m.poke(row, col, v).unwrap();
-        }
-    }
-    let image = compiled.program.pack();
-    m.run_packed(&image, compiled.program.len()).unwrap();
-    let outputs = compiled
-        .layout
-        .output_slots
-        .iter()
-        .map(|&(row, col)| m.peek(row, col).unwrap())
-        .collect();
-    RunResult {
-        cycles: m.cycle(),
-        outputs,
-        activity: m.activity(),
-        dag_ops: compiled.bin_dag.op_count() as u64,
-    }
-}
-
 fn assert_same(tag: &str, point: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.cycles, b.cycles, "{point}: {tag} cycle count diverged");
     assert_eq!(a.activity, b.activity, "{point}: {tag} activity diverged");
@@ -76,7 +51,7 @@ fn assert_same(tag: &str, point: &str, a: &RunResult, b: &RunResult) {
 }
 
 #[test]
-fn interpreted_packed_and_decoded_paths_are_bit_identical() {
+fn oracle_and_decoded_paths_are_bit_identical() {
     let configs = [
         (1u32, 4u32, 16u32),
         (2, 8, 16),
@@ -84,7 +59,7 @@ fn interpreted_packed_and_decoded_paths_are_bit_identical() {
         (3, 16, 32),
         (2, 8, 6), // tiny R: forces spill stores/loads into the program
     ];
-    let mut interp_machine = Machine::new(ArchConfig::new(1, 2, 2).unwrap());
+    let mut oracle_machine = Machine::new(ArchConfig::new(1, 2, 2).unwrap());
     let mut decoded_machine = Machine::new(ArchConfig::new(1, 2, 2).unwrap());
     let mut points = 0;
     for seed in 0..10u64 {
@@ -98,15 +73,59 @@ fn interpreted_packed_and_decoded_paths_are_bit_identical() {
                 Err(_) => continue,
             };
             let point = format!("seed {seed} cfg {d}/{bk}/{r}");
-            let interp = run_on(&mut interp_machine, &compiled, &inputs).unwrap();
-            let packed = run_packed_path(&compiled, &inputs);
+            let oracle = run_on(&mut oracle_machine, &compiled, &inputs).unwrap();
             let decoded_prog = DecodedProgram::decode(&compiled.program).unwrap();
             let decoded =
                 run_decoded_on(&mut decoded_machine, &compiled, &decoded_prog, &inputs).unwrap();
-            assert_same("packed", &point, &interp, &packed);
-            assert_same("decoded", &point, &interp, &decoded);
+            assert_same("decoded", &point, &oracle, &decoded);
             points += 1;
         }
     }
     assert!(points >= 45, "only {points} differential points ran");
+}
+
+/// `Program { .. }` literals skip `Instr::validate`, so both executors can
+/// be handed an `exec` that reads one bank at two addresses: ports 0/1/2
+/// reading `(0,0)`, `(0,1)`, `(0,0)`. Broadcast dedup is keyed on
+/// `(bank, addr)`, so the third port re-uses the first port's fetch — two
+/// register reads, three crossbar hops — and the oracle and the decoder
+/// must agree on that, not only on what the compiler emits.
+#[test]
+fn same_bank_a_b_a_reads_count_the_same_in_both_executors() {
+    let cfg = ArchConfig::new(2, 4, 4).unwrap();
+    let read = |addr| {
+        Some(PortRead {
+            bank: 0,
+            addr,
+            valid_rst: false,
+        })
+    };
+    let mut exec = ExecInstr::idle(&cfg);
+    exec.reads[0] = read(0);
+    exec.reads[1] = read(1);
+    exec.reads[2] = read(0);
+    exec.pe_ops[PeId::new(0, 1, 0).flat_index(&cfg) as usize] = PeOpcode::Add;
+    let load_bank0 = Instr::Load {
+        row: 0,
+        mask: vec![true, false, false, false],
+    };
+    let program = Program {
+        config: cfg,
+        instrs: vec![load_bank0.clone(), load_bank0, Instr::Exec(exec)],
+    };
+
+    let mut oracle = Machine::new(cfg);
+    oracle.poke(0, 0, 1.5).unwrap();
+    oracle.run_program(&program).unwrap();
+
+    let mut decoded = Machine::new(cfg);
+    decoded.poke(0, 0, 1.5).unwrap();
+    decoded
+        .run_decoded(&DecodedProgram::decode(&program).unwrap())
+        .unwrap();
+
+    assert_eq!(oracle.activity(), decoded.activity());
+    assert_eq!(oracle.cycle(), decoded.cycle());
+    assert_eq!(oracle.activity().reg_reads, 2, "A,B,A fetches A once");
+    assert_eq!(oracle.activity().crossbar_hops, 3);
 }

@@ -1,11 +1,10 @@
 //! Decoded pipeline: decode a compiled program once into its flat
 //! micro-op form, run it over many input sets, and compare against the
-//! per-cycle interpreter — then group a mixed request round by program
-//! so each decode is shared across every request that uses it.
+//! oracle interpreter the test suite checks it with — then group a mixed
+//! request round by program so each decode is shared across every
+//! request that uses it.
 //!
 //! Run with `cargo run --release --example decoded_pipeline`.
-
-use std::time::Instant;
 
 use dpu_core::prelude::*;
 use dpu_core::sim::{self, DecodedProgram};
@@ -22,38 +21,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compiled.program.len()
     );
 
-    // 2. One program, many inputs: the interpreter re-walks the
-    //    instruction structure every run; the decoded form just indexes.
+    // 2. One program, many inputs: the oracle (`sim::run_on`, the plain
+    //    specification, untuned) re-walks the instruction structure every
+    //    run; the decoded form — what every production path runs — just
+    //    indexes.
     let runs = 200;
     let input_sets: Vec<Vec<f32>> = (0..runs).map(|i| pc_inputs(&dag, i as u64)).collect();
     let mut machine = sim::Machine::new(dpu.config);
-    let t0 = Instant::now();
-    let mut interpreted = Vec::with_capacity(runs);
     for inputs in &input_sets {
-        interpreted.push(sim::run_on(&mut machine, &compiled, inputs)?);
-    }
-    let interpreted_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    for (i, inputs) in input_sets.iter().enumerate() {
+        let want = sim::run_on(&mut machine, &compiled, inputs)?;
         let got = sim::run_decoded_on(&mut machine, &compiled, &decoded, inputs)?;
-        assert_eq!(
-            got.outputs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            interpreted[i]
-                .outputs
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            "decoded execution is byte-identical to interpreted"
-        );
-        assert_eq!(got.cycles, interpreted[i].cycles);
+        let bits = |r: &RunResult| r.outputs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "decoded is byte-identical");
+        assert_eq!((got.cycles, got.activity), (want.cycles, want.activity));
     }
-    let decoded_s = t1.elapsed().as_secs_f64();
-    println!(
-        "{runs} runs: interpreted {:.1} ms, decoded {:.1} ms — {:.2}x speedup, byte-identical",
-        interpreted_s * 1e3,
-        decoded_s * 1e3,
-        interpreted_s / decoded_s.max(1e-9)
-    );
+    println!("{runs} runs: decoded outputs, cycles and activity byte-identical to the oracle");
 
     // 3. Round execution: a mixed round is grouped by program, so every
     //    request sharing a DAG runs off one shared decoded form.

@@ -1,7 +1,9 @@
-//! Source-level lint enforcing two architectural invariants that the
-//! type system cannot: the simulator stays deterministic (no wall-clock
-//! reads), and the runtime's backpressure story stays intact (exactly
-//! one deliberately unbounded channel, behind the admission gate).
+//! Source-level lint enforcing architectural invariants that the type
+//! system cannot: the simulator stays deterministic (no wall-clock
+//! reads), the decoded cycle loop stays allocation-free, the runtime's
+//! backpressure story stays intact (exactly one deliberately unbounded
+//! channel, behind the admission gate), and the oracle interpreter stays
+//! off every production path.
 //!
 //! Plain text scanning is crude but cheap, runs in the ordinary test
 //! suite, and fails with the offending file + line so violations are
@@ -115,6 +117,55 @@ fn runtime_builds_no_unbounded_channels_outside_the_ingest_gate() {
     assert!(
         hits.is_empty(),
         "dpu-runtime must not construct unbounded channels outside ingest.rs:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn production_code_never_calls_the_oracle_interpreter() {
+    // There is one production executor: decode -> `run_decoded`. The
+    // `step` interpreter (`Machine::step` / `run_program`, `sim::run`,
+    // `run_on`) is the reference the differential tests compare it
+    // against; a production caller would quietly bring back the second
+    // path. Two sites are sanctioned: `Engine::serve_serial` *is* the
+    // reference pass, and the Fig. 10 occupancy sampler needs a machine
+    // it can single-step to sample per-cycle state.
+    const ORACLE_CALLS: [&str; 4] = ["run_on(", "run_program(", "sim::run(", ".step("];
+    const ALLOWED: [(&str, &str); 2] = [
+        ("pool.rs", "fn serve_serial("),
+        ("experiments.rs", "fn fig10_occupancy("),
+    ];
+    let root = repo_root();
+    let mut files = vec![
+        root.join("crates/bench/src/lib.rs"),
+        root.join("crates/bench/src/experiments.rs"),
+    ];
+    for krate in ["runtime", "core", "dse", "energy", "baselines"] {
+        files.extend(rust_sources(&root.join("crates").join(krate).join("src")));
+    }
+    let mut hits = Vec::new();
+    for path in files {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let text = fs::read_to_string(&path).expect("source file is UTF-8");
+        // The function a line belongs to, crudely: the last `fn` header
+        // seen above it.
+        let mut enclosing_fn = "";
+        for (idx, line) in text.lines().enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("fn ") || code.starts_with("pub fn ") {
+                enclosing_fn = code;
+            }
+            let sanctioned = ALLOWED
+                .iter()
+                .any(|(file, header)| *file == name && enclosing_fn.contains(header));
+            if !sanctioned && ORACLE_CALLS.iter().any(|call| code.contains(call)) {
+                hits.push(format!("{}:{}: {}", path.display(), idx + 1, code));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "production code must execute through decode -> run_decoded, not the oracle:\n{}",
         hits.join("\n")
     );
 }
