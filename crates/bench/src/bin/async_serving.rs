@@ -64,12 +64,12 @@
 //!    interactive goodput ratio. Overload must degrade honestly, never
 //!    silently.
 //! 7. **Chaos recovery** (gated): the gated stream replays open-loop at
-//!    2× saturation against four supervised shards while a scripted
+//!    2× saturation against four shards while a scripted
 //!    `ChaosPlan` kills one shard after its second round and stalls a
 //!    second one every round, with hedging covering the straggler.
 //!    Recovery must be loss-free: the `chaos` section's
 //!    `lost_tickets`/`failed` must be zero, `recovered ≥ 1` (the dead
-//!    shard's rounds provably moved through the lease/requeue path),
+//!    shard's rounds provably moved through the lease-slot/requeue path),
 //!    every completion is verified byte-identical to the serial
 //!    reference, and `bench_gate` re-checks the invariants and the
 //!    per-class ledger.
@@ -825,12 +825,13 @@ fn main() {
         .field("classes", degrade_classes);
 
     // Phase 7: chaos recovery (gated). The gated 600-request stream
-    // replays open-loop at 2× saturation against four supervised shards
-    // while a scripted `ChaosPlan` kills the home shard of the first
-    // family after its second round and stalls a neighbour on every
-    // round; hedging covers the straggler. Stealing stays off so every
-    // rescued round provably moved through the supervised lease/requeue
-    // (or hedge) path rather than an opportunistic steal. The invariants
+    // replays open-loop at 2× saturation against four shards while a
+    // scripted `ChaosPlan` kills the home shard of the first family after
+    // its second round and stalls a neighbour on every round; hedging
+    // covers the straggler. Stealing stays off so every rescued round
+    // provably moved through the lease-slot/requeue (or hedge) path —
+    // the one every dispatcher runs — rather than an opportunistic
+    // steal. The invariants
     // checked here and re-checked by `bench_gate`: zero lost tickets,
     // zero failures (three same-class survivors remain), at least one
     // recovered round, every completion byte-identical to the serial

@@ -6,17 +6,17 @@
 //! or bench run can replay the exact same failure against the exact same
 //! request stream and compare outputs byte-for-byte against a serial
 //! reference. The plan is injected through
-//! [`DispatchOptions::chaos`](crate::DispatchOptions::chaos); the
-//! dispatcher's supervision path (see `dispatch.rs`) detects the victim,
-//! reclaims its queued and in-flight rounds through a generation-stamped
-//! lease table, and requeues them onto surviving
-//! [`steal_compatible`](dpu_verify::steal_compatible) shards — the only
+//! [`DispatchOptions::chaos`](crate::DispatchOptions::chaos) and is only
+//! a script: the recovery it exercises (see `dispatch.rs`) is the one
+//! every dispatcher runs with — a dead shard's queued rounds and the
+//! round in its lease slot are requeued onto a surviving
+//! [`steal_compatible`](dpu_verify::steal_compatible) shard, the only
 //! moves statically proven to preserve per-request results.
 //!
 //! [`HedgeOptions`] is the independent straggler policy: a round that has
-//! waited in queue past a latency-percentile trigger gets a *copy*
+//! waited in queue past a latency-percentile trigger gets a second handle
 //! enqueued on an idle identical-class shard. First completion wins per
-//! job (an atomic claim token); the loser's result is discarded before
+//! job (its atomic claim); the loser's result is discarded before
 //! ticket fulfilment. Results are byte-identical either way, so hedging
 //! changes tail latency, never answers.
 
@@ -27,7 +27,7 @@ use std::time::Duration;
 pub enum ChaosEvent {
     /// Kill shard `shard` at the checkout of its `after_rounds + 1`-th
     /// round: the worker abandons the round it just checked out plus its
-    /// whole queue (both recovered through the lease/requeue path) and
+    /// whole queue (both recovered through the lease slot and requeue) and
     /// exits — a crash with maximal strand surface.
     KillShard {
         /// Victim shard index (primaries and mirrors both count).
@@ -161,11 +161,11 @@ impl ChaosPlan {
 /// Straggler-hedging policy, injected through
 /// [`DispatchOptions::hedge`](crate::DispatchOptions::hedge).
 ///
-/// The dispatcher's supervisor samples every round's observed queue wait
+/// With hedging on, workers sample every round's observed queue wait
 /// (round close → worker checkout) into a live histogram; a queued round
 /// that has waited past `max(value_at_quantile(trigger_percentile),
-/// min_wait)` gets one copy enqueued on an idle shard of the same steal
-/// class. Whichever copy resolves a job first wins its atomic claim; the
+/// min_wait)` gets one more handle enqueued on an idle shard of the same
+/// steal class. Whichever handle resolves a job first wins its claim; the
 /// loser is discarded before ticket fulfilment, so each ticket is
 /// fulfilled exactly once and — because identical-class shards are
 /// statically proven result-identical — byte-identically either way.

@@ -43,18 +43,23 @@
 //!   ([`DispatchOptions::priority_aging`]) keeps batch work from
 //!   starving. [`DispatchReport::classes`] is the honest per-class
 //!   ledger: `offered == completed + failed + shed + rejected`, always.
-//! - **Failure injection and recovery.** A seeded
-//!   [`ChaosPlan`] ([`DispatchOptions::chaos`]) scripts
-//!   shard deaths and stalls deterministically. A dying shard's queued
-//!   *and* in-flight rounds are recovered through a generation-stamped
-//!   round-lease table onto surviving same-class shards (the moves
-//!   `steal_compatible` statically proves result-identical), worker
-//!   panics at the backend seam are contained the same way, and optional
-//!   hedging ([`DispatchOptions::hedge`]) re-enqueues a copy of a
+//! - **Failure containment and recovery — for every dispatcher.** A
+//!   closed round is immutable and shared (`Arc`); every job in it
+//!   carries an inline one-shot claim that each resolution path (shed,
+//!   complete, fail) must win before touching the ticket, and the round a
+//!   worker has checked out stays visible in its shard's queue slot (the
+//!   *lease*) until the worker comes back for the next one. A dying
+//!   shard's queued *and* in-hand rounds are therefore requeued onto a
+//!   surviving same-class shard (the moves `steal_compatible` statically
+//!   proves result-identical) whether the death is a contained backend
+//!   panic or a scripted kill ([`DispatchOptions::chaos`], a seeded
+//!   [`ChaosPlan`]); [`DispatchOptions::stall_timeout`] reclaims a
+//!   straggler's in-hand round the same way, and optional hedging
+//!   ([`DispatchOptions::hedge`]) enqueues a second handle to a
 //!   straggling round on an idle identical-class shard — first completion
-//!   per job wins its atomic claim, the loser is discarded *before*
-//!   ticket fulfilment. No accepted ticket is ever lost or fulfilled
-//!   twice, and surviving results stay byte-identical to a serial pass.
+//!   per job wins its claim, the loser is discarded *before* ticket
+//!   fulfilment. No accepted ticket is ever lost or fulfilled twice, and
+//!   surviving results stay byte-identical to a serial pass.
 //!   [`DispatchReport::recovered`] / [`DispatchReport::hedged`] /
 //!   [`DispatchReport::hedge_wins`] report the recovery traffic.
 //! - **Mirror mode.** [`Dispatcher::with_backends`] optionally takes
@@ -82,10 +87,10 @@
 //!   count, stealing, or timing (a request's result depends only on its
 //!   backend's parameters, its program, and its inputs).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -94,16 +99,18 @@ use dpu_dag::Dag;
 use dpu_isa::ArchConfig;
 
 use crate::backend::Backend;
-use crate::cache::CacheStats;
 use crate::chaos::{ChaosPlan, HedgeOptions};
 use crate::ingest::{
     job_channel, Admission, Gate, Job, Outcome, Priority, ShedReason, Submitter, TicketState,
 };
 use crate::latency::{Clock, LatencyHistogram, LatencyReport, Timeline};
 use crate::pool::{Engine, EngineOptions, Request, ServeError};
+use crate::report::{ClassReport, DispatchReport, ShardReport};
 use crate::{DagKey, DPU_V2_L_CORES};
 
-/// Sizing and policy knobs of a [`Dispatcher`].
+/// Sizing and policy knobs of a [`Dispatcher`]. None of them selects a
+/// different dispatcher: claims, leases and dead-shard recovery are always
+/// on; `chaos` is a script, `hedge` a policy, `stall_timeout` a timeout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchOptions {
     /// Number of engine shards (ignored by [`Dispatcher::with_configs`]
@@ -143,19 +150,21 @@ pub struct DispatchOptions {
     pub priority_aging: Duration,
     /// Deterministic failure script ([`ChaosPlan`]): kill or stall
     /// specific shards at specific points. `None` (the default) injects
-    /// nothing and leaves the dispatch path byte-identical to a run
-    /// without chaos support.
+    /// nothing; the claims, leases and recovery the script exercises are
+    /// the ones every dispatcher runs with.
     pub chaos: Option<ChaosPlan>,
-    /// Straggler hedging policy ([`HedgeOptions`]): re-enqueue a copy of
-    /// a round that has waited past a latency-percentile trigger on an
-    /// idle identical-class shard; first completion per job wins. `None`
-    /// (the default) never hedges.
+    /// Straggler hedging policy ([`HedgeOptions`]): enqueue a second
+    /// handle to a round that has waited past a latency-percentile
+    /// trigger on an idle identical-class shard (the round is shared, not
+    /// copied); first completion per job wins. `None` (the default) never
+    /// hedges.
     pub hedge: Option<HedgeOptions>,
     /// Stalled-shard detection: a round checked out by a worker for
     /// longer than this is presumed stalled and its lease is reclaimed —
-    /// a *copy* is requeued on a surviving same-class shard while the
-    /// original worker keeps running (whichever copy finishes a job
-    /// first wins its claim). `None` (the default) never reclaims.
+    /// a second handle to the round is requeued on a surviving
+    /// same-class shard while the original worker keeps running
+    /// (whichever finishes a job first wins its claim). `None` (the
+    /// default) never reclaims.
     pub stall_timeout: Option<Duration>,
 }
 
@@ -178,16 +187,6 @@ impl Default for DispatchOptions {
     }
 }
 
-impl DispatchOptions {
-    /// Whether any failure-supervision feature is active. Supervised
-    /// dispatch leases every checked-out round and gives every job an
-    /// atomic completion claim; the unsupervised (default) path carries
-    /// neither and is exactly the pre-chaos pipeline.
-    fn supervised(&self) -> bool {
-        self.chaos.is_some() || self.hedge.is_some() || self.stall_timeout.is_some()
-    }
-}
-
 /// The home shard of a DAG key among `shards` primary shards — the
 /// affinity half of the routing policy. [`DagKey`] is already a
 /// structural hash, so a plain modulus spreads distinct DAGs uniformly.
@@ -201,6 +200,9 @@ pub fn home_shard(key: DagKey, shards: usize) -> usize {
 }
 
 /// One closed round: the unit of dispatch between ingestion and shards.
+/// Immutable once closed and shared by `Arc`: the queue entry, the
+/// holder's lease slot and any hedge or recovery handle all point at the
+/// same round, so none of them copies a request payload.
 struct Round {
     /// The shard this round was routed to (its keys' home, or the mirror
     /// shard it shadows traffic for).
@@ -212,15 +214,9 @@ struct Round {
     /// When the round closed — the reference point for
     /// [`DispatchOptions::priority_aging`] promotion.
     closed_at: Instant,
-    /// Whether a hedge copy of this round has been enqueued (set on both
-    /// the original and the copy), so a round is hedged at most once.
-    hedged: bool,
-    /// Whether this round *is* a hedge copy — wins by its jobs are
-    /// counted as hedge wins.
-    hedge: bool,
     /// Requests in class-then-arrival order (interactive first within the
-    /// round), each with its completion handle and its in-progress
-    /// latency timeline.
+    /// round), each with its completion handle and its latency timeline
+    /// as stamped through round close.
     jobs: Vec<TrackedJob>,
 }
 
@@ -237,27 +233,50 @@ impl Round {
         }
     }
 
-    /// A shareable copy for recovery and hedging: same tickets, same
-    /// claim tokens (so every job still resolves exactly once), own
-    /// request payloads and timelines.
-    fn clone_shared(&self) -> Round {
-        Round {
-            home: self.home,
-            priority: self.priority,
-            closed_at: self.closed_at,
-            hedged: self.hedged,
-            hedge: self.hedge,
-            jobs: self.jobs.iter().map(TrackedJob::clone_shared).collect(),
+    /// Jobs no handle to this round has resolved yet.
+    fn unresolved(&self) -> u64 {
+        self.jobs.iter().filter(|j| !j.already_resolved()).count() as u64
+    }
+}
+
+/// One queue entry: a handle to a round plus the bits that differ per
+/// handle.
+struct QueuedRound {
+    round: Arc<Round>,
+    /// Whether a hedge handle to this round has been enqueued (set on
+    /// both the original and the hedge), so a round is hedged at most
+    /// once.
+    hedged: bool,
+    /// Whether this entry *is* a hedge — wins by its jobs are counted as
+    /// hedge wins.
+    hedge: bool,
+}
+
+impl QueuedRound {
+    fn new(round: Arc<Round>) -> Self {
+        QueuedRound {
+            round,
+            hedged: false,
+            hedge: false,
         }
     }
 }
 
 /// Per-shard queue state behind the shared lock.
 struct QueueState {
-    rounds: VecDeque<Round>,
+    rounds: VecDeque<QueuedRound>,
+    /// The lease: the round this shard's worker has checked out and when,
+    /// until the worker returns for its next one. Filled and cleared by
+    /// [`next_round`] under the lock acquisition it makes anyway; taken
+    /// by the recovery paths (the shard died, or held the round past
+    /// [`DispatchOptions::stall_timeout`]) so a dead or stalled holder's
+    /// in-hand work is requeued without its cooperation. The claim on
+    /// every job keeps a late original and a requeued handle from both
+    /// fulfilling a ticket.
+    in_hand: Option<(Arc<Round>, Instant)>,
     /// Set once, by the ingestion thread, after the final rounds have
-    /// been queued; a shard exits when every queue it may serve is closed
-    /// and empty.
+    /// been queued; a shard exits when every queue of its steal class is
+    /// closed, empty and holds no lease.
     closed: bool,
     /// Set once the shard's worker died (a chaos kill or a contained
     /// panic). A dead queue is permanently empty: its backlog was
@@ -265,155 +284,29 @@ struct QueueState {
     dead: bool,
 }
 
-/// The shared queue fabric: one lock over all shard queues, so stealing
-/// and the exit condition need no lock ordering; one condvar signalled on
-/// every push and on close.
+/// The shared queue fabric: one lock over all shard queues and lease
+/// slots, so stealing, recovery and the exit condition need no lock
+/// ordering; one condvar signalled on every push, on close, on a death
+/// and when a steal class goes idle.
 struct Queues {
     inner: Mutex<Vec<QueueState>>,
     work: Condvar,
 }
 
-/// One leased round: a shard checked it out; the table holds a shareable
-/// copy until the worker releases it, so a dead or stalled holder's
-/// in-flight work can be reconstructed without its cooperation.
-struct Lease {
-    /// The shard that checked the round out.
-    holder: usize,
-    /// The holder's reclaim generation at checkout. Reclaiming a shard
-    /// bumps its generation and tears down only leases stamped with an
-    /// older one, so each lease is reclaimed at most once even against a
-    /// racing release.
-    generation: u64,
-    /// When the round was checked out — the stall-detection reference.
-    checked_out: Instant,
-    /// Shareable copy of the round (same tickets, same claim tokens).
-    round: Round,
-}
-
-struct LeaseInner {
-    next_id: u64,
-    /// Per-shard reclaim generation; see [`Lease::generation`].
-    generation: Vec<u64>,
-    leases: HashMap<u64, Lease>,
-}
-
-/// The round-lease table of supervised mode: every round a worker checks
-/// out is recorded here until the worker releases it after resolution.
-/// The recovery paths reclaim leases — a dead shard's all at once, a
-/// stalled shard's individually — and requeue the copies; the atomic
-/// claim on every job guarantees that a late original and a reclaimed
-/// copy can never both fulfil a ticket.
-///
-/// Lock discipline: the lease lock is a leaf — it is only ever taken
-/// alone or *inside* the queues lock, never around it.
-struct LeaseTable {
-    inner: Mutex<LeaseInner>,
-}
-
-impl LeaseTable {
+impl Queues {
+    /// `shards` open, live, empty queues.
     fn new(shards: usize) -> Self {
-        LeaseTable {
-            inner: Mutex::new(LeaseInner {
-                next_id: 0,
-                generation: vec![0; shards],
-                leases: HashMap::new(),
-            }),
+        let states = (0..shards).map(|_| QueueState {
+            rounds: VecDeque::new(),
+            in_hand: None,
+            closed: false,
+            dead: false,
+        });
+        Queues {
+            inner: Mutex::new(states.collect()),
+            work: Condvar::new(),
         }
     }
-
-    /// Records `round` as checked out by `holder`, keeping a shareable
-    /// copy for reclaim. Returns the lease id the worker must release
-    /// once the round resolves.
-    fn checkout(&self, holder: usize, round: &Round) -> u64 {
-        let mut inner = self.inner.lock().expect("lease table poisoned");
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let generation = inner.generation[holder];
-        inner.leases.insert(
-            id,
-            Lease {
-                holder,
-                generation,
-                checked_out: Instant::now(),
-                round: round.clone_shared(),
-            },
-        );
-        id
-    }
-
-    /// Releases a lease after its round resolved. A lease already
-    /// reclaimed (id absent) is a no-op — the reclaimer owns the copy.
-    fn release(&self, id: u64) {
-        self.inner
-            .lock()
-            .expect("lease table poisoned")
-            .leases
-            .remove(&id);
-    }
-
-    /// Tears down every lease of `shard` (it died): bumps the shard's
-    /// generation and returns the stranded round copies, each exactly
-    /// once.
-    fn reclaim_shard(&self, shard: usize) -> Vec<Round> {
-        let mut inner = self.inner.lock().expect("lease table poisoned");
-        inner.generation[shard] += 1;
-        let generation = inner.generation[shard];
-        let ids: Vec<u64> = inner
-            .leases
-            .iter()
-            .filter(|(_, l)| l.holder == shard && l.generation < generation)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.into_iter()
-            .filter_map(|id| inner.leases.remove(&id))
-            .map(|l| l.round)
-            .collect()
-    }
-
-    /// Reclaims every lease checked out longer than `timeout` ago — the
-    /// stalled-holder sweep. The holder is *not* dead: it keeps running
-    /// and may still resolve its original copy; claims arbitrate.
-    fn reclaim_stalled(&self, timeout: Duration) -> Vec<(usize, Round)> {
-        let now = Instant::now();
-        let mut inner = self.inner.lock().expect("lease table poisoned");
-        let ids: Vec<u64> = inner
-            .leases
-            .iter()
-            .filter(|(_, l)| now.duration_since(l.checked_out) >= timeout)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut out = Vec::new();
-        for id in ids {
-            if let Some(lease) = inner.leases.remove(&id) {
-                inner.generation[lease.holder] += 1;
-                out.push((lease.holder, lease.round));
-            }
-        }
-        out
-    }
-
-    /// Whether any live lease is held by a shard of steal class `class`.
-    /// Workers must not exit while a same-class peer holds one: that
-    /// peer could still die and requeue its in-hand round onto them.
-    fn class_has_leases(&self, steal_class: &[usize], class: usize) -> bool {
-        self.inner
-            .lock()
-            .expect("lease table poisoned")
-            .leases
-            .values()
-            .any(|l| steal_class[l.holder] == class)
-    }
-}
-
-/// Shared failure-supervision state, present only when
-/// [`DispatchOptions::supervised`] — the default path never allocates or
-/// touches it.
-struct Supervision {
-    leases: LeaseTable,
-    /// Observed round queue waits (close → checkout, ns), feeding the
-    /// hedge percentile trigger. Written by workers only when hedging is
-    /// configured.
-    round_waits: Mutex<LatencyHistogram>,
 }
 
 /// Outstanding accepted-but-not-completed job count (mirror copies
@@ -513,358 +406,44 @@ struct IngestStats {
     closed_flush: u64,
 }
 
-/// Per-shard slice of a [`DispatchReport`].
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Platform key of the backend this shard serves (`dpu_v2`, `cpu`,
-    /// ...).
-    pub platform: &'static str,
-    /// Whether this shard mirrored traffic instead of serving tickets.
-    pub mirror: bool,
-    /// Requests this shard executed.
-    pub requests: u64,
-    /// Rounds this shard executed.
-    pub rounds: u64,
-    /// Of those, rounds stolen from another shard's queue.
-    pub stolen_rounds: u64,
-    /// Simulated cycles of this shard's work on its modelled platform.
-    pub modelled_cycles: u64,
-    /// Arithmetic DAG operations served.
-    pub dag_ops: u64,
-    /// Declared average platform power (analytic backends), if any.
-    pub power_w: Option<f64>,
-    /// Final program-cache statistics (zero for backends that never
-    /// compile).
-    pub cache: CacheStats,
-    /// This shard's per-request latency distributions (successful
-    /// requests only). [`DispatchReport::latency`] is the order-
-    /// independent merge of these across primary shards.
-    pub latency: LatencyReport,
-}
-
-/// Live per-platform aggregate over a dispatcher's shards — one row of
-/// the side-by-side DPU-vs-baseline comparison
-/// ([`DispatchReport::platforms`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlatformSummary {
-    /// Platform key (`dpu_v2`, `cpu`, `gpu`, `dpu_v1`, `spu`, ...).
-    pub platform: &'static str,
-    /// Shards of this platform.
-    pub shards: usize,
-    /// Whether these shards mirrored traffic (vs serving tickets).
-    pub mirror: bool,
-    /// Requests executed across the platform's shards.
-    pub requests: u64,
-    /// Arithmetic DAG operations served.
-    pub dag_ops: u64,
-    /// Modelled makespan: the platform's shards are independent devices
-    /// running in parallel, so this is the busiest shard's cycles.
-    pub modelled_cycles: u64,
-    /// Declared average power **per device** (one shard), if the backend
-    /// models one. Fleet-level metrics scale this by [`shards`].
-    ///
-    /// [`shards`]: PlatformSummary::shards
-    pub power_w: Option<f64>,
-}
-
-impl PlatformSummary {
-    /// Throughput in operations per second at the reference clock
-    /// `freq_hz` (DAG operations over the platform's modelled makespan).
-    pub fn throughput_ops(&self, freq_hz: f64) -> f64 {
-        self.dag_ops as f64 * freq_hz / self.modelled_cycles.max(1) as f64
-    }
-
-    /// [`PlatformSummary::throughput_ops`] in GOPS.
-    pub fn gops(&self, freq_hz: f64) -> f64 {
-        self.throughput_ops(freq_hz) / 1e9
-    }
-
-    /// Energy-delay product per operation in pJ·ns — the Table III
-    /// metric, `(power / throughput) × (1 / throughput)` — when the
-    /// platform declares a power figure and served any work. Throughput
-    /// here is the *fleet's* (ops over the parallel makespan), so power
-    /// is the fleet's too: per-device [`PlatformSummary::power_w`] times
-    /// [`PlatformSummary::shards`].
-    pub fn edp_pj_ns(&self, freq_hz: f64) -> Option<f64> {
-        let gops = self.gops(freq_hz);
-        let power = self.power_w? * self.shards as f64;
-        if gops <= 0.0 {
-            return None;
-        }
-        Some((power / gops * 1e3) * (1.0 / gops))
-    }
-}
-
-/// Per-priority-class slice of the admission/outcome ledger — one row of
-/// [`DispatchReport::classes`]. The honesty invariant per class (and in
-/// aggregate) is `offered == completed + failed + shed + rejected`:
-/// every submit attempt is accounted for exactly once, never silently
-/// dropped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassReport {
-    /// Submit attempts of this class (`accepted + rejected`).
-    pub offered: u64,
-    /// Requests admitted past the submission edge.
-    pub accepted: u64,
-    /// Accepted requests executed to successful completion.
-    pub completed: u64,
-    /// Accepted requests that resolved
-    /// [`Outcome::Failed`]: a per-request backend
-    /// error, or a shard loss with no surviving compatible shard to
-    /// recover onto. (Before the failure ledger these were miscounted as
-    /// completions.)
-    pub failed: u64,
-    /// Accepted requests shed before execution to protect a deadline.
-    pub shed: u64,
-    /// Submit attempts rejected at the edge (backpressure, shutdown, or a
-    /// stale deadline) — no ticket ever existed.
-    pub rejected: u64,
-}
-
-/// Aggregate result of a dispatcher's lifetime, returned by
-/// [`Dispatcher::shutdown`].
-///
-/// Headline aggregates ([`DispatchReport::total_dag_ops`],
-/// [`DispatchReport::modelled_cycles`], [`DispatchReport::gops`],
-/// [`DispatchReport::shard_balance`], [`DispatchReport::cache_totals`])
-/// cover the **primary** shards — the serving system itself. Mirror
-/// shards are observers; they appear in [`DispatchReport::shards`] and in
-/// the per-platform comparison ([`DispatchReport::platforms`]).
-///
-/// Overload accounting lives in [`DispatchReport::classes`] (per
-/// [`Priority`] class) plus the by-kind splits: rejected-at-shutdown
-/// ([`DispatchReport::rejected_queue_closed`]) is reported separately
-/// from shed-by-deadline ([`DispatchReport::shed_unmeetable`] /
-/// [`DispatchReport::shed_expired`]) — an operator must be able to tell
-/// "the system refused new work while stopping" from "the system dropped
-/// admitted work to protect its deadlines".
-#[derive(Debug, Clone)]
-pub struct DispatchReport {
-    /// Requests accepted over the dispatcher's lifetime.
-    pub submitted: u64,
-    /// Requests executed on primary shards (equals `submitted` minus
-    /// [`DispatchReport::shed`](DispatchReport::shed) — and exactly
-    /// `submitted` when nothing was shed: shutdown is loss-free). Under
-    /// hedging this counts *executions*, so losing hedge copies can push
-    /// it past `submitted`; the ticket ledger in
-    /// [`DispatchReport::classes`] stays exact either way.
-    pub served: u64,
-    /// Shadow executions on mirror shards (`submitted ×` mirror count
-    /// when mirrors are configured).
-    pub mirrored: u64,
-    /// Rounds closed because they reached
-    /// [`DispatchOptions::max_batch`].
-    pub rounds_closed_full: u64,
-    /// Rounds closed by the [`DispatchOptions::max_wait`] latency budget.
-    pub rounds_closed_timer: u64,
-    /// Rounds closed by [`Dispatcher::flush`] / shutdown.
-    pub rounds_closed_flush: u64,
-    /// Per-shard execution counters (primaries first, then mirrors).
-    pub shards: Vec<ShardReport>,
-    /// Host wall-clock seconds of the **serving window**: first accepted
-    /// request → last completed job. This is the denominator host-side
-    /// throughput should divide by; measuring from construction (as this
-    /// field did before the serving-window fix, now
-    /// [`DispatchReport::lifetime_seconds`]) under-reports whenever the
-    /// dispatcher idles before traffic arrives. 0.0 when nothing was
-    /// served.
-    pub host_seconds: f64,
-    /// Host wall-clock seconds from construction to shutdown — the old
-    /// `host_seconds` total, kept as its own field so dashboards and
-    /// baselines switch to the serving window consciously, not silently.
-    pub lifetime_seconds: f64,
-    /// Per-request latency distributions over the **primary** shards,
-    /// merged from [`ShardReport::latency`]. The host-time histograms
-    /// (queueing, batching, service, total) measure this machine; the
-    /// modelled [`LatencyReport::service_cycles`] histogram is a pure
-    /// function of the request stream — byte-identical across shard
-    /// counts, stealing, and timing — and is what CI gates. Mirror shards
-    /// are observers and contribute nothing here.
-    pub latency: LatencyReport,
-    /// Per-priority-class admission/outcome ledger, indexed by
-    /// [`Priority::index`]. Each class (and the aggregate) satisfies
-    /// `offered == completed + failed + shed + rejected`.
-    pub classes: [ClassReport; 3],
-    /// Rejections at the edge because the home-shard queue was at
-    /// [`DispatchOptions::queue_capacity`].
-    pub rejected_would_block: u64,
-    /// Rejections at the edge because the dispatcher had shut down —
-    /// refused work, reported apart from deadline sheds.
-    pub rejected_queue_closed: u64,
-    /// Rejections at the edge because the deadline was already past at
-    /// submit time.
-    pub rejected_deadline_past: u64,
-    /// Accepted requests shed at ingestion: the live queueing estimate
-    /// projected completion past the deadline.
-    pub shed_unmeetable: u64,
-    /// Accepted requests shed at execute time: the deadline expired while
-    /// the request sat in queue.
-    pub shed_expired: u64,
-    /// Jobs rescued from a dead or stalled shard: requeued onto a
-    /// surviving same-class shard by the supervision path. An overlay
-    /// counter — recovery moves work without changing any outcome, so it
-    /// sits outside the class balance equation.
-    pub recovered: u64,
-    /// Jobs for which a hedge copy was enqueued on an idle
-    /// identical-class shard ([`DispatchOptions::hedge`]).
-    pub hedged: u64,
-    /// Hedged jobs whose copy won the completion claim (the straggler
-    /// original lost and was discarded before ticket fulfilment).
-    pub hedge_wins: u64,
-}
-
-impl DispatchReport {
-    fn primaries(&self) -> impl Iterator<Item = &ShardReport> {
-        self.shards.iter().filter(|s| !s.mirror)
-    }
-
-    /// Submit attempts over the dispatcher's lifetime, all classes
-    /// (`accepted + rejected`).
-    pub fn offered(&self) -> u64 {
-        self.classes.iter().map(|c| c.offered).sum()
-    }
-
-    /// Accepted requests shed before execution, all classes.
-    pub fn shed(&self) -> u64 {
-        self.classes.iter().map(|c| c.shed).sum()
-    }
-
-    /// Submit attempts rejected at the edge, all classes.
-    pub fn rejected(&self) -> u64 {
-        self.classes.iter().map(|c| c.rejected).sum()
-    }
-
-    /// The ledger row of one [`Priority`] class.
-    pub fn class(&self, priority: Priority) -> &ClassReport {
-        &self.classes[priority.index()]
-    }
-
-    /// Total arithmetic DAG operations served by primary shards.
-    pub fn total_dag_ops(&self) -> u64 {
-        self.primaries().map(|s| s.dag_ops).sum()
-    }
-
-    /// Simulated wall-clock of the serving system: primary shards are
-    /// independent modelled devices running in parallel, so the makespan
-    /// is the busiest one's cycles.
-    pub fn modelled_cycles(&self) -> u64 {
-        self.primaries()
-            .map(|s| s.modelled_cycles)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Aggregate simulated throughput in operations per second at
-    /// `freq_hz` (DAG operations over the modelled makespan).
-    pub fn throughput_ops(&self, freq_hz: f64) -> f64 {
-        self.total_dag_ops() as f64 * freq_hz / self.modelled_cycles().max(1) as f64
-    }
-
-    /// [`DispatchReport::throughput_ops`] in GOPS.
-    pub fn gops(&self, freq_hz: f64) -> f64 {
-        self.throughput_ops(freq_hz) / 1e9
-    }
-
-    /// Shard load balance over primary shards: busiest shard's requests
-    /// over the per-shard mean. 1.0 is perfect balance; `k` means the
-    /// busiest shard carried `k×` its fair share. 0.0 when nothing was
-    /// served.
-    pub fn shard_balance(&self) -> f64 {
-        let n = self.primaries().count();
-        let total: u64 = self.primaries().map(|s| s.requests).sum();
-        if total == 0 || n == 0 {
-            return 0.0;
-        }
-        let mean = total as f64 / n as f64;
-        let max = self.primaries().map(|s| s.requests).max().unwrap_or(0);
-        max as f64 / mean
-    }
-
-    /// Fraction of executed rounds (all shards) that were work-stolen.
-    pub fn steal_rate(&self) -> f64 {
-        let rounds: u64 = self.shards.iter().map(|s| s.rounds).sum();
-        if rounds == 0 {
-            return 0.0;
-        }
-        let stolen: u64 = self.shards.iter().map(|s| s.stolen_rounds).sum();
-        stolen as f64 / rounds as f64
-    }
-
-    /// Aggregated program-cache statistics across primary shards.
-    pub fn cache_totals(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in self.primaries() {
-            total.hits += s.cache.hits;
-            total.misses += s.cache.misses;
-            total.evictions += s.cache.evictions;
-            total.entries += s.cache.entries;
-            total.spill_hits += s.cache.spill_hits;
-            total.spill_writes += s.cache.spill_writes;
-            total.spill_rejects += s.cache.spill_rejects;
-            total.spill_verified += s.cache.spill_verified;
-            total.spill_unverifiable += s.cache.spill_unverifiable;
-            total.decode_count += s.cache.decode_count;
-        }
-        total
-    }
-
-    /// The live side-by-side platform comparison: shards grouped by
-    /// platform key (in first-appearance order, primaries before
-    /// mirrors), each with its own requests / DAG-op / makespan / power
-    /// aggregate. Query [`PlatformSummary::gops`] and
-    /// [`PlatformSummary::edp_pj_ns`] at the reference clock to get the
-    /// paper's Table III metrics per platform.
-    pub fn platforms(&self) -> Vec<PlatformSummary> {
-        let mut out: Vec<PlatformSummary> = Vec::new();
-        for s in &self.shards {
-            if let Some(p) = out
-                .iter_mut()
-                .find(|p| p.platform == s.platform && p.mirror == s.mirror)
-            {
-                p.shards += 1;
-                p.requests += s.requests;
-                p.dag_ops += s.dag_ops;
-                p.modelled_cycles = p.modelled_cycles.max(s.modelled_cycles);
-                if p.power_w.is_none() {
-                    p.power_w = s.power_w;
-                }
-            } else {
-                out.push(PlatformSummary {
-                    platform: s.platform,
-                    shards: 1,
-                    mirror: s.mirror,
-                    requests: s.requests,
-                    dag_ops: s.dag_ops,
-                    modelled_cycles: s.modelled_cycles,
-                    power_w: s.power_w,
-                });
-            }
-        }
-        out
-    }
+/// Everything the ingestion thread, the shard workers and the supervisor
+/// share, behind one `Arc`.
+struct Shared {
+    /// Primaries first, then mirrors.
+    shards: Vec<ShardState>,
+    /// Primary shard count; shards `[primaries..]` are mirrors.
+    primaries: usize,
+    /// Steal classes: shard j may steal from — and recover onto — shard k
+    /// iff they share a class: same primary/mirror role and *compatible*
+    /// backend `StealClass` (statically proven identical per-request
+    /// results; see [`StealClass::compatible`](crate::StealClass)) —
+    /// represented as the index of the first shard of the class.
+    steal_class: Vec<usize>,
+    queues: Queues,
+    in_flight: InFlight,
+    window: ServingWindow,
+    clock: Arc<Clock>,
+    admission: Arc<Admission>,
+    /// Observed round queue waits (close → checkout, ns), feeding the
+    /// hedge percentile trigger. Written by workers only when hedging is
+    /// configured.
+    round_waits: Mutex<LatencyHistogram>,
+    supervisor_stop: AtomicBool,
+    options: DispatchOptions,
 }
 
 /// The sharded async serving front-end. See the module docs for the
 /// execution model.
 pub struct Dispatcher {
-    shards: Vec<Arc<ShardState>>,
-    /// Primary shard count; shards `[primaries..]` are mirrors.
-    primaries: usize,
+    shared: Arc<Shared>,
     tx: crossbeam::channel::Sender<Job>,
     shut_down: Arc<RwLock<bool>>,
-    queues: Arc<Queues>,
-    in_flight: Arc<InFlight>,
     ingest: Option<JoinHandle<IngestStats>>,
     workers: Vec<JoinHandle<()>>,
     /// The supervision thread (stall reclaim + hedging), spawned only
     /// when a policy needing one is configured.
     supervisor: Option<JoinHandle<()>>,
-    supervisor_stop: Arc<AtomicBool>,
-    options: DispatchOptions,
     started: Instant,
-    window: Arc<ServingWindow>,
-    clock: Arc<Clock>,
-    admission: Arc<Admission>,
     /// Filled by [`Dispatcher::stop`] so `shutdown` can build the report
     /// after `Drop`-safe teardown.
     final_ingest_stats: Option<IngestStats>,
@@ -873,9 +452,9 @@ pub struct Dispatcher {
 impl std::fmt::Debug for Dispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dispatcher")
-            .field("shards", &self.shards.len())
-            .field("primaries", &self.primaries)
-            .field("options", &self.options)
+            .field("shards", &self.shared.shards.len())
+            .field("primaries", &self.shared.primaries)
+            .field("options", &self.shared.options)
             .finish()
     }
 }
@@ -956,169 +535,91 @@ impl Dispatcher {
             );
         }
 
-        let shards: Vec<Arc<ShardState>> = primaries
+        let shards: Vec<ShardState> = primaries
             .into_iter()
             .map(|b| (b, false))
             .chain(mirrors.into_iter().map(|b| (b, true)))
-            .map(|(backend, mirror)| {
-                Arc::new(ShardState {
-                    backend,
-                    mirror,
-                    requests: AtomicU64::new(0),
-                    rounds: AtomicU64::new(0),
-                    stolen: AtomicU64::new(0),
-                    modelled_cycles: AtomicU64::new(0),
-                    dag_ops: AtomicU64::new(0),
-                    latency: Mutex::new(LatencyReport::default()),
-                })
+            .map(|(backend, mirror)| ShardState {
+                backend,
+                mirror,
+                requests: AtomicU64::new(0),
+                rounds: AtomicU64::new(0),
+                stolen: AtomicU64::new(0),
+                modelled_cycles: AtomicU64::new(0),
+                dag_ops: AtomicU64::new(0),
+                latency: Mutex::new(LatencyReport::default()),
             })
             .collect();
 
-        // Steal classes: shard j may steal from shard k iff they share a
-        // class — same primary/mirror role and *compatible* backend
-        // `StealClass` (statically proven identical per-request results;
-        // see [`StealClass::compatible`]) — represented as the index of
-        // the first shard of the class. Compatibility is an equivalence
-        // relation (field-wise equality with `data_mem_rows` projected
-        // out), so first-match classification is well defined.
-        let steal_class: Arc<Vec<usize>> = Arc::new(
-            (0..n)
-                .map(|j| {
-                    (0..n)
-                        .position(|k| {
-                            shards[k].mirror == shards[j].mirror
-                                && shards[k]
-                                    .backend
-                                    .steal_class()
-                                    .compatible(&shards[j].backend.steal_class())
-                        })
-                        .expect("self always matches")
-                })
-                .collect(),
-        );
-
-        let queues = Arc::new(Queues {
-            inner: Mutex::new(
+        // Compatibility is an equivalence relation (field-wise equality
+        // with `data_mem_rows` projected out), so first-match
+        // classification is well defined.
+        let steal_class: Vec<usize> = (0..n)
+            .map(|j| {
                 (0..n)
-                    .map(|_| QueueState {
-                        rounds: VecDeque::new(),
-                        closed: false,
-                        dead: false,
+                    .position(|k| {
+                        shards[k].mirror == shards[j].mirror
+                            && shards[k]
+                                .backend
+                                .steal_class()
+                                .compatible(&shards[j].backend.steal_class())
                     })
-                    .collect(),
-            ),
-            work: Condvar::new(),
-        });
-        let supervision: Option<Arc<Supervision>> = options.supervised().then(|| {
-            Arc::new(Supervision {
-                leases: LeaseTable::new(n),
-                round_waits: Mutex::new(LatencyHistogram::new()),
+                    .expect("self always matches")
             })
-        });
-        let in_flight = Arc::new(InFlight {
-            count: Mutex::new(0),
-            zero: Condvar::new(),
-        });
+            .collect();
+
         let (tx, rx) = job_channel();
-        let shut_down = Arc::new(RwLock::new(false));
         let started = Instant::now();
-        let window = Arc::new(ServingWindow::new());
-        let clock = Arc::new(Clock::from_epoch(started));
-        let admission = Arc::new(Admission::new(p, options.queue_capacity, options.max_wait));
+        let shared = Arc::new(Shared {
+            shards,
+            primaries: p,
+            steal_class,
+            queues: Queues::new(n),
+            in_flight: InFlight {
+                count: Mutex::new(0),
+                zero: Condvar::new(),
+            },
+            window: ServingWindow::new(),
+            clock: Arc::new(Clock::from_epoch(started)),
+            admission: Arc::new(Admission::new(p, options.queue_capacity, options.max_wait)),
+            round_waits: Mutex::new(LatencyHistogram::new()),
+            supervisor_stop: AtomicBool::new(false),
+            options,
+        });
 
         let ingest = {
-            let queues = Arc::clone(&queues);
-            let in_flight = Arc::clone(&in_flight);
-            let steal_class = Arc::clone(&steal_class);
-            let window = Arc::clone(&window);
-            let clock = Arc::clone(&clock);
-            let admission = Arc::clone(&admission);
-            let options = options.clone();
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("dpu-ingest".into())
-                .spawn(move || {
-                    ingest_loop(
-                        &rx,
-                        &queues,
-                        &in_flight,
-                        &window,
-                        &clock,
-                        &admission,
-                        &steal_class,
-                        p,
-                        n,
-                        &options,
-                    )
-                })
+                .spawn(move || ingest_loop(&shared, &rx))
                 .expect("spawn ingest thread")
         };
-
         let workers = (0..n)
             .map(|i| {
-                let shards: Vec<Arc<ShardState>> = shards.clone();
-                let queues = Arc::clone(&queues);
-                let in_flight = Arc::clone(&in_flight);
-                let steal_class = Arc::clone(&steal_class);
-                let window = Arc::clone(&window);
-                let clock = Arc::clone(&clock);
-                let admission = Arc::clone(&admission);
-                let supervision = supervision.clone();
-                let options = options.clone();
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dpu-shard-{i}"))
-                    .spawn(move || {
-                        shard_loop(
-                            i,
-                            &shards,
-                            &queues,
-                            &in_flight,
-                            &window,
-                            &clock,
-                            &admission,
-                            &steal_class,
-                            supervision.as_deref(),
-                            &options,
-                        )
-                    })
+                    .spawn(move || shard_loop(&shared, i))
                     .expect("spawn shard thread")
             })
             .collect();
-
-        let supervisor_stop = Arc::new(AtomicBool::new(false));
-        let supervisor = supervision
-            .as_ref()
-            .filter(|_| options.hedge.is_some() || options.stall_timeout.is_some())
-            .map(|sup| {
-                let stop = Arc::clone(&supervisor_stop);
-                let sup = Arc::clone(sup);
-                let queues = Arc::clone(&queues);
-                let steal_class = Arc::clone(&steal_class);
-                let admission = Arc::clone(&admission);
-                let options = options.clone();
+        let supervisor = (shared.options.hedge.is_some() || shared.options.stall_timeout.is_some())
+            .then(|| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name("dpu-supervisor".into())
-                    .spawn(move || {
-                        supervisor_loop(&stop, &queues, &sup, &steal_class, p, &admission, &options)
-                    })
+                    .spawn(move || supervisor_loop(&shared))
                     .expect("spawn supervisor thread")
             });
 
         Dispatcher {
-            shards,
-            primaries: p,
+            shared,
             tx,
-            shut_down,
-            queues,
-            in_flight,
+            shut_down: Arc::new(RwLock::new(false)),
             ingest: Some(ingest),
             workers,
             supervisor,
-            supervisor_stop,
-            options,
             started,
-            window,
-            clock,
-            admission,
             final_ingest_stats: None,
         }
     }
@@ -1126,17 +627,17 @@ impl Dispatcher {
     /// The options this dispatcher runs with (with `shards` normalized to
     /// the actual primary shard count).
     pub fn options(&self) -> &DispatchOptions {
-        &self.options
+        &self.shared.options
     }
 
     /// Number of shards, mirrors included.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.shared.shards.len()
     }
 
     /// Number of primary (ticket-serving) shards.
     pub fn primary_shards(&self) -> usize {
-        self.primaries
+        self.shared.primaries
     }
 
     /// Registers a DAG on **every** shard (stealing, rebalancing and
@@ -1144,7 +645,7 @@ impl Dispatcher {
     /// content key.
     pub fn register(&self, dag: Dag) -> DagKey {
         let mut key = None;
-        for shard in &self.shards {
+        for shard in &self.shared.shards {
             key = Some(shard.backend.register(dag.clone()));
         }
         key.expect("at least one shard")
@@ -1156,8 +657,8 @@ impl Dispatcher {
         Submitter::new(
             self.tx.clone(),
             Arc::clone(&self.shut_down),
-            Arc::clone(&self.clock),
-            Arc::clone(&self.admission),
+            Arc::clone(&self.shared.clock),
+            Arc::clone(&self.shared.admission),
         )
     }
 
@@ -1168,7 +669,7 @@ impl Dispatcher {
     /// particularly when the shards share a spill directory a previous
     /// run (or a peer fleet) already populated.
     pub fn prewarm(&self) -> usize {
-        self.shards.iter().map(|s| s.backend.prewarm()).sum()
+        self.shared.shards.iter().map(|s| s.backend.prewarm()).sum()
     }
 
     /// Jobs the ingestion thread has picked up but that have not yet
@@ -1178,7 +679,12 @@ impl Dispatcher {
     /// [`Dispatcher::drain`] (whose flush marker is ordered behind every
     /// earlier submit) as the quiescence barrier, not this counter.
     pub fn in_flight(&self) -> u64 {
-        *self.in_flight.count.lock().expect("in-flight poisoned")
+        *self
+            .shared
+            .in_flight
+            .count
+            .lock()
+            .expect("in-flight poisoned")
     }
 
     /// Forces every pending round closed now (instead of waiting out the
@@ -1196,9 +702,10 @@ impl Dispatcher {
     /// The dispatcher keeps serving; this is a barrier, not a shutdown.
     pub fn drain(&self) {
         self.flush();
-        let mut count = self.in_flight.count.lock().expect("in-flight poisoned");
+        let in_flight = &self.shared.in_flight;
+        let mut count = in_flight.count.lock().expect("in-flight poisoned");
         while *count > 0 {
-            count = self.in_flight.zero.wait(count).expect("in-flight poisoned");
+            count = in_flight.zero.wait(count).expect("in-flight poisoned");
         }
     }
 
@@ -1211,6 +718,7 @@ impl Dispatcher {
         self.stop();
         let ingest = self.final_ingest_stats.unwrap_or_default();
         let shards: Vec<ShardReport> = self
+            .shared
             .shards
             .iter()
             .map(|s| ShardReport {
@@ -1235,7 +743,7 @@ impl Dispatcher {
         // The admission ledger is coherent here: every submitter that
         // returned has finished its counter updates (the write-locked
         // flag flipped before the marker), and every worker is joined.
-        let adm = &self.admission;
+        let adm = &self.shared.admission;
         let classes: [ClassReport; 3] = std::array::from_fn(|i| {
             let accepted = adm.accepted[i].load(Ordering::Relaxed);
             let rejected = adm.rejected[i].load(Ordering::Relaxed);
@@ -1266,7 +774,7 @@ impl Dispatcher {
             rounds_closed_timer: ingest.closed_timer,
             rounds_closed_flush: ingest.closed_flush,
             shards,
-            host_seconds: self.window.seconds(),
+            host_seconds: self.shared.window.seconds(),
             lifetime_seconds: self.started.elapsed().as_secs_f64(),
             latency,
             classes,
@@ -1302,19 +810,20 @@ impl Dispatcher {
         // The supervisor outlives the workers so stall reclaim and
         // hedging keep helping the final drain; with the workers joined
         // there is nothing left for it to supervise.
-        self.supervisor_stop.store(true, Ordering::Relaxed);
+        self.shared.supervisor_stop.store(true, Ordering::Relaxed);
         if let Some(sup) = self.supervisor.take() {
             sup.join().expect("supervisor thread panicked");
         }
         debug_assert_eq!(self.in_flight(), 0, "shutdown left requests in flight");
         debug_assert!(
-            self.queues
+            self.shared
+                .queues
                 .inner
                 .lock()
                 .expect("queues poisoned")
                 .iter()
-                .all(|q| q.rounds.is_empty()),
-            "shutdown left rounds queued"
+                .all(|q| q.rounds.is_empty() && q.in_hand.is_none()),
+            "shutdown left rounds queued or leased"
         );
     }
 }
@@ -1326,52 +835,34 @@ impl Drop for Dispatcher {
 }
 
 /// One pending job: a request, its completion handle (`None` on mirror
-/// copies), its priority class, and its in-progress latency timeline
-/// (stamped by the ingestion thread through round close, then by the
-/// executing shard).
+/// copies), its priority class, its latency timeline as stamped by the
+/// ingestion thread through round close (the executing shard continues
+/// it in a worker-local copy), and its claim.
 struct TrackedJob {
     request: Request,
     ticket: Option<Arc<TicketState>>,
     priority: Priority,
     timeline: Timeline,
-    /// First-completion-wins arbiter shared by every copy of this job
-    /// (recovery requeues, hedges). `None` outside supervised mode,
-    /// where exactly one copy of a job ever exists.
-    claim: Option<Arc<AtomicBool>>,
+    /// First-completion-wins arbiter: every handle to the round (the
+    /// original, a recovery requeue, a hedge) shares this job, so
+    /// whichever resolves it first flips the flag and the rest stand
+    /// down.
+    claimed: AtomicBool,
 }
 
 impl TrackedJob {
-    /// Wins the exclusive right to resolve this job. Unclaimed jobs (the
-    /// default, copy-free path) always win; copies race through the
-    /// shared token, and exactly one caller ever sees `true`.
+    /// Wins the exclusive right to resolve this job: exactly one caller
+    /// ever sees `true`.
     fn claim(&self) -> bool {
-        match &self.claim {
-            None => true,
-            Some(token) => token
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok(),
-        }
+        self.claimed
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
     }
 
-    /// Whether another copy of this job has already resolved it — a
-    /// cheap pre-check so losing copies skip the backend seam entirely.
+    /// Whether this job is already resolved — a cheap pre-check so a
+    /// losing handle skips the backend seam entirely.
     fn already_resolved(&self) -> bool {
-        self.claim
-            .as_ref()
-            .is_some_and(|token| token.load(Ordering::Acquire))
-    }
-
-    /// A shareable copy: same ticket, same claim token (so the job still
-    /// resolves exactly once), own request payload and timeline (the
-    /// stamps diverge per copy; the claim winner's are reported).
-    fn clone_shared(&self) -> TrackedJob {
-        TrackedJob {
-            request: self.request.clone(),
-            ticket: self.ticket.clone(),
-            priority: self.priority,
-            timeline: self.timeline,
-            claim: self.claim.clone(),
-        }
+        self.claimed.load(Ordering::Acquire)
     }
 }
 
@@ -1400,25 +891,22 @@ impl PendingRound {
     }
 }
 
-/// The ingestion loop: route among `p` primaries, fan copies out to the
-/// mirror shards `p..n`, shed provably late requests at the door,
-/// accumulate, close rounds adaptively.
-#[allow(clippy::too_many_arguments)]
-fn ingest_loop(
-    rx: &crossbeam::channel::Receiver<Job>,
-    queues: &Queues,
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
-    steal_class: &[usize],
-    p: usize,
-    n: usize,
-    options: &DispatchOptions,
-) -> IngestStats {
+/// The ingestion loop: route among the primaries, fan copies out to the
+/// mirror shards, shed provably late requests at the door, accumulate,
+/// close rounds adaptively.
+fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> IngestStats {
     use crossbeam::channel::RecvTimeoutError;
 
-    let supervised = options.supervised();
+    let Shared {
+        queues,
+        window,
+        clock,
+        admission,
+        options,
+        ..
+    } = shared;
+    let p = shared.primaries;
+    let n = shared.shards.len();
     let mut stats = IngestStats::default();
     let mut pending: Vec<PendingRound> = (0..n).map(|_| PendingRound::new()).collect();
     let mut first_at: Vec<Option<Instant>> = vec![None; n];
@@ -1437,31 +925,19 @@ fn ingest_loop(
             job.timeline.round_closed_ns = closed_ns;
             priority = priority.min(job.priority);
         }
-        let round = Round {
+        let round = QueuedRound::new(Arc::new(Round {
             home: s,
             priority,
             closed_at: Instant::now(),
-            hedged: false,
-            hedge: false,
             jobs,
-        };
+        }));
         first_at[s] = None;
         let mut qs = queues.inner.lock().expect("queues poisoned");
         if qs[s].dead {
             // The home shard died since these jobs were routed: hand the
             // round straight to the recovery path. `home` stays `s`, so
             // depth slots and ledger attribution are unchanged.
-            drop(qs);
-            requeue_rounds(
-                s,
-                vec![round],
-                queues,
-                steal_class,
-                in_flight,
-                window,
-                clock,
-                admission,
-            );
+            recover_or_fail(shared, qs, s, vec![round]);
         } else {
             qs[s].rounds.push_back(round);
             drop(qs);
@@ -1472,17 +948,11 @@ fn ingest_loop(
 
     // Appends one job to shard `s`'s pending round, closing it when full.
     let push = |s: usize,
-                mut job: TrackedJob,
+                job: TrackedJob,
                 pending: &mut Vec<PendingRound>,
                 first_at: &mut Vec<Option<Instant>>,
                 stats: &mut IngestStats| {
-        if supervised {
-            // Every job copy shares one atomic claim with its future
-            // recovery/hedge copies — minted here, the single point all
-            // jobs enter the fabric through.
-            job.claim = Some(Arc::new(AtomicBool::new(false)));
-        }
-        in_flight.inc();
+        shared.in_flight.inc();
         if pending[s].is_empty() {
             first_at[s] = Some(Instant::now());
         }
@@ -1578,7 +1048,7 @@ fn ingest_loop(
                                 deadline_ns: 0,
                                 ..timeline
                             },
-                            claim: None,
+                            claimed: AtomicBool::new(false),
                         },
                         &mut pending,
                         &mut first_at,
@@ -1592,7 +1062,7 @@ fn ingest_loop(
                         ticket: Some(sub.ticket),
                         priority: sub.priority,
                         timeline,
-                        claim: None,
+                        claimed: AtomicBool::new(false),
                     },
                     &mut pending,
                     &mut first_at,
@@ -1627,12 +1097,12 @@ fn ingest_loop(
     }
 }
 
-/// Pushes `rounds` onto the first surviving shard of `from`'s steal class
-/// — the only requeue target statically proven result-identical — under
-/// the queues lock the *caller* already holds. Returns the recovered job
-/// count (jobs not already resolved by another copy), or the rounds back
-/// when no survivor exists so the caller can pick its no-survivor policy
-/// (fail vs. drop).
+/// Pushes the still-unresolved `rounds` onto the first surviving shard of
+/// `from`'s steal class — the only requeue target statically proven
+/// result-identical — under the queues lock the *caller* already holds.
+/// Returns the recovered job count (jobs not already resolved through
+/// another handle), or the rounds back when no survivor exists so the
+/// caller can pick its no-survivor policy (fail vs. drop).
 ///
 /// Taking the lock as a parameter is what makes every recovery move
 /// atomic with the liveness checks around it: a peer deciding to exit
@@ -1641,9 +1111,9 @@ fn ingest_loop(
 fn requeue_locked(
     qs: &mut [QueueState],
     from: usize,
-    rounds: Vec<Round>,
+    rounds: Vec<QueuedRound>,
     steal_class: &[usize],
-) -> Result<u64, Vec<Round>> {
+) -> Result<u64, Vec<QueuedRound>> {
     let target =
         (0..qs.len()).find(|&t| t != from && !qs[t].dead && steal_class[t] == steal_class[from]);
     let Some(t) = target else {
@@ -1651,201 +1121,154 @@ fn requeue_locked(
     };
     let mut recovered = 0u64;
     for round in rounds {
-        recovered += round.jobs.iter().filter(|j| !j.already_resolved()).count() as u64;
-        qs[t].rounds.push_back(round);
+        let unresolved = round.round.unresolved();
+        if unresolved > 0 {
+            recovered += unresolved;
+            qs[t].rounds.push_back(round);
+        }
     }
     Ok(recovered)
 }
 
-/// Resolves every still-unclaimed job of a round that could not be
-/// requeued: the typed [`ServeError::ShardLost`] failure, ledgered under
-/// `failed` against the round's home shard.
-fn fail_round(
-    mut round: Round,
+/// Resolves one job of a lost round, if still unclaimed: the typed
+/// [`ServeError::ShardLost`] failure, ledgered under `failed` against the
+/// round's home shard. `timeline` is the job's stamps as far as the
+/// caller got with it.
+fn fail_job(
+    shared: &Shared,
+    round: &Round,
+    job: &TrackedJob,
+    mut timeline: Timeline,
     lost_shard: usize,
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
 ) {
-    for job in round.jobs.iter_mut() {
-        if !job.claim() {
-            continue; // another copy already resolved this ticket
-        }
-        job.timeline.completed_ns = clock.now_ns();
-        if let Some(ticket) = &job.ticket {
-            admission.note_failed(job.priority.index(), round.home);
-            ticket.fulfill(
-                Outcome::Failed(ServeError::ShardLost { shard: lost_shard }),
-                job.timeline,
-            );
-        }
-        window.mark_complete(job.timeline.completed_ns);
-        in_flight.dec();
+    if !job.claim() {
+        return; // another handle already resolved this ticket
     }
+    timeline.completed_ns = shared.clock.now_ns();
+    if let Some(ticket) = &job.ticket {
+        shared
+            .admission
+            .note_failed(job.priority.index(), round.home);
+        ticket.fulfill(
+            Outcome::Failed(ServeError::ShardLost { shard: lost_shard }),
+            timeline,
+        );
+    }
+    shared.window.mark_complete(timeline.completed_ns);
+    shared.in_flight.dec();
 }
 
-/// Requeues rounds whose home shard is already dead (the ingestion-side
-/// recovery entry: the round never reached the dead queue). Takes its own
-/// lock; safe because ingestion only runs before close, when every worker
-/// is still live.
-#[allow(clippy::too_many_arguments)]
-fn requeue_rounds(
+/// The one recovery move for rounds stranded on dead shard `from`:
+/// requeue them onto a live steal-compatible peer under the queues lock
+/// the caller took to observe the death, release it, wake everyone
+/// (exit-waiters re-check against the dead flag and the requeued rounds),
+/// and — with no survivor — fail the stranded jobs typed
+/// ([`fail_job`]).
+fn recover_or_fail(
+    shared: &Shared,
+    mut qs: MutexGuard<'_, Vec<QueueState>>,
     from: usize,
-    rounds: Vec<Round>,
-    queues: &Queues,
-    steal_class: &[usize],
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
+    rounds: Vec<QueuedRound>,
 ) {
-    let mut qs = queues.inner.lock().expect("queues poisoned");
-    match requeue_locked(&mut qs, from, rounds, steal_class) {
+    let failed = match requeue_locked(&mut qs, from, rounds, &shared.steal_class) {
         Ok(recovered) => {
-            drop(qs);
-            if recovered > 0 {
-                admission.recovered.fetch_add(recovered, Ordering::Relaxed);
-            }
-            queues.work.notify_all();
+            shared
+                .admission
+                .recovered
+                .fetch_add(recovered, Ordering::Relaxed);
+            Vec::new()
         }
-        Err(rounds) => {
-            drop(qs);
-            for round in rounds {
-                fail_round(round, from, in_flight, window, clock, admission);
-            }
+        Err(rounds) => rounds,
+    };
+    drop(qs);
+    shared.queues.work.notify_all();
+    for entry in &failed {
+        for job in &entry.round.jobs {
+            fail_job(shared, &entry.round, job, job.timeline, from);
         }
     }
 }
 
 /// A worker's dying act (chaos kill or contained panic): marks the shard
-/// dead, then moves its entire failure domain — queued rounds plus every
-/// round it had checked out on lease — onto one surviving same-class
-/// shard, all under a single queues-lock acquisition (the lease lock
-/// nests inside; see [`LeaseTable`]). The atomicity is load-bearing:
-/// between the drain and the push no peer can observe "all queues empty"
-/// and exit, so the requeued rounds always land on a live worker. With no
-/// survivor, the stranded jobs fail typed ([`fail_round`]).
+/// dead, then moves its entire failure domain — queued rounds plus the
+/// round it holds on lease — onto one surviving same-class shard, all
+/// under a single queues-lock acquisition. The atomicity is load-bearing:
+/// between the drain and the push no peer can observe "class idle" and
+/// exit, so the requeued rounds always land on a live worker. With no
+/// survivor, the stranded jobs fail typed ([`fail_job`]).
 ///
-/// Requeueing ignores [`DispatchOptions::work_stealing`] when supervised
-/// — steal-class compatibility is the static proof of result identity,
-/// stealing is just a scheduling policy. Unsupervised (a contained panic
-/// with stealing off), peers use own-queue-only exit conditions, so the
-/// only safe move is to fail the backlog.
-#[allow(clippy::too_many_arguments)]
-fn abandon_shard(
-    me: usize,
-    supervision: Option<&Supervision>,
-    queues: &Queues,
-    steal_class: &[usize],
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
-    options: &DispatchOptions,
-) {
-    let mut qs = queues.inner.lock().expect("queues poisoned");
+/// Requeueing ignores [`DispatchOptions::work_stealing`], exactly as
+/// ingestion's rerouting of later traffic for the dead home does:
+/// steal-class compatibility is the static proof of result identity,
+/// stealing is just a scheduling policy, and every worker's exit
+/// condition is class-wide, so the peer is still there to take the
+/// backlog.
+fn abandon_shard(shared: &Shared, me: usize) {
+    let mut qs = shared.queues.inner.lock().expect("queues poisoned");
     qs[me].dead = true;
-    let mut stranded: Vec<Round> = qs[me].rounds.drain(..).collect();
-    if let Some(sup) = supervision {
-        stranded.extend(sup.leases.reclaim_shard(me));
+    let mut stranded: Vec<QueuedRound> = qs[me].rounds.drain(..).collect();
+    if let Some((round, _)) = qs[me].in_hand.take() {
+        stranded.push(QueuedRound::new(round));
     }
-    let can_requeue = options.supervised() || options.work_stealing;
-    let failed: Vec<Round> = if stranded.is_empty() {
-        Vec::new()
-    } else if can_requeue {
-        match requeue_locked(&mut qs, me, stranded, steal_class) {
-            Ok(recovered) => {
-                if recovered > 0 {
-                    admission.recovered.fetch_add(recovered, Ordering::Relaxed);
-                }
-                Vec::new()
-            }
-            Err(rounds) => rounds,
-        }
-    } else {
-        stranded
-    };
-    drop(qs);
-    // Wake everyone: exit-waiters re-check against the new dead flag and
-    // the (possibly) requeued rounds.
-    queues.work.notify_all();
-    for round in failed {
-        fail_round(round, me, in_flight, window, clock, admission);
-    }
+    recover_or_fail(shared, qs, me, stranded);
 }
 
 /// One shard's worker loop: pop own rounds (interactive first), steal
 /// when idle, shed queue-expired deadlines, execute the rest on the
 /// shard's backend, stamp/record latency, fulfill tickets.
 ///
-/// Under supervision every checked-out round is leased
-/// ([`LeaseTable::checkout`]) until resolved, scripted chaos events
+/// The checked-out round stays on lease in the shard's queue slot until
+/// the worker comes back for the next one, scripted chaos events
 /// (kill/stall) fire at checkout, and every job resolution is gated by
-/// its atomic claim so a recovered or hedged copy can never double-fulfil
-/// a ticket. A backend panic is contained here: the in-hand jobs fail
+/// its claim so a recovered or hedged handle can never double-fulfil a
+/// ticket. A backend panic is contained here: the in-hand jobs fail
 /// typed, the shard abandons its queue, the worker exits — the dispatcher
 /// keeps serving on the survivors.
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    me: usize,
-    shards: &[Arc<ShardState>],
-    queues: &Queues,
-    in_flight: &InFlight,
-    window: &ServingWindow,
-    clock: &Clock,
-    admission: &Admission,
-    steal_class: &[usize],
-    supervision: Option<&Supervision>,
-    options: &DispatchOptions,
-) {
-    let my = &shards[me];
+fn shard_loop(shared: &Shared, me: usize) {
+    let Shared {
+        in_flight,
+        window,
+        clock,
+        admission,
+        options,
+        ..
+    } = shared;
+    let my = &shared.shards[me];
     let mut scratch = my.backend.scratch();
     let mut costs: Vec<u64> = Vec::new();
+    // The executing half of each job's timeline (execute-start,
+    // completed, service cycles): per handle, so it lives here and not in
+    // the shared round.
+    let mut timelines: Vec<Timeline> = Vec::new();
     let chaos = options.chaos.as_ref();
     let kill_after = chaos.and_then(|c| c.kill_after(me));
     let stall = chaos.and_then(|c| c.stall(me));
     let mut rounds_done: u64 = 0;
 
     loop {
-        let round = next_round(
+        let Some(entry) = next_round(
             me,
-            queues,
-            steal_class,
+            &shared.queues,
+            &shared.steal_class,
             options.work_stealing,
             options.priority_aging,
-            supervision,
-        );
-        let Some(mut round) = round else {
-            return; // all queues I can serve are closed and empty
+        ) else {
+            return; // my steal class is closed, empty and lease-free
         };
-        // Lease the round before anything can go wrong with it, and feed
-        // its observed queue wait to the hedge trigger histogram.
-        let lease = supervision.map(|sup| {
-            if options.hedge.is_some() {
-                let waited = Instant::now().duration_since(round.closed_at).as_nanos() as u64;
-                sup.round_waits
-                    .lock()
-                    .expect("round waits poisoned")
-                    .record(waited);
-            }
-            sup.leases.checkout(me, &round)
-        });
+        let round = &*entry.round;
+        if options.hedge.is_some() {
+            // Feed the observed queue wait to the hedge trigger.
+            let waited = Instant::now().duration_since(round.closed_at).as_nanos() as u64;
+            shared
+                .round_waits
+                .lock()
+                .expect("round waits poisoned")
+                .record(waited);
+        }
         if kill_after.is_some_and(|after| rounds_done >= after) {
-            // Scripted death at checkout: drop the in-hand round — the
-            // lease copy owns its recovery — and abandon everything.
-            drop(round);
-            abandon_shard(
-                me,
-                supervision,
-                queues,
-                steal_class,
-                in_flight,
-                window,
-                clock,
-                admission,
-                options,
-            );
+            // Scripted death at checkout: the lease slot owns the in-hand
+            // round's recovery.
+            abandon_shard(shared, me);
             return;
         }
         if let (Some(plan), Some(base)) = (chaos, stall) {
@@ -1857,6 +1280,8 @@ fn shard_loop(
         }
         my.rounds.fetch_add(1, Ordering::Relaxed);
         costs.clear();
+        timelines.clear();
+        timelines.extend(round.jobs.iter().map(|j| j.timeline));
         // The latency lock is uncontended here: only this shard's worker
         // writes it, and shutdown reads it after joining every worker.
         let mut latency = my.latency.lock().expect("latency poisoned");
@@ -1869,27 +1294,27 @@ fn shard_loop(
         // `round.home` — the shard whose backlog cost the job its
         // deadline — not the executing shard.
         let mut exec_idx: Vec<usize> = Vec::with_capacity(round.jobs.len());
-        for (i, job) in round.jobs.iter_mut().enumerate() {
+        for (i, (job, timeline)) in round.jobs.iter().zip(&mut timelines).enumerate() {
             if job.already_resolved() {
-                continue; // another copy won the claim while we queued
+                continue; // another handle won the claim while we queued
             }
-            job.timeline.execute_start_ns = clock.now_ns();
-            if job.timeline.deadline_ns != 0 {
-                let now_ns = job.timeline.execute_start_ns;
-                if now_ns.saturating_add(admission.service_estimate()) > job.timeline.deadline_ns {
+            timeline.execute_start_ns = clock.now_ns();
+            if timeline.deadline_ns != 0 {
+                let now_ns = timeline.execute_start_ns;
+                if now_ns.saturating_add(admission.service_estimate()) > timeline.deadline_ns {
                     if !job.claim() {
                         continue;
                     }
-                    job.timeline.completed_ns = clock.now_ns();
+                    timeline.completed_ns = clock.now_ns();
                     let reason = ShedReason::DeadlineExpired {
                         now_ns,
-                        deadline_ns: job.timeline.deadline_ns,
+                        deadline_ns: timeline.deadline_ns,
                     };
                     admission.note_shed(job.priority.index(), round.home, reason);
                     if let Some(ticket) = &job.ticket {
-                        ticket.fulfill(Outcome::Shed { reason }, job.timeline);
+                        ticket.fulfill(Outcome::Shed { reason }, *timeline);
                     }
-                    window.mark_complete(job.timeline.completed_ns);
+                    window.mark_complete(timeline.completed_ns);
                     in_flight.dec();
                     continue;
                 }
@@ -1911,45 +1336,19 @@ fn shard_loop(
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 my.backend.execute_round(&mut scratch, &requests)
             }));
-            drop(requests);
             match caught {
                 Ok(outcomes) => outcomes,
                 Err(_) => {
                     // Contained backend panic: the in-hand jobs fail
                     // typed (the panicking round must terminate, not
-                    // requeue forever), the queue backlog recovers, the
-                    // worker exits.
+                    // requeue forever — `abandon_shard` finds nothing
+                    // unresolved left in the lease slot), the queue
+                    // backlog recovers, the worker exits.
                     drop(latency);
                     for i in exec_idx {
-                        let job = &mut round.jobs[i];
-                        if !job.claim() {
-                            continue;
-                        }
-                        job.timeline.completed_ns = clock.now_ns();
-                        if let Some(ticket) = &job.ticket {
-                            admission.note_failed(job.priority.index(), round.home);
-                            ticket.fulfill(
-                                Outcome::Failed(ServeError::ShardLost { shard: me }),
-                                job.timeline,
-                            );
-                        }
-                        window.mark_complete(job.timeline.completed_ns);
-                        in_flight.dec();
+                        fail_job(shared, round, &round.jobs[i], timelines[i], me);
                     }
-                    if let (Some(sup), Some(id)) = (supervision, lease) {
-                        sup.leases.release(id);
-                    }
-                    abandon_shard(
-                        me,
-                        supervision,
-                        queues,
-                        steal_class,
-                        in_flight,
-                        window,
-                        clock,
-                        admission,
-                        options,
-                    );
+                    abandon_shard(shared, me);
                     return;
                 }
             }
@@ -1959,27 +1358,28 @@ fn shard_loop(
         // its own completion stamp, service cycles, latency record and
         // ticket outcome, exactly as when jobs executed one by one. The
         // claim gate makes resolution exactly-once against recovered and
-        // hedged copies; whichever copy claims first wins, and because
+        // hedged handles; whichever claims first wins, and because
         // identical-class backends are result-identical the outcome bytes
         // are the same either way.
         for (i, result) in exec_idx.into_iter().zip(outcomes) {
-            let job = &mut round.jobs[i];
+            let job = &round.jobs[i];
             if !job.claim() {
-                continue; // lost the race to another copy after executing
+                continue; // lost the race to another handle after executing
             }
+            let timeline = &mut timelines[i];
             if let Ok(res) = &result {
                 costs.push(res.cycles);
                 my.dag_ops.fetch_add(res.dag_ops, Ordering::Relaxed);
-                job.timeline.service_cycles = res.cycles;
+                timeline.service_cycles = res.cycles;
             }
-            job.timeline.completed_ns = clock.now_ns();
+            timeline.completed_ns = clock.now_ns();
             if result.is_ok() {
-                latency.record(&job.timeline);
+                latency.record(timeline);
                 if !my.mirror {
                     // Feed the live estimates the shed projections run on
                     // (primary observations only — mirrors model other
                     // hardware and would skew the serving estimate).
-                    admission.observe(job.timeline.queueing_delay_ns(), job.timeline.service_ns());
+                    admission.observe(timeline.queueing_delay_ns(), timeline.service_ns());
                 }
             }
             if let Some(ticket) = &job.ticket {
@@ -1997,12 +1397,12 @@ fn shard_loop(
                         Outcome::Failed(e)
                     }
                 };
-                if round.hedge {
+                if entry.hedge {
                     admission.hedge_wins.fetch_add(1, Ordering::Relaxed);
                 }
-                ticket.fulfill(outcome, job.timeline);
+                ticket.fulfill(outcome, *timeline);
             }
-            window.mark_complete(job.timeline.completed_ns);
+            window.mark_complete(timeline.completed_ns);
             in_flight.dec();
         }
         drop(latency);
@@ -2013,33 +1413,17 @@ fn shard_loop(
                 Ordering::Relaxed,
             );
         }
-        if let (Some(sup), Some(id)) = (supervision, lease) {
-            sup.leases.release(id);
-            // Wake exit-waiters: peers blocked on "a same-class lease is
-            // still out" can now re-check.
-            queues.work.notify_all();
-        }
     }
 }
 
 /// The failure supervisor, spawned only when stall reclaim or hedging is
-/// configured. Each tick it (1) reclaims leases checked out longer than
-/// [`DispatchOptions::stall_timeout`] and requeues the copies onto live
-/// same-class shards — atomically under the queues lock, like every
-/// recovery move — and (2) runs the hedge pass. A reclaimed round with no
-/// surviving peer is *dropped*, not failed: its stalled holder is alive
-/// and still resolves the original. The supervisor outlives the workers
-/// (it is stopped after they join) so a stall detected during the final
-/// drain still recovers.
-fn supervisor_loop(
-    stop: &AtomicBool,
-    queues: &Queues,
-    sup: &Supervision,
-    steal_class: &[usize],
-    primaries: usize,
-    admission: &Admission,
-    options: &DispatchOptions,
-) {
+/// configured. Each tick it (1) runs the stalled-holder sweep
+/// ([`reclaim_stalled`]) under the queues lock, like every recovery move,
+/// and (2) runs the hedge pass. The supervisor outlives the workers (it
+/// is stopped after they join) so a stall detected during the final drain
+/// still recovers.
+fn supervisor_loop(shared: &Shared) {
+    let options = &shared.options;
     let tick = {
         let mut t = Duration::from_millis(10);
         if let Some(stall) = options.stall_timeout {
@@ -2050,51 +1434,63 @@ fn supervisor_loop(
         }
         t.max(Duration::from_micros(100))
     };
-    while !stop.load(Ordering::Relaxed) {
+    while !shared.supervisor_stop.load(Ordering::Relaxed) {
         std::thread::sleep(tick);
         if let Some(timeout) = options.stall_timeout {
-            let mut qs = queues.inner.lock().expect("queues poisoned");
-            let reclaimed = sup.leases.reclaim_stalled(timeout);
-            let mut recovered = 0u64;
-            let mut pushed = false;
-            for (holder, round) in reclaimed {
-                if let Ok(n) = requeue_locked(&mut qs, holder, vec![round], steal_class) {
-                    recovered += n;
-                    pushed = true;
-                }
-                // Err: no surviving peer — drop the copy; the stalled
-                // holder is still alive and resolves the original.
-            }
+            let mut qs = shared.queues.inner.lock().expect("queues poisoned");
+            let recovered = reclaim_stalled(&mut qs, &shared.steal_class, timeout, Instant::now());
             drop(qs);
             if recovered > 0 {
-                admission.recovered.fetch_add(recovered, Ordering::Relaxed);
-            }
-            if pushed {
-                queues.work.notify_all();
+                shared
+                    .admission
+                    .recovered
+                    .fetch_add(recovered, Ordering::Relaxed);
+                shared.queues.work.notify_all();
             }
         }
         if let Some(hedge) = &options.hedge {
-            hedge_pass(queues, sup, steal_class, primaries, admission, hedge);
+            hedge_pass(shared, hedge);
         }
     }
 }
 
-/// One hedge sweep: any queued round on a live primary that has waited
-/// past `max(observed wait at trigger_percentile, min_wait)` gets one
-/// copy pushed to an idle (empty-queue, live) shard of the same steal
-/// class. The original is marked `hedged` (never hedged twice), the copy
-/// `hedge` (its claimed-job completions count as hedge wins). The busy
-/// map keeps two hedges from landing on one idle shard in a single pass.
-fn hedge_pass(
-    queues: &Queues,
-    sup: &Supervision,
+/// The stalled-holder sweep: takes every lease checked out at least
+/// `timeout` before `now` out of its slot — so each is reclaimed at most
+/// once — and requeues a handle to the round onto a live same-class
+/// shard. The holder is *not* dead: it keeps running and may still
+/// resolve the round itself; claims arbitrate. With no surviving peer the
+/// handle is *dropped*, not failed, for the same reason. Returns the
+/// recovered job count (zero iff nothing was pushed).
+fn reclaim_stalled(
+    qs: &mut [QueueState],
     steal_class: &[usize],
-    primaries: usize,
-    admission: &Admission,
-    hedge: &HedgeOptions,
-) {
+    timeout: Duration,
+    now: Instant,
+) -> u64 {
+    let mut recovered = 0u64;
+    for holder in 0..qs.len() {
+        let overdue = qs[holder]
+            .in_hand
+            .take_if(|(_, since)| now.duration_since(*since) >= timeout);
+        if let Some((round, _)) = overdue {
+            let rounds = vec![QueuedRound::new(round)];
+            recovered += requeue_locked(qs, holder, rounds, steal_class).unwrap_or(0);
+        }
+    }
+    recovered
+}
+
+/// One hedge sweep: any queued round on a live primary that has waited
+/// past `max(observed wait at trigger_percentile, min_wait)` gets a
+/// second handle pushed to an idle (empty-queue, live) shard of the same
+/// steal class. The original is marked `hedged` (never hedged twice), the
+/// new entry `hedge` (its claimed-job completions count as hedge wins).
+/// The busy map keeps two hedges from landing on one idle shard in a
+/// single pass.
+fn hedge_pass(shared: &Shared, hedge: &HedgeOptions) {
+    let steal_class = &shared.steal_class;
     let threshold = {
-        let waits = sup.round_waits.lock().expect("round waits poisoned");
+        let waits = shared.round_waits.lock().expect("round waits poisoned");
         let observed_ns = if waits.is_empty() {
             0
         } else {
@@ -2103,14 +1499,14 @@ fn hedge_pass(
         Duration::from_nanos(observed_ns).max(hedge.min_wait)
     };
     let now = Instant::now();
-    let mut qs = queues.inner.lock().expect("queues poisoned");
+    let mut qs = shared.queues.inner.lock().expect("queues poisoned");
     let n = qs.len();
     let mut busy: Vec<bool> = (0..n)
         .map(|t| qs[t].dead || !qs[t].rounds.is_empty())
         .collect();
     let mut hedged_jobs = 0u64;
     let mut pushed = false;
-    for s in 0..primaries.min(n) {
+    for s in 0..shared.primaries {
         if qs[s].dead {
             continue;
         }
@@ -2119,7 +1515,7 @@ fn hedge_pass(
         // mutates flags and *other* shards' queues.
         let mut plan: Vec<(usize, usize)> = Vec::new();
         for (i, r) in qs[s].rounds.iter().enumerate() {
-            if r.hedged || r.hedge || now.duration_since(r.closed_at) < threshold {
+            if r.hedged || r.hedge || now.duration_since(r.round.closed_at) < threshold {
                 continue;
             }
             let Some(t) = (0..n).find(|&t| t != s && !busy[t] && steal_class[t] == steal_class[s])
@@ -2130,28 +1526,33 @@ fn hedge_pass(
             plan.push((i, t));
         }
         for (i, t) in plan {
-            let copy = {
-                let r = &mut qs[s].rounds[i];
-                r.hedged = true;
-                let mut c = r.clone_shared();
-                c.hedge = true;
-                c
+            let original = &mut qs[s].rounds[i];
+            original.hedged = true;
+            let copy = QueuedRound {
+                round: Arc::clone(&original.round),
+                hedged: true,
+                hedge: true,
             };
-            hedged_jobs += copy.jobs.iter().filter(|j| !j.already_resolved()).count() as u64;
+            hedged_jobs += copy.round.unresolved();
             qs[t].rounds.push_back(copy);
             pushed = true;
         }
     }
     drop(qs);
     if hedged_jobs > 0 {
-        admission.hedged.fetch_add(hedged_jobs, Ordering::Relaxed);
+        shared
+            .admission
+            .hedged
+            .fetch_add(hedged_jobs, Ordering::Relaxed);
     }
     if pushed {
-        queues.work.notify_all();
+        shared.queues.work.notify_all();
     }
 }
 
-/// Blocks until shard `me` has a round to execute. Selection is
+/// Releases the round shard `me` holds on lease, then blocks until it has
+/// the next one to execute and checks that out — release, pop and
+/// checkout under one queues-lock acquisition. Selection is
 /// priority-aware on both paths:
 ///
 /// - **Own queue:** the best-ranked round, oldest first within a rank
@@ -2163,72 +1564,212 @@ fn hedge_pass(
 ///   so thief and victim meet in the middle).
 ///
 /// With single-class traffic and no aged rounds this degrades exactly to
-/// the old FIFO-pop / newest-steal behavior. Returns `None` once every
-/// queue `me` may serve is closed and empty.
+/// the old FIFO-pop / newest-steal behavior.
 ///
-/// Supervised, the exit condition hardens in two ways. First, it goes
-/// class-wide even with stealing off: recovery and hedging requeue onto
-/// same-class peers regardless of the stealing policy, so an idle worker
-/// must stay alive while any same-class queue still has (or could
-/// receive) work. Second, the worker also waits out every outstanding
-/// same-class *lease* — a peer holding one could still die and requeue
-/// its in-hand round here. Once all same-class queues are closed+empty
-/// and no lease is out, no new work can materialize (every producer path
-/// starts from a queued round or a lease), so the condition is stable.
+/// Returns `None` once `me`'s steal class is idle: every queue in it
+/// closed and empty, and no lease out. The condition is class-wide even
+/// with stealing off — recovery and hedging requeue onto same-class
+/// peers regardless of the stealing policy — and lease-aware because a
+/// peer holding a round could still die and requeue it here. Once the
+/// class is idle no new work can materialize (every producer path starts
+/// from a queued round or a lease), so the condition is stable, and it
+/// is the same for every member: the worker whose release makes it true
+/// is the one that observes it, and it wakes the rest on its way out —
+/// no per-round wake-up is needed.
 fn next_round(
     me: usize,
     queues: &Queues,
     steal_class: &[usize],
     stealing: bool,
     aging: Duration,
-    supervision: Option<&Supervision>,
-) -> Option<Round> {
+) -> Option<QueuedRound> {
     let mut qs = queues.inner.lock().expect("queues poisoned");
+    // Usually the last handle to the finished round. It lives to the end
+    // of the function, past the `drop(qs)` on both ways out: freeing a
+    // round's payloads is not work to do under the lock.
+    let _released = qs[me].in_hand.take();
     loop {
-        if !qs[me].rounds.is_empty() {
+        // Own queue first; else, when stealing, the deepest backlog among
+        // shards whose class matches mine.
+        let source = if !qs[me].rounds.is_empty() {
+            Some(me)
+        } else if stealing {
+            (0..qs.len())
+                .filter(|&j| j != me && steal_class[j] == steal_class[me])
+                .max_by_key(|&j| qs[j].rounds.len())
+                .filter(|&j| !qs[j].rounds.is_empty())
+        } else {
+            None
+        };
+        if let Some(j) = source {
             let now = Instant::now();
-            let best = qs[me]
+            let len = qs[j].rounds.len();
+            let best = qs[j]
                 .rounds
                 .iter()
                 .enumerate()
-                .min_by_key(|(i, r)| (r.effective_rank(aging, now), *i))
+                .min_by_key(|(i, r)| {
+                    let tie = if j == me { *i } else { len - *i };
+                    (r.round.effective_rank(aging, now), tie)
+                })
                 .map(|(i, _)| i)
                 .expect("nonempty queue");
-            return qs[me].rounds.remove(best);
+            let entry = qs[j].rounds.remove(best).expect("index in range");
+            qs[me].in_hand = Some((Arc::clone(&entry.round), now));
+            drop(qs);
+            return Some(entry);
         }
-        if stealing {
-            // Deepest backlog among shards whose class matches mine.
-            let victim = (0..qs.len())
-                .filter(|&j| j != me && steal_class[j] == steal_class[me])
-                .max_by_key(|&j| qs[j].rounds.len())
-                .filter(|&j| !qs[j].rounds.is_empty());
-            if let Some(j) = victim {
-                let now = Instant::now();
-                let len = qs[j].rounds.len();
-                let best = qs[j]
-                    .rounds
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(i, r)| (r.effective_rank(aging, now), len - *i))
-                    .map(|(i, _)| i)
-                    .expect("nonempty victim");
-                return qs[j].rounds.remove(best);
-            }
-        }
-        let servable_done = |j: usize| qs[j].closed && qs[j].rounds.is_empty();
-        let all_done = if stealing || supervision.is_some() {
-            (0..qs.len())
-                .filter(|&j| steal_class[j] == steal_class[me])
-                .all(servable_done)
-        } else {
-            servable_done(me)
-        };
-        if all_done
-            && !supervision
-                .is_some_and(|sup| sup.leases.class_has_leases(steal_class, steal_class[me]))
-        {
+        let class_idle = (0..qs.len())
+            .filter(|&j| steal_class[j] == steal_class[me])
+            .all(|j| qs[j].closed && qs[j].rounds.is_empty() && qs[j].in_hand.is_none());
+        if class_idle {
+            drop(qs);
+            queues.work.notify_all();
             return None;
         }
         qs = queues.work.wait(qs).expect("queues poisoned");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    const AGING: Duration = Duration::from_millis(20);
+
+    /// `n` queues of one steal class.
+    fn queues(n: usize) -> (Queues, Vec<usize>) {
+        (Queues::new(n), vec![0; n])
+    }
+
+    fn round(home: usize) -> Arc<Round> {
+        Arc::new(Round {
+            home,
+            priority: Priority::Standard,
+            closed_at: Instant::now(),
+            jobs: vec![TrackedJob {
+                request: Request::new(DagKey(1), Vec::new()),
+                ticket: None,
+                priority: Priority::Standard,
+                timeline: Timeline::default(),
+                claimed: AtomicBool::new(false),
+            }],
+        })
+    }
+
+    fn push(queues: &Queues, shard: usize, round: &Arc<Round>) {
+        let mut qs = queues.inner.lock().unwrap();
+        qs[shard]
+            .rounds
+            .push_back(QueuedRound::new(Arc::clone(round)));
+    }
+
+    fn close_all(queues: &Queues) {
+        for q in queues.inner.lock().unwrap().iter_mut() {
+            q.closed = true;
+        }
+    }
+
+    /// The round in `shard`'s lease slot, if any.
+    fn leased(queues: &Queues, shard: usize) -> Option<Arc<Round>> {
+        let qs = queues.inner.lock().unwrap();
+        qs[shard].in_hand.as_ref().map(|(r, _)| Arc::clone(r))
+    }
+
+    #[test]
+    fn checkout_fills_the_lease_slot_and_the_next_call_releases_it() {
+        let (queues, class) = queues(1);
+        let (r1, r2) = (round(0), round(0));
+        push(&queues, 0, &r1);
+        push(&queues, 0, &r2);
+
+        let got = next_round(0, &queues, &class, true, AGING).expect("r1 queued");
+        assert!(Arc::ptr_eq(&got.round, &r1));
+        assert!(Arc::ptr_eq(&leased(&queues, 0).expect("r1 on lease"), &r1));
+
+        // One call releases r1 and leases r2: nobody can observe the slot
+        // empty in between, and nothing copied the round.
+        let got = next_round(0, &queues, &class, true, AGING).expect("r2 queued");
+        assert!(Arc::ptr_eq(&got.round, &r2));
+        assert!(Arc::ptr_eq(&leased(&queues, 0).expect("r2 on lease"), &r2));
+
+        close_all(&queues);
+        assert!(next_round(0, &queues, &class, true, AGING).is_none());
+        assert!(leased(&queues, 0).is_none());
+    }
+
+    #[test]
+    fn stall_reclaim_takes_a_lease_once_and_releases_touch_only_the_own_slot() {
+        let (queues, class) = queues(2);
+        let (r1, r2) = (round(0), round(0));
+        push(&queues, 0, &r1);
+        let original = next_round(0, &queues, &class, false, AGING).expect("r1 queued");
+
+        // Shard 0 stalls: the sweep moves a handle to r1 onto shard 1,
+        // exactly once.
+        let sweep = || {
+            let mut qs = queues.inner.lock().unwrap();
+            reclaim_stalled(&mut qs, &class, Duration::ZERO, Instant::now())
+        };
+        assert_eq!(sweep(), 1);
+        assert_eq!(sweep(), 0);
+        assert!(leased(&queues, 0).is_none());
+        assert_eq!(queues.inner.lock().unwrap()[1].rounds.len(), 1);
+
+        let requeued = next_round(1, &queues, &class, false, AGING).expect("reclaimed r1");
+        assert!(Arc::ptr_eq(&requeued.round, &r1));
+
+        // The stalled holder comes back: its release is a no-op on its
+        // own (already taken) slot and cannot clear shard 1's newer lease
+        // on the same round.
+        push(&queues, 0, &r2);
+        let next = next_round(0, &queues, &class, false, AGING).expect("r2 queued");
+        assert!(Arc::ptr_eq(&next.round, &r2));
+        assert!(Arc::ptr_eq(
+            &leased(&queues, 1).expect("r1 still leased"),
+            &r1
+        ));
+
+        // Two handles, one job: exactly one of them resolves it.
+        assert!(requeued.round.jobs[0].claim());
+        assert!(!original.round.jobs[0].claim());
+    }
+
+    #[test]
+    fn an_idle_worker_waits_out_a_same_class_lease() {
+        for stealing in [true, false] {
+            let (queues, class) = queues(2);
+            let queues = Arc::new(queues);
+            push(&queues, 1, &round(1));
+            next_round(1, &queues, &class, stealing, AGING).expect("shard 1 checks out");
+            close_all(&queues);
+
+            // A plain spawn, joined only on success: a wrong exit
+            // condition then fails the test instead of hanging it.
+            let (tx, rx) = mpsc::channel();
+            let idle = {
+                let (queues, class) = (Arc::clone(&queues), class.clone());
+                std::thread::spawn(move || {
+                    let got = next_round(0, &queues, &class, stealing, AGING);
+                    tx.send(got.is_none()).unwrap();
+                })
+            };
+            // Shard 0's own queue is closed and empty, but shard 1 could
+            // still die and requeue its in-hand round here.
+            assert!(
+                rx.recv_timeout(Duration::from_millis(50)).is_err(),
+                "stealing {stealing}: exited while a peer held a lease"
+            );
+            // Shard 1 comes back: its release idles the class, it exits,
+            // and it wakes shard 0 on the way out.
+            assert!(next_round(1, &queues, &class, stealing, AGING).is_none());
+            assert!(
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("woken by the release"),
+                "stealing {stealing}: a round appeared from nowhere"
+            );
+            idle.join().unwrap();
+        }
     }
 }

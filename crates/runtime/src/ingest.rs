@@ -643,7 +643,7 @@ pub(crate) struct Admission {
     /// Live EWMA of observed host-side service time.
     pub(crate) service_estimate_ns: AtomicU64,
     /// Jobs rescued from a dead or stalled shard: requeued onto a
-    /// surviving compatible shard by the supervision path. Overlay
+    /// surviving compatible shard by the recovery path. Overlay
     /// counters — recovery moves work, it does not change any outcome,
     /// so these stay outside the per-class balance equation.
     pub(crate) recovered: AtomicU64,

@@ -32,7 +32,7 @@
 //!   and loss-free. Every ticketed request carries a latency [`Timeline`]
 //!   (arrival → accepted → round-closed → execute-start → completed), and
 //!   the dispatcher aggregates per-shard mergeable [`LatencyHistogram`]s
-//!   into [`DispatchReport::latency`](dispatch::DispatchReport::latency)
+//!   into [`DispatchReport::latency`]
 //!   — p50/p99/p999 queueing, batching, service and end-to-end response
 //!   time, the closed-loop half of the serving claim.
 //! - [`Backend`] is the dispatcher's execution seam: a shard can be a
@@ -98,14 +98,12 @@ pub mod ingest;
 pub mod latency;
 pub mod planner;
 pub mod pool;
+pub mod report;
 
 pub use backend::{Backend, BaselineBackend, Scratch, StealClass};
 pub use cache::{CacheKey, CacheStats, ProgramCache, SpillLookup, SpillStore};
 pub use chaos::{ChaosEvent, ChaosPlan, HedgeOptions};
-pub use dispatch::{
-    home_shard, ClassReport, DispatchOptions, DispatchReport, Dispatcher, PlatformSummary,
-    ShardReport,
-};
+pub use dispatch::{home_shard, DispatchOptions, Dispatcher};
 pub use ingest::{
     Outcome, Priority, ShedReason, SubmitAllError, SubmitOptions, SubmitRejection, Submitter,
     Ticket,
@@ -113,6 +111,7 @@ pub use ingest::{
 pub use latency::{Clock, LatencyHistogram, LatencyReport, Timeline};
 pub use planner::{plan_rounds, BatchPlan, RoundPlan};
 pub use pool::{Engine, EngineOptions, Request, ServeError, ServingReport};
+pub use report::{ClassReport, DispatchReport, PlatformSummary, ShardReport};
 
 /// Parallel core count of the paper's DPU-v2 (L) configuration (§V-C2) —
 /// the default `cores` value of [`EngineOptions`].

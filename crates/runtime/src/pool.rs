@@ -107,7 +107,7 @@ pub enum ServeError {
     /// The shard holding the request died (a chaos-plan kill or a
     /// contained worker panic) and no surviving shard of the same steal
     /// class existed to recover it onto. Raised by the dispatcher's
-    /// supervision path, never by an engine.
+    /// recovery path, never by an engine.
     ShardLost {
         /// Index of the lost shard.
         shard: usize,

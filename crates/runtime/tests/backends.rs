@@ -11,8 +11,8 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{eval, Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    home_shard, Backend, BaselineBackend, DispatchOptions, Dispatcher, Engine, EngineOptions,
-    Request, SubmitOptions, SubmitRejection, Ticket,
+    dag_fingerprint, home_shard, Backend, BaselineBackend, ChaosPlan, DispatchOptions, Dispatcher,
+    Engine, EngineOptions, Request, SubmitOptions, SubmitRejection, Ticket,
 };
 use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
 use dpu_workloads::sparse::{generate_lower_triangular, LowerTriangularParams, SpmvDag};
@@ -271,56 +271,45 @@ fn heterogeneous_primaries_route_and_never_cross_steal() {
 }
 
 /// Identical baseline shards *do* steal from each other — the steal class
-/// is the model, not the platform kind.
-///
-/// Whether the idle twin actually wins a steal race in any one run
-/// depends on OS scheduling (on a loaded machine its worker thread may
-/// simply never get a slice during the ~1 ms serving window), so the
-/// scenario retries a few times: one successful steal proves the steal
-/// class is shared. Correctness of every served result is asserted on
-/// every attempt regardless.
+/// is the model, not the platform kind. The home shard is scripted to
+/// hold every round it checks out for ~2 ms, so its backlog is there for
+/// the idle twin to take: the steal is forced, not hoped for.
 #[test]
 fn identical_baseline_shards_share_a_steal_class() {
     let dags = workload_dags();
-    let mut stole = false;
-    for _attempt in 0..10 {
-        let d = Dispatcher::with_backends(
-            vec![
-                Arc::new(BaselineBackend::new(BaselineModel::cpu(), FREQ)) as Arc<dyn Backend>,
-                Arc::new(BaselineBackend::new(BaselineModel::cpu(), FREQ)) as Arc<dyn Backend>,
-            ],
-            Vec::new(),
-            DispatchOptions {
-                max_batch: 2,
-                max_wait: Duration::from_micros(50),
-                work_stealing: true,
-                ..Default::default()
-            },
-        );
-        // One key -> one home shard; the expensive PC model queues rounds
-        // the idle twin steals.
-        let key = d.register(dags[0].clone());
-        let sub = d.submitter();
-        let tickets: Vec<Ticket> = (0..80)
-            .map(|i| {
-                sub.submit(Request::new(key, inputs_for(&dags[0], i)))
-                    .unwrap()
-            })
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        let report = d.shutdown();
-        assert_eq!(report.served, 80);
-        let other = 1 - home_shard(key, 2);
-        if report.shards[other].stolen_rounds > 0 {
-            stole = true;
-            break;
-        }
+    // One key -> one home shard; its queued rounds are what the twin
+    // steals.
+    let home = home_shard(dag_fingerprint(&dags[0]), 2);
+    let d = Dispatcher::with_backends(
+        vec![
+            Arc::new(BaselineBackend::new(BaselineModel::cpu(), FREQ)) as Arc<dyn Backend>,
+            Arc::new(BaselineBackend::new(BaselineModel::cpu(), FREQ)) as Arc<dyn Backend>,
+        ],
+        Vec::new(),
+        DispatchOptions {
+            max_batch: 2,
+            max_wait: Duration::from_micros(50),
+            work_stealing: true,
+            chaos: Some(ChaosPlan::new(5).stall_shard(home, Duration::from_millis(2))),
+            ..Default::default()
+        },
+    );
+    let key = d.register(dags[0].clone());
+    let sub = d.submitter();
+    let tickets: Vec<Ticket> = (0..80)
+        .map(|i| {
+            sub.submit(Request::new(key, inputs_for(&dags[0], i)))
+                .unwrap()
+        })
+        .collect();
+    for t in tickets {
+        t.wait().unwrap();
     }
+    let report = d.shutdown();
+    assert_eq!(report.served, 80);
     assert!(
-        stole,
-        "idle identical-model shard never stole in any of 10 attempts"
+        report.shards[1 - home].stolen_rounds > 0,
+        "idle identical-model shard never stole: {report:?}"
     );
 }
 

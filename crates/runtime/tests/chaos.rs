@@ -383,10 +383,9 @@ fn backend_panic_is_contained_and_recovered() {
         Vec::new(),
         DispatchOptions {
             max_batch: 1,
-            // Stealing off + supervision on: the poison round provably
-            // executes on its home shard, and recovery still requeues.
+            // Stealing off: the poison round provably executes on its
+            // home shard, and recovery still requeues.
             work_stealing: false,
-            stall_timeout: Some(Duration::from_secs(600)),
             ..Default::default()
         },
     );

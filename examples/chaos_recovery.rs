@@ -1,6 +1,6 @@
 //! Chaos-mode failure injection demo: a scripted [`ChaosPlan`] kills
 //! one of three engine shards mid-stream and drags a second one on
-//! every round, while the supervised dispatcher requeues the dead
+//! every round, while the dispatcher requeues the dead
 //! shard's rounds onto survivors, reclaims stalled leases, and hedges
 //! slow rounds onto idle peers — without losing or double-fulfilling a
 //! single ticket.

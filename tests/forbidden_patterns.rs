@@ -2,8 +2,9 @@
 //! system cannot: the simulator stays deterministic (no wall-clock
 //! reads), the decoded cycle loop stays allocation-free, the runtime's
 //! backpressure story stays intact (exactly one deliberately unbounded
-//! channel, behind the admission gate), and the oracle interpreter stays
-//! off every production path.
+//! channel, behind the admission gate), the oracle interpreter stays off
+//! every production path, and the dispatcher keeps one path that shares
+//! rounds instead of copying them.
 //!
 //! Plain text scanning is crude but cheap, runs in the ordinary test
 //! suite, and fails with the offending file + line so violations are
@@ -42,6 +43,35 @@ fn offenders(dir: &Path, pattern: &str, exempt: &[&str]) -> Vec<String> {
         for (idx, line) in text.lines().enumerate() {
             if line.contains(pattern) {
                 hits.push(format!("{}:{}: {}", path.display(), idx + 1, line.trim()));
+            }
+        }
+    }
+    hits
+}
+
+/// Lines of `files` containing any of `patterns`, except inside a
+/// sanctioned `(file name, fn header)` — the function a line belongs to
+/// being, crudely, the last `fn` header seen above it.
+fn offenders_outside_fns(
+    files: &[PathBuf],
+    patterns: &[&str],
+    allowed: &[(&str, &str)],
+) -> Vec<String> {
+    let mut hits = Vec::new();
+    for path in files {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let text = fs::read_to_string(path).expect("source file is UTF-8");
+        let mut enclosing_fn = "";
+        for (idx, line) in text.lines().enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("fn ") || code.starts_with("pub fn ") {
+                enclosing_fn = code;
+            }
+            let sanctioned = allowed
+                .iter()
+                .any(|(file, header)| *file == name && enclosing_fn.contains(header));
+            if !sanctioned && patterns.iter().any(|p| code.contains(p)) {
+                hits.push(format!("{}:{}: {}", path.display(), idx + 1, code));
             }
         }
     }
@@ -143,29 +173,36 @@ fn production_code_never_calls_the_oracle_interpreter() {
     for krate in ["runtime", "core", "dse", "energy", "baselines"] {
         files.extend(rust_sources(&root.join("crates").join(krate).join("src")));
     }
-    let mut hits = Vec::new();
-    for path in files {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let text = fs::read_to_string(&path).expect("source file is UTF-8");
-        // The function a line belongs to, crudely: the last `fn` header
-        // seen above it.
-        let mut enclosing_fn = "";
-        for (idx, line) in text.lines().enumerate() {
-            let code = line.trim_start();
-            if code.starts_with("fn ") || code.starts_with("pub fn ") {
-                enclosing_fn = code;
-            }
-            let sanctioned = ALLOWED
-                .iter()
-                .any(|(file, header)| *file == name && enclosing_fn.contains(header));
-            if !sanctioned && ORACLE_CALLS.iter().any(|call| code.contains(call)) {
-                hits.push(format!("{}:{}: {}", path.display(), idx + 1, code));
-            }
-        }
-    }
+    let hits = offenders_outside_fns(&files, &ORACLE_CALLS, &ALLOWED);
     assert!(
         hits.is_empty(),
         "production code must execute through decode -> run_decoded, not the oracle:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
+    // A closed round is immutable and shared by `Arc`: a lease, a hedge
+    // or a recovery requeue is another handle to it, never a copy of its
+    // request payloads. The one sanctioned payload copy is the mirror
+    // fan-out in `ingest_loop` — one copy per mirror shard is the
+    // feature. And claims and leases are always on: the names the
+    // supervised/default fork was built from must not come back.
+    let files = rust_sources(&repo_root().join("crates/runtime/src"));
+    let mut hits = offenders_outside_fns(
+        &files,
+        &["request.clone()"],
+        &[("dispatch.rs", "fn ingest_loop(")],
+    );
+    hits.extend(offenders_outside_fns(
+        &files,
+        &["clone_shared", "fn supervised", "Option<Arc<AtomicBool>>"],
+        &[],
+    ));
+    assert!(
+        hits.is_empty(),
+        "dpu-runtime must not copy a round's payloads or re-grow the dispatch fork:\n{}",
         hits.join("\n")
     );
 }
