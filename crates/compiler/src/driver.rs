@@ -35,11 +35,6 @@ pub struct CompileOptions {
     pub bank_policy: BankPolicy,
     /// Seed for the allocator's randomized tie-breaking.
     pub seed: u64,
-    /// Run the static verifier (`dpu-verify`) on the emitted program in
-    /// release builds too. Debug builds always verify; the check is one
-    /// linear pass over the instruction stream, paid once per compile and
-    /// never per request.
-    pub verify: bool,
 }
 
 impl Default for CompileOptions {
@@ -50,7 +45,6 @@ impl Default for CompileOptions {
             partition_threshold: 20_000,
             bank_policy: BankPolicy::ConflictAware,
             seed: 0xD9A6,
-            verify: false,
         }
     }
 }
@@ -158,11 +152,12 @@ pub struct Compiled {
 
 impl Compiled {
     /// Runs the static verifier (`dpu-verify`) over the program against
-    /// its own data layout. Freshly compiled programs always pass (the
-    /// compiler verifies in debug builds and under
-    /// [`CompileOptions::verify`]); the runtime calls this on programs
-    /// deserialized from a spill store, where a checksum match alone does
-    /// not prove well-formedness.
+    /// its own data layout, and checks the replayed cycle count against
+    /// the declared [`CompileStats::total_cycles`]. Freshly compiled
+    /// programs always pass (debug builds of the compiler call this on
+    /// every compile; a release caller that wants the check calls it
+    /// itself); the runtime calls it on programs deserialized from a spill
+    /// store, where a checksum match alone does not prove well-formedness.
     ///
     /// # Errors
     ///
@@ -174,7 +169,14 @@ impl Compiled {
             spill_base: self.layout.spill_base,
             rows_used: self.layout.rows_used,
         };
-        dpu_verify::verify_program(&self.program, &facts)
+        let report = dpu_verify::verify_program(&self.program, &facts)?;
+        if report.cycles != self.stats.total_cycles {
+            return Err(dpu_verify::VerifyError::CycleMismatch {
+                replayed: report.cycles,
+                declared: self.stats.total_cycles,
+            });
+        }
+        Ok(report)
     }
 }
 
@@ -297,19 +299,10 @@ pub fn compile_binary(
         stats,
     };
 
-    // Static verification: always in debug builds, opt-in in release. The
-    // replayed cycle count doubles as a cross-check of the finalizer's
-    // declared schedule length.
-    if cfg!(debug_assertions) || opts.verify {
-        let report = compiled.verify()?;
-        if report.cycles != compiled.stats.total_cycles {
-            return Err(CompileError::Verify(
-                dpu_verify::VerifyError::CycleMismatch {
-                    replayed: report.cycles,
-                    declared: compiled.stats.total_cycles,
-                },
-            ));
-        }
+    // Static verification in debug builds: one linear pass over the
+    // instruction stream, paid once per compile and never per request.
+    if cfg!(debug_assertions) {
+        compiled.verify()?;
     }
 
     Ok(compiled)
@@ -366,6 +359,10 @@ mod tests {
         let cfg = ArchConfig::new(2, 8, 4).unwrap();
         let c = compile(&dag, &cfg, &CompileOptions::default()).unwrap();
         assert!(c.stats.spill_stores > 0, "expected spill traffic");
+        // Spilling is deterministic: which bank's victims are stored first
+        // must not depend on hash-map iteration order.
+        let again = compile(&dag, &cfg, &CompileOptions::default()).unwrap();
+        assert_eq!(again.program, c.program);
     }
 
     #[test]

@@ -4,25 +4,27 @@
 //! incoming data to its lowest empty register, tracked by valid bits and a
 //! priority encoder (§III-B, Fig. 5(d)). Because the instruction sequence
 //! is fully deterministic, the compiler can replay that policy and predict
-//! every address — this module is that replay. It walks the abstract
-//! instruction list cycle by cycle, modelling
+//! every address — this module is that replay. The policy itself (lowest-
+//! free write, `valid_rst` frees, an `exec` issued at cycle `c` lands at
+//! the end of `c+D`, one write per bank per cycle, pipeline drain) is
+//! [`dpu_isa::RegFile`], the same code the verifier and the simulator run;
+//! here a register holds the [`NodeId`] of the value living in it. What is
+//! the compiler's own sits on top:
 //!
-//! - the `D+1`-stage pipeline: an `exec` issued at cycle `c` commits its
-//!   writebacks at the end of cycle `c+D`; `load`/`copy` commit at the end
-//!   of their issue cycle;
-//! - the per-bank single write port: a `load`/`copy` colliding with an
-//!   in-flight `exec` writeback stalls;
-//! - the valid-bit lifecycle: a read flagged `valid_rst` frees the register
-//!   at issue (the flag is computed here as "last read of the residency");
-//!
-//! and stalls with `nop`s whenever an operand has not cleared the pipeline —
-//! the safety net behind §IV-C/§IV-D's "inserted in a way that avoids new
-//! RAW hazards".
+//! - where each live `(bank, value)` residency ended up (`addr_of`) and
+//!   from which cycle it can be read (`ready_at`);
+//! - `valid_rst`, computed as "last read of the residency";
+//! - stalling with `nop`s while an operand has not cleared the pipeline,
+//!   or while a `load`/`copy` would collide with an `exec` writeback due
+//!   on the same bank — the safety net behind §IV-C/§IV-D's "inserted in a
+//!   way that avoids new RAW hazards".
 
 use std::collections::HashMap;
 
 use dpu_dag::NodeId;
-use dpu_isa::{ArchConfig, CopyMove, ExecInstr, Instr, PeOpcode, PortRead, Program, RegRead};
+use dpu_isa::{
+    ArchConfig, CopyMove, ExecInstr, Fault, Instr, PeOpcode, PortRead, Program, RegFile, RegRead,
+};
 
 use crate::ir::AInstr;
 
@@ -57,7 +59,8 @@ pub enum FinalizeError {
         /// The value.
         value: NodeId,
     },
-    /// Two values were written to the same bank in the same cycle.
+    /// Two values were written to the same bank in the same cycle (an
+    /// `exec` naming one bank twice; reported when its writebacks land).
     WritePortClash {
         /// The bank.
         bank: u32,
@@ -83,6 +86,15 @@ impl std::fmt::Display for FinalizeError {
 
 impl std::error::Error for FinalizeError {}
 
+impl From<Fault> for FinalizeError {
+    fn from(fault: Fault) -> Self {
+        match fault {
+            Fault::Full { bank } => FinalizeError::RegisterOverflow { bank },
+            Fault::PortClash { bank } => FinalizeError::WritePortClash { bank },
+        }
+    }
+}
+
 /// Replays the write-address policy over `instrs` and produces the final
 /// [`Program`].
 ///
@@ -91,7 +103,6 @@ impl std::error::Error for FinalizeError {}
 /// See [`FinalizeError`].
 pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, FinalizeError> {
     let banks = cfg.banks as usize;
-    let regs = cfg.regs_per_bank as usize;
     let d = cfg.depth as u64;
 
     // ---- Prescan: valid_rst = last read of each residency segment.
@@ -115,45 +126,23 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
     }
 
     // ---- Replay.
-    let mut slots: Vec<Vec<Option<NodeId>>> = vec![vec![None; regs]; banks];
+    let mut regs = RegFile::<NodeId>::new(cfg);
     let mut addr_of: HashMap<(u32, NodeId), u32> = HashMap::new();
     let mut ready_at: HashMap<(u32, NodeId), u64> = HashMap::new();
-    // Exec writebacks in flight: cycle -> (bank, value) list.
-    let mut pending: HashMap<u64, Vec<(u32, NodeId)>> = HashMap::new();
 
     let mut out: Vec<Instr> = Vec::with_capacity(instrs.len());
-    let mut cycle: u64 = 0;
     let mut stall_nops: u64 = 0;
 
-    let alloc = |slots: &mut Vec<Vec<Option<NodeId>>>,
-                 addr_of: &mut HashMap<(u32, NodeId), u32>,
-                 bank: u32,
-                 v: NodeId|
-     -> Result<u32, FinalizeError> {
-        let col = &mut slots[bank as usize];
-        let a = col
-            .iter()
-            .position(Option::is_none)
-            .ok_or(FinalizeError::RegisterOverflow { bank })? as u32;
-        col[a as usize] = Some(v);
-        addr_of.insert((bank, v), a);
-        Ok(a)
-    };
-
-    // Lands all exec writebacks scheduled for the end of `c`.
-    let land = |c: u64,
-                pending: &mut HashMap<u64, Vec<(u32, NodeId)>>,
-                slots: &mut Vec<Vec<Option<NodeId>>>,
-                addr_of: &mut HashMap<(u32, NodeId), u32>,
-                ready_at: &mut HashMap<(u32, NodeId), u64>|
-     -> Result<(), FinalizeError> {
-        if let Some(list) = pending.remove(&c) {
-            for (b, v) in list {
-                alloc(slots, addr_of, b, v)?;
-                ready_at.insert((b, v), c + 1);
-            }
-        }
-        Ok(())
+    // Ends the cycle; a value landing now is readable from the next one.
+    let end_cycle = |regs: &mut RegFile<NodeId>,
+                     addr_of: &mut HashMap<(u32, NodeId), u32>,
+                     ready_at: &mut HashMap<(u32, NodeId), u64>|
+     -> Result<(), Fault> {
+        let readable = regs.cycle() + 1;
+        regs.end_cycle(|b, a, v| {
+            addr_of.insert((b, v), a);
+            ready_at.insert((b, v), readable);
+        })
     };
 
     for (idx, ins) in instrs.iter().enumerate() {
@@ -162,25 +151,25 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
         let mut waited: u64 = 0;
         loop {
             // Operand readiness.
+            let cycle = regs.cycle();
             let not_ready = reads.iter().find(|&&(b, v)| {
                 !addr_of.contains_key(&(b, v)) || ready_at.get(&(b, v)).is_some_and(|&t| t > cycle)
             });
             // Write-port availability for immediate (load/copy) writebacks.
             let wp_clash = !ins.is_exec()
-                && pending.get(&cycle).is_some_and(|l| {
-                    l.iter()
-                        .any(|&(b, _)| writes.iter().any(|&(wb, _)| wb == b))
-                });
+                && regs
+                    .due()
+                    .iter()
+                    .any(|&(b, _)| writes.iter().any(|&(wb, _)| wb == b));
             if not_ready.is_none() && !wp_clash {
                 break;
             }
             // Stall one cycle.
             out.push(Instr::Nop);
             stall_nops += 1;
-            land(cycle, &mut pending, &mut slots, &mut addr_of, &mut ready_at)?;
-            cycle += 1;
+            end_cycle(&mut regs, &mut addr_of, &mut ready_at)?;
             waited += 1;
-            if waited > d + 4 && pending.is_empty() {
+            if waited > d + 4 && regs.in_flight() == 0 {
                 if let Some(&(b, v)) = not_ready {
                     return Err(FinalizeError::OperandNeverReady {
                         index: idx,
@@ -208,7 +197,7 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
         }
         for (&(b, v), &(a, rst)) in &resolved {
             if rst {
-                slots[b as usize][a as usize] = None;
+                regs.free(b, a);
                 addr_of.remove(&(b, v));
                 ready_at.remove(&(b, v));
             }
@@ -287,36 +276,18 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
 
         // Schedule / apply writebacks.
         match ins {
-            AInstr::Exec { .. } => {
-                let list = pending.entry(cycle + d).or_default();
-                for &(b, v) in &writes {
-                    if list.iter().any(|&(eb, _)| eb == b) {
-                        return Err(FinalizeError::WritePortClash { bank: b });
-                    }
-                    list.push((b, v));
-                }
-            }
+            AInstr::Exec { .. } => regs.schedule(writes.iter().copied()),
             AInstr::Load { .. } | AInstr::Copy { .. } => {
                 for &(b, v) in &writes {
-                    alloc(&mut slots, &mut addr_of, b, v)?;
-                    ready_at.insert((b, v), cycle + 1);
+                    addr_of.insert((b, v), regs.write(b, v)?);
+                    ready_at.insert((b, v), regs.cycle() + 1);
                 }
             }
             _ => {}
         }
-
-        land(cycle, &mut pending, &mut slots, &mut addr_of, &mut ready_at)?;
-        cycle += 1;
+        end_cycle(&mut regs, &mut addr_of, &mut ready_at)?;
     }
-
-    // Pipeline drain.
-    let drain_until = pending.keys().copied().max();
-    if let Some(last) = drain_until {
-        while cycle <= last {
-            land(cycle, &mut pending, &mut slots, &mut addr_of, &mut ready_at)?;
-            cycle += 1;
-        }
-    }
+    regs.drain(|_, _, _| {})?;
 
     // Internal invariant: finalize only emits validated shapes.
     let program = match Program::new(*cfg, out) {
@@ -327,7 +298,7 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
     Ok(Finalized {
         program,
         stall_nops,
-        total_cycles: cycle,
+        total_cycles: regs.cycle(),
     })
 }
 

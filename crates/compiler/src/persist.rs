@@ -42,7 +42,7 @@ use std::error::Error;
 use std::fmt;
 
 use dpu_dag::{Dag, DagBuilder, NodeId, Op};
-use dpu_isa::{ArchConfig, InstrBreakdown, Program, Topology};
+use dpu_isa::{ArchConfig, Fnv1a, InstrBreakdown, Program, Topology};
 
 use crate::driver::{CompileStats, Compiled};
 use crate::footprint::Footprint;
@@ -104,18 +104,11 @@ impl fmt::Display for PersistError {
 
 impl Error for PersistError {}
 
-/// FNV-1a 64-bit over `bytes` — the same hash family the runtime uses for
-/// DAG fingerprints; plenty for integrity (corruption detection, not
-/// adversarial inputs).
+/// The payload checksum: [`Fnv1a`] over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.bytes(bytes);
+    h.finish()
 }
 
 /// Little-endian payload writer.
@@ -264,7 +257,10 @@ pub fn topology_from_tag(tag: u8) -> Result<Topology, PersistError> {
         .ok_or_else(|| PersistError::Malformed(format!("topology tag {tag}")))
 }
 
-fn op_tag(op: Op) -> u8 {
+/// The stable byte tag of a DAG operation in this format. Public for the
+/// same reason as [`topology_tag`]: the runtime's DAG fingerprint hashes
+/// these tags, and cache keys must not drift from the codec.
+pub fn op_tag(op: Op) -> u8 {
     match op {
         Op::Input => 0,
         Op::Add => 1,
@@ -569,6 +565,20 @@ mod tests {
             Compiled::from_bytes(&bytes),
             Err(PersistError::Version { .. })
         ));
+    }
+
+    /// Known answer, computed before the four FNV-1a copies became
+    /// `dpu_isa::Fnv1a`: blobs already on disk keep their checksums.
+    #[test]
+    fn header_checksum_is_pinned() {
+        let mut c = sample();
+        c.stats.compile_ms = 0.0; // the one wall-clock field in the payload
+        let bytes = c.to_bytes();
+        assert_eq!(bytes.len(), 416);
+        assert_eq!(
+            u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
+            0x027a_8dbf_5a17_0899
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! model's occupancy is an upper bound of the hardware's and a fit here is
 //! a fit on silicon.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dpu_dag::NodeId;
 use dpu_isa::ArchConfig;
@@ -192,7 +192,9 @@ pub fn insert_spills_with(
         }
 
         // 3. Make room for this instruction's writes.
-        let mut per_bank: HashMap<u32, u32> = HashMap::new();
+        // (Banks in ascending order, so the spill stores of one
+        // instruction never depend on hash-map iteration order.)
+        let mut per_bank: BTreeMap<u32, u32> = BTreeMap::new();
         for (b, _) in ins.bank_writes() {
             *per_bank.entry(b).or_insert(0) += 1;
         }

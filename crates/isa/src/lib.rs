@@ -19,7 +19,11 @@
 //!   into an instruction memory image, and the alignment-shifter decode
 //!   model (Fig. 7(b));
 //! - [`Program`] — an instruction list with packing, statistics and the
-//!   per-category breakdown used by Fig. 13.
+//!   per-category breakdown used by Fig. 13;
+//! - [`RegFile`] — the register file's write policy (valid bits, lowest-
+//!   free automatic write address, `D+1`-slot writeback ring), stated once
+//!   and instantiated by the compiler, the verifier and the simulator;
+//! - [`Fnv1a`] — the one hash behind every persisted checksum and key.
 //!
 //! # Example
 //!
@@ -38,9 +42,13 @@ pub mod encode;
 pub mod interconnect;
 
 mod config;
+mod fnv;
 mod instr;
 mod program;
+mod regfile;
 
 pub use config::{ArchConfig, ConfigError, Topology};
+pub use fnv::Fnv1a;
 pub use instr::{CopyMove, ExecInstr, Instr, InstrKind, PeId, PeOpcode, PortRead, RegRead};
 pub use program::{InstrBreakdown, Program};
+pub use regfile::{Fault, RegFile};

@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use dpu_compiler::{compile, CompileError, CompileOptions, Compiled};
 use dpu_dag::Dag;
-use dpu_isa::{ArchConfig, Topology};
+use dpu_isa::{ArchConfig, Fnv1a, Topology};
 use dpu_sim::{DecodedProgram, SimError};
 use serde::{Deserialize, Serialize};
 
@@ -188,33 +188,21 @@ fn options_fingerprint(options: &CompileOptions) -> u64 {
         partition_threshold,
         bank_policy,
         seed,
-        // Deliberately excluded from the hash: verification does not
-        // affect codegen, so fleets differing only in `verify` still
-        // share each other's spills (and every spill load is verified
-        // regardless of the flag).
-        verify: _,
     } = options;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(*window as u64);
-    mix(match spill_policy {
+    let mut h = Fnv1a::default();
+    h.word(*window as u64);
+    h.word(match spill_policy {
         dpu_compiler::SpillPolicy::FurthestNextUse => 0,
         dpu_compiler::SpillPolicy::NearestNextUse => 1,
         dpu_compiler::SpillPolicy::Arbitrary => 2,
     });
-    mix(*partition_threshold as u64);
-    mix(match bank_policy {
+    h.word(*partition_threshold as u64);
+    h.word(match bank_policy {
         dpu_compiler::BankPolicy::ConflictAware => 0,
         dpu_compiler::BankPolicy::Random => 1,
     });
-    mix(*seed);
-    h
+    h.word(*seed);
+    h.finish()
 }
 
 /// The spill wrapper's topology byte — the compiler codec's tag
@@ -1066,6 +1054,35 @@ mod tests {
         dir
     }
 
+    /// Known answers, computed before the options tag moved to
+    /// `dpu_isa::Fnv1a`: a spill written under the default options still
+    /// carries the tag (header bytes 33..41) this build looks for, under
+    /// the file name it looks for.
+    #[test]
+    fn default_options_tag_and_spill_path_are_pinned() {
+        let dir = temp_dir("pinned-tag");
+        let cfg = ArchConfig::new(2, 8, 16).unwrap();
+        let d = dag(3);
+        let key = CacheKey {
+            dag: dag_fingerprint(&d),
+            config: cfg,
+        };
+        let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
+        let compiled = compile(&d, &cfg, &CompileOptions::default()).unwrap();
+        store.store(&key, &compiled).unwrap();
+        let path = store.path_for(&key);
+        assert_eq!(
+            path.file_name().unwrap().to_str().unwrap(),
+            "d32fdf02861a9a45-d2b8r16t1m16384-o7bfae9b6d7db5fca.dpuc"
+        );
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            u64::from_le_bytes(bytes[33..41].try_into().unwrap()),
+            0x7bfa_e9b6_d7db_5fca
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn spill_store_roundtrips_and_backfills() {
         let dir = temp_dir("roundtrip");
@@ -1195,22 +1212,44 @@ mod tests {
             }
             other => panic!("expected Unverifiable, got {other:?}"),
         }
+        let recompiles = || {
+            let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
+            let fresh = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+            let recompiled = fresh.get_or_compile(&d, k, &cfg).unwrap();
+            assert_eq!(recompiled.program, good.program);
+            let s = fresh.stats();
+            assert_eq!(
+                (
+                    s.misses,
+                    s.spill_rejects,
+                    s.spill_unverifiable,
+                    s.spill_verified
+                ),
+                (1, 1, 1, 0)
+            );
+            let why = fresh.last_spill_reject().expect("reason recorded");
+            assert!(why.contains("static verification"), "reason: {why}");
+        };
+        recompiles();
+
+        // A second corruption the checksum cannot see: the pristine
+        // program with a misdeclared schedule length (the recompile above
+        // spilled a good entry back; this overwrites it).
+        let mut bad = (*good).clone();
+        bad.stats.total_cycles += 1;
+        cache.spill_store().unwrap().store(&key, &bad).unwrap();
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-        let fresh = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
-        let recompiled = fresh.get_or_compile(&d, k, &cfg).unwrap();
-        assert_eq!(recompiled.program, good.program);
-        let s = fresh.stats();
-        assert_eq!(
-            (
-                s.misses,
-                s.spill_rejects,
-                s.spill_unverifiable,
-                s.spill_verified
+        match store.load(&key) {
+            SpillLookup::Unverifiable(dpu_verify::VerifyError::CycleMismatch {
+                replayed,
+                declared,
+            }) => assert_eq!(
+                (replayed, declared),
+                (good.stats.total_cycles, good.stats.total_cycles + 1)
             ),
-            (1, 1, 1, 0)
-        );
-        let why = fresh.last_spill_reject().expect("reason recorded");
-        assert!(why.contains("static verification"), "reason: {why}");
+            other => panic!("expected Unverifiable(CycleMismatch), got {other:?}"),
+        }
+        recompiles();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

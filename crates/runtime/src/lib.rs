@@ -87,7 +87,9 @@
 //! # }
 //! ```
 
+use dpu_compiler::persist::op_tag;
 use dpu_dag::Dag;
+use dpu_isa::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 pub mod backend;
@@ -136,38 +138,17 @@ impl std::fmt::Display for DagKey {
 /// Computes the [`DagKey`] of a DAG — the content-hash half of the
 /// program cache key.
 pub fn dag_fingerprint(dag: &Dag) -> DagKey {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    mix(dag.len() as u64);
+    let mut h = Fnv1a::default();
+    h.word(dag.len() as u64);
     for n in dag.nodes() {
-        mix(op_tag(dag.op(n)));
+        h.word(u64::from(op_tag(dag.op(n))));
         let preds = dag.preds(n);
-        mix(preds.len() as u64);
+        h.word(preds.len() as u64);
         for &p in preds {
-            mix(p.index() as u64);
+            h.word(p.index() as u64);
         }
     }
-    DagKey(h)
-}
-
-fn op_tag(op: dpu_dag::Op) -> u64 {
-    use dpu_dag::Op;
-    match op {
-        Op::Input => 0,
-        Op::Add => 1,
-        Op::Mul => 2,
-        Op::Sub => 3,
-        Op::Div => 4,
-        Op::Min => 5,
-        Op::Max => 6,
-    }
+    DagKey(h.finish())
 }
 
 #[cfg(test)]
@@ -181,6 +162,16 @@ mod tests {
         let y = b.input();
         b.node(op, &[x, y]).unwrap();
         b.finish().unwrap()
+    }
+
+    /// Known answer, computed before the hash and the op-tag table were
+    /// shared with the codec: keys of existing spill directories stay valid.
+    #[test]
+    fn dag_key_is_pinned() {
+        assert_eq!(
+            dag_fingerprint(&small(Op::Sub)),
+            DagKey(0xcae0_9202_1ff0_3406)
+        );
     }
 
     #[test]

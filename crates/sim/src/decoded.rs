@@ -155,9 +155,6 @@ pub struct DecodedProgram {
     /// Fetch width `IL` in bits, pre-computed (per-cycle fetch
     /// accounting matches [`Machine::run_program`]).
     fetch_bits: u64,
-    /// Pipeline depth `D`: an `exec` issued at cycle `c` lands its
-    /// writebacks at the end of cycle `c + land_offset`.
-    land_offset: u64,
     /// Length of the per-`exec` value array: `banks` port slots followed
     /// by one slot per PE, layer by layer.
     vals_len: usize,
@@ -209,7 +206,6 @@ impl DecodedProgram {
         let mut d = DecodedProgram {
             config: cfg,
             fetch_bits: u64::from(encode::fetch_width(&cfg)),
-            land_offset: u64::from(cfg.depth),
             vals_len,
             kind: Vec::with_capacity(program.instrs.len()),
             row: Vec::with_capacity(program.instrs.len()),
@@ -418,19 +414,16 @@ impl Machine {
             "machine/program configuration mismatch"
         );
         let il = prog.fetch_bits;
-        let ring = self.pending.len() as u64;
         // All buffers the loop needs, sized up front; early error
         // returns leave them empty in scratch — harmless, every use site
         // clears and resizes first, and a failed run aborts the request.
         let mut vals = std::mem::take(&mut self.scratch.vals);
         vals.clear();
         vals.resize(prog.vals_len, 0.0);
-        let mut imm = std::mem::take(&mut self.scratch.imm);
         let mut staged = std::mem::take(&mut self.scratch.staged);
         // BEGIN run_decoded cycle loop (zero-alloc: no allocating vector
         // idioms in here — lint-enforced by tests/forbidden_patterns.rs)
         for pc in 0..prog.kind.len() {
-            imm.clear();
             let span = prog.span[pc];
             match prog.kind[pc] {
                 OpKind::Nop => {}
@@ -441,8 +434,7 @@ impl Machine {
                     row_vals.clear();
                     row_vals.extend_from_slice(&self.data[row]);
                     for &bank in &prog.load_banks[span.range()] {
-                        self.auto_write(bank, row_vals[bank as usize])?;
-                        imm.push(bank);
+                        self.put(bank, row_vals[bank as usize])?;
                     }
                     self.scratch.row = row_vals;
                 }
@@ -451,10 +443,10 @@ impl Machine {
                     self.activity.mem_writes += 1;
                     self.mark_dirty(row);
                     for s in &prog.stores[span.range()] {
-                        let v = self.read_reg(s.bank, s.addr)?;
+                        let v = self.reg(s.bank, s.addr)?;
                         self.activity.reg_reads += 1;
                         if s.valid_rst {
-                            self.banks[s.bank as usize][s.addr as usize] = None;
+                            self.regs.free(s.bank, s.addr);
                         }
                         self.data[row as usize][s.col as usize] = v;
                     }
@@ -464,17 +456,16 @@ impl Machine {
                     // pass), staged in a reused buffer.
                     staged.clear();
                     for c in &prog.copies[span.range()] {
-                        let v = self.read_reg(c.bank, c.addr)?;
+                        let v = self.reg(c.bank, c.addr)?;
                         self.activity.reg_reads += 1;
                         self.activity.crossbar_hops += 1;
                         if c.valid_rst {
-                            self.banks[c.bank as usize][c.addr as usize] = None;
+                            self.regs.free(c.bank, c.addr);
                         }
                         staged.push((c.dst_bank, v));
                     }
                     for &(bank, v) in staged.iter() {
-                        self.auto_write(bank, v)?;
-                        imm.push(bank);
+                        self.put(bank, v)?;
                     }
                 }
                 OpKind::Exec => {
@@ -482,7 +473,7 @@ impl Machine {
                     let e = prog.execs[span.start as usize];
                     for r in &prog.reads[e.reads.range()] {
                         let v = if r.copy_from == NONE {
-                            let v = self.read_reg(r.bank, r.addr)?;
+                            let v = self.reg(r.bank, r.addr)?;
                             self.activity.reg_reads += 1;
                             v
                         } else {
@@ -492,7 +483,7 @@ impl Machine {
                         vals[r.dst as usize] = v;
                     }
                     for rst in &prog.rsts[e.rsts.range()] {
-                        self.banks[rst.bank as usize][rst.addr as usize] = None;
+                        self.regs.free(rst.bank, rst.addr);
                     }
                     for pe in &prog.pes[e.pes.range()] {
                         let av = if pe.a == NONE {
@@ -513,35 +504,17 @@ impl Machine {
                         }
                         vals[pe.dst as usize] = out;
                     }
-                    let slot = ((self.cycle + prog.land_offset) % ring) as usize;
-                    for w in &prog.writes[e.writes.range()] {
-                        self.pending[slot].push((w.bank, vals[w.src as usize]));
-                        self.pending_count += 1;
-                    }
+                    let writes = &prog.writes[e.writes.range()];
+                    self.regs
+                        .schedule(writes.iter().map(|w| (w.bank, vals[w.src as usize])));
                 }
             }
-            // Land due writebacks; `imm` doubles as the write-port
-            // conflict set (it already lists this cycle's immediate
-            // writes, and is cleared next iteration).
-            let slot = (self.cycle % ring) as usize;
-            if !self.pending[slot].is_empty() {
-                self.land_slot(slot, &mut imm)?;
-            }
-            self.cycle += 1;
+            self.end_cycle()?;
             self.activity.instr_bits_fetched += il;
         }
         // END run_decoded cycle loop
-        // Drain the pipeline.
-        while self.pending_count > 0 {
-            let slot = (self.cycle % ring) as usize;
-            if !self.pending[slot].is_empty() {
-                imm.clear();
-                self.land_slot(slot, &mut imm)?;
-            }
-            self.cycle += 1;
-        }
+        self.drain()?;
         self.scratch.vals = vals;
-        self.scratch.imm = imm;
         self.scratch.staged = staged;
         Ok(())
     }

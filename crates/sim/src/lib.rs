@@ -14,8 +14,11 @@
 //!   interconnect of Fig. 6;
 //! - a vector data memory of `B`-word rows (Fig. 5(b)).
 //!
-//! Timing is deterministic and must agree with the compiler's finalize
-//! replay: one instruction issues per cycle, and the simulator *checks*
+//! Timing is deterministic and agrees with the compiler's finalize
+//! replay and the static verifier by construction: the register file —
+//! valid bits, write-address generator, writeback ring, cycle counter —
+//! is [`dpu_isa::RegFile`], which all three instantiate (here with
+//! values). One instruction issues per cycle, and the simulator *checks*
 //! rather than tolerates hazards — reading an empty register, clashing
 //! writebacks or bank overflow abort the run ([`SimError`]). Functional
 //! results are compared against the reference evaluator by
@@ -65,7 +68,7 @@
 
 use dpu_compiler::Compiled;
 use dpu_dag::eval;
-use dpu_isa::{encode, ArchConfig, Instr, PeOpcode, Program};
+use dpu_isa::{encode, ArchConfig, Fault, Instr, PeOpcode, Program, RegFile};
 
 use serde::{Deserialize, Serialize};
 
@@ -227,8 +230,12 @@ pub struct RunResult {
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: ArchConfig,
-    /// Register banks: `banks × regs` of optional values (None = invalid).
-    banks: Vec<Vec<Option<f32>>>,
+    /// The register file: valid bits, the automatic write-address
+    /// generator, the `D+1`-slot writeback ring and the cycle counter —
+    /// `dpu_isa`'s one statement of the write policy, instantiated with
+    /// values (the compiler replays it with `NodeId`s, the verifier with
+    /// `()`), shared by [`Machine::step`] and [`Machine::run_decoded`].
+    regs: RegFile<f32>,
     /// Data memory as rows of `B` words.
     data: Vec<Vec<f32>>,
     /// Rows written since the last reset. [`Machine::reset`] re-zeroes
@@ -237,19 +244,6 @@ pub struct Machine {
     /// path resets per request.
     dirty_rows: Vec<u32>,
     dirty: Vec<bool>,
-    /// In-flight exec writebacks as a ring of `D+1` slots indexed by
-    /// `cycle % (D+1)`: an `exec` issued at cycle `c` lands at the end of
-    /// cycle `c + D`, so at most `D+1` distinct cycles ever hold
-    /// writebacks and slot reuse cannot collide (the slot for `c + D` was
-    /// drained at cycle `c - 1`). This replaces the per-machine
-    /// `HashMap<u64, Vec<_>>` the hot path used to hash into on every
-    /// `exec` and every drain probe — the ring is two array indexings and
-    /// keeps each slot's `Vec` capacity warm across requests.
-    pending: Vec<Vec<(u32, f32)>>,
-    /// Writebacks currently in flight across all ring slots (the drain
-    /// loops run until this reaches zero).
-    pending_count: usize,
-    cycle: u64,
     activity: Activity,
     /// Reusable buffers for [`Machine::run_decoded`], so steady-state
     /// execution allocates nothing per cycle. Each is cleared at its
@@ -267,9 +261,6 @@ struct Scratch {
     row: Vec<f32>,
     /// Value array of the current `exec` (ports + PE outputs).
     vals: Vec<f32>,
-    /// Immediate-write banks of the current cycle (doubles as the
-    /// write-port conflict set when landing).
-    imm: Vec<u32>,
     /// Staging buffer for `copy.k` moves.
     staged: Vec<(u32, f32)>,
 }
@@ -279,13 +270,10 @@ impl Machine {
     pub fn new(cfg: ArchConfig) -> Self {
         Machine {
             cfg,
-            banks: vec![vec![None; cfg.regs_per_bank as usize]; cfg.banks as usize],
+            regs: RegFile::new(&cfg),
             data: vec![vec![0.0; cfg.banks as usize]; cfg.data_mem_rows as usize],
             dirty_rows: Vec::new(),
             dirty: vec![false; cfg.data_mem_rows as usize],
-            pending: vec![Vec::new(); cfg.depth as usize + 1],
-            pending_count: 0,
-            cycle: 0,
             activity: Activity::default(),
             scratch: Scratch::default(),
         }
@@ -306,20 +294,13 @@ impl Machine {
     /// allocation disappears from the hot path; a reset machine behaves
     /// identically to a fresh [`Machine::new`] with the same config.
     pub fn reset(&mut self) {
-        for bank in &mut self.banks {
-            bank.fill(None);
-        }
+        self.regs.clear();
         // Only rows written since the last reset can be nonzero.
         for &row in &self.dirty_rows {
             self.data[row as usize].fill(0.0);
             self.dirty[row as usize] = false;
         }
         self.dirty_rows.clear();
-        for slot in &mut self.pending {
-            slot.clear();
-        }
-        self.pending_count = 0;
-        self.cycle = 0;
         self.activity = Activity::default();
     }
 
@@ -358,16 +339,13 @@ impl Machine {
 
     /// Elapsed cycles.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.regs.cycle()
     }
 
     /// Number of valid (occupied) registers in each bank — the Fig. 10(c/d)
     /// "active registers per bank" metric.
     pub fn occupancy_per_bank(&self) -> Vec<u32> {
-        self.banks
-            .iter()
-            .map(|b| b.iter().filter(|r| r.is_some()).count() as u32)
-            .collect()
+        self.regs.occupancy().collect()
     }
 
     /// Total valid registers across all banks.
@@ -380,70 +358,53 @@ impl Machine {
         self.activity
     }
 
-    fn read_reg(&mut self, bank: u32, addr: u32) -> Result<f32, SimError> {
-        self.banks[bank as usize][addr as usize].ok_or(SimError::ReadInvalid {
+    /// Stamps a register-file fault with the cycle it happened in.
+    fn fault(&self, fault: Fault) -> SimError {
+        let cycle = self.regs.cycle();
+        match fault {
+            Fault::Full { bank } => SimError::BankOverflow { bank, cycle },
+            Fault::PortClash { bank } => SimError::WritePortClash { bank, cycle },
+        }
+    }
+
+    fn reg(&self, bank: u32, addr: u32) -> Result<f32, SimError> {
+        self.regs.read(bank, addr).ok_or(SimError::ReadInvalid {
             bank,
             addr,
-            cycle: self.cycle,
+            cycle: self.regs.cycle(),
         })
     }
 
-    /// Priority-encoder write: lowest invalid register (Fig. 5(d)).
-    fn auto_write(&mut self, bank: u32, value: f32) -> Result<(), SimError> {
-        let cycle = self.cycle;
-        let col = &mut self.banks[bank as usize];
-        let a = col
-            .iter()
-            .position(Option::is_none)
-            .ok_or(SimError::BankOverflow { bank, cycle })?;
-        col[a] = Some(value);
+    /// An immediate (`load`/`copy`) register write, counted.
+    fn put(&mut self, bank: u32, value: f32) -> Result<(), SimError> {
+        self.regs.write(bank, value).map_err(|f| self.fault(f))?;
         self.activity.reg_writes += 1;
         Ok(())
     }
 
-    /// Lands the exec writebacks scheduled for the end of the current
-    /// cycle. `written` lists banks already written this cycle by the
-    /// issuing instruction (write-port conflict detection).
-    fn land_pending(&mut self, mut written: Vec<u32>) -> Result<(), SimError> {
-        let slot = (self.cycle % self.pending.len() as u64) as usize;
-        if self.pending[slot].is_empty() {
-            return Ok(());
-        }
-        self.land_slot(slot, &mut written)
+    /// Ends the cycle: lands the due `exec` writebacks, counted.
+    fn end_cycle(&mut self) -> Result<(), SimError> {
+        let writes = &mut self.activity.reg_writes;
+        self.regs
+            .end_cycle(|_, _, _| *writes += 1)
+            .map_err(|f| self.fault(f))
     }
 
-    /// Lands ring slot `slot` (which must be non-empty). `seen` lists
-    /// banks already written this cycle (write-port conflict detection)
-    /// and is extended in place — [`Machine::run_decoded`] passes a
-    /// reused buffer here so landing allocates nothing.
-    fn land_slot(&mut self, slot: usize, seen: &mut Vec<u32>) -> Result<(), SimError> {
-        // Take the slot's buffer (the register file is borrowed mutably
-        // below), then hand it back cleared so its capacity stays warm.
-        let list = std::mem::take(&mut self.pending[slot]);
-        self.pending_count -= list.len();
-        for &(bank, value) in &list {
-            if seen.contains(&bank) {
-                return Err(SimError::WritePortClash {
-                    bank,
-                    cycle: self.cycle,
-                });
-            }
-            seen.push(bank);
-            self.auto_write(bank, value)?;
-        }
-        let mut list = list;
-        list.clear();
-        self.pending[slot] = list;
-        Ok(())
+    /// Drains the pipeline: ends cycles until nothing is in flight.
+    fn drain(&mut self) -> Result<(), SimError> {
+        let writes = &mut self.activity.reg_writes;
+        self.regs
+            .drain(|_, _, _| *writes += 1)
+            .map_err(|f| self.fault(f))
     }
 
     /// Reads `(bank, addr)` for a `store`/`copy` word, clearing the valid
     /// bit on a last read.
     fn read_word(&mut self, bank: u32, addr: u32, valid_rst: bool) -> Result<f32, SimError> {
-        let v = self.read_reg(bank, addr)?;
+        let v = self.reg(bank, addr)?;
         self.activity.reg_reads += 1;
         if valid_rst {
-            self.banks[bank as usize][addr as usize] = None;
+            self.regs.free(bank, addr);
         }
         Ok(v)
     }
@@ -467,8 +428,6 @@ impl Machine {
                 Err(SimError::RowOutOfRange { row })
             }
         };
-        // Banks written by this instruction itself, this cycle.
-        let mut immediate_writes: Vec<u32> = Vec::new();
         match instr {
             Instr::Nop => {}
             Instr::Load { row, mask } => {
@@ -476,8 +435,7 @@ impl Machine {
                 self.activity.mem_reads += 1;
                 for (bank, &m) in mask.iter().enumerate() {
                     if m {
-                        self.auto_write(bank as u32, row_vals[bank])?;
-                        immediate_writes.push(bank as u32);
+                        self.put(bank as u32, row_vals[bank])?;
                     }
                 }
             }
@@ -510,8 +468,7 @@ impl Machine {
                     staged.push((m.dst_bank, v));
                 }
                 for (bank, v) in staged {
-                    self.auto_write(bank, v)?;
-                    immediate_writes.push(bank);
+                    self.put(bank, v)?;
                 }
             }
             Instr::Exec(e) => {
@@ -529,7 +486,7 @@ impl Machine {
                     let v = match hit {
                         Some(&(_, _, v)) => v,
                         None => {
-                            let v = self.read_reg(r.bank, r.addr)?;
+                            let v = self.reg(r.bank, r.addr)?;
                             self.activity.reg_reads += 1;
                             fetched.push((r.bank, r.addr, v));
                             v
@@ -541,7 +498,7 @@ impl Machine {
                 // rst after all reads of the cycle (idempotent per bank).
                 for r in e.reads.iter().flatten() {
                     if r.valid_rst {
-                        self.banks[r.bank as usize][r.addr as usize] = None;
+                        self.regs.free(r.bank, r.addr);
                     }
                 }
                 // 2. Evaluate the trees layer by layer; `layer_out[l - 1]`
@@ -576,23 +533,19 @@ impl Machine {
                     }
                     layer_out.push(outs);
                 }
-                // 3. Schedule writebacks for cycle + D (its ring slot is
-                // necessarily empty: it drained at cycle - 1).
-                let land_at = self.cycle + u64::from(cfg.depth);
-                let slot = (land_at % self.pending.len() as u64) as usize;
+                // 3. Schedule writebacks for the end of cycle + D.
+                let mut writebacks = Vec::new();
                 for (bank, w) in e.writes.iter().enumerate() {
                     let Some(pe) = w else { continue };
                     let outs = &layer_out[(pe.layer - 1) as usize];
                     let v = outs[(pe.tree * cfg.pes_in_layer(pe.layer) + pe.index) as usize]
                         .ok_or(SimError::IdlePeWriteback { bank: bank as u32 })?;
-                    self.pending[slot].push((bank as u32, v));
-                    self.pending_count += 1;
+                    writebacks.push((bank as u32, v));
                 }
+                self.regs.schedule(writebacks);
             }
         }
-        self.land_pending(immediate_writes)?;
-        self.cycle += 1;
-        Ok(())
+        self.end_cycle()
     }
 
     /// Runs a whole program (plus pipeline drain) from the current state,
@@ -607,12 +560,7 @@ impl Machine {
             self.step(instr)?;
             self.activity.instr_bits_fetched += il;
         }
-        // Drain the pipeline.
-        while self.pending_count > 0 {
-            self.land_pending(Vec::new())?;
-            self.cycle += 1;
-        }
-        Ok(())
+        self.drain()
     }
 }
 

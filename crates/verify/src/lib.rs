@@ -3,12 +3,13 @@
 //! The cycle-level simulator (`dpu-sim`) *checks* hazards at run time:
 //! reading an empty register, clashing writebacks or bank overflow abort
 //! the run. This crate proves the same invariants **without executing the
-//! program**, by replaying the instruction stream once over an abstract
-//! machine that tracks register occupancy instead of values. Because the
-//! replay mirrors [`dpu_sim::Machine::step`] exactly — the automatic
-//! write-address generator, `valid_rst` freeing, the `D+1`-slot writeback
-//! ring — a program accepted here cannot raise a structural
-//! `SimError` on any input.
+//! program**, by replaying the instruction stream once over a register
+//! file that tracks occupancy instead of values. The replay does not
+//! mirror [`dpu_sim::Machine::step`], it *is* the same code: both run
+//! [`dpu_isa::RegFile`] — the automatic write-address generator,
+//! `valid_rst` freeing, the `D+1`-slot writeback ring — the simulator as
+//! `RegFile<f32>`, this crate as `RegFile<()>`. So a program accepted
+//! here cannot raise a structural `SimError` on any input.
 //!
 //! [`verify_program`] checks, in one pass:
 //!
@@ -68,7 +69,7 @@
 //! assert!(report.facts.admits(&cfg));
 //! ```
 
-use dpu_isa::{interconnect, ArchConfig, Instr, Program, Topology};
+use dpu_isa::{interconnect, ArchConfig, Fault, Fnv1a, Instr, Program, RegFile, Topology};
 use serde::{Deserialize, Serialize};
 
 /// A typed verification failure: the first invariant violation found, with
@@ -172,8 +173,10 @@ pub enum VerifyError {
         times: u32,
     },
     /// The replayed cycle count disagrees with the count the compiler
-    /// declared (constructed by callers that know the declared count, e.g.
-    /// `dpu-compiler`'s post-compile verification).
+    /// declared. [`verify_program`] never sees a declared count; the
+    /// caller that has one constructs this — `dpu_compiler`'s
+    /// `Compiled::verify`, which every trust boundary (debug compiles,
+    /// spill loads, `verify_all`) goes through.
     CycleMismatch {
         /// Cycles of the static replay (including pipeline drain).
         replayed: u64,
@@ -304,22 +307,17 @@ impl ConfigFacts {
     /// Stable 64-bit fingerprint of the facts (FNV-1a; platform- and
     /// process-independent).
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv1a::default();
         for word in [
-            u64::from(self.depth),
-            u64::from(self.banks),
-            u64::from(self.min_regs_per_bank),
-            u64::from(self.min_data_mem_rows),
-            u64::from(self.topology_mask),
+            self.depth,
+            self.banks,
+            self.min_regs_per_bank,
+            self.min_data_mem_rows,
+            u32::from(self.topology_mask),
         ] {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            h.word(u64::from(word));
         }
-        h
+        h.finish()
     }
 }
 
@@ -353,91 +351,6 @@ pub fn steal_compatible(a: &ArchConfig, b: &ArchConfig) -> bool {
         && a.banks == b.banks
         && a.regs_per_bank == b.regs_per_bank
         && a.topology == b.topology
-}
-
-/// The abstract machine of the static replay: register occupancy plus the
-/// in-flight writeback ring, mirroring `dpu_sim::Machine` field for field
-/// with values erased.
-struct Replay {
-    /// Per-bank occupancy bitmaps (true = valid/live).
-    banks: Vec<Vec<bool>>,
-    /// Per-bank live-register count.
-    occ: Vec<u32>,
-    /// Per-bank occupancy high-water mark.
-    high_water: Vec<u32>,
-    /// Ring of `D+1` slots of banks receiving in-flight exec writebacks,
-    /// indexed by `cycle % (D+1)`.
-    pending: Vec<Vec<u32>>,
-    pending_count: usize,
-    cycle: u64,
-}
-
-impl Replay {
-    fn new(cfg: ArchConfig) -> Self {
-        Replay {
-            banks: vec![vec![false; cfg.regs_per_bank as usize]; cfg.banks as usize],
-            occ: vec![0; cfg.banks as usize],
-            high_water: vec![0; cfg.banks as usize],
-            pending: vec![Vec::new(); cfg.depth as usize + 1],
-            pending_count: 0,
-            cycle: 0,
-        }
-    }
-
-    fn read(&self, pc: usize, bank: u32, addr: u32) -> Result<(), VerifyError> {
-        if self.banks[bank as usize][addr as usize] {
-            Ok(())
-        } else {
-            Err(VerifyError::ReadUndefined { pc, bank, addr })
-        }
-    }
-
-    fn free(&mut self, bank: u32, addr: u32) {
-        if std::mem::replace(&mut self.banks[bank as usize][addr as usize], false) {
-            self.occ[bank as usize] -= 1;
-        }
-    }
-
-    /// Priority-encoder write: occupies the lowest free register.
-    fn auto_write(&mut self, bank: u32) -> Result<(), VerifyError> {
-        let col = &mut self.banks[bank as usize];
-        let a = col
-            .iter()
-            .position(|v| !v)
-            .ok_or(VerifyError::BankOverflow {
-                cycle: self.cycle,
-                bank,
-            })?;
-        col[a] = true;
-        self.occ[bank as usize] += 1;
-        let hw = &mut self.high_water[bank as usize];
-        *hw = (*hw).max(self.occ[bank as usize]);
-        Ok(())
-    }
-
-    /// Lands the writebacks due this cycle; `extra_writes` are banks the
-    /// issuing instruction already wrote (write-port conflict detection),
-    /// exactly as `Machine::land_pending`.
-    fn land_pending(&mut self, extra_writes: &[u32]) -> Result<(), VerifyError> {
-        let slot = (self.cycle % self.pending.len() as u64) as usize;
-        if self.pending[slot].is_empty() {
-            return Ok(());
-        }
-        let list = std::mem::take(&mut self.pending[slot]);
-        self.pending_count -= list.len();
-        let mut seen: Vec<u32> = extra_writes.to_vec();
-        for &bank in &list {
-            if seen.contains(&bank) {
-                return Err(VerifyError::WritePortClash {
-                    cycle: self.cycle,
-                    bank,
-                });
-            }
-            seen.push(bank);
-            self.auto_write(bank)?;
-        }
-        Ok(())
-    }
 }
 
 /// Verifies `program` against `layout` by static replay; see the crate
@@ -512,7 +425,11 @@ pub fn verify_program(
     let mut topology_mask: u8 = (1 << Topology::all().len()) - 1;
     let mut max_row_touched: u32 = 0;
 
-    let mut replay = Replay::new(cfg);
+    let mut regs = RegFile::<()>::new(&cfg);
+    // Under a lowest-free write policy a bank's occupancy high-water mark
+    // is the highest address the policy ever chose, plus one.
+    let mut regs_needed: u32 = 0;
+    let mut wrote = |_bank: u32, addr: u32, (): ()| regs_needed = regs_needed.max(addr + 1);
     for (pc, instr) in program.instrs.iter().enumerate() {
         // Structural legality first (checks 2 and 3 at the word level):
         // vector lengths, bank/address ranges, one read address per bank,
@@ -524,7 +441,6 @@ pub fn verify_program(
             .validate(&cfg)
             .map_err(|detail| VerifyError::Structural { pc, detail })?;
 
-        let mut immediate_writes: Vec<u32> = Vec::new();
         match instr {
             Instr::Nop => {}
             Instr::Load { row, mask } => {
@@ -537,52 +453,43 @@ pub fn verify_program(
                 max_row_touched = max_row_touched.max(*row);
                 for (bank, &m) in mask.iter().enumerate() {
                     if m {
-                        replay.auto_write(bank as u32)?;
-                        immediate_writes.push(bank as u32);
+                        let bank = bank as u32;
+                        wrote(bank, write(&mut regs, bank)?, ());
                     }
                 }
             }
             Instr::Store { row, reads } => {
                 max_row_touched = max_row_touched.max(*row);
-                for (bank, r) in reads.iter().enumerate() {
+                for (col, r) in reads.iter().enumerate() {
                     if let Some(r) = r {
-                        replay.read(pc, r.bank, r.addr)?;
-                        if r.valid_rst {
-                            replay.free(r.bank, r.addr);
-                        }
-                        note_store(pc, *row, bank as u32, layout, &mut slot_counts)?;
+                        read(&mut regs, pc, r.bank, r.addr, r.valid_rst)?;
+                        note_store(pc, *row, col as u32, layout, &mut slot_counts)?;
                     }
                 }
             }
             Instr::StoreK { row, reads } => {
                 max_row_touched = max_row_touched.max(*row);
                 for r in reads {
-                    replay.read(pc, r.bank, r.addr)?;
-                    if r.valid_rst {
-                        replay.free(r.bank, r.addr);
-                    }
+                    read(&mut regs, pc, r.bank, r.addr, r.valid_rst)?;
                     note_store(pc, *row, r.bank, layout, &mut slot_counts)?;
                 }
             }
             Instr::CopyK { moves } => {
                 // All reads precede all writes (crossbar pass).
                 for m in moves {
-                    replay.read(pc, m.src.bank, m.src.addr)?;
-                    if m.src.valid_rst {
-                        replay.free(m.src.bank, m.src.addr);
-                    }
+                    read(&mut regs, pc, m.src.bank, m.src.addr, m.src.valid_rst)?;
                 }
                 for m in moves {
-                    replay.auto_write(m.dst_bank)?;
-                    immediate_writes.push(m.dst_bank);
+                    wrote(m.dst_bank, write(&mut regs, m.dst_bank)?, ());
                 }
             }
             Instr::Exec(e) => {
                 // Operand fetch: liveness per read; valid_rst after all
-                // reads of the cycle (idempotent per register).
+                // reads of the cycle (a broadcast reads one register on
+                // several ports).
                 for (port, r) in e.reads.iter().enumerate() {
                     let Some(r) = r else { continue };
-                    replay.read(pc, r.bank, r.addr)?;
+                    read(&mut regs, pc, r.bank, r.addr, false)?;
                     if r.bank != port as u32 {
                         // Cross routing requires an input crossbar.
                         for (i, t) in Topology::all().iter().enumerate() {
@@ -594,7 +501,7 @@ pub fn verify_program(
                 }
                 for r in e.reads.iter().flatten() {
                     if r.valid_rst {
-                        replay.free(r.bank, r.addr);
+                        regs.free(r.bank, r.addr);
                     }
                 }
                 // Writebacks land D cycles after issue. `validate` proved
@@ -602,8 +509,6 @@ pub fn verify_program(
                 // own topology, and not idle — so each declared write
                 // carries a value. Narrow the admissible-topology mask to
                 // those that also realize this routing.
-                let land_at = replay.cycle + u64::from(cfg.depth);
-                let slot = (land_at % replay.pending.len() as u64) as usize;
                 for (bank, w) in e.writes.iter().enumerate() {
                     let Some(pe) = w else { continue };
                     for (i, &t) in Topology::all().iter().enumerate() {
@@ -615,19 +520,15 @@ pub fn verify_program(
                             }
                         }
                     }
-                    replay.pending[slot].push(bank as u32);
-                    replay.pending_count += 1;
                 }
+                let written = e.writes.iter().enumerate().filter(|(_, w)| w.is_some());
+                regs.schedule(written.map(|(bank, _)| (bank as u32, ())));
             }
         }
-        replay.land_pending(&immediate_writes)?;
-        replay.cycle += 1;
+        regs.end_cycle(&mut wrote)
+            .map_err(|f| fault(f, regs.cycle()))?;
     }
-    // Pipeline drain.
-    while replay.pending_count > 0 {
-        replay.land_pending(&[])?;
-        replay.cycle += 1;
-    }
+    regs.drain(&mut wrote).map_err(|f| fault(f, regs.cycle()))?;
 
     // Output completeness (check 5).
     for (ordinal, &(slot, count)) in slot_counts.iter().enumerate() {
@@ -651,15 +552,45 @@ pub fn verify_program(
     let facts = ConfigFacts {
         depth: cfg.depth,
         banks: cfg.banks,
-        min_regs_per_bank: replay.high_water.iter().copied().max().unwrap_or(0).max(2),
+        min_regs_per_bank: regs_needed.max(2),
         min_data_mem_rows: layout.rows_used.max(max_row_touched + 1),
         topology_mask,
     };
     Ok(VerifyReport {
         instrs: program.instrs.len(),
-        cycles: replay.cycle,
+        cycles: regs.cycle(),
         facts,
     })
+}
+
+/// Stamps a register-file fault with the cycle it happened in.
+fn fault(fault: Fault, cycle: u64) -> VerifyError {
+    match fault {
+        Fault::Full { bank } => VerifyError::BankOverflow { cycle, bank },
+        Fault::PortClash { bank } => VerifyError::WritePortClash { cycle, bank },
+    }
+}
+
+/// A register read: the register must be live, and a last (`valid_rst`)
+/// read frees it.
+fn read(
+    regs: &mut RegFile<()>,
+    pc: usize,
+    bank: u32,
+    addr: u32,
+    valid_rst: bool,
+) -> Result<(), VerifyError> {
+    regs.read(bank, addr)
+        .ok_or(VerifyError::ReadUndefined { pc, bank, addr })?;
+    if valid_rst {
+        regs.free(bank, addr);
+    }
+    Ok(())
+}
+
+/// An immediate (`load`/`copy`) write; returns the address the bank chose.
+fn write(regs: &mut RegFile<()>, bank: u32) -> Result<u32, VerifyError> {
+    regs.write(bank, ()).map_err(|f| fault(f, regs.cycle()))
 }
 
 /// Classifies one stored word: counts it against its output slot, accepts
@@ -1032,6 +963,19 @@ mod tests {
                 "{t}"
             );
         }
+    }
+
+    /// Known answer, computed before the hash moved to `dpu_isa::Fnv1a`.
+    #[test]
+    fn facts_fingerprint_is_pinned() {
+        let facts = ConfigFacts {
+            depth: 3,
+            banks: 64,
+            min_regs_per_bank: 17,
+            min_data_mem_rows: 512,
+            topology_mask: 0b0011,
+        };
+        assert_eq!(facts.fingerprint(), 0x7d2d_6589_a49d_a9ae);
     }
 
     #[test]

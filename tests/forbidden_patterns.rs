@@ -3,8 +3,9 @@
 //! reads), the decoded cycle loop stays allocation-free, the runtime's
 //! backpressure story stays intact (exactly one deliberately unbounded
 //! channel, behind the admission gate), the oracle interpreter stays off
-//! every production path, and the dispatcher keeps one path that shares
-//! rounds instead of copying them.
+//! every production path, the dispatcher keeps one path that shares
+//! rounds instead of copying them, and the register file's write policy
+//! stays stated once.
 //!
 //! Plain text scanning is crude but cheap, runs in the ordinary test
 //! suite, and fails with the offending file + line so violations are
@@ -203,6 +204,40 @@ fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
     assert!(
         hits.is_empty(),
         "dpu-runtime must not copy a round's payloads or re-grow the dispatch fork:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn register_write_policy_is_stated_once() {
+    // Lowest-free write, the `D+1`-slot writeback ring and one write per
+    // bank per cycle are `dpu_isa::RegFile`; the compiler's address
+    // replay, the static verifier and the simulator instantiate it. A
+    // priority-encoder search or ring-slot arithmetic anywhere else under
+    // `crates/*/src` is a fourth copy of the policy. (`emit.rs` searches
+    // for a free *bank*, `.position(|&u| !u)` — a different decision.)
+    const POLICY: [&str; 7] = [
+        ".position(Option::is_none)",
+        ".position(|v| !v)",
+        ".position(|v| !*v)",
+        "% self.pending.len()",
+        "% replay.pending.len()",
+        "pending.entry(cycle",
+        "struct Replay",
+    ];
+    let crates = repo_root().join("crates");
+    let mut files = Vec::new();
+    for entry in fs::read_dir(&crates).expect("crates/ exists") {
+        let src = entry.expect("readable dir entry").path().join("src");
+        if src.is_dir() {
+            files.extend(rust_sources(&src));
+        }
+    }
+    files.retain(|f| !f.ends_with("crates/isa/src/regfile.rs"));
+    let hits = offenders_outside_fns(&files, &POLICY, &[]);
+    assert!(
+        hits.is_empty(),
+        "the register write policy lives in crates/isa/src/regfile.rs only:\n{}",
         hits.join("\n")
     );
 }

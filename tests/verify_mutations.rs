@@ -1,8 +1,8 @@
 //! Mutation corpus for the static verifier: take known-good compiled
 //! programs, corrupt them the way bit-rot or a buggy compiler would —
 //! flip a register index, drop a store, rewire an interconnect switch —
-//! and assert `dpu-verify` rejects every mutant with the *right*
-//! diagnostic, not merely some error. (The end-to-end corrupted-spill
+//! misdeclare the schedule length — and assert `dpu-verify` rejects every
+//! mutant with the *right* diagnostic, not merely some error. (The end-to-end corrupted-spill
 //! fixture, exercising the runtime load path, lives with the runtime's
 //! cache tests.)
 
@@ -111,5 +111,23 @@ fn shrunken_footprint_is_rejected_as_overflow() {
             VerifyError::FootprintOverflow { .. }
         ),
         "footprint must be checked against the config's data memory"
+    );
+}
+
+#[test]
+fn misdeclared_cycle_count_is_rejected_as_cycle_mismatch() {
+    // Timing agreement is one of the invariants `Compiled::verify()`
+    // itself proves — spill loads and `verify_all` go through it — so a
+    // program whose metadata declares a schedule length the replay does
+    // not reproduce is refused there, not only inside `compile()`.
+    let mut c = well_formed();
+    let replayed = c.stats.total_cycles;
+    c.stats.total_cycles += 1;
+    assert_eq!(
+        c.verify().unwrap_err(),
+        VerifyError::CycleMismatch {
+            replayed,
+            declared: replayed + 1
+        }
     );
 }

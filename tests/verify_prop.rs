@@ -5,10 +5,14 @@
 //! length, and the derived config facts must admit the compiling
 //! configuration. A failure shrinks to a minimal counterexample — either
 //! a compiler bug or a verifier false positive, both of which block the
-//! trust boundaries built on the analyzer (release-mode compile checks,
-//! spill-load admission, steal compatibility).
+//! trust boundaries built on the analyzer (debug-build compile checks,
+//! spill-load admission, steal compatibility). The verifier and the
+//! simulator run the same register-file code (`dpu_isa::RegFile`); the
+//! last assertions state their agreement on a whole program outright.
 
+use dpu_core::isa::{Instr, Program};
 use dpu_core::prelude::*;
+use dpu_core::sim::Machine;
 use proptest::prelude::*;
 
 fn arb_dag() -> impl Strategy<Value = Dag> {
@@ -71,5 +75,28 @@ proptest! {
         let mut other = cfg;
         other.banks *= 2;
         prop_assert!(!report.facts.admits(&other));
+        // Verifier vs simulator: single-step the oracle (register traffic
+        // does not depend on the data, so memory stays zero). It ends on
+        // the replayed cycle, and its fullest bank peaks at exactly the
+        // register count the facts demand.
+        let mut m = Machine::new(cfg);
+        let mut peak = 0;
+        let mut sample = |m: &Machine| peak = peak.max(m.occupancy_per_bank().into_iter().max().unwrap());
+        for instr in &compiled.program.instrs {
+            m.step(instr).expect("verified programs never fault");
+            sample(&m);
+        }
+        let mut drained = m.clone();
+        drained.run_program(&Program { config: cfg, instrs: vec![] }).expect("drain");
+        prop_assert_eq!(drained.cycle(), report.cycles);
+        while m.cycle() < drained.cycle() {
+            m.step(&Instr::Nop).expect("drain");
+            sample(&m);
+        }
+        if report.facts.min_regs_per_bank > 2 {
+            prop_assert_eq!(peak, report.facts.min_regs_per_bank);
+        } else {
+            prop_assert!(peak <= 2);
+        }
     }
 }
