@@ -126,7 +126,7 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
     }
 
     // ---- Replay.
-    let mut regs = RegFile::<NodeId>::new(cfg);
+    let mut regs = RegFile::new(cfg, NodeId(0));
     let mut addr_of: HashMap<(u32, NodeId), u32> = HashMap::new();
     let mut ready_at: HashMap<(u32, NodeId), u64> = HashMap::new();
 

@@ -140,14 +140,26 @@ impl PeOpcode {
     /// Applies the opcode to the PE's two inputs.
     #[inline]
     pub fn apply(self, l: f32, r: f32) -> f32 {
+        self.apply_lanes([l], [r])[0]
+    }
+
+    /// Applies the opcode lane by lane: `L` independent input sets through
+    /// one PE. The opcode is matched once, outside the lane loop, so each
+    /// arm is a straight-line loop over `L` lanes.
+    #[inline]
+    pub fn apply_lanes<const L: usize>(self, l: [f32; L], r: [f32; L]) -> [f32; L] {
+        #[inline(always)]
+        fn zip<const L: usize>(l: [f32; L], r: [f32; L], f: impl Fn(f32, f32) -> f32) -> [f32; L] {
+            std::array::from_fn(|i| f(l[i], r[i]))
+        }
         match self {
-            PeOpcode::Nop => f32::NAN,
-            PeOpcode::Add => l + r,
-            PeOpcode::Mul => l * r,
-            PeOpcode::Sub => l - r,
-            PeOpcode::Div => l / r,
-            PeOpcode::Min => l.min(r),
-            PeOpcode::Max => l.max(r),
+            PeOpcode::Nop => [f32::NAN; L],
+            PeOpcode::Add => zip(l, r, |l, r| l + r),
+            PeOpcode::Mul => zip(l, r, |l, r| l * r),
+            PeOpcode::Sub => zip(l, r, |l, r| l - r),
+            PeOpcode::Div => zip(l, r, |l, r| l / r),
+            PeOpcode::Min => zip(l, r, f32::min),
+            PeOpcode::Max => zip(l, r, f32::max),
             PeOpcode::BypassL => l,
             PeOpcode::BypassR => r,
         }

@@ -11,7 +11,7 @@
 //! |----------------------|------------------------------|-------------------------|
 //! | `RegFile<NodeId>`    | the compiler's address replay | which DAG value lives there |
 //! | `RegFile<()>`        | the static verifier          | nothing — occupancy only |
-//! | `RegFile<f32>`       | the simulator                | the value               |
+//! | `RegFile<[f32; L]>`  | the simulator                | the value, in each of `L` lanes |
 //!
 //! The five rules, all of them in this file and nowhere else:
 //!
@@ -50,41 +50,75 @@ pub enum Fault {
 
 /// `banks × regs` registers with valid bits, the automatic write-address
 /// generator and the `D + 1`-slot writeback ring. See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct RegFile<T> {
-    /// `None` = valid bit clear.
-    slots: Vec<Vec<Option<T>>>,
+    /// Registers per bank.
+    regs: usize,
+    /// Valid bits, `⌈regs / 64⌉` words per bank, bit set = valid. The
+    /// priority encoder is `trailing_ones` of a bank's first word that has
+    /// a clear bit.
+    valid: Vec<u64>,
+    /// `banks × regs` register contents, flat; a value means something
+    /// only under a set valid bit (a freed register keeps its stale one).
+    values: Vec<T>,
     /// In-flight `exec` writebacks, `(bank, value)` per landing cycle.
     ring: Vec<Vec<(u32, T)>>,
     /// Writebacks in flight across all ring slots.
     in_flight: usize,
-    /// Banks written so far this cycle (the write-port conflict set).
-    written: Vec<u32>,
+    /// Banks written so far this cycle (the write-port conflict set), one
+    /// bit per bank.
+    written: Vec<u64>,
     cycle: u64,
 }
 
+/// The architectural state only: a register prints as `Some(value)` under
+/// a set valid bit and `None` otherwise, so a cleared file prints like a
+/// new one whatever stale values it holds.
+impl<T: Copy + std::fmt::Debug> std::fmt::Debug for RegFile<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let banks = (self.values.len() / self.regs) as u32;
+        let slots: Vec<Vec<Option<T>>> = (0..banks)
+            .map(|bank| {
+                (0..self.regs as u32)
+                    .map(|addr| self.read(bank, addr))
+                    .collect()
+            })
+            .collect();
+        f.debug_struct("RegFile")
+            .field("slots", &slots)
+            .field("ring", &self.ring)
+            .field("in_flight", &self.in_flight)
+            .field("written", &self.written)
+            .field("cycle", &self.cycle)
+            .finish()
+    }
+}
+
 impl<T: Copy> RegFile<T> {
-    /// An empty register file for `cfg` at cycle 0.
-    pub fn new(cfg: &ArchConfig) -> Self {
+    /// An empty register file for `cfg` at cycle 0. `blank` is what the
+    /// storage under a clear valid bit starts out as; nothing reads it.
+    pub fn new(cfg: &ArchConfig, blank: T) -> Self {
+        let (banks, regs) = (cfg.banks as usize, cfg.regs_per_bank as usize);
         RegFile {
-            slots: vec![vec![None; cfg.regs_per_bank as usize]; cfg.banks as usize],
+            regs,
+            valid: vec![0; banks * regs.div_ceil(64)],
+            values: vec![blank; banks * regs],
             ring: vec![Vec::new(); cfg.depth as usize + 1],
             in_flight: 0,
-            written: Vec::new(),
+            written: vec![0; banks.div_ceil(64)],
             cycle: 0,
         }
     }
 
-    /// Back to the state of [`RegFile::new`] without reallocating.
+    /// Back to the state of [`RegFile::new`] without reallocating: only
+    /// the valid bits are cleared, never the values under them.
     pub fn clear(&mut self) {
-        for bank in &mut self.slots {
-            bank.fill(None);
-        }
+        self.valid.fill(0);
         for slot in &mut self.ring {
             slot.clear();
         }
         self.in_flight = 0;
-        self.written.clear();
+        self.written.fill(0);
         self.cycle = 0;
     }
 
@@ -98,21 +132,30 @@ impl<T: Copy> RegFile<T> {
         self.in_flight
     }
 
+    /// The valid-bit words of `bank`.
+    fn bank_words(&self, bank: u32) -> std::ops::Range<usize> {
+        let words = self.regs.div_ceil(64);
+        bank as usize * words..(bank as usize + 1) * words
+    }
+
     /// The register's content, `None` while its valid bit is clear.
     pub fn read(&self, bank: u32, addr: u32) -> Option<T> {
-        self.slots[bank as usize][addr as usize]
+        let word = self.valid[self.bank_words(bank)][addr as usize / 64];
+        (word >> (addr % 64) & 1 == 1)
+            .then(|| self.values[bank as usize * self.regs + addr as usize])
     }
 
     /// Clears the register's valid bit (a `valid_rst` read).
     pub fn free(&mut self, bank: u32, addr: u32) {
-        self.slots[bank as usize][addr as usize] = None;
+        let words = self.bank_words(bank);
+        self.valid[words][addr as usize / 64] &= !(1 << (addr % 64));
     }
 
     /// Valid registers per bank (Fig. 10(c/d)'s occupancy).
     pub fn occupancy(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots
-            .iter()
-            .map(|bank| bank.iter().filter(|r| r.is_some()).count() as u32)
+        self.valid
+            .chunks(self.regs.div_ceil(64))
+            .map(|bank| bank.iter().map(|w| w.count_ones()).sum())
     }
 
     /// Priority-encoder write, this cycle: `value` goes to the lowest
@@ -122,13 +165,21 @@ impl<T: Copy> RegFile<T> {
     ///
     /// [`Fault::Full`] if the bank has no empty register.
     pub fn write(&mut self, bank: u32, value: T) -> Result<u32, Fault> {
-        let regs = &mut self.slots[bank as usize];
-        let addr = regs
-            .iter()
-            .position(Option::is_none)
+        let words = self.bank_words(bank);
+        let (w, word) = self.valid[words]
+            .iter_mut()
+            .enumerate()
+            .find(|(_, word)| **word != u64::MAX)
             .ok_or(Fault::Full { bank })?;
-        regs[addr] = Some(value);
-        self.written.push(bank);
+        let addr = w * 64 + word.trailing_ones() as usize;
+        // The last word's bits at and above `regs` are never set, so a
+        // bank whose `regs` registers are all valid is caught here.
+        if addr >= self.regs {
+            return Err(Fault::Full { bank });
+        }
+        *word |= 1 << (addr % 64);
+        self.values[bank as usize * self.regs + addr] = value;
+        self.written[bank as usize / 64] |= 1 << (bank % 64);
         Ok(addr as u32)
     }
 
@@ -167,7 +218,7 @@ impl<T: Copy> RegFile<T> {
             let mut due = std::mem::take(&mut self.ring[slot]);
             self.in_flight -= due.len();
             for &(bank, value) in &due {
-                if self.written.contains(&bank) {
+                if self.written[bank as usize / 64] >> (bank % 64) & 1 == 1 {
                     return Err(Fault::PortClash { bank });
                 }
                 landed(bank, self.write(bank, value)?, value);
@@ -175,7 +226,7 @@ impl<T: Copy> RegFile<T> {
             due.clear();
             self.ring[slot] = due;
         }
-        self.written.clear();
+        self.written.fill(0);
         self.cycle += 1;
         Ok(())
     }
@@ -243,6 +294,30 @@ mod tests {
         }
     }
 
+    /// The priority encoder across valid-bit word boundaries (the script
+    /// test below keeps banks small): 130 registers are three words, the
+    /// last one partial.
+    #[test]
+    fn lowest_free_register_crosses_valid_bit_words() {
+        let cfg = ArchConfig::new(1, 2, 130).expect("valid");
+        let mut rf = RegFile::new(&cfg, 0u32);
+        for addr in 0..130 {
+            assert_eq!(rf.write(1, addr), Ok(addr));
+        }
+        assert_eq!(rf.write(1, 0), Err(Fault::Full { bank: 1 }));
+        assert_eq!(rf.occupancy().collect::<Vec<_>>(), [0, 130]);
+        for addr in [129, 64, 63, 128] {
+            rf.free(1, addr);
+            assert_eq!(rf.read(1, addr), None);
+        }
+        for addr in [63, 64, 128, 129] {
+            assert_eq!(rf.write(1, 1000 + addr), Ok(addr), "lowest free first");
+            assert_eq!(rf.read(1, addr), Some(1000 + addr));
+        }
+        assert_eq!(rf.write(1, 0), Err(Fault::Full { bank: 1 }));
+        assert_eq!(rf.write(0, 7), Ok(0), "the neighbouring bank is untouched");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -261,7 +336,7 @@ mod tests {
         ) {
             let banks = 1 << depth;
             let cfg = ArchConfig::new(depth, banks, regs).expect("valid");
-            let mut rf = RegFile::<u32>::new(&cfg);
+            let mut rf = RegFile::new(&cfg, 0u32);
             let mut model = Model {
                 regs,
                 depth: u64::from(depth),
@@ -338,7 +413,7 @@ mod tests {
                 }
             }
             rf.clear();
-            prop_assert_eq!(format!("{rf:?}"), format!("{:?}", RegFile::<u32>::new(&cfg)));
+            prop_assert_eq!(format!("{rf:?}"), format!("{:?}", RegFile::new(&cfg, 0u32)));
         }
     }
 }

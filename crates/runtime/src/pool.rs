@@ -26,9 +26,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use dpu_compiler::{CompileError, CompileOptions, Compiled};
-use dpu_dag::Dag;
+use dpu_dag::{Dag, DagError, NodeId};
 use dpu_isa::ArchConfig;
-use dpu_sim::{run_decoded_on, run_on, Activity, DecodedProgram, Machine, RunResult, SimError};
+use dpu_sim::{run_decoded_group, run_on, Activity, DecodedProgram, Machine, RunResult, SimError};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheKey, CacheStats, ProgramCache, SpillStore};
@@ -101,8 +101,9 @@ pub enum ServeError {
         error: SimError,
     },
     /// A backend rejected the request's inputs (arity mismatch against
-    /// the registered DAG) — raised by analytic baseline backends, which
-    /// evaluate through the reference interpreter instead of compiling.
+    /// the registered DAG) — raised by an engine before it stages a round,
+    /// and by analytic baseline backends, which evaluate through the
+    /// reference interpreter instead of compiling.
     Inputs(dpu_dag::DagError),
     /// The shard holding the request died (a chaos-plan kill or a
     /// contained worker panic) and no surviving shard of the same steal
@@ -210,6 +211,10 @@ impl ServingReport {
         }
     }
 }
+
+/// What one group of a round runs: the registered DAG, its compiled
+/// program and that program's decode.
+type GroupProgram = (Arc<Dag>, Arc<Compiled>, Arc<DecodedProgram>);
 
 /// The serving engine. All methods take `&self`; an `Engine` can be
 /// shared across threads (`Engine: Sync`) and serves batches through its
@@ -434,13 +439,14 @@ impl Engine {
     /// The round is grouped by [`Request::dag`] (first-appearance order)
     /// and each group runs its **pre-decoded** program
     /// ([`ProgramCache::get_decoded`]) across all of the group's input
-    /// sets in one pass: the repeated requests of a round pay program
-    /// lookup once instead of per request, and micro-op decode once per
-    /// cache entry. Every outcome is byte-identical to calling
-    /// [`Engine::execute`] per request in order — grouping changes
+    /// sets through [`run_decoded_group`]: the repeated requests of a
+    /// round pay program lookup once instead of per request, micro-op
+    /// decode once per cache entry, and one walk of the program per eight
+    /// members instead of one each. Every outcome is byte-identical to
+    /// calling [`Engine::execute`] per request in order — grouping changes
     /// neither results, cycle counts, activity counters, nor which
-    /// requests fail (a failing group member does not fate-share its
-    /// group).
+    /// requests fail (a failing group member — an unknown DAG, a wrong
+    /// input count — does not fate-share its group).
     pub fn execute_round(
         &self,
         machine: &mut Machine,
@@ -458,19 +464,34 @@ impl Engine {
                 None => groups.push((r.dag, vec![i])),
             }
         }
-        for (key, idxs) in groups {
+        for (key, mut idxs) in groups {
             match self.decoded_for(key) {
-                Ok((compiled, decoded)) => {
+                Ok((dag, compiled, decoded)) => {
                     // The group consulted the cache once but served every
                     // member from it; credit the batched lookups so the
                     // per-request hit rate (a gated metric) is unchanged
                     // by grouping.
                     self.cache.note_round_reuse(idxs.len() as u64 - 1);
-                    for i in idxs {
-                        outcomes[i] = Some(
-                            run_decoded_on(machine, &compiled, &decoded, &requests[i].inputs)
-                                .map_err(|error| ServeError::Sim { request: 0, error }),
-                        );
+                    // A request with the wrong number of inputs fails
+                    // alone, before staging; the rest of its group runs.
+                    idxs.retain(|&i| {
+                        let got = requests[i].inputs.len();
+                        let fits = got == dag.input_count();
+                        if !fits {
+                            outcomes[i] = Some(Err(ServeError::Inputs(DagError::ArityMismatch {
+                                node: NodeId(dag.len() as u32),
+                                got,
+                            })));
+                        }
+                        fits
+                    });
+                    // One pass per eight members, not one per member.
+                    let inputs: Vec<&[f32]> =
+                        idxs.iter().map(|&i| &requests[i].inputs[..]).collect();
+                    let runs = run_decoded_group(machine, &compiled, &decoded, &inputs);
+                    for (i, run) in idxs.into_iter().zip(runs) {
+                        outcomes[i] =
+                            Some(run.map_err(|error| ServeError::Sim { request: 0, error }));
                     }
                 }
                 Err(e) => {
@@ -492,7 +513,7 @@ impl Engine {
     /// Errors use the same shapes as [`Engine::execute`] — a
     /// [`ServeError::Sim`] carries request index 0, since there is no
     /// stream here.
-    fn decoded_for(&self, key: DagKey) -> Result<(Arc<Compiled>, Arc<DecodedProgram>), ServeError> {
+    fn decoded_for(&self, key: DagKey) -> Result<GroupProgram, ServeError> {
         let dag = self.dag(key).ok_or(ServeError::UnknownDag(key))?;
         let compiled = self.cache.get_or_compile(&dag, key, &self.config)?;
         let decoded = self
@@ -505,7 +526,7 @@ impl Engine {
                 &compiled,
             )
             .map_err(|error| ServeError::Sim { request: 0, error })?;
-        Ok((compiled, decoded))
+        Ok((dag, compiled, decoded))
     }
 
     fn finish_report(

@@ -3,7 +3,8 @@
 //! alone on the oracle interpreter — byte-identical results through the
 //! dispatcher at 1/2/4 shards, and unchanged per-request latency
 //! accounting (own timeline stamps, own `service_cycles`, deadline sheds
-//! resolved before execution).
+//! resolved before execution). A group runs eight members per pass of its
+//! program (`dpu_sim::run_decoded_group`); none of the above may notice.
 
 use std::time::{Duration, Instant};
 
@@ -122,6 +123,98 @@ fn execute_round_matches_execute_per_request() {
         );
     }
     assert_eq!(engine.cache_stats().decode_count, dags.len() as u64);
+}
+
+/// A round of four families with ragged counts — 11 (a full pass plus a
+/// padded one), 8 (exactly one pass), 1 (the one-lane path) and 3 (one
+/// padded pass), interleaved as a dispatcher round would hold them — is
+/// byte for byte what the serial reference pass produces, and the cache
+/// sees what it saw when every member ran alone: one lookup per group
+/// with the rest credited as hits, one decode per program.
+#[test]
+fn ragged_four_family_round_equals_serial_and_keeps_cache_accounting() {
+    let dags = workload_dags();
+    let counts = [11, 8, 1, 3];
+    let engine = Engine::new(arch(), CompileOptions::default(), EngineOptions::default());
+    let reference = Engine::new(arch(), CompileOptions::default(), EngineOptions::default());
+    let keys: Vec<_> = dags.iter().map(|d| engine.register(d.clone())).collect();
+    for d in &dags {
+        reference.register(d.clone());
+    }
+    let mut requests = Vec::new();
+    for turn in 0..*counts.iter().max().unwrap() {
+        for (family, &count) in counts.iter().enumerate() {
+            if turn < count {
+                let inputs = inputs_for(&dags[family], requests.len());
+                requests.push(Request::new(keys[family], inputs));
+            }
+        }
+    }
+    let serial = reference.serve_serial(&requests).unwrap();
+
+    let refs: Vec<&Request> = requests.iter().collect();
+    let outcomes = engine.execute_round(&mut Machine::new(arch()), &refs);
+    assert_eq!(outcomes.len(), requests.len());
+    for (i, outcome) in outcomes.iter().enumerate() {
+        assert_identical(
+            outcome.as_ref().expect("request succeeds"),
+            &serial.results[i],
+            &format!("req {i}"),
+        );
+    }
+    // Literals read from the parent commit's per-member loop on this round.
+    let stats = engine.cache_stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.decode_count),
+        (19, 4, 4),
+        "grouping into lanes must not change what the cache counts"
+    );
+}
+
+/// Regression: a request with the wrong number of inputs used to reach
+/// the simulator's input-count assertion through the public `Submitter`,
+/// panic the shard thread, fail every well-formed request that shared its
+/// round and abandon the shard. It now fails alone, typed, the way the
+/// baseline backends already reject it, and the shard keeps serving.
+#[test]
+fn wrong_arity_fails_alone_and_the_shard_survives() {
+    let dags = workload_dags();
+    let d = Dispatcher::new(
+        arch(),
+        CompileOptions::default(),
+        DispatchOptions {
+            shards: 1,
+            max_batch: 16,
+            // One round holds all nine: it closes on the timer.
+            max_wait: Duration::from_millis(50),
+            ..Default::default()
+        },
+    );
+    let key = d.register(dags[3].clone());
+    let sub = d.submitter();
+    let good = |i: usize| Request::new(key, vec![i as f32, 1.0]);
+    let mut tickets: Vec<Ticket> = (0..4).map(|i| sub.submit(good(i)).unwrap()).collect();
+    let bad = sub.submit(Request::new(key, vec![1.0])).unwrap();
+    tickets.extend((4..8).map(|i| sub.submit(good(i)).unwrap()));
+
+    match bad.wait() {
+        Outcome::Failed(dpu_runtime::ServeError::Inputs(dpu_dag::DagError::ArityMismatch {
+            got,
+            ..
+        })) => assert_eq!(got, 1),
+        other => panic!("expected a typed arity failure, got {other:?}"),
+    }
+    for (i, t) in tickets.into_iter().enumerate() {
+        let want = (i as f32 + 1.0) * (i as f32 + 1.0);
+        assert_eq!(t.wait().unwrap().outputs, vec![want], "good req {i}");
+    }
+    // The shard is still there for the next round.
+    assert_eq!(sub.submit(good(8)).unwrap().wait().unwrap().outputs, [81.0]);
+
+    let report = d.shutdown();
+    let ledger = report.class(Priority::Standard);
+    assert_eq!((ledger.completed, ledger.failed), (9, 1));
+    assert_eq!(report.recovered, 0, "nothing died, nothing was requeued");
 }
 
 /// A failing request in a grouped round fails alone: its group members

@@ -33,11 +33,18 @@
 //! is never persisted (the spill layer stores only the verified
 //! [`Compiled`] representation) and is rebuilt from the compiled program
 //! wherever it is needed.
+//!
+//! Nothing the tables say depends on the input data either — DPU-v2
+//! targets DAGs with static connectivity — so the cycle loop is generic
+//! over a lane count `L`: [`run_decoded_group`] carries eight input sets
+//! through one walk of the tables, sharing the valid bits, the port
+//! checks and every fault, with only the values `L` wide. `L = 1` is
+//! [`Machine::run_decoded`]; there is no second loop.
 
 use dpu_compiler::Compiled;
 use dpu_isa::{encode, ArchConfig, Instr, PeOpcode, Program};
 
-use crate::{run_staged, Machine, RunResult, SimError};
+use crate::{Lanes, Machine, RunResult, SimError, WIDE};
 
 /// Sentinel index: "no source" (an undriven operand evaluates as NaN,
 /// exactly like the oracle's `unwrap_or(f32::NAN)`), or for
@@ -409,18 +416,28 @@ impl Machine {
     /// program was decoded for ([`crate::run_decoded_on`] re-builds the
     /// machine instead of panicking).
     pub fn run_decoded(&mut self, prog: &DecodedProgram) -> Result<(), SimError> {
+        self.scalar.run_decoded(prog)
+    }
+}
+
+impl<const L: usize> Lanes<L> {
+    /// The production executor, `L` input sets in lockstep: decode,
+    /// indexing, valid bits and port bookkeeping are paid once per
+    /// instruction, only values and PE arithmetic are `L` wide. See
+    /// [`Machine::run_decoded`], its `L = 1` case.
+    fn run_decoded(&mut self, prog: &DecodedProgram) -> Result<(), SimError> {
         assert_eq!(
             self.cfg, prog.config,
             "machine/program configuration mismatch"
         );
         let il = prog.fetch_bits;
         // All buffers the loop needs, sized up front; early error
-        // returns leave them empty in scratch — harmless, every use site
-        // clears and resizes first, and a failed run aborts the request.
-        let mut vals = std::mem::take(&mut self.scratch.vals);
+        // returns leave them empty — harmless, every use site clears and
+        // resizes first, and a failed run aborts the request.
+        let mut vals = std::mem::take(&mut self.vals);
         vals.clear();
-        vals.resize(prog.vals_len, 0.0);
-        let mut staged = std::mem::take(&mut self.scratch.staged);
+        vals.resize(prog.vals_len, [0.0; L]);
+        let mut staged = std::mem::take(&mut self.staged);
         // BEGIN run_decoded cycle loop (zero-alloc: no allocating vector
         // idioms in here — lint-enforced by tests/forbidden_patterns.rs)
         for pc in 0..prog.kind.len() {
@@ -428,27 +445,18 @@ impl Machine {
             match prog.kind[pc] {
                 OpKind::Nop => {}
                 OpKind::Load => {
-                    let row = prog.row[pc] as usize;
+                    let row = prog.row[pc];
                     self.activity.mem_reads += 1;
-                    let mut row_vals = std::mem::take(&mut self.scratch.row);
-                    row_vals.clear();
-                    row_vals.extend_from_slice(&self.data[row]);
                     for &bank in &prog.load_banks[span.range()] {
-                        self.put(bank, row_vals[bank as usize])?;
+                        self.put(bank, self.word(row, bank))?;
                     }
-                    self.scratch.row = row_vals;
                 }
                 OpKind::Store => {
                     let row = prog.row[pc];
                     self.activity.mem_writes += 1;
-                    self.mark_dirty(row);
                     for s in &prog.stores[span.range()] {
-                        let v = self.reg(s.bank, s.addr)?;
-                        self.activity.reg_reads += 1;
-                        if s.valid_rst {
-                            self.regs.free(s.bank, s.addr);
-                        }
-                        self.data[row as usize][s.col as usize] = v;
+                        let v = self.read_word(s.bank, s.addr, s.valid_rst)?;
+                        *self.word_mut(row, s.col) = v;
                     }
                 }
                 OpKind::CopyK => {
@@ -456,12 +464,8 @@ impl Machine {
                     // pass), staged in a reused buffer.
                     staged.clear();
                     for c in &prog.copies[span.range()] {
-                        let v = self.reg(c.bank, c.addr)?;
-                        self.activity.reg_reads += 1;
+                        let v = self.read_word(c.bank, c.addr, c.valid_rst)?;
                         self.activity.crossbar_hops += 1;
-                        if c.valid_rst {
-                            self.regs.free(c.bank, c.addr);
-                        }
                         staged.push((c.dst_bank, v));
                     }
                     for &(bank, v) in staged.iter() {
@@ -486,17 +490,11 @@ impl Machine {
                         self.regs.free(rst.bank, rst.addr);
                     }
                     for pe in &prog.pes[e.pes.range()] {
-                        let av = if pe.a == NONE {
-                            f32::NAN
-                        } else {
-                            vals[pe.a as usize]
+                        let operand = |src: u32| match src {
+                            NONE => [f32::NAN; L],
+                            src => vals[src as usize],
                         };
-                        let bv = if pe.b == NONE {
-                            f32::NAN
-                        } else {
-                            vals[pe.b as usize]
-                        };
-                        let out = pe.op.apply(av, bv);
+                        let out = pe.op.apply_lanes(operand(pe.a), operand(pe.b));
                         if matches!(pe.op, PeOpcode::BypassL | PeOpcode::BypassR) {
                             self.activity.pe_bypass_ops += 1;
                         } else {
@@ -514,19 +512,86 @@ impl Machine {
         }
         // END run_decoded cycle loop
         self.drain()?;
-        self.scratch.vals = vals;
-        self.scratch.staged = staged;
+        self.vals = vals;
+        self.staged = staged;
         Ok(())
+    }
+
+    /// Runs `chunk` — at most `L` input sets — through `decoded` in one
+    /// pass and appends one result per input. A chunk shorter than `L`
+    /// repeats its last input in the spare lanes and drops their results;
+    /// a fault is the program's, so it fails every input alike.
+    fn run_chunk(
+        &mut self,
+        compiled: &Compiled,
+        decoded: &DecodedProgram,
+        chunk: &[impl AsRef<[f32]>],
+        results: &mut Vec<Result<RunResult, SimError>>,
+    ) {
+        let lanes = std::array::from_fn(|lane| chunk[lane.min(chunk.len() - 1)].as_ref());
+        match self.run_staged(compiled, lanes, |s| s.run_decoded(decoded)) {
+            Ok(runs) => results.extend(runs.into_iter().take(chunk.len()).map(Ok)),
+            Err(e) => results.extend(chunk.iter().map(|_| Err(e.clone()))),
+        }
     }
 }
 
-/// Runs `compiled` on `inputs` (in input-ordinal order) on a caller-owned
-/// [`Machine`]: resets it (or rebuilds it on a configuration mismatch),
-/// stages the inputs into data memory, runs [`Machine::run_decoded`], reads
-/// the outputs back. This is the serving hot path — decode once, keep one
-/// machine per worker, call this per request. `decoded` must be the decode
-/// of `compiled.program`; the result is byte-identical to the oracle's
-/// [`crate::run_on`] for the same `(compiled, inputs)`.
+/// Runs `compiled` once per input set of `inputs` (each in input-ordinal
+/// order) on a caller-owned [`Machine`], returning one result per input in
+/// order. This is the serving hot path — decode once, keep one machine per
+/// worker, call this per group of requests that share a program.
+///
+/// A compiled schedule does not depend on the data, so the group is cut
+/// into chunks of eight that each go through the program **once**, eight
+/// lanes wide: one decode walk, one set of valid bits and port checks, PE
+/// arithmetic eight values at a time. A ragged last chunk of two or more
+/// is padded by repeating its last input (a pass costs about what 1.3
+/// scalar runs do, so padding wins from two up); a lone last input runs
+/// one lane wide. Either way every result is byte-identical to running
+/// that input alone, and to the oracle's [`crate::run_on`]: cycles,
+/// [`Activity`](crate::Activity) and faults are the program's, computed
+/// once per chunk and reported by each of its inputs.
+///
+/// The machine is reset per chunk (rebuilt if its configuration is not
+/// the program's); its eight-lane state is built by the first chunk that
+/// needs it and kept. `decoded` must be the decode of `compiled.program`.
+///
+/// # Errors
+///
+/// Per input, see [`SimError`].
+///
+/// # Panics
+///
+/// Panics if an input set does not match the DAG's input count, or if
+/// `decoded` was built for a different configuration than `compiled`.
+pub fn run_decoded_group(
+    m: &mut Machine,
+    compiled: &Compiled,
+    decoded: &DecodedProgram,
+    inputs: &[impl AsRef<[f32]>],
+) -> Vec<Result<RunResult, SimError>> {
+    let cfg = compiled.program.config;
+    assert_eq!(
+        *decoded.config(),
+        cfg,
+        "decoded program configuration mismatch"
+    );
+    m.prepare(cfg);
+    let mut results = Vec::with_capacity(inputs.len());
+    for chunk in inputs.chunks(WIDE) {
+        if chunk.len() == 1 {
+            m.scalar.run_chunk(compiled, decoded, chunk, &mut results);
+        } else {
+            m.wide
+                .get_or_insert_with(|| Box::new(Lanes::new(cfg)))
+                .run_chunk(compiled, decoded, chunk, &mut results);
+        }
+    }
+    results
+}
+
+/// [`run_decoded_group`] for one input set: decode once, keep one machine,
+/// call this per run.
 ///
 /// # Errors
 ///
@@ -534,26 +599,23 @@ impl Machine {
 ///
 /// # Panics
 ///
-/// Panics if `inputs` does not match the DAG's input count, or if
-/// `decoded` was built for a different configuration than `compiled`.
+/// As [`run_decoded_group`].
 pub fn run_decoded_on(
     m: &mut Machine,
     compiled: &Compiled,
     decoded: &DecodedProgram,
     inputs: &[f32],
 ) -> Result<RunResult, SimError> {
-    assert_eq!(
-        *decoded.config(),
-        compiled.program.config,
-        "decoded program configuration mismatch"
-    );
-    run_staged(m, compiled, inputs, |m| m.run_decoded(decoded))
+    run_decoded_group(m, compiled, decoded, &[inputs])
+        .pop()
+        .expect("one result per input")
 }
 
 /// One-shot run: decode `compiled.program`, build a fresh machine, run it
 /// on `inputs` — the form for callers that execute a program once
 /// (`Dpu::execute`, the DSE sweep, the experiment binaries). Callers that
-/// run one program many times decode once and call [`run_decoded_on`].
+/// run one program many times decode once and call [`run_decoded_on`] or
+/// [`run_decoded_group`].
 ///
 /// # Errors
 ///

@@ -29,10 +29,15 @@
 //!
 //! - **Production:** [`DecodedProgram::decode`] → [`Machine::run_decoded`].
 //!   [`execute`] is the one-shot form (decode, fresh machine, run);
-//!   [`run_decoded_on`] is the decode-once/run-many form the serving
-//!   runtime and [`run_batch`] use. Everything that reports a number —
-//!   `Dpu::execute`, the serving engine, the DSE sweep, every experiment
-//!   binary — goes through these.
+//!   [`run_decoded_group`] is the decode-once/run-many form the serving
+//!   runtime and [`run_batch`] use — one program over a slice of input
+//!   sets, eight of them per pass through the one cycle loop, which is
+//!   generic over the lane count (a schedule does not depend on the
+//!   data, so valid bits, port checks and faults are shared by the lanes
+//!   and only values are eight wide); [`run_decoded_on`] is its
+//!   one-input case. Everything that reports a number — `Dpu::execute`,
+//!   the serving engine, the DSE sweep, every experiment binary — goes
+//!   through these.
 //! - **Oracle:** [`Machine::step`] / [`Machine::run_program`] / [`run`] /
 //!   [`run_on`] interpret the [`Instr`] enum directly. They are the plain
 //!   specification of the ISA semantics, written for reading rather than
@@ -73,7 +78,7 @@ use dpu_isa::{encode, ArchConfig, Fault, Instr, PeOpcode, Program, RegFile};
 use serde::{Deserialize, Serialize};
 
 mod decoded;
-pub use decoded::{execute, run_decoded_on, DecodedProgram};
+pub use decoded::{execute, run_decoded_group, run_decoded_on, DecodedProgram};
 
 /// Simulation errors — every variant indicates a compiler bug or a corrupt
 /// program, never a data-dependent condition.
@@ -226,136 +231,109 @@ pub struct RunResult {
     pub dag_ops: u64,
 }
 
+/// Lanes of the wide instantiation: how many input sets one pass of
+/// [`run_decoded_group`] carries through a decoded program in lockstep.
+const WIDE: usize = 8;
+
 /// The micro-architectural state.
+///
+/// Everything a program's schedule decides — which register is read,
+/// which valid bit clears, where a writeback lands, every fault — depends
+/// on the program alone (the DAG's connectivity is static), so the state
+/// is kept `L` input sets wide behind one set of valid bits: private
+/// `Lanes<L>`, instantiated at `L = 1` (every method here, the oracle
+/// included) and at `L = 8` (built by the first [`run_decoded_group`] call
+/// with two or more inputs).
 #[derive(Debug, Clone)]
 pub struct Machine {
+    scalar: Lanes<1>,
+    wide: Option<Box<Lanes<WIDE>>>,
+}
+
+/// One machine's state with `L` values in every register, data-memory
+/// word and PE output.
+#[derive(Debug, Clone)]
+struct Lanes<const L: usize> {
     cfg: ArchConfig,
     /// The register file: valid bits, the automatic write-address
     /// generator, the `D+1`-slot writeback ring and the cycle counter —
     /// `dpu_isa`'s one statement of the write policy, instantiated with
     /// values (the compiler replays it with `NodeId`s, the verifier with
     /// `()`), shared by [`Machine::step`] and [`Machine::run_decoded`].
-    regs: RegFile<f32>,
-    /// Data memory as rows of `B` words.
-    data: Vec<Vec<f32>>,
-    /// Rows written since the last reset. [`Machine::reset`] re-zeroes
-    /// only these, which keeps reset O(touched) instead of O(memory) —
-    /// DPU-v2 (L) carries megabytes of data memory, and the serving hot
-    /// path resets per request.
-    dirty_rows: Vec<u32>,
-    dirty: Vec<bool>,
+    regs: RegFile<[f32; L]>,
+    /// Data memory, one flat slab of `B`-word rows, zero-extended on first
+    /// write: it holds rows `0..len / B`, and every row above reads as
+    /// zero without being stored. The compiler lays inputs, outputs and
+    /// spills out from row 0, so a run backs only the few rows it touches
+    /// — not the `data_mem_rows` the configuration allows (2 MB per lane
+    /// on DPU-v2 (L)). `reset` empties the slab and keeps its capacity;
+    /// the next run re-zeroes what it extends over.
+    data: Vec<[f32; L]>,
     activity: Activity,
-    /// Reusable buffers for [`Machine::run_decoded`], so steady-state
-    /// execution allocates nothing per cycle. Each is cleared at its
-    /// point of use and none carries state across runs, so
-    /// [`Machine::reset`] does not need to touch them.
-    scratch: Scratch,
+    /// Reusable buffers for `run_decoded`, so steady-state execution
+    /// allocates nothing per cycle. Each is cleared at its point of use
+    /// and none carries state across runs, so `reset` does not touch
+    /// them: the value array of the current `exec` (ports + PE outputs)
+    /// and the staging buffer for `copy.k` moves.
+    vals: Vec<[f32; L]>,
+    staged: Vec<(u32, [f32; L])>,
 }
 
-/// Per-machine scratch buffers (see the field doc on [`Machine`]).
-#[derive(Debug, Clone, Default)]
-struct Scratch {
-    /// Staging copy of a data row during `load` (the row must be copied
-    /// out before writes because the priority-encoder write borrows the
-    /// register file mutably).
-    row: Vec<f32>,
-    /// Value array of the current `exec` (ports + PE outputs).
-    vals: Vec<f32>,
-    /// Staging buffer for `copy.k` moves.
-    staged: Vec<(u32, f32)>,
-}
-
-impl Machine {
-    /// Creates a machine with all registers invalid and zeroed data memory.
-    pub fn new(cfg: ArchConfig) -> Self {
-        Machine {
+impl<const L: usize> Lanes<L> {
+    fn new(cfg: ArchConfig) -> Self {
+        Lanes {
             cfg,
-            regs: RegFile::new(&cfg),
-            data: vec![vec![0.0; cfg.banks as usize]; cfg.data_mem_rows as usize],
-            dirty_rows: Vec::new(),
-            dirty: vec![false; cfg.data_mem_rows as usize],
+            regs: RegFile::new(&cfg, [0.0; L]),
+            data: Vec::new(),
             activity: Activity::default(),
-            scratch: Scratch::default(),
+            vals: Vec::new(),
+            staged: Vec::new(),
         }
     }
 
-    /// Marks a data row as written since the last reset.
-    fn mark_dirty(&mut self, row: u32) {
-        if !self.dirty[row as usize] {
-            self.dirty[row as usize] = true;
-            self.dirty_rows.push(row);
-        }
-    }
-
-    /// Returns the machine to its power-on state — all registers invalid,
-    /// data memory zeroed, no in-flight writebacks, cycle 0, activity
-    /// cleared — **without reallocating** the register file or data
-    /// memory. Serving paths call this between requests so per-request
-    /// allocation disappears from the hot path; a reset machine behaves
-    /// identically to a fresh [`Machine::new`] with the same config.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.regs.clear();
-        // Only rows written since the last reset can be nonzero.
-        for &row in &self.dirty_rows {
-            self.data[row as usize].fill(0.0);
-            self.dirty[row as usize] = false;
-        }
-        self.dirty_rows.clear();
+        self.data.clear();
         self.activity = Activity::default();
     }
 
-    /// The configuration this machine models.
-    pub fn config(&self) -> &ArchConfig {
-        &self.cfg
+    /// Data-memory word `(row, col)`.
+    fn word(&self, row: u32, col: u32) -> [f32; L] {
+        assert!(col < self.cfg.banks, "column {col} outside the row");
+        let at = row as usize * self.cfg.banks as usize + col as usize;
+        self.data.get(at).copied().unwrap_or([0.0; L])
     }
 
-    /// Writes `value` into data-memory word `(row, col)` — the host-side
-    /// interface used to stage program inputs.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::RowOutOfRange`] if `row` is out of range.
-    pub fn poke(&mut self, row: u32, col: u32, value: f32) -> Result<(), SimError> {
-        let r = self
-            .data
-            .get_mut(row as usize)
-            .ok_or(SimError::RowOutOfRange { row })?;
-        r[col as usize] = value;
-        self.mark_dirty(row);
+    /// Data-memory word `(row, col)` for writing; zero-extends the slab
+    /// to cover `row` (within the capacity a previous run left, so only
+    /// a program's first run on this machine allocates).
+    fn word_mut(&mut self, row: u32, col: u32) -> &mut [f32; L] {
+        assert!(col < self.cfg.banks, "column {col} outside the row");
+        let banks = self.cfg.banks as usize;
+        let at = row as usize * banks + col as usize;
+        if at >= self.data.len() {
+            self.data.resize((row as usize + 1) * banks, [0.0; L]);
+        }
+        &mut self.data[at]
+    }
+
+    fn check_row(&self, row: u32) -> Result<(), SimError> {
+        if row < self.cfg.data_mem_rows {
+            Ok(())
+        } else {
+            Err(SimError::RowOutOfRange { row })
+        }
+    }
+
+    fn poke(&mut self, row: u32, col: u32, word: [f32; L]) -> Result<(), SimError> {
+        self.check_row(row)?;
+        *self.word_mut(row, col) = word;
         Ok(())
     }
 
-    /// Reads data-memory word `(row, col)`.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::RowOutOfRange`] if `row` is out of range.
-    pub fn peek(&self, row: u32, col: u32) -> Result<f32, SimError> {
-        self.data
-            .get(row as usize)
-            .map(|r| r[col as usize])
-            .ok_or(SimError::RowOutOfRange { row })
-    }
-
-    /// Elapsed cycles.
-    pub fn cycle(&self) -> u64 {
-        self.regs.cycle()
-    }
-
-    /// Number of valid (occupied) registers in each bank — the Fig. 10(c/d)
-    /// "active registers per bank" metric.
-    pub fn occupancy_per_bank(&self) -> Vec<u32> {
-        self.regs.occupancy().collect()
-    }
-
-    /// Total valid registers across all banks.
-    pub fn live_registers(&self) -> u32 {
-        self.occupancy_per_bank().iter().sum()
-    }
-
-    /// Accumulated activity counters.
-    pub fn activity(&self) -> Activity {
-        self.activity
+    fn peek(&self, row: u32, col: u32) -> Result<[f32; L], SimError> {
+        self.check_row(row)?;
+        Ok(self.word(row, col))
     }
 
     /// Stamps a register-file fault with the cycle it happened in.
@@ -367,7 +345,7 @@ impl Machine {
         }
     }
 
-    fn reg(&self, bank: u32, addr: u32) -> Result<f32, SimError> {
+    fn reg(&self, bank: u32, addr: u32) -> Result<[f32; L], SimError> {
         self.regs.read(bank, addr).ok_or(SimError::ReadInvalid {
             bank,
             addr,
@@ -376,7 +354,7 @@ impl Machine {
     }
 
     /// An immediate (`load`/`copy`) register write, counted.
-    fn put(&mut self, bank: u32, value: f32) -> Result<(), SimError> {
+    fn put(&mut self, bank: u32, value: [f32; L]) -> Result<(), SimError> {
         self.regs.write(bank, value).map_err(|f| self.fault(f))?;
         self.activity.reg_writes += 1;
         Ok(())
@@ -400,7 +378,7 @@ impl Machine {
 
     /// Reads `(bank, addr)` for a `store`/`copy` word, clearing the valid
     /// bit on a last read.
-    fn read_word(&mut self, bank: u32, addr: u32, valid_rst: bool) -> Result<f32, SimError> {
+    fn read_word(&mut self, bank: u32, addr: u32, valid_rst: bool) -> Result<[f32; L], SimError> {
         let v = self.reg(bank, addr)?;
         self.activity.reg_reads += 1;
         if valid_rst {
@@ -409,54 +387,173 @@ impl Machine {
         Ok(v)
     }
 
+    /// The host side of one run, shared by both executors: reset, stage
+    /// one input set per lane into data memory, let `execute` run the
+    /// program, read each lane's outputs back. Cycles and [`Activity`]
+    /// are the program's, so every lane reports the same ones.
+    fn run_staged(
+        &mut self,
+        compiled: &Compiled,
+        inputs: [&[f32]; L],
+        execute: impl FnOnce(&mut Self) -> Result<(), SimError>,
+    ) -> Result<[RunResult; L], SimError> {
+        let layout = &compiled.layout;
+        for lane in inputs {
+            assert_eq!(lane.len(), layout.input_slots.len(), "input count mismatch");
+        }
+        self.reset();
+        for (slot, &(row, col)) in layout.input_slots.iter().enumerate() {
+            if row != u32::MAX {
+                self.poke(row, col, inputs.map(|lane| lane[slot]))?;
+            }
+        }
+        execute(self)?;
+        let mut outputs: [Vec<f32>; L] =
+            std::array::from_fn(|_| Vec::with_capacity(layout.output_slots.len()));
+        for &(row, col) in &layout.output_slots {
+            for (lane, v) in outputs.iter_mut().zip(self.peek(row, col)?) {
+                lane.push(v);
+            }
+        }
+        Ok(outputs.map(|outputs| RunResult {
+            cycles: self.regs.cycle(),
+            outputs,
+            activity: self.activity,
+            dag_ops: compiled.bin_dag.op_count() as u64,
+        }))
+    }
+}
+
+impl Machine {
+    /// Creates a machine with all registers invalid and zeroed data memory.
+    pub fn new(cfg: ArchConfig) -> Self {
+        Machine {
+            scalar: Lanes::new(cfg),
+            wide: None,
+        }
+    }
+
+    /// Returns the machine to its power-on state — all registers invalid,
+    /// data memory zeroed, no in-flight writebacks, cycle 0, activity
+    /// cleared — **without reallocating** the register file or data
+    /// memory. Serving paths call this between requests so per-request
+    /// allocation disappears from the hot path; a reset machine behaves
+    /// identically to a fresh [`Machine::new`] with the same config.
+    pub fn reset(&mut self) {
+        self.scalar.reset();
+    }
+
+    /// The configuration this machine models.
+    pub fn config(&self) -> &ArchConfig {
+        &self.scalar.cfg
+    }
+
+    /// Writes `value` into data-memory word `(row, col)` — the host-side
+    /// interface used to stage program inputs.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RowOutOfRange`] if `row` is out of range.
+    pub fn poke(&mut self, row: u32, col: u32, value: f32) -> Result<(), SimError> {
+        self.scalar.poke(row, col, [value])
+    }
+
+    /// Reads data-memory word `(row, col)`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RowOutOfRange`] if `row` is out of range.
+    pub fn peek(&self, row: u32, col: u32) -> Result<f32, SimError> {
+        self.scalar.peek(row, col).map(|[v]| v)
+    }
+
+    /// Elapsed cycles.
+    pub fn cycle(&self) -> u64 {
+        self.scalar.regs.cycle()
+    }
+
+    /// Number of valid (occupied) registers in each bank — the Fig. 10(c/d)
+    /// "active registers per bank" metric.
+    pub fn occupancy_per_bank(&self) -> Vec<u32> {
+        self.scalar.regs.occupancy().collect()
+    }
+
+    /// Total valid registers across all banks.
+    pub fn live_registers(&self) -> u32 {
+        self.scalar.regs.occupancy().sum()
+    }
+
+    /// Accumulated activity counters.
+    pub fn activity(&self) -> Activity {
+        self.scalar.activity
+    }
+
     /// Issues one instruction (one cycle) and lands due writebacks.
     ///
     /// This is the **reference oracle**: the ISA semantics written out
     /// plainly, with local `Vec`s and linear scans, for tests to compare
-    /// [`Machine::run_decoded`] against. It is not tuned and nothing on a
-    /// serving or measurement path calls it (see the crate docs).
+    /// [`Machine::run_decoded`] against. It is not tuned, it is one lane
+    /// wide, and nothing on a serving or measurement path calls it (see
+    /// the crate docs).
     ///
     /// # Errors
     ///
     /// See [`SimError`].
     pub fn step(&mut self, instr: &Instr) -> Result<(), SimError> {
+        self.scalar.step(instr)
+    }
+
+    /// Runs a whole program (plus pipeline drain) from the current state,
+    /// one [`Machine::step`] per instruction — the oracle's program loop.
+    ///
+    /// # Errors
+    ///
+    /// See [`SimError`].
+    pub fn run_program(&mut self, program: &Program) -> Result<(), SimError> {
+        self.scalar.run_program(program)
+    }
+
+    /// Makes this a machine for programs compiled for `cfg`: rebuilt if
+    /// it models another configuration, untouched otherwise.
+    fn prepare(&mut self, cfg: ArchConfig) {
+        if *self.config() != cfg {
+            *self = Machine::new(cfg);
+        }
+    }
+}
+
+/// The oracle: see [`Machine::step`].
+impl Lanes<1> {
+    fn step(&mut self, instr: &Instr) -> Result<(), SimError> {
         let cfg = self.cfg;
-        let check_row = |row: u32| {
-            if row < cfg.data_mem_rows {
-                Ok(row as usize)
-            } else {
-                Err(SimError::RowOutOfRange { row })
-            }
-        };
         match instr {
             Instr::Nop => {}
             Instr::Load { row, mask } => {
-                let row_vals = self.data[check_row(*row)?].clone();
+                self.check_row(*row)?;
                 self.activity.mem_reads += 1;
                 for (bank, &m) in mask.iter().enumerate() {
                     if m {
-                        self.put(bank as u32, row_vals[bank])?;
+                        self.put(bank as u32, self.word(*row, bank as u32))?;
                     }
                 }
             }
             Instr::Store { row, reads } => {
-                let row_idx = check_row(*row)?;
+                self.check_row(*row)?;
                 self.activity.mem_writes += 1;
-                self.mark_dirty(*row);
                 for (col, r) in reads.iter().enumerate() {
                     if let Some(r) = r {
-                        self.data[row_idx][col] = self.read_word(r.bank, r.addr, r.valid_rst)?;
+                        let v = self.read_word(r.bank, r.addr, r.valid_rst)?;
+                        *self.word_mut(*row, col as u32) = v;
                     }
                 }
             }
             Instr::StoreK { row, reads } => {
-                let row_idx = check_row(*row)?;
+                self.check_row(*row)?;
                 self.activity.mem_writes += 1;
-                self.mark_dirty(*row);
                 // A `store.k` word lands at the column of its source bank.
                 for r in reads {
-                    self.data[row_idx][r.bank as usize] =
-                        self.read_word(r.bank, r.addr, r.valid_rst)?;
+                    let v = self.read_word(r.bank, r.addr, r.valid_rst)?;
+                    *self.word_mut(*row, r.bank) = v;
                 }
             }
             Instr::CopyK { moves } => {
@@ -486,7 +583,7 @@ impl Machine {
                     let v = match hit {
                         Some(&(_, _, v)) => v,
                         None => {
-                            let v = self.reg(r.bank, r.addr)?;
+                            let [v] = self.reg(r.bank, r.addr)?;
                             self.activity.reg_reads += 1;
                             fetched.push((r.bank, r.addr, v));
                             v
@@ -540,7 +637,7 @@ impl Machine {
                     let outs = &layer_out[(pe.layer - 1) as usize];
                     let v = outs[(pe.tree * cfg.pes_in_layer(pe.layer) + pe.index) as usize]
                         .ok_or(SimError::IdlePeWriteback { bank: bank as u32 })?;
-                    writebacks.push((bank as u32, v));
+                    writebacks.push((bank as u32, [v]));
                 }
                 self.regs.schedule(writebacks);
             }
@@ -548,13 +645,7 @@ impl Machine {
         self.end_cycle()
     }
 
-    /// Runs a whole program (plus pipeline drain) from the current state,
-    /// one [`Machine::step`] per instruction — the oracle's program loop.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_program(&mut self, program: &Program) -> Result<(), SimError> {
+    fn run_program(&mut self, program: &Program) -> Result<(), SimError> {
         let il = u64::from(encode::fetch_width(&program.config));
         for instr in &program.instrs {
             self.step(instr)?;
@@ -597,45 +688,11 @@ pub fn run(compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
 ///
 /// Panics if `inputs` does not match the DAG's input count.
 pub fn run_on(m: &mut Machine, compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
-    run_staged(m, compiled, inputs, |m| m.run_program(&compiled.program))
-}
-
-/// The host side of one run, shared by both executors: reset `m` (rebuild
-/// it if its configuration does not match the program's — the one case
-/// that allocates), stage `inputs` into data memory, let `execute` run the
-/// program, read the outputs back.
-fn run_staged(
-    m: &mut Machine,
-    compiled: &Compiled,
-    inputs: &[f32],
-    execute: impl FnOnce(&mut Machine) -> Result<(), SimError>,
-) -> Result<RunResult, SimError> {
-    assert_eq!(
-        inputs.len(),
-        compiled.layout.input_slots.len(),
-        "input count mismatch"
-    );
-    if *m.config() == compiled.program.config {
-        m.reset();
-    } else {
-        *m = Machine::new(compiled.program.config);
-    }
-    for (&(row, col), &v) in compiled.layout.input_slots.iter().zip(inputs) {
-        if row != u32::MAX {
-            m.poke(row, col, v)?;
-        }
-    }
-    execute(m)?;
-    let mut outputs = Vec::with_capacity(compiled.layout.output_slots.len());
-    for &(row, col) in &compiled.layout.output_slots {
-        outputs.push(m.peek(row, col)?);
-    }
-    Ok(RunResult {
-        cycles: m.cycle(),
-        outputs,
-        activity: m.activity(),
-        dag_ops: compiled.bin_dag.op_count() as u64,
-    })
+    m.prepare(compiled.program.config);
+    let [run] = m
+        .scalar
+        .run_staged(compiled, [inputs], |s| s.run_program(&compiled.program))?;
+    Ok(run)
 }
 
 /// Verification report from [`run_and_verify`].
@@ -729,13 +786,12 @@ pub fn run_batch(
     if batch.is_empty() {
         return Err(SimError::EmptyBatch);
     }
-    // One program, many inputs: decode once, one machine reset per input.
+    // One program, many inputs: decode once, then eight inputs per pass.
     let decoded = DecodedProgram::decode(&compiled.program)?;
     let mut m = Machine::new(compiled.program.config);
-    let mut runs = Vec::with_capacity(batch.len());
-    for inputs in batch {
-        runs.push(run_decoded_on(&mut m, compiled, &decoded, inputs)?);
-    }
+    let runs = run_decoded_group(&mut m, compiled, &decoded, batch)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let rounds = batch.len().div_ceil(cores) as u64;
     let per_run = runs.iter().map(|r| r.cycles).max().expect("non-empty");
     Ok(BatchResult {

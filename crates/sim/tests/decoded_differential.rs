@@ -4,12 +4,19 @@
 //! bit-identical outputs, identical cycle counts and identical activity
 //! counters, across random workloads × architecture configs (including a
 //! tiny-register config that forces compiler spills) — and on hand-built
-//! instructions the compiler would never emit.
+//! instructions the compiler would never emit. The same holds lane by
+//! lane when [`run_decoded_group`] carries several input sets through one
+//! pass: every group size, padded tail and lone remainder included.
 
 use dpu_compiler::{compile, CompileOptions};
 use dpu_dag::{Dag, DagBuilder, NodeId, Op};
 use dpu_isa::{ArchConfig, ExecInstr, Instr, PeId, PeOpcode, PortRead, Program};
-use dpu_sim::{run_decoded_on, run_on, DecodedProgram, Machine, RunResult};
+use dpu_sim::{
+    run_decoded_group, run_decoded_on, run_on, DecodedProgram, Machine, RunResult, SimError,
+};
+use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
+use dpu_workloads::sparse::{generate_lower_triangular, LowerTriangularParams, SpmvDag};
+use dpu_workloads::sptrsv::SptrsvDag;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -128,4 +135,177 @@ fn same_bank_a_b_a_reads_count_the_same_in_both_executors() {
     assert_eq!(oracle.cycle(), decoded.cycle());
     assert_eq!(oracle.activity().reg_reads, 2, "A,B,A fetches A once");
     assert_eq!(oracle.activity().crossbar_hops, 3);
+}
+
+/// Input set `k` for `dag`: PC leaves in their own range, everything else
+/// a smooth sequence that differs per `k`.
+fn inputs_for(dag: &Dag, k: usize) -> Vec<f32> {
+    if dag.nodes().any(|n| dag.op(n) == Op::Max) {
+        pc_inputs(dag, k as u64)
+    } else {
+        (0..dag.input_count())
+            .map(|i| 0.5 + 0.4 * (((i + 3 * k) as f32) * 0.7).sin())
+            .collect()
+    }
+}
+
+/// One PC, one SpTRSV and one SpMV at the min-EDP point, and a random DAG
+/// on a register file small enough to spill.
+fn lane_points() -> Vec<(&'static str, Dag, ArchConfig)> {
+    let l = generate_lower_triangular(&LowerTriangularParams::for_target_path(40, 1.5, 10), 82);
+    let a = generate_lower_triangular(
+        &LowerTriangularParams {
+            dim: 50,
+            avg_nnz_per_row: 3.0,
+            band_fraction: 0.7,
+            band: 8,
+        },
+        83,
+    );
+    vec![
+        (
+            "pc",
+            generate_pc(&PcParams::with_targets(400, 8), 81),
+            ArchConfig::min_edp(),
+        ),
+        ("sptrsv", SptrsvDag::build(&l).dag, ArchConfig::min_edp()),
+        ("spmv", SpmvDag::build(&a).dag, ArchConfig::min_edp()),
+        (
+            "spilling",
+            random_dag(1003).0,
+            ArchConfig::new(2, 8, 6).unwrap(),
+        ),
+    ]
+}
+
+/// Groups of 1..=17 input sets — a lone input, every padded tail, two
+/// exact multiples of the lane count and a lone remainder after them —
+/// give each member exactly what it gets alone, from the decoded executor
+/// and from the oracle.
+#[test]
+fn every_lane_of_every_group_size_matches_the_scalar_run_and_the_oracle() {
+    for (name, dag, cfg) in lane_points() {
+        let compiled = compile(&dag, &cfg, &CompileOptions::default()).unwrap();
+        if name == "spilling" {
+            assert!(compiled.stats.spill_stores > 0, "the point must spill");
+        }
+        let decoded = DecodedProgram::decode(&compiled.program).unwrap();
+        let inputs: Vec<Vec<f32>> = (0..17).map(|k| inputs_for(&dag, k)).collect();
+        let mut alone_machine = Machine::new(cfg);
+        let mut oracle_machine = Machine::new(cfg);
+        let alone: Vec<RunResult> = inputs
+            .iter()
+            .map(|i| run_decoded_on(&mut alone_machine, &compiled, &decoded, i).unwrap())
+            .collect();
+        for (k, i) in inputs.iter().enumerate() {
+            let oracle = run_on(&mut oracle_machine, &compiled, i).unwrap();
+            assert_same(
+                "alone vs oracle",
+                &format!("{name} input {k}"),
+                &oracle,
+                &alone[k],
+            );
+        }
+        // One machine across all sizes: its wide state is reused, reset
+        // per chunk, and must leave nothing behind for the next group.
+        let mut group_machine = Machine::new(cfg);
+        for n in 1..=inputs.len() {
+            let group = run_decoded_group(&mut group_machine, &compiled, &decoded, &inputs[..n]);
+            assert_eq!(group.len(), n, "{name}: one result per input");
+            for (k, lane) in group.iter().enumerate() {
+                let point = format!("{name} group of {n}, member {k}");
+                assert_same("lane vs alone", &point, &alone[k], lane.as_ref().unwrap());
+            }
+        }
+    }
+}
+
+/// A fault is the program's, not the data's: a corrupt program fails
+/// every member of every group with exactly the error — variant, bank,
+/// address, cycle — the scalar run and the oracle report. The corruptions
+/// are those of `packed_and_faults.rs`, plus a write-port clash.
+#[test]
+fn a_faulting_program_fails_every_lane_with_the_scalar_error() {
+    let (_, dag, cfg) = lane_points().swap_remove(0);
+    let good = compile(&dag, &cfg, &CompileOptions::default()).unwrap();
+    let depth = cfg.depth as usize;
+
+    // A premature `valid_rst`: a later read hits an empty register.
+    let mut premature_rst = good.clone();
+    let first_reusable = premature_rst
+        .program
+        .instrs
+        .iter_mut()
+        .filter_map(|ins| match ins {
+            Instr::Exec(e) => e.reads.iter_mut().flatten().find(|r| !r.valid_rst),
+            _ => None,
+        })
+        .next()
+        .expect("workload has a reusable operand");
+    first_reusable.valid_rst = true;
+
+    // `R + 1` extra loads into bank 0 overflow it.
+    let mut overflow = good.clone();
+    let mut bank0 = vec![false; cfg.banks as usize];
+    bank0[0] = true;
+    let load_bank0 = Instr::Load {
+        row: 0,
+        mask: bank0,
+    };
+    overflow.program.instrs.splice(
+        0..0,
+        std::iter::repeat_n(load_bank0, cfg.regs_per_bank as usize + 1),
+    );
+
+    // A load into the bank an `exec` writes, issued the cycle its
+    // writeback lands.
+    let mut clash = good.clone();
+    let (at, bank) = clash
+        .program
+        .instrs
+        .iter()
+        .enumerate()
+        .find_map(|(i, ins)| match ins {
+            Instr::Exec(e) => Some((i, e.writes.iter().position(Option::is_some)?)),
+            _ => None,
+        })
+        .expect("workload has an exec writeback");
+    let mut mask = vec![false; cfg.banks as usize];
+    mask[bank] = true;
+    clash
+        .program
+        .instrs
+        .insert(at + depth, Instr::Load { row: 0, mask });
+
+    let inputs: Vec<Vec<f32>> = (0..11).map(|k| inputs_for(&dag, k)).collect();
+    for (name, bad) in [
+        ("premature rst", premature_rst),
+        ("overflow", overflow),
+        ("port clash", clash),
+    ] {
+        let decoded = DecodedProgram::decode(&bad.program).unwrap();
+        let mut m = Machine::new(cfg);
+        let want = run_on(&mut m, &bad, &inputs[0]).unwrap_err();
+        match name {
+            "premature rst" => assert!(matches!(want, SimError::ReadInvalid { .. }), "{want:?}"),
+            "overflow" => assert!(matches!(want, SimError::BankOverflow { .. }), "{want:?}"),
+            _ => assert!(matches!(want, SimError::WritePortClash { .. }), "{want:?}"),
+        }
+        assert_eq!(
+            run_decoded_on(&mut m, &bad, &decoded, &inputs[0]).unwrap_err(),
+            want,
+            "{name}: scalar decoded run vs oracle"
+        );
+        for n in [2, 7, 8, 9, 11] {
+            let group = run_decoded_group(&mut m, &bad, &decoded, &inputs[..n]);
+            assert_eq!(group.len(), n);
+            for (k, lane) in group.into_iter().enumerate() {
+                assert_eq!(lane.unwrap_err(), want, "{name}: group of {n}, member {k}");
+            }
+        }
+        // The machine is usable afterwards.
+        let good_decoded = DecodedProgram::decode(&good.program).unwrap();
+        let after = run_decoded_group(&mut m, &good, &good_decoded, &inputs[..3]);
+        assert!(after.iter().all(Result::is_ok), "{name}: machine poisoned");
+    }
 }

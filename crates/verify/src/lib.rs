@@ -425,7 +425,7 @@ pub fn verify_program(
     let mut topology_mask: u8 = (1 << Topology::all().len()) - 1;
     let mut max_row_touched: u32 = 0;
 
-    let mut regs = RegFile::<()>::new(&cfg);
+    let mut regs = RegFile::new(&cfg, ());
     // Under a lowest-free write policy a bank's occupancy high-water mark
     // is the highest address the policy ever chose, plus one.
     let mut regs_needed: u32 = 0;

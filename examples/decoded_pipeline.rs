@@ -1,8 +1,9 @@
 //! Decoded pipeline: decode a compiled program once into its flat
 //! micro-op form, run it over many input sets, and compare against the
-//! oracle interpreter the test suite checks it with — then group a mixed
-//! request round by program so each decode is shared across every
-//! request that uses it.
+//! oracle interpreter the test suite checks it with — then hand the same
+//! inputs over as one group (eight per pass through the program), and
+//! group a mixed request round by program so each decode is shared
+//! across every request that uses it.
 //!
 //! Run with `cargo run --release --example decoded_pipeline`.
 
@@ -37,8 +38,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{runs} runs: decoded outputs, cycles and activity byte-identical to the oracle");
 
-    // 3. Round execution: a mixed round is grouped by program, so every
-    //    request sharing a DAG runs off one shared decoded form.
+    // 3. The group call: the same inputs, eight per pass through the
+    //    program (a schedule does not depend on the data, so the lanes
+    //    share one walk, one set of valid bits and every port check).
+    //    Each result is what step 2 got for that input alone.
+    let group = sim::run_decoded_group(&mut machine, &compiled, &decoded, &input_sets);
+    for (inputs, got) in input_sets.iter().zip(group) {
+        let alone = sim::run_decoded_on(&mut machine, &compiled, &decoded, inputs)?;
+        assert_eq!(got?, alone, "a lane is byte-identical to a run alone");
+    }
+    println!(
+        "{runs} runs as one group: {} passes of eight lanes",
+        input_sets.len().div_ceil(8)
+    );
+
+    // 4. Round execution: a mixed round is grouped by program, so every
+    //    request sharing a DAG runs off one shared decoded form, through
+    //    that same group call.
     let engine = dpu.engine(EngineOptions::default());
     let key = engine.register(dag.clone());
     let requests: Vec<Request> = (0..32)

@@ -1,6 +1,7 @@
 //! Source-level lint enforcing architectural invariants that the type
 //! system cannot: the simulator stays deterministic (no wall-clock
-//! reads), the decoded cycle loop stays allocation-free, the runtime's
+//! reads), the one decoded cycle loop stays allocation-free and groups
+//! run through it eight lanes at a time, the runtime's
 //! backpressure story stays intact (exactly one deliberately unbounded
 //! channel, behind the admission gate), the oracle interpreter stays off
 //! every production path, the dispatcher keeps one path that shares
@@ -104,15 +105,32 @@ fn run_decoded_cycle_loop_never_allocates() {
     // allocation inside the cycle loop silently re-introduces the
     // per-instruction cost the decoder exists to remove, so the loop is
     // fenced with markers and scanned for the allocating idioms.
-    let path = repo_root().join("crates/sim/src/decoded.rs");
+    //
+    // There is one such loop, generic over the lane count: the fence must
+    // sit inside `impl<const L: usize> Lanes<L>`, and a second marker
+    // anywhere under `crates/sim/src` is a second executor.
+    const BEGIN: &str = "BEGIN run_decoded cycle loop";
+    let sim_src = repo_root().join("crates/sim/src");
+    let markers = offenders(&sim_src, BEGIN, &[]);
+    assert_eq!(markers.len(), 1, "one cycle loop:\n{}", markers.join("\n"));
+    let path = sim_src.join("decoded.rs");
     let text = fs::read_to_string(&path).expect("decoded.rs exists and is UTF-8");
     let start = text
-        .find("BEGIN run_decoded cycle loop")
+        .find(BEGIN)
         .expect("decoded.rs keeps the BEGIN marker on the cycle loop");
     let end = text
         .find("END run_decoded cycle loop")
         .expect("decoded.rs keeps the END marker on the cycle loop");
     assert!(start < end, "cycle-loop markers are out of order");
+    let enclosing_impl = text[..start]
+        .lines()
+        .rev()
+        .find(|l| l.starts_with("impl"))
+        .expect("the cycle loop is inside an impl");
+    assert_eq!(
+        enclosing_impl, "impl<const L: usize> Lanes<L> {",
+        "the fenced loop is the lane-generic one"
+    );
     let before = text[..start].lines().count();
     let mut hits = Vec::new();
     for (idx, line) in text[start..end].lines().enumerate() {
@@ -178,6 +196,38 @@ fn production_code_never_calls_the_oracle_interpreter() {
     assert!(
         hits.is_empty(),
         "production code must execute through decode -> run_decoded, not the oracle:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn groups_run_as_lane_chunks_not_one_request_at_a_time() {
+    // A round's group and a batch share one program: they go through
+    // `run_decoded_group`, which walks it once per eight input sets. A
+    // `run_decoded_on` call in the runtime (`pool.rs` held the loop) or
+    // in `run_batch` is the per-request loop coming back.
+    let root = repo_root();
+    let mut hits = offenders(&root.join("crates/runtime/src"), "run_decoded_on(", &[]);
+    let sim_lib = root.join("crates/sim/src/lib.rs");
+    let text = fs::read_to_string(&sim_lib).expect("sim lib.rs is UTF-8");
+    let body = text
+        .split("pub fn run_batch(")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}\n").next())
+        .expect("dpu-sim keeps run_batch");
+    assert!(
+        body.contains("run_decoded_group("),
+        "run_batch runs its batch as a group"
+    );
+    if body.contains("run_decoded_on(") {
+        hits.push(format!(
+            "{}: run_batch calls run_decoded_on",
+            sim_lib.display()
+        ));
+    }
+    assert!(
+        hits.is_empty(),
+        "one program over many inputs goes through run_decoded_group:\n{}",
         hits.join("\n")
     );
 }
