@@ -15,6 +15,8 @@ pub struct Dag {
     pred_data: Vec<NodeId>,
     succ_offsets: Vec<u32>,
     succ_data: Vec<NodeId>,
+    /// Number of `Op::Input` nodes, counted once: serving asks per request.
+    inputs: usize,
 }
 
 impl Dag {
@@ -40,6 +42,7 @@ impl Dag {
             }
         }
         Dag {
+            inputs: ops.iter().filter(|&&o| o == Op::Input).count(),
             ops,
             pred_offsets,
             pred_data,
@@ -130,7 +133,7 @@ impl Dag {
 
     /// Number of `Op::Input` nodes.
     pub fn input_count(&self) -> usize {
-        self.ops.iter().filter(|&&o| o == Op::Input).count()
+        self.inputs
     }
 
     /// Number of arithmetic (non-input) nodes — the paper's "operations".

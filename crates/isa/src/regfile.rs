@@ -11,7 +11,11 @@
 //! |----------------------|------------------------------|-------------------------|
 //! | `RegFile<NodeId>`    | the compiler's address replay | which DAG value lives there |
 //! | `RegFile<()>`        | the static verifier          | nothing — occupancy only |
-//! | `RegFile<[f32; L]>`  | the simulator                | the value, in each of `L` lanes |
+//! | `RegFile<u32>`       | the simulator's decode, once per program | in flight: the value slot an `exec` result waits in (a register's own slot is a function of its address) |
+//! | `RegFile<[f32; 1]>`  | the simulator's oracle       | the value               |
+//!
+//! No instantiation runs per request: the production executor walks the
+//! value tape decode resolved by replaying this file once.
 //!
 //! The five rules, all of them in this file and nowhere else:
 //!

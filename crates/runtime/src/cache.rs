@@ -93,11 +93,11 @@ pub struct CacheStats {
     /// checksum-alone trust gap. Also counted in
     /// [`CacheStats::spill_rejects`].
     pub spill_unverifiable: u64,
-    /// Pre-decoded execution forms built ([`ProgramCache::get_decoded`])
-    /// — at most one per resident entry that was ever executed through
-    /// the decoded path. The decoded form is derived state: it is never
-    /// spilled, so a warm restart rebuilds it (counted again here) from
-    /// the verified compiled program.
+    /// Decodes run ([`ProgramCache::get_decoded`]), refused programs
+    /// included — at most one per resident entry that was ever executed.
+    /// The decoded form is derived state: it is never spilled, so a warm
+    /// restart rebuilds it (counted again here) from the verified
+    /// compiled program.
     pub decode_count: u64,
 }
 
@@ -423,14 +423,14 @@ impl SpillStore {
 /// lookups of a hot program never serialize.
 struct Slot {
     compiled: RwLock<Option<Arc<Compiled>>>,
-    /// The pre-decoded execution form, attached lazily on the first
-    /// decoded execution ([`ProgramCache::get_decoded`]) and shared
-    /// across every shard and worker from then on. Derived state only:
-    /// it is rebuilt from `compiled`, never spilled — the spill layer
-    /// persists exactly the verified compiled program, so a warm restart
-    /// re-decodes on first execute instead of trusting a second on-disk
-    /// representation.
-    decoded: RwLock<Option<Arc<DecodedProgram>>>,
+    /// The pre-decoded execution form — or the error decode refused the
+    /// program with — attached lazily on the first decoded execution
+    /// ([`ProgramCache::get_decoded`]) and shared across every shard and
+    /// worker from then on. Derived state only: it is rebuilt from
+    /// `compiled`, never spilled — the spill layer persists exactly the
+    /// verified compiled program, so a warm restart re-decodes on first
+    /// execute instead of trusting a second on-disk representation.
+    decoded: RwLock<Option<Result<Arc<DecodedProgram>, SimError>>>,
     /// Held only while compiling; keeps the compile-once guarantee
     /// without write-locking `compiled` for the compile's duration.
     compile_lock: Mutex<()>,
@@ -634,10 +634,14 @@ impl ProgramCache {
     ///
     /// # Errors
     ///
-    /// Forwards [`SimError`] from [`DecodedProgram::decode`] — possible
-    /// only for a corrupt program, which static spill verification
-    /// already screens for. Failed decodes are not cached; a later call
-    /// retries.
+    /// The [`SimError`] [`DecodedProgram::decode`] refused the program
+    /// with. Decode replays the whole schedule, so this is every fault a
+    /// run of the program could meet (an empty-register read, a write-port
+    /// clash, a bank overflow, a row out of range, a malformed
+    /// instruction) — possible only for a corrupt program, which static
+    /// spill verification already screens for. The refusal is cached like
+    /// a decoded form: a key's program never changes, so neither does the
+    /// verdict, and a later call returns it without replaying again.
     pub fn get_decoded(
         &self,
         key: CacheKey,
@@ -646,18 +650,18 @@ impl ProgramCache {
         let slot = self.slot(key);
         // Fast path: a read lock only, as for compiled lookups.
         if let Some(decoded) = slot.decoded.read().expect("cache slot poisoned").as_ref() {
-            return Ok(Arc::clone(decoded));
+            return decoded.clone();
         }
         // Decode-once discipline, reusing the slot's compile lock: the
         // first thread through decodes, racers block and then read.
         let _decoding = slot.compile_lock.lock().expect("compile lock poisoned");
         if let Some(decoded) = slot.decoded.read().expect("cache slot poisoned").as_ref() {
-            return Ok(Arc::clone(decoded));
+            return decoded.clone();
         }
-        let decoded = Arc::new(DecodedProgram::decode(&compiled.program)?);
+        let decoded = DecodedProgram::decode(&compiled.program).map(Arc::new);
         self.decode_count.fetch_add(1, Ordering::Relaxed);
-        *slot.decoded.write().expect("cache slot poisoned") = Some(Arc::clone(&decoded));
-        Ok(decoded)
+        *slot.decoded.write().expect("cache slot poisoned") = Some(decoded.clone());
+        decoded
     }
 
     /// Credits `extra` additional cache hits to the stats. Round-grouped
@@ -813,6 +817,16 @@ mod tests {
     use crate::dag_fingerprint;
     use dpu_dag::{DagBuilder, Op};
 
+    impl ProgramCache {
+        /// Fills `key`'s slot with `compiled` as if it had been compiled
+        /// or loaded — how a test (here or in `pool.rs`) gets a program
+        /// past the verifier that guards every real way in.
+        pub(crate) fn plant(&self, key: CacheKey, compiled: Compiled) {
+            let slot = self.slot(key);
+            *slot.compiled.write().expect("cache slot poisoned") = Some(Arc::new(compiled));
+        }
+    }
+
     fn dag(seed: u32) -> Dag {
         let mut b = DagBuilder::new();
         let x = b.input();
@@ -856,6 +870,51 @@ mod tests {
         // Compiled lookups are unaffected by the attached decoded form.
         let again = cache.get_or_compile(&d, k, &cfg).unwrap();
         assert!(Arc::ptr_eq(&compiled, &again));
+    }
+
+    /// Decode replays the whole schedule under the slot's compile lock,
+    /// so it is the place a corrupt program is met: it must come back as
+    /// an error — never a panic, which would poison the slot for every
+    /// shard — and the refusal is cached, not replayed per round.
+    #[test]
+    fn refused_decode_is_cached_and_poisons_nothing() {
+        use dpu_isa::Instr;
+        let cache = ProgramCache::new(CompileOptions::default());
+        let cfg = ArchConfig::new(2, 8, 16).unwrap();
+        let (bad_dag, good_dag) = (dag(3), dag(4));
+        let key = |d: &Dag| CacheKey {
+            dag: dag_fingerprint(d),
+            config: cfg,
+        };
+        let good = cache
+            .get_or_compile(&good_dag, key(&good_dag).dag, &cfg)
+            .unwrap();
+        // Two corruptions `Program` literals allow and `Instr::validate`
+        // would have caught: an `exec` whose opcode vector is short (an
+        // index past its end) and a read of a bank that does not exist
+        // (an index past the valid bits).
+        let mut corrupt = (*good).clone();
+        for instr in &mut corrupt.program.instrs {
+            match instr {
+                Instr::Exec(e) => e.pe_ops.truncate(1),
+                Instr::Store { reads, .. } => {
+                    for r in reads.iter_mut().flatten() {
+                        r.bank += cfg.banks;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let first = cache.get_decoded(key(&bad_dag), &corrupt).unwrap_err();
+        assert!(matches!(first, SimError::Malformed { .. }), "{first:?}");
+        let second = cache.get_decoded(key(&bad_dag), &corrupt).unwrap_err();
+        assert_eq!(first, second, "the verdict cannot change");
+        assert_eq!(cache.stats().decode_count, 1, "one replay, then the memo");
+        // The slot's locks survived, and so did the rest of the cache.
+        let slot = cache.slot(key(&bad_dag));
+        assert!(!slot.compile_lock.is_poisoned() && !slot.decoded.is_poisoned());
+        cache.get_decoded(key(&good_dag), &good).unwrap();
+        assert_eq!(cache.stats().decode_count, 2);
     }
 
     #[test]

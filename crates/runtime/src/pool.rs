@@ -440,13 +440,15 @@ impl Engine {
     /// and each group runs its **pre-decoded** program
     /// ([`ProgramCache::get_decoded`]) across all of the group's input
     /// sets through [`run_decoded_group`]: the repeated requests of a
-    /// round pay program lookup once instead of per request, micro-op
-    /// decode once per cache entry, and one walk of the program per eight
-    /// members instead of one each. Every outcome is byte-identical to
-    /// calling [`Engine::execute`] per request in order — grouping changes
-    /// neither results, cycle counts, activity counters, nor which
-    /// requests fail (a failing group member — an unknown DAG, a wrong
-    /// input count — does not fate-share its group).
+    /// round pay program lookup once instead of per request, the decode
+    /// (which resolves the whole schedule) once per cache entry, and one
+    /// walk of its tape per eight members instead of one each. Every
+    /// outcome is byte-identical to calling [`Engine::execute`] per
+    /// request in order — grouping changes neither results, cycle counts,
+    /// activity counters, nor which requests fail (a failing group member
+    /// — an unknown DAG, a wrong input count — does not fate-share its
+    /// group; a program decode refuses fails all of its group, and only
+    /// that).
     pub fn execute_round(
         &self,
         machine: &mut Machine,
@@ -652,6 +654,63 @@ mod tests {
         }
         assert_eq!(report.total_dag_ops, 9);
         assert!(report.into_results().is_err());
+    }
+
+    /// A program decode refuses — here `R + 1` loads into bank 0, planted
+    /// behind the verifier that guards every real way into the cache —
+    /// fails each member of its group with the replay's error, the one
+    /// `dpu-sim`'s differential suite shows the oracle raising when it
+    /// runs the program; the round's other group, the machine and the
+    /// cache are untouched, and the refusal is replayed once, not per
+    /// round.
+    #[test]
+    fn a_corrupt_cached_program_fails_its_group_and_nothing_else() {
+        let e = engine();
+        let (bad, good) = (e.register(simple_dag(3)), e.register(simple_dag(0)));
+        let mut corrupt = (*e.warm(bad).unwrap()).clone();
+        let regs = e.config().regs_per_bank;
+        let mut bank0 = vec![false; e.config().banks as usize];
+        bank0[0] = true;
+        let load_bank0 = dpu_isa::Instr::Load {
+            row: 0,
+            mask: bank0,
+        };
+        corrupt
+            .program
+            .instrs
+            .splice(0..0, std::iter::repeat_n(load_bank0, regs as usize + 1));
+        let key = CacheKey {
+            dag: bad,
+            config: *e.config(),
+        };
+        e.cache.plant(key, corrupt);
+
+        let requests: Vec<Request> = (0..9)
+            .map(|i| Request::new(if i % 2 == 0 { bad } else { good }, vec![i as f32, 3.0]))
+            .collect();
+        let refs: Vec<&Request> = requests.iter().collect();
+        let mut machine = Machine::new(*e.config());
+        for round in 0..2 {
+            for (i, outcome) in e.execute_round(&mut machine, &refs).into_iter().enumerate() {
+                if i % 2 == 0 {
+                    let want = SimError::BankOverflow {
+                        bank: 0,
+                        cycle: u64::from(regs),
+                    };
+                    assert_eq!(
+                        outcome,
+                        Err(ServeError::Sim {
+                            request: 0,
+                            error: want
+                        }),
+                        "round {round}, member {i} of the refused group"
+                    );
+                } else {
+                    assert_eq!(outcome.unwrap().outputs, vec![i as f32 + 3.0]);
+                }
+            }
+        }
+        assert_eq!(e.cache_stats().decode_count, 2, "one replay per program");
     }
 
     #[test]

@@ -1,385 +1,550 @@
-//! Pre-decoded execution: flat micro-op programs, the production
+//! Pre-decoded execution: the schedule resolved once, the production
 //! executor.
 //!
-//! Interpreting the [`Instr`] enum directly (the oracle,
-//! [`Machine::step`]) walks heap `Vec`s inside every instruction for
-//! operand fetch, re-derives each PE's operand wiring from
-//! `(tree, layer, index)` arithmetic, scans every PE slot (including the
-//! idle ones) and re-decides broadcast dedup per `exec`. None of that
-//! depends on the input data — it is a pure function of the program — so
-//! it is paid **once**, at decode.
+//! DPU-v2 targets DAGs with static connectivity, and the instruction word
+//! never names a write address — the bank's priority encoder picks it
+//! (§III-B, Fig. 5(d)). So *everything* a run decides apart from the
+//! values is a function of the program alone: which register a write
+//! lands in, every valid bit, the cycle an `exec` result lands, every
+//! port clash, overflow and empty-register read, the cycle count and all
+//! nine [`Activity`] counters. [`DecodedProgram::decode`] computes all of
+//! it **once**: it replays the register file — [`dpu_isa::RegFile`], the
+//! same code the compiler, the verifier and the oracle run, here holding
+//! value-slot ids — and lowers the program, in the same single pass over
+//! its instructions, to one flat **value tape** of four kinds of step:
 //!
-//! [`DecodedProgram::decode`] lowers a [`Program`] into arena-backed
-//! structure-of-arrays micro-op tables:
+//! - data-memory word → slot (a `load` word),
+//! - slot ← op(slot, slot) (an arithmetic PE),
+//! - slot ← slot (a `copy` move, or an `exec` result landing),
+//! - slot → data-memory word (a `store` word),
 //!
-//! - one `(kind, row, span)` record per instruction (the program counter
-//!   indexes these arrays directly);
-//! - flat operand arenas per instruction kind (`Load` bank lists, unified
-//!   `Store`/`StoreK` word moves, `CopyK` moves, and for `exec` the port
-//!   reads, valid-bit resets, active PEs and writebacks);
-//! - every `exec` operand pre-resolved to an index into one flat value
-//!   array (ports first, then PE outputs layer by layer), with broadcast
-//!   dedup decided at decode time (`ReadOp::copy_from` names the port
-//!   that already fetched the register) and idle PEs simply absent;
-//! - static program properties (`load`/`store` bounds, writebacks that
-//!   would latch an idle PE) checked once at decode instead of per cycle.
+//! over a compact slot space (see [`DecodedProgram`]). Crossbar ports are
+//! resolved straight to the register slot they read, bypass PEs to
+//! aliases of their operand, idle PEs are absent, and a writeback becomes
+//! a move placed at the end of cycle `issue + D`. What the replay proves
+//! is stored (cycles, [`Activity`]) or returned (every fault the oracle
+//! would raise, as the same [`SimError`] with the same bank, address and
+//! cycle); nothing of it is left for the run.
 //!
-//! [`Machine::run_decoded`] then drives the tables by program counter
-//! with **zero per-cycle allocation** (lint-enforced by
-//! `tests/forbidden_patterns.rs`), producing outputs, cycle counts and
-//! [`Activity`](crate::Activity) counters byte-identical to the oracle's
-//! [`Machine::run_program`] on the same program (differential-fuzzed in
-//! `tests/decoded_differential.rs`). The decoded form is derived state: it
-//! is never persisted (the spill layer stores only the verified
-//! [`Compiled`] representation) and is rebuilt from the compiled program
-//! wherever it is needed.
-//!
-//! Nothing the tables say depends on the input data either — DPU-v2
-//! targets DAGs with static connectivity — so the cycle loop is generic
-//! over a lane count `L`: [`run_decoded_group`] carries eight input sets
-//! through one walk of the tables, sharing the valid bits, the port
-//! checks and every fault, with only the values `L` wide. `L = 1` is
-//! [`Machine::run_decoded`]; there is no second loop.
+//! [`Machine::run_decoded`] then walks the tape: one loop, no register
+//! file, no counters, **zero allocation** (lint-enforced by
+//! `tests/forbidden_patterns.rs`), with outputs, cycle counts and
+//! [`Activity`] byte-identical to the oracle's [`Machine::run_program`]
+//! (differential-fuzzed in `tests/decoded_differential.rs`). The loop is
+//! generic over a lane count `L`: [`run_decoded_group`] carries eight
+//! input sets through one walk with every slot eight values wide; `L = 1`
+//! is [`Machine::run_decoded`]; there is no second loop. The decoded form
+//! is derived state: it is never persisted (the spill layer stores only
+//! the verified [`Compiled`] representation) and is rebuilt from the
+//! compiled program wherever it is needed.
 
 use dpu_compiler::Compiled;
-use dpu_isa::{encode, ArchConfig, Instr, PeOpcode, Program};
+use dpu_isa::{
+    encode, ArchConfig, CopyMove, ExecInstr, Instr, PeOpcode, Program, RegFile, RegRead,
+};
 
-use crate::{Lanes, Machine, RunResult, SimError, WIDE};
+use crate::{stamp, Activity, Lanes, Machine, RunResult, SimError, WIDE};
 
-/// Sentinel index: "no source" (an undriven operand evaluates as NaN,
-/// exactly like the oracle's `unwrap_or(f32::NAN)`), or for
-/// [`ReadOp::copy_from`] "fetch from the register file".
-const NONE: u32 = u32::MAX;
+/// Slot 0 holds NaN for the whole run: what an undriven operand reads
+/// (the oracle's `unwrap_or(f32::NAN)`).
+const NAN_SLOT: u32 = 0;
 
-/// Micro-op kind, one per source instruction. `Store` and `StoreK` lower
-/// to the same micro-op (both are "read registers, write data-memory
-/// words"); only their arena payloads differ.
+/// "No value" in an `exec`'s source table: an undriven port or idle PE.
+const UNDEF: u32 = u32::MAX;
+
+/// What a tape step does; see [`Step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Nop,
+enum Code {
+    /// `slots[dst] = data[a]`.
     Load,
+    /// `data[dst] = slots[a]`.
     Store,
-    CopyK,
-    Exec,
+    /// `slots[dst] = slots[a]`.
+    Move,
+    // `slots[dst] = slots[a] <op> slots[b]`, one per arithmetic opcode.
+    Add,
+    Mul,
+    Sub,
+    Div,
+    Min,
+    Max,
 }
 
-/// Half-open index range into one of the arenas.
+/// One step of the value tape. `dst`, `a` and `b` index the slot space,
+/// except the data-memory side of a load (`a`) or store (`dst`), which is
+/// a word index `row * B + col`.
 #[derive(Debug, Clone, Copy)]
-struct Span {
-    start: u32,
-    end: u32,
-}
-
-impl Span {
-    fn new(start: usize, end: usize) -> Span {
-        Span {
-            start: start as u32,
-            end: end as u32,
-        }
-    }
-
-    fn range(self) -> std::ops::Range<usize> {
-        self.start as usize..self.end as usize
-    }
-}
-
-/// One `Store`/`StoreK` word move: read `(bank, addr)`, write data-memory
-/// column `col` of the instruction's row.
-#[derive(Debug, Clone, Copy)]
-struct StoreOp {
-    col: u32,
-    bank: u32,
-    addr: u32,
-    valid_rst: bool,
-}
-
-/// One `CopyK` move through the crossbar.
-#[derive(Debug, Clone, Copy)]
-struct CopyOp {
-    bank: u32,
-    addr: u32,
-    valid_rst: bool,
-    dst_bank: u32,
-}
-
-/// One driven crossbar port of an `exec`. `copy_from == NONE` fetches
-/// `(bank, addr)` from the register file (counting one register read);
-/// otherwise the port broadcasts the value port `copy_from` already
-/// fetched this cycle — the dedup decision [`Machine::step`] makes with a
-/// linear scan over the `exec`'s fetched `(bank, addr)` pairs, made once
-/// here.
-#[derive(Debug, Clone, Copy)]
-struct ReadOp {
-    /// Value-array index this port drives (ports occupy `0..banks`).
+struct Step {
+    code: Code,
     dst: u32,
-    bank: u32,
-    addr: u32,
-    copy_from: u32,
-}
-
-/// A last-read valid-bit reset, applied after all reads of the cycle.
-#[derive(Debug, Clone, Copy)]
-struct RstOp {
-    bank: u32,
-    addr: u32,
-}
-
-/// One *active* PE evaluation (idle PEs are not represented at all).
-/// `a`/`b` are pre-resolved value-array indices (`NONE` = undriven =
-/// NaN); `dst` is the PE's own slot in the value array.
-#[derive(Debug, Clone, Copy)]
-struct PeOp {
     a: u32,
     b: u32,
-    dst: u32,
-    op: PeOpcode,
 }
 
-/// One `exec` writeback: bank `bank` latches value-array slot `src` at
-/// the end of cycle `issue + depth`.
-#[derive(Debug, Clone, Copy)]
-struct WriteOp {
-    bank: u32,
-    src: u32,
-}
-
-/// Arena spans of one `exec` instruction.
-#[derive(Debug, Clone, Copy)]
-struct ExecOp {
-    reads: Span,
-    rsts: Span,
-    pes: Span,
-    writes: Span,
-}
-
-/// A [`Program`] lowered to flat micro-op arrays — decode once, execute
-/// many. Build with [`DecodedProgram::decode`], run with
-/// [`Machine::run_decoded`] (or [`crate::run_decoded_on`] for the full
-/// stage-inputs/read-outputs round trip). See the module-level docs.
+/// A [`Program`] with its schedule resolved — decode once, execute many.
+/// Build with [`DecodedProgram::decode`], run with
+/// [`run_decoded_group`] / [`run_decoded_on`] (the stage-inputs /
+/// read-outputs round trip) or [`Machine::run_decoded`]. See the
+/// module-level docs.
+///
+/// The slot space the tape indexes, in order: slot 0, NaN; a `D + 1`-deep
+/// ring of per-`exec` PE-output arrays (the `exec` issued at cycle `c`
+/// owns row `c % (D + 1)` until its results have landed, by the argument
+/// that makes the writeback ring collision-free); then one slot per
+/// register the replay saw occupied, numbered in order of first write —
+/// a bank only ever fills a prefix of its addresses, so this is each
+/// bank's peak occupancy, not `R` — and, after them in the same
+/// numbering, the few scratch slots a self-overlapping `copy` needs.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     config: ArchConfig,
-    /// Fetch width `IL` in bits, pre-computed (per-cycle fetch
-    /// accounting matches [`Machine::run_program`]).
-    fetch_bits: u64,
-    /// Length of the per-`exec` value array: `banks` port slots followed
-    /// by one slot per PE, layer by layer.
-    vals_len: usize,
-    // One record per instruction (indexed by program counter):
-    kind: Vec<OpKind>,
-    row: Vec<u32>,
-    span: Vec<Span>,
-    // Arenas:
-    load_banks: Vec<u32>,
-    stores: Vec<StoreOp>,
-    copies: Vec<CopyOp>,
-    execs: Vec<ExecOp>,
-    reads: Vec<ReadOp>,
-    rsts: Vec<RstOp>,
-    pes: Vec<PeOp>,
-    writes: Vec<WriteOp>,
+    /// Source instructions (= issue cycles before drain).
+    instrs: usize,
+    tape: Vec<Step>,
+    /// Size of the slot space.
+    slots: usize,
+    /// Data-memory words, in whole rows from row 0, that cover every row
+    /// the tape loads or stores.
+    data_words: usize,
+    /// Total cycles including the pipeline drain.
+    cycles: u64,
+    activity: Activity,
+}
+
+/// Decode's state: the register-file replay and the tape it lowers to.
+struct Lowering {
+    cfg: ArchConfig,
+    /// The fourth instantiation of the register file (regfile.rs has the
+    /// table): an in-flight writeback carries the slot its value waits
+    /// in. What a *register* holds is never read back — its slot is
+    /// `slots.reg(bank, addr).slot` — only whether it is valid.
+    regs: RegFile<u32>,
+    tape: Vec<Step>,
+    slots: SlotMap,
+    /// Rows of data memory, from row 0, that the tape touches.
+    data_rows: usize,
+    /// Every counter but `instr_bits_fetched`; `execs` doubles as the
+    /// serial `fetched_in` records.
+    activity: Activity,
+    /// An `exec`'s source table — the slot each port and PE output
+    /// resolves to, [`UNDEF`] if undriven or idle: ports `0..B`, then each
+    /// layer's PEs tree-major. `layer_base[l - 1]` is layer `l`'s first
+    /// entry, `layer_off[l - 1]` its first PE's `PeId::local_index`.
+    src: Vec<u32>,
+    layer_base: Vec<u32>,
+    layer_off: Vec<u32>,
+    /// A `copy`'s moves as `(source slot, destination)`, and the scratch
+    /// slots one that overwrites its own sources goes through.
+    staged: Vec<(u32, u32)>,
+    scratch: Vec<u32>,
+    /// The instruction being lowered, for [`SimError::Malformed`].
+    pc: usize,
+}
+
+/// First slot of the PE-output ring; the registers follow the ring.
+const RING_BASE: u32 = NAN_SLOT + 1;
+
+/// What decode keeps per register, address-major (`addr * B + bank`) and
+/// zero-extended as addresses are first written: a bank fills from
+/// address 0, so the table is `B` times the fullest bank's peak, not `B×R`.
+struct SlotMap {
+    banks: usize,
+    regs: Vec<RegSlot>,
+    /// First register slot, and the next unassigned one.
+    base: u32,
+    next: u32,
+}
+
+#[derive(Clone, Copy, Default)]
+struct RegSlot {
+    /// The value slot the register lives in: assigned when it is first
+    /// written, in that order, and kept — so the slot space holds each
+    /// bank's peak occupancy. 0 (NaN's, never a register's) until then.
+    slot: u32,
+    /// Serial of the last `exec` that fetched the register: the broadcast
+    /// memo. The first port of an `exec` to read a register fetches it,
+    /// later ports share the fetch — keyed on `(bank, addr)`, the decision
+    /// [`Machine::step`] makes by scanning its fetched list, so the two
+    /// count identical register reads on any instruction, validated or
+    /// not.
+    fetched_in: u32,
+}
+
+impl SlotMap {
+    /// The entry of a register that has been written.
+    fn reg(&mut self, bank: u32, addr: u32) -> &mut RegSlot {
+        &mut self.regs[addr as usize * self.banks + bank as usize]
+    }
+
+    /// The slot of `(bank, addr)`, which is being written.
+    fn assign(&mut self, bank: u32, addr: u32) -> u32 {
+        let at = addr as usize * self.banks + bank as usize;
+        if at >= self.regs.len() {
+            self.regs
+                .resize((addr as usize + 1) * self.banks, RegSlot::default());
+        }
+        if self.regs[at].slot == 0 {
+            self.regs[at].slot = self.fresh();
+        }
+        self.regs[at].slot
+    }
+
+    /// A slot no register owns (`copy` scratch).
+    fn fresh(&mut self) -> u32 {
+        self.next += 1;
+        self.next - 1
+    }
+}
+
+impl Lowering {
+    fn malformed(&self, what: &'static str) -> SimError {
+        SimError::Malformed {
+            instr: self.pc,
+            what,
+        }
+    }
+
+    fn push(&mut self, code: Code, dst: u32, a: u32, b: u32) {
+        self.tape.push(Step { code, dst, a, b });
+    }
+
+    /// A register read: the slot of `(bank, addr)` if it is valid, freed
+    /// afterwards on a last read.
+    fn read(&mut self, bank: u32, addr: u32, valid_rst: bool) -> Result<u32, SimError> {
+        if bank >= self.cfg.banks || addr >= self.cfg.regs_per_bank {
+            return Err(self.malformed("a read names a register that does not exist"));
+        }
+        if self.regs.read(bank, addr).is_none() {
+            return Err(SimError::ReadInvalid {
+                bank,
+                addr,
+                cycle: self.regs.cycle(),
+            });
+        }
+        if valid_rst {
+            self.regs.free(bank, addr);
+        }
+        Ok(self.slots.reg(bank, addr).slot)
+    }
+
+    /// Word index of `(row, 0)` for a `load`/`store`, once the row is
+    /// known to lie in the data memory.
+    fn row(&mut self, row: u32) -> Result<u32, SimError> {
+        let first = u64::from(row) * u64::from(self.cfg.banks);
+        // The tape indexes data words with a `u32`.
+        let indexable = first + u64::from(self.cfg.banks) <= u64::from(u32::MAX);
+        if row >= self.cfg.data_mem_rows || !indexable {
+            return Err(SimError::RowOutOfRange { row });
+        }
+        self.data_rows = self.data_rows.max(row as usize + 1);
+        Ok(first as u32)
+    }
+
+    /// An immediate (`load`/`copy`) register write: the slot it fills.
+    fn write(&mut self, bank: u32) -> Result<u32, SimError> {
+        if bank >= self.cfg.banks {
+            return Err(self.malformed("a write names a bank that does not exist"));
+        }
+        let addr = self
+            .regs
+            .write(bank, NAN_SLOT)
+            .map_err(|f| stamp(f, self.regs.cycle()))?;
+        self.activity.reg_writes += 1;
+        Ok(self.slots.assign(bank, addr))
+    }
+
+    /// Ends the cycle — or, after the last instruction, drains the
+    /// pipeline: each due `exec` result lands as a move out of the ring
+    /// into the register the encoder picks.
+    fn end_cycle(&mut self, drain: bool) -> Result<(), SimError> {
+        let Lowering {
+            regs,
+            tape,
+            slots,
+            activity,
+            ..
+        } = self;
+        let landed = |bank: u32, addr: u32, from: u32| {
+            activity.reg_writes += 1;
+            tape.push(Step {
+                code: Code::Move,
+                dst: slots.assign(bank, addr),
+                a: from,
+                b: 0,
+            });
+        };
+        let ended = if drain {
+            regs.drain(landed)
+        } else {
+            regs.end_cycle(landed)
+        };
+        ended.map_err(|f| stamp(f, regs.cycle()))
+    }
+
+    fn load(&mut self, row: u32, mask: &[bool]) -> Result<(), SimError> {
+        let row = self.row(row)?;
+        self.activity.mem_reads += 1;
+        for (bank, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
+            let dst = self.write(bank as u32)?;
+            self.push(Code::Load, dst, row + bank as u32, 0);
+        }
+        Ok(())
+    }
+
+    /// One word of a `store`/`store.k`: register `r` to column `col`.
+    fn store_word(&mut self, row: u32, col: usize, r: &RegRead) -> Result<(), SimError> {
+        let from = self.read(r.bank, r.addr, r.valid_rst)?;
+        self.activity.reg_reads += 1;
+        if col >= self.cfg.banks as usize {
+            return Err(self.malformed("a store word lies outside its row"));
+        }
+        self.push(Code::Store, row + col as u32, from, 0);
+        Ok(())
+    }
+
+    fn copy(&mut self, moves: &[CopyMove]) -> Result<(), SimError> {
+        // All reads happen before any write lands (crossbar pass).
+        self.staged.clear();
+        for m in moves {
+            let from = self.read(m.src.bank, m.src.addr, m.src.valid_rst)?;
+            self.activity.reg_reads += 1;
+            self.activity.crossbar_hops += 1;
+            self.staged.push((from, m.dst_bank));
+        }
+        for i in 0..self.staged.len() {
+            self.staged[i].1 = self.write(self.staged[i].1)?;
+        }
+        // Hazard: a destination can be the very register a *later* move
+        // of this instruction read and freed, and in-order moves would
+        // then read what an earlier one just wrote. Such a `copy` reads
+        // everything into scratch slots first, then writes.
+        let staged = std::mem::take(&mut self.staged);
+        let overlaps =
+            (0..staged.len()).any(|i| staged[i + 1..].iter().any(|later| later.0 == staged[i].1));
+        if overlaps {
+            while self.scratch.len() < staged.len() {
+                self.scratch.push(self.slots.fresh());
+            }
+            for (i, &(from, _)) in staged.iter().enumerate() {
+                self.push(Code::Move, self.scratch[i], from, 0);
+            }
+        }
+        for (i, &(from, dst)) in staged.iter().enumerate() {
+            let from = if overlaps { self.scratch[i] } else { from };
+            self.push(Code::Move, dst, from, 0);
+        }
+        self.staged = staged;
+        Ok(())
+    }
+
+    fn exec(&mut self, e: &ExecInstr) -> Result<(), SimError> {
+        let cfg = self.cfg;
+        self.activity.execs += 1;
+        // 1. Ports resolve straight to the register slot they read; a
+        // broadcast fetches its register once. rst after all reads of the
+        // cycle.
+        self.src.fill(UNDEF);
+        let serial = self.activity.execs as u32;
+        for (port, r) in e.reads.iter().enumerate() {
+            let Some(r) = r else { continue };
+            let slot = self.read(r.bank, r.addr, false)?;
+            if port >= cfg.banks as usize {
+                return Err(self.malformed("an exec drives a port that does not exist"));
+            }
+            self.src[port] = slot;
+            let fetched_in = &mut self.slots.reg(r.bank, r.addr).fetched_in;
+            if *fetched_in != serial {
+                *fetched_in = serial;
+                self.activity.reg_reads += 1;
+            }
+            self.activity.crossbar_hops += 1;
+        }
+        for r in e.reads.iter().flatten().filter(|r| r.valid_rst) {
+            self.regs.free(r.bank, r.addr);
+        }
+        // 2. Active PEs in the oracle's evaluation order. An arithmetic
+        // PE writes its own slot in this cycle's row of the ring; a
+        // bypass PE *is* its operand.
+        let pes = cfg.pe_count();
+        if e.pe_ops.len() < pes as usize {
+            return Err(self.malformed("an exec has fewer opcodes than PEs"));
+        }
+        let row_base = RING_BASE + (self.regs.cycle() % u64::from(cfg.depth + 1)) as u32 * pes;
+        let out_slot = |at: u32| row_base + at - cfg.banks;
+        for l in 1..=cfg.depth {
+            let n = cfg.pes_in_layer(l);
+            // Layer 1 reads its tree's ports, layer `l` the layer below;
+            // PE `i` takes inputs `2i` and `2i + 1` of its tree.
+            let (below, per_tree) = match l {
+                1 => (0, cfg.ports_per_tree()),
+                _ => (self.layer_base[l as usize - 2], 2 * n),
+            };
+            let (base, off) = (
+                self.layer_base[l as usize - 1],
+                self.layer_off[l as usize - 1],
+            );
+            for t in 0..cfg.trees() {
+                for i in 0..n {
+                    let op = e.pe_ops[(t * cfg.pes_per_tree() + off + i) as usize];
+                    if op == PeOpcode::Nop {
+                        continue;
+                    }
+                    let operand = |at: u32| match self.src[at as usize] {
+                        UNDEF => NAN_SLOT,
+                        slot => slot,
+                    };
+                    let lo = below + t * per_tree + 2 * i;
+                    let (a, b) = (operand(lo), operand(lo + 1));
+                    let at = base + t * n + i;
+                    let code = match op {
+                        PeOpcode::BypassL | PeOpcode::BypassR => {
+                            self.activity.pe_bypass_ops += 1;
+                            self.src[at as usize] = if op == PeOpcode::BypassL { a } else { b };
+                            continue;
+                        }
+                        PeOpcode::Add => Code::Add,
+                        PeOpcode::Mul => Code::Mul,
+                        PeOpcode::Sub => Code::Sub,
+                        PeOpcode::Div => Code::Div,
+                        PeOpcode::Min => Code::Min,
+                        PeOpcode::Max => Code::Max,
+                        PeOpcode::Nop => unreachable!("skipped above"),
+                    };
+                    self.activity.pe_arith_ops += 1;
+                    self.src[at as usize] = out_slot(at);
+                    self.push(code, out_slot(at), a, b);
+                }
+            }
+        }
+        // 3. Writebacks land at the end of cycle + D, as moves out of the
+        // ring.
+        for (bank, w) in e.writes.iter().enumerate() {
+            let Some(pe) = w else { continue };
+            if bank >= cfg.banks as usize || !pe.is_valid(&cfg) {
+                return Err(self.malformed("a writeback names a bank or PE that does not exist"));
+            }
+            let at = self.layer_base[pe.layer as usize - 1]
+                + pe.tree * cfg.pes_in_layer(pe.layer)
+                + pe.index;
+            let mut from = self.src[at as usize];
+            if from == UNDEF {
+                return Err(SimError::IdlePeWriteback { bank: bank as u32 });
+            }
+            // Hazard: through bypasses the source can be a *register*
+            // slot, and that register may be freed and written again
+            // before cycle + D. Its value is snapshotted now, into the
+            // bypass PE's own (otherwise unused) ring slot.
+            if from >= self.slots.base {
+                self.push(Code::Move, out_slot(at), from, 0);
+                from = out_slot(at);
+            }
+            self.regs.schedule([(bank as u32, from)]);
+        }
+        Ok(())
+    }
 }
 
 impl DecodedProgram {
-    /// Lowers `program` into flat micro-op arrays.
+    /// Resolves `program`'s schedule and lowers it to a value tape, in
+    /// one pass over its instructions.
     ///
-    /// Static program properties the oracle checks per cycle are
-    /// checked here once instead: a `load`/`store` row outside the data
-    /// memory ([`SimError::RowOutOfRange`]) and an `exec` writeback
-    /// selecting an idle PE ([`SimError::IdlePeWriteback`]) reject the
-    /// program at decode time. State-dependent hazards (empty-register
-    /// reads, write-port clashes, bank overflow) remain runtime checks
-    /// in [`Machine::run_decoded`], exactly as in [`Machine::step`].
+    /// Every check the oracle makes per cycle is made here, once, in the
+    /// oracle's order, so the verdict — `Ok`, or which error with which
+    /// bank, address and cycle — is exactly [`Machine::run_program`]'s on
+    /// a fresh machine. A program that decodes cannot fault when run.
+    ///
+    /// This is also where a [`Program`] literal that skipped
+    /// [`Instr::validate`] is first indexed, so indices are bounds-checked
+    /// as the replay goes: whatever would index outside the configuration
+    /// is [`SimError::Malformed`], never a panic.
     ///
     /// # Errors
     ///
-    /// [`SimError::RowOutOfRange`] or [`SimError::IdlePeWriteback`] as
-    /// above — both indicate a compiler bug or a corrupt program.
+    /// Any [`SimError`] but the batch and mismatch variants — each
+    /// indicates a compiler bug or a corrupt program.
     pub fn decode(program: &Program) -> Result<DecodedProgram, SimError> {
         let cfg = program.config;
-        // Value-array layout: ports `0..banks`, then each layer's PE
-        // outputs; `layer_base[l - 1]` is layer `l`'s first slot.
-        let mut layer_base = Vec::with_capacity(cfg.depth as usize);
-        let mut next = cfg.banks;
-        for l in 1..=cfg.depth {
-            layer_base.push(next);
-            next += cfg.trees() * cfg.pes_in_layer(l);
+        // `ArchConfig`'s fields are public; the shifts by `depth` and the
+        // divisions below rely on what its constructor checks.
+        if cfg.depth >= u32::BITS
+            || ArchConfig::with_topology(cfg.depth, cfg.banks, cfg.regs_per_bank, cfg.topology)
+                .is_err()
+        {
+            return Err(SimError::Malformed {
+                instr: 0,
+                what: "the program's configuration is not a valid one",
+            });
         }
-        let vals_len = next as usize;
-        let slot_of = |tree: u32, layer: u32, index: u32| {
-            layer_base[(layer - 1) as usize] + tree * cfg.pes_in_layer(layer) + index
+        let mut layer_base = Vec::with_capacity(cfg.depth as usize);
+        let mut layer_off = Vec::with_capacity(cfg.depth as usize);
+        let (mut base, mut off) = (cfg.banks, 0);
+        for l in 1..=cfg.depth {
+            layer_base.push(base);
+            layer_off.push(off);
+            base += cfg.trees() * cfg.pes_in_layer(l);
+            off += cfg.pes_in_layer(l);
+        }
+        let reg_base = RING_BASE + (cfg.depth + 1) * cfg.pe_count();
+        let mut low = Lowering {
+            cfg,
+            regs: RegFile::new(&cfg, NAN_SLOT),
+            tape: Vec::new(),
+            slots: SlotMap {
+                banks: cfg.banks as usize,
+                regs: Vec::new(),
+                base: reg_base,
+                next: reg_base,
+            },
+            data_rows: 0,
+            activity: Activity::default(),
+            src: vec![UNDEF; base as usize],
+            layer_base,
+            layer_off,
+            staged: Vec::new(),
+            scratch: Vec::new(),
+            pc: 0,
         };
-
-        let mut d = DecodedProgram {
-            config: cfg,
-            fetch_bits: u64::from(encode::fetch_width(&cfg)),
-            vals_len,
-            kind: Vec::with_capacity(program.instrs.len()),
-            row: Vec::with_capacity(program.instrs.len()),
-            span: Vec::with_capacity(program.instrs.len()),
-            load_banks: Vec::new(),
-            stores: Vec::new(),
-            copies: Vec::new(),
-            execs: Vec::new(),
-            reads: Vec::new(),
-            rsts: Vec::new(),
-            pes: Vec::new(),
-            writes: Vec::new(),
-        };
-        // Which value-array slots the current `exec` defines (driven
-        // ports + active PEs) — operands resolving to an undefined slot
-        // become NaN, writebacks from one are a decode error.
-        let mut defined = vec![false; vals_len];
-
-        for instr in &program.instrs {
-            let (kind, row, span) = match instr {
-                Instr::Nop => (OpKind::Nop, 0, Span::new(0, 0)),
-                Instr::Load { row, mask } => {
-                    if *row >= cfg.data_mem_rows {
-                        return Err(SimError::RowOutOfRange { row: *row });
-                    }
-                    let start = d.load_banks.len();
-                    for (bank, &m) in mask.iter().enumerate() {
-                        if m {
-                            d.load_banks.push(bank as u32);
-                        }
-                    }
-                    (OpKind::Load, *row, Span::new(start, d.load_banks.len()))
-                }
+        for (pc, instr) in program.instrs.iter().enumerate() {
+            low.pc = pc;
+            match instr {
+                Instr::Nop => {}
+                Instr::Load { row, mask } => low.load(*row, mask)?,
                 Instr::Store { row, reads } => {
-                    if *row >= cfg.data_mem_rows {
-                        return Err(SimError::RowOutOfRange { row: *row });
-                    }
-                    let start = d.stores.len();
+                    let row = low.row(*row)?;
+                    low.activity.mem_writes += 1;
                     for (col, r) in reads.iter().enumerate() {
                         if let Some(r) = r {
-                            d.stores.push(StoreOp {
-                                col: col as u32,
-                                bank: r.bank,
-                                addr: r.addr,
-                                valid_rst: r.valid_rst,
-                            });
+                            low.store_word(row, col, r)?;
                         }
                     }
-                    (OpKind::Store, *row, Span::new(start, d.stores.len()))
                 }
                 Instr::StoreK { row, reads } => {
-                    if *row >= cfg.data_mem_rows {
-                        return Err(SimError::RowOutOfRange { row: *row });
-                    }
-                    let start = d.stores.len();
+                    let row = low.row(*row)?;
+                    low.activity.mem_writes += 1;
+                    // A `store.k` word lands at the column of its source
+                    // bank.
                     for r in reads {
-                        // A `store.k` word lands at the column of its
-                        // source bank.
-                        d.stores.push(StoreOp {
-                            col: r.bank,
-                            bank: r.bank,
-                            addr: r.addr,
-                            valid_rst: r.valid_rst,
-                        });
+                        low.store_word(row, r.bank as usize, r)?;
                     }
-                    (OpKind::Store, *row, Span::new(start, d.stores.len()))
                 }
-                Instr::CopyK { moves } => {
-                    let start = d.copies.len();
-                    for m in moves {
-                        d.copies.push(CopyOp {
-                            bank: m.src.bank,
-                            addr: m.src.addr,
-                            valid_rst: m.src.valid_rst,
-                            dst_bank: m.dst_bank,
-                        });
-                    }
-                    (OpKind::CopyK, 0, Span::new(start, d.copies.len()))
-                }
-                Instr::Exec(e) => {
-                    defined.fill(false);
-                    let reads_start = d.reads.len();
-                    // Broadcast dedup, decided once: the first port to
-                    // read a `(bank, addr)` fetches; later ports copy
-                    // its port slot. `Machine::step` scans its fetched
-                    // list for the same `(bank, addr)` key, so the two
-                    // count identical register reads on any instruction,
-                    // validated or not.
-                    for (port, r) in e.reads.iter().enumerate() {
-                        let Some(r) = r else { continue };
-                        let copy_from = d.reads[reads_start..]
-                            .iter()
-                            .find(|f| f.copy_from == NONE && (f.bank, f.addr) == (r.bank, r.addr))
-                            .map_or(NONE, |f| f.dst);
-                        d.reads.push(ReadOp {
-                            dst: port as u32,
-                            bank: r.bank,
-                            addr: r.addr,
-                            copy_from,
-                        });
-                        defined[port] = true;
-                    }
-                    let rsts_start = d.rsts.len();
-                    for r in e.reads.iter().flatten() {
-                        if r.valid_rst {
-                            d.rsts.push(RstOp {
-                                bank: r.bank,
-                                addr: r.addr,
-                            });
-                        }
-                    }
-                    // Active PEs only, in the oracle's evaluation
-                    // order, operands pre-resolved to value-array slots.
-                    let pes_start = d.pes.len();
-                    for l in 1..=cfg.depth {
-                        for t in 0..cfg.trees() {
-                            for i in 0..cfg.pes_in_layer(l) {
-                                let pe = dpu_isa::PeId::new(t, l, i);
-                                let op = e.pe_ops[pe.flat_index(&cfg) as usize];
-                                if op == PeOpcode::Nop {
-                                    continue;
-                                }
-                                let (a, b) = if l == 1 {
-                                    let base = t * cfg.ports_per_tree() + 2 * i;
-                                    (base, base + 1)
-                                } else {
-                                    let base = slot_of(t, l - 1, 2 * i);
-                                    (base, base + 1)
-                                };
-                                let dst = slot_of(t, l, i);
-                                d.pes.push(PeOp {
-                                    a: if defined[a as usize] { a } else { NONE },
-                                    b: if defined[b as usize] { b } else { NONE },
-                                    dst,
-                                    op,
-                                });
-                                defined[dst as usize] = true;
-                            }
-                        }
-                    }
-                    let writes_start = d.writes.len();
-                    for (bank, w) in e.writes.iter().enumerate() {
-                        let Some(pe) = w else { continue };
-                        let src = slot_of(pe.tree, pe.layer, pe.index);
-                        if !defined[src as usize] {
-                            return Err(SimError::IdlePeWriteback { bank: bank as u32 });
-                        }
-                        d.writes.push(WriteOp {
-                            bank: bank as u32,
-                            src,
-                        });
-                    }
-                    let start = d.execs.len();
-                    d.execs.push(ExecOp {
-                        reads: Span::new(reads_start, d.reads.len()),
-                        rsts: Span::new(rsts_start, d.rsts.len()),
-                        pes: Span::new(pes_start, d.pes.len()),
-                        writes: Span::new(writes_start, d.writes.len()),
-                    });
-                    (OpKind::Exec, 0, Span::new(start, start + 1))
-                }
-            };
-            d.kind.push(kind);
-            d.row.push(row);
-            d.span.push(span);
+                Instr::CopyK { moves } => low.copy(moves)?,
+                Instr::Exec(e) => low.exec(e)?,
+            }
+            low.end_cycle(false)?;
         }
-        Ok(d)
+        low.end_cycle(true)?;
+        low.tape.shrink_to_fit();
+        low.activity.instr_bits_fetched =
+            u64::from(encode::fetch_width(&cfg)) * program.instrs.len() as u64;
+        Ok(DecodedProgram {
+            config: cfg,
+            instrs: program.instrs.len(),
+            slots: low.slots.next as usize,
+            data_words: low.data_rows * cfg.banks as usize,
+            cycles: low.regs.cycle(),
+            activity: low.activity,
+            tape: low.tape,
+        })
     }
 
     /// The configuration the program was decoded for.
@@ -389,26 +554,42 @@ impl DecodedProgram {
 
     /// Number of source instructions (= issue cycles before drain).
     pub fn len(&self) -> usize {
-        self.kind.len()
+        self.instrs
     }
 
     /// Whether the program has no instructions.
     pub fn is_empty(&self) -> bool {
-        self.kind.is_empty()
+        self.instrs == 0
+    }
+
+    /// Total cycles of a run, pipeline drain included — every run's, the
+    /// schedule does not depend on the data.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    /// The [`Activity`] of a run — every run's.
+    pub fn activity(&self) -> Activity {
+        self.activity
     }
 }
 
 impl Machine {
-    /// Runs a decoded program (plus pipeline drain) from the current
-    /// state, with outputs, cycle counts and activity counters
-    /// byte-identical to the oracle's [`Machine::run_program`] on any
-    /// program that passes decode.
+    /// Runs a decoded program over the machine's data memory, leaving
+    /// outputs, [`Machine::cycle`] and [`Machine::activity`]
+    /// byte-identical to the oracle's [`Machine::run_program`] on a
+    /// machine with the same data memory and an empty register file.
+    ///
+    /// A decoded program *is* a schedule resolved from power-on, so the
+    /// run neither reads nor updates the register file [`Machine::step`]
+    /// drives, and the cycle count and counters it leaves are the
+    /// program's, not added to what was there.
     ///
     /// # Errors
     ///
-    /// The state-dependent subset of [`SimError`] (empty-register reads,
-    /// write-port clashes, bank overflow); static errors were already
-    /// rejected by [`DecodedProgram::decode`].
+    /// None: every fault a run could meet was raised by
+    /// [`DecodedProgram::decode`]. The `Result` is the signature callers
+    /// were written against.
     ///
     /// # Panics
     ///
@@ -416,111 +597,78 @@ impl Machine {
     /// program was decoded for ([`crate::run_decoded_on`] re-builds the
     /// machine instead of panicking).
     pub fn run_decoded(&mut self, prog: &DecodedProgram) -> Result<(), SimError> {
-        self.scalar.run_decoded(prog)
+        self.scalar.run_decoded(prog);
+        Ok(())
     }
 }
 
 impl<const L: usize> Lanes<L> {
-    /// The production executor, `L` input sets in lockstep: decode,
-    /// indexing, valid bits and port bookkeeping are paid once per
-    /// instruction, only values and PE arithmetic are `L` wide. See
+    /// The production executor, `L` input sets in lockstep: one walk of
+    /// the tape with every slot and data word `L` values wide. See
     /// [`Machine::run_decoded`], its `L = 1` case.
-    fn run_decoded(&mut self, prog: &DecodedProgram) -> Result<(), SimError> {
+    ///
+    /// No slot is cleared between runs, or between programs: the replay
+    /// read a register only under a valid bit — after the step that wrote
+    /// it — and a ring slot only in the `exec` that wrote it or the
+    /// landing that follows, so every slot but NaN's is written before it
+    /// is read, whatever an earlier run left there.
+    fn run_decoded(&mut self, prog: &DecodedProgram) {
         assert_eq!(
             self.cfg, prog.config,
             "machine/program configuration mismatch"
         );
-        let il = prog.fetch_bits;
-        // All buffers the loop needs, sized up front; early error
-        // returns leave them empty — harmless, every use site clears and
-        // resizes first, and a failed run aborts the request.
-        let mut vals = std::mem::take(&mut self.vals);
-        vals.clear();
-        vals.resize(prog.vals_len, [0.0; L]);
-        let mut staged = std::mem::take(&mut self.staged);
-        // BEGIN run_decoded cycle loop (zero-alloc: no allocating vector
-        // idioms in here — lint-enforced by tests/forbidden_patterns.rs)
-        for pc in 0..prog.kind.len() {
-            let span = prog.span[pc];
-            match prog.kind[pc] {
-                OpKind::Nop => {}
-                OpKind::Load => {
-                    let row = prog.row[pc];
-                    self.activity.mem_reads += 1;
-                    for &bank in &prog.load_banks[span.range()] {
-                        self.put(bank, self.word(row, bank))?;
-                    }
+        if self.slots.len() < prog.slots {
+            self.slots.resize(prog.slots, [0.0; L]);
+        }
+        self.slots[NAN_SLOT as usize] = [f32::NAN; L];
+        // Rows above the slab read as zero; cover the program's
+        // footprint once so the walk indexes instead of asking.
+        if self.data.len() < prog.data_words {
+            self.data.resize(prog.data_words, [0.0; L]);
+        }
+        let (slots, data) = (&mut self.slots[..], &mut self.data[..]);
+        // BEGIN run_decoded cycle loop (the per-request walk: values only
+        // — it allocates nothing, names no register-file method and
+        // counts nothing; lint-enforced by tests/forbidden_patterns.rs)
+        for step in &prog.tape {
+            let (a, b) = (step.a as usize, step.b as usize);
+            let value = match step.code {
+                Code::Load => data[a],
+                Code::Store => {
+                    data[step.dst as usize] = slots[a];
+                    continue;
                 }
-                OpKind::Store => {
-                    let row = prog.row[pc];
-                    self.activity.mem_writes += 1;
-                    for s in &prog.stores[span.range()] {
-                        let v = self.read_word(s.bank, s.addr, s.valid_rst)?;
-                        *self.word_mut(row, s.col) = v;
-                    }
-                }
-                OpKind::CopyK => {
-                    // All reads happen before any write lands (crossbar
-                    // pass), staged in a reused buffer.
-                    staged.clear();
-                    for c in &prog.copies[span.range()] {
-                        let v = self.read_word(c.bank, c.addr, c.valid_rst)?;
-                        self.activity.crossbar_hops += 1;
-                        staged.push((c.dst_bank, v));
-                    }
-                    for &(bank, v) in staged.iter() {
-                        self.put(bank, v)?;
-                    }
-                }
-                OpKind::Exec => {
-                    self.activity.execs += 1;
-                    let e = prog.execs[span.start as usize];
-                    for r in &prog.reads[e.reads.range()] {
-                        let v = if r.copy_from == NONE {
-                            let v = self.reg(r.bank, r.addr)?;
-                            self.activity.reg_reads += 1;
-                            v
-                        } else {
-                            vals[r.copy_from as usize]
-                        };
-                        self.activity.crossbar_hops += 1;
-                        vals[r.dst as usize] = v;
-                    }
-                    for rst in &prog.rsts[e.rsts.range()] {
-                        self.regs.free(rst.bank, rst.addr);
-                    }
-                    for pe in &prog.pes[e.pes.range()] {
-                        let operand = |src: u32| match src {
-                            NONE => [f32::NAN; L],
-                            src => vals[src as usize],
-                        };
-                        let out = pe.op.apply_lanes(operand(pe.a), operand(pe.b));
-                        if matches!(pe.op, PeOpcode::BypassL | PeOpcode::BypassR) {
-                            self.activity.pe_bypass_ops += 1;
-                        } else {
-                            self.activity.pe_arith_ops += 1;
-                        }
-                        vals[pe.dst as usize] = out;
-                    }
-                    let writes = &prog.writes[e.writes.range()];
-                    self.regs
-                        .schedule(writes.iter().map(|w| (w.bank, vals[w.src as usize])));
-                }
-            }
-            self.end_cycle()?;
-            self.activity.instr_bits_fetched += il;
+                Code::Move => slots[a],
+                Code::Add => PeOpcode::Add.apply_lanes(slots[a], slots[b]),
+                Code::Mul => PeOpcode::Mul.apply_lanes(slots[a], slots[b]),
+                Code::Sub => PeOpcode::Sub.apply_lanes(slots[a], slots[b]),
+                Code::Div => PeOpcode::Div.apply_lanes(slots[a], slots[b]),
+                Code::Min => PeOpcode::Min.apply_lanes(slots[a], slots[b]),
+                Code::Max => PeOpcode::Max.apply_lanes(slots[a], slots[b]),
+            };
+            slots[step.dst as usize] = value;
         }
         // END run_decoded cycle loop
-        self.drain()?;
-        self.vals = vals;
-        self.staged = staged;
-        Ok(())
+        self.cycles = prog.cycles;
+        self.activity = prog.activity;
+    }
+
+    /// One run of `decoded`, `L` input sets wide: stage, walk the tape,
+    /// read back.
+    fn run_staged(
+        &mut self,
+        compiled: &Compiled,
+        decoded: &DecodedProgram,
+        inputs: [&[f32]; L],
+    ) -> Result<[RunResult; L], SimError> {
+        self.stage(compiled, inputs)?;
+        self.run_decoded(decoded);
+        self.read_back(compiled)
     }
 
     /// Runs `chunk` — at most `L` input sets — through `decoded` in one
     /// pass and appends one result per input. A chunk shorter than `L`
-    /// repeats its last input in the spare lanes and drops their results;
-    /// a fault is the program's, so it fails every input alike.
+    /// repeats its last input in the spare lanes and drops their results.
     fn run_chunk(
         &mut self,
         compiled: &Compiled,
@@ -529,7 +677,7 @@ impl<const L: usize> Lanes<L> {
         results: &mut Vec<Result<RunResult, SimError>>,
     ) {
         let lanes = std::array::from_fn(|lane| chunk[lane.min(chunk.len() - 1)].as_ref());
-        match self.run_staged(compiled, lanes, |s| s.run_decoded(decoded)) {
+        match self.run_staged(compiled, decoded, lanes) {
             Ok(runs) => results.extend(runs.into_iter().take(chunk.len()).map(Ok)),
             Err(e) => results.extend(chunk.iter().map(|_| Err(e.clone()))),
         }
@@ -542,23 +690,27 @@ impl<const L: usize> Lanes<L> {
 /// worker, call this per group of requests that share a program.
 ///
 /// A compiled schedule does not depend on the data, so the group is cut
-/// into chunks of eight that each go through the program **once**, eight
-/// lanes wide: one decode walk, one set of valid bits and port checks, PE
-/// arithmetic eight values at a time. A ragged last chunk of two or more
-/// is padded by repeating its last input (a pass costs about what 1.3
-/// scalar runs do, so padding wins from two up); a lone last input runs
-/// one lane wide. Either way every result is byte-identical to running
-/// that input alone, and to the oracle's [`crate::run_on`]: cycles,
-/// [`Activity`](crate::Activity) and faults are the program's, computed
-/// once per chunk and reported by each of its inputs.
+/// into chunks of eight that each go through the tape **once**, eight
+/// lanes wide. A ragged last chunk of two or more is padded by repeating
+/// its last input; a lone last input runs one lane wide. The rule is
+/// read off the per-`L` table in DESIGN.md §2 "Lanes": an eight-lane pass
+/// costs what 1.2 (PC) to 2.1 (SpMV) one-lane runs do — the walk is bound
+/// by its dispatch, not by the lanes, while staging and read-back are per
+/// lane — so a padded pair gains a third of its time on the PCs and ties
+/// on the sparse kernels. Either way every result is byte-identical to
+/// running that input alone, and to the oracle's [`crate::run_on`]; cycles
+/// and [`Activity`] are the program's, read off `decoded`.
 ///
-/// The machine is reset per chunk (rebuilt if its configuration is not
-/// the program's); its eight-lane state is built by the first chunk that
-/// needs it and kept. `decoded` must be the decode of `compiled.program`.
+/// The machine's data memory is reset per chunk (the machine is rebuilt
+/// if its configuration is not the program's); its eight-lane state is
+/// built by the first chunk that needs it and kept. `decoded` must be the
+/// decode of `compiled.program`.
 ///
 /// # Errors
 ///
-/// Per input, see [`SimError`].
+/// Per input, [`SimError::RowOutOfRange`] if the layout stages an input
+/// or reads an output outside the data memory. Program faults are
+/// [`DecodedProgram::decode`]'s.
 ///
 /// # Panics
 ///
@@ -595,7 +747,7 @@ pub fn run_decoded_group(
 ///
 /// # Errors
 ///
-/// See [`SimError`].
+/// As [`run_decoded_group`].
 ///
 /// # Panics
 ///
@@ -619,7 +771,7 @@ pub fn run_decoded_on(
 ///
 /// # Errors
 ///
-/// See [`SimError`]; static program faults are reported by the decode.
+/// See [`SimError`]; program faults are reported by the decode.
 ///
 /// # Panics
 ///

@@ -17,35 +17,36 @@
 //! Timing is deterministic and agrees with the compiler's finalize
 //! replay and the static verifier by construction: the register file —
 //! valid bits, write-address generator, writeback ring, cycle counter —
-//! is [`dpu_isa::RegFile`], which all three instantiate (here with
-//! values). One instruction issues per cycle, and the simulator *checks*
-//! rather than tolerates hazards — reading an empty register, clashing
-//! writebacks or bank overflow abort the run ([`SimError`]). Functional
-//! results are compared against the reference evaluator by
-//! [`run_and_verify`], which is the end-to-end proof that compiler and
-//! architecture agree.
+//! is [`dpu_isa::RegFile`], which all of them instantiate. One
+//! instruction issues per cycle, and the simulator *checks* rather than
+//! tolerates hazards — reading an empty register, clashing writebacks or
+//! bank overflow reject the program ([`SimError`]). Functional results are
+//! compared against the reference evaluator by [`run_and_verify`], which
+//! is the end-to-end proof that compiler and architecture agree.
 //!
 //! # Two executors, one of them for tests
 //!
 //! - **Production:** [`DecodedProgram::decode`] → [`Machine::run_decoded`].
-//!   [`execute`] is the one-shot form (decode, fresh machine, run);
-//!   [`run_decoded_group`] is the decode-once/run-many form the serving
-//!   runtime and [`run_batch`] use — one program over a slice of input
-//!   sets, eight of them per pass through the one cycle loop, which is
-//!   generic over the lane count (a schedule does not depend on the
-//!   data, so valid bits, port checks and faults are shared by the lanes
-//!   and only values are eight wide); [`run_decoded_on`] is its
-//!   one-input case. Everything that reports a number — `Dpu::execute`,
-//!   the serving engine, the DSE sweep, every experiment binary — goes
-//!   through these.
+//!   Nothing but the values depends on the input data, so decode replays
+//!   the register file **once** per program and lowers it to a
+//!   straight-line value tape: register addresses, landing cycles, the
+//!   cycle count, [`Activity`] and every fault are computed there, and a
+//!   run only moves values. [`execute`] is the one-shot form (decode,
+//!   fresh machine, run); [`run_decoded_group`] is the decode-once/run-many
+//!   form the serving runtime and [`run_batch`] use — one program over a
+//!   slice of input sets, eight of them per walk of the tape, which is
+//!   generic over the lane count; [`run_decoded_on`] is its one-input
+//!   case. Everything that reports a number — `Dpu::execute`, the serving
+//!   engine, the DSE sweep, every experiment binary — goes through these.
 //! - **Oracle:** [`Machine::step`] / [`Machine::run_program`] / [`run`] /
-//!   [`run_on`] interpret the [`Instr`] enum directly. They are the plain
-//!   specification of the ISA semantics, written for reading rather than
-//!   speed, and exist so the differential tests have something
-//!   independent to compare the decoded executor against (and so a
-//!   per-cycle probe such as the Fig. 10 occupancy sampler can single-step
-//!   a machine). No serving or measurement path calls them —
-//!   `tests/forbidden_patterns.rs` enforces that.
+//!   [`run_on`] interpret the [`Instr`] enum directly against a register
+//!   file that holds values. They are the plain specification of the ISA
+//!   semantics, written for reading rather than speed, and exist so the
+//!   differential tests have something independent to compare the decoded
+//!   executor against (and so a per-cycle probe such as the Fig. 10
+//!   occupancy sampler can single-step a machine). No serving or
+//!   measurement path calls them — `tests/forbidden_patterns.rs` enforces
+//!   that.
 //!
 //! # Example
 //!
@@ -117,6 +118,17 @@ pub enum SimError {
         /// The bank latching the idle output.
         bank: u32,
     },
+    /// An instruction does not fit the program's configuration — an
+    /// operand vector of the wrong length, a bank, port or PE that does
+    /// not exist. Only a [`Program`] literal that skipped
+    /// [`Instr::validate`] can carry one; [`DecodedProgram::decode`]
+    /// reports it instead of indexing out of range.
+    Malformed {
+        /// Index of the instruction.
+        instr: usize,
+        /// What does not fit.
+        what: &'static str,
+    },
     /// A batch run was requested with zero cores.
     NoCores,
     /// A batch run was requested with an empty batch.
@@ -148,6 +160,7 @@ impl std::fmt::Display for SimError {
             SimError::IdlePeWriteback { bank } => {
                 write!(f, "bank {bank} latches an idle PE output")
             }
+            SimError::Malformed { instr, what } => write!(f, "instruction {instr}: {what}"),
             SimError::NoCores => write!(f, "batch run requested with zero cores"),
             SimError::EmptyBatch => write!(f, "batch run requested with an empty batch"),
             SimError::Mismatch {
@@ -237,30 +250,31 @@ const WIDE: usize = 8;
 
 /// The micro-architectural state.
 ///
-/// Everything a program's schedule decides — which register is read,
-/// which valid bit clears, where a writeback lands, every fault — depends
-/// on the program alone (the DAG's connectivity is static), so the state
-/// is kept `L` input sets wide behind one set of valid bits: private
-/// `Lanes<L>`, instantiated at `L = 1` (every method here, the oracle
-/// included) and at `L = 8` (built by the first [`run_decoded_group`] call
-/// with two or more inputs).
+/// Two executors share it. The production one walks a
+/// [`DecodedProgram`]'s value tape and needs only data memory and value
+/// slots, `L` input sets wide: private `Lanes<L>`, instantiated at `L = 1`
+/// and at `L = 8` (built by the first [`run_decoded_group`] call with a
+/// chunk wide enough to pad). The oracle interprets instructions against
+/// a register file with values, one lane wide, over the one-lane data
+/// memory.
 #[derive(Debug, Clone)]
 pub struct Machine {
     scalar: Lanes<1>,
     wide: Option<Box<Lanes<WIDE>>>,
+    /// The oracle's register file: valid bits, the automatic
+    /// write-address generator, the `D+1`-slot writeback ring and the
+    /// cycle counter — `dpu_isa`'s one statement of the write policy,
+    /// instantiated with values (regfile.rs has the table of
+    /// instantiations). Only [`Machine::step`] drives it; a decoded run
+    /// replayed it once, at decode.
+    regs: RegFile<[f32; 1]>,
 }
 
-/// One machine's state with `L` values in every register, data-memory
-/// word and PE output.
+/// What a tape walk reads and writes, with `L` values in every
+/// data-memory word and value slot, and what the last run reported.
 #[derive(Debug, Clone)]
 struct Lanes<const L: usize> {
     cfg: ArchConfig,
-    /// The register file: valid bits, the automatic write-address
-    /// generator, the `D+1`-slot writeback ring and the cycle counter —
-    /// `dpu_isa`'s one statement of the write policy, instantiated with
-    /// values (the compiler replays it with `NodeId`s, the verifier with
-    /// `()`), shared by [`Machine::step`] and [`Machine::run_decoded`].
-    regs: RegFile<[f32; L]>,
     /// Data memory, one flat slab of `B`-word rows, zero-extended on first
     /// write: it holds rows `0..len / B`, and every row above reads as
     /// zero without being stored. The compiler lays inputs, outputs and
@@ -269,31 +283,30 @@ struct Lanes<const L: usize> {
     /// on DPU-v2 (L)). `reset` empties the slab and keeps its capacity;
     /// the next run re-zeroes what it extends over.
     data: Vec<[f32; L]>,
+    /// The value slots a [`DecodedProgram`]'s tape indexes (its docs have
+    /// the layout), grown to the largest program run so far and never
+    /// cleared: a tape writes every slot before it reads it.
+    slots: Vec<[f32; L]>,
+    /// Elapsed cycles and activity: the oracle's running counts, or the
+    /// constants of the decoded program that ran last.
+    cycles: u64,
     activity: Activity,
-    /// Reusable buffers for `run_decoded`, so steady-state execution
-    /// allocates nothing per cycle. Each is cleared at its point of use
-    /// and none carries state across runs, so `reset` does not touch
-    /// them: the value array of the current `exec` (ports + PE outputs)
-    /// and the staging buffer for `copy.k` moves.
-    vals: Vec<[f32; L]>,
-    staged: Vec<(u32, [f32; L])>,
 }
 
 impl<const L: usize> Lanes<L> {
     fn new(cfg: ArchConfig) -> Self {
         Lanes {
             cfg,
-            regs: RegFile::new(&cfg, [0.0; L]),
             data: Vec::new(),
+            slots: Vec::new(),
+            cycles: 0,
             activity: Activity::default(),
-            vals: Vec::new(),
-            staged: Vec::new(),
         }
     }
 
     fn reset(&mut self) {
-        self.regs.clear();
         self.data.clear();
+        self.cycles = 0;
         self.activity = Activity::default();
     }
 
@@ -336,67 +349,10 @@ impl<const L: usize> Lanes<L> {
         Ok(self.word(row, col))
     }
 
-    /// Stamps a register-file fault with the cycle it happened in.
-    fn fault(&self, fault: Fault) -> SimError {
-        let cycle = self.regs.cycle();
-        match fault {
-            Fault::Full { bank } => SimError::BankOverflow { bank, cycle },
-            Fault::PortClash { bank } => SimError::WritePortClash { bank, cycle },
-        }
-    }
-
-    fn reg(&self, bank: u32, addr: u32) -> Result<[f32; L], SimError> {
-        self.regs.read(bank, addr).ok_or(SimError::ReadInvalid {
-            bank,
-            addr,
-            cycle: self.regs.cycle(),
-        })
-    }
-
-    /// An immediate (`load`/`copy`) register write, counted.
-    fn put(&mut self, bank: u32, value: [f32; L]) -> Result<(), SimError> {
-        self.regs.write(bank, value).map_err(|f| self.fault(f))?;
-        self.activity.reg_writes += 1;
-        Ok(())
-    }
-
-    /// Ends the cycle: lands the due `exec` writebacks, counted.
-    fn end_cycle(&mut self) -> Result<(), SimError> {
-        let writes = &mut self.activity.reg_writes;
-        self.regs
-            .end_cycle(|_, _, _| *writes += 1)
-            .map_err(|f| self.fault(f))
-    }
-
-    /// Drains the pipeline: ends cycles until nothing is in flight.
-    fn drain(&mut self) -> Result<(), SimError> {
-        let writes = &mut self.activity.reg_writes;
-        self.regs
-            .drain(|_, _, _| *writes += 1)
-            .map_err(|f| self.fault(f))
-    }
-
-    /// Reads `(bank, addr)` for a `store`/`copy` word, clearing the valid
-    /// bit on a last read.
-    fn read_word(&mut self, bank: u32, addr: u32, valid_rst: bool) -> Result<[f32; L], SimError> {
-        let v = self.reg(bank, addr)?;
-        self.activity.reg_reads += 1;
-        if valid_rst {
-            self.regs.free(bank, addr);
-        }
-        Ok(v)
-    }
-
-    /// The host side of one run, shared by both executors: reset, stage
-    /// one input set per lane into data memory, let `execute` run the
-    /// program, read each lane's outputs back. Cycles and [`Activity`]
-    /// are the program's, so every lane reports the same ones.
-    fn run_staged(
-        &mut self,
-        compiled: &Compiled,
-        inputs: [&[f32]; L],
-        execute: impl FnOnce(&mut Self) -> Result<(), SimError>,
-    ) -> Result<[RunResult; L], SimError> {
+    /// The host side of a run before the program, shared by both
+    /// executors: reset, then stage one input set per lane into data
+    /// memory.
+    fn stage(&mut self, compiled: &Compiled, inputs: [&[f32]; L]) -> Result<(), SimError> {
         let layout = &compiled.layout;
         for lane in inputs {
             assert_eq!(lane.len(), layout.input_slots.len(), "input count mismatch");
@@ -407,7 +363,14 @@ impl<const L: usize> Lanes<L> {
                 self.poke(row, col, inputs.map(|lane| lane[slot]))?;
             }
         }
-        execute(self)?;
+        Ok(())
+    }
+
+    /// The host side of a run after the program: each lane's outputs read
+    /// back from data memory. Cycles and [`Activity`] are the program's,
+    /// so every lane reports the same ones.
+    fn read_back(&self, compiled: &Compiled) -> Result<[RunResult; L], SimError> {
+        let layout = &compiled.layout;
         let mut outputs: [Vec<f32>; L] =
             std::array::from_fn(|_| Vec::with_capacity(layout.output_slots.len()));
         for &(row, col) in &layout.output_slots {
@@ -416,11 +379,19 @@ impl<const L: usize> Lanes<L> {
             }
         }
         Ok(outputs.map(|outputs| RunResult {
-            cycles: self.regs.cycle(),
+            cycles: self.cycles,
             outputs,
             activity: self.activity,
             dag_ops: compiled.bin_dag.op_count() as u64,
         }))
+    }
+}
+
+/// Stamps a register-file fault with the cycle it happened in.
+fn stamp(fault: Fault, cycle: u64) -> SimError {
+    match fault {
+        Fault::Full { bank } => SimError::BankOverflow { bank, cycle },
+        Fault::PortClash { bank } => SimError::WritePortClash { bank, cycle },
     }
 }
 
@@ -430,6 +401,7 @@ impl Machine {
         Machine {
             scalar: Lanes::new(cfg),
             wide: None,
+            regs: RegFile::new(&cfg, [0.0]),
         }
     }
 
@@ -441,6 +413,7 @@ impl Machine {
     /// identically to a fresh [`Machine::new`] with the same config.
     pub fn reset(&mut self) {
         self.scalar.reset();
+        self.regs.clear();
     }
 
     /// The configuration this machine models.
@@ -467,25 +440,84 @@ impl Machine {
         self.scalar.peek(row, col).map(|[v]| v)
     }
 
-    /// Elapsed cycles.
+    /// Elapsed cycles: the oracle's count so far, or the length of the
+    /// decoded program that ran last.
     pub fn cycle(&self) -> u64 {
-        self.scalar.regs.cycle()
+        self.scalar.cycles
     }
 
-    /// Number of valid (occupied) registers in each bank — the Fig. 10(c/d)
-    /// "active registers per bank" metric.
+    /// Number of valid (occupied) registers in each bank of the oracle's
+    /// register file — the Fig. 10(c/d) "active registers per bank"
+    /// metric.
     pub fn occupancy_per_bank(&self) -> Vec<u32> {
-        self.scalar.regs.occupancy().collect()
+        self.regs.occupancy().collect()
     }
 
     /// Total valid registers across all banks.
     pub fn live_registers(&self) -> u32 {
-        self.scalar.regs.occupancy().sum()
+        self.regs.occupancy().sum()
     }
 
     /// Accumulated activity counters.
     pub fn activity(&self) -> Activity {
         self.scalar.activity
+    }
+
+    /// Makes this a machine for programs compiled for `cfg`: rebuilt if
+    /// it models another configuration, untouched otherwise.
+    fn prepare(&mut self, cfg: ArchConfig) {
+        if *self.config() != cfg {
+            *self = Machine::new(cfg);
+        }
+    }
+
+    fn reg(&self, bank: u32, addr: u32) -> Result<f32, SimError> {
+        let [v] = self.regs.read(bank, addr).ok_or(SimError::ReadInvalid {
+            bank,
+            addr,
+            cycle: self.regs.cycle(),
+        })?;
+        Ok(v)
+    }
+
+    /// An immediate (`load`/`copy`) register write, counted.
+    fn put(&mut self, bank: u32, value: f32) -> Result<(), SimError> {
+        self.regs
+            .write(bank, [value])
+            .map_err(|f| stamp(f, self.regs.cycle()))?;
+        self.scalar.activity.reg_writes += 1;
+        Ok(())
+    }
+
+    /// Ends the cycle: lands the due `exec` writebacks, counted.
+    fn end_cycle(&mut self) -> Result<(), SimError> {
+        let writes = &mut self.scalar.activity.reg_writes;
+        self.regs
+            .end_cycle(|_, _, _| *writes += 1)
+            .map_err(|f| stamp(f, self.regs.cycle()))?;
+        self.scalar.cycles = self.regs.cycle();
+        Ok(())
+    }
+
+    /// Drains the pipeline: ends cycles until nothing is in flight.
+    fn drain(&mut self) -> Result<(), SimError> {
+        let writes = &mut self.scalar.activity.reg_writes;
+        self.regs
+            .drain(|_, _, _| *writes += 1)
+            .map_err(|f| stamp(f, self.regs.cycle()))?;
+        self.scalar.cycles = self.regs.cycle();
+        Ok(())
+    }
+
+    /// Reads `(bank, addr)` for a `store`/`copy` word, clearing the valid
+    /// bit on a last read.
+    fn read_word(&mut self, bank: u32, addr: u32, valid_rst: bool) -> Result<f32, SimError> {
+        let v = self.reg(bank, addr)?;
+        self.scalar.activity.reg_reads += 1;
+        if valid_rst {
+            self.regs.free(bank, addr);
+        }
+        Ok(v)
     }
 
     /// Issues one instruction (one cycle) and lands due writebacks.
@@ -500,60 +532,36 @@ impl Machine {
     ///
     /// See [`SimError`].
     pub fn step(&mut self, instr: &Instr) -> Result<(), SimError> {
-        self.scalar.step(instr)
-    }
-
-    /// Runs a whole program (plus pipeline drain) from the current state,
-    /// one [`Machine::step`] per instruction — the oracle's program loop.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_program(&mut self, program: &Program) -> Result<(), SimError> {
-        self.scalar.run_program(program)
-    }
-
-    /// Makes this a machine for programs compiled for `cfg`: rebuilt if
-    /// it models another configuration, untouched otherwise.
-    fn prepare(&mut self, cfg: ArchConfig) {
-        if *self.config() != cfg {
-            *self = Machine::new(cfg);
-        }
-    }
-}
-
-/// The oracle: see [`Machine::step`].
-impl Lanes<1> {
-    fn step(&mut self, instr: &Instr) -> Result<(), SimError> {
-        let cfg = self.cfg;
+        let cfg = self.scalar.cfg;
         match instr {
             Instr::Nop => {}
             Instr::Load { row, mask } => {
-                self.check_row(*row)?;
-                self.activity.mem_reads += 1;
+                self.scalar.check_row(*row)?;
+                self.scalar.activity.mem_reads += 1;
                 for (bank, &m) in mask.iter().enumerate() {
                     if m {
-                        self.put(bank as u32, self.word(*row, bank as u32))?;
+                        let [v] = self.scalar.word(*row, bank as u32);
+                        self.put(bank as u32, v)?;
                     }
                 }
             }
             Instr::Store { row, reads } => {
-                self.check_row(*row)?;
-                self.activity.mem_writes += 1;
+                self.scalar.check_row(*row)?;
+                self.scalar.activity.mem_writes += 1;
                 for (col, r) in reads.iter().enumerate() {
                     if let Some(r) = r {
                         let v = self.read_word(r.bank, r.addr, r.valid_rst)?;
-                        *self.word_mut(*row, col as u32) = v;
+                        *self.scalar.word_mut(*row, col as u32) = [v];
                     }
                 }
             }
             Instr::StoreK { row, reads } => {
-                self.check_row(*row)?;
-                self.activity.mem_writes += 1;
+                self.scalar.check_row(*row)?;
+                self.scalar.activity.mem_writes += 1;
                 // A `store.k` word lands at the column of its source bank.
                 for r in reads {
                     let v = self.read_word(r.bank, r.addr, r.valid_rst)?;
-                    *self.word_mut(*row, r.bank) = v;
+                    *self.scalar.word_mut(*row, r.bank) = [v];
                 }
             }
             Instr::CopyK { moves } => {
@@ -561,7 +569,7 @@ impl Lanes<1> {
                 let mut staged = Vec::with_capacity(moves.len());
                 for m in moves {
                     let v = self.read_word(m.src.bank, m.src.addr, m.src.valid_rst)?;
-                    self.activity.crossbar_hops += 1;
+                    self.scalar.activity.crossbar_hops += 1;
                     staged.push((m.dst_bank, v));
                 }
                 for (bank, v) in staged {
@@ -569,12 +577,12 @@ impl Lanes<1> {
                 }
             }
             Instr::Exec(e) => {
-                self.activity.execs += 1;
+                self.scalar.activity.execs += 1;
                 // 1. Operand fetch through the input crossbar. A broadcast
                 // (the same `(bank, addr)` on several ports) reads the
                 // register file once: the first port fetches, later ports
                 // find it in `fetched`. `DecodedProgram::decode` makes the
-                // same decision with the same linear scan.
+                // same decision, keyed on the same `(bank, addr)`.
                 let mut fetched: Vec<(u32, u32, f32)> = Vec::new();
                 let mut port_vals: Vec<Option<f32>> = vec![None; cfg.banks as usize];
                 for (port, r) in e.reads.iter().enumerate() {
@@ -583,13 +591,13 @@ impl Lanes<1> {
                     let v = match hit {
                         Some(&(_, _, v)) => v,
                         None => {
-                            let [v] = self.reg(r.bank, r.addr)?;
-                            self.activity.reg_reads += 1;
+                            let v = self.reg(r.bank, r.addr)?;
+                            self.scalar.activity.reg_reads += 1;
                             fetched.push((r.bank, r.addr, v));
                             v
                         }
                     };
-                    self.activity.crossbar_hops += 1;
+                    self.scalar.activity.crossbar_hops += 1;
                     port_vals[port] = Some(v);
                 }
                 // rst after all reads of the cycle (idempotent per bank).
@@ -621,9 +629,9 @@ impl Lanes<1> {
                             let av = prev[base].unwrap_or(f32::NAN);
                             let bv = prev[base + 1].unwrap_or(f32::NAN);
                             if matches!(op, PeOpcode::BypassL | PeOpcode::BypassR) {
-                                self.activity.pe_bypass_ops += 1;
+                                self.scalar.activity.pe_bypass_ops += 1;
                             } else {
-                                self.activity.pe_arith_ops += 1;
+                                self.scalar.activity.pe_arith_ops += 1;
                             }
                             outs[(t * cfg.pes_in_layer(l) + i) as usize] = Some(op.apply(av, bv));
                         }
@@ -645,11 +653,17 @@ impl Lanes<1> {
         self.end_cycle()
     }
 
-    fn run_program(&mut self, program: &Program) -> Result<(), SimError> {
+    /// Runs a whole program (plus pipeline drain) from the current state,
+    /// one [`Machine::step`] per instruction — the oracle's program loop.
+    ///
+    /// # Errors
+    ///
+    /// See [`SimError`].
+    pub fn run_program(&mut self, program: &Program) -> Result<(), SimError> {
         let il = u64::from(encode::fetch_width(&program.config));
         for instr in &program.instrs {
             self.step(instr)?;
-            self.activity.instr_bits_fetched += il;
+            self.scalar.activity.instr_bits_fetched += il;
         }
         self.drain()
     }
@@ -689,9 +703,10 @@ pub fn run(compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
 /// Panics if `inputs` does not match the DAG's input count.
 pub fn run_on(m: &mut Machine, compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimError> {
     m.prepare(compiled.program.config);
-    let [run] = m
-        .scalar
-        .run_staged(compiled, [inputs], |s| s.run_program(&compiled.program))?;
+    m.regs.clear();
+    m.scalar.stage(compiled, [inputs])?;
+    m.run_program(&compiled.program)?;
+    let [run] = m.scalar.read_back(compiled)?;
     Ok(run)
 }
 

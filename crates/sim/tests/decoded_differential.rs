@@ -6,11 +6,13 @@
 //! tiny-register config that forces compiler spills) — and on hand-built
 //! instructions the compiler would never emit. The same holds lane by
 //! lane when [`run_decoded_group`] carries several input sets through one
-//! pass: every group size, padded tail and lone remainder included.
+//! pass: every group size, padded tail and short remainder included. And
+//! a program the oracle faults on is refused by
+//! [`DecodedProgram::decode`] with the oracle's exact error.
 
 use dpu_compiler::{compile, CompileOptions};
 use dpu_dag::{Dag, DagBuilder, NodeId, Op};
-use dpu_isa::{ArchConfig, ExecInstr, Instr, PeId, PeOpcode, PortRead, Program};
+use dpu_isa::{ArchConfig, CopyMove, ExecInstr, Instr, PeId, PeOpcode, PortRead, Program, RegRead};
 use dpu_sim::{
     run_decoded_group, run_decoded_on, run_on, DecodedProgram, Machine, RunResult, SimError,
 };
@@ -178,12 +180,16 @@ fn lane_points() -> Vec<(&'static str, Dag, ArchConfig)> {
     ]
 }
 
-/// Groups of 1..=17 input sets — a lone input, every padded tail, two
-/// exact multiples of the lane count and a lone remainder after them —
-/// give each member exactly what it gets alone, from the decoded executor
-/// and from the oracle.
+/// Groups of 1..=17 input sets — a lone input, a pair run one lane wide,
+/// every padded tail, two exact multiples of the lane count and the short
+/// remainders after them — give each member exactly what it gets alone,
+/// from the decoded executor and from the oracle. Then one machine
+/// alternates between two of the programs through every group size: a
+/// tape never clears its value slots, so whatever the other program left
+/// in them must never be read.
 #[test]
 fn every_lane_of_every_group_size_matches_the_scalar_run_and_the_oracle() {
+    let mut same_config = Vec::new();
     for (name, dag, cfg) in lane_points() {
         let compiled = compile(&dag, &cfg, &CompileOptions::default()).unwrap();
         if name == "spilling" {
@@ -191,11 +197,11 @@ fn every_lane_of_every_group_size_matches_the_scalar_run_and_the_oracle() {
         }
         let decoded = DecodedProgram::decode(&compiled.program).unwrap();
         let inputs: Vec<Vec<f32>> = (0..17).map(|k| inputs_for(&dag, k)).collect();
-        let mut alone_machine = Machine::new(cfg);
         let mut oracle_machine = Machine::new(cfg);
+        // Each input alone, each on a machine nothing else has run on.
         let alone: Vec<RunResult> = inputs
             .iter()
-            .map(|i| run_decoded_on(&mut alone_machine, &compiled, &decoded, i).unwrap())
+            .map(|i| run_decoded_on(&mut Machine::new(cfg), &compiled, &decoded, i).unwrap())
             .collect();
         for (k, i) in inputs.iter().enumerate() {
             let oracle = run_on(&mut oracle_machine, &compiled, i).unwrap();
@@ -217,13 +223,170 @@ fn every_lane_of_every_group_size_matches_the_scalar_run_and_the_oracle() {
                 assert_same("lane vs alone", &point, &alone[k], lane.as_ref().unwrap());
             }
         }
+        if cfg == ArchConfig::min_edp() {
+            same_config.push((name, compiled, decoded, inputs, alone));
+        }
+    }
+    let mut shared = Machine::new(ArchConfig::min_edp());
+    for n in 1..=17 {
+        for (name, compiled, decoded, inputs, alone) in &same_config[..2] {
+            let group = run_decoded_group(&mut shared, compiled, decoded, &inputs[..n]);
+            for (k, lane) in group.iter().enumerate() {
+                let point = format!("alternating, {name} group of {n}, member {k}");
+                assert_same("shared vs fresh", &point, &alone[k], lane.as_ref().unwrap());
+            }
+        }
     }
 }
 
-/// A fault is the program's, not the data's: a corrupt program fails
-/// every member of every group with exactly the error — variant, bank,
-/// address, cycle — the scalar run and the oracle report. The corruptions
-/// are those of `packed_and_faults.rs`, plus a write-port clash.
+/// A hand-built program over two input words, `(0, 0)` and `(0, 1)`,
+/// whose output word `(1, k)` must hold input `want[k]` — wrapped as a
+/// [`Compiled`](dpu_compiler::Compiled) so that it can be run as a group:
+/// the oracle, the one-lane tape walk and each lane of a group of eight
+/// must agree bit for bit.
+fn assert_hand_built_program(name: &str, cfg: ArchConfig, instrs: Vec<Instr>, want: &[usize]) {
+    let n_inputs = 2;
+    let mut b = DagBuilder::new();
+    let ids: Vec<NodeId> = (0..n_inputs).map(|_| b.input()).collect();
+    b.node(Op::Add, &ids).unwrap();
+    let mut program = compile(&b.finish().unwrap(), &cfg, &CompileOptions::default()).unwrap();
+    program.program.instrs = instrs;
+    program.layout.input_slots = (0..n_inputs as u32).map(|k| (0, k)).collect();
+    program.layout.output_slots = (0..want.len() as u32).map(|k| (1, k)).collect();
+    let decoded = DecodedProgram::decode(&program.program).unwrap();
+    let inputs: Vec<Vec<f32>> = (0..8)
+        .map(|k| vec![1.5 + k as f32, -0.25 - k as f32])
+        .collect();
+    let mut m = Machine::new(cfg);
+    let group = run_decoded_group(&mut m, &program, &decoded, &inputs);
+    for (k, i) in inputs.iter().enumerate() {
+        let point = format!("{name}, input {k}");
+        let oracle = run_on(&mut m, &program, i).unwrap();
+        let expected: Vec<f32> = want.iter().map(|&w| i[w]).collect();
+        assert_eq!(oracle.outputs, expected, "{point}: the oracle itself");
+        let alone = run_decoded_on(&mut m, &program, &decoded, i).unwrap();
+        assert_same("alone vs oracle", &point, &oracle, &alone);
+        assert_same(
+            "lane vs oracle",
+            &point,
+            &oracle,
+            group[k].as_ref().unwrap(),
+        );
+    }
+}
+
+fn reg(bank: u32, addr: u32, valid_rst: bool) -> RegRead {
+    RegRead {
+        bank,
+        addr,
+        valid_rst,
+    }
+}
+
+/// The two orderings a tape can get wrong where a cycle loop cannot,
+/// because a register file frees and re-fills *registers* while a tape
+/// only ever sees their slots.
+///
+/// `copy.k` reads all its sources before it writes: a destination may be
+/// the very register a later move of the same instruction read and freed
+/// (the encoder hands out the lowest free address), and two moves may
+/// even swap two registers.
+#[test]
+fn a_copy_may_write_the_register_its_own_later_move_frees() {
+    let cfg = ArchConfig::new(1, 4, 4).unwrap();
+    let load_a_b = Instr::Load {
+        row: 0,
+        mask: vec![true, true, false, false],
+    };
+    let store = |reads: [Option<RegRead>; 4]| Instr::Store {
+        row: 1,
+        reads: reads.to_vec(),
+    };
+    let mv = |src: RegRead, dst_bank: u32| CopyMove { src, dst_bank };
+    // (0,0) = a, (1,0) = b. Move 0 copies a into bank 1, move 1 moves b
+    // out of (1,0) into bank 2 — and frees it, so move 0 lands *in*
+    // (1,0). In-order slot moves would hand move 1 the copy of a.
+    assert_hand_built_program(
+        "chain",
+        cfg,
+        vec![
+            load_a_b.clone(),
+            Instr::CopyK {
+                moves: vec![mv(reg(0, 0, false), 1), mv(reg(1, 0, true), 2)],
+            },
+            store([
+                Some(reg(0, 0, false)),
+                Some(reg(1, 0, false)),
+                Some(reg(2, 0, false)),
+                None,
+            ]),
+        ],
+        &[0, 0, 1],
+    );
+    // Both moves free their source, and each lands in the other's.
+    assert_hand_built_program(
+        "swap",
+        cfg,
+        vec![
+            load_a_b,
+            Instr::CopyK {
+                moves: vec![mv(reg(0, 0, true), 1), mv(reg(1, 0, true), 0)],
+            },
+            store([Some(reg(0, 0, false)), Some(reg(1, 0, false)), None, None]),
+        ],
+        &[1, 0],
+    );
+}
+
+/// An `exec` result latched through bypass PEs straight from a port is
+/// the port register's value *at issue*: the register may be freed by
+/// that same read and hold something else by the time the result lands,
+/// `D` cycles later.
+#[test]
+fn a_bypassed_writeback_carries_the_value_its_port_read_at_issue() {
+    let cfg = ArchConfig::new(2, 4, 4).unwrap();
+    let load_bank0 = |row| Instr::Load {
+        row,
+        mask: vec![true, false, false, false],
+    };
+    let mut exec = ExecInstr::idle(&cfg);
+    exec.reads[0] = Some(PortRead {
+        bank: 0,
+        addr: 0,
+        valid_rst: true,
+    });
+    exec.pe_ops[PeId::new(0, 1, 0).flat_index(&cfg) as usize] = PeOpcode::BypassL;
+    exec.pe_ops[PeId::new(0, 2, 0).flat_index(&cfg) as usize] = PeOpcode::BypassL;
+    exec.writes[1] = Some(PeId::new(0, 2, 0));
+    assert_hand_built_program(
+        "bypass chain",
+        cfg,
+        vec![
+            // Cycle 0: (0,0) = a.
+            load_bank0(0),
+            // Cycle 1: a, read and freed, is due in bank 1 after cycle 3.
+            Instr::Exec(exec),
+            // Cycle 2: (0,0) is the lowest free register of bank 0 again
+            // and takes a word of row 2, which nothing wrote: zero. A
+            // landing that read the register's slot now would latch it.
+            load_bank0(2),
+            Instr::Nop,
+            Instr::Store {
+                row: 1,
+                reads: vec![Some(reg(1, 0, false)), None, None, None],
+            },
+        ],
+        &[0],
+    );
+}
+
+/// A fault is the program's, not the data's, so it is raised once, by
+/// `decode`, before any lane runs: a corrupt program is refused with
+/// exactly the error — variant, bank, address, cycle — the oracle reports
+/// when it runs it. The corruptions are those of `packed_and_faults.rs`,
+/// plus a write-port clash. (Through the engine, the same error fails
+/// each member of the program's group: `dpu-runtime`'s
+/// `a_corrupt_cached_program_fails_its_group_and_nothing_else`.)
 #[test]
 fn a_faulting_program_fails_every_lane_with_the_scalar_error() {
     let (_, dag, cfg) = lane_points().swap_remove(0);
@@ -277,13 +440,17 @@ fn a_faulting_program_fails_every_lane_with_the_scalar_error() {
         .instrs
         .insert(at + depth, Instr::Load { row: 0, mask });
 
-    let inputs: Vec<Vec<f32>> = (0..11).map(|k| inputs_for(&dag, k)).collect();
+    let inputs: Vec<Vec<f32>> = (0..3).map(|k| inputs_for(&dag, k)).collect();
+    let good_decoded = DecodedProgram::decode(&good.program).unwrap();
+    let served: Vec<RunResult> = inputs
+        .iter()
+        .map(|i| run_decoded_on(&mut Machine::new(cfg), &good, &good_decoded, i).unwrap())
+        .collect();
     for (name, bad) in [
         ("premature rst", premature_rst),
         ("overflow", overflow),
         ("port clash", clash),
     ] {
-        let decoded = DecodedProgram::decode(&bad.program).unwrap();
         let mut m = Machine::new(cfg);
         let want = run_on(&mut m, &bad, &inputs[0]).unwrap_err();
         match name {
@@ -292,20 +459,15 @@ fn a_faulting_program_fails_every_lane_with_the_scalar_error() {
             _ => assert!(matches!(want, SimError::WritePortClash { .. }), "{want:?}"),
         }
         assert_eq!(
-            run_decoded_on(&mut m, &bad, &decoded, &inputs[0]).unwrap_err(),
+            DecodedProgram::decode(&bad.program).unwrap_err(),
             want,
-            "{name}: scalar decoded run vs oracle"
+            "{name}: decode vs the oracle's run"
         );
-        for n in [2, 7, 8, 9, 11] {
-            let group = run_decoded_group(&mut m, &bad, &decoded, &inputs[..n]);
-            assert_eq!(group.len(), n);
-            for (k, lane) in group.into_iter().enumerate() {
-                assert_eq!(lane.unwrap_err(), want, "{name}: group of {n}, member {k}");
-            }
+        // The machine the oracle faulted on serves a good program next.
+        let after = run_decoded_group(&mut m, &good, &good_decoded, &inputs);
+        for (k, (lane, want)) in after.iter().zip(&served).enumerate() {
+            let point = format!("{name}, then input {k}");
+            assert_same("after a fault", &point, want, lane.as_ref().unwrap());
         }
-        // The machine is usable afterwards.
-        let good_decoded = DecodedProgram::decode(&good.program).unwrap();
-        let after = run_decoded_group(&mut m, &good, &good_decoded, &inputs[..3]);
-        assert!(after.iter().all(Result::is_ok), "{name}: machine poisoned");
     }
 }

@@ -1,15 +1,17 @@
 //! Static program verifier for compiled DPU-v2 programs.
 //!
-//! The cycle-level simulator (`dpu-sim`) *checks* hazards at run time:
-//! reading an empty register, clashing writebacks or bank overflow abort
-//! the run. This crate proves the same invariants **without executing the
-//! program**, by replaying the instruction stream once over a register
+//! The cycle-level simulator (`dpu-sim`) *checks* hazards: reading an
+//! empty register, clashing writebacks or bank overflow reject the
+//! program, when its oracle steps into them or when its decode resolves
+//! the schedule. This crate proves the same invariants **without the
+//! simulator**, by replaying the instruction stream once over a register
 //! file that tracks occupancy instead of values. The replay does not
-//! mirror [`dpu_sim::Machine::step`], it *is* the same code: both run
-//! [`dpu_isa::RegFile`] — the automatic write-address generator,
-//! `valid_rst` freeing, the `D+1`-slot writeback ring — the simulator as
-//! `RegFile<f32>`, this crate as `RegFile<()>`. So a program accepted
-//! here cannot raise a structural `SimError` on any input.
+//! mirror [`dpu_sim::Machine::step`], it *is* the same code: all of them
+//! run [`dpu_isa::RegFile`] — the automatic write-address generator,
+//! `valid_rst` freeing, the `D+1`-slot writeback ring — the oracle with
+//! values, decode with value-slot ids, this crate as `RegFile<()>`. So a
+//! program accepted here cannot raise a structural `SimError` on any
+//! input.
 //!
 //! [`verify_program`] checks, in one pass:
 //!

@@ -1,9 +1,9 @@
-//! Decoded pipeline: decode a compiled program once into its flat
-//! micro-op form, run it over many input sets, and compare against the
-//! oracle interpreter the test suite checks it with — then hand the same
-//! inputs over as one group (eight per pass through the program), and
-//! group a mixed request round by program so each decode is shared
-//! across every request that uses it.
+//! Decoded pipeline: decode a compiled program once — its whole
+//! schedule resolved into a straight-line value tape — run it over many
+//! input sets, and compare against the oracle interpreter the test suite
+//! checks it with — then hand the same inputs over as one group (eight
+//! per walk of the tape), and group a mixed request round by program so
+//! each decode is shared across every request that uses it.
 //!
 //! Run with `cargo run --release --example decoded_pipeline`.
 
@@ -18,14 +18,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compiled = dpu.compile(&dag)?;
     let decoded = DecodedProgram::decode(&compiled.program)?;
     println!(
-        "program: {} instructions, decoded once into flat micro-op arrays",
-        compiled.program.len()
+        "program: {} instructions, decoded once: every run takes {} cycles",
+        compiled.program.len(),
+        decoded.cycles()
     );
 
     // 2. One program, many inputs: the oracle (`sim::run_on`, the plain
-    //    specification, untuned) re-walks the instruction structure every
-    //    run; the decoded form — what every production path runs — just
-    //    indexes.
+    //    specification, untuned) re-enacts the register file every run;
+    //    the decoded form — what every production path runs — replayed it
+    //    once, at decode, and only moves values.
     let runs = 200;
     let input_sets: Vec<Vec<f32>> = (0..runs).map(|i| pc_inputs(&dag, i as u64)).collect();
     let mut machine = sim::Machine::new(dpu.config);
@@ -38,9 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{runs} runs: decoded outputs, cycles and activity byte-identical to the oracle");
 
-    // 3. The group call: the same inputs, eight per pass through the
-    //    program (a schedule does not depend on the data, so the lanes
-    //    share one walk, one set of valid bits and every port check).
+    // 3. The group call: the same inputs, eight per walk of the tape (a
+    //    schedule does not depend on the data, so the lanes share it).
     //    Each result is what step 2 got for that input alone.
     let group = sim::run_decoded_group(&mut machine, &compiled, &decoded, &input_sets);
     for (inputs, got) in input_sets.iter().zip(group) {

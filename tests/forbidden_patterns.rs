@@ -1,7 +1,8 @@
 //! Source-level lint enforcing architectural invariants that the type
 //! system cannot: the simulator stays deterministic (no wall-clock
-//! reads), the one decoded cycle loop stays allocation-free and groups
-//! run through it eight lanes at a time, the runtime's
+//! reads), the one per-request loop — the walk of a decoded program's
+//! value tape — allocates nothing, touches no register file and counts
+//! nothing, groups run through it eight lanes at a time, the runtime's
 //! backpressure story stays intact (exactly one deliberately unbounded
 //! channel, behind the admission gate), the oracle interpreter stays off
 //! every production path, the dispatcher keeps one path that shares
@@ -100,11 +101,14 @@ fn sim_never_reads_the_wall_clock() {
 
 #[test]
 fn run_decoded_cycle_loop_never_allocates() {
-    // The whole point of the pre-decoded pipeline is that per-cycle work
-    // is indexing into flat arrays built once at decode time. Any heap
-    // allocation inside the cycle loop silently re-introduces the
-    // per-instruction cost the decoder exists to remove, so the loop is
-    // fenced with markers and scanned for the allocating idioms.
+    // The whole point of the pre-decoded pipeline is that everything a
+    // run decides apart from the values — register addresses, valid
+    // bits, landings, cycles, `Activity`, every fault — is resolved once,
+    // at decode, and the per-request loop only moves values along a flat
+    // tape. A heap allocation in that loop, a register-file call, a
+    // counter bumped or a cycle ended there silently re-introduces the
+    // per-request bookkeeping the decoder exists to remove, so the loop
+    // is fenced with markers and scanned for those idioms.
     //
     // There is one such loop, generic over the lane count: the fence must
     // sit inside `impl<const L: usize> Lanes<L>`, and a second marker
@@ -134,7 +138,15 @@ fn run_decoded_cycle_loop_never_allocates() {
     let before = text[..start].lines().count();
     let mut hits = Vec::new();
     for (idx, line) in text[start..end].lines().enumerate() {
-        for pattern in ["Vec::new", "vec![", "to_vec"] {
+        for pattern in [
+            "Vec::new",
+            "vec![",
+            "to_vec",
+            "regs.",
+            "RegFile",
+            "activity.",
+            "end_cycle",
+        ] {
             if line.contains(pattern) {
                 hits.push(format!(
                     "{}:{}: {}",
@@ -147,7 +159,7 @@ fn run_decoded_cycle_loop_never_allocates() {
     }
     assert!(
         hits.is_empty(),
-        "run_decoded's cycle loop must not allocate:\n{}",
+        "run_decoded's loop walks values only — no allocation, register file or counters:\n{}",
         hits.join("\n")
     );
 }
@@ -262,10 +274,11 @@ fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
 fn register_write_policy_is_stated_once() {
     // Lowest-free write, the `D+1`-slot writeback ring and one write per
     // bank per cycle are `dpu_isa::RegFile`; the compiler's address
-    // replay, the static verifier and the simulator instantiate it. A
-    // priority-encoder search or ring-slot arithmetic anywhere else under
-    // `crates/*/src` is a fourth copy of the policy. (`emit.rs` searches
-    // for a free *bank*, `.position(|&u| !u)` — a different decision.)
+    // replay, the static verifier, the simulator's decode and its oracle
+    // instantiate it. A priority-encoder search or ring-slot arithmetic
+    // anywhere else under `crates/*/src` is another copy of the policy.
+    // (`emit.rs` searches for a free *bank*, `.position(|&u| !u)` — a
+    // different decision.)
     const POLICY: [&str; 7] = [
         ".position(Option::is_none)",
         ".position(|v| !v)",

@@ -8,7 +8,21 @@
 
 use dpu_core::isa::Instr;
 use dpu_core::prelude::*;
+use dpu_core::sim::{DecodedProgram, Machine};
 use dpu_core::verify::VerifyError;
+
+/// The simulator's own verdict on a mutant, reached two ways that must
+/// agree: `DecodedProgram::decode`, which replays the schedule once for
+/// every production run, and the oracle stepping through the program
+/// (register traffic does not depend on the data, so memory stays zero).
+/// The verifier checks more than the simulator needs — the output
+/// interconnect, the declared footprint and cycle count — so some mutants
+/// it refuses run clean; what matters here is `Ok` or the same `SimError`.
+fn decode_verdict_is_the_oracles(c: &Compiled) {
+    let oracle = Machine::new(c.program.config).run_program(&c.program);
+    let decoded = DecodedProgram::decode(&c.program).map(|_| ());
+    assert_eq!(decoded, oracle);
+}
 
 /// A known-good program with headroom: `R = 64` on a DAG small enough
 /// that no bank's occupancy ever reaches 32, so flipping bit 5 of any
@@ -53,6 +67,7 @@ fn bit_flipped_register_index_is_rejected_as_undefined_read() {
         VerifyError::ReadUndefined { addr, .. } => assert_eq!(addr, want_addr),
         other => panic!("wrong diagnostic: {other}"),
     }
+    decode_verdict_is_the_oracles(&c);
 }
 
 #[test]
@@ -69,6 +84,7 @@ fn dropped_store_is_rejected_as_missing_output() {
         matches!(c.verify().unwrap_err(), VerifyError::OutputNotStored { .. }),
         "dropping the final store must surface as an uncovered output"
     );
+    decode_verdict_is_the_oracles(&c);
 }
 
 #[test]
@@ -97,6 +113,7 @@ fn rewired_interconnect_switch_is_rejected_as_structural() {
         ),
         other => panic!("wrong diagnostic: {other}"),
     }
+    decode_verdict_is_the_oracles(&c);
 }
 
 #[test]
@@ -112,6 +129,7 @@ fn shrunken_footprint_is_rejected_as_overflow() {
         ),
         "footprint must be checked against the config's data memory"
     );
+    decode_verdict_is_the_oracles(&c);
 }
 
 #[test]
@@ -130,4 +148,5 @@ fn misdeclared_cycle_count_is_rejected_as_cycle_mismatch() {
             declared: replayed + 1
         }
     );
+    decode_verdict_is_the_oracles(&c);
 }

@@ -8,11 +8,14 @@
 //! trust boundaries built on the analyzer (debug-build compile checks,
 //! spill-load admission, steal compatibility). The verifier and the
 //! simulator run the same register-file code (`dpu_isa::RegFile`); the
-//! last assertions state their agreement on a whole program outright.
+//! last assertions state their agreement on a whole program outright —
+//! including the third replay, the one `DecodedProgram::decode` makes to
+//! resolve the schedule, whose stored cycle count and `Activity` are what
+//! every production run reports.
 
 use dpu_core::isa::{Instr, Program};
 use dpu_core::prelude::*;
-use dpu_core::sim::Machine;
+use dpu_core::sim::{DecodedProgram, Machine};
 use proptest::prelude::*;
 
 fn arb_dag() -> impl Strategy<Value = Dag> {
@@ -93,6 +96,14 @@ proptest! {
             m.step(&Instr::Nop).expect("drain");
             sample(&m);
         }
+        // Three replays agree: decode's stored constants are the
+        // verifier's cycle count and the oracle's counters.
+        let decoded = DecodedProgram::decode(&compiled.program).expect("verified programs decode");
+        let mut oracle = Machine::new(cfg);
+        oracle.run_program(&compiled.program).expect("verified programs never fault");
+        prop_assert_eq!(decoded.cycles(), report.cycles);
+        prop_assert_eq!(decoded.cycles(), oracle.cycle());
+        prop_assert_eq!(decoded.activity(), oracle.activity());
         if report.facts.min_regs_per_bank > 2 {
             prop_assert_eq!(peak, report.facts.min_regs_per_bank);
         } else {
