@@ -1,4 +1,5 @@
-//! Paper anchors: the Table III / Fig. 14(a) text at full scale, pinned.
+//! Paper anchors: the Table III / Fig. 14(a), Fig. 10(b) and Fig. 13 text,
+//! pinned.
 //!
 //! The compiler's address resolution and the simulator's state are what
 //! every reproduced number hangs off, and CI runs none of the `fig*` /
@@ -8,6 +9,11 @@
 //! where DPU beats DPU-v2), the suite means, the speedups over CPU and the
 //! EDP line. Release only (about 3 s there, minutes in a debug build):
 //! `cargo test --release -p dpu-bench --test paper_anchors`.
+//!
+//! Fig. 10(b) is the bank allocator's published number (conflict-aware vs
+//! random, at the experiment's default half scale) and Fig. 13's
+//! instruction totals sum what every compiler pass emitted; both read
+//! `DPU_SCALE` like the binaries they back, so these tests expect it unset.
 //!
 //! The text is exact because compilation is deterministic (the spiller
 //! once stored an instruction's victims in hash-map order, and every
@@ -41,5 +47,46 @@ fn table3_small_reproduces_the_committed_text() {
     assert_eq!(
         dpu_bench::experiments::table3_small(1.0),
         TABLE3_SMALL_AT_SCALE_1
+    );
+}
+
+const FIG10_CONFLICTS: &str = r"== Fig. 10(b): bank conflicts, conflict-aware vs random ==
+workload  ours  random  ratio
+ tretail    67    5340    80x
+   mnist    84    5699    68x
+   nltcs   121    8031    66x
+  bp_200     6    1750   292x
+   TOTAL   278   20820    75x
+paper: random/ours = 292x
+";
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "half-scale compiles: release builds only")]
+fn fig10_conflicts_reproduces_the_committed_text() {
+    assert_eq!(dpu_bench::experiments::fig10_conflicts(), FIG10_CONFLICTS);
+}
+
+const FIG13_INSTR_BREAKDOWN: &str = r"== Fig. 13: instruction breakdown (scale 1) ==
+workload  exec  copy  load  store  nop  total
+ tretail   26%    6%    3%     0%  64%   1690
+   mnist   27%    6%    3%     0%  63%   1704
+   nltcs   28%    9%    3%     0%  60%   2294
+   msnbc   13%    5%   30%    29%  24%  17154
+   msweb   27%    8%    5%     2%  57%   9489
+bnetflix   22%    8%   13%    11%  45%  12232
+  bp_200   27%    3%   27%     1%  41%    654
+west2021   26%    0%   26%     2%  45%    945
+  sieber   25%    7%   34%     9%  24%   2114
+jagmesh4   15%    9%   41%    26%   9%   6420
+  rdb968   16%    7%   41%    26%  10%   7107
+  dw2048   10%    5%   43%    33%   8%  19519
+";
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "full-scale suite: release builds only")]
+fn fig13_instr_breakdown_reproduces_the_committed_text() {
+    assert_eq!(
+        dpu_bench::experiments::fig13_instr_breakdown(),
+        FIG13_INSTR_BREAKDOWN
     );
 }

@@ -193,15 +193,17 @@ pub fn compile(
     cfg: &ArchConfig,
     opts: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
+    // Table I's compile-time column covers binarization too.
+    let started = Instant::now();
     let (bin, map) = dag.binarize();
     let outputs: Vec<NodeId> = {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; bin.len()];
         dag.sinks()
             .map(|s| map[s.index()])
-            .filter(|o| seen.insert(*o))
+            .filter(|o| !std::mem::replace(&mut seen[o.index()], true))
             .collect()
     };
-    let mut c = compile_binary(&bin, cfg, &outputs, opts)?;
+    let mut c = compile_from(started, &bin, cfg, &outputs, opts)?;
     c.orig_to_bin = map;
     Ok(c)
 }
@@ -221,11 +223,22 @@ pub fn compile_binary(
     outputs: &[NodeId],
     opts: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
+    compile_from(Instant::now(), bin, cfg, outputs, opts)
+}
+
+/// [`compile_binary`], with [`CompileStats::compile_ms`] counted from
+/// `started`.
+fn compile_from(
+    started: Instant,
+    bin: &Dag,
+    cfg: &ArchConfig,
+    outputs: &[NodeId],
+    opts: &CompileOptions,
+) -> Result<Compiled, CompileError> {
     assert!(bin.is_binary(), "compile_binary requires a binary DAG");
     for &o in outputs {
         bin.check_node(o).expect("output id in range");
     }
-    let t0 = Instant::now();
 
     // Step 1 (with GRAPHOPT partitioning for very large DAGs, §V-B).
     let mut mapped = vec![false; bin.len()];
@@ -287,7 +300,7 @@ pub fn compile_binary(
         program_bits,
         program_bits_explicit,
         footprint: fp,
-        compile_ms: t0.elapsed().as_secs_f64() * 1e3,
+        compile_ms: started.elapsed().as_secs_f64() * 1e3,
     };
 
     let compiled = Compiled {

@@ -22,8 +22,6 @@
 //! Every repaired value counts as one bank conflict (Fig. 6(e), Fig. 10(b)
 //! metric); each conflict costs one stall cycle worth of `copy` bandwidth.
 
-use std::collections::HashMap;
-
 use dpu_dag::{Dag, NodeId, Op};
 use dpu_isa::{interconnect, ArchConfig, Instr};
 
@@ -86,12 +84,12 @@ pub fn emit(
     // instead of one per value (constraint F already guarantees a block's
     // inputs occupy distinct banks, i.e. distinct row columns).
     let input_nodes: Vec<NodeId> = dag.nodes().filter(|&v| dag.op(v) == Op::Input).collect();
-    let mut slot_of: HashMap<NodeId, (u32, u32)> = HashMap::new();
+    let mut slot_of: Vec<(u32, u32)> = vec![NO_SLOT; dag.len()];
     let mut next_row: u32 = 0;
     for blk in blocks {
         let mut open_rows: Vec<(u32, Vec<u32>)> = Vec::new();
         for &v in &blk.inputs {
-            if dag.op(v) != Op::Input || slot_of.contains_key(&v) {
+            if dag.op(v) != Op::Input || slot_of[v.index()] != NO_SLOT {
                 continue;
             }
             let bank = assign.bank(v);
@@ -108,14 +106,14 @@ pub fn emit(
                     next_row - 1
                 }
             };
-            slot_of.insert(v, (row, bank));
+            slot_of[v.index()] = (row, bank);
         }
     }
     // Inputs never consumed by any block (e.g. stored directly) get
     // trailing rows.
     for &v in &input_nodes {
-        if assign.bank_of[v.index()].is_some() && !slot_of.contains_key(&v) {
-            slot_of.insert(v, (next_row, assign.bank(v)));
+        if assign.bank_of[v.index()].is_some() && slot_of[v.index()] == NO_SLOT {
+            slot_of[v.index()] = (next_row, assign.bank(v));
             next_row += 1;
         }
     }
@@ -125,27 +123,27 @@ pub fn emit(
     // block actually needs, so unrelated inputs sharing a row do not
     // occupy registers early (whole-row loads were measured to spill-thrash
     // on wide PCs).
-    let mut value_loaded: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    let emit_loads_for =
-        |needed: &[NodeId],
-         instrs: &mut Vec<AInstr>,
-         value_loaded: &mut std::collections::HashSet<NodeId>| {
-            let mut by_row: HashMap<u32, Vec<(u32, NodeId)>> = HashMap::new();
+    let mut value_loaded = vec![false; dag.len()];
+    let mut to_load: Vec<(u32, u32, NodeId)> = Vec::new();
+    let mut emit_loads_for =
+        |needed: &[NodeId], instrs: &mut Vec<AInstr>, value_loaded: &mut [bool]| {
+            to_load.clear();
             for &v in needed {
-                if let Some(&(row, col)) = slot_of.get(&v) {
-                    if value_loaded.insert(v) {
-                        by_row.entry(row).or_default().push((col, v));
-                    }
+                let (row, col) = slot_of[v.index()];
+                if (row, col) != NO_SLOT && !value_loaded[v.index()] {
+                    value_loaded[v.index()] = true;
+                    to_load.push((row, col, v));
                 }
             }
-            let mut rows: Vec<u32> = by_row.keys().copied().collect();
-            rows.sort_unstable();
-            for row in rows {
-                let mut dests = by_row.remove(&row).expect("row exists");
-                dests.sort_unstable_by_key(|&(c, _)| c);
+            push_by_row(&mut to_load, |row, dests| {
                 instrs.push(AInstr::Load { row, dests });
-            }
+            });
         };
+
+    // Per-block scratch. `effective_bank[v]` is the bank the exec reads
+    // input `v` from (`NO_BANK` outside the block being emitted).
+    let mut bank_owner: Vec<Option<NodeId>> = vec![None; cfg.banks as usize];
+    let mut effective_bank: Vec<u32> = vec![NO_BANK; dag.len()];
 
     // ---- Emit blocks with just-in-time loads and conflict repair.
     for blk in blocks {
@@ -153,15 +151,14 @@ pub fn emit(
             .inputs
             .iter()
             .copied()
-            .filter(|v| dag.op(*v) == Op::Input && !value_loaded.contains(v))
+            .filter(|v| dag.op(*v) == Op::Input && !value_loaded[v.index()])
             .collect();
         emit_loads_for(&needed, &mut instrs, &mut value_loaded);
 
         // Read-conflict repair: distinct values sharing a bank. All home
         // banks are reserved up front so a repair copy never lands on the
         // home of another input of the same exec.
-        let mut bank_owner: HashMap<u32, NodeId> = HashMap::new();
-        let mut effective_bank: HashMap<NodeId, u32> = HashMap::new();
+        bank_owner.fill(None);
         let mut pending_moves: Vec<(u32, NodeId, u32)> = Vec::new();
         let mut used_banks: Vec<bool> = vec![false; cfg.banks as usize];
         for &v in &blk.inputs {
@@ -169,12 +166,12 @@ pub fn emit(
         }
         for &v in &blk.inputs {
             let b = assign.bank(v);
-            match bank_owner.get(&b) {
+            match bank_owner[b as usize] {
                 None => {
-                    bank_owner.insert(b, v);
-                    effective_bank.insert(v, b);
+                    bank_owner[b as usize] = Some(v);
+                    effective_bank[v.index()] = b;
                 }
-                Some(&w) if w == v => {}
+                Some(w) if w == v => {}
                 Some(_) => {
                     conflicts.read_conflicts += 1;
                     // Copy v to a free bank for this exec.
@@ -184,8 +181,8 @@ pub fn emit(
                         .ok_or(EmitError::NoFreeBank(v))? as u32;
                     used_banks[dst as usize] = true;
                     pending_moves.push((b, v, dst));
-                    effective_bank.insert(v, dst);
-                    bank_owner.insert(dst, v);
+                    effective_bank[v.index()] = dst;
+                    bank_owner[dst as usize] = Some(v);
                 }
             }
         }
@@ -230,13 +227,16 @@ pub fn emit(
             .port_reads
             .iter()
             .map(|&(port, v)| {
-                let b = effective_bank
-                    .get(&v)
-                    .copied()
-                    .unwrap_or_else(|| assign.bank(v));
+                let b = match effective_bank[v.index()] {
+                    NO_BANK => assign.bank(v),
+                    b => b,
+                };
                 (port, b, v)
             })
             .collect();
+        for &v in &blk.inputs {
+            effective_bank[v.index()] = NO_BANK;
+        }
         instrs.push(AInstr::Exec {
             reads,
             pe_ops: blk.pe_config.clone(),
@@ -249,35 +249,29 @@ pub fn emit(
     // ---- Output layout and final stores.
     let mut out_rows_per_bank = vec![0u32; cfg.banks as usize];
     let mut output_slots = Vec::with_capacity(outputs.len());
-    let mut out_slot_of: HashMap<NodeId, (u32, u32)> = HashMap::new();
+    let mut out_slot_of: Vec<(u32, u32)> = vec![NO_SLOT; dag.len()];
+    let mut to_store: Vec<(u32, u32, NodeId)> = Vec::new();
     for &v in outputs {
-        if let Some(&s) = out_slot_of.get(&v) {
-            output_slots.push(s);
+        if out_slot_of[v.index()] != NO_SLOT {
+            output_slots.push(out_slot_of[v.index()]);
             continue;
         }
         let bank = assign.bank(v);
         let row = in_rows + out_rows_per_bank[bank as usize];
         out_rows_per_bank[bank as usize] += 1;
-        out_slot_of.insert(v, (row, bank));
+        out_slot_of[v.index()] = (row, bank);
+        to_store.push((row, bank, v));
         output_slots.push((row, bank));
 
         // Degenerate case: an output that is a DAG input must be loaded
         // before it can be stored.
-        if dag.op(v) == Op::Input && !value_loaded.contains(&v) {
+        if dag.op(v) == Op::Input && !value_loaded[v.index()] {
             emit_loads_for(&[v], &mut instrs, &mut value_loaded);
         }
     }
     let out_rows = out_rows_per_bank.iter().copied().max().unwrap_or(0);
     // Group stores by row.
-    let mut by_row: HashMap<u32, Vec<(u32, NodeId)>> = HashMap::new();
-    for (&v, &(row, col)) in &out_slot_of {
-        by_row.entry(row).or_default().push((col, v));
-    }
-    let mut rows: Vec<u32> = by_row.keys().copied().collect();
-    rows.sort_unstable();
-    for row in rows {
-        let mut srcs = by_row.remove(&row).expect("row exists");
-        srcs.sort_unstable_by_key(|&(c, _)| c);
+    push_by_row(&mut to_store, |row, srcs| {
         // Split wide rows into chunks the Store instruction models as one
         // vector write each; narrow leftovers use the compact store_4 form
         // chosen at finalize time.
@@ -287,13 +281,15 @@ pub fn emit(
                 srcs: chunk.to_vec(),
             });
         }
-    }
+    });
 
     let spill_base = in_rows + out_rows;
+    // Unused inputs keep the sentinel slot (their values are never read).
+    let input_slots = input_nodes.iter().map(|v| slot_of[v.index()]).collect();
     Ok(Emitted {
         instrs,
         layout: DataLayout {
-            input_slots: ordered_inputs_slots(&input_nodes, &slot_of),
+            input_slots,
             output_slots,
             spill_base,
             rows_used: spill_base,
@@ -302,16 +298,20 @@ pub fn emit(
     })
 }
 
-/// Slots for every DAG input in input-ordinal order; unused inputs get a
-/// sentinel slot `(u32::MAX, u32::MAX)` (their values are never read).
-fn ordered_inputs_slots(
-    input_nodes: &[NodeId],
-    slot_of: &HashMap<NodeId, (u32, u32)>,
-) -> Vec<(u32, u32)> {
-    input_nodes
-        .iter()
-        .map(|v| slot_of.get(v).copied().unwrap_or((u32::MAX, u32::MAX)))
-        .collect()
+/// The slot of a value that has none: what [`DataLayout::input_slots`]
+/// reports for an input no instruction reads.
+const NO_SLOT: (u32, u32) = (u32::MAX, u32::MAX);
+const NO_BANK: u32 = u32::MAX;
+
+/// Hands `slots` — `(row, column, value)`, every `(row, column)` distinct —
+/// to `push` one row at a time: rows ascending, each row's `(column,
+/// value)` pairs in column order.
+fn push_by_row(slots: &mut [(u32, u32, NodeId)], mut push: impl FnMut(u32, Vec<(u32, NodeId)>)) {
+    slots.sort_unstable();
+    for same_row in slots.chunk_by(|a, b| a.0 == b.0) {
+        let row = same_row[0].0;
+        push(row, same_row.iter().map(|&(_, c, v)| (c, v)).collect());
+    }
 }
 
 /// Batches copy moves into `copy_4` instructions, splitting on the K limit
@@ -352,6 +352,7 @@ mod tests {
     use crate::step2::{assign_banks, compute_needs_store, place_blocks, BankPolicy};
     use dpu_dag::DagBuilder;
     use dpu_dag::Op;
+    use std::collections::HashMap;
 
     fn emit_dag(dag: &Dag, cfg: &ArchConfig, policy: BankPolicy) -> Emitted {
         let mut mapped = vec![false; dag.len()];

@@ -19,14 +19,12 @@
 //!   on the same bank — the safety net behind §IV-C/§IV-D's "inserted in a
 //!   way that avoids new RAW hazards".
 
-use std::collections::HashMap;
-
 use dpu_dag::NodeId;
 use dpu_isa::{
     ArchConfig, CopyMove, ExecInstr, Fault, Instr, PeOpcode, PortRead, Program, RegFile, RegRead,
 };
 
-use crate::ir::AInstr;
+use crate::ir::{AInstr, Residency};
 
 /// Finalization result.
 #[derive(Debug)]
@@ -106,71 +104,76 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
     let d = cfg.depth as u64;
 
     // ---- Prescan: valid_rst = last read of each residency segment.
-    // Residency segments of (bank, value) are delimited by writes.
-    let mut rst_at: HashMap<(usize, u32, NodeId), ()> = HashMap::new();
+    // Residency segments of (bank, value) are delimited by writes (an
+    // instruction's writes count before its reads). `rst` holds one flag
+    // per read operand in program order; walking backwards, a read is its
+    // segment's last iff no later read of the pair came before a write.
+    let mut rst = vec![false; instrs.iter().map(|ins| ins.bank_reads().len()).sum()];
     {
-        let mut last_read: HashMap<(u32, NodeId), usize> = HashMap::new();
-        for (i, ins) in instrs.iter().enumerate() {
-            for (b, v) in ins.bank_writes() {
-                if let Some(li) = last_read.remove(&(b, v)) {
-                    rst_at.insert((li, b, v), ());
-                }
+        let mut read_later: Residency<bool> = Residency::new();
+        let mut at = rst.len();
+        for ins in instrs.iter().rev() {
+            // Broadcast reads of one pair share the flag: test them all
+            // before marking any.
+            for (b, v) in ins.bank_reads().rev() {
+                at -= 1;
+                rst[at] = !read_later.get(b, v).copied().unwrap_or(false);
             }
             for (b, v) in ins.bank_reads() {
-                last_read.insert((b, v), i);
+                read_later.insert(b, v, true);
             }
-        }
-        for ((b, v), li) in last_read {
-            rst_at.insert((li, b, v), ());
+            for (b, v) in ins.bank_writes() {
+                read_later.insert(b, v, false);
+            }
         }
     }
 
     // ---- Replay.
     let mut regs = RegFile::new(cfg, NodeId(0));
-    let mut addr_of: HashMap<(u32, NodeId), u32> = HashMap::new();
-    let mut ready_at: HashMap<(u32, NodeId), u64> = HashMap::new();
+    // Where each live residency sits and the first cycle it can be read.
+    let mut placed: Residency<(u32, u64)> = Residency::new();
 
     let mut out: Vec<Instr> = Vec::with_capacity(instrs.len());
     let mut stall_nops: u64 = 0;
 
     // Ends the cycle; a value landing now is readable from the next one.
-    let end_cycle = |regs: &mut RegFile<NodeId>,
-                     addr_of: &mut HashMap<(u32, NodeId), u32>,
-                     ready_at: &mut HashMap<(u32, NodeId), u64>|
-     -> Result<(), Fault> {
-        let readable = regs.cycle() + 1;
-        regs.end_cycle(|b, a, v| {
-            addr_of.insert((b, v), a);
-            ready_at.insert((b, v), readable);
-        })
-    };
+    let end_cycle =
+        |regs: &mut RegFile<NodeId>, placed: &mut Residency<(u32, u64)>| -> Result<(), Fault> {
+            let readable = regs.cycle() + 1;
+            regs.end_cycle(|b, a, v| {
+                placed.insert(b, v, (a, readable));
+            })
+        };
+
+    // `(address, valid_rst)` of the current instruction's reads, in
+    // operand order.
+    let mut resolved: Vec<(u32, bool)> = Vec::new();
+    let mut first_read = 0usize;
 
     for (idx, ins) in instrs.iter().enumerate() {
-        let reads = ins.bank_reads();
-        let writes = ins.bank_writes();
         let mut waited: u64 = 0;
         loop {
             // Operand readiness.
             let cycle = regs.cycle();
-            let not_ready = reads.iter().find(|&&(b, v)| {
-                !addr_of.contains_key(&(b, v)) || ready_at.get(&(b, v)).is_some_and(|&t| t > cycle)
-            });
+            let not_ready = ins
+                .bank_reads()
+                .find(|&(b, v)| placed.get(b, v).is_none_or(|&(_, ready)| ready > cycle));
             // Write-port availability for immediate (load/copy) writebacks.
             let wp_clash = !ins.is_exec()
                 && regs
                     .due()
                     .iter()
-                    .any(|&(b, _)| writes.iter().any(|&(wb, _)| wb == b));
+                    .any(|&(b, _)| ins.bank_writes().any(|(wb, _)| wb == b));
             if not_ready.is_none() && !wp_clash {
                 break;
             }
             // Stall one cycle.
             out.push(Instr::Nop);
             stall_nops += 1;
-            end_cycle(&mut regs, &mut addr_of, &mut ready_at)?;
+            end_cycle(&mut regs, &mut placed)?;
             waited += 1;
             if waited > d + 4 && regs.in_flight() == 0 {
-                if let Some(&(b, v)) = not_ready {
+                if let Some((b, v)) = not_ready {
                     return Err(FinalizeError::OperandNeverReady {
                         index: idx,
                         bank: b,
@@ -179,7 +182,7 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
                 }
             }
             if waited > 4 * (d + 4) {
-                let &(b, v) = not_ready.expect("only operands can stall this long");
+                let (b, v) = not_ready.expect("only operands can stall this long");
                 return Err(FinalizeError::OperandNeverReady {
                     index: idx,
                     bank: b,
@@ -188,28 +191,27 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
             }
         }
 
-        // Resolve reads; apply rst frees after collecting all addresses.
-        let mut resolved: HashMap<(u32, NodeId), (u32, bool)> = HashMap::new();
-        for &(b, v) in &reads {
-            let a = addr_of[&(b, v)];
-            let rst = rst_at.contains_key(&(idx, b, v));
-            resolved.insert((b, v), (a, rst));
+        // Resolve reads; apply rst frees after collecting all addresses
+        // (broadcast reads of one pair free it once).
+        resolved.clear();
+        for (k, (b, v)) in ins.bank_reads().enumerate() {
+            let &(addr, _) = placed.get(b, v).expect("operand ready");
+            resolved.push((addr, rst[first_read + k]));
         }
-        for (&(b, v), &(a, rst)) in &resolved {
-            if rst {
-                regs.free(b, a);
-                addr_of.remove(&(b, v));
-                ready_at.remove(&(b, v));
+        first_read += resolved.len();
+        for ((b, v), &(addr, last_read)) in ins.bank_reads().zip(&resolved) {
+            if last_read && placed.remove(b, v).is_some() {
+                regs.free(b, addr);
             }
         }
 
         // Emit the concrete instruction.
-        let reg_read = |b: u32, v: NodeId| -> RegRead {
-            let &(addr, rst) = resolved.get(&(b, v)).expect("read resolved");
+        let reg_read = |k: usize, bank: u32| -> RegRead {
+            let (addr, valid_rst) = resolved[k];
             RegRead {
-                bank: b,
+                bank,
                 addr,
-                valid_rst: rst,
+                valid_rst,
             }
         };
         let concrete = match ins {
@@ -222,15 +224,16 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
                 Instr::Load { row: *row, mask }
             }
             AInstr::Store { row, srcs } => {
+                let reads = srcs.iter().enumerate().map(|(k, &(b, _))| reg_read(k, b));
                 if srcs.len() <= Instr::K {
                     Instr::StoreK {
                         row: *row,
-                        reads: srcs.iter().map(|&(b, v)| reg_read(b, v)).collect(),
+                        reads: reads.collect(),
                     }
                 } else {
                     let mut rv: Vec<Option<RegRead>> = vec![None; banks];
-                    for &(b, v) in srcs {
-                        rv[b as usize] = Some(reg_read(b, v));
+                    for r in reads {
+                        rv[r.bank as usize] = Some(r);
                     }
                     Instr::Store {
                         row: *row,
@@ -241,8 +244,9 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
             AInstr::Copy { moves } => Instr::CopyK {
                 moves: moves
                     .iter()
-                    .map(|&(s, v, dst)| CopyMove {
-                        src: reg_read(s, v),
+                    .enumerate()
+                    .map(|(k, &(s, _, dst))| CopyMove {
+                        src: reg_read(k, s),
                         dst_bank: dst,
                     })
                     .collect(),
@@ -253,8 +257,8 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
                 writes: wr,
             } => {
                 let mut e = ExecInstr::idle(cfg);
-                for &(port, b, v) in rd {
-                    let r = reg_read(b, v);
+                for (k, &(port, b, _)) in rd.iter().enumerate() {
+                    let r = reg_read(k, b);
                     e.reads[port as usize] = Some(PortRead {
                         bank: r.bank,
                         addr: r.addr,
@@ -276,16 +280,15 @@ pub fn finalize(cfg: &ArchConfig, instrs: &[AInstr]) -> Result<Finalized, Finali
 
         // Schedule / apply writebacks.
         match ins {
-            AInstr::Exec { .. } => regs.schedule(writes.iter().copied()),
+            AInstr::Exec { .. } => regs.schedule(ins.bank_writes()),
             AInstr::Load { .. } | AInstr::Copy { .. } => {
-                for &(b, v) in &writes {
-                    addr_of.insert((b, v), regs.write(b, v)?);
-                    ready_at.insert((b, v), regs.cycle() + 1);
+                for (b, v) in ins.bank_writes() {
+                    placed.insert(b, v, (regs.write(b, v)?, regs.cycle() + 1));
                 }
             }
             _ => {}
         }
-        end_cycle(&mut regs, &mut addr_of, &mut ready_at)?;
+        end_cycle(&mut regs, &mut placed)?;
     }
     regs.drain(|_, _, _| {})?;
 

@@ -109,32 +109,142 @@ pub enum AInstr {
 }
 
 impl AInstr {
-    /// `(bank, value)` pairs read by this instruction. Exec reads may list
-    /// the same pair more than once (crossbar broadcast).
-    pub fn bank_reads(&self) -> Vec<(u32, NodeId)> {
-        match self {
-            AInstr::Nop | AInstr::Load { .. } => Vec::new(),
-            AInstr::Store { srcs, .. } => srcs.clone(),
-            AInstr::Copy { moves } => moves.iter().map(|&(s, v, _)| (s, v)).collect(),
-            AInstr::Exec { reads, .. } => reads.iter().map(|&(_, b, v)| (b, v)).collect(),
-        }
+    /// `(bank, value)` pairs read by this instruction, in operand order.
+    /// Exec reads may list the same pair more than once (crossbar
+    /// broadcast).
+    pub fn bank_reads(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (u32, NodeId)> + ExactSizeIterator + '_ {
+        let n = match self {
+            AInstr::Nop | AInstr::Load { .. } => 0,
+            AInstr::Store { srcs, .. } => srcs.len(),
+            AInstr::Copy { moves } => moves.len(),
+            AInstr::Exec { reads, .. } => reads.len(),
+        };
+        (0..n).map(move |k| match self {
+            AInstr::Nop | AInstr::Load { .. } => unreachable!("no reads"),
+            AInstr::Store { srcs, .. } => srcs[k],
+            AInstr::Copy { moves } => (moves[k].0, moves[k].1),
+            AInstr::Exec { reads, .. } => (reads[k].1, reads[k].2),
+        })
     }
 
-    /// `(bank, value)` pairs written by this instruction, with the
-    /// writeback latency class: `true` if the write lands `D` cycles after
-    /// issue (exec), `false` if it lands at the end of the issue cycle.
-    pub fn bank_writes(&self) -> Vec<(u32, NodeId)> {
-        match self {
-            AInstr::Nop | AInstr::Store { .. } => Vec::new(),
-            AInstr::Load { dests, .. } => dests.clone(),
-            AInstr::Copy { moves } => moves.iter().map(|&(_, v, d)| (d, v)).collect(),
-            AInstr::Exec { writes, .. } => writes.iter().map(|&(b, _, v)| (b, v)).collect(),
-        }
+    /// `(bank, value)` pairs written by this instruction, in operand
+    /// order. They land `D` cycles after issue for an exec
+    /// ([`AInstr::is_exec`]) and at the end of the issue cycle otherwise.
+    pub fn bank_writes(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (u32, NodeId)> + ExactSizeIterator + '_ {
+        let n = match self {
+            AInstr::Nop | AInstr::Store { .. } => 0,
+            AInstr::Load { dests, .. } => dests.len(),
+            AInstr::Copy { moves } => moves.len(),
+            AInstr::Exec { writes, .. } => writes.len(),
+        };
+        (0..n).map(move |k| match self {
+            AInstr::Nop | AInstr::Store { .. } => unreachable!("no writes"),
+            AInstr::Load { dests, .. } => dests[k],
+            AInstr::Copy { moves } => (moves[k].2, moves[k].1),
+            AInstr::Exec { writes, .. } => (writes[k].0, writes[k].2),
+        })
     }
 
     /// Whether writebacks land `D` cycles after issue (datapath-pipelined).
     pub fn is_exec(&self) -> bool {
         matches!(self, AInstr::Exec { .. })
+    }
+}
+
+/// What a pass tracks per `(bank, value)` residency — the one table type
+/// [`crate::reorder`], [`crate::spill`] and [`crate::finalize`] key by that
+/// pair. A value lives in its home bank plus the few banks a `copy` sent it
+/// to, so each value owns a short chain of per-bank entries, searched
+/// linearly, in one arena: no hashing, no allocation per value, nothing
+/// whose order depends on the process, and room for the pairs that occur
+/// only (never `values × banks`).
+pub(crate) struct Residency<T> {
+    /// Arena index of each value's first entry ([`NO_ENTRY`] if none);
+    /// grows with the highest value seen.
+    first: Vec<u32>,
+    entries: Vec<Entry<T>>,
+}
+
+const NO_ENTRY: u32 = u32::MAX;
+
+struct Entry<T> {
+    bank: u32,
+    /// The same value's entry for another bank, or [`NO_ENTRY`].
+    next: u32,
+    /// `None` once removed; the entry stays linked for the pair's return.
+    tracked: Option<T>,
+}
+
+impl<T> Residency<T> {
+    pub(crate) fn new() -> Self {
+        Residency {
+            first: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// The pair's slot, linked in on first use.
+    fn slot(&mut self, bank: u32, v: NodeId) -> &mut Option<T> {
+        if v.index() >= self.first.len() {
+            self.first.resize(v.index() + 1, NO_ENTRY);
+        }
+        let at = match self.find(bank, v) {
+            Some(at) => at,
+            None => {
+                let next = std::mem::replace(&mut self.first[v.index()], self.entries.len() as u32);
+                self.entries.push(Entry {
+                    bank,
+                    next,
+                    tracked: None,
+                });
+                self.entries.len() - 1
+            }
+        };
+        &mut self.entries[at].tracked
+    }
+
+    fn find(&self, bank: u32, v: NodeId) -> Option<usize> {
+        let mut at = *self.first.get(v.index())?;
+        while at != NO_ENTRY {
+            let entry = &self.entries[at as usize];
+            if entry.bank == bank {
+                return Some(at as usize);
+            }
+            at = entry.next;
+        }
+        None
+    }
+
+    pub(crate) fn get(&self, bank: u32, v: NodeId) -> Option<&T> {
+        self.entries[self.find(bank, v)?].tracked.as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, bank: u32, v: NodeId) -> Option<&mut T> {
+        let at = self.find(bank, v)?;
+        self.entries[at].tracked.as_mut()
+    }
+
+    /// What is tracked for `(bank, v)`, starting from `T::default()` if
+    /// nothing is.
+    pub(crate) fn entry(&mut self, bank: u32, v: NodeId) -> &mut T
+    where
+        T: Default,
+    {
+        self.slot(bank, v).get_or_insert_with(T::default)
+    }
+
+    /// Tracks `t` for `(bank, v)`, returning what it replaced.
+    pub(crate) fn insert(&mut self, bank: u32, v: NodeId, t: T) -> Option<T> {
+        self.slot(bank, v).replace(t)
+    }
+
+    pub(crate) fn remove(&mut self, bank: u32, v: NodeId) -> Option<T> {
+        let at = self.find(bank, v)?;
+        self.entries[at].tracked.take()
     }
 }
 
@@ -184,8 +294,11 @@ mod tests {
             pe_ops: vec![],
             writes: vec![(2, PeId::new(0, 1, 0), NodeId(9))],
         };
-        assert_eq!(e.bank_reads(), vec![(3, NodeId(7)), (5, NodeId(8))]);
-        assert_eq!(e.bank_writes(), vec![(2, NodeId(9))]);
+        assert_eq!(
+            e.bank_reads().collect::<Vec<_>>(),
+            vec![(3, NodeId(7)), (5, NodeId(8))]
+        );
+        assert_eq!(e.bank_writes().collect::<Vec<_>>(), vec![(2, NodeId(9))]);
         assert!(e.is_exec());
         assert!(!AInstr::Nop.is_exec());
     }
@@ -198,5 +311,33 @@ mod tests {
             copies_inserted: 4,
         };
         assert_eq!(c.total(), 5);
+    }
+
+    #[test]
+    fn residency_tracks_pairs_not_values() {
+        let mut r: Residency<u32> = Residency::new();
+        let (v, w) = (NodeId(7), NodeId(2));
+        assert_eq!(r.get(3, v), None);
+        assert_eq!(r.remove(3, v), None);
+        // One value in two banks, another value in one of them.
+        assert_eq!(r.insert(3, v, 30), None);
+        assert_eq!(r.insert(5, v, 50), None);
+        assert_eq!(r.insert(3, w, 31), None);
+        assert_eq!(r.get(3, v), Some(&30));
+        assert_eq!(r.get(5, v), Some(&50));
+        assert_eq!(r.get(3, w), Some(&31));
+        assert_eq!(r.get(4, v), None);
+        assert_eq!(r.get(3, NodeId(100)), None);
+        // Replace, mutate, remove, come back.
+        assert_eq!(r.insert(3, v, 33), Some(30));
+        *r.get_mut(5, v).unwrap() += 1;
+        assert_eq!(r.remove(5, v), Some(51));
+        assert_eq!(r.get(5, v), None);
+        assert_eq!(r.get_mut(5, v), None);
+        assert_eq!(r.get(3, v), Some(&33));
+        assert_eq!(*r.entry(5, v), 0);
+        *r.entry(5, v) += 9;
+        assert_eq!(r.insert(5, v, 1), Some(9));
+        assert_eq!(*r.entry(3, w), 31);
     }
 }

@@ -16,12 +16,20 @@
 //! the emission's locality and matches the paper's "insert independent
 //! instructions in between" behaviour.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use dpu_dag::NodeId;
 use dpu_isa::ArchConfig;
 
-use crate::ir::AInstr;
+use crate::ir::{AInstr, Residency};
+
+/// The instructions that last touched one `(bank, value)` residency.
+#[derive(Default)]
+struct Touched {
+    /// Most recent producer.
+    writer: Option<usize>,
+    /// Readers since then.
+    readers: Vec<usize>,
+}
 
 /// Reorders `instrs` to minimize read-after-write stalls; returns the new
 /// list (with `nop`s where no independent work was available) and the
@@ -29,35 +37,33 @@ use crate::ir::AInstr;
 pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AInstr>, u64) {
     let n = instrs.len();
     let exec_latency = cfg.pipeline_stages() as u64; // D + 1
-                                                     // Producer of each (bank, value) residency, in order: consumers depend
-                                                     // on the most recent prior producer of the pair; producers depend on
-                                                     // all prior readers of the pair they overwrite (order preservation) —
-                                                     // the latter is implied by emission (a pair is written at most once
-                                                     // between reads) and by keeping per-pair program order below.
-    let mut last_writer: HashMap<(u32, NodeId), usize> = HashMap::new();
-    let mut last_readers: HashMap<(u32, NodeId), Vec<usize>> = HashMap::new();
+
+    // Producer of each (bank, value) residency, in order: consumers depend
+    // on the most recent prior producer of the pair; producers depend on
+    // all prior readers of the pair they overwrite (order preservation) —
+    // the latter is implied by emission (a pair is written at most once
+    // between reads) and by keeping per-pair program order below.
+    let mut touched: Residency<Touched> = Residency::new();
     // deps[i] = (j, min_distance) edges.
     let mut deps: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
     let mut n_unmet: Vec<usize> = vec![0; n];
 
     for (i, ins) in instrs.iter().enumerate() {
         for (bank, v) in ins.bank_reads() {
-            if let Some(&w) = last_writer.get(&(bank, v)) {
+            let pair = touched.entry(bank, v);
+            if let Some(w) = pair.writer {
                 let lat = if instrs[w].is_exec() { exec_latency } else { 1 };
                 deps[i].push((w, lat));
             }
-            last_readers.entry((bank, v)).or_default().push(i);
+            pair.readers.push(i);
         }
         for (bank, v) in ins.bank_writes() {
             // Keep write-after-read order for re-created residencies
             // (spill reloads): the new write must follow all readers of
             // the previous residency.
-            if let Some(readers) = last_readers.remove(&(bank, v)) {
-                for r in readers {
-                    deps[i].push((r, 1));
-                }
-            }
-            last_writer.insert((bank, v), i);
+            let pair = touched.entry(bank, v);
+            deps[i].extend(pair.readers.drain(..).map(|r| (r, 1)));
+            pair.writer = Some(i);
         }
     }
     // Deduplicate and count.
@@ -126,6 +132,7 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpu_dag::NodeId;
     use dpu_isa::{PeId, PeOpcode};
 
     fn exec(reads: Vec<(u32, u32, NodeId)>, writes: Vec<(u32, PeId, NodeId)>) -> AInstr {

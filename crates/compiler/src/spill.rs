@@ -13,12 +13,10 @@
 //! model's occupancy is an upper bound of the hardware's and a fit here is
 //! a fit on silicon.
 
-use std::collections::{BTreeMap, HashMap};
-
 use dpu_dag::NodeId;
 use dpu_isa::ArchConfig;
 
-use crate::ir::AInstr;
+use crate::ir::{AInstr, Residency};
 
 /// Victim-selection policy for evictions.
 ///
@@ -29,10 +27,12 @@ use crate::ir::AInstr;
 /// much the compile-time-knowledge advantage is worth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpillPolicy {
-    /// Belady: evict the value whose next read is furthest away.
+    /// Belady: evict the value whose next read is furthest away; of
+    /// several that are never read again, the one with the lowest node id.
     #[default]
     FurthestNextUse,
-    /// Evict the value with the *nearest* next use (pessimal; lower bound).
+    /// Evict the value with the *nearest* next use (pessimal; lower
+    /// bound); ties as above.
     NearestNextUse,
     /// Evict the value with the smallest node id (arbitrary but
     /// deterministic — what a compiler without lookahead might do).
@@ -104,116 +104,72 @@ pub fn insert_spills_with(
     spill_base: u32,
     policy: SpillPolicy,
 ) -> Result<(Vec<AInstr>, SpillStats), SpillError> {
-    let r = cfg.regs_per_bank as usize;
     let banks = cfg.banks as usize;
+    let mut walk = Walk {
+        regs: cfg.regs_per_bank,
+        spill_base,
+        policy,
+        live: Residency::new(),
+        resident: vec![Vec::new(); banks],
+        spill_rows_per_bank: vec![0; banks],
+        stats: SpillStats::default(),
+        out: Vec::with_capacity(instrs.len()),
+    };
 
     // Next-use oracle: for each (bank, value), the ordered list of original
     // positions that read it. Inserted spill code preserves relative order,
     // so original positions remain a valid priority.
-    let mut future_reads: HashMap<(u32, NodeId), Vec<usize>> = HashMap::new();
     for (i, ins) in instrs.iter().enumerate() {
         for (b, v) in ins.bank_reads() {
-            future_reads.entry((b, v)).or_default().push(i);
+            walk.live.entry(b, v).reads.push(i);
         }
     }
-    for uses in future_reads.values_mut() {
-        uses.reverse(); // pop() yields the earliest remaining use
-    }
 
-    // Residency state per bank: value -> remaining-use cursor key.
-    let mut resident: Vec<HashMap<NodeId, ()>> = vec![HashMap::new(); banks];
-    let mut spilled: HashMap<(u32, NodeId), u32> = HashMap::new(); // -> spill row
-                                                                   // Spill slots pack per bank: value v of bank b gets column b of row
-                                                                   // `spill_base + (b's slot counter)`, so rows are shared across banks.
-    let mut spill_rows_per_bank: Vec<u32> = vec![0; banks];
-    let mut spill_slot_of: HashMap<(u32, NodeId), u32> = HashMap::new();
-    let mut stats = SpillStats::default();
-    let mut out: Vec<AInstr> = Vec::with_capacity(instrs.len());
-
-    let next_use =
-        |future_reads: &HashMap<(u32, NodeId), Vec<usize>>, b: u32, v: NodeId| -> usize {
-            future_reads
-                .get(&(b, v))
-                .and_then(|u| u.last().copied())
-                .unwrap_or(usize::MAX)
-        };
-
+    let mut write_banks: Vec<u32> = Vec::new();
     for (pos, ins) in instrs.into_iter().enumerate() {
         // 1. Reload any evicted operands (ensuring capacity first).
-        let reads = ins.bank_reads();
-        let pinned: Vec<(u32, NodeId)> = reads.iter().copied().chain(ins.bank_writes()).collect();
-        for &(b, v) in &reads {
-            if resident[b as usize].contains_key(&v) {
+        for (b, v) in ins.bank_reads() {
+            let live = walk.live.get_mut(b, v).expect("indexed above");
+            if live.resident {
                 continue;
             }
-            let row = match spilled.remove(&(b, v)) {
-                Some(row) => row,
-                // Not spilled: the value is in flight (produced by an
-                // earlier instruction in this list) — residency was
-                // recorded at its write; reaching here means the write
-                // hasn't been walked yet, which the dependence order of
-                // reorder() rules out.
-                None => unreachable!("read of value {v} never written to bank {b}"),
-            };
-            ensure_capacity(
-                cfg,
-                &mut resident,
-                &mut spilled,
-                &mut spill_slot_of,
-                &mut spill_rows_per_bank,
-                &mut stats,
-                &mut out,
-                &future_reads,
-                b,
-                1,
-                &pinned,
-                spill_base,
-                policy,
-            )?;
-            out.push(AInstr::Load {
+            // Not spilled: the value is in flight (produced by an earlier
+            // instruction in this list) — residency was recorded at its
+            // write; reaching here means the write hasn't been walked yet,
+            // which the dependence order of reorder() rules out.
+            assert!(
+                std::mem::take(&mut live.spilled),
+                "read of value {v} never written to bank {b}"
+            );
+            let row = live.slot.expect("a spilled value has a slot");
+            walk.ensure_capacity(b, 1, &ins)?;
+            walk.out.push(AInstr::Load {
                 row,
                 dests: vec![(b, v)],
             });
-            stats.reloads += 1;
-            resident[b as usize].insert(v, ());
+            walk.stats.reloads += 1;
+            walk.occupy(b, v);
         }
 
         // 2. Consume last uses: a read that has no later reads frees the
         // register (the valid_rst of §III-B, applied by finalize).
-        for &(b, v) in &reads {
-            if let Some(uses) = future_reads.get_mut(&(b, v)) {
-                while uses.last().is_some_and(|&u| u <= pos) {
-                    uses.pop();
-                }
-                if uses.is_empty() {
-                    resident[b as usize].remove(&v);
-                }
+        for (b, v) in ins.bank_reads() {
+            let live = walk.live.get_mut(b, v).expect("indexed above");
+            while live.reads.get(live.next).is_some_and(|&u| u <= pos) {
+                live.next += 1;
+            }
+            if live.next == live.reads.len() {
+                walk.vacate(b, v);
             }
         }
 
-        // 3. Make room for this instruction's writes.
-        // (Banks in ascending order, so the spill stores of one
-        // instruction never depend on hash-map iteration order.)
-        let mut per_bank: BTreeMap<u32, u32> = BTreeMap::new();
-        for (b, _) in ins.bank_writes() {
-            *per_bank.entry(b).or_insert(0) += 1;
-        }
-        for (&b, &count) in &per_bank {
-            ensure_capacity(
-                cfg,
-                &mut resident,
-                &mut spilled,
-                &mut spill_slot_of,
-                &mut spill_rows_per_bank,
-                &mut stats,
-                &mut out,
-                &future_reads,
-                b,
-                count,
-                &pinned,
-                spill_base,
-                policy,
-            )?;
+        // 3. Make room for this instruction's writes, banks in ascending
+        // order.
+        write_banks.clear();
+        write_banks.extend(ins.bank_writes().map(|(b, _)| b));
+        write_banks.sort_unstable();
+        for same_bank in write_banks.chunk_by(|a, b| a == b) {
+            walk.ensure_capacity(same_bank[0], same_bank.len() as u32, &ins)?;
         }
         for (b, v) in ins.bank_writes() {
             // Hardware-accurate: a written value occupies its register
@@ -221,79 +177,130 @@ pub fn insert_spills_with(
             // read (emission never produces such dead writes; if one
             // appears it simply becomes a first-choice eviction victim,
             // since its next use is infinitely far).
-            resident[b as usize].insert(v, ());
-            debug_assert!(resident[b as usize].len() <= r, "capacity ensured above");
+            walk.occupy(b, v);
+            debug_assert!(
+                walk.resident[b as usize].len() <= walk.regs as usize,
+                "capacity ensured above"
+            );
         }
-        let _ = next_use;
 
-        out.push(ins);
+        walk.out.push(ins);
     }
 
-    stats.rows = spill_rows_per_bank.iter().copied().max().unwrap_or(0);
-    Ok((out, stats))
+    walk.stats.rows = walk.spill_rows_per_bank.iter().copied().max().unwrap_or(0);
+    Ok((walk.out, walk.stats))
 }
 
-/// Evicts furthest-next-use victims from `bank` until `needed` slots are
-/// free. Values in `pinned` (operands/targets of the current instruction)
-/// are never evicted.
-#[allow(clippy::too_many_arguments)]
-fn ensure_capacity(
-    cfg: &ArchConfig,
-    resident: &mut [HashMap<NodeId, ()>],
-    spilled: &mut HashMap<(u32, NodeId), u32>,
-    spill_slot_of: &mut HashMap<(u32, NodeId), u32>,
-    spill_rows_per_bank: &mut [u32],
-    stats: &mut SpillStats,
-    out: &mut Vec<AInstr>,
-    future_reads: &HashMap<(u32, NodeId), Vec<usize>>,
-    bank: u32,
-    needed: u32,
-    pinned: &[(u32, NodeId)],
+/// One `(bank, value)` residency over the walk.
+#[derive(Default)]
+struct Live {
+    /// Original positions of the instructions that read it, ascending.
+    reads: Vec<usize>,
+    /// How many of `reads` the walk has passed: `reads[next]` is the next
+    /// use.
+    next: usize,
+    /// Whether it occupies a register of its bank right now.
+    resident: bool,
+    /// Whether it sits in its spill slot, waiting for a reload.
+    spilled: bool,
+    /// Its spill row once it has been evicted; kept across reloads.
+    slot: Option<u32>,
+}
+
+/// State of the live-range walk.
+struct Walk {
+    regs: u32,
     spill_base: u32,
     policy: SpillPolicy,
-) -> Result<(), SpillError> {
-    let r = cfg.regs_per_bank as usize;
-    while resident[bank as usize].len() + needed as usize > r {
-        let next_use_of = |v: &NodeId| {
-            future_reads
-                .get(&(bank, *v))
-                .and_then(|u| u.last().copied())
-                .unwrap_or(usize::MAX)
-        };
-        let candidates = resident[bank as usize]
-            .keys()
-            .filter(|v| !pinned.contains(&(bank, **v)));
-        let victim = match policy {
-            SpillPolicy::FurthestNextUse => candidates.max_by_key(|v| next_use_of(v)).copied(),
-            SpillPolicy::NearestNextUse => candidates.min_by_key(|v| next_use_of(v)).copied(),
-            SpillPolicy::Arbitrary => candidates.min().copied(),
-        };
-        let Some(victim) = victim else {
-            return Err(SpillError::BankTooSmall {
-                bank,
-                regs: cfg.regs_per_bank,
-            });
-        };
-        resident[bank as usize].remove(&victim);
-        let row = *spill_slot_of.entry((bank, victim)).or_insert_with(|| {
-            let row = spill_base + spill_rows_per_bank[bank as usize];
-            spill_rows_per_bank[bank as usize] += 1;
-            row
-        });
-        spilled.insert((bank, victim), row);
-        out.push(AInstr::Store {
-            row,
-            srcs: vec![(bank, victim)],
-        });
-        stats.stores += 1;
+    live: Residency<Live>,
+    /// Values resident in each bank, unordered.
+    resident: Vec<Vec<NodeId>>,
+    /// Spill slots pack per bank: value v of bank b gets column b of row
+    /// `spill_base + (b's slot counter)`, so rows are shared across banks.
+    spill_rows_per_bank: Vec<u32>,
+    stats: SpillStats,
+    out: Vec<AInstr>,
+}
+
+impl Walk {
+    fn occupy(&mut self, bank: u32, v: NodeId) {
+        let live = self.live.entry(bank, v);
+        if !live.resident {
+            live.resident = true;
+            self.resident[bank as usize].push(v);
+        }
     }
-    Ok(())
+
+    fn vacate(&mut self, bank: u32, v: NodeId) {
+        let live = self
+            .live
+            .get_mut(bank, v)
+            .expect("tracked since its first read or write");
+        if live.resident {
+            live.resident = false;
+            let in_bank = &mut self.resident[bank as usize];
+            let at = in_bank.iter().position(|&w| w == v).expect("resident");
+            in_bank.swap_remove(at);
+        }
+    }
+
+    /// Evicts victims from `bank` until `needed` slots are free. Operands
+    /// and targets of the current instruction, `pinned`, are never
+    /// evicted.
+    fn ensure_capacity(
+        &mut self,
+        bank: u32,
+        needed: u32,
+        pinned: &AInstr,
+    ) -> Result<(), SpillError> {
+        while self.resident[bank as usize].len() + needed as usize > self.regs as usize {
+            let next_use = |v: NodeId| {
+                let live = self.live.get(bank, v).expect("resident");
+                live.reads.get(live.next).copied().unwrap_or(usize::MAX)
+            };
+            let candidates = self.resident[bank as usize].iter().copied().filter(|&v| {
+                let mut operands = pinned.bank_reads().chain(pinned.bank_writes());
+                !operands.any(|p| p == (bank, v))
+            });
+            // The node id is part of every key: values that are never read
+            // again tie on `usize::MAX`, and the victim must not depend on
+            // the order the bank's residents happen to be listed in.
+            let victim = match self.policy {
+                SpillPolicy::FurthestNextUse => {
+                    candidates.max_by_key(|&v| (next_use(v), std::cmp::Reverse(v)))
+                }
+                SpillPolicy::NearestNextUse => candidates.min_by_key(|&v| (next_use(v), v)),
+                SpillPolicy::Arbitrary => candidates.min(),
+            };
+            let Some(victim) = victim else {
+                return Err(SpillError::BankTooSmall {
+                    bank,
+                    regs: self.regs,
+                });
+            };
+            self.vacate(bank, victim);
+            let live = self.live.entry(bank, victim);
+            let row = *live.slot.get_or_insert_with(|| {
+                let rows = &mut self.spill_rows_per_bank[bank as usize];
+                *rows += 1;
+                self.spill_base + *rows - 1
+            });
+            live.spilled = true;
+            self.out.push(AInstr::Store {
+                row,
+                srcs: vec![(bank, victim)],
+            });
+            self.stats.stores += 1;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpu_isa::{PeId, PeOpcode};
+    use std::collections::HashMap;
 
     fn exec(reads: Vec<(u32, u32, NodeId)>, writes: Vec<(u32, PeId, NodeId)>) -> AInstr {
         AInstr::Exec {
@@ -431,5 +438,27 @@ mod tests {
         let (out, stats) = insert_spills(&cfg, instrs, 5).unwrap();
         assert_eq!(stats.stores, 6);
         assert!(out.len() > 8);
+    }
+
+    #[test]
+    fn equal_next_use_evicts_the_lowest_node_id() {
+        // Never-read values all tie on "no next use": the victim is the
+        // lowest node id, whatever order the bank lists its residents in.
+        let cfg = ArchConfig::new(1, 2, 2).unwrap();
+        let pe = PeId::new(0, 1, 0);
+        let instrs = [5u32, 3, 9, 1, 7]
+            .iter()
+            .map(|&k| exec(vec![], vec![(0, pe, NodeId(k))]))
+            .collect();
+        let (out, _) = insert_spills(&cfg, instrs, 5).unwrap();
+        let victims: Vec<u32> = out
+            .iter()
+            .filter_map(|i| match i {
+                AInstr::Store { srcs, .. } => Some(srcs[0].1 .0),
+                _ => None,
+            })
+            .collect();
+        // {5,3}+9 -> 3; {5,9}+1 -> 5; {9,1}+7 -> 1.
+        assert_eq!(victims, vec![3, 5, 1]);
     }
 }

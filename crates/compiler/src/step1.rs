@@ -51,6 +51,65 @@ fn locality_keys(dag: &Dag) -> Vec<u64> {
 /// cursor) the fitness search examines for each placement.
 const SEARCH_NEIGHBORS: usize = 24;
 
+/// Unmapped ancestor cones of the candidates looked at while one block is
+/// assembled. `mapped` only changes when a block commits, so a candidate's
+/// cone is the same for every slot of the block: it is collected once into
+/// `arena` and found again through `at[v] = (block stamp, start, len)`. A
+/// stale stamp means "not collected for this block"; length 0, "ruled out
+/// of this block".
+struct Cones {
+    arena: Vec<NodeId>,
+    at: Vec<(u32, u32, u32)>,
+    stamp: u32,
+    stack: Vec<NodeId>,
+}
+
+impl Cones {
+    fn new(nodes: usize) -> Self {
+        Cones {
+            arena: Vec::new(),
+            at: vec![(0, 0, 0); nodes],
+            stamp: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Forgets every cone: a block committed and `mapped` changed.
+    fn next_block(&mut self) {
+        self.stamp += 1;
+        self.arena.clear();
+    }
+
+    /// `v` and its unmapped ancestors in topological order (sink last), or
+    /// nothing if `v` was ruled out. Cones are small: at most `2^d − 1`
+    /// distinct nodes for depth `d`.
+    fn of(&mut self, dag: &Dag, mapped: &[bool], v: NodeId) -> &[NodeId] {
+        if self.at[v.index()].0 != self.stamp {
+            let start = self.arena.len();
+            self.arena.push(v);
+            self.stack.push(v);
+            while let Some(x) = self.stack.pop() {
+                for &p in dag.preds(x) {
+                    if !mapped[p.index()] && !self.arena[start..].contains(&p) {
+                        self.arena.push(p);
+                        self.stack.push(p);
+                    }
+                }
+            }
+            self.arena[start..].sort_unstable(); // ids are topological
+            let len = self.arena.len() - start;
+            self.at[v.index()] = (self.stamp, start as u32, len as u32);
+        }
+        let (_, start, len) = self.at[v.index()];
+        &self.arena[start as usize..(start + len) as usize]
+    }
+
+    /// Keeps `v` out of the rest of this block.
+    fn rule_out(&mut self, v: NodeId) {
+        self.at[v.index()].2 = 0;
+    }
+}
+
 /// A block before spatial mapping: the subgraphs chosen by Algorithm 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawBlock {
@@ -146,22 +205,9 @@ pub fn decompose(
         .filter(|&v| is_workable(v) && !mapped[v.index()])
         .count();
 
-    // Collects v's unmapped ancestor cone in topological order (sink last).
-    // Cones are small: at most 2^(d+1) − 1 distinct nodes for depth d.
-    let cone_of = |v: NodeId, mapped: &[bool]| -> Vec<NodeId> {
-        let mut seen: Vec<NodeId> = vec![v];
-        let mut stack = vec![v];
-        while let Some(x) = stack.pop() {
-            for &p in dag.preds(x) {
-                if !mapped[p.index()] && !seen.contains(&p) {
-                    seen.push(p);
-                    stack.push(p);
-                }
-            }
-        }
-        seen.sort_unstable(); // ids are topological
-        seen
-    };
+    let mut cones = Cones::new(n);
+    // Nodes of the block under construction.
+    let mut block_flag = vec![false; n];
 
     let mut blocks = Vec::new();
     let mut done = 0usize;
@@ -171,8 +217,8 @@ pub fn decompose(
         // Free subtree slots per tree: (depth, tree, leaf offset).
         let mut slots: Vec<(u32, u32, u32)> = (0..trees).map(|t| (d_max, t, 0)).collect();
         let mut block_nodes: Vec<NodeId> = Vec::new();
-        let mut block_flag = vec![false; 0]; // lazily sized below
         let mut subgraphs: Vec<Subgraph> = Vec::new();
+        cones.next_block();
 
         while let Some(slot_idx) = slots
             .iter()
@@ -183,23 +229,24 @@ pub fn decompose(
             let (slot_d, tree, off) = slots[slot_idx];
             // Find the fittest candidate with udepth <= slot_d whose cone is
             // disjoint from the block so far.
-            let mut best: Option<(i64, NodeId, Vec<NodeId>)> = None;
+            let mut best: Option<(i64, NodeId)> = None;
             for d in (1..=slot_d as usize).rev() {
                 let bucket = &buckets[d];
                 if bucket.is_empty() {
                     continue;
                 }
-                let mut inspected = 0usize;
                 let fwd = bucket.range(cursor_dfs..).take(SEARCH_NEIGHBORS);
                 let bwd = bucket.range(..cursor_dfs).rev().take(SEARCH_NEIGHBORS);
                 for (&key, &cand) in fwd.chain(bwd) {
-                    inspected += 1;
-                    if inspected > 2 * SEARCH_NEIGHBORS {
-                        break;
+                    let cone = cones.of(dag, mapped, cand);
+                    if cone.is_empty() {
+                        continue; // ruled out by an earlier slot
                     }
-                    let cone = cone_of(cand, mapped);
-                    if block_flag.len() == dag.len() && cone.iter().any(|x| block_flag[x.index()]) {
-                        continue; // overlaps the block under construction
+                    if cone.iter().any(|x| block_flag[x.index()]) {
+                        // Overlaps the block under construction, and the
+                        // block only grows.
+                        cones.rule_out(cand);
+                        continue;
                     }
                     // Objective C: more nodes; objective D: proximity in
                     // the locality sweep. The distance term is uncapped: a
@@ -209,8 +256,8 @@ pub fn decompose(
                     // explodes.
                     let dist = ((key >> 32) as i64 - (cursor_dfs >> 32) as i64).abs();
                     let fitness = cone.len() as i64 * 256 - dist * 8;
-                    if best.as_ref().is_none_or(|(bf, _, _)| fitness > *bf) {
-                        best = Some((fitness, cand, cone));
+                    if best.is_none_or(|(bf, _)| fitness > bf) {
+                        best = Some((fitness, cand));
                     }
                 }
                 // A full-depth match is as good as it gets for this slot.
@@ -219,9 +266,10 @@ pub fn decompose(
                 }
             }
 
-            let Some((_, sink, cone)) = best else {
+            let Some((_, sink)) = best else {
                 break; // no candidate fits the remaining slots
             };
+            let cone = cones.of(dag, mapped, sink);
 
             let k = udepth[sink.index()] as u32;
             debug_assert!(k >= 1 && k <= slot_d);
@@ -232,15 +280,12 @@ pub fn decompose(
             }
             subgraphs.push(Subgraph {
                 sink,
-                nodes: cone.clone(),
+                nodes: cone.to_vec(),
                 depth: k,
                 tree,
                 leaf_offset: off,
             });
-            if block_flag.len() != dag.len() {
-                block_flag = vec![false; dag.len()];
-            }
-            for &x in &cone {
+            for &x in cone {
                 block_flag[x.index()] = true;
                 // Remove from candidate buckets; they are about to be mapped.
                 if in_bucket[x.index()] {
@@ -250,7 +295,7 @@ pub fn decompose(
                 }
             }
             cursor_dfs = dfs[sink.index()];
-            block_nodes.extend_from_slice(&cone);
+            block_nodes.extend_from_slice(cone);
         }
 
         if subgraphs.is_empty() {
@@ -264,6 +309,7 @@ pub fn decompose(
         let mut dirty: Vec<NodeId> = Vec::new();
         for &x in &block_nodes {
             mapped[x.index()] = true;
+            block_flag[x.index()] = false;
             udepth[x.index()] = 0;
             done += 1;
             for &s in dag.succs(x) {
@@ -494,5 +540,65 @@ mod tests {
         let mut all = blocks_lo;
         all.extend(blocks_hi);
         validate_blocks(&dag, &cfg, &all).unwrap();
+    }
+
+    /// `(nodes, depth, tree, leaf offset)` of one subgraph.
+    type Shape = (Vec<u32>, u32, u32, u32);
+
+    fn shape(blocks: &[RawBlock]) -> Vec<Vec<Shape>> {
+        blocks
+            .iter()
+            .map(|b| {
+                b.subgraphs
+                    .iter()
+                    .map(|sg| {
+                        let nodes = sg.nodes.iter().map(|n| n.0).collect();
+                        (nodes, sg.depth, sg.tree, sg.leaf_offset)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chain_blocks_are_the_list_based_decomposition() {
+        // The block list `chain_dag(50)` had before cones were cached per
+        // block: three links per block on the last tree, two left over.
+        let dag = chain_dag(50);
+        let cfg = ArchConfig::new(3, 16, 32).unwrap();
+        let blocks = decompose_whole(&dag, &cfg);
+        validate_blocks(&dag, &cfg, &blocks).unwrap();
+        let mut expected: Vec<_> = (0..16u32)
+            .map(|k| vec![(vec![3 * k + 1, 3 * k + 2, 3 * k + 3], 3, 1, 0)])
+            .collect();
+        expected.push(vec![(vec![49, 50], 2, 1, 0)]);
+        assert_eq!(shape(&blocks), expected);
+    }
+
+    #[test]
+    fn cone_cached_in_one_block_is_rebuilt_in_the_next() {
+        // s feeds two chains, s-p-q and s-t-u. The first block takes
+        // {s, p, q}; its second slot then looks at u, whose cone {s, t, u}
+        // overlaps and is skipped — but cached. Once the block commits, s
+        // is mapped and u's cone is {t, u}: serving the cached one would
+        // map s twice.
+        let mut b = DagBuilder::new();
+        let x = b.input();
+        let s = b.node(Op::Add, &[x, x]).unwrap();
+        let p = b.node(Op::Mul, &[s, x]).unwrap();
+        let q = b.node(Op::Mul, &[p, x]).unwrap();
+        let t = b.node(Op::Add, &[s, x]).unwrap();
+        let u = b.node(Op::Mul, &[t, x]).unwrap();
+        let dag = b.finish().unwrap();
+        let cfg = ArchConfig::new(3, 16, 32).unwrap();
+        let blocks = decompose_whole(&dag, &cfg);
+        validate_blocks(&dag, &cfg, &blocks).unwrap();
+        assert_eq!(
+            shape(&blocks),
+            vec![
+                vec![(vec![s.0, p.0, q.0], 3, 1, 0)],
+                vec![(vec![t.0, u.0], 2, 1, 0)]
+            ]
+        );
     }
 }

@@ -21,8 +21,6 @@
 //! emission). A [`BankPolicy::Random`] mode reproduces the paper's random
 //! baseline (Fig. 10(b), 292× more conflicts).
 
-use std::collections::HashMap;
-
 use dpu_dag::{Dag, NodeId, Op};
 use dpu_isa::{interconnect, ArchConfig, PeId, PeOpcode};
 use rand::rngs::SmallRng;
@@ -68,29 +66,34 @@ pub fn place_blocks(
     needs_store: &[bool],
 ) -> Vec<Block> {
     let mut blocks = Vec::with_capacity(raw.len());
+    // Per-node scratch, reset by the nodes that touched it. `height` is a
+    // node's height within the subgraph being placed (0 = not in its
+    // cone); `input_seen` marks the block's register-file operands.
+    let mut height = vec![0u32; dag.len()];
+    let mut input_seen = vec![false; dag.len()];
+    // `(node, PE)` of every occurrence placed in the block.
+    let mut occurrences: Vec<(NodeId, PeId)> = Vec::new();
     for rb in raw {
         let mut blk = Block {
             subgraphs: rb.subgraphs,
             ..Block::default()
         };
-        let mut occurrences: HashMap<NodeId, Vec<PeId>> = HashMap::new();
-        let mut inputs_seen: Vec<NodeId> = Vec::new();
+        occurrences.clear();
 
         for sg in &blk.subgraphs {
             // Heights within the cone: leaves (operands outside the cone)
             // count 0, so height(sink) == sg.depth.
-            let mut height: HashMap<NodeId, u32> = HashMap::new();
             for &x in &sg.nodes {
                 let h = dag
                     .preds(x)
                     .iter()
-                    .map(|p| height.get(p).copied().unwrap_or(0))
+                    .map(|p| height[p.index()])
                     .max()
                     .unwrap_or(0)
                     + 1;
-                height.insert(x, h);
+                height[x.index()] = h;
             }
-            debug_assert_eq!(height[&sg.sink], sg.depth);
+            debug_assert_eq!(height[sg.sink.index()], sg.depth);
 
             // Recursive top-down placement of the unrolled tree. `idx` is
             // the PE index at `layer` within the whole tree.
@@ -100,22 +103,16 @@ pub fn place_blocks(
             while let Some((node, layer, idx)) = stack.pop() {
                 blk.pe_config
                     .push((PeId::new(tree, layer, idx), pe_opcode(dag.op(node))));
-                occurrences
-                    .entry(node)
-                    .or_default()
-                    .push(PeId::new(tree, layer, idx));
+                occurrences.push((node, PeId::new(tree, layer, idx)));
                 let preds = dag.preds(node);
                 debug_assert_eq!(preds.len(), 2, "binarized compute nodes are 2-input");
                 for (side, &child) in preds.iter().enumerate() {
                     let s = side as u32;
-                    let in_cone = height.contains_key(&child) && sg.nodes.contains(&child);
-                    let child_h = if in_cone { height[&child] } else { 0 };
+                    let child_h = height[child.index()];
+                    let in_cone = child_h != 0;
                     // Bypass padding along the always-left descend path
                     // from (layer-1, 2·idx+s) down to the child's level.
                     for lv in (child_h.max(1)..layer).rev() {
-                        if lv == layer {
-                            continue;
-                        }
                         let bp_idx = (2 * idx + s) << (layer - 1 - lv);
                         if in_cone && lv == child_h {
                             break; // the child occupies this position
@@ -132,27 +129,38 @@ pub fn place_blocks(
                         let port = (2 * idx + s) << (layer - 1);
                         blk.port_reads
                             .push((tree * cfg.ports_per_tree() + port, child));
-                        if !inputs_seen.contains(&child) {
-                            inputs_seen.push(child);
+                        if !input_seen[child.index()] {
+                            input_seen[child.index()] = true;
+                            blk.inputs.push(child);
                         }
                     }
                 }
             }
+            for &x in &sg.nodes {
+                height[x.index()] = 0;
+            }
         }
 
-        // io outputs of this block.
+        // io outputs of this block. Grouped by node with the higher layers
+        // first — more writable banks under the per-layer output
+        // interconnect — and placement order kept within a layer.
+        occurrences.sort_by_key(|&(x, pe)| (x, std::cmp::Reverse(pe.layer)));
         for sg in &blk.subgraphs {
             for &x in &sg.nodes {
                 if needs_store[x.index()] {
-                    let mut occ = occurrences[&x].clone();
-                    // Prefer higher layers: more writable banks under the
-                    // per-layer output interconnect.
-                    occ.sort_by_key(|pe| std::cmp::Reverse(pe.layer));
+                    let from = occurrences.partition_point(|&(y, _)| y < x);
+                    let occ = occurrences[from..]
+                        .iter()
+                        .take_while(|&&(y, _)| y == x)
+                        .map(|&(_, pe)| pe)
+                        .collect();
                     blk.outputs.push((x, occ));
                 }
             }
         }
-        blk.inputs = inputs_seen;
+        for &v in &blk.inputs {
+            input_seen[v.index()] = false;
+        }
         blocks.push(blk);
     }
     blocks
@@ -177,8 +185,16 @@ pub fn assign_banks(
 
     // io universe: block inputs ∪ block outputs.
     let mut is_io = vec![false; n];
-    // Writable-bank options per io value.
-    let mut sb: Vec<Option<Vec<u32>>> = vec![None; n];
+    // Sb, the compatible banks of each io value: `words` words of bitset
+    // per value, bit `b` set = bank `b` is still an option. All zero once
+    // the value is assigned.
+    let words = banks.div_ceil(64);
+    let mut sb = vec![0u64; n * words];
+    let every_bank = |sb: &mut [u64], v: NodeId| {
+        for (w, word) in sb[v.index() * words..][..words].iter_mut().enumerate() {
+            *word = u64::MAX >> (64 - (banks - 64 * w).min(64));
+        }
+    };
     // simul_wr neighborhoods: outputs of the same block.
     let mut out_block: Vec<Vec<usize>> = vec![Vec::new(); n]; // value -> blocks writing it (1)
     let mut in_blocks: Vec<Vec<usize>> = vec![Vec::new(); n]; // value -> blocks reading it
@@ -186,28 +202,25 @@ pub fn assign_banks(
     for (bi, blk) in blocks.iter().enumerate() {
         for &(v, ref occ) in &blk.outputs {
             is_io[v.index()] = true;
-            let mut opts: Vec<u32> = Vec::new();
+            let opts = &mut sb[v.index() * words..][..words];
+            opts.fill(0);
             for pe in occ {
                 for b in interconnect::writable_banks(cfg, *pe) {
-                    if !opts.contains(&b) {
-                        opts.push(b);
-                    }
+                    opts[b as usize / 64] |= 1 << (b % 64);
                 }
             }
-            opts.sort_unstable();
-            sb[v.index()] = Some(opts);
             out_block[v.index()].push(bi);
         }
         for &v in &blk.inputs {
-            is_io[v.index()] = true;
             in_blocks[v.index()].push(bi);
-            if sb[v.index()].is_none() {
+            if !is_io[v.index()] {
                 debug_assert_eq!(
                     dag.op(v),
                     Op::Input,
                     "non-input io value must be a block output"
                 );
-                sb[v.index()] = Some((0..cfg.banks).collect());
+                is_io[v.index()] = true;
+                every_bank(&mut sb, v);
             }
         }
     }
@@ -217,12 +230,7 @@ pub fn assign_banks(
     for &v in outputs {
         if !is_io[v.index()] {
             is_io[v.index()] = true;
-            sb[v.index()] = Some((0..cfg.banks).collect());
-        }
-    }
-    for v in dag.nodes() {
-        if is_io[v.index()] && sb[v.index()].is_none() {
-            sb[v.index()] = Some((0..cfg.banks).collect());
+            every_bank(&mut sb, v);
         }
     }
 
@@ -243,36 +251,47 @@ pub fn assign_banks(
     }
 
     // Mnodes: buckets of unassigned io values keyed by |Sb| for O(B)
-    // min-compatible-bank selection (Algorithm 2 lines 9–18).
+    // min-compatible-bank selection (Algorithm 2 lines 9–18). A value
+    // whose Sb shrinks is pushed onto its new bucket and left, stale, in
+    // the old one; which entry a draw hits — stale ones included — is part
+    // of the allocation, so the bucket vectors and the draw sequence are
+    // exactly the list-based allocator's.
     let mut bucket_of: Vec<usize> = vec![usize::MAX; n];
     let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); banks + 1];
     let io_nodes: Vec<NodeId> = dag.nodes().filter(|v| is_io[v.index()]).collect();
     for &v in &io_nodes {
-        let k = sb[v.index()].as_ref().expect("io has options").len();
+        let opts = &sb[v.index() * words..][..words];
+        let k = opts.iter().map(|w| w.count_ones() as usize).sum();
         bucket_of[v.index()] = k;
         buckets[k].push(v);
     }
+    // No bucket below `lowest` holds an entry: entries only move down, and
+    // every move lowers the hint with them.
+    let mut lowest = 0usize;
 
     let mut assigned = 0usize;
     while assigned < io_nodes.len() {
         // Lowest non-empty bucket; random member (objective J).
-        let (k, v) = loop {
-            let k = (0..=banks)
-                .find(|&k| !buckets[k].is_empty())
-                .expect("an unassigned io value exists");
+        let v = loop {
+            // An unassigned io value exists, so a bucket is non-empty.
+            while buckets[lowest].is_empty() {
+                lowest += 1;
+            }
+            let k = lowest;
             let i = rng.gen_range(0..buckets[k].len());
             let v = buckets[k].swap_remove(i);
             // Skip stale entries (value moved buckets or already assigned).
             if assignment.bank_of[v.index()].is_some() || bucket_of[v.index()] != k {
                 continue;
             }
-            break (k, v);
+            break v;
         };
-        let _ = k;
 
-        let opts = sb[v.index()].as_ref().expect("io has options");
-        let chosen = if !opts.is_empty() {
-            opts[rng.gen_range(0..opts.len())]
+        let n_opts = bucket_of[v.index()];
+        let chosen = if n_opts != 0 {
+            // Uniform over the compatible banks, taken in ascending order.
+            let i = rng.gen_range(0..n_opts);
+            nth_set_bit(&sb[v.index() * words..][..words], i)
         } else {
             // No compatible bank: minimize conflicts by picking the bank
             // least used by simultaneously-read/written neighbors
@@ -300,40 +319,52 @@ pub fn assign_banks(
         };
         assignment.bank_of[v.index()] = Some(chosen);
         bucket_of[v.index()] = usize::MAX;
+        sb[v.index() * words..][..words].fill(0);
         assigned += 1;
 
         // Constraint G: same-block outputs must avoid this bank.
         // Constraint F: co-read inputs must avoid this bank.
-        let restrict = |w: NodeId,
-                        sb: &mut Vec<Option<Vec<u32>>>,
-                        buckets: &mut Vec<Vec<NodeId>>,
-                        bucket_of: &mut Vec<usize>| {
-            if assignment.bank_of[w.index()].is_some() || w == v {
-                return;
-            }
-            let opts = sb[w.index()].as_mut().expect("io has options");
-            if let Some(pos) = opts.iter().position(|&b| b == chosen) {
-                opts.remove(pos);
-                let nk = opts.len();
+        // (An assigned neighbor, `v` included, has no option left to lose.)
+        let (word, bit) = (chosen as usize / 64, 1u64 << (chosen % 64));
+        let mut restrict = |w: NodeId| {
+            let opts = &mut sb[w.index() * words + word];
+            if *opts & bit != 0 {
+                *opts &= !bit;
+                let nk = bucket_of[w.index()] - 1;
                 bucket_of[w.index()] = nk;
                 buckets[nk].push(w);
+                lowest = lowest.min(nk);
             }
         };
         for &bi in out_block[v.index()].iter() {
-            let outs: Vec<NodeId> = blocks[bi].outputs.iter().map(|&(w, _)| w).collect();
-            for w in outs {
-                restrict(w, &mut sb, &mut buckets, &mut bucket_of);
+            for &(w, _) in &blocks[bi].outputs {
+                restrict(w);
             }
         }
         for &bi in in_blocks[v.index()].iter() {
-            let ins: Vec<NodeId> = blocks[bi].inputs.clone();
-            for w in ins {
-                restrict(w, &mut sb, &mut buckets, &mut bucket_of);
+            for &w in &blocks[bi].inputs {
+                restrict(w);
             }
         }
     }
 
     assignment
+}
+
+/// The `i`-th set bit of `words`, counting up from bit 0 of `words[0]`.
+fn nth_set_bit(words: &[u64], mut i: usize) -> u32 {
+    for (w, &word) in words.iter().enumerate() {
+        let ones = word.count_ones() as usize;
+        if i < ones {
+            let mut word = word;
+            for _ in 0..i {
+                word &= word - 1; // clears the lowest set bit
+            }
+            return 64 * w as u32 + word.trailing_zeros();
+        }
+        i -= ones;
+    }
+    unreachable!("fewer than i + 1 bits set")
 }
 
 /// Computes which values must be written back to the register file:
@@ -435,23 +466,43 @@ mod tests {
         }
     }
 
+    /// Every output's home bank is writable from one of its occurrences.
+    fn assert_connectivity(cfg: &ArchConfig, blocks: &[Block], assign: &BankAssignment) {
+        for blk in blocks {
+            for (v, occ) in &blk.outputs {
+                let bank = assign.bank(*v);
+                assert!(
+                    occ.iter().any(|pe| interconnect::can_write(cfg, *pe, bank)),
+                    "{}: value {v} bank {bank} unreachable from {occ:?}",
+                    cfg.topology
+                );
+            }
+        }
+    }
+
+    /// The inputs of one block sit in pairwise distinct banks.
+    fn assert_distinct_input_banks(cfg: &ArchConfig, blocks: &[Block], assign: &BankAssignment) {
+        for blk in blocks {
+            let mut used = std::collections::HashSet::new();
+            for &v in &blk.inputs {
+                assert!(
+                    used.insert(assign.bank(v)),
+                    "{}: two inputs of one block share bank {}",
+                    cfg.topology,
+                    assign.bank(v)
+                );
+            }
+        }
+    }
+
     #[test]
     fn bank_assignment_respects_connectivity() {
         let dag = small_dag();
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
         let (blocks, assign) = pipeline(&dag, &cfg);
-        for blk in &blocks {
-            for (v, occ) in &blk.outputs {
-                let bank = assign.bank(*v);
-                // Conflict-aware assignment on an uncontended DAG should
-                // always find a compatible (occurrence, bank) pair.
-                assert!(
-                    occ.iter()
-                        .any(|pe| interconnect::can_write(&cfg, *pe, bank)),
-                    "value {v} bank {bank} unreachable from {occ:?}"
-                );
-            }
-        }
+        // Conflict-aware assignment on an uncontended DAG should always
+        // find a compatible (occurrence, bank) pair.
+        assert_connectivity(&cfg, &blocks, &assign);
     }
 
     #[test]
@@ -459,16 +510,26 @@ mod tests {
         let dag = small_dag();
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
         let (blocks, assign) = pipeline(&dag, &cfg);
-        for blk in &blocks {
-            let mut used = std::collections::HashSet::new();
-            for &v in &blk.inputs {
-                assert!(
-                    used.insert(assign.bank(v)),
-                    "two inputs of one block share bank {}",
-                    assign.bank(v)
-                );
+        assert_distinct_input_banks(&cfg, &blocks, &assign);
+    }
+
+    #[test]
+    fn bank_invariants_hold_at_one_and_two_bitset_words_on_every_topology() {
+        // B = 8 uses the low bits of one Sb word, B = 128 two whole words.
+        let dag = small_dag();
+        for banks in [8, 128] {
+            for topology in dpu_isa::Topology::all() {
+                let cfg = ArchConfig::with_topology(2, banks, 16, topology).unwrap();
+                let (blocks, assign) = pipeline(&dag, &cfg);
+                assert_connectivity(&cfg, &blocks, &assign);
+                assert_distinct_input_banks(&cfg, &blocks, &assign);
+                assert!(assign.bank_of.iter().flatten().all(|&b| b < banks));
             }
         }
+        // The second word is really drawn from: some home is above bank 63.
+        let cfg = ArchConfig::new(2, 128, 16).unwrap();
+        let (_, assign) = pipeline(&dag, &cfg);
+        assert!(assign.bank_of.iter().flatten().any(|&b| b >= 64));
     }
 
     #[test]

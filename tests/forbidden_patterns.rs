@@ -6,8 +6,9 @@
 //! backpressure story stays intact (exactly one deliberately unbounded
 //! channel, behind the admission gate), the oracle interpreter stays off
 //! every production path, the dispatcher keeps one path that shares
-//! rounds instead of copying them, and the register file's write policy
-//! stays stated once.
+//! rounds instead of copying them, the register file's write policy
+//! stays stated once, and the compiler's passes keep no table whose order
+//! depends on the process.
 //!
 //! Plain text scanning is crude but cheap, runs in the ordinary test
 //! suite, and fails with the offending file + line so violations are
@@ -301,6 +302,32 @@ fn register_write_policy_is_stated_once() {
     assert!(
         hits.is_empty(),
         "the register write policy lives in crates/isa/src/regfile.rs only:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn compiler_passes_use_no_randomly_seeded_maps() {
+    // `std`'s `HashMap`/`HashSet` are seeded per process (`RandomState`),
+    // so anything that iterates one — or breaks a tie by its order — can
+    // emit a different program from run to run: the spiller did, twice.
+    // The passes key their tables by `NodeId`, bank or instruction index
+    // (plain vectors) and by `(bank, value)` (`ir::Residency`), whose order
+    // is a property of the input. Unit tests below a file's `#[cfg(test)]`
+    // may use what they like.
+    let mut hits = Vec::new();
+    for path in rust_sources(&repo_root().join("crates/compiler/src")) {
+        let text = fs::read_to_string(&path).expect("source file is UTF-8");
+        let production = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+        for (idx, line) in production.enumerate() {
+            if line.contains("HashMap") || line.contains("HashSet") {
+                hits.push(format!("{}:{}: {}", path.display(), idx + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "dpu-compiler must not keep state in a randomly seeded map:\n{}",
         hits.join("\n")
     );
 }
