@@ -423,8 +423,6 @@ fn main() {
                         .field("rounds", s.rounds)
                         .field("stolen_rounds", s.stolen_rounds)
                         .field("modelled_cycles", s.modelled_cycles)
-                        .field("cache_hit_rate", s.cache.hit_rate())
-                        .field("compiles", s.cache.misses)
                 })
                 .collect(),
         )

@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` (see DESIGN.md §3 for the index); this library holds the

@@ -65,9 +65,9 @@ pub mod prelude {
     pub use dpu_runtime::{
         Backend, BaselineBackend, CacheStats, ChaosEvent, ChaosPlan, ClassReport, DagKey,
         DispatchOptions, DispatchReport, Dispatcher, Engine, EngineOptions, HedgeOptions,
-        LatencyHistogram, LatencyReport, Outcome, PlatformSummary, Priority, ProgramCache, Request,
-        ServeError, ServingReport, ShedReason, SpillStore, StealClass, SubmitAllError,
-        SubmitOptions, SubmitRejection, Submitter, Ticket, Timeline,
+        LatencyHistogram, LatencyReport, Outcome, PlatformSummary, Priority, ProgramCache,
+        ProgramStore, Request, ServeError, ServingReport, ShedReason, SpillStore, StealClass,
+        SubmitAllError, SubmitOptions, SubmitRejection, Submitter, Ticket, Timeline,
     };
     pub use dpu_sim::{RunResult, VerifyReport};
     // The static analyzer's report type stays behind its crate path
@@ -156,14 +156,16 @@ impl Dpu {
     /// flow in continuously through [`Submitter`](dpu_runtime::Submitter)
     /// handles, rounds close adaptively under the latency budget, and
     /// each request is routed to one of `options.shards` engine replicas
-    /// by its DAG fingerprint (warm-cache affinity, work-stealing
-    /// fallback). See `dpu-runtime`'s `dispatch` module docs.
+    /// by its DAG fingerprint (key affinity, work-stealing fallback); the
+    /// replicas share one program store, so a DAG is compiled and decoded
+    /// once per dispatcher. See `dpu-runtime`'s `dispatch` module docs.
     pub fn dispatcher(&self, options: DispatchOptions) -> Dispatcher {
         Dispatcher::new(self.config, self.options.clone(), options)
     }
 
     /// Builds an async sharded [`Dispatcher`] of `options.shards` DPU-v2
-    /// engine shards that is **shadowed** by one analytic baseline shard
+    /// engine shards (over one program store, as [`Dpu::dispatcher`]'s)
+    /// that is **shadowed** by one analytic baseline shard
     /// per entry of `baselines` (CPU / GPU / DPU-v1 / SPU models from
     /// `dpu-baselines`): every accepted request is served by a DPU shard
     /// (tickets, byte-identical results) *and* replayed ticketlessly on
@@ -184,15 +186,8 @@ impl Dpu {
         baselines: &[BaselineModel],
     ) -> Dispatcher {
         assert!(options.shards > 0, "at least one shard required");
-        let engine_opts = EngineOptions {
-            workers: 1,
-            cores: options.cores,
-            cache_capacity: options.cache_capacity,
-            spill_dir: options.spill_dir.clone(),
-        };
-        let primaries: Vec<Arc<dyn Backend>> = (0..options.shards)
-            .map(|_| Arc::new(self.engine(engine_opts.clone())) as Arc<dyn Backend>)
-            .collect();
+        let configs = vec![self.config; options.shards];
+        let primaries = dpu_runtime::engine_shards(&configs, self.options.clone(), &options);
         let mirrors: Vec<Arc<dyn Backend>> = baselines
             .iter()
             .map(|&m| {
@@ -318,6 +313,11 @@ mod tests {
         let report = dispatcher.shutdown();
         assert_eq!(report.served, 8);
         assert_eq!(report.mirrored, 16, "each baseline shadows every request");
+        // The two DPU primaries serve from one program store.
+        assert_eq!(report.stores.len(), 1);
+        let cache = report.cache_totals();
+        assert_eq!((cache.misses, cache.decode_count, cache.entries), (1, 1, 1));
+        assert_eq!(cache.hits + cache.misses, 8);
         let platforms = report.platforms();
         let names: Vec<&str> = platforms.iter().map(|p| p.platform).collect();
         assert_eq!(names, vec!["dpu_v2", "cpu", "gpu"]);

@@ -18,9 +18,10 @@
 //!   (backend construction parameters, registered DAG, request inputs) —
 //!   no time-, scheduling- or history-dependence. The per-worker
 //!   [`Scratch`] exists *only* to reuse allocations.
-//! - **Stable keys.** [`Backend::register`] must key DAGs by
-//!   [`dag_fingerprint`](crate::dag_fingerprint()), so the same DAG gets
-//!   the same [`DagKey`] on every shard of a dispatcher.
+//! - **Stable keys.** [`Backend::register`] must file the DAG under the
+//!   [`DagKey`] it is handed — the DAG's
+//!   [`dag_fingerprint`](crate::dag_fingerprint()), computed once by the
+//!   dispatcher — so the same DAG has the same key on every shard.
 //! - **Honest steal classes.** Two backends may report equal
 //!   [`StealClass`]es only if they produce byte-identical results for
 //!   every request — the dispatcher moves rounds freely within a class.
@@ -49,10 +50,9 @@ use dpu_dag::Dag;
 use dpu_isa::ArchConfig;
 use dpu_sim::{Activity, Machine, RunResult};
 
-use crate::cache::CacheStats;
 use crate::planner::plan_rounds;
-use crate::pool::{Engine, Request, ServeError};
-use crate::{dag_fingerprint, DagKey};
+use crate::pool::{Engine, ProgramStore, Request, ServeError};
+use crate::DagKey;
 
 /// Per-worker execution state owned by a shard thread: a reusable
 /// [`Machine`] for simulated backends, nothing for analytic ones. Opaque
@@ -101,8 +101,10 @@ pub trait Backend: Send + Sync {
     /// `dpu_v1`, `spu`, ...) — serving reports group shards by it.
     fn platform(&self) -> &'static str;
 
-    /// Registers a DAG and returns its structural fingerprint key.
-    fn register(&self, dag: Dag) -> DagKey;
+    /// Registers `dag` under `key`, its structural fingerprint. A
+    /// dispatcher fingerprints a DAG once and hands every shard the same
+    /// `Arc`, so registration copies nothing. Idempotent.
+    fn register(&self, key: DagKey, dag: Arc<Dag>);
 
     /// Creates the per-worker scratch state (called once per shard
     /// thread).
@@ -156,14 +158,17 @@ pub trait Backend: Send + Sync {
         None
     }
 
-    /// Program-cache statistics, for backends that compile.
-    fn cache_stats(&self) -> CacheStats {
-        CacheStats::default()
+    /// The program store behind this backend, for backends that compile.
+    /// Shards of one dispatcher may share a store; its statistics are
+    /// reported once per distinct store (`Arc` identity), not per shard.
+    fn program_store(&self) -> Option<&Arc<ProgramStore>> {
+        None
     }
 
     /// Back-fills the backend's program cache from persistent storage
     /// (a spill directory a peer or a previous run populated), returning
-    /// the number of programs loaded. Default: nothing to warm. See
+    /// the number of programs loaded — 0 for what a shard sharing the
+    /// store already loaded. Default: nothing to warm. See
     /// [`Engine::prewarm`].
     fn prewarm(&self) -> usize {
         0
@@ -178,8 +183,8 @@ impl Backend for Engine {
         "dpu_v2"
     }
 
-    fn register(&self, dag: Dag) -> DagKey {
-        Engine::register(self, dag)
+    fn register(&self, key: DagKey, dag: Arc<Dag>) {
+        Engine::program_store(self).register(key, dag);
     }
 
     fn scratch(&self) -> Scratch {
@@ -212,8 +217,8 @@ impl Backend for Engine {
         StealClass::Sim(*self.config())
     }
 
-    fn cache_stats(&self) -> CacheStats {
-        Engine::cache_stats(self)
+    fn program_store(&self) -> Option<&Arc<ProgramStore>> {
+        Some(Engine::program_store(self))
     }
 
     fn prewarm(&self) -> usize {
@@ -279,6 +284,12 @@ impl BaselineBackend {
     pub fn model(&self) -> &BaselineModel {
         &self.model
     }
+
+    /// Looks up a registered DAG.
+    pub fn dag(&self, key: DagKey) -> Option<Arc<Dag>> {
+        let dags = self.dags.read().expect("dag registry poisoned");
+        dags.get(&key).map(|e| Arc::clone(&e.dag))
+    }
 }
 
 impl Backend for BaselineBackend {
@@ -286,8 +297,7 @@ impl Backend for BaselineBackend {
         self.model.platform()
     }
 
-    fn register(&self, dag: Dag) -> DagKey {
-        let key = dag_fingerprint(&dag);
+    fn register(&self, key: DagKey, dag: Arc<Dag>) {
         let mut dags = self.dags.write().expect("dag registry poisoned");
         dags.entry(key).or_insert_with(|| {
             // ceil, so no DAG is ever modelled as free: sub-cycle
@@ -302,10 +312,9 @@ impl Backend for BaselineBackend {
             BaselineEntry {
                 dag_ops,
                 cycles: cycles.max(1),
-                dag: Arc::new(dag),
+                dag,
             }
         });
-        key
     }
 
     fn scratch(&self) -> Scratch {
@@ -352,7 +361,15 @@ mod tests {
     use dpu_compiler::CompileOptions;
     use dpu_dag::{eval, DagBuilder, Op};
 
+    use crate::dag_fingerprint;
     use crate::pool::EngineOptions;
+
+    /// Registers `dag` the way a dispatcher does: fingerprinted once.
+    fn register(backend: &dyn Backend, dag: Dag) -> DagKey {
+        let key = dag_fingerprint(&dag);
+        backend.register(key, Arc::new(dag));
+        key
+    }
 
     fn small_dag() -> Dag {
         let mut b = DagBuilder::new();
@@ -376,7 +393,7 @@ mod tests {
         );
         let backend: &dyn Backend = &engine;
         assert_eq!(backend.platform(), "dpu_v2");
-        let key = backend.register(small_dag());
+        let key = register(backend, small_dag());
         let mut scratch = backend.scratch();
         let got = backend
             .execute(&mut scratch, &Request::new(key, vec![2.0, 3.0]))
@@ -395,9 +412,9 @@ mod tests {
     fn baseline_backend_serves_reference_outputs_at_model_cost() {
         let dag = small_dag();
         let backend = BaselineBackend::new(BaselineModel::cpu(), 300e6);
-        let key = backend.register(dag.clone());
+        let key = register(&backend, dag.clone());
         // Idempotent re-register.
-        assert_eq!(backend.register(dag.clone()), key);
+        assert_eq!(register(&backend, dag.clone()), key);
         let mut scratch = backend.scratch();
         let got = backend
             .execute(&mut scratch, &Request::new(key, vec![2.0, 3.0]))
@@ -422,7 +439,7 @@ mod tests {
             .execute(&mut scratch, &Request::new(DagKey(0xbad), vec![]))
             .unwrap_err();
         assert!(matches!(err, ServeError::UnknownDag(_)));
-        let key = backend.register(small_dag());
+        let key = register(&backend, small_dag());
         let err = backend
             .execute(&mut scratch, &Request::new(key, vec![1.0]))
             .unwrap_err();

@@ -8,12 +8,18 @@
 //! [`ArchConfig`] it was compiled for — and shared as
 //! [`Arc<Compiled>`] across every request and worker thread.
 //!
-//! Concurrency model: a `RwLock` map from key to *slot*, plus a per-slot
-//! mutex around the compiled program. Looking up a hot key takes the map
-//! read lock only; the first thread to reach a new slot compiles while
-//! holding just that slot's lock, so (a) a program is compiled **exactly
-//! once** per distinct key no matter how many threads race on it, and
-//! (b) compiling one DAG never blocks serving a different one.
+//! Concurrency model: a `RwLock` map from key to *slot*; a slot's
+//! compiled program and its decode are write-once cells (`OnceLock`),
+//! because a key's program never changes. Looking up a hot key takes the
+//! map read lock and loads two cells; the first thread to reach a new
+//! slot compiles while holding just that slot's compile mutex, so (a) a
+//! program is compiled **exactly once** per distinct key no matter how
+//! many threads — or engine shards: one cache serves every shard of a
+//! dispatcher — race on it, and (b) compiling one DAG never blocks
+//! serving a different one. A thread that panics while holding one of
+//! these locks takes nobody with it: every guarded state is a single
+//! assignment or a `HashMap` operation, so the next taker recovers the
+//! guard (`PoisonError::into_inner`) instead of propagating the poison.
 //!
 //! # Persistence
 //!
@@ -35,7 +41,9 @@ use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{
+    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 use dpu_compiler::{compile, CompileError, CompileOptions, Compiled};
 use dpu_dag::Dag;
@@ -416,29 +424,73 @@ impl SpillStore {
     }
 }
 
+/// The read guard of a program-store lock, poisoned or not. A store is
+/// shared by every engine shard of a dispatcher, and what its locks guard
+/// is consistent between any two statements (a single assignment or a
+/// `HashMap` operation), so a shard that panicked while holding one must
+/// not fail the survivors' next lookup.
+pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The write guard of a program-store lock; see [`read`].
+pub(crate) fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The guard of a program-store mutex; see [`read`].
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A program's decode, or the error decode refused the program with.
+type Decoded = Result<Arc<DecodedProgram>, SimError>;
+
 /// One cache slot. The slot is created empty under the map write lock
 /// (cheap), and filled by whichever thread wins the slot's compile mutex
 /// (the one expensive compile); losers block on that mutex and then read
-/// the result. Hits take only the `compiled` read lock, so concurrent
-/// lookups of a hot program never serialize.
+/// the result. A key's program never changes, so both cells are
+/// write-once: a hit is a load, and concurrent lookups of a hot program
+/// never serialize.
 struct Slot {
-    compiled: RwLock<Option<Arc<Compiled>>>,
+    compiled: OnceLock<Arc<Compiled>>,
     /// The pre-decoded execution form — or the error decode refused the
-    /// program with — attached lazily on the first decoded execution
-    /// ([`ProgramCache::get_decoded`]) and shared across every shard and
-    /// worker from then on. Derived state only: it is rebuilt from
-    /// `compiled`, never spilled — the spill layer persists exactly the
-    /// verified compiled program, so a warm restart re-decodes on first
-    /// execute instead of trusting a second on-disk representation.
-    decoded: RwLock<Option<Result<Arc<DecodedProgram>, SimError>>>,
-    /// Held only while compiling; keeps the compile-once guarantee
-    /// without write-locking `compiled` for the compile's duration.
+    /// program with — attached on the first decoded execution and shared
+    /// across every shard and worker from then on (the cell itself makes
+    /// racing decoders run one decode). Derived state only: it is rebuilt
+    /// from `compiled`, never spilled — the spill layer persists exactly
+    /// the verified compiled program, so a warm restart re-decodes on
+    /// first execute instead of trusting a second on-disk representation.
+    decoded: OnceLock<Decoded>,
+    /// Held only while filling `compiled` ([`ProgramCache::fill`]): a cell
+    /// cannot run a fallible initializer once, and a failed compile must
+    /// leave the slot empty for the next caller to retry.
     compile_lock: Mutex<()>,
     /// Logical timestamp of the most recent use, for LRU eviction.
     last_used: AtomicU64,
 }
 
+/// How [`ProgramCache::fill`] left a slot.
+enum Fill {
+    /// Another thread had filled it by the time the compile lock was won.
+    Resident,
+    /// Back-filled from the spill store.
+    Loaded,
+    /// Compiled here.
+    Compiled,
+    /// Still empty: nothing valid was spilled and there was no DAG to
+    /// compile from (a prewarm).
+    Empty,
+}
+
 /// Concurrent compile-once cache of [`Compiled`] programs.
+///
+/// One instance serves every engine shard of a dispatcher, whatever their
+/// configurations (the key carries the [`ArchConfig`]). Which shard's
+/// thread compiles a key first is a race; sharing is sound only because
+/// compilation is seeded and byte-deterministic — the winner's program is
+/// the one every loser would have produced (`tests/golden_bytes.rs`
+/// compiles each of its cells twice and compares bytes).
 pub struct ProgramCache {
     options: CompileOptions,
     capacity: usize,
@@ -532,20 +584,12 @@ impl ProgramCache {
     /// the operator-facing answer to a non-zero
     /// [`CacheStats::spill_rejects`].
     pub fn last_spill_reject(&self) -> Option<String> {
-        self.last_reject
-            .lock()
-            .expect("reject note poisoned")
-            .clone()
+        lock(&self.last_reject).clone()
     }
 
     fn note_reject(&self, why: String) {
         self.spill_rejects.fetch_add(1, Ordering::Relaxed);
-        *self.last_reject.lock().expect("reject note poisoned") = Some(why);
-    }
-
-    fn note_unverifiable(&self, err: &dpu_verify::VerifyError) {
-        self.spill_unverifiable.fetch_add(1, Ordering::Relaxed);
-        self.note_reject(format!("static verification: {err}"));
+        *lock(&self.last_reject) = Some(why);
     }
 
     /// Returns the compiled program for `(key, config)`, compiling `dag`
@@ -566,66 +610,18 @@ impl ProgramCache {
             dag: key,
             config: *config,
         };
-        let slot = self.slot(key);
-        slot.last_used.store(
-            self.clock.fetch_add(1, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        // Fast path: a read lock only, so hot programs serve concurrently.
-        if let Some(compiled) = slot.compiled.read().expect("cache slot poisoned").as_ref() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(compiled));
-        }
-        // Slow path: the first thread through the compile lock fills the
-        // slot — from the spill store when a valid file exists, else by
-        // compiling; concurrent callers for the same key block here, then
-        // find the slot filled and count as hits (they did not compile).
-        let _compiling = slot.compile_lock.lock().expect("compile lock poisoned");
-        if let Some(compiled) = slot.compiled.read().expect("cache slot poisoned").as_ref() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(compiled));
-        }
-        if let Some(store) = &self.spill {
-            match store.load(&key) {
-                SpillLookup::Loaded(compiled) => {
-                    // Served without compiling: a hit, back-filled from
-                    // disk (this is what makes a restart warm). The load
-                    // already ran the static verifier.
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.spill_hits.fetch_add(1, Ordering::Relaxed);
-                    self.spill_verified.fetch_add(1, Ordering::Relaxed);
-                    let compiled = Arc::new(*compiled);
-                    *slot.compiled.write().expect("cache slot poisoned") =
-                        Some(Arc::clone(&compiled));
-                    return Ok(compiled);
-                }
-                SpillLookup::Rejected(why) => {
-                    self.note_reject(why);
-                }
-                SpillLookup::Unverifiable(e) => {
-                    self.note_unverifiable(&e);
-                }
-                SpillLookup::Absent => {}
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(compile(dag, config, &self.options)?);
-        *slot.compiled.write().expect("cache slot poisoned") = Some(Arc::clone(&compiled));
-        if let Some(store) = &self.spill {
-            // Best-effort: a failed spill write costs a future cold
-            // compile, never a serving error.
-            if store.store(&key, &compiled).is_ok() {
-                self.spill_writes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(compiled)
+        self.compiled_in(&self.slot(key), &key, dag, 1)
     }
 
     /// Returns the pre-decoded execution form for `key`, building it from
     /// `compiled` on first use and sharing the same `Arc<DecodedProgram>`
     /// with every shard and worker thereafter. `compiled` must be the
     /// program [`ProgramCache::get_or_compile`] returned for the same
-    /// key (the engine keeps this association).
+    /// key. Between the two calls the caller holds no slot, so a bounded
+    /// cache may have evicted the entry: the program is then decoded and
+    /// returned without being cached — this call never makes an entry.
+    /// (The engine's per-round path visits the slot once for both forms
+    /// and has no such window.)
     ///
     /// The decoded form is never spilled: after a warm restart the slot
     /// is back-filled from disk with only the verified compiled program,
@@ -647,37 +643,138 @@ impl ProgramCache {
         key: CacheKey,
         compiled: &Compiled,
     ) -> Result<Arc<DecodedProgram>, SimError> {
-        let slot = self.slot(key);
-        // Fast path: a read lock only, as for compiled lookups.
-        if let Some(decoded) = slot.decoded.read().expect("cache slot poisoned").as_ref() {
-            return decoded.clone();
+        let slot = read(&self.map).get(&key).cloned();
+        match slot {
+            Some(slot) => self.decoded_in(&slot, compiled),
+            None => self.decode(compiled),
         }
-        // Decode-once discipline, reusing the slot's compile lock: the
-        // first thread through decodes, racers block and then read.
-        let _decoding = slot.compile_lock.lock().expect("compile lock poisoned");
-        if let Some(decoded) = slot.decoded.read().expect("cache slot poisoned").as_ref() {
-            return decoded.clone();
-        }
-        let decoded = DecodedProgram::decode(&compiled.program).map(Arc::new);
-        self.decode_count.fetch_add(1, Ordering::Relaxed);
-        *slot.decoded.write().expect("cache slot poisoned") = Some(decoded.clone());
-        decoded
     }
 
-    /// Credits `extra` additional cache hits to the stats. Round-grouped
-    /// execution consults the cache once per program *group* and then
-    /// serves every request of the group from the same `Arc` — each of
-    /// those requests was still served from cache, so the grouping
-    /// optimization must not deflate the per-request hit accounting that
-    /// [`CacheStats::hit_rate`] (and its CI gate) is defined over.
-    pub fn note_round_reuse(&self, extra: u64) {
-        self.hits.fetch_add(extra, Ordering::Relaxed);
+    /// One visit to `key`'s slot for everything a round group runs: the
+    /// compiled program (compiled from `dag` on first use, exactly as
+    /// [`ProgramCache::get_or_compile`]) and its decode (as
+    /// [`ProgramCache::get_decoded`]), both taken from the same slot, so
+    /// no eviction can come between them. `requests` is the size of the
+    /// group: each member is served from the cache, so each counts in
+    /// [`CacheStats::hits`] — all but the one that compiled — and grouping
+    /// does not deflate the per-request [`CacheStats::hit_rate`] CI gates.
+    pub(crate) fn lookup(
+        &self,
+        dag: &Dag,
+        key: DagKey,
+        config: &ArchConfig,
+        requests: u64,
+    ) -> Result<(Arc<Compiled>, Decoded), CompileError> {
+        let key = CacheKey {
+            dag: key,
+            config: *config,
+        };
+        let slot = self.slot(key);
+        let compiled = self.compiled_in(&slot, &key, dag, requests)?;
+        let decoded = self.decoded_in(&slot, &compiled);
+        Ok((compiled, decoded))
+    }
+
+    /// The program in `slot`, filled first if the slot is empty; stamps
+    /// recency and counts `requests` lookups.
+    fn compiled_in(
+        &self,
+        slot: &Arc<Slot>,
+        key: &CacheKey,
+        dag: &Dag,
+        requests: u64,
+    ) -> Result<Arc<Compiled>, CompileError> {
+        slot.last_used.store(
+            self.clock.fetch_add(1, Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
+        let mut hits = requests;
+        if slot.compiled.get().is_none() {
+            match self.fill(slot, key, Some(dag)) {
+                Ok(Fill::Compiled) => hits -= 1,
+                // Served without compiling — a racer's compile or a
+                // back-fill from disk (what makes a restart warm): hits.
+                Ok(_) => {}
+                Err(e) => {
+                    self.discard_if_empty(key, slot);
+                    return Err(e);
+                }
+            }
+        }
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        Ok(Arc::clone(slot.compiled.get().expect("slot was filled")))
+    }
+
+    /// The one way a slot gets its program: under the slot's compile lock
+    /// (so fills are mutually exclusive and concurrent callers for one key
+    /// block here, then find it filled), from the spill store when a valid
+    /// file exists — the load already ran the static verifier — else by
+    /// compiling `dag`, when there is one, and spilling the result.
+    fn fill(&self, slot: &Slot, key: &CacheKey, dag: Option<&Dag>) -> Result<Fill, CompileError> {
+        let _filling = lock(&slot.compile_lock);
+        if slot.compiled.get().is_some() {
+            return Ok(Fill::Resident);
+        }
+        if let Some(store) = &self.spill {
+            match store.load(key) {
+                SpillLookup::Loaded(compiled) => {
+                    self.spill_hits.fetch_add(1, Ordering::Relaxed);
+                    self.spill_verified.fetch_add(1, Ordering::Relaxed);
+                    slot.compiled.get_or_init(|| Arc::new(*compiled));
+                    return Ok(Fill::Loaded);
+                }
+                SpillLookup::Rejected(why) => self.note_reject(why),
+                SpillLookup::Unverifiable(e) => {
+                    self.spill_unverifiable.fetch_add(1, Ordering::Relaxed);
+                    self.note_reject(format!("static verification: {e}"));
+                }
+                SpillLookup::Absent => {}
+            }
+        }
+        let Some(dag) = dag else {
+            return Ok(Fill::Empty);
+        };
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let compiled = Arc::new(compile(dag, &key.config, &self.options)?);
+        let compiled = slot.compiled.get_or_init(|| compiled);
+        if let Some(store) = &self.spill {
+            // Best-effort: a failed spill write costs a future cold
+            // compile, never a serving error.
+            if store.store(key, compiled).is_ok() {
+                self.spill_writes.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Ok(Fill::Compiled)
+    }
+
+    /// Unmaps the slot a fill left empty (a failed compile, a prewarm with
+    /// nothing valid to load), unless another lookup holds it and will
+    /// retry: a resident slot nobody holds always has a program, which is
+    /// what lets eviction read an empty one as a fill in flight.
+    fn discard_if_empty(&self, key: &CacheKey, slot: &Arc<Slot>) {
+        let mut map = write(&self.map);
+        let ours = map.get(key).is_some_and(|s| Arc::ptr_eq(s, slot));
+        // The map's reference and the caller's.
+        if ours && slot.compiled.get().is_none() && Arc::strong_count(slot) == 2 {
+            map.remove(key);
+        }
+    }
+
+    /// The decode in `slot`, run first if the cell is empty.
+    fn decoded_in(&self, slot: &Slot, compiled: &Compiled) -> Decoded {
+        slot.decoded.get_or_init(|| self.decode(compiled)).clone()
+    }
+
+    fn decode(&self, compiled: &Compiled) -> Decoded {
+        self.decode_count.fetch_add(1, Ordering::Relaxed);
+        DecodedProgram::decode(&compiled.program).map(Arc::new)
     }
 
     /// Back-fills the in-memory cache from the spill store: every spilled
     /// program for `config` (up to the capacity bound) is loaded without
     /// waiting for a request to miss on it. Returns the number of
-    /// programs loaded.
+    /// programs loaded; a key already resident — a sibling shard's
+    /// prewarm got there first — loads nothing.
     ///
     /// This is the scale-out path: point a **new** engine's spill
     /// directory at a peer's (or a copy of it), prewarm, and the shard
@@ -695,36 +792,14 @@ impl ProgramCache {
             if self.len() >= self.capacity {
                 break;
             }
-            if self
-                .map
-                .read()
-                .expect("cache map poisoned")
-                .contains_key(&key)
-            {
+            if read(&self.map).contains_key(&key) {
                 continue;
             }
-            match store.load(&key) {
-                SpillLookup::Loaded(compiled) => {
-                    // Same discipline as `get_or_compile`: the compile
-                    // lock makes fills mutually exclusive, so a prewarm
-                    // racing a lookup never double-fills a slot.
-                    let slot = self.slot(key);
-                    let _filling = slot.compile_lock.lock().expect("compile lock poisoned");
-                    let mut guard = slot.compiled.write().expect("cache slot poisoned");
-                    if guard.is_none() {
-                        *guard = Some(Arc::new(*compiled));
-                        self.spill_hits.fetch_add(1, Ordering::Relaxed);
-                        self.spill_verified.fetch_add(1, Ordering::Relaxed);
-                        loaded += 1;
-                    }
-                }
-                SpillLookup::Rejected(why) => {
-                    self.note_reject(why);
-                }
-                SpillLookup::Unverifiable(e) => {
-                    self.note_unverifiable(&e);
-                }
-                SpillLookup::Absent => {}
+            let slot = self.slot(key);
+            if let Ok(Fill::Loaded) = self.fill(&slot, &key, None) {
+                loaded += 1;
+            } else {
+                self.discard_if_empty(&key, &slot);
             }
         }
         loaded
@@ -732,10 +807,10 @@ impl ProgramCache {
 
     /// Finds or creates the slot for `key`, evicting if needed.
     fn slot(&self, key: CacheKey) -> Arc<Slot> {
-        if let Some(slot) = self.map.read().expect("cache map poisoned").get(&key) {
+        if let Some(slot) = read(&self.map).get(&key) {
             return Arc::clone(slot);
         }
-        let mut map = self.map.write().expect("cache map poisoned");
+        let mut map = write(&self.map);
         // Double-checked: another thread may have created it while we
         // waited for the write lock.
         if let Some(slot) = map.get(&key) {
@@ -756,10 +831,7 @@ impl ProgramCache {
         while map.len() >= self.capacity {
             let victim = map
                 .iter()
-                .filter(|(_, s)| {
-                    Arc::strong_count(s) == 1
-                        && s.compiled.read().expect("cache slot poisoned").is_some()
-                })
+                .filter(|(_, s)| Arc::strong_count(s) == 1 && s.compiled.get().is_some())
                 .min_by_key(|(_, s)| s.last_used.load(Ordering::Relaxed))
                 .map(|(k, _)| *k);
             let Some(victim) = victim else {
@@ -769,8 +841,8 @@ impl ProgramCache {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         let slot = Arc::new(Slot {
-            compiled: RwLock::new(None),
-            decoded: RwLock::new(None),
+            compiled: OnceLock::new(),
+            decoded: OnceLock::new(),
             compile_lock: Mutex::new(()),
             // Seed recency from `fetch_add`, not `load`: a plain load
             // would make back-to-back creations tie at the same
@@ -786,7 +858,7 @@ impl ProgramCache {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.map.read().expect("cache map poisoned").len()
+        read(&self.map).len()
     }
 
     /// Whether the cache is empty.
@@ -822,8 +894,13 @@ mod tests {
         /// or loaded — how a test (here or in `pool.rs`) gets a program
         /// past the verifier that guards every real way in.
         pub(crate) fn plant(&self, key: CacheKey, compiled: Compiled) {
-            let slot = self.slot(key);
-            *slot.compiled.write().expect("cache slot poisoned") = Some(Arc::new(compiled));
+            let slot = Slot {
+                compiled: OnceLock::from(Arc::new(compiled)),
+                decoded: OnceLock::new(),
+                compile_lock: Mutex::new(()),
+                last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
+            };
+            write(&self.map).insert(key, Arc::new(slot));
         }
     }
 
@@ -872,10 +949,10 @@ mod tests {
         assert!(Arc::ptr_eq(&compiled, &again));
     }
 
-    /// Decode replays the whole schedule under the slot's compile lock,
-    /// so it is the place a corrupt program is met: it must come back as
-    /// an error — never a panic, which would poison the slot for every
-    /// shard — and the refusal is cached, not replayed per round.
+    /// Decode replays the whole schedule, so it is the place a corrupt
+    /// program is met: it must come back as an error — never a panic,
+    /// which would fail every shard's round on that key — and the refusal
+    /// is cached, not replayed per round.
     #[test]
     fn refused_decode_is_cached_and_poisons_nothing() {
         use dpu_isa::Instr;
@@ -905,14 +982,14 @@ mod tests {
                 _ => {}
             }
         }
+        cache.plant(key(&bad_dag), corrupt.clone());
         let first = cache.get_decoded(key(&bad_dag), &corrupt).unwrap_err();
         assert!(matches!(first, SimError::Malformed { .. }), "{first:?}");
         let second = cache.get_decoded(key(&bad_dag), &corrupt).unwrap_err();
         assert_eq!(first, second, "the verdict cannot change");
         assert_eq!(cache.stats().decode_count, 1, "one replay, then the memo");
-        // The slot's locks survived, and so did the rest of the cache.
-        let slot = cache.slot(key(&bad_dag));
-        assert!(!slot.compile_lock.is_poisoned() && !slot.decoded.is_poisoned());
+        // The slot's lock survived, and so did the rest of the cache.
+        assert!(!cache.slot(key(&bad_dag)).compile_lock.is_poisoned());
         cache.get_decoded(key(&good_dag), &good).unwrap();
         assert_eq!(cache.stats().decode_count, 2);
     }
@@ -992,7 +1069,7 @@ mod tests {
         // Simulate an in-flight lookup of key 0: slot created and held
         // (exactly the state between `slot()` and the compile finishing).
         let held = cache.slot(keys[0]);
-        assert!(held.compiled.read().unwrap().is_none());
+        assert!(held.compiled.get().is_none());
 
         // Capacity pressure from two other keys. Key 0's slot is empty
         // and held, so it must be skipped both times.
@@ -1021,6 +1098,90 @@ mod tests {
         let b = cache.get_or_compile(&dags[0], keys[0].dag, &cfg).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "finished compile was lost");
         assert_eq!(cache.stats().misses, 3);
+    }
+
+    /// Regression (decode after eviction): between `get_or_compile` and
+    /// `get_decoded` the caller holds no slot, so a bounded cache can evict
+    /// the entry in between. `get_decoded` used to re-create the slot and
+    /// decode into it with no program beside — a slot the eviction filter
+    /// reads as a compile in flight and can never pick, pinned over
+    /// capacity until the key's next lookup recompiled it.
+    #[test]
+    fn decode_after_eviction_makes_no_entry() {
+        let cache = ProgramCache::with_capacity(CompileOptions::default(), 1);
+        let cfg = ArchConfig::new(2, 8, 16).unwrap();
+        let (da, db) = (dag(1), dag(2));
+        let (ka, kb) = (dag_fingerprint(&da), dag_fingerprint(&db));
+        let a = cache.get_or_compile(&da, ka, &cfg).unwrap();
+        cache.get_or_compile(&db, kb, &cfg).unwrap(); // evicts A
+        let key_a = CacheKey {
+            dag: ka,
+            config: cfg,
+        };
+        cache.get_decoded(key_a, &a).unwrap();
+        assert!(cache.len() <= 1, "over capacity: {}", cache.len());
+        assert!(
+            cache
+                .map
+                .read()
+                .unwrap()
+                .values()
+                .all(|s| s.compiled.get().is_some()),
+            "a resident slot holds a decode but no program"
+        );
+        let s = cache.stats();
+        assert_eq!((s.misses, s.evictions, s.decode_count), (2, 1, 1));
+        // B is still the resident entry: its next lookup hits.
+        cache.get_or_compile(&db, kb, &cfg).unwrap();
+        assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// Containment: one cache serves every shard of a dispatcher, so a
+    /// shard that panics while holding a slot's compile lock or the map
+    /// lock must not fail the survivors' lookups — of the same key or of
+    /// any other — through a poisoned lock.
+    #[test]
+    fn a_panic_under_a_cache_lock_fails_nobody_else() {
+        let cache = ProgramCache::new(CompileOptions::default());
+        let cfg = ArchConfig::new(2, 8, 16).unwrap();
+        let (da, db) = (dag(1), dag(2));
+        let (ka, kb) = (dag_fingerprint(&da), dag_fingerprint(&db));
+        let key_a = CacheKey {
+            dag: ka,
+            config: cfg,
+        };
+        std::thread::scope(|scope| {
+            let died = scope.spawn(|| {
+                let slot = cache.slot(key_a);
+                let _compiling = slot.compile_lock.lock().unwrap();
+                let _mapping = cache.map.write().unwrap();
+                panic!("shard dies mid-compile");
+            });
+            assert!(died.join().is_err());
+        });
+        assert!(cache.map.is_poisoned() && cache.slot(key_a).compile_lock.is_poisoned());
+        let other = scope_lookup(&cache, &db, kb, &cfg);
+        let same = scope_lookup(&cache, &da, ka, &cfg);
+        assert!(other.1.is_ok() && same.1.is_ok());
+        let s = cache.stats();
+        assert_eq!((s.misses, s.decode_count, s.entries), (2, 2, 2));
+        assert_eq!(cache.prewarm(&cfg), 0);
+    }
+
+    /// A [`ProgramCache::lookup`] from another thread, as a surviving
+    /// shard would make it.
+    fn scope_lookup(
+        cache: &ProgramCache,
+        dag: &Dag,
+        key: DagKey,
+        cfg: &ArchConfig,
+    ) -> (Arc<Compiled>, Decoded) {
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| cache.lookup(dag, key, cfg, 1).unwrap())
+                .join()
+                .unwrap()
+        })
     }
 
     /// Regression (recency seeding): slots created back-to-back must get
@@ -1100,8 +1261,7 @@ mod tests {
         };
         let map = cache.map.read().unwrap();
         if let Some(slot) = map.get(&big_cache_key) {
-            let current = slot.compiled.read().unwrap();
-            if let Some(current) = current.as_ref() {
+            if let Some(current) = slot.compiled.get() {
                 assert!(Arc::ptr_eq(current, &results[0]), "slot holds a recompile");
             }
         }
@@ -1335,11 +1495,15 @@ mod tests {
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
 
+        // A prewarm meets it first: nothing loads, and the rejected file
+        // leaves no empty slot behind.
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
         let fresh = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+        assert_eq!((fresh.prewarm(&cfg), fresh.len()), (0, 0));
+        assert_eq!(fresh.stats().spill_rejects, 1);
         fresh.get_or_compile(&d, k, &cfg).unwrap();
         let s = fresh.stats();
-        assert_eq!((s.misses, s.spill_rejects), (1, 1));
+        assert_eq!((s.misses, s.spill_rejects), (1, 2));
         let why = fresh.last_spill_reject().expect("reason recorded");
         assert!(why.contains("checksum"), "unexpected reason: {why}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,6 @@
 //! Sharded multi-backend dispatcher: continuous ingestion, adaptive round
-//! closing, warm-cache affinity routing, work stealing, and live
-//! DPU-vs-baseline mirroring.
+//! closing, key-affinity routing, work stealing, and live DPU-vs-baseline
+//! mirroring.
 //!
 //! The [`Dispatcher`] is the layer above the execution backends: where an
 //! engine serves a pre-collected slice of requests, the dispatcher
@@ -13,11 +13,19 @@
 //! can be served across heterogeneous hardware models — the paper's
 //! §V-C comparison, live.
 //!
+//! - **One program store.** The engine shards of a dispatcher
+//!   ([`engine_shards`]) share one [`ProgramStore`]:
+//!   a DAG is registered, compiled and decoded once per dispatcher — by
+//!   whichever shard touches it first — and every other shard, home or
+//!   thief, serves from the same `Arc`s.
 //! - **Routing.** Each request's [`DagKey`] fingerprint picks a *home
 //!   shard* ([`home_shard`]) among the **primary** shards, so repeat
-//!   traffic for a DAG always lands on the shard whose
-//!   [`ProgramCache`](crate::ProgramCache) already holds its compiled
-//!   program (warm-cache affinity).
+//!   traffic for a DAG lands in the same shard's rounds. With one store
+//!   the affinity is no longer about who holds the compiled program; what
+//!   routing by key still buys is *lane grouping*: a round runs one
+//!   pre-decoded program over all of its same-key requests, eight input
+//!   sets per pass, so the fewer distinct keys a round holds
+//!   (`groups_per_round`) the fewer passes it costs.
 //! - **Adaptive round closing.** The ingestion thread accumulates each
 //!   shard's pending requests into a *round* and closes it when the round
 //!   reaches [`DispatchOptions::max_batch`] requests **or** its oldest
@@ -28,9 +36,8 @@
 //!   class* ([`StealClass`](crate::StealClass)): identical backends with
 //!   identical parameters, and the same primary/mirror role. Stealing
 //!   across distinct classes would change per-request results or
-//!   accounting, breaking determinism. The thief compiles through its
-//!   own cache, so stealing trades a possible cold compile for latency —
-//!   exactly the real trade-off.
+//!   accounting, breaking determinism. The thief finds the victim's
+//!   program in the shared store: a steal costs no compile and no decode.
 //! - **Overload protection.** Admission is bounded per home shard
 //!   ([`DispatchOptions::queue_capacity`]): a full queue rejects at the
 //!   submission edge with
@@ -104,9 +111,9 @@ use crate::ingest::{
     job_channel, Admission, Gate, Job, Outcome, Priority, ShedReason, Submitter, TicketState,
 };
 use crate::latency::{Clock, LatencyHistogram, LatencyReport, Timeline};
-use crate::pool::{Engine, EngineOptions, Request, ServeError};
+use crate::pool::{Engine, EngineOptions, ProgramStore, Request, ServeError};
 use crate::report::{ClassReport, DispatchReport, ShardReport};
-use crate::{DagKey, DPU_V2_L_CORES};
+use crate::{dag_fingerprint, DagKey, DPU_V2_L_CORES};
 
 /// Sizing and policy knobs of a [`Dispatcher`]. None of them selects a
 /// different dispatcher: claims, leases and dead-shard recovery are always
@@ -128,13 +135,13 @@ pub struct DispatchOptions {
     /// (each executed round is packed onto these cores by the backend's
     /// round-cost model).
     pub cores: usize,
-    /// Per-shard program-cache capacity (`None` = unbounded).
+    /// Capacity of the program store the engine shards share, in entries
+    /// over all shards and configs (`None` = unbounded).
     pub cache_capacity: Option<usize>,
-    /// Shared spill directory for the engine shards' program caches
-    /// (`None` = in-memory only). All shards spill into — and back-fill
-    /// from — the same content-addressed directory, so a restarted
-    /// dispatcher starts warm and one shard's compile work is visible to
-    /// every other. See [`EngineOptions::spill_dir`].
+    /// Spill directory of the engine shards' program store (`None` =
+    /// in-memory only). Compiles are spilled into — and misses back-filled
+    /// from — this content-addressed directory, so a restarted dispatcher
+    /// starts warm. See [`EngineOptions::spill_dir`].
     pub spill_dir: Option<std::path::PathBuf>,
     /// Bounded admission: maximum accepted-but-unresolved requests per
     /// home shard. A submit against a full home-shard queue fails fast
@@ -197,6 +204,38 @@ impl Default for DispatchOptions {
 pub fn home_shard(key: DagKey, shards: usize) -> usize {
     assert!(shards > 0, "shards must be positive");
     (key.0 % shards as u64) as usize
+}
+
+/// The engine shards of a dispatcher: one [`Engine`] per entry of
+/// `configs`, siblings over **one** program store
+/// ([`Engine::sharing`]) sized by `options`. The one place a
+/// [`DispatchOptions`] becomes engines — [`Dispatcher::with_configs`]
+/// passes the result to [`Dispatcher::with_backends`] as is, and a caller
+/// adding mirror shards passes it as the primaries.
+pub fn engine_shards(
+    configs: &[ArchConfig],
+    compile_opts: CompileOptions,
+    options: &DispatchOptions,
+) -> Vec<Arc<dyn Backend>> {
+    let Some((&first, rest)) = configs.split_first() else {
+        return Vec::new();
+    };
+    let first = Engine::new(
+        first,
+        compile_opts,
+        EngineOptions {
+            workers: 1,
+            cores: options.cores,
+            cache_capacity: options.cache_capacity,
+            spill_dir: options.spill_dir.clone(),
+        },
+    );
+    let mut shards: Vec<Arc<dyn Backend>> = rest
+        .iter()
+        .map(|&config| Arc::new(first.sharing(config)) as Arc<dyn Backend>)
+        .collect();
+    shards.insert(0, Arc::new(first));
+    shards
 }
 
 /// One closed round: the unit of dispatch between ingestion and shards.
@@ -472,9 +511,10 @@ impl Dispatcher {
         Self::with_configs(vec![config; options.shards], compile_opts, options)
     }
 
-    /// Builds a dispatcher with one engine shard per entry of `configs` —
-    /// distinct architecture points are allowed (work stealing then only
-    /// happens between shards with identical configs).
+    /// Builds a dispatcher with one engine shard per entry of `configs`
+    /// ([`engine_shards`]: all over one program store) — distinct
+    /// architecture points are allowed (work stealing then only happens
+    /// between shards with identical configs).
     ///
     /// # Panics
     ///
@@ -485,21 +525,7 @@ impl Dispatcher {
         compile_opts: CompileOptions,
         options: DispatchOptions,
     ) -> Self {
-        let backends: Vec<Arc<dyn Backend>> = configs
-            .iter()
-            .map(|&config| {
-                Arc::new(Engine::new(
-                    config,
-                    compile_opts.clone(),
-                    EngineOptions {
-                        workers: 1,
-                        cores: options.cores,
-                        cache_capacity: options.cache_capacity,
-                        spill_dir: options.spill_dir.clone(),
-                    },
-                )) as Arc<dyn Backend>
-            })
-            .collect();
+        let backends = engine_shards(&configs, compile_opts, &options);
         Self::with_backends(backends, Vec::new(), options)
     }
 
@@ -642,13 +668,15 @@ impl Dispatcher {
 
     /// Registers a DAG on **every** shard (stealing, rebalancing and
     /// mirroring mean any shard may end up executing it) and returns its
-    /// content key.
+    /// content key. The DAG is fingerprinted once and every backend is
+    /// handed the same `Arc`: one copy per dispatcher.
     pub fn register(&self, dag: Dag) -> DagKey {
-        let mut key = None;
+        let key = dag_fingerprint(&dag);
+        let dag = Arc::new(dag);
         for shard in &self.shared.shards {
-            key = Some(shard.backend.register(dag.clone()));
+            shard.backend.register(key, Arc::clone(&dag));
         }
-        key.expect("at least one shard")
+        key
     }
 
     /// A new submission handle. Cheap; clone freely across producer
@@ -664,10 +692,10 @@ impl Dispatcher {
 
     /// Pre-warms every shard that supports it from its spill store (see
     /// [`Backend::prewarm`] / [`Engine::prewarm`]), returning the total
-    /// number of programs loaded. Call after registering DAGs and before
-    /// submitting traffic so the first requests hit warm caches —
-    /// particularly when the shards share a spill directory a previous
-    /// run (or a peer fleet) already populated.
+    /// number of programs loaded — each once, however many shards share
+    /// the store. Call before submitting traffic so the first requests hit
+    /// a warm store when a previous run (or a peer fleet) already
+    /// populated the spill directory.
     pub fn prewarm(&self) -> usize {
         self.shared.shards.iter().map(|s| s.backend.prewarm()).sum()
     }
@@ -730,10 +758,18 @@ impl Dispatcher {
                 modelled_cycles: s.modelled_cycles.load(Ordering::Relaxed),
                 dag_ops: s.dag_ops.load(Ordering::Relaxed),
                 power_w: s.backend.power_w(),
-                cache: s.backend.cache_stats(),
                 latency: s.latency.lock().expect("latency poisoned").clone(),
             })
             .collect();
+        // Each distinct program store behind the primaries, once.
+        let mut stores: Vec<&Arc<ProgramStore>> = Vec::new();
+        let primaries = &self.shared.shards[..self.shared.primaries];
+        for store in primaries.iter().filter_map(|s| s.backend.program_store()) {
+            if !stores.iter().any(|seen| Arc::ptr_eq(seen, store)) {
+                stores.push(store);
+            }
+        }
+        let stores = stores.into_iter().map(|store| store.stats()).collect();
         // Merge the primaries' latency distributions; fold order cannot
         // matter (histogram merge is associative and commutative).
         let mut latency = LatencyReport::default();
@@ -774,6 +810,7 @@ impl Dispatcher {
             rounds_closed_timer: ingest.closed_timer,
             rounds_closed_flush: ingest.closed_flush,
             shards,
+            stores,
             host_seconds: self.shared.window.seconds(),
             lifetime_seconds: self.started.elapsed().as_secs_f64(),
             latency,

@@ -9,14 +9,21 @@
 //!
 //! - [`ProgramCache`] compiles each distinct (DAG, [`ArchConfig`]) pair
 //!   **once**, under concurrent access, and shares the resulting
-//!   [`Arc<Compiled>`](dpu_compiler::Compiled) across requests, with
-//!   hit/miss/eviction statistics ([`CacheStats`]). Built over a
-//!   [`SpillStore`] (a content-addressed spill directory,
+//!   [`Arc<Compiled>`](dpu_compiler::Compiled) — and its decode — across
+//!   requests, with hit/miss/eviction statistics ([`CacheStats`]). Built
+//!   over a [`SpillStore`] (a content-addressed spill directory,
 //!   [`EngineOptions::spill_dir`]), it also persists every compile to
 //!   disk and back-fills from disk on miss, so a restarted engine starts
-//!   warm and a new shard can pre-warm from a peer's spill
+//!   warm and a new process can pre-warm from a peer's spill
 //!   ([`Engine::prewarm`]) — compile work is paid once per *fleet*, not
 //!   once per process.
+//! - [`ProgramStore`] is that cache plus the registry of DAGs: the
+//!   paper's static-connectivity premise (§III-B, §IV — a DAG is compiled
+//!   once, offline, and the program reused over every input) as a type.
+//!   An [`Engine`] built with [`Engine::new`] has one of its own; the
+//!   engine shards of a [`Dispatcher`] are siblings over **one**
+//!   ([`Engine::sharing`], [`engine_shards`]), so a DAG is registered,
+//!   compiled and decoded once per dispatcher, not once per shard.
 //! - [`Engine`] fans a stream of [`Request`]s out over `N` host worker
 //!   threads. Each worker owns one reusable [`Machine`](dpu_sim::Machine)
 //!   and calls [`Machine::reset`](dpu_sim::Machine::reset) between
@@ -26,7 +33,8 @@
 //!   handles feed requests continuously through a channel, rounds close
 //!   adaptively under a latency budget ([`DispatchOptions::max_wait`] /
 //!   [`DispatchOptions::max_batch`]), each request is routed to one of N
-//!   shards by its [`DagKey`] (warm-cache affinity) with work
+//!   shards by its [`DagKey`] (so a round holds few distinct programs
+//!   and each runs over many inputs per pass) with work
 //!   stealing when a shard backs up, and results come back through
 //!   per-request [`Ticket`] completion handles. Shutdown is deterministic
 //!   and loss-free. Every ticketed request carries a latency [`Timeline`]
@@ -105,14 +113,14 @@ pub mod report;
 pub use backend::{Backend, BaselineBackend, Scratch, StealClass};
 pub use cache::{CacheKey, CacheStats, ProgramCache, SpillLookup, SpillStore};
 pub use chaos::{ChaosEvent, ChaosPlan, HedgeOptions};
-pub use dispatch::{home_shard, DispatchOptions, Dispatcher};
+pub use dispatch::{engine_shards, home_shard, DispatchOptions, Dispatcher};
 pub use ingest::{
     Outcome, Priority, ShedReason, SubmitAllError, SubmitOptions, SubmitRejection, Submitter,
     Ticket,
 };
 pub use latency::{Clock, LatencyHistogram, LatencyReport, Timeline};
 pub use planner::{plan_rounds, BatchPlan, RoundPlan};
-pub use pool::{Engine, EngineOptions, Request, ServeError, ServingReport};
+pub use pool::{Engine, EngineOptions, ProgramStore, Request, ServeError, ServingReport};
 pub use report::{ClassReport, DispatchReport, PlatformSummary, ShardReport};
 
 /// Parallel core count of the paper's DPU-v2 (L) configuration (§V-C2) —

@@ -1,5 +1,7 @@
-//! The serving engine: a registry of DAGs, the shared program cache, and
-//! a pool of host worker threads each owning one reusable machine.
+//! The serving engine: a program store (the registry of DAGs plus the
+//! shared program cache — [`ProgramStore`], one per engine or one per
+//! dispatcher) and a pool of host worker threads each owning one reusable
+//! machine.
 //!
 //! Execution model: host workers (`EngineOptions::workers` threads) pull
 //! requests from a shared queue, compile and decode through the
@@ -21,6 +23,7 @@
 //! outputs in the same order. `Engine::serve` relies on nothing
 //! time- or scheduling-dependent except the host wall-clock it reports.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -31,7 +34,7 @@ use dpu_isa::ArchConfig;
 use dpu_sim::{run_decoded_group, run_on, Activity, DecodedProgram, Machine, RunResult, SimError};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheKey, CacheStats, ProgramCache, SpillStore};
+use crate::cache::{read, write, CacheStats, ProgramCache, SpillStore};
 use crate::planner::{plan_rounds, BatchPlan};
 use crate::{dag_fingerprint, DagKey, DPU_V2_L_CORES};
 
@@ -59,13 +62,15 @@ pub struct EngineOptions {
     /// Modelled DPU-v2 parallel cores for the batch plan (the paper's
     /// (L) configuration has [`DPU_V2_L_CORES`]).
     pub cores: usize,
-    /// Program-cache capacity in entries (`None` = unbounded).
+    /// Program-cache capacity in entries (`None` = unbounded) — a bound
+    /// on the engine's [`ProgramStore`], so on the store as a whole when
+    /// sibling engines ([`Engine::sharing`]) serve from it.
     pub cache_capacity: Option<usize>,
     /// Directory to persist compiled programs in (`None` = in-memory
     /// only). With a spill directory, fresh compiles are written to disk
     /// and cache misses check the disk before compiling, so an engine
-    /// restarted over the same directory starts warm and a new shard can
-    /// [`Engine::prewarm`] from a peer's spill. See
+    /// restarted over the same directory starts warm and a new process
+    /// can [`Engine::prewarm`] from a peer's spill. See
     /// [`SpillStore`].
     ///
     /// [`SpillStore`]: crate::cache::SpillStore
@@ -216,14 +221,57 @@ impl ServingReport {
 /// program and that program's decode.
 type GroupProgram = (Arc<Dag>, Arc<Compiled>, Arc<DecodedProgram>);
 
+/// One dispatcher's programs: the registry of DAGs and the compile-once
+/// [`ProgramCache`] behind it. A DAG's connectivity is static, so it is
+/// registered, compiled and decoded **once** and the program reused over
+/// every input (the paper's §III-B / §IV premise) — by every engine shard
+/// of a dispatcher, which all hold the same store ([`Engine::sharing`]),
+/// whatever their [`ArchConfig`]s: the cache keys programs by
+/// `(DagKey, ArchConfig)`.
+///
+/// Three things follow from sharing. *Determinism:* which shard compiles a
+/// key first is a race, sound only because compilation is seeded and
+/// byte-deterministic (see [`ProgramCache`]). *Capacity:*
+/// [`EngineOptions::cache_capacity`] bounds the store, not each shard.
+/// *Containment:* a shard that panics while holding one of the store's
+/// locks does not fail the survivors — lock poison is recovered, never
+/// propagated (see the [`cache`](crate::cache) module docs).
+pub struct ProgramStore {
+    cache: ProgramCache,
+    dags: RwLock<HashMap<DagKey, Arc<Dag>>>,
+}
+
+impl ProgramStore {
+    /// Statistics of the store's program cache. They are the store's, not
+    /// any one shard's: a [`DispatchReport`](crate::DispatchReport) lists
+    /// each distinct store once.
+    pub fn stats(&self) -> CacheStats {
+        self.cache.stats()
+    }
+
+    /// Registers `dag` under `key`, its fingerprint. Idempotent; the same
+    /// `Arc` again (a sibling shard registering what the dispatcher handed
+    /// every backend) skips the O(nodes) collision check.
+    pub(crate) fn register(&self, key: DagKey, dag: Arc<Dag>) {
+        match write(&self.dags).entry(key) {
+            Entry::Occupied(existing) => assert!(
+                Arc::ptr_eq(existing.get(), &dag) || same_structure(existing.get(), &dag),
+                "DAG fingerprint collision on {key}: distinct structures"
+            ),
+            Entry::Vacant(vacant) => {
+                vacant.insert(dag);
+            }
+        }
+    }
+}
+
 /// The serving engine. All methods take `&self`; an `Engine` can be
 /// shared across threads (`Engine: Sync`) and serves batches through its
 /// internal worker pool.
 pub struct Engine {
     config: ArchConfig,
     options: EngineOptions,
-    cache: ProgramCache,
-    dags: RwLock<std::collections::HashMap<DagKey, Arc<Dag>>>,
+    store: Arc<ProgramStore>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -231,14 +279,15 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("config", &self.config)
             .field("options", &self.options)
-            .field("registered_dags", &self.dags.read().unwrap().len())
-            .field("cache", &self.cache)
+            .field("registered_dags", &read(&self.store.dags).len())
+            .field("cache", &self.store.cache)
             .finish()
     }
 }
 
 impl Engine {
-    /// Builds an engine serving `config`, compiling with `compile_opts`.
+    /// Builds an engine serving `config`, compiling with `compile_opts`,
+    /// over a program store of its own.
     ///
     /// # Panics
     ///
@@ -254,21 +303,41 @@ impl Engine {
         Engine {
             config,
             options,
-            cache,
-            dags: RwLock::new(std::collections::HashMap::new()),
+            store: Arc::new(ProgramStore {
+                cache,
+                dags: RwLock::new(HashMap::new()),
+            }),
         }
+    }
+
+    /// A sibling engine serving `config` over **this** engine's program
+    /// store — how a dispatcher's engine shards are made: what one shard
+    /// registered, compiled or decoded is there for every other.
+    pub fn sharing(&self, config: ArchConfig) -> Engine {
+        Engine {
+            config,
+            options: self.options.clone(),
+            store: Arc::clone(&self.store),
+        }
+    }
+
+    /// The program store this engine serves from.
+    pub fn program_store(&self) -> &Arc<ProgramStore> {
+        &self.store
     }
 
     /// Back-fills the program cache from the engine's spill directory
     /// without waiting for traffic, returning the number of programs
-    /// loaded. A no-op (returns 0) without a spill directory.
+    /// loaded. A no-op (returns 0) without a spill directory, and for
+    /// every program a sibling engine's prewarm already loaded.
     ///
-    /// This is the scale-out warm-start: build the new shard over a
-    /// peer's spill directory (or a copy), `prewarm`, then add it to a
-    /// dispatcher — its first request finds every program the fleet has
-    /// already compiled. See [`ProgramCache::prewarm`].
+    /// This is the scale-out warm-start for a **new process**, which an
+    /// in-memory store cannot serve: build the engine over a peer's spill
+    /// directory (or a copy), `prewarm`, then add it to a dispatcher — its
+    /// first request finds every program the fleet has already compiled.
+    /// See [`ProgramCache::prewarm`].
     pub fn prewarm(&self) -> usize {
-        self.cache.prewarm(&self.config)
+        self.store.cache.prewarm(&self.config)
     }
 
     /// The architecture point this engine serves.
@@ -291,25 +360,13 @@ impl Engine {
     /// would be far worse than failing loudly.
     pub fn register(&self, dag: Dag) -> DagKey {
         let key = dag_fingerprint(&dag);
-        let mut dags = self.dags.write().expect("dag registry poisoned");
-        if let Some(existing) = dags.get(&key) {
-            assert!(
-                same_structure(existing, &dag),
-                "DAG fingerprint collision on {key}: distinct structures"
-            );
-        } else {
-            dags.insert(key, Arc::new(dag));
-        }
+        self.store.register(key, Arc::new(dag));
         key
     }
 
     /// Looks up a registered DAG.
     pub fn dag(&self, key: DagKey) -> Option<Arc<Dag>> {
-        self.dags
-            .read()
-            .expect("dag registry poisoned")
-            .get(&key)
-            .cloned()
+        read(&self.store.dags).get(&key).cloned()
     }
 
     /// Pre-compiles a registered DAG (a cache warm-up), returning the
@@ -320,12 +377,12 @@ impl Engine {
     /// [`ServeError::UnknownDag`] or [`ServeError::Compile`].
     pub fn warm(&self, key: DagKey) -> Result<Arc<dpu_compiler::Compiled>, ServeError> {
         let dag = self.dag(key).ok_or(ServeError::UnknownDag(key))?;
-        Ok(self.cache.get_or_compile(&dag, key, &self.config)?)
+        Ok(self.store.cache.get_or_compile(&dag, key, &self.config)?)
     }
 
     /// Program-cache statistics accumulated so far.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.store.stats()
     }
 
     /// Serves `requests` across the engine's worker threads — each worker
@@ -401,7 +458,7 @@ impl Engine {
         for (idx, request) in requests.iter().enumerate() {
             let key = request.dag;
             let dag = self.dag(key).ok_or(ServeError::UnknownDag(key))?;
-            let compiled = self.cache.get_or_compile(&dag, key, &self.config)?;
+            let compiled = self.store.cache.get_or_compile(&dag, key, &self.config)?;
             let run = run_on(&mut machine, &compiled, &request.inputs);
             results.push(run.map_err(|error| ServeError::Sim {
                 request: idx,
@@ -437,8 +494,8 @@ impl Engine {
     /// [`Backend::execute_round`](crate::Backend::execute_round).
     ///
     /// The round is grouped by [`Request::dag`] (first-appearance order)
-    /// and each group runs its **pre-decoded** program
-    /// ([`ProgramCache::get_decoded`]) across all of the group's input
+    /// and each group runs its **pre-decoded** program (one visit to its
+    /// [`ProgramCache`] slot) across all of the group's input
     /// sets through [`run_decoded_group`]: the repeated requests of a
     /// round pay program lookup once instead of per request, the decode
     /// (which resolves the whole schedule) once per cache entry, and one
@@ -467,13 +524,8 @@ impl Engine {
             }
         }
         for (key, mut idxs) in groups {
-            match self.decoded_for(key) {
+            match self.decoded_for(key, idxs.len() as u64) {
                 Ok((dag, compiled, decoded)) => {
-                    // The group consulted the cache once but served every
-                    // member from it; credit the batched lookups so the
-                    // per-request hit rate (a gated metric) is unchanged
-                    // by grouping.
-                    self.cache.note_round_reuse(idxs.len() as u64 - 1);
                     // A request with the wrong number of inputs fails
                     // alone, before staging; the rest of its group runs.
                     idxs.retain(|&i| {
@@ -509,25 +561,17 @@ impl Engine {
             .collect()
     }
 
-    /// Looks up the compiled program and its pre-decoded form for `key`
-    /// through the shared cache (decoding it on first use).
+    /// Everything a group of `requests` requests for `key` runs, in one
+    /// registry read and one visit to the program's cache slot (compiled
+    /// and decoded on first use).
     ///
     /// Errors use the same shapes as [`Engine::execute`] — a
     /// [`ServeError::Sim`] carries request index 0, since there is no
     /// stream here.
-    fn decoded_for(&self, key: DagKey) -> Result<GroupProgram, ServeError> {
+    fn decoded_for(&self, key: DagKey, requests: u64) -> Result<GroupProgram, ServeError> {
         let dag = self.dag(key).ok_or(ServeError::UnknownDag(key))?;
-        let compiled = self.cache.get_or_compile(&dag, key, &self.config)?;
-        let decoded = self
-            .cache
-            .get_decoded(
-                CacheKey {
-                    dag: key,
-                    config: self.config,
-                },
-                &compiled,
-            )
-            .map_err(|error| ServeError::Sim { request: 0, error })?;
+        let (compiled, decoded) = self.store.cache.lookup(&dag, key, &self.config, requests)?;
+        let decoded = decoded.map_err(|error| ServeError::Sim { request: 0, error })?;
         Ok((dag, compiled, decoded))
     }
 
@@ -552,7 +596,7 @@ impl Engine {
             activity,
             total_dag_ops,
             plan,
-            cache: self.cache.stats(),
+            cache: self.store.stats(),
             workers,
             host_seconds: started.elapsed().as_secs_f64(),
         }
@@ -679,11 +723,11 @@ mod tests {
             .program
             .instrs
             .splice(0..0, std::iter::repeat_n(load_bank0, regs as usize + 1));
-        let key = CacheKey {
+        let key = crate::cache::CacheKey {
             dag: bad,
             config: *e.config(),
         };
-        e.cache.plant(key, corrupt);
+        e.store.cache.plant(key, corrupt);
 
         let requests: Vec<Request> = (0..9)
             .map(|i| Request::new(if i % 2 == 0 { bad } else { good }, vec![i as f32, 3.0]))
@@ -720,6 +764,52 @@ mod tests {
         let b = e.register(simple_dag(2));
         assert_eq!(a, b);
         assert!(e.dag(a).is_some());
+    }
+
+    /// Sibling engines serve from one store whatever their configs: one
+    /// registered copy of the DAG, one cache entry per `(DAG, config)`, and
+    /// each engine's replies are its own configuration's.
+    #[test]
+    fn sibling_engines_share_one_store_across_configs() {
+        let a = engine();
+        let b = a.sharing(ArchConfig::new(3, 16, 32).unwrap());
+        assert!(Arc::ptr_eq(a.program_store(), b.program_store()));
+        let k = a.register(simple_dag(2));
+        assert_eq!(b.register(simple_dag(2)), k);
+        assert!(Arc::ptr_eq(&a.dag(k).unwrap(), &b.dag(k).unwrap()));
+        let reqs: Vec<Request> = (0..10)
+            .map(|i| Request::new(k, vec![i as f32, 3.0]))
+            .collect();
+        for e in [&a, &b] {
+            let alone = Engine::new(*e.config(), CompileOptions::default(), e.options().clone());
+            alone.register(simple_dag(2));
+            let want = alone.serve_serial(&reqs).unwrap().results;
+            assert_eq!(e.serve(&reqs).results, want, "config {:?}", e.config());
+        }
+        let s = a.cache_stats();
+        assert_eq!(s, b.cache_stats(), "the counters are the store's");
+        assert_eq!((s.misses, s.decode_count, s.entries), (2, 2, 2));
+        assert_eq!(s.hits + s.misses, 20);
+    }
+
+    /// Containment, registry half: a sibling that panics while holding the
+    /// registry lock leaves it usable.
+    #[test]
+    fn a_panic_under_the_registry_lock_fails_nobody_else() {
+        let a = engine();
+        let b = a.sharing(*a.config());
+        let k = a.register(simple_dag(1));
+        std::thread::scope(|scope| {
+            let died = scope.spawn(|| {
+                let _registering = b.store.dags.write().unwrap();
+                panic!("shard dies mid-register");
+            });
+            assert!(died.join().is_err());
+        });
+        assert!(a.store.dags.is_poisoned());
+        assert_eq!(a.register(simple_dag(1)), k);
+        let report = a.serve(&[Request::new(k, vec![1.0, 2.0])]);
+        assert_eq!(report.results[0].outputs, vec![6.0]);
     }
 
     #[test]

@@ -31,9 +31,6 @@ pub struct ShardReport {
     pub dag_ops: u64,
     /// Declared average platform power (analytic backends), if any.
     pub power_w: Option<f64>,
-    /// Final program-cache statistics (zero for backends that never
-    /// compile).
-    pub cache: CacheStats,
     /// This shard's per-request latency distributions (successful
     /// requests only). [`DispatchReport::latency`] is the order-
     /// independent merge of these across primary shards.
@@ -159,6 +156,13 @@ pub struct DispatchReport {
     pub rounds_closed_flush: u64,
     /// Per-shard execution counters (primaries first, then mirrors).
     pub shards: Vec<ShardReport>,
+    /// Final program-cache statistics of each **distinct** program store
+    /// behind the primary shards, in first-shard order. The engine shards
+    /// a dispatcher builds share one store, so this holds one entry for
+    /// them however many they are — a store's counters are the store's,
+    /// not any one shard's — and one more per separately built engine
+    /// passed to [`Dispatcher::with_backends`].
+    pub stores: Vec<CacheStats>,
     /// Host wall-clock seconds of the **serving window**: first accepted
     /// request → last completed job. This is the denominator host-side
     /// throughput should divide by; measuring from construction (as this
@@ -288,20 +292,21 @@ impl DispatchReport {
         stolen as f64 / rounds as f64
     }
 
-    /// Aggregated program-cache statistics across primary shards.
+    /// Aggregated program-cache statistics of the serving system: the sum
+    /// over [`DispatchReport::stores`], each store counted once.
     pub fn cache_totals(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for s in self.primaries() {
-            total.hits += s.cache.hits;
-            total.misses += s.cache.misses;
-            total.evictions += s.cache.evictions;
-            total.entries += s.cache.entries;
-            total.spill_hits += s.cache.spill_hits;
-            total.spill_writes += s.cache.spill_writes;
-            total.spill_rejects += s.cache.spill_rejects;
-            total.spill_verified += s.cache.spill_verified;
-            total.spill_unverifiable += s.cache.spill_unverifiable;
-            total.decode_count += s.cache.decode_count;
+        for s in &self.stores {
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.evictions += s.evictions;
+            total.entries += s.entries;
+            total.spill_hits += s.spill_hits;
+            total.spill_writes += s.spill_writes;
+            total.spill_rejects += s.spill_rejects;
+            total.spill_verified += s.spill_verified;
+            total.spill_unverifiable += s.spill_unverifiable;
+            total.decode_count += s.decode_count;
         }
         total
     }

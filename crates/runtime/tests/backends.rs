@@ -431,3 +431,43 @@ fn wait_timeout_zero_and_elapsed_deadlines() {
     assert_eq!(result.unwrap().outputs, vec![4.0]);
     d.shutdown();
 }
+
+/// Register once: a dispatcher fingerprints a DAG once and hands every
+/// backend — engine primaries over one store, baseline mirrors — the same
+/// `Arc<Dag>`; nobody holds a deep copy. (`Dpu::mirrored_dispatcher` is
+/// exactly this layout: `engine_shards` primaries, baseline mirrors.)
+#[test]
+fn every_backend_of_a_dispatcher_holds_the_same_dag() {
+    let primary = Arc::new(Engine::new(
+        arch(),
+        CompileOptions::default(),
+        EngineOptions {
+            workers: 1,
+            cores: 8,
+            cache_capacity: None,
+            spill_dir: None,
+        },
+    ));
+    let sibling = Arc::new(primary.sharing(arch()));
+    let cpu = Arc::new(BaselineBackend::new(BaselineModel::cpu(), FREQ));
+    let gpu = Arc::new(BaselineBackend::new(BaselineModel::gpu(), FREQ));
+    let d = Dispatcher::with_backends(
+        vec![primary.clone(), sibling.clone()],
+        vec![cpu.clone(), gpu.clone()],
+        DispatchOptions::default(),
+    );
+    for dag in workload_dags() {
+        let key = d.register(dag.clone());
+        let held = primary.dag(key).expect("registered on the primaries");
+        for other in [sibling.dag(key), cpu.dag(key), gpu.dag(key)] {
+            assert!(Arc::ptr_eq(&held, &other.expect("registered everywhere")));
+        }
+        // The store's copy, the two mirrors' and `held`.
+        assert_eq!(Arc::strong_count(&held), 4);
+        // Registering the structure again keeps the first copy.
+        assert_eq!(d.register(dag), key);
+        assert!(Arc::ptr_eq(&held, &cpu.dag(key).unwrap()));
+        assert_eq!(Arc::strong_count(&held), 4);
+    }
+    d.shutdown();
+}

@@ -11,8 +11,8 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    dag_fingerprint, home_shard, Backend, CacheStats, ChaosPlan, DispatchOptions, Dispatcher,
-    Engine, EngineOptions, HedgeOptions, Outcome, Priority, Request, Scratch, ServeError,
+    dag_fingerprint, home_shard, Backend, ChaosPlan, DagKey, DispatchOptions, Dispatcher, Engine,
+    EngineOptions, HedgeOptions, Outcome, Priority, ProgramStore, Request, Scratch, ServeError,
     StealClass, SubmitOptions, Ticket,
 };
 use dpu_sim::RunResult;
@@ -339,8 +339,8 @@ impl Backend for PanicBackend {
     fn platform(&self) -> &'static str {
         self.inner.platform()
     }
-    fn register(&self, dag: Dag) -> dpu_runtime::DagKey {
-        self.inner.register(dag)
+    fn register(&self, key: DagKey, dag: Arc<Dag>) {
+        self.inner.register(key, dag);
     }
     fn scratch(&self) -> Scratch {
         self.inner.scratch()
@@ -358,8 +358,8 @@ impl Backend for PanicBackend {
     fn steal_class(&self) -> StealClass {
         self.inner.steal_class()
     }
-    fn cache_stats(&self) -> CacheStats {
-        self.inner.cache_stats()
+    fn program_store(&self) -> Option<&Arc<ProgramStore>> {
+        self.inner.program_store()
     }
 }
 
@@ -417,4 +417,99 @@ fn backend_panic_is_contained_and_recovered() {
     let c = report.class(Priority::Standard);
     assert_eq!(c.failed, 1);
     assert_eq!(c.offered, c.completed + c.failed + c.shed + c.rejected);
+}
+
+/// Containment over one program store: shard 0's backend panics
+/// mid-stream while both shards serve from the same store. The survivor
+/// takes the dead shard's backlog and later traffic, answers
+/// byte-identically to a serial pass, finds every program the dead shard
+/// had compiled still in the store (nothing is compiled twice), every
+/// ticket resolves exactly once and the ledger balances.
+#[test]
+fn a_panicking_shard_leaves_the_shared_store_serving() {
+    // Two families per home shard.
+    let mut dags: [Vec<Dag>; 2] = [Vec::new(), Vec::new()];
+    for salt in 0.. {
+        let dag = salted_dag(salt);
+        let home = home_shard(dag_fingerprint(&dag), 2);
+        if dags[home].len() < 2 {
+            dags[home].push(dag);
+        }
+        if dags.iter().all(|d| d.len() == 2) {
+            break;
+        }
+    }
+    let [doomed, safe] = dags;
+    let families: Vec<Dag> = doomed.iter().chain(&safe).cloned().collect();
+
+    let options = EngineOptions {
+        workers: 1,
+        cores: 8,
+        cache_capacity: None,
+        spill_dir: None,
+    };
+    let primary = Engine::new(arch(), CompileOptions::default(), options.clone());
+    let sibling = primary.sharing(arch());
+    assert!(Arc::ptr_eq(
+        primary.program_store(),
+        sibling.program_store()
+    ));
+    let backends: Vec<Arc<dyn Backend>> = vec![
+        Arc::new(PanicBackend {
+            inner: Arc::new(primary),
+        }),
+        Arc::new(sibling),
+    ];
+    let d = Dispatcher::with_backends(
+        backends,
+        Vec::new(),
+        DispatchOptions {
+            max_batch: 1,
+            // Stealing off: the poison round provably executes on shard 0.
+            work_stealing: false,
+            ..Default::default()
+        },
+    );
+    let keys: Vec<_> = families.iter().map(|dag| d.register(dag.clone())).collect();
+    let serial = Engine::new(arch(), CompileOptions::default(), options);
+    for dag in &families {
+        serial.register(dag.clone());
+    }
+
+    const REQUESTS: usize = 48;
+    const POISON: usize = 8; // a request for `doomed[0]`, homed on shard 0
+    let requests: Vec<Request> = (0..REQUESTS)
+        .map(|i| {
+            let x = if i == POISON { 666.0 } else { i as f32 + 0.5 };
+            Request::new(keys[i % 2 + 2 * (i / 2 % 2)], vec![x, 1.25])
+        })
+        .collect();
+    assert_eq!(requests[POISON].dag, keys[0]);
+    let reference = serial.serve(&requests);
+    let sub = d.submitter();
+    let tickets: Vec<Ticket> = requests
+        .iter()
+        .map(|r| sub.submit(r.clone()).expect("accepted"))
+        .collect();
+    d.drain();
+    for (i, t) in tickets.into_iter().enumerate() {
+        assert!(t.is_done(), "ticket {i} unresolved after drain");
+        match t.wait() {
+            Outcome::Failed(ServeError::ShardLost { shard: 0 }) if i == POISON => {}
+            Outcome::Completed(got) if i != POISON => {
+                assert_identical(&got, &reference.results[i], &format!("request {i}"));
+            }
+            other => panic!("request {i}: {other:?}"),
+        }
+    }
+    let report = d.shutdown();
+    assert_eq!(report.served, REQUESTS as u64 - 1);
+    assert!(report.recovered >= 1, "backlog never recovered: {report:?}");
+    assert!(report.shards[1].requests > report.shards[0].requests);
+    let c = report.class(Priority::Standard);
+    assert_eq!((c.completed, c.failed), (REQUESTS as u64 - 1, 1));
+    assert_eq!(c.offered, c.completed + c.failed + c.shed + c.rejected);
+    assert_eq!(report.stores.len(), 1);
+    let cache = report.cache_totals();
+    assert_eq!((cache.misses, cache.decode_count), (4, 4), "{cache:?}");
 }

@@ -209,8 +209,97 @@ fn skewed_keys_trigger_work_stealing() {
         "idle shard never stole: {report:?}"
     );
     assert!(report.steal_rate() > 0.0);
-    // The thief compiled the DAG through its own cache.
-    assert!(report.shards[other].cache.misses >= 1);
+    // The thief found the program in the dispatcher's one store: nobody
+    // compiled or decoded it a second time, and the store is counted once.
+    assert_eq!(report.stores.len(), 1);
+    let cache = report.cache_totals();
+    assert_eq!((cache.misses, cache.decode_count), (1, 1), "{cache:?}");
+    assert_eq!(cache.hits + cache.misses, 120);
+}
+
+/// Single-flight across shards, counted once: four families over two
+/// stealing shards — the first rounds of a family can reach both shards
+/// at once — compile and decode each family exactly once per dispatcher,
+/// every time, and every request served is one cache lookup.
+#[test]
+fn a_dispatcher_compiles_and_decodes_each_family_once() {
+    let dags = workload_dags();
+    for run in 0..50 {
+        let d = dispatcher(2, 4);
+        let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();
+        let sub = d.submitter();
+        let tickets: Vec<Ticket> = (0..48)
+            .map(|i| {
+                let which = i % dags.len();
+                sub.submit(Request::new(keys[which], inputs_for(&dags[which], i)))
+                    .unwrap()
+            })
+            .collect();
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        let report = d.shutdown();
+        let cache = report.cache_totals();
+        assert_eq!(
+            (cache.misses, cache.decode_count, cache.entries),
+            (4, 4, 4),
+            "run {run}: {report:?}"
+        );
+        assert_eq!(cache.hits + cache.misses, 48, "run {run}");
+    }
+}
+
+/// Shards of *different* configurations share the store too — the cache
+/// keys programs by `(DagKey, ArchConfig)` — and each shard still answers
+/// as a serial pass on its own configuration does.
+#[test]
+fn shards_of_distinct_configs_share_one_store() {
+    let configs = vec![arch(), ArchConfig::new(3, 16, 32).unwrap()];
+    let dags = workload_dags();
+    let d = Dispatcher::with_configs(
+        configs.clone(),
+        CompileOptions::default(),
+        DispatchOptions {
+            max_batch: 4,
+            max_wait: Duration::from_micros(200),
+            ..Default::default()
+        },
+    );
+    let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();
+    let homes: Vec<usize> = keys.iter().map(|&k| home_shard(k, 2)).collect();
+    let sub = d.submitter();
+    let tickets: Vec<Ticket> = (0..40)
+        .map(|i| {
+            let which = i % dags.len();
+            sub.submit(Request::new(keys[which], inputs_for(&dags[which], i)))
+                .unwrap()
+        })
+        .collect();
+    let references: Vec<Engine> = configs
+        .iter()
+        .map(|&c| Engine::new(c, CompileOptions::default(), EngineOptions::default()))
+        .collect();
+    for e in &references {
+        for dag in &dags {
+            e.register(dag.clone());
+        }
+    }
+    for (i, t) in tickets.into_iter().enumerate() {
+        let which = i % dags.len();
+        let request = Request::new(keys[which], inputs_for(&dags[which], i));
+        let want = references[homes[which]]
+            .serve_serial(&[request])
+            .unwrap()
+            .results
+            .remove(0);
+        assert_identical(&t.wait().unwrap(), &want, &format!("req {i}"));
+    }
+    let report = d.shutdown();
+    assert_eq!(report.stores.len(), 1, "two configs, one store");
+    let cache = report.cache_totals();
+    // No stealing between distinct configs: each DAG was compiled for its
+    // home's configuration only.
+    assert_eq!((cache.misses, cache.entries), (4, 4));
 }
 
 #[test]

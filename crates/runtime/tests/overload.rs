@@ -13,9 +13,9 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    dag_fingerprint, home_shard, Backend, CacheStats, DispatchOptions, Dispatcher, Engine,
-    EngineOptions, Outcome, Priority, Request, Scratch, ServeError, ShedReason, StealClass,
-    SubmitOptions, SubmitRejection, Ticket,
+    dag_fingerprint, home_shard, Backend, DagKey, DispatchOptions, Dispatcher, Engine,
+    EngineOptions, Outcome, Priority, ProgramStore, Request, Scratch, ServeError, ShedReason,
+    StealClass, SubmitOptions, SubmitRejection, Ticket,
 };
 use dpu_sim::RunResult;
 
@@ -497,8 +497,8 @@ impl Backend for SlowBackend {
     fn platform(&self) -> &'static str {
         self.inner.platform()
     }
-    fn register(&self, dag: Dag) -> dpu_runtime::DagKey {
-        self.inner.register(dag)
+    fn register(&self, key: DagKey, dag: Arc<Dag>) {
+        self.inner.register(key, dag);
     }
     fn scratch(&self) -> Scratch {
         self.inner.scratch()
@@ -520,8 +520,8 @@ impl Backend for SlowBackend {
     fn steal_class(&self) -> StealClass {
         self.inner.steal_class()
     }
-    fn cache_stats(&self) -> CacheStats {
-        self.inner.cache_stats()
+    fn program_store(&self) -> Option<&Arc<ProgramStore>> {
+        self.inner.program_store()
     }
 }
 

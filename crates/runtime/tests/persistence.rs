@@ -173,10 +173,10 @@ fn corrupt_truncated_and_stale_spills_fall_back_to_compile() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Concurrent warm start: a 4-shard dispatcher whose engine shards share
-/// one populated spill directory serves the stream with zero compiles —
-/// every shard back-fills concurrently from the same files — and
-/// byte-identically to serial.
+/// Concurrent warm start: a 4-shard dispatcher over one populated spill
+/// directory serves the stream with zero compiles — whichever shard
+/// touches a family first back-fills the shared store from its file —
+/// and byte-identically to serial.
 #[test]
 fn four_shards_warm_start_concurrently_from_one_spill_dir() {
     let dir = temp_dir("shards");
@@ -217,9 +217,10 @@ fn four_shards_warm_start_concurrently_from_one_spill_dir() {
     let report = d.shutdown();
     let totals = report.cache_totals();
     assert_eq!(totals.misses, 0, "no shard compiled anything");
-    assert!(
-        totals.spill_hits >= dags.len() as u64,
-        "shards back-filled from the shared spill"
+    assert_eq!(
+        totals.spill_hits,
+        dags.len() as u64,
+        "each family back-filled from the spill once, not once per shard"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -279,6 +280,56 @@ fn new_shard_prewarms_from_peer_spill_before_taking_traffic() {
     let report = d.shutdown();
     let totals = report.cache_totals();
     assert_eq!(totals.misses, 0, "pre-warmed shards never compile");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Dispatcher::prewarm` over a filled spill directory: the shards of a
+/// dispatcher share one program store, so each program is loaded once —
+/// not once per shard — and a second call finds everything resident.
+#[test]
+fn dispatcher_prewarm_loads_each_program_once_for_all_shards() {
+    let dir = temp_dir("prewarm-once");
+    let dags = workload_dags();
+    let peer = engine_over(&dir);
+    let requests = stream(&peer, &dags, 30);
+    let want = peer.serve_serial(&requests).expect("peer pass");
+    drop(peer);
+
+    let d = Dispatcher::new(
+        arch(),
+        CompileOptions::default(),
+        DispatchOptions {
+            shards: 4,
+            max_batch: 8,
+            max_wait: Duration::from_micros(200),
+            spill_dir: Some(dir.clone()),
+            ..Default::default()
+        },
+    );
+    assert_eq!(d.prewarm(), dags.len(), "once per program, not per shard");
+    assert_eq!(d.prewarm(), 0, "everything is already resident");
+    let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();
+    let submitter = d.submitter();
+    let tickets: Vec<Ticket> = (0..30)
+        .map(|i| {
+            let which = i % dags.len();
+            submitter
+                .submit(Request::new(keys[which], inputs_for(&dags[which], i)))
+                .expect("accepted")
+        })
+        .collect();
+    for (i, t) in tickets.into_iter().enumerate() {
+        let got = t.wait().expect("request succeeds");
+        assert_identical(&got, &want.results[i], &format!("request {i}"));
+    }
+    let report = d.shutdown();
+    assert_eq!(report.stores.len(), 1);
+    let totals = report.cache_totals();
+    assert_eq!(
+        (totals.misses, totals.spill_hits, totals.entries),
+        (0, dags.len() as u64, dags.len())
+    );
+    assert_eq!(totals.hits, 30, "every request hit the prewarmed store");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -158,11 +158,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (i, s) in report.shards.iter().enumerate() {
         println!(
-            "shard {i}               : {} reqs, {} rounds ({} stolen), cache {}/{} hits, {} compiles",
-            s.requests, s.rounds, s.stolen_rounds, s.cache.hits,
-            s.cache.hits + s.cache.misses, s.cache.misses
+            "shard {i}               : {} reqs, {} rounds ({} stolen)",
+            s.requests, s.rounds, s.stolen_rounds
         );
     }
+    // One program store for all shards: its counters are the store's.
+    let cache = report.cache_totals();
+    println!(
+        "program store         : cache {}/{} hits, {} compiles, {} decodes",
+        cache.hits,
+        cache.hits + cache.misses,
+        cache.misses,
+        cache.decode_count
+    );
     println!(
         "shard balance         : {:.2}x fair share",
         report.shard_balance()

@@ -3,8 +3,10 @@
 //! Compiled programs are content-addressed by (DAG fingerprint,
 //! architecture config), so an engine given a spill directory persists
 //! every compile to disk and reloads it instead of recompiling — across
-//! restarts, and across *engines*: a brand-new shard pointed at a peer's
-//! spill directory pre-warms before taking its first request.
+//! restarts, and across *processes*: a brand-new engine pointed at a
+//! peer's spill directory pre-warms before taking its first request.
+//! (Within one dispatcher nothing needs warming shard to shard: its engine
+//! shards serve from one program store.)
 //!
 //! Run with: `cargo run --release --example warm_restart`
 
@@ -61,9 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(s.misses, 0, "a warm restart never compiles");
     drop(warm);
 
-    // 3. Scale-out: a brand-new shard pre-warms from the peer spill
-    //    *before* taking traffic, then joins a sharded dispatcher whose
-    //    engines share the same directory.
+    // 3. Scale-out: a brand-new engine pre-warms from the peer spill
+    //    *before* taking traffic; so does a sharded dispatcher over the
+    //    same directory — each program loaded once into the store its
+    //    shards share, not once per shard.
     let new_shard = dpu.engine(options.clone());
     let loaded = new_shard.prewarm();
     println!("pre-warm: {loaded} programs loaded before the first request");
@@ -78,6 +81,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|d| dispatcher.register(d.clone()))
         .collect();
     let warmed = dispatcher.prewarm();
+    assert_eq!(
+        warmed,
+        fams.len(),
+        "each program loaded once for both shards"
+    );
     let submitter = dispatcher.submitter();
     let tickets: Vec<Ticket> = (0..100)
         .map(|i| {

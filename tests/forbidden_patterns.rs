@@ -6,7 +6,8 @@
 //! backpressure story stays intact (exactly one deliberately unbounded
 //! channel, behind the admission gate), the oracle interpreter stays off
 //! every production path, the dispatcher keeps one path that shares
-//! rounds instead of copying them, the register file's write policy
+//! rounds instead of copying them, a dispatcher's engine shards are built
+//! in one place over one program store, the register file's write policy
 //! stays stated once, and the compiler's passes keep no table whose order
 //! depends on the process.
 //!
@@ -267,6 +268,50 @@ fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
     assert!(
         hits.is_empty(),
         "dpu-runtime must not copy a round's payloads or re-grow the dispatch fork:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn engine_shards_are_built_in_one_place() {
+    // The engine shards of a dispatcher share one program store: one
+    // `Engine::new`, then `Engine::sharing` siblings. That only holds while
+    // one function turns a `DispatchOptions` into engines — a second
+    // `EngineOptions { cores, cache_capacity, spill_dir }` copy (there was
+    // one in `Dispatcher::with_configs` and one in
+    // `Dpu::mirrored_dispatcher`) or an `Engine::new` per shard is a
+    // store, a registry and a compile per shard coming back. Unit tests
+    // below a file's `#[cfg(test)]` may build what they like.
+    let mut literals = Vec::new();
+    let mut hits = Vec::new();
+    for rel in ["crates/runtime/src/dispatch.rs", "crates/core/src/lib.rs"] {
+        let path = repo_root().join(rel);
+        let text = fs::read_to_string(&path).expect("source file is UTF-8");
+        let production = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+        let (mut enclosing_fn, mut in_iterator) = ("", false);
+        for (idx, line) in production.enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("fn ") || code.starts_with("pub fn ") {
+                (enclosing_fn, in_iterator) = (code, false);
+            }
+            in_iterator |= code.contains(".iter()") || code.contains(".map(");
+            let at = format!("{}:{}: {}", path.display(), idx + 1, code);
+            if code.contains("EngineOptions {") {
+                literals.push(at.clone());
+                if !enclosing_fn.contains("fn engine_shards(") {
+                    hits.push(at.clone());
+                }
+            }
+            if in_iterator && code.contains("Engine::new(") {
+                hits.push(at);
+            }
+            in_iterator &= !code.contains(".collect()");
+        }
+    }
+    assert_eq!(literals.len(), 1, "one `EngineOptions {{`: {literals:?}");
+    assert!(
+        hits.is_empty(),
+        "engine shards are made by `engine_shards`: one `Engine::new`, then siblings:\n{}",
         hits.join("\n")
     );
 }
