@@ -248,6 +248,110 @@ impl<T> Residency<T> {
     }
 }
 
+/// A set of positions in `0..len` (an order fixed by the pass that owns
+/// it), one bit each — the one ordered-set type the passes use:
+/// [`crate::step1`]'s candidates by locality key and [`crate::reorder`]'s
+/// ready instructions by original position. Insert and remove flip a bit;
+/// scans walk words from a position, in either direction.
+pub(crate) struct PosSet {
+    words: Vec<u64>,
+    count: usize,
+    /// No bit is set in a word below this one.
+    low: usize,
+}
+
+impl PosSet {
+    pub(crate) fn new(len: usize) -> Self {
+        PosSet {
+            words: vec![0; len.div_ceil(64)],
+            count: 0,
+            low: 0,
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    pub(crate) fn insert(&mut self, i: usize) {
+        let word = &mut self.words[i / 64];
+        let bit = 1 << (i % 64);
+        self.count += usize::from(*word & bit == 0);
+        *word |= bit;
+        self.low = self.low.min(i / 64);
+    }
+
+    pub(crate) fn remove(&mut self, i: usize) {
+        let word = &mut self.words[i / 64];
+        let bit = 1 << (i % 64);
+        self.count -= usize::from(*word & bit != 0);
+        *word &= !bit;
+    }
+
+    /// Members `>= at`, ascending, if `up`; members `< at`, descending,
+    /// otherwise.
+    pub(crate) fn walk(&self, at: usize, up: bool) -> impl Iterator<Item = usize> + '_ {
+        let at = at.min(64 * self.words.len());
+        let mut w = at / 64;
+        let below = (1u64 << (at % 64)) - 1;
+        let mut word = self
+            .words
+            .get(w)
+            .map_or(0, |&x| if up { x & !below } else { x & below });
+        std::iter::from_fn(move || {
+            while word == 0 {
+                w = if up { w + 1 } else { w.checked_sub(1)? };
+                word = *self.words.get(w)?;
+            }
+            let bit = if up {
+                word.trailing_zeros()
+            } else {
+                63 - word.leading_zeros()
+            } as usize;
+            word &= !(1 << bit);
+            Some(64 * w + bit)
+        })
+    }
+
+    /// Every member, ascending, starting at the lowest non-empty word.
+    pub(crate) fn ascending(&mut self) -> impl Iterator<Item = usize> + '_ {
+        while self.words.get(self.low) == Some(&0) {
+            self.low += 1;
+        }
+        self.walk(64 * self.low, true)
+    }
+}
+
+/// Lists keyed by a dense index, stored flat (compressed sparse rows): the
+/// list of key `k` is `items[at[k]..at[k + 1]]`, in the order its pairs
+/// came — two allocations in all where a `Vec<Vec<T>>` makes one per key.
+pub(crate) struct Csr<T> {
+    at: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// The lists of keys `0..keys` from `(key, item)` pairs.
+    pub(crate) fn new(keys: usize, pairs: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        let mut at = vec![0u32; keys + 1];
+        pairs.clone().for_each(|(k, _)| at[k + 1] += 1);
+        for k in 0..keys {
+            at[k + 1] += at[k];
+        }
+        let mut items = vec![T::default(); at[keys] as usize];
+        let mut next = at.clone();
+        pairs.for_each(|(k, t)| {
+            items[next[k] as usize] = t;
+            next[k] += 1;
+        });
+        Csr { at, items }
+    }
+
+    pub(crate) fn row(&self, k: usize) -> &[T] {
+        &self.items[self.at[k] as usize..self.at[k + 1] as usize]
+    }
+}
+
 /// Data-memory layout of a compiled program.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DataLayout {

@@ -9,26 +9,24 @@
 //! unresolved hazards.
 //!
 //! This implementation is the equivalent list-scheduling formulation: walk
-//! cycles forward, keep a ready set ordered by original position, and at
-//! each cycle issue the first ready instruction (scanning at most `window`
-//! candidates) whose operands have cleared the pipeline; if none qualifies,
-//! issue a `nop`. Original order is used as the priority, which preserves
-//! the emission's locality and matches the paper's "insert independent
-//! instructions in between" behaviour.
-
-use std::collections::BTreeSet;
+//! cycles forward, keep a ready set ordered by original position (a bitset
+//! over positions), and at each cycle issue the first ready instruction
+//! (scanning at most `window` candidates) whose operands have cleared the
+//! pipeline; if none qualifies, issue a `nop`. Original order is used as
+//! the priority, which preserves the emission's locality and matches the
+//! paper's "insert independent instructions in between" behaviour.
 
 use dpu_isa::ArchConfig;
 
-use crate::ir::{AInstr, Residency};
+use crate::ir::{AInstr, Csr, PosSet, Residency};
 
 /// The instructions that last touched one `(bank, value)` residency.
 #[derive(Default)]
 struct Touched {
     /// Most recent producer.
     writer: Option<usize>,
-    /// Readers since then.
-    readers: Vec<usize>,
+    /// The newest read since then, in the read chain.
+    last_read: Option<usize>,
 }
 
 /// Reorders `instrs` to minimize read-after-write stalls; returns the new
@@ -44,41 +42,56 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
     // the latter is implied by emission (a pair is written at most once
     // between reads) and by keeping per-pair program order below.
     let mut touched: Residency<Touched> = Residency::new();
-    // deps[i] = (j, min_distance) edges.
-    let mut deps: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+    // Every read as `(reader, the pair's previous read)`, chained per pair.
+    let mut reads: Vec<(usize, Option<usize>)> = Vec::new();
+    // Dependences `(earlier, later, min distance)` in order of `later`, one
+    // per pair of instructions: only the largest distance binds. While
+    // instruction `i` is scanned, `seen[j] == i` says `edges[entry[j]]` is
+    // its dependence on `j`.
+    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
+    let mut seen = vec![usize::MAX; n];
+    let mut entry = vec![0usize; n];
     let mut n_unmet: Vec<usize> = vec![0; n];
 
     for (i, ins) in instrs.iter().enumerate() {
+        let first = edges.len();
+        let mut depend = |j: usize, lat: u64| {
+            if seen[j] == i {
+                let e = &mut edges[entry[j]].2;
+                *e = (*e).max(lat);
+            } else {
+                (seen[j], entry[j]) = (i, edges.len());
+                edges.push((j, i, lat));
+            }
+        };
         for (bank, v) in ins.bank_reads() {
             let pair = touched.entry(bank, v);
             if let Some(w) = pair.writer {
-                let lat = if instrs[w].is_exec() { exec_latency } else { 1 };
-                deps[i].push((w, lat));
+                depend(w, if instrs[w].is_exec() { exec_latency } else { 1 });
             }
-            pair.readers.push(i);
+            reads.push((i, pair.last_read.replace(reads.len())));
         }
         for (bank, v) in ins.bank_writes() {
             // Keep write-after-read order for re-created residencies
             // (spill reloads): the new write must follow all readers of
             // the previous residency.
             let pair = touched.entry(bank, v);
-            deps[i].extend(pair.readers.drain(..).map(|r| (r, 1)));
+            let mut read = pair.last_read.take();
+            while let Some(at) = read {
+                depend(reads[at].0, 1);
+                read = reads[at].1;
+            }
             pair.writer = Some(i);
         }
+        n_unmet[i] = edges.len() - first;
     }
-    // Deduplicate and count.
-    let mut rdeps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, d) in deps.iter_mut().enumerate() {
-        d.sort_unstable();
-        d.dedup();
-        n_unmet[i] = d.len();
-        for &(j, _) in d.iter() {
-            rdeps[j].push(i);
-        }
-    }
+    // What each instruction's issue releases: `(later, min distance)`.
+    let succs = Csr::new(n, edges.iter().map(|&(j, i, lat)| (j, (i, lat))));
 
-    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| n_unmet[i] == 0).collect();
-    let mut issue_cycle: Vec<u64> = vec![0; n];
+    let mut ready = PosSet::new(n);
+    for i in (0..n).filter(|&i| n_unmet[i] == 0) {
+        ready.insert(i);
+    }
     let mut earliest: Vec<u64> = vec![0; n];
     let mut out: Vec<AInstr> = Vec::with_capacity(n);
     let mut cycle: u64 = 0;
@@ -95,24 +108,13 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
         // front — lengthens register lifetimes and turns into spill
         // traffic, outweighing the bubbles it fills.
         let horizon = scheduled + window.max(1);
-        let pick = ready
-            .iter()
-            .take(window.max(1))
-            .find(|&&i| i <= horizon && earliest[i] <= cycle)
-            .copied();
-        match pick {
+        match pick(&mut ready, window, horizon, &earliest, cycle) {
             Some(i) => {
-                ready.remove(&i);
-                issue_cycle[i] = cycle;
+                ready.remove(i);
                 out.push(instrs[i].take().expect("scheduled once"));
                 scheduled += 1;
-                for &j in &rdeps[i] {
-                    // Update earliest from this dependence.
-                    for &(k, lat) in &deps[j] {
-                        if k == i {
-                            earliest[j] = earliest[j].max(cycle + lat);
-                        }
-                    }
+                for &(j, lat) in succs.row(i) {
+                    earliest[j] = earliest[j].max(cycle + lat);
                     n_unmet[j] -= 1;
                     if n_unmet[j] == 0 {
                         ready.insert(j);
@@ -127,6 +129,22 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
         cycle += 1;
     }
     (out, nops)
+}
+
+/// The first of the `window` lowest ready positions that may issue at
+/// `cycle`: its earliest issue cycle has passed and it is no further than
+/// `horizon`.
+fn pick(
+    ready: &mut PosSet,
+    window: usize,
+    horizon: usize,
+    earliest: &[u64],
+    cycle: u64,
+) -> Option<usize> {
+    ready
+        .ascending()
+        .take(window.max(1))
+        .find(|&i| i <= horizon && earliest[i] <= cycle)
 }
 
 #[cfg(test)]
@@ -200,6 +218,63 @@ mod tests {
         let (out, _) = reorder(&cfg, vec![st, ld], 300);
         assert!(matches!(out[0], AInstr::Store { .. }));
         assert!(matches!(out[1], AInstr::Load { .. }));
+    }
+
+    /// The ready set against the `BTreeSet<usize>` it replaced: seeded
+    /// inserts and removes, each followed by a pick that must be the first
+    /// of the set's `window` lowest members within `horizon` whose earliest
+    /// cycle has passed.
+    #[test]
+    fn ready_pick_is_the_btreeset_walk() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        let steps = if cfg!(debug_assertions) {
+            6_000
+        } else {
+            600_000
+        };
+        let mut rng = SmallRng::seed_from_u64(26);
+        let n = 700; // eleven words
+        let earliest: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..40)).collect();
+        let mut ready = PosSet::new(n);
+        let mut model: BTreeSet<usize> = BTreeSet::new();
+        for step in 0..steps {
+            // Dense, balanced and draining phases in turn. Draining takes
+            // the lowest member, as issuing does, and empties whole words;
+            // the next dense phase then inserts below the lowest non-empty
+            // one.
+            let i = rng.gen_range(0..n);
+            match step / 1000 % 3 {
+                2 => {
+                    if let Some(low) = model.pop_first() {
+                        ready.remove(low);
+                    }
+                }
+                phase if rng.gen_bool([0.8, 0.5][phase]) => {
+                    ready.insert(i);
+                    model.insert(i);
+                }
+                _ => {
+                    ready.remove(i);
+                    model.remove(&i);
+                }
+            }
+            let window = [0, 1, 2, 63, 64, 65, 300][rng.gen_range(0usize..7)];
+            let horizon = rng.gen_range(0..n + 64);
+            let cycle = rng.gen_range(0u64..45);
+            let want = model
+                .iter()
+                .take(window.max(1))
+                .find(|&&i| i <= horizon && earliest[i] <= cycle)
+                .copied();
+            let got = pick(&mut ready, window, horizon, &earliest, cycle);
+            assert_eq!(
+                got, want,
+                "window {window}, horizon {horizon}, cycle {cycle}"
+            );
+        }
     }
 
     #[test]

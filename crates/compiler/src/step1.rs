@@ -16,12 +16,10 @@
 //! utilization) close in depth-first order to the block's existing nodes
 //! (objective D, fewer inter-block dependencies).
 
-use std::collections::BTreeMap;
-
 use dpu_dag::{Dag, NodeId, Op};
 use dpu_isa::ArchConfig;
 
-use crate::ir::Subgraph;
+use crate::ir::{PosSet, Subgraph};
 
 /// Locality key per node: `(input-space anchor) << 32 | node id`, where a
 /// node's anchor is the mean of its operands' anchors and an input's
@@ -50,6 +48,48 @@ fn locality_keys(dag: &Dag) -> Vec<u64> {
 /// How many candidates (per depth bucket, per direction around the DFS
 /// cursor) the fitness search examines for each placement.
 const SEARCH_NEIGHBORS: usize = 24;
+
+/// Candidate sinks per depth `1..=D`, in locality order: the region's
+/// workable nodes sorted once by locality key, and per depth the set of
+/// positions in that order whose node is a candidate of that depth.
+struct Candidates {
+    /// Locality keys, ascending; a key's low 32 bits are its node.
+    keys: Vec<u64>,
+    /// Position of each workable node in `keys`.
+    pos: Vec<u32>,
+    depth: Vec<PosSet>,
+}
+
+impl Candidates {
+    /// `keys`: every node that may become a candidate, by locality key.
+    fn new(mut keys: Vec<u64>, nodes: usize, depths: usize) -> Self {
+        keys.sort_unstable();
+        let mut pos = vec![u32::MAX; nodes];
+        for (i, &key) in keys.iter().enumerate() {
+            pos[key as u32 as usize] = i as u32;
+        }
+        let depth = (0..depths).map(|_| PosSet::new(keys.len())).collect();
+        Candidates { keys, pos, depth }
+    }
+
+    fn insert(&mut self, d: usize, v: NodeId) {
+        self.depth[d].insert(self.pos[v.index()] as usize);
+    }
+
+    fn remove(&mut self, d: usize, v: NodeId) {
+        self.depth[d].remove(self.pos[v.index()] as usize);
+    }
+
+    /// The keys a fitness search looks at for depth `d`: up to
+    /// [`SEARCH_NEIGHBORS`] at or after position `cursor`, ascending, then
+    /// up to as many before it, descending.
+    fn around(&self, d: usize, cursor: usize) -> [impl Iterator<Item = u64> + '_; 2] {
+        [true, false].map(|up| {
+            let walk = self.depth[d].walk(cursor, up);
+            walk.take(SEARCH_NEIGHBORS).map(|p| self.keys[p])
+        })
+    }
+}
 
 /// Unmapped ancestor cones of the candidates looked at while one block is
 /// assembled. `mapped` only changes when a block commits, so a candidate's
@@ -167,8 +207,9 @@ pub fn decompose(
     // input ancestor. For vtree-structured circuits this is the vtree
     // sweep; for triangular solves it degenerates to row order — in both
     // cases consumers sit close to producers, unlike a plain DFS order
-    // whose fanout cross-edges span the whole traversal. The node id
-    // disambiguates the BTreeMap key; distances compare anchors only.
+    // whose fanout cross-edges span the whole traversal. The node id makes
+    // keys unique, so the sorted key array fixes the scan order; distances
+    // compare anchors only.
     let dfs = locality_keys(dag);
 
     // udepth[v]: longest path (in nodes) of v's unmapped ancestor cone,
@@ -188,22 +229,23 @@ pub fn decompose(
         udepth[v.index()] = (m + 1).min(cap);
     }
 
-    // Candidate buckets: per depth 1..=d_max, candidates keyed by locality
-    // for range scans.
-    let mut buckets: Vec<BTreeMap<u64, NodeId>> = vec![BTreeMap::new(); d_max as usize + 1];
+    // Candidate buckets: per depth 1..=d_max, candidates in locality order
+    // for scans around the cursor.
+    let workable: Vec<u64> = dag
+        .nodes()
+        .filter(|&v| is_workable(v) && !mapped[v.index()])
+        .map(|v| dfs[v.index()])
+        .collect();
+    let total_workable = workable.len();
+    let mut buckets = Candidates::new(workable, n, d_max as usize + 1);
     let mut in_bucket = vec![false; n];
     for v in dag.nodes() {
         let ud = udepth[v.index()];
         if !mapped[v.index()] && is_workable(v) && ud >= 1 && ud <= d_max as u8 {
-            buckets[ud as usize].insert(dfs[v.index()], v);
+            buckets.insert(ud as usize, v);
             in_bucket[v.index()] = true;
         }
     }
-
-    let total_workable = dag
-        .nodes()
-        .filter(|&v| is_workable(v) && !mapped[v.index()])
-        .count();
 
     let mut cones = Cones::new(n);
     // Nodes of the block under construction.
@@ -211,7 +253,10 @@ pub fn decompose(
 
     let mut blocks = Vec::new();
     let mut done = 0usize;
+    // The cursor: the last sink's locality key (0 before the first) and its
+    // position, so "keys >= cursor" are the positions from `cursor_pos` on.
     let mut cursor_dfs: u64 = 0;
+    let mut cursor_pos = 0usize;
 
     while done < total_workable {
         // Free subtree slots per tree: (depth, tree, leaf offset).
@@ -231,33 +276,50 @@ pub fn decompose(
             // disjoint from the block so far.
             let mut best: Option<(i64, NodeId)> = None;
             for d in (1..=slot_d as usize).rev() {
-                let bucket = &buckets[d];
-                if bucket.is_empty() {
+                // A depth-`d` cone has at most 2^d − 1 nodes, so no
+                // candidate here is fitter than `reach − 8·dist`, and `dist`
+                // never shrinks along a direction of the scan. Where that
+                // cannot beat `best` the direction — at distance 0, this
+                // depth and every lower one — is left unexamined, which
+                // leaves the pick what examining it would make it.
+                let reach = ((1i64 << d) - 1) * 256;
+                let beaten = |best: Option<(i64, NodeId)>, dist: i64| {
+                    best.is_some_and(|(bf, _)| reach - dist * 8 <= bf)
+                };
+                if beaten(best, 0) {
+                    break;
+                }
+                if buckets.depth[d].is_empty() {
                     continue;
                 }
-                let fwd = bucket.range(cursor_dfs..).take(SEARCH_NEIGHBORS);
-                let bwd = bucket.range(..cursor_dfs).rev().take(SEARCH_NEIGHBORS);
-                for (&key, &cand) in fwd.chain(bwd) {
-                    let cone = cones.of(dag, mapped, cand);
-                    if cone.is_empty() {
-                        continue; // ruled out by an earlier slot
-                    }
-                    if cone.iter().any(|x| block_flag[x.index()]) {
-                        // Overlaps the block under construction, and the
-                        // block only grows.
-                        cones.rule_out(cand);
-                        continue;
-                    }
-                    // Objective C: more nodes; objective D: proximity in
-                    // the locality sweep. The distance term is uncapped: a
-                    // far-away full cone must lose to nearby work,
-                    // otherwise the schedule scatters across the DAG and
-                    // register liveness (and with it spill traffic)
-                    // explodes.
-                    let dist = ((key >> 32) as i64 - (cursor_dfs >> 32) as i64).abs();
-                    let fitness = cone.len() as i64 * 256 - dist * 8;
-                    if best.is_none_or(|(bf, _)| fitness > bf) {
-                        best = Some((fitness, cand));
+                for direction in buckets.around(d, cursor_pos) {
+                    for key in direction {
+                        let dist = ((key >> 32) as i64 - (cursor_dfs >> 32) as i64).abs();
+                        if beaten(best, dist) {
+                            break;
+                        }
+                        let cand = NodeId(key as u32);
+                        let cone = cones.of(dag, mapped, cand);
+                        debug_assert!(cone.len() < 1 << d, "{cand}: cone deeper than {d}");
+                        if cone.is_empty() {
+                            continue; // ruled out by an earlier slot
+                        }
+                        if cone.iter().any(|x| block_flag[x.index()]) {
+                            // Overlaps the block under construction, and
+                            // the block only grows.
+                            cones.rule_out(cand);
+                            continue;
+                        }
+                        // Objective C: more nodes; objective D: proximity
+                        // in the locality sweep. The distance term is
+                        // uncapped: a far-away full cone must lose to
+                        // nearby work, otherwise the schedule scatters
+                        // across the DAG and register liveness (and with it
+                        // spill traffic) explodes.
+                        let fitness = cone.len() as i64 * 256 - dist * 8;
+                        if best.is_none_or(|(bf, _)| fitness > bf) {
+                            best = Some((fitness, cand));
+                        }
                     }
                 }
                 // A full-depth match is as good as it gets for this slot.
@@ -289,12 +351,12 @@ pub fn decompose(
                 block_flag[x.index()] = true;
                 // Remove from candidate buckets; they are about to be mapped.
                 if in_bucket[x.index()] {
-                    let ud = udepth[x.index()] as usize;
-                    buckets[ud].remove(&dfs[x.index()]);
+                    buckets.remove(udepth[x.index()] as usize, x);
                     in_bucket[x.index()] = false;
                 }
             }
             cursor_dfs = dfs[sink.index()];
+            cursor_pos = buckets.pos[sink.index()] as usize;
             block_nodes.extend_from_slice(cone);
         }
 
@@ -333,11 +395,11 @@ pub fn decompose(
             if new < old {
                 udepth[v.index()] = new;
                 if in_bucket[v.index()] {
-                    buckets[old as usize].remove(&dfs[v.index()]);
+                    buckets.remove(old as usize, v);
                     in_bucket[v.index()] = false;
                 }
                 if new >= 1 && new <= d_max as u8 {
-                    buckets[new as usize].insert(dfs[v.index()], v);
+                    buckets.insert(new as usize, v);
                     in_bucket[v.index()] = true;
                 }
                 for &s in dag.succs(v) {
@@ -346,7 +408,7 @@ pub fn decompose(
                     }
                 }
             } else if !in_bucket[v.index()] && new >= 1 && new <= d_max as u8 && new == old {
-                buckets[new as usize].insert(dfs[v.index()], v);
+                buckets.insert(new as usize, v);
                 in_bucket[v.index()] = true;
             }
         }
@@ -540,6 +602,83 @@ mod tests {
         let mut all = blocks_lo;
         all.extend(blocks_hi);
         validate_blocks(&dag, &cfg, &all).unwrap();
+    }
+
+    /// [`Candidates`] against the per-depth `BTreeMap<u64, NodeId>` buckets
+    /// it replaced: seeded inserts and removes (a node in one depth at a
+    /// time, as in [`decompose`]), each followed by a scan from a cursor
+    /// key, which must yield the keys `range(cursor..)` and then
+    /// `range(..cursor).rev()` yield, 24 of each at most.
+    #[test]
+    fn candidate_scan_is_the_btreemap_range_walk() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        let steps = if cfg!(debug_assertions) {
+            4_000
+        } else {
+            400_000
+        };
+        let mut rng = SmallRng::seed_from_u64(25);
+        // 300 nodes (five words of positions) over few anchors, so that
+        // equal anchors are ordered by node id.
+        let nodes = 300u32;
+        let keys: Vec<u64> = (0..nodes)
+            .map(|v| (rng.gen_range(0u64..80) << 32) | u64::from(v))
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        let depths = 4; // 1..=3 used, 0 stays empty
+        let mut cands = Candidates::new(keys.clone(), nodes as usize, depths);
+        let mut model: Vec<BTreeMap<u64, NodeId>> = vec![BTreeMap::new(); depths];
+        let mut depth_of = vec![0usize; nodes as usize];
+
+        let check = |cands: &Candidates, model: &[BTreeMap<u64, NodeId>], cursor: u64| {
+            // Keys `>= cursor` are the positions from here on.
+            let at = sorted.partition_point(|&k| k < cursor);
+            for (d, bucket) in model.iter().enumerate() {
+                let fwd = bucket.range(cursor..).take(SEARCH_NEIGHBORS);
+                let bwd = bucket.range(..cursor).rev().take(SEARCH_NEIGHBORS);
+                let want: Vec<u64> = fwd.chain(bwd).map(|(&k, _)| k).collect();
+                let got: Vec<u64> = cands.around(d, at).into_iter().flatten().collect();
+                assert_eq!(got, want, "depth {d}, cursor {cursor:#x} (position {at})");
+                assert_eq!(cands.depth[d].is_empty(), bucket.is_empty());
+            }
+        };
+        // Cursors the search starts from: 0 (before the first key, which
+        // makes the backward scan one from position 0), past the last key,
+        // and the keys at positions 0 and 63/64/65 — word boundaries.
+        let fixed = [0, u64::MAX, sorted[0], sorted[63], sorted[64], sorted[65]];
+        for cursor in fixed {
+            check(&cands, &model, cursor); // every depth empty
+        }
+        for step in 0..steps {
+            let v = rng.gen_range(0..nodes);
+            let node = NodeId(v);
+            let old = depth_of[v as usize];
+            if old != 0 {
+                cands.remove(old, node);
+                model[old].remove(&keys[v as usize]);
+                depth_of[v as usize] = 0;
+            }
+            // Inserts outnumber removes until the buckets are dense enough
+            // for the 24-key cut-off to bite, then balance out.
+            if rng.gen_bool(if step < steps / 4 { 0.8 } else { 0.5 }) {
+                let d = rng.gen_range(1..depths);
+                cands.insert(d, node);
+                model[d].insert(keys[v as usize], node);
+                depth_of[v as usize] = d;
+            }
+            let cursor = match rng.gen_range(0..4) {
+                0 => fixed[rng.gen_range(0..fixed.len())],
+                1 => keys[rng.gen_range(0..nodes) as usize],
+                // Between keys: not itself a key, as a cursor never is.
+                2 => keys[rng.gen_range(0..nodes) as usize] + 1 + (u64::from(nodes) << 1),
+                _ => rng.gen_range(0u64..81) << 32,
+            };
+            check(&cands, &model, cursor);
+        }
     }
 
     /// `(nodes, depth, tree, leaf offset)` of one subgraph.

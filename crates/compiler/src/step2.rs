@@ -26,7 +26,7 @@ use dpu_isa::{interconnect, ArchConfig, PeId, PeOpcode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ir::{BankAssignment, Block};
+use crate::ir::{BankAssignment, Block, Csr};
 use crate::step1::RawBlock;
 
 /// Bank-allocation policy.
@@ -73,6 +73,8 @@ pub fn place_blocks(
     let mut input_seen = vec![false; dag.len()];
     // `(node, PE)` of every occurrence placed in the block.
     let mut occurrences: Vec<(NodeId, PeId)> = Vec::new();
+    // Occurrences still to place: `(node, layer, PE index at that layer)`.
+    let mut stack: Vec<(NodeId, u32, u32)> = Vec::new();
     for rb in raw {
         let mut blk = Block {
             subgraphs: rb.subgraphs,
@@ -98,8 +100,7 @@ pub fn place_blocks(
             // Recursive top-down placement of the unrolled tree. `idx` is
             // the PE index at `layer` within the whole tree.
             let tree = sg.tree;
-            let root_idx = sg.leaf_offset >> sg.depth;
-            let mut stack: Vec<(NodeId, u32, u32)> = vec![(sg.sink, sg.depth, root_idx)];
+            stack.push((sg.sink, sg.depth, sg.leaf_offset >> sg.depth));
             while let Some((node, layer, idx)) = stack.pop() {
                 blk.pe_config
                     .push((PeId::new(tree, layer, idx), pe_opcode(dag.op(node))));
@@ -195,10 +196,10 @@ pub fn assign_banks(
             *word = u64::MAX >> (64 - (banks - 64 * w).min(64));
         }
     };
-    // simul_wr neighborhoods: outputs of the same block.
-    let mut out_block: Vec<Vec<usize>> = vec![Vec::new(); n]; // value -> blocks writing it (1)
-    let mut in_blocks: Vec<Vec<usize>> = vec![Vec::new(); n]; // value -> blocks reading it
-
+    // Neighborhoods: the block writing each value (constraint G, outputs of
+    // one block; a value has one producer) and the blocks reading it
+    // (constraint F, inputs of one block), in block order.
+    let mut writer: Vec<Option<u32>> = vec![None; n];
     for (bi, blk) in blocks.iter().enumerate() {
         for &(v, ref occ) in &blk.outputs {
             is_io[v.index()] = true;
@@ -209,10 +210,10 @@ pub fn assign_banks(
                     opts[b as usize / 64] |= 1 << (b % 64);
                 }
             }
-            out_block[v.index()].push(bi);
+            debug_assert!(writer[v.index()].is_none(), "{v} output by two blocks");
+            writer[v.index()] = Some(bi as u32);
         }
         for &v in &blk.inputs {
-            in_blocks[v.index()].push(bi);
             if !is_io[v.index()] {
                 debug_assert_eq!(
                     dag.op(v),
@@ -224,6 +225,11 @@ pub fn assign_banks(
             }
         }
     }
+    let readers = Csr::new(
+        n,
+        (blocks.iter().enumerate())
+            .flat_map(|(bi, b)| b.inputs.iter().map(move |v| (v.index(), bi as u32))),
+    );
     // Program outputs that never pass through a block (degenerate case:
     // a DAG input with no consumers that is still a requested output)
     // also need a home bank for their load/store path.
@@ -297,15 +303,15 @@ pub fn assign_banks(
             // least used by simultaneously-read/written neighbors
             // (Algorithm 2 line 24). Conflicts will be repaired by copies.
             let mut contention = vec![0u32; banks];
-            for &bi in out_block[v.index()].iter() {
-                for &(w, _) in &blocks[bi].outputs {
+            if let Some(bi) = writer[v.index()] {
+                for &(w, _) in &blocks[bi as usize].outputs {
                     if let Some(b) = assignment.bank_of[w.index()] {
                         contention[b as usize] += 1;
                     }
                 }
             }
-            for &bi in in_blocks[v.index()].iter() {
-                for &r in &blocks[bi].inputs {
+            for &bi in readers.row(v.index()) {
+                for &r in &blocks[bi as usize].inputs {
                     if let Some(b) = assignment.bank_of[r.index()] {
                         contention[b as usize] += 1;
                     }
@@ -336,13 +342,13 @@ pub fn assign_banks(
                 lowest = lowest.min(nk);
             }
         };
-        for &bi in out_block[v.index()].iter() {
-            for &(w, _) in &blocks[bi].outputs {
+        if let Some(bi) = writer[v.index()] {
+            for &(w, _) in &blocks[bi as usize].outputs {
                 restrict(w);
             }
         }
-        for &bi in in_blocks[v.index()].iter() {
-            for &w in &blocks[bi].inputs {
+        for &bi in readers.row(v.index()) {
+            for &w in &blocks[bi as usize].inputs {
                 restrict(w);
             }
         }

@@ -4,7 +4,7 @@
 
 use dpu_compiler::{compile, CompileOptions, Compiled, PersistError};
 use dpu_dag::{Dag, DagBuilder, NodeId, Op};
-use dpu_isa::ArchConfig;
+use dpu_isa::{ArchConfig, Fnv1a};
 use proptest::prelude::*;
 
 /// Strategy: a random valid DAG — mixed n-ary ops over already-created
@@ -95,5 +95,35 @@ proptest! {
         let cut = cut_sel as usize % bytes.len();
         let err = Compiled::from_bytes(&bytes[..cut]).expect_err("truncated must fail");
         prop_assert!(matches!(err, PersistError::Truncated | PersistError::Checksum { .. }));
+    }
+}
+
+/// Hostile bytes: a payload whose depth field makes `2^D` overflow `u32`,
+/// under a checksum recomputed to match (FNV-1a is no defence against
+/// anyone who can write the file), decodes to `Malformed` — not a shift
+/// overflow panic, nor, where the shift wraps, a config with a one-port
+/// tree.
+#[test]
+fn overflowing_depth_under_a_recomputed_checksum_is_malformed() {
+    let mut b = DagBuilder::new();
+    let (x, y) = (b.input(), b.input());
+    b.node(Op::Add, &[x, y]).unwrap();
+    let dag = b.finish().unwrap();
+    let cfg = ArchConfig::new(2, 8, 16).unwrap();
+    let clean = compile(&dag, &cfg, &CompileOptions::default())
+        .expect("compiles")
+        .to_bytes();
+    for depth in [32u32, 40] {
+        let mut bytes = clean.clone();
+        // The payload starts after the 24-byte header, with the depth.
+        bytes[24..28].copy_from_slice(&depth.to_le_bytes());
+        let mut check = Fnv1a::default();
+        check.bytes(&bytes[24..]);
+        bytes[16..24].copy_from_slice(&check.finish().to_le_bytes());
+        let err = Compiled::from_bytes(&bytes).expect_err("overflowing depth accepted");
+        assert!(
+            matches!(&err, PersistError::Malformed(why) if why.contains(&format!("D={depth}"))),
+            "depth {depth}: {err:?}"
+        );
     }
 }

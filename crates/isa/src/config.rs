@@ -65,6 +65,8 @@ impl fmt::Display for Topology {
 pub enum ConfigError {
     /// `D` must be at least 1 (a single PE layer).
     DepthZero,
+    /// `2^D` must fit in `u32`, i.e. `D <= 31`.
+    DepthTooLarge(u32),
     /// `B` must be a power of two.
     BanksNotPowerOfTwo(u32),
     /// `B` must be at least `2^D` so that at least one full tree exists.
@@ -82,6 +84,7 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::DepthZero => f.write_str("tree depth D must be >= 1"),
+            ConfigError::DepthTooLarge(d) => write!(f, "tree depth D={d} must be <= 31"),
             ConfigError::BanksNotPowerOfTwo(b) => {
                 write!(f, "bank count B={b} must be a power of two")
             }
@@ -128,8 +131,8 @@ impl ArchConfig {
     ///
     /// # Errors
     ///
-    /// See [`ConfigError`] for the validity rules (`D ≥ 1`, `B` a power of
-    /// two with `B ≥ 2^D`, `R ≥ 2`).
+    /// See [`ConfigError`] for the validity rules (`1 ≤ D ≤ 31`, `B` a
+    /// power of two with `B ≥ 2^D`, `R ≥ 2`).
     pub fn new(depth: u32, banks: u32, regs_per_bank: u32) -> Result<Self, ConfigError> {
         Self::with_topology(depth, banks, regs_per_bank, Topology::CrossbarInPerLayerOut)
     }
@@ -151,7 +154,9 @@ impl ArchConfig {
         if !banks.is_power_of_two() {
             return Err(ConfigError::BanksNotPowerOfTwo(banks));
         }
-        let needed = 1u32 << depth;
+        let needed = 1u32
+            .checked_shl(depth)
+            .ok_or(ConfigError::DepthTooLarge(depth))?;
         if banks < needed {
             return Err(ConfigError::TooFewBanks { banks, needed });
         }
@@ -335,6 +340,30 @@ mod tests {
         assert_eq!(
             ArchConfig::new(2, 8, 1),
             Err(ConfigError::TooFewRegisters(1))
+        );
+    }
+
+    #[test]
+    fn rejects_depths_whose_tree_width_overflows_u32() {
+        // `1 << D` overflowed before any bound: a panic in debug builds, and
+        // in release `D = 32` wrapped to a one-port tree that `B = 1` met.
+        for depth in [32, 40, u32::MAX] {
+            assert_eq!(
+                ArchConfig::new(depth, 64, 32),
+                Err(ConfigError::DepthTooLarge(depth))
+            );
+        }
+        assert_eq!(
+            ArchConfig::new(32, 1, 32),
+            Err(ConfigError::DepthTooLarge(32))
+        );
+        // The widest tree that fits is still judged by the bank rule.
+        assert_eq!(
+            ArchConfig::new(31, 64, 32),
+            Err(ConfigError::TooFewBanks {
+                banks: 64,
+                needed: 1 << 31
+            })
         );
     }
 

@@ -1378,6 +1378,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Hostile header bytes: a depth whose `2^D` overflows `u32` is a typed
+    /// rejection, not a shift-overflow panic in `parse_header`.
+    #[test]
+    fn spill_header_with_overflowing_depth_is_rejected() {
+        let dir = temp_dir("deep-header");
+        let cfg = ArchConfig::new(2, 8, 16).unwrap();
+        let d = dag(3);
+        let key = CacheKey {
+            dag: dag_fingerprint(&d),
+            config: cfg,
+        };
+        let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
+        let compiled = compile(&d, &cfg, &CompileOptions::default()).unwrap();
+        store.store(&key, &compiled).unwrap();
+        let path = store.path_for(&key);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[16..20].copy_from_slice(&40u32.to_le_bytes()); // the key's depth
+        std::fs::write(&path, &bytes).unwrap();
+        match store.load(&key) {
+            SpillLookup::Rejected(why) => assert!(why.contains("D=40"), "{why}"),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The checksum-alone trust gap, end to end: a spill file whose bytes
     /// are perfectly intact (valid magic, version, key, options tag and
     /// checksum) but whose *program* is corrupt must be refused at load by

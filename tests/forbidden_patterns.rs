@@ -9,7 +9,7 @@
 //! rounds instead of copying them, a dispatcher's engine shards are built
 //! in one place over one program store, the register file's write policy
 //! stays stated once, and the compiler's passes keep no table whose order
-//! depends on the process.
+//! depends on the process and no ordered map on their hot path.
 //!
 //! Plain text scanning is crude but cheap, runs in the ordinary test
 //! suite, and fails with the offending file + line so violations are
@@ -351,6 +351,22 @@ fn register_write_policy_is_stated_once() {
     );
 }
 
+/// Lines above the first `#[cfg(test)]` of each file under
+/// `crates/compiler/src` containing any of `patterns`.
+fn compiler_production_offenders(patterns: &[&str]) -> Vec<String> {
+    let mut hits = Vec::new();
+    for path in rust_sources(&repo_root().join("crates/compiler/src")) {
+        let text = fs::read_to_string(&path).expect("source file is UTF-8");
+        let production = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+        for (idx, line) in production.enumerate() {
+            if patterns.iter().any(|p| line.contains(p)) {
+                hits.push(format!("{}:{}: {}", path.display(), idx + 1, line.trim()));
+            }
+        }
+    }
+    hits
+}
+
 #[test]
 fn compiler_passes_use_no_randomly_seeded_maps() {
     // `std`'s `HashMap`/`HashSet` are seeded per process (`RandomState`),
@@ -360,19 +376,27 @@ fn compiler_passes_use_no_randomly_seeded_maps() {
     // (plain vectors) and by `(bank, value)` (`ir::Residency`), whose order
     // is a property of the input. Unit tests below a file's `#[cfg(test)]`
     // may use what they like.
-    let mut hits = Vec::new();
-    for path in rust_sources(&repo_root().join("crates/compiler/src")) {
-        let text = fs::read_to_string(&path).expect("source file is UTF-8");
-        let production = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
-        for (idx, line) in production.enumerate() {
-            if line.contains("HashMap") || line.contains("HashSet") {
-                hits.push(format!("{}:{}: {}", path.display(), idx + 1, line.trim()));
-            }
-        }
-    }
+    let hits = compiler_production_offenders(&["HashMap", "HashSet"]);
     assert!(
         hits.is_empty(),
         "dpu-compiler must not keep state in a randomly seeded map:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn compiler_passes_keep_no_ordered_maps() {
+    // A `BTreeMap`/`BTreeSet` is deterministic but slow where the passes
+    // need order: step 1's candidate buckets and the reorderer's ready set
+    // were a third of a compile. What the passes keep in order is a set of
+    // positions in an order fixed once (`ir::PosSet`: candidates by
+    // locality key, instructions by original position); per-key lists are
+    // `ir::Csr`. The reference-model tests below `#[cfg(test)]` keep the
+    // ordered maps they are checked against.
+    let hits = compiler_production_offenders(&["BTreeMap", "BTreeSet"]);
+    assert!(
+        hits.is_empty(),
+        "dpu-compiler's passes keep no ordered map (use ir::PosSet):\n{}",
         hits.join("\n")
     );
 }
