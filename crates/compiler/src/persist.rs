@@ -55,6 +55,9 @@ pub const FORMAT_VERSION: u32 = 1;
 
 const MAGIC: [u8; 4] = *b"DPUC";
 
+/// Bytes before the payload: magic, version, length, checksum.
+const HEADER_LEN: usize = 4 + 4 + 8 + 8;
+
 /// Errors decoding a serialized [`Compiled`]. All of them mean "do not
 /// trust this blob, recompile instead" — none are panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,6 +139,7 @@ impl Writer {
     }
     fn pairs(&mut self, v: &[(u32, u32)]) {
         self.u64(v.len() as u64);
+        self.bytes.reserve(v.len() * 8);
         for &(a, b) in v {
             self.u32(a);
             self.u32(b);
@@ -143,13 +147,26 @@ impl Writer {
     }
     fn node_ids(&mut self, v: &[NodeId]) {
         self.u64(v.len() as u64);
+        self.bytes.reserve(v.len() * 4);
         for &n in v {
             self.u32(n.0);
         }
     }
 }
 
-/// Little-endian payload reader; every read checks bounds.
+/// The little-endian `u32` at the start of `bytes`.
+fn le32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes"))
+}
+
+/// The little-endian `u32`s of `bytes`, whose length is a multiple of 4.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(le32)
+}
+
+/// Little-endian payload reader; every read checks bounds — a run of
+/// `u32`s (node ids, slot pairs, a DAG row's predecessors) with one check
+/// for the whole run.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -174,7 +191,7 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
     fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(le32(self.take(4)?))
     }
     fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -215,22 +232,23 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
+    /// The bytes of `n` consecutive `u32`s.
+    fn u32s(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
+        self.take(n.checked_mul(4).ok_or(PersistError::Truncated)?)
+    }
+
     fn pairs(&mut self) -> Result<Vec<(u32, u32)>, PersistError> {
         let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push((self.u32()?, self.u32()?));
-        }
-        Ok(out)
+        let bytes = self.u32s(n.checked_mul(2).ok_or(PersistError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|pair| (le32(pair), le32(&pair[4..])))
+            .collect())
     }
 
     fn node_ids(&mut self) -> Result<Vec<NodeId>, PersistError> {
         let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(NodeId(self.u32()?));
-        }
-        Ok(out)
+        Ok(words(self.u32s(n)?).map(NodeId).collect())
     }
 }
 
@@ -325,9 +343,7 @@ fn read_dag(r: &mut Reader<'_>) -> Result<Dag, PersistError> {
         let op = op_from_tag(r.u8()?)?;
         let arity = r.u32()? as usize;
         preds.clear();
-        for _ in 0..arity {
-            preds.push(NodeId(r.u32()?));
-        }
+        preds.extend(words(r.u32s(arity)?).map(NodeId));
         let id = if op == Op::Input && preds.is_empty() {
             b.input()
         } else {
@@ -345,6 +361,12 @@ impl Compiled {
     /// binary format described in the [module docs](self).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::default();
+        // The header, its length and checksum filled in once the payload
+        // behind it is written.
+        w.bytes.extend_from_slice(&MAGIC);
+        w.u32(FORMAT_VERSION);
+        w.u64(0);
+        w.u64(0);
         write_config(&mut w, &self.program.config);
         w.u64(self.program.len() as u64);
         w.slice(&self.program.pack());
@@ -377,14 +399,11 @@ impl Compiled {
         w.u64(s.footprint.data_bits);
         w.u64(s.footprint.csr_bits);
         w.f64(s.compile_ms);
-        let payload = w.bytes;
-
-        let mut out = Vec::with_capacity(payload.len() + 24);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = w.bytes;
+        let payload = &out[HEADER_LEN..];
+        let (len, check) = (payload.len() as u64, fnv1a(payload));
+        out[8..16].copy_from_slice(&len.to_le_bytes());
+        out[16..24].copy_from_slice(&check.to_le_bytes());
         out
     }
 

@@ -35,6 +35,19 @@
 //! [`explicit_write_addr_bits`] computes the size of the counterfactual
 //! encoding with explicit write addresses, reproducing the paper's ~30%
 //! program-size-reduction claim.
+//!
+//! ## Field groups
+//!
+//! Every field goes out LSB-first, one after the other, so the image is
+//! Fig. 7's dense bit stream above. The codec moves fields in *groups*,
+//! not one at a time: the fields of one port read (`present|bank|addr|rst`,
+//! `2+BB+RB` bits), one store read, one `store_4` read, one copy move, one
+//! write selector, eight 4-bit PE opcodes, or 32 load-mask bits are packed
+//! into one word and written or read with one [`BitWriter::push`] /
+//! [`BitReader::read`], which themselves move a word at a time. A group
+//! wider than 32 bits (only at very large `B` or `R`) goes field by field.
+//! Grouping changes no bit of the image: a group's first field is its
+//! lowest bits, exactly where a field-at-a-time writer would put it.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,6 +76,14 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `bits` bits.
+    pub fn with_capacity(bits: usize) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bits.div_ceil(8)),
+            len_bits: 0,
+        }
+    }
+
     /// Number of bits written so far.
     pub fn len_bits(&self) -> usize {
         self.len_bits
@@ -79,15 +100,19 @@ impl BitWriter {
             width == 32 || value < (1u32 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in 0..width {
-            let bit = (value >> i) & 1;
-            let pos = self.len_bits;
-            if pos / 8 == self.bytes.len() {
-                self.bytes.push(0);
-            }
-            self.bytes[pos / 8] |= (bit as u8) << (pos % 8);
-            self.len_bits += 1;
+        // The value lands at bit `len_bits % 8` of the last, partly filled
+        // byte and runs into at most four new ones: shift it there once,
+        // OR the low byte into the partial one, append four bytes and cut
+        // back to the ones the value reached.
+        let shift = self.len_bits % 8;
+        let mut word = u64::from(value) << shift;
+        if shift != 0 {
+            *self.bytes.last_mut().expect("a partial byte exists") |= word as u8;
+            word >>= 8;
         }
+        self.len_bits += width as usize;
+        self.bytes.extend_from_slice(&(word as u32).to_le_bytes());
+        self.bytes.truncate(self.len_bits.div_ceil(8));
     }
 
     /// Appends a boolean as one bit.
@@ -129,23 +154,41 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
-    /// Reads `width` bits.
+    /// Reads `width` bits. A read of width 0 is `Ok(0)` anywhere.
     ///
     /// # Errors
     ///
-    /// Returns `Err` on reading past the end.
+    /// [`DecodeError::OutOfBits`] if the field runs past the end of the
+    /// buffer; the position is then left where it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 32`.
     pub fn read(&mut self, width: u32) -> Result<u32, DecodeError> {
-        let mut v = 0u32;
-        for i in 0..width {
-            let pos = self.pos;
-            if pos / 8 >= self.bytes.len() {
-                return Err(DecodeError::OutOfBits);
-            }
-            let bit = (self.bytes[pos / 8] >> (pos % 8)) & 1;
-            v |= (bit as u32) << i;
-            self.pos += 1;
+        assert!(width <= 32, "width > 32");
+        if width == 0 {
+            return Ok(0);
         }
-        Ok(v)
+        let end = self
+            .pos
+            .checked_add(width as usize)
+            .filter(|&end| end <= self.bytes.len().saturating_mul(8))
+            .ok_or(DecodeError::OutOfBits)?;
+        // The field spans at most five bytes from `pos / 8`: load eight
+        // (zero-padded at the buffer's end) and shift.
+        let at = self.pos / 8;
+        let word = match self.bytes.get(at..at + 8) {
+            Some(eight) => u64::from_le_bytes(eight.try_into().expect("eight bytes")),
+            None => {
+                let mut eight = [0u8; 8];
+                let tail = &self.bytes[at..];
+                eight[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(eight)
+            }
+        };
+        let value = (word >> (self.pos % 8)) & ((1u64 << width) - 1);
+        self.pos = end;
+        Ok(value as u32)
     }
 
     /// Reads one bit as a boolean.
@@ -229,48 +272,114 @@ pub fn fetch_width(cfg: &ArchConfig) -> u32 {
         .expect("non-empty")
 }
 
-fn encode_reg_read(w: &mut BitWriter, cfg: &ArchConfig, r: &RegRead) {
-    w.push(r.bank, cfg.bank_bits());
-    w.push(r.addr, cfg.reg_addr_bits());
-    w.push_bool(r.valid_rst);
+/// The field widths of one configuration, computed once per
+/// [`encode`]/[`decode`] call rather than once per field.
+#[derive(Clone, Copy)]
+struct Widths {
+    /// `B`: port reads, store reads and write selectors per instruction.
+    banks: usize,
+    /// PE opcodes per `exec`.
+    pes: usize,
+    /// `BB = ⌈log2 B⌉`.
+    bb: u32,
+    /// `RB = ⌈log2 R⌉`.
+    rb: u32,
+    /// `WS`, the write-selector width ([`write_sel_bits`]).
+    ws: u32,
 }
 
-fn decode_reg_read(r: &mut BitReader<'_>, cfg: &ArchConfig) -> Result<RegRead, DecodeError> {
-    Ok(RegRead {
-        bank: r.read(cfg.bank_bits())?,
-        addr: r.read(cfg.reg_addr_bits())?,
-        valid_rst: r.read_bool()?,
-    })
-}
-
-fn encode_write_sel(w: &mut BitWriter, cfg: &ArchConfig, pe: PeId) {
-    match cfg.topology {
-        Topology::CrossbarBoth => w.push(pe.flat_index(cfg), write_sel_bits(cfg)),
-        Topology::CrossbarInPerLayerOut => {
-            if layer_bits(cfg) > 0 {
-                w.push(pe.layer - 1, layer_bits(cfg));
-            }
+impl Widths {
+    fn of(cfg: &ArchConfig) -> Self {
+        Widths {
+            banks: cfg.banks as usize,
+            pes: cfg.pe_count() as usize,
+            bb: cfg.bank_bits(),
+            rb: cfg.reg_addr_bits(),
+            ws: write_sel_bits(cfg),
         }
-        Topology::CrossbarInOnePeOut | Topology::OneToOneBoth => {}
     }
 }
 
-fn decode_write_sel(
+/// PE opcodes per group: eight 4-bit codes fill a 32-bit word.
+const OPS_PER_GROUP: usize = (u32::BITS / PeOpcode::BITS) as usize;
+
+/// Writes `(value, width)` fields as one LSB-first group: one
+/// [`BitWriter::push`] when the group fits a word, field by field when it
+/// does not. Either way the bits are the ones field-at-a-time pushes make.
+///
+/// # Panics
+///
+/// Panics if a value does not fit its width, as [`BitWriter::push`] does.
+fn push_group<const N: usize>(w: &mut BitWriter, fields: [(u32, u32); N]) {
+    let total: u32 = fields.iter().map(|&(_, width)| width).sum();
+    if total > u32::BITS {
+        for (value, width) in fields {
+            w.push(value, width);
+        }
+        return;
+    }
+    let mut group = 0u64;
+    let mut at = 0;
+    for (value, width) in fields {
+        assert!(
+            u64::from(value) < 1 << width,
+            "value {value} does not fit in {width} bits"
+        );
+        group |= u64::from(value) << at;
+        at += width;
+    }
+    w.push(group as u32, total);
+}
+
+/// Reads fields of `widths` as one LSB-first group; the inverse of
+/// [`push_group`]. It fails exactly when a field-at-a-time read would: when
+/// the group runs past the buffer.
+fn read_group<const N: usize>(
     r: &mut BitReader<'_>,
-    cfg: &ArchConfig,
-    bank: u32,
-) -> Result<PeId, DecodeError> {
+    widths: [u32; N],
+) -> Result<[u32; N], DecodeError> {
+    let total: u32 = widths.iter().sum();
+    let mut fields = [0; N];
+    if total > u32::BITS {
+        for (field, &width) in fields.iter_mut().zip(&widths) {
+            *field = r.read(width)?;
+        }
+        return Ok(fields);
+    }
+    let mut group = u64::from(r.read(total)?);
+    for (field, &width) in fields.iter_mut().zip(&widths) {
+        *field = (group & ((1 << width) - 1)) as u32;
+        group >>= width;
+    }
+    Ok(fields)
+}
+
+/// Capacity for a vector of `entries` that each take at least one bit of
+/// what is left of the buffer: a hostile configuration cannot size a
+/// vector past the bits that could fill it.
+fn room(r: &BitReader<'_>, entries: usize) -> usize {
+    let left = r.bytes.len().saturating_mul(8).saturating_sub(r.pos);
+    entries.min(left)
+}
+
+/// The write-selector field of a writeback from `pe` (see [`write_sel_bits`]).
+fn write_sel(cfg: &ArchConfig, ws: u32, pe: PeId) -> u32 {
+    match cfg.topology {
+        Topology::CrossbarBoth => pe.flat_index(cfg),
+        Topology::CrossbarInPerLayerOut if ws > 0 => pe.layer - 1,
+        _ => 0,
+    }
+}
+
+/// The PE a write selector `sel` names for `bank`.
+fn write_sel_pe(cfg: &ArchConfig, sel: u32, bank: u32) -> Result<PeId, DecodeError> {
     match cfg.topology {
         Topology::CrossbarBoth => {
-            let flat = r.read(write_sel_bits(cfg))?;
-            PeId::from_flat_index(cfg, flat).ok_or(DecodeError::BadWriteSel(flat))
+            PeId::from_flat_index(cfg, sel).ok_or(DecodeError::BadWriteSel(sel))
         }
         Topology::CrossbarInPerLayerOut => {
-            let l = if layer_bits(cfg) > 0 {
-                r.read(layer_bits(cfg))? + 1
-            } else {
-                1
-            };
+            // With `D = 1` the field is empty and `sel` is 0: layer 1.
+            let l = sel + 1;
             if l > cfg.depth {
                 return Err(DecodeError::BadWriteSel(l));
             }
@@ -287,6 +396,10 @@ fn decode_write_sel(
     }
 }
 
+fn pe_op(code: u32) -> Result<PeOpcode, DecodeError> {
+    PeOpcode::from_code(code).ok_or(DecodeError::BadPeOpcode(code))
+}
+
 /// Encodes one instruction, appending to `w`. The number of bits appended is
 /// exactly [`kind_bits`]`(cfg, instr.kind())`.
 ///
@@ -297,110 +410,73 @@ fn decode_write_sel(
 pub fn encode(w: &mut BitWriter, cfg: &ArchConfig, instr: &Instr) {
     let start = w.len_bits();
     let kind = instr.kind();
-    w.push(
-        InstrKind::ALL.iter().position(|&k| k == kind).unwrap() as u32,
-        OPCODE_BITS,
-    );
+    // `InstrKind::ALL` lists the kinds in declaration order.
+    w.push(kind as u32, OPCODE_BITS);
+    let f = Widths::of(cfg);
+    // The unused entries of `store_4`/`copy_4` are zero-filled.
+    let idle = RegRead {
+        bank: 0,
+        addr: 0,
+        valid_rst: false,
+    };
     match instr {
         Instr::Nop => {}
         Instr::Load { row, mask } => {
             w.push(*row, ROW_BITS);
-            for &m in mask {
-                w.push_bool(m);
+            for chunk in mask.chunks(u32::BITS as usize) {
+                let bits = chunk.iter().rev().fold(0, |acc, &m| acc << 1 | m as u32);
+                w.push(bits, chunk.len() as u32);
             }
         }
         Instr::Store { row, reads } => {
             w.push(*row, ROW_BITS);
             for r in reads {
-                match r {
-                    Some(r) => {
-                        w.push_bool(true);
-                        w.push(r.addr, cfg.reg_addr_bits());
-                        w.push_bool(r.valid_rst);
-                    }
-                    None => {
-                        w.push_bool(false);
-                        w.push(0, cfg.reg_addr_bits());
-                        w.push_bool(false);
-                    }
-                }
+                let (present, r) = r.map_or((0, idle), |r| (1, r));
+                push_group(w, [(present, 1), (r.addr, f.rb), (r.valid_rst as u32, 1)]);
             }
         }
         Instr::StoreK { row, reads } => {
             w.push(*row, ROW_BITS);
             w.push(reads.len() as u32, COUNT_BITS);
             for i in 0..Instr::K {
-                match reads.get(i) {
-                    Some(r) => encode_reg_read(w, cfg, r),
-                    None => encode_reg_read(
-                        w,
-                        cfg,
-                        &RegRead {
-                            bank: 0,
-                            addr: 0,
-                            valid_rst: false,
-                        },
-                    ),
-                }
+                let r = reads.get(i).copied().unwrap_or(idle);
+                push_group(w, [(r.bank, f.bb), (r.addr, f.rb), (r.valid_rst as u32, 1)]);
             }
         }
         Instr::CopyK { moves } => {
             w.push(moves.len() as u32, COUNT_BITS);
             for i in 0..Instr::K {
-                match moves.get(i) {
-                    Some(m) => {
-                        encode_reg_read(w, cfg, &m.src);
-                        w.push(m.dst_bank, cfg.bank_bits());
-                    }
-                    None => {
-                        encode_reg_read(
-                            w,
-                            cfg,
-                            &RegRead {
-                                bank: 0,
-                                addr: 0,
-                                valid_rst: false,
-                            },
-                        );
-                        w.push(0, cfg.bank_bits());
-                    }
-                }
+                let (src, dst) = moves.get(i).map_or((idle, 0), |m| (m.src, m.dst_bank));
+                push_group(
+                    w,
+                    [
+                        (src.bank, f.bb),
+                        (src.addr, f.rb),
+                        (src.valid_rst as u32, 1),
+                        (dst, f.bb),
+                    ],
+                );
             }
         }
         Instr::Exec(e) => {
             for r in &e.reads {
-                match r {
-                    Some(r) => {
-                        w.push_bool(true);
-                        w.push(r.bank, cfg.bank_bits());
-                        w.push(r.addr, cfg.reg_addr_bits());
-                        w.push_bool(r.valid_rst);
-                    }
-                    None => {
-                        w.push_bool(false);
-                        w.push(0, cfg.bank_bits());
-                        w.push(0, cfg.reg_addr_bits());
-                        w.push_bool(false);
-                    }
-                }
+                let (present, bank, addr, rst) =
+                    r.map_or((0, 0, 0, false), |r| (1, r.bank, r.addr, r.valid_rst));
+                push_group(
+                    w,
+                    [(present, 1), (bank, f.bb), (addr, f.rb), (rst as u32, 1)],
+                );
             }
-            for &op in &e.pe_ops {
-                w.push(op.code(), PeOpcode::BITS);
+            for ops in e.pe_ops.chunks(OPS_PER_GROUP) {
+                let bits = ops
+                    .iter()
+                    .rev()
+                    .fold(0, |acc, op| acc << PeOpcode::BITS | op.code());
+                w.push(bits, PeOpcode::BITS * ops.len() as u32);
             }
-            for (bank, wr) in e.writes.iter().enumerate() {
-                match wr {
-                    Some(pe) => {
-                        w.push_bool(true);
-                        encode_write_sel(w, cfg, *pe);
-                    }
-                    None => {
-                        w.push_bool(false);
-                        if write_sel_bits(cfg) > 0 {
-                            w.push(0, write_sel_bits(cfg));
-                        }
-                        let _ = bank;
-                    }
-                }
+            for wr in &e.writes {
+                let (present, sel) = wr.map_or((0, 0), |pe| (1, write_sel(cfg, f.ws, pe)));
+                push_group(w, [(present, 1), (sel, f.ws)]);
             }
         }
     }
@@ -421,28 +497,28 @@ pub fn decode(r: &mut BitReader<'_>, cfg: &ArchConfig) -> Result<Instr, DecodeEr
     let kind = *InstrKind::ALL
         .get(opc as usize)
         .ok_or(DecodeError::BadOpcode(opc))?;
-    let b = cfg.banks as usize;
+    let f = Widths::of(cfg);
     match kind {
         InstrKind::Nop => Ok(Instr::Nop),
         InstrKind::Load => {
             let row = r.read(ROW_BITS)?;
-            let mut mask = Vec::with_capacity(b);
-            for _ in 0..b {
-                mask.push(r.read_bool()?);
+            let mut mask = Vec::with_capacity(room(r, f.banks));
+            while mask.len() < f.banks {
+                let n = (f.banks - mask.len()).min(u32::BITS as usize);
+                let bits = r.read(n as u32)?;
+                mask.extend((0..n).map(|i| bits >> i & 1 != 0));
             }
             Ok(Instr::Load { row, mask })
         }
         InstrKind::Store => {
             let row = r.read(ROW_BITS)?;
-            let mut reads = Vec::with_capacity(b);
-            for bank in 0..b {
-                let present = r.read_bool()?;
-                let addr = r.read(cfg.reg_addr_bits())?;
-                let rst = r.read_bool()?;
-                reads.push(present.then_some(RegRead {
-                    bank: bank as u32,
+            let mut reads = Vec::with_capacity(room(r, f.banks));
+            for bank in 0..f.banks as u32 {
+                let [present, addr, rst] = read_group(r, [1, f.rb, 1])?;
+                reads.push((present != 0).then_some(RegRead {
+                    bank,
                     addr,
-                    valid_rst: rst,
+                    valid_rst: rst != 0,
                 }));
             }
             Ok(Instr::Store { row, reads })
@@ -450,56 +526,70 @@ pub fn decode(r: &mut BitReader<'_>, cfg: &ArchConfig) -> Result<Instr, DecodeEr
         InstrKind::StoreK => {
             let row = r.read(ROW_BITS)?;
             let count = r.read(COUNT_BITS)? as usize;
-            let mut reads = Vec::with_capacity(count);
+            let mut reads = Vec::with_capacity(count.min(Instr::K));
             for i in 0..Instr::K {
-                let rr = decode_reg_read(r, cfg)?;
+                let [bank, addr, rst] = read_group(r, [f.bb, f.rb, 1])?;
                 if i < count {
-                    reads.push(rr);
+                    reads.push(RegRead {
+                        bank,
+                        addr,
+                        valid_rst: rst != 0,
+                    });
                 }
             }
             Ok(Instr::StoreK { row, reads })
         }
         InstrKind::CopyK => {
             let count = r.read(COUNT_BITS)? as usize;
-            let mut moves = Vec::with_capacity(count);
+            let mut moves = Vec::with_capacity(count.min(Instr::K));
             for i in 0..Instr::K {
-                let src = decode_reg_read(r, cfg)?;
-                let dst_bank = r.read(cfg.bank_bits())?;
+                let [bank, addr, rst, dst_bank] = read_group(r, [f.bb, f.rb, 1, f.bb])?;
                 if i < count {
+                    let src = RegRead {
+                        bank,
+                        addr,
+                        valid_rst: rst != 0,
+                    };
                     moves.push(CopyMove { src, dst_bank });
                 }
             }
             Ok(Instr::CopyK { moves })
         }
         InstrKind::Exec => {
-            let mut reads = Vec::with_capacity(b);
-            for _ in 0..b {
-                let present = r.read_bool()?;
-                let bank = r.read(cfg.bank_bits())?;
-                let addr = r.read(cfg.reg_addr_bits())?;
-                let rst = r.read_bool()?;
-                reads.push(present.then_some(PortRead {
+            let mut reads = Vec::with_capacity(room(r, f.banks));
+            for _ in 0..f.banks {
+                let [present, bank, addr, rst] = read_group(r, [1, f.bb, f.rb, 1])?;
+                reads.push((present != 0).then_some(PortRead {
                     bank,
                     addr,
-                    valid_rst: rst,
+                    valid_rst: rst != 0,
                 }));
             }
-            let mut pe_ops = Vec::with_capacity(cfg.pe_count() as usize);
-            for _ in 0..cfg.pe_count() {
-                let c = r.read(PeOpcode::BITS)?;
-                pe_ops.push(PeOpcode::from_code(c).ok_or(DecodeError::BadPeOpcode(c))?);
-            }
-            let mut writes = Vec::with_capacity(b);
-            for bank in 0..b {
-                let present = r.read_bool()?;
-                if present {
-                    writes.push(Some(decode_write_sel(r, cfg, bank as u32)?));
-                } else if write_sel_bits(cfg) > 0 {
-                    r.read(write_sel_bits(cfg))?;
-                    writes.push(None);
-                } else {
-                    writes.push(None);
+            let mut pe_ops = Vec::with_capacity(room(r, f.pes));
+            while pe_ops.len() < f.pes {
+                let n = (f.pes - pe_ops.len()).min(OPS_PER_GROUP);
+                let Ok(mut bits) = r.read(PeOpcode::BITS * n as u32) else {
+                    // The group runs past the buffer. Report what reading
+                    // one opcode at a time meets first: an unknown opcode
+                    // before the end, if there is one.
+                    for _ in 0..n {
+                        pe_op(r.read(PeOpcode::BITS)?)?;
+                    }
+                    return Err(DecodeError::OutOfBits);
+                };
+                for _ in 0..n {
+                    pe_ops.push(pe_op(bits & ((1 << PeOpcode::BITS) - 1))?);
+                    bits >>= PeOpcode::BITS;
                 }
+            }
+            let mut writes = Vec::with_capacity(room(r, f.banks));
+            for bank in 0..f.banks as u32 {
+                let [present, sel] = read_group(r, [1, f.ws])?;
+                writes.push(if present != 0 {
+                    Some(write_sel_pe(cfg, sel, bank)?)
+                } else {
+                    None
+                });
             }
             Ok(Instr::Exec(ExecInstr {
                 reads,
@@ -515,14 +605,24 @@ pub fn decode(r: &mut BitReader<'_>, cfg: &ArchConfig) -> Result<Instr, DecodeEr
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on malformed input.
+/// Returns a [`DecodeError`] on malformed input, and
+/// [`DecodeError::OutOfBits`] without decoding anything when `bytes` could
+/// not hold `count` instructions even if every one were a 4-bit `nop` — a
+/// hostile count never sizes an allocation.
 pub fn decode_stream(
     bytes: &[u8],
     cfg: &ArchConfig,
     count: usize,
 ) -> Result<Vec<Instr>, DecodeError> {
+    if count > bytes.len().saturating_mul(8) / OPCODE_BITS as usize {
+        return Err(DecodeError::OutOfBits);
+    }
     let mut r = BitReader::new(bytes);
-    (0..count).map(|_| decode(&mut r, cfg)).collect()
+    let mut instrs = Vec::with_capacity(count);
+    for _ in 0..count {
+        instrs.push(decode(&mut r, cfg)?);
+    }
+    Ok(instrs)
 }
 
 /// Size in bits of the counterfactual encoding that carries explicit write
@@ -577,6 +677,117 @@ mod tests {
     fn bit_writer_overflow_panics() {
         let mut w = BitWriter::new();
         w.push(8, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn a_group_field_that_overflows_panics() {
+        // Bank 16 needs five bits; `B = 16` gives it four.
+        let cfg = cfg();
+        let mut e = ExecInstr::idle(&cfg);
+        e.reads[0] = Some(PortRead {
+            bank: 16,
+            addr: 0,
+            valid_rst: false,
+        });
+        encode(&mut BitWriter::new(), &cfg, &Instr::Exec(e));
+    }
+
+    /// The per-bit `push` the word-level one replaced: the reference.
+    fn push_per_bit(bytes: &mut Vec<u8>, len_bits: &mut usize, value: u32, width: u32) {
+        for i in 0..width {
+            let bit = (value >> i) & 1;
+            if *len_bits / 8 == bytes.len() {
+                bytes.push(0);
+            }
+            bytes[*len_bits / 8] |= (bit as u8) << (*len_bits % 8);
+            *len_bits += 1;
+        }
+    }
+
+    /// The per-bit `read` the word-level one replaced: the reference.
+    fn read_per_bit(bytes: &[u8], pos: &mut usize, width: u32) -> Result<u32, DecodeError> {
+        let mut v = 0u32;
+        for i in 0..width {
+            if *pos / 8 >= bytes.len() {
+                return Err(DecodeError::OutOfBits);
+            }
+            v |= u32::from((bytes[*pos / 8] >> (*pos % 8)) & 1) << i;
+            *pos += 1;
+        }
+        Ok(v)
+    }
+
+    /// SplitMix64: seeded draws for the reference-model scripts.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A field width, with the edges (0, 1, 31, 32) drawn often.
+        fn width(&mut self) -> u32 {
+            match self.below(6) {
+                0 => [0, 1, 31, 32][self.below(4) as usize],
+                _ => self.below(33) as u32,
+            }
+        }
+    }
+
+    /// Random `(value, width)` scripts through the word-level writer and
+    /// the per-bit reference give the same bytes after every push; random
+    /// width scripts over (possibly truncated) images read the same values
+    /// and fail with `OutOfBits` at the same field.
+    #[test]
+    fn word_level_bit_io_is_the_per_bit_reference() {
+        let scripts = if cfg!(debug_assertions) {
+            2_000
+        } else {
+            200_000
+        };
+        let mut draw = Draws(26);
+        for _ in 0..scripts {
+            let mut w = if draw.below(2) == 0 {
+                BitWriter::new()
+            } else {
+                BitWriter::with_capacity(draw.below(200) as usize)
+            };
+            let (mut want, mut want_len) = (Vec::new(), 0);
+            for _ in 0..draw.below(24) {
+                let width = draw.width();
+                let value = (draw.next() & ((1u64 << width) - 1)) as u32;
+                w.push(value, width);
+                push_per_bit(&mut want, &mut want_len, value, width);
+                assert_eq!((w.as_bytes(), w.len_bits()), (&want[..], want_len));
+            }
+            assert_eq!(w.into_bytes(), want);
+
+            let image = &want[..draw.below(want.len() as u64 + 1) as usize];
+            let mut r = BitReader::new(image);
+            let mut pos = 0;
+            loop {
+                let width = draw.width();
+                let got = r.read(width);
+                assert_eq!(got, read_per_bit(image, &mut pos, width), "width {width}");
+                if got.is_err() {
+                    break;
+                }
+                assert_eq!(r.position(), pos);
+            }
+            // Past the end, a width-0 read still succeeds.
+            assert_eq!(r.read(0), Ok(0));
+        }
+        let far = BitReader::at(&[0xff], usize::MAX).read(1);
+        assert_eq!(far, Err(DecodeError::OutOfBits));
     }
 
     #[test]
@@ -694,6 +905,48 @@ mod tests {
             let bytes = w.into_bytes();
             let back = decode(&mut BitReader::new(&bytes), &cfg).unwrap();
             assert_eq!(back, instr, "{topo}");
+        }
+    }
+
+    /// An image cut inside a group of PE opcodes fails as an opcode-at-a-
+    /// time decoder does: with the first unknown opcode before the cut, if
+    /// there is one, else with `OutOfBits`.
+    #[test]
+    fn a_cut_opcode_group_reports_the_first_bad_opcode_before_the_cut() {
+        let cfg = cfg();
+        let Instr::Exec(mut e) = sample_exec(&cfg) else {
+            unreachable!()
+        };
+        // The opcodes start after the opcode field and the port reads.
+        let ops_at =
+            (OPCODE_BITS + cfg.banks * (2 + cfg.bank_bits() + cfg.reg_addr_bits())) as usize;
+        // The image keeps opcodes 0..5 of the first group of eight.
+        let keep = ops_at + 5 * PeOpcode::BITS as usize;
+        assert_eq!(keep % 8, 0);
+        for (bad, want) in [
+            (None, DecodeError::OutOfBits),
+            (Some(1), DecodeError::BadPeOpcode(15)),
+            (Some(5), DecodeError::OutOfBits),
+        ] {
+            e.pe_ops.fill(PeOpcode::Nop);
+            if let Some(pe) = bad {
+                e.pe_ops[pe] = PeOpcode::BypassR; // code 8, patched to 15 below
+            }
+            let mut w = BitWriter::new();
+            encode(&mut w, &cfg, &Instr::Exec(e.clone()));
+            let mut bytes = w.into_bytes();
+            if let Some(pe) = bad {
+                let bit = ops_at + pe * PeOpcode::BITS as usize;
+                for b in bit..bit + PeOpcode::BITS as usize {
+                    bytes[b / 8] |= 1 << (b % 8);
+                }
+            }
+            bytes.truncate(keep / 8);
+            assert_eq!(
+                decode(&mut BitReader::new(&bytes), &cfg),
+                Err(want),
+                "bad opcode at {bad:?}"
+            );
         }
     }
 

@@ -127,9 +127,10 @@ impl PeOpcode {
         PeOpcode::BypassR,
     ];
 
-    /// Encoding value.
+    /// Encoding value: the opcode's index in [`PeOpcode::ALL`], which lists
+    /// the opcodes in declaration order.
     pub fn code(self) -> u32 {
-        Self::ALL.iter().position(|&o| o == self).unwrap() as u32
+        self as u32
     }
 
     /// Decodes an opcode; `None` for invalid codes.
@@ -330,6 +331,17 @@ impl Instr {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn validate(&self, cfg: &ArchConfig) -> Result<(), String> {
+        self.validate_with(cfg, &mut Vec::new())
+    }
+
+    /// [`Instr::validate`] with the per-bank table an `exec` needs held by
+    /// the caller ([`ExecInstr::validate_with`]), so that a replay
+    /// validating every instruction allocates it once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Instr::validate`].
+    pub fn validate_with(&self, cfg: &ArchConfig, read_addr: &mut Vec<u32>) -> Result<(), String> {
         let b = cfg.banks as usize;
         let check_read = |r: &RegRead| -> Result<(), String> {
             if r.bank >= cfg.banks {
@@ -378,10 +390,10 @@ impl Instr {
                 if *row >= cfg.data_mem_rows {
                     return Err(format!("store_k row {row} out of range"));
                 }
-                let mut seen = vec![false; b];
-                for r in reads {
+                // At most `K` words: each is checked against those before it.
+                for (i, r) in reads.iter().enumerate() {
                     check_read(r)?;
-                    if std::mem::replace(&mut seen[r.bank as usize], true) {
+                    if reads[..i].iter().any(|p| p.bank == r.bank) {
                         return Err(format!("store_k reads bank {} twice", r.bank));
                     }
                 }
@@ -391,23 +403,22 @@ impl Instr {
                 if moves.len() > Self::K || moves.is_empty() {
                     return Err(format!("copy_k with {} moves", moves.len()));
                 }
-                let mut src_seen = vec![false; b];
-                let mut dst_seen = vec![false; b];
-                for m in moves {
+                for (i, m) in moves.iter().enumerate() {
                     check_read(&m.src)?;
                     if m.dst_bank >= cfg.banks {
                         return Err(format!("copy dst bank {} out of range", m.dst_bank));
                     }
-                    if std::mem::replace(&mut src_seen[m.src.bank as usize], true) {
+                    let before = &moves[..i];
+                    if before.iter().any(|p| p.src.bank == m.src.bank) {
                         return Err(format!("copy reads bank {} twice", m.src.bank));
                     }
-                    if std::mem::replace(&mut dst_seen[m.dst_bank as usize], true) {
+                    if before.iter().any(|p| p.dst_bank == m.dst_bank) {
                         return Err(format!("copy writes bank {} twice", m.dst_bank));
                     }
                 }
                 Ok(())
             }
-            Instr::Exec(e) => e.validate(cfg),
+            Instr::Exec(e) => e.validate_with(cfg, read_addr),
         }
     }
 }
@@ -429,6 +440,19 @@ impl ExecInstr {
     ///
     /// Returns a description of the first violation.
     pub fn validate(&self, cfg: &ArchConfig) -> Result<(), String> {
+        self.validate_with(cfg, &mut Vec::new())
+    }
+
+    /// [`ExecInstr::validate`] over a caller-owned table of the address
+    /// each bank is read at: it is refilled on every call and only grows,
+    /// so validating instruction after instruction allocates nothing after
+    /// the first.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExecInstr::validate`].
+    pub fn validate_with(&self, cfg: &ArchConfig, read_addr: &mut Vec<u32>) -> Result<(), String> {
+        const UNREAD: u32 = u32::MAX;
         let b = cfg.banks as usize;
         if self.reads.len() != b {
             return Err(format!("exec reads length {} != B", self.reads.len()));
@@ -442,8 +466,10 @@ impl ExecInstr {
         // One read port per bank: every bank presents a single address per
         // cycle, but the input crossbar may broadcast that one read to any
         // number of tree ports. Two ports may therefore read the same bank
-        // only at the same address.
-        let mut read_addr: Vec<Option<u32>> = vec![None; b];
+        // only at the same address. (`UNREAD` is no address: a read address
+        // is checked below `regs_per_bank` before it is entered.)
+        read_addr.clear();
+        read_addr.resize(b, UNREAD);
         for (port, r) in self.reads.iter().enumerate() {
             if let Some(r) = r {
                 if r.bank >= cfg.banks {
@@ -461,9 +487,9 @@ impl ExecInstr {
                     ));
                 }
                 match read_addr[r.bank as usize] {
-                    None => read_addr[r.bank as usize] = Some(r.addr),
-                    Some(a) if a == r.addr => {}
-                    Some(a) => {
+                    UNREAD => read_addr[r.bank as usize] = r.addr,
+                    a if a == r.addr => {}
+                    a => {
                         return Err(format!(
                             "bank {} read at two addresses ({a} and {}) in one exec \
                              (banks have one read port)",
@@ -538,6 +564,10 @@ mod tests {
             assert_eq!(PeOpcode::from_code(op.code()), Some(op));
         }
         assert_eq!(PeOpcode::from_code(15), None);
+        // The instruction opcode is the kind's declaration index, too.
+        for (i, kind) in InstrKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::encode::{self, BitReader, BitWriter, DecodeError};
+use crate::encode::{self, BitWriter, DecodeError};
 use crate::{ArchConfig, Instr, InstrKind};
 
 /// Per-category instruction counts — the data behind Fig. 13.
@@ -58,8 +58,10 @@ impl Program {
     ///
     /// Returns the index and description of the first invalid instruction.
     pub fn new(cfg: ArchConfig, instrs: Vec<Instr>) -> Result<Self, (usize, String)> {
+        let mut read_addr = Vec::new();
         for (i, ins) in instrs.iter().enumerate() {
-            ins.validate(&cfg).map_err(|e| (i, e))?;
+            ins.validate_with(&cfg, &mut read_addr)
+                .map_err(|e| (i, e))?;
         }
         Ok(Program {
             config: cfg,
@@ -80,7 +82,7 @@ impl Program {
     /// Packs all instructions densely (no alignment bubbles) into an
     /// instruction-memory image.
     pub fn pack(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(self.size_bits() as usize);
         for i in &self.instrs {
             encode::encode(&mut w, &self.config, i);
         }
@@ -109,16 +111,14 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on malformed input.
+    /// Returns a [`DecodeError`] on malformed input, and
+    /// [`DecodeError::OutOfBits`] before allocating anything when `bytes`
+    /// is too short to hold `count` instructions (see
+    /// [`encode::decode_stream`]).
     pub fn unpack(cfg: ArchConfig, bytes: &[u8], count: usize) -> Result<Self, DecodeError> {
-        let mut r = BitReader::new(bytes);
-        let mut instrs = Vec::with_capacity(count);
-        for _ in 0..count {
-            instrs.push(encode::decode(&mut r, &cfg)?);
-        }
         Ok(Program {
             config: cfg,
-            instrs,
+            instrs: encode::decode_stream(bytes, &cfg, count)?,
         })
     }
 
@@ -186,6 +186,29 @@ mod tests {
         let p = small_program();
         let bytes = p.pack();
         assert!(Program::unpack(p.config, &bytes[..bytes.len() / 2], p.len()).is_err());
+    }
+
+    /// A count no buffer of that length could hold fails before the
+    /// instruction vector is sized from it: `usize::MAX` overflowed the
+    /// capacity computation and `1 << 40` asked for a 79 TB allocation.
+    #[test]
+    fn unpack_refuses_a_count_the_bytes_cannot_hold() {
+        let cfg = ArchConfig::new(3, 64, 32).unwrap();
+        for (bytes, count) in [(&[][..], usize::MAX), (&[0; 16][..], 1 << 40)] {
+            assert_eq!(
+                Program::unpack(cfg, bytes, count),
+                Err(DecodeError::OutOfBits)
+            );
+        }
+        // Two nops a byte is the most a buffer can hold, and it is held;
+        // one more is refused before a bit is decoded (`0xff` would be an
+        // unknown opcode).
+        let nops = Program::unpack(cfg, &[0; 16], 32).unwrap();
+        assert_eq!(nops.breakdown().nop, 32);
+        assert_eq!(
+            Program::unpack(cfg, &[0xff; 16], 33),
+            Err(DecodeError::OutOfBits)
+        );
     }
 
     #[test]

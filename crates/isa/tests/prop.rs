@@ -1,12 +1,125 @@
 //! Property-based tests for the ISA: encode/decode round-trips over random
-//! well-formed instructions on random configurations.
+//! well-formed instructions on random configurations, and the packed image
+//! against the per-bit, field-at-a-time encoder it must reproduce.
 
 use dpu_isa::encode::{self, BitReader, BitWriter};
 use dpu_isa::{
-    interconnect, ArchConfig, CopyMove, ExecInstr, Instr, PeId, PeOpcode, PortRead, RegRead,
-    Topology,
+    interconnect, ArchConfig, CopyMove, ExecInstr, Instr, InstrKind, PeId, PeOpcode, PortRead,
+    Program, RegRead, Topology,
 };
 use proptest::prelude::*;
+
+/// The encoder `Program::pack` replaced, kept as its reference: every
+/// field pushed on its own, one bit at a time, LSB first.
+#[derive(Default)]
+struct PerBit {
+    bytes: Vec<u8>,
+    len_bits: usize,
+}
+
+impl PerBit {
+    fn push(&mut self, value: u32, width: u32) {
+        for i in 0..width {
+            if self.len_bits / 8 == self.bytes.len() {
+                self.bytes.push(0);
+            }
+            self.bytes[self.len_bits / 8] |= (((value >> i) & 1) as u8) << (self.len_bits % 8);
+            self.len_bits += 1;
+        }
+    }
+
+    fn push_bool(&mut self, b: bool) {
+        self.push(b as u32, 1);
+    }
+
+    fn reg_read(&mut self, cfg: &ArchConfig, r: &RegRead) {
+        self.push(r.bank, cfg.bank_bits());
+        self.push(r.addr, cfg.reg_addr_bits());
+        self.push_bool(r.valid_rst);
+    }
+
+    fn encode(&mut self, cfg: &ArchConfig, instr: &Instr) {
+        let kind = instr.kind();
+        let opcode = InstrKind::ALL.iter().position(|&k| k == kind).unwrap();
+        self.push(opcode as u32, encode::OPCODE_BITS);
+        let (rb, bb, ws) = (
+            cfg.reg_addr_bits(),
+            cfg.bank_bits(),
+            encode::write_sel_bits(cfg),
+        );
+        let idle = RegRead {
+            bank: 0,
+            addr: 0,
+            valid_rst: false,
+        };
+        match instr {
+            Instr::Nop => {}
+            Instr::Load { row, mask } => {
+                self.push(*row, encode::ROW_BITS);
+                for &m in mask {
+                    self.push_bool(m);
+                }
+            }
+            Instr::Store { row, reads } => {
+                self.push(*row, encode::ROW_BITS);
+                for r in reads {
+                    self.push_bool(r.is_some());
+                    let r = r.unwrap_or(idle);
+                    self.push(r.addr, rb);
+                    self.push_bool(r.valid_rst);
+                }
+            }
+            Instr::StoreK { row, reads } => {
+                self.push(*row, encode::ROW_BITS);
+                self.push(reads.len() as u32, encode::COUNT_BITS);
+                for i in 0..Instr::K {
+                    self.reg_read(cfg, reads.get(i).unwrap_or(&idle));
+                }
+            }
+            Instr::CopyK { moves } => {
+                self.push(moves.len() as u32, encode::COUNT_BITS);
+                for i in 0..Instr::K {
+                    let m = moves.get(i);
+                    self.reg_read(cfg, m.map_or(&idle, |m| &m.src));
+                    self.push(m.map_or(0, |m| m.dst_bank), bb);
+                }
+            }
+            Instr::Exec(e) => {
+                for r in &e.reads {
+                    self.push_bool(r.is_some());
+                    self.push(r.map_or(0, |r| r.bank), bb);
+                    self.push(r.map_or(0, |r| r.addr), rb);
+                    self.push_bool(r.is_some_and(|r| r.valid_rst));
+                }
+                for op in &e.pe_ops {
+                    self.push(op.code(), PeOpcode::BITS);
+                }
+                for w in &e.writes {
+                    self.push_bool(w.is_some());
+                    let sel = match (w, cfg.topology) {
+                        (None, _) => 0,
+                        (Some(pe), Topology::CrossbarBoth) => pe.flat_index(cfg),
+                        (Some(pe), Topology::CrossbarInPerLayerOut) if ws > 0 => pe.layer - 1,
+                        _ => 0,
+                    };
+                    self.push(sel, ws);
+                }
+            }
+        }
+    }
+}
+
+/// The parameter grid of the reference-encoder check: every depth up to
+/// 4, bank counts up to 128, and register files from 4 to 256 (two to
+/// eight address bits).
+fn arb_wide_dims() -> impl Strategy<Value = (u32, u32, u32)> {
+    (
+        1u32..=4,
+        prop::sample::select(vec![8u32, 16, 64, 128]),
+        prop::sample::select(vec![4u32, 16, 32, 256]),
+    )
+        .prop_map(|(d, b, r)| (d, b.max(1 << d), r))
+}
 
 fn arb_config() -> impl Strategy<Value = ArchConfig> {
     (
@@ -171,6 +284,29 @@ proptest! {
         let bytes = w.into_bytes();
         let back = encode::decode_stream(&bytes, &cfg, instrs.len()).unwrap();
         prop_assert_eq!(back, instrs);
+    }
+
+    /// `Program::pack` — word-level bit I/O, fields in groups — writes the
+    /// bytes of the per-bit, field-at-a-time reference, on every topology.
+    #[test]
+    fn pack_is_the_per_bit_encoder(
+        (d, b, r) in arb_wide_dims(),
+        sels in proptest::collection::vec(any::<u8>(), 1..24),
+        pool in proptest::collection::vec(any::<u32>(), 16),
+    ) {
+        for topo in Topology::all() {
+            let cfg = ArchConfig::with_topology(d, b, r, topo).expect("grid is valid");
+            let instrs = sels.iter().map(|&s| build_instr(&cfg, s, &pool)).collect();
+            let program = Program::new(cfg, instrs).expect("generated instructions are valid");
+            let mut want = PerBit::default();
+            for i in &program.instrs {
+                want.encode(&cfg, i);
+            }
+            prop_assert_eq!(program.size_bits(), want.len_bits as u64);
+            prop_assert!(program.pack() == want.bytes, "{cfg}: image differs");
+            let back = Program::unpack(cfg, &want.bytes, program.len());
+            prop_assert!(back.as_ref() == Ok(&program), "{cfg}: round trip differs");
+        }
     }
 
     #[test]

@@ -1210,61 +1210,100 @@ mod tests {
         }
     }
 
-    /// Stress: one key compiles slowly while other threads hammer the
+    /// Spins until `ready` holds; a minute without it is a failure (of the
+    /// code under test: every wait below is for progress it must make).
+    fn wait_until(what: &str, ready: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !ready() {
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(60),
+                "never happened: {what}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Stress: one key's fill is in flight while other threads hammer the
     /// cache with enough distinct keys to keep it permanently over
     /// capacity. Every lookup of the slow key must share one compile —
     /// before the eviction fix, pressure could orphan the in-flight slot
     /// and a later lookup recompiled into a fresh one.
+    ///
+    /// No sleeps: a handshake on the slot. The test holds the slot's
+    /// compile lock, so the fill the first racer enters stays in flight
+    /// until it lets go. Racers 2 and 3 call in only once racer 1 holds
+    /// the slot and the cache has evicted under pressure since; before
+    /// letting go, the test asserts that premise — all three racers inside
+    /// the one slot the map still holds, and the slot still empty.
     #[test]
     fn slow_compile_survives_capacity_pressure() {
         let cache = ProgramCache::with_capacity(CompileOptions::default(), 2);
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
         let big = chain_dag(1_500, 0);
-        let big_key = dag_fingerprint(&big);
+        let big_key = CacheKey {
+            dag: dag_fingerprint(&big),
+            config: cfg,
+        };
         let small: Vec<Dag> = (0..10).map(|i| chain_dag(i + 3, 1)).collect();
+        let pressing = std::sync::atomic::AtomicBool::new(true);
 
-        let results: Vec<Arc<Compiled>> = std::thread::scope(|scope| {
-            let mut compilers = Vec::new();
-            for delay_us in [0u64, 200, 2_000] {
-                let (cache, big) = (&cache, &big);
-                compilers.push(scope.spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_micros(delay_us));
-                    cache.get_or_compile(big, big_key, &cfg).unwrap()
-                }));
+        /// Ends the pressure when dropped — also when an assertion below
+        /// unwinds, so that a failure fails instead of waiting on the
+        /// pressure threads forever.
+        struct Release<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::Relaxed);
             }
+        }
+
+        let slot = cache.slot(big_key);
+        let filling = lock(&slot.compile_lock);
+        let results: Vec<Arc<Compiled>> = std::thread::scope(|scope| {
+            let release = Release(&pressing);
             for _ in 0..2 {
-                let (cache, small) = (&cache, &small);
+                let (cache, small, pressing) = (&cache, &small, &pressing);
                 scope.spawn(move || {
-                    for round in 0..6 {
+                    while pressing.load(Ordering::Relaxed) {
                         for d in small {
-                            let k = dag_fingerprint(d);
-                            cache.get_or_compile(d, k, &cfg).unwrap();
-                            std::hint::black_box(round);
+                            cache.get_or_compile(d, dag_fingerprint(d), &cfg).unwrap();
                         }
                     }
                 });
             }
-            compilers.into_iter().map(|h| h.join().unwrap()).collect()
+            let racer = || {
+                let (cache, big) = (&cache, &big);
+                scope.spawn(move || cache.get_or_compile(big, big_key.dag, &cfg).unwrap())
+            };
+            // The slot's holders: the map, this test, one per racer.
+            let mut racers = vec![racer()];
+            wait_until("racer 1 in the slot", || Arc::strong_count(&slot) == 3);
+            let evicted = cache.stats().evictions;
+            wait_until("evictions", || cache.stats().evictions >= evicted + 8);
+            racers.extend([racer(), racer()]);
+            wait_until("racers 2, 3 in the slot", || Arc::strong_count(&slot) == 5);
+            let mapped = read(&cache.map).get(&big_key).cloned();
+            assert!(
+                mapped.is_some_and(|m| Arc::ptr_eq(&m, &slot)),
+                "the in-flight slot was unmapped under capacity pressure"
+            );
+            assert!(slot.compiled.get().is_none(), "the fill was not in flight");
+            drop(filling);
+            let results = racers.into_iter().map(|h| h.join().unwrap()).collect();
+            drop(release);
+            results
         });
 
-        for r in &results[1..] {
+        for r in &results {
             assert!(
                 Arc::ptr_eq(&results[0], r),
                 "an in-flight compile was orphaned and the key recompiled"
             );
         }
-        // The slow key compiled exactly once even though the cache was
-        // over capacity the whole time.
-        let big_cache_key = CacheKey {
-            dag: big_key,
-            config: cfg,
-        };
-        let map = cache.map.read().unwrap();
-        if let Some(slot) = map.get(&big_cache_key) {
-            if let Some(current) = slot.compiled.get() {
-                assert!(Arc::ptr_eq(current, &results[0]), "slot holds a recompile");
-            }
-        }
+        // The slow key compiled exactly once, into the slot every racer
+        // shared, though the cache was over capacity the whole time.
+        let current = slot.compiled.get().expect("the fill completed");
+        assert!(Arc::ptr_eq(current, &results[0]), "slot holds a recompile");
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

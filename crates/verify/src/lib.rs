@@ -295,15 +295,11 @@ impl ConfigFacts {
     /// Whether `cfg` satisfies every fact, i.e. whether the program this
     /// fingerprint was derived from is proven safe to run under `cfg`.
     pub fn admits(&self, cfg: &ArchConfig) -> bool {
-        let topo_bit = Topology::all()
-            .iter()
-            .position(|&t| t == cfg.topology)
-            .expect("Topology::all covers all variants");
         cfg.depth == self.depth
             && cfg.banks == self.banks
             && cfg.regs_per_bank >= self.min_regs_per_bank
             && cfg.data_mem_rows >= self.min_data_mem_rows
-            && self.topology_mask & (1 << topo_bit) != 0
+            && self.topology_mask & topology_bit(cfg.topology) != 0
     }
 
     /// Stable 64-bit fingerprint of the facts (FNV-1a; platform- and
@@ -321,6 +317,15 @@ impl ConfigFacts {
         }
         h.finish()
     }
+}
+
+/// The bit of `t` in [`ConfigFacts::topology_mask`].
+fn topology_bit(t: Topology) -> u8 {
+    let i = Topology::all()
+        .iter()
+        .position(|&x| x == t)
+        .expect("Topology::all covers all variants");
+    1 << i
 }
 
 /// Proof object returned by [`verify_program`].
@@ -398,40 +403,29 @@ pub fn verify_program(
         }
     }
 
-    // Rows a load may legally read: rows holding inputs (staged by the
-    // host), rows holding outputs (written by the program), or the spill
-    // region. Anything else is uninitialized memory.
-    let mut loadable_rows: Vec<u32> = layout
-        .input_slots
-        .iter()
-        .chain(layout.output_slots.iter())
-        .map(|&(row, _)| row)
-        .filter(|&row| row != u32::MAX)
-        .collect();
-    loadable_rows.sort_unstable();
-    loadable_rows.dedup();
-
-    // Deduplicated output slots with store counts (duplicate output ids
-    // share one slot, which must still be stored exactly once).
-    let mut slot_counts: Vec<((u32, u32), u32)> = Vec::new();
-    for &slot in layout.output_slots {
-        if !slot_counts.iter().any(|&(s, _)| s == slot) {
-            slot_counts.push((slot, 0));
-        }
-    }
-    // Output slots aliasing an input slot are staged by the host (a DAG
-    // input requested as an output) and need no store.
-    let aliases_input = |slot: (u32, u32)| layout.input_slots.contains(&slot);
+    let mut slots = Slots::new(layout);
 
     // Facts accumulated during the replay (check 6).
     let mut topology_mask: u8 = (1 << Topology::all().len()) - 1;
     let mut max_row_touched: u32 = 0;
+    // Topologies a cross-routed read (port `p` reading a bank other than
+    // `p`) rules out: those without an input crossbar.
+    let one_to_one_in = Topology::all()
+        .into_iter()
+        .filter(|t| !t.input_is_crossbar())
+        .fold(0, |mask, t| mask | topology_bit(t));
+    // Topologies a writeback can rule out. Not (a), whose output crossbar
+    // routes every writeback, and not the program's own, under which
+    // `validate` has just proved it routable.
+    let narrowable = !(topology_bit(Topology::CrossbarBoth) | topology_bit(cfg.topology));
 
     let mut regs = RegFile::new(&cfg, ());
     // Under a lowest-free write policy a bank's occupancy high-water mark
     // is the highest address the policy ever chose, plus one.
     let mut regs_needed: u32 = 0;
     let mut wrote = |_bank: u32, addr: u32, (): ()| regs_needed = regs_needed.max(addr + 1);
+    // `validate`'s per-bank table, allocated once for the whole replay.
+    let mut read_addr = Vec::new();
     for (pc, instr) in program.instrs.iter().enumerate() {
         // Structural legality first (checks 2 and 3 at the word level):
         // vector lengths, bank/address ranges, one read address per bank,
@@ -440,16 +434,13 @@ pub fn verify_program(
         // programs (spill entries) reach the verifier without passing
         // through the constructor.
         instr
-            .validate(&cfg)
+            .validate_with(&cfg, &mut read_addr)
             .map_err(|detail| VerifyError::Structural { pc, detail })?;
 
         match instr {
             Instr::Nop => {}
             Instr::Load { row, mask } => {
-                if loadable_rows.binary_search(row).is_err() && *row < layout.spill_base {
-                    return Err(VerifyError::UnexpectedLoad { pc, row: *row });
-                }
-                if *row >= layout.rows_used {
+                if !slots.loadable(*row) {
                     return Err(VerifyError::UnexpectedLoad { pc, row: *row });
                 }
                 max_row_touched = max_row_touched.max(*row);
@@ -465,7 +456,7 @@ pub fn verify_program(
                 for (col, r) in reads.iter().enumerate() {
                     if let Some(r) = r {
                         read(&mut regs, pc, r.bank, r.addr, r.valid_rst)?;
-                        note_store(pc, *row, col as u32, layout, &mut slot_counts)?;
+                        slots.note_store(pc, *row, col as u32)?;
                     }
                 }
             }
@@ -473,7 +464,7 @@ pub fn verify_program(
                 max_row_touched = max_row_touched.max(*row);
                 for r in reads {
                     read(&mut regs, pc, r.bank, r.addr, r.valid_rst)?;
-                    note_store(pc, *row, r.bank, layout, &mut slot_counts)?;
+                    slots.note_store(pc, *row, r.bank)?;
                 }
             }
             Instr::CopyK { moves } => {
@@ -494,11 +485,7 @@ pub fn verify_program(
                     read(&mut regs, pc, r.bank, r.addr, false)?;
                     if r.bank != port as u32 {
                         // Cross routing requires an input crossbar.
-                        for (i, t) in Topology::all().iter().enumerate() {
-                            if !t.input_is_crossbar() {
-                                topology_mask &= !(1 << i);
-                            }
-                        }
+                        topology_mask &= !one_to_one_in;
                     }
                 }
                 for r in e.reads.iter().flatten() {
@@ -510,15 +497,20 @@ pub fn verify_program(
                 // each producing PE is real, routable under the program's
                 // own topology, and not idle — so each declared write
                 // carries a value. Narrow the admissible-topology mask to
-                // those that also realize this routing.
+                // those that also realize this routing, while any that
+                // could drop out is still in it.
                 for (bank, w) in e.writes.iter().enumerate() {
                     let Some(pe) = w else { continue };
-                    for (i, &t) in Topology::all().iter().enumerate() {
-                        if topology_mask & (1 << i) != 0 {
+                    if topology_mask & narrowable == 0 {
+                        break;
+                    }
+                    for t in Topology::all() {
+                        let bit = topology_bit(t);
+                        if topology_mask & narrowable & bit != 0 {
                             let mut alt = cfg;
                             alt.topology = t;
                             if !interconnect::can_write(&alt, *pe, bank as u32) {
-                                topology_mask &= !(1 << i);
+                                topology_mask &= !bit;
                             }
                         }
                     }
@@ -533,23 +525,7 @@ pub fn verify_program(
     regs.drain(&mut wrote).map_err(|f| fault(f, regs.cycle()))?;
 
     // Output completeness (check 5).
-    for (ordinal, &(slot, count)) in slot_counts.iter().enumerate() {
-        if aliases_input(slot) {
-            continue;
-        }
-        let (row, col) = slot;
-        if count == 0 {
-            return Err(VerifyError::OutputNotStored { ordinal, row, col });
-        }
-        if count > 1 {
-            return Err(VerifyError::OutputStoredTwice {
-                ordinal,
-                row,
-                col,
-                times: count,
-            });
-        }
-    }
+    slots.check_outputs()?;
 
     let facts = ConfigFacts {
         depth: cfg.depth,
@@ -595,26 +571,141 @@ fn write(regs: &mut RegFile<()>, bank: u32) -> Result<u32, VerifyError> {
     regs.write(bank, ()).map_err(|f| fault(f, regs.cycle()))
 }
 
-/// Classifies one stored word: counts it against its output slot, accepts
-/// it silently in the spill region, rejects it anywhere else.
-fn note_store(
-    pc: usize,
-    row: u32,
-    col: u32,
-    layout: &LayoutFacts<'_>,
-    slot_counts: &mut [((u32, u32), u32)],
-) -> Result<(), VerifyError> {
-    if row >= layout.rows_used {
-        return Err(VerifyError::UnexpectedStore { pc, row, col });
+/// The layout's slots as the replay consults them (checks 4 and 5), built
+/// once per program: which rows a `load` may read, and every declared
+/// output slot with the stores that hit it.
+struct Slots<'a> {
+    layout: &'a LayoutFacts<'a>,
+    /// One bit per row below the spill base, up to the highest such row
+    /// holding an input or output slot: rows staged by the host or
+    /// written by the program. Slot rows were bounds-checked first, so the
+    /// table is at most one bit per data-memory row of the configuration.
+    loadable: Vec<u64>,
+    /// One entry per distinct output slot (duplicate output ids share one
+    /// slot, which must still be stored exactly once), sorted by slot.
+    outputs: Vec<Output>,
+}
+
+/// A distinct output slot in [`Slots::outputs`].
+struct Output {
+    /// `row << 32 | col`, the sort key.
+    slot: u64,
+    /// Its first position in the layout's output slots.
+    first: usize,
+    /// Stores that hit it.
+    stores: u32,
+    /// It is also an input slot: staged by the host (a DAG input requested
+    /// as an output), it needs no store.
+    aliases_input: bool,
+}
+
+fn slot_key((row, col): (u32, u32)) -> u64 {
+    u64::from(row) << 32 | u64::from(col)
+}
+
+impl<'a> Slots<'a> {
+    /// The tables of `layout`, whose slots lie inside its footprint.
+    fn new(layout: &'a LayoutFacts<'a>) -> Self {
+        let mut loadable = Vec::new();
+        let slot_rows = layout.input_slots.iter().chain(layout.output_slots);
+        for &(row, _) in slot_rows {
+            // An unread input's row, `u32::MAX`, is below no spill base.
+            if row < layout.spill_base {
+                let word = row as usize / 64;
+                if word >= loadable.len() {
+                    loadable.resize(word + 1, 0);
+                }
+                loadable[word] |= 1 << (row % 64);
+            }
+        }
+        let mut outputs: Vec<Output> = layout
+            .output_slots
+            .iter()
+            .enumerate()
+            .map(|(first, &slot)| Output {
+                slot: slot_key(slot),
+                first,
+                stores: 0,
+                aliases_input: false,
+            })
+            .collect();
+        // By slot, then position: `dedup` keeps each slot's first.
+        outputs.sort_unstable_by_key(|o| (o.slot, o.first));
+        outputs.dedup_by_key(|o| o.slot);
+        let mut slots = Slots {
+            layout,
+            loadable,
+            outputs,
+        };
+        for &input in layout.input_slots {
+            if let Some(i) = slots.output(input) {
+                slots.outputs[i].aliases_input = true;
+            }
+        }
+        slots
     }
-    if let Some(entry) = slot_counts.iter_mut().find(|(s, _)| *s == (row, col)) {
-        entry.1 += 1;
-        return Ok(());
+
+    /// The [`Slots::outputs`] entry of `slot`, if it is an output slot.
+    fn output(&self, slot: (u32, u32)) -> Option<usize> {
+        let key = slot_key(slot);
+        let (low, high) = (self.outputs.first()?.slot, self.outputs.last()?.slot);
+        if key < low || key > high {
+            return None;
+        }
+        self.outputs.binary_search_by_key(&key, |o| o.slot).ok()
     }
-    if row >= layout.spill_base {
-        return Ok(());
+
+    /// Whether a `load` may read `row`: inside the footprint, and either
+    /// in the spill region or a row holding an input or output slot.
+    /// Anything else is uninitialized memory.
+    fn loadable(&self, row: u32) -> bool {
+        let slot_row = || {
+            let word = self.loadable.get(row as usize / 64).copied().unwrap_or(0);
+            word >> (row % 64) & 1 == 1
+        };
+        row < self.layout.rows_used && (row >= self.layout.spill_base || slot_row())
     }
-    Err(VerifyError::UnexpectedStore { pc, row, col })
+
+    /// Classifies one stored word: counts it against its output slot,
+    /// accepts it silently in the spill region, rejects it anywhere else.
+    fn note_store(&mut self, pc: usize, row: u32, col: u32) -> Result<(), VerifyError> {
+        if row >= self.layout.rows_used {
+            return Err(VerifyError::UnexpectedStore { pc, row, col });
+        }
+        if let Some(i) = self.output((row, col)) {
+            self.outputs[i].stores += 1;
+            return Ok(());
+        }
+        if row >= self.layout.spill_base {
+            return Ok(());
+        }
+        Err(VerifyError::UnexpectedStore { pc, row, col })
+    }
+
+    /// The first distinct output slot, in order of first appearance, that
+    /// is not stored exactly once and is not host-staged. Its ordinal is
+    /// its index among the distinct slots in that order.
+    fn check_outputs(&self) -> Result<(), VerifyError> {
+        let missed = self
+            .outputs
+            .iter()
+            .filter(|o| !o.aliases_input && o.stores != 1)
+            .min_by_key(|o| o.first);
+        let Some(o) = missed else {
+            return Ok(());
+        };
+        let ordinal = self.outputs.iter().filter(|p| p.first < o.first).count();
+        let (row, col) = self.layout.output_slots[o.first];
+        Err(match o.stores {
+            0 => VerifyError::OutputNotStored { ordinal, row, col },
+            times => VerifyError::OutputStoredTwice {
+                ordinal,
+                row,
+                col,
+                times,
+            },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -965,6 +1056,246 @@ mod tests {
                 "{t}"
             );
         }
+    }
+
+    /// One data-memory access of a replay, as the slot tables see it.
+    #[derive(Debug, Clone, Copy)]
+    enum Access {
+        Load { row: u32 },
+        Store { row: u32, col: u32 },
+    }
+
+    /// The sorted load rows and the linear output-slot accounting that
+    /// [`Slots`] replaced, kept as its reference: the verdict of a run of
+    /// accesses, `pc` = position in the run.
+    fn reference_verdict(layout: &LayoutFacts<'_>, run: &[Access]) -> Result<(), VerifyError> {
+        let mut loadable_rows: Vec<u32> = layout
+            .input_slots
+            .iter()
+            .chain(layout.output_slots.iter())
+            .map(|&(row, _)| row)
+            .filter(|&row| row != u32::MAX)
+            .collect();
+        loadable_rows.sort_unstable();
+        loadable_rows.dedup();
+        let mut slot_counts: Vec<((u32, u32), u32)> = Vec::new();
+        for &slot in layout.output_slots {
+            if !slot_counts.iter().any(|&(s, _)| s == slot) {
+                slot_counts.push((slot, 0));
+            }
+        }
+        let aliases_input = |slot: (u32, u32)| layout.input_slots.contains(&slot);
+        for (pc, &access) in run.iter().enumerate() {
+            match access {
+                Access::Load { row } => {
+                    if loadable_rows.binary_search(&row).is_err() && row < layout.spill_base {
+                        return Err(VerifyError::UnexpectedLoad { pc, row });
+                    }
+                    if row >= layout.rows_used {
+                        return Err(VerifyError::UnexpectedLoad { pc, row });
+                    }
+                }
+                Access::Store { row, col } => {
+                    if row >= layout.rows_used {
+                        return Err(VerifyError::UnexpectedStore { pc, row, col });
+                    }
+                    if let Some(entry) = slot_counts.iter_mut().find(|(s, _)| *s == (row, col)) {
+                        entry.1 += 1;
+                    } else if row < layout.spill_base {
+                        return Err(VerifyError::UnexpectedStore { pc, row, col });
+                    }
+                }
+            }
+        }
+        for (ordinal, &(slot, count)) in slot_counts.iter().enumerate() {
+            if aliases_input(slot) {
+                continue;
+            }
+            let (row, col) = slot;
+            if count == 0 {
+                return Err(VerifyError::OutputNotStored { ordinal, row, col });
+            }
+            if count > 1 {
+                return Err(VerifyError::OutputStoredTwice {
+                    ordinal,
+                    row,
+                    col,
+                    times: count,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The same run through [`Slots`], as `verify_program` drives it.
+    fn table_verdict(layout: &LayoutFacts<'_>, run: &[Access]) -> Result<(), VerifyError> {
+        let mut slots = super::Slots::new(layout);
+        for (pc, &access) in run.iter().enumerate() {
+            match access {
+                Access::Load { row } if !slots.loadable(row) => {
+                    return Err(VerifyError::UnexpectedLoad { pc, row });
+                }
+                Access::Load { .. } => {}
+                Access::Store { row, col } => slots.note_store(pc, row, col)?,
+            }
+        }
+        slots.check_outputs()
+    }
+
+    /// SplitMix64: seeded draws for the reference-model layouts.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % u64::from(n.max(1))) as u32
+        }
+
+        fn chance(&mut self, percent: u32) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// A layout shaped like the compiler's — input rows, output rows, then
+    /// spill rows — with up to 1 500 outputs, some of them duplicates, some
+    /// aliasing inputs, some in the spill region; and a run that stores
+    /// most outputs once, some twice or never, spills, and now and then
+    /// loads or stores where nothing may be.
+    fn random_case(draw: &mut Draws) -> (OwnedLayout, Vec<Access>) {
+        let banks = [8, 64, 128][draw.below(3) as usize];
+        let big = draw.chance(25);
+        let n_in = if big {
+            1_000 + draw.below(800)
+        } else {
+            draw.below(40)
+        };
+        let n_out = if big {
+            1_000 + draw.below(500)
+        } else {
+            1 + draw.below(40)
+        };
+        let in_rows = n_in.div_ceil(banks).max(1);
+        let out_rows = n_out.div_ceil(banks).max(1);
+        let spill_base = in_rows + out_rows;
+        let rows_used = spill_base + draw.below(6);
+        let inputs: Vec<(u32, u32)> = (0..n_in)
+            .map(|_| match draw.chance(3) {
+                true => (u32::MAX, u32::MAX),
+                false => (draw.below(in_rows), draw.below(banks)),
+            })
+            .collect();
+        let mut outputs: Vec<(u32, u32)> = Vec::new();
+        for _ in 0..n_out {
+            let slot = match draw.below(100) {
+                0..=7 if !outputs.is_empty() => outputs[draw.below(outputs.len() as u32) as usize],
+                8..=11 if !inputs.is_empty() => inputs[draw.below(n_in) as usize],
+                12..=13 if rows_used > spill_base => (
+                    spill_base + draw.below(rows_used - spill_base),
+                    draw.below(banks),
+                ),
+                _ => (in_rows + draw.below(out_rows), draw.below(banks)),
+            };
+            if slot.0 != u32::MAX {
+                outputs.push(slot);
+            }
+        }
+        let mut distinct = outputs.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        // An output that is an input is host-staged: the compiler never
+        // stores it.
+        let mut staged = inputs.clone();
+        staged.sort_unstable();
+        let mut times: Vec<u32> = (distinct.iter())
+            .map(|slot| match staged.binary_search(slot) {
+                Ok(_) => u32::from(draw.chance(10)),
+                Err(_) => 1,
+            })
+            .collect();
+        if draw.chance(30) {
+            for _ in 0..1 + draw.below(4) {
+                times[draw.below(distinct.len() as u32) as usize] = [0, 2][draw.below(2) as usize];
+            }
+        }
+        let mut run = Vec::new();
+        for (&(row, col), &times) in distinct.iter().zip(&times) {
+            for _ in 0..times {
+                run.push(Access::Store { row, col });
+            }
+        }
+        if rows_used > spill_base {
+            for _ in 0..draw.below(60) {
+                let row = spill_base + draw.below(rows_used - spill_base);
+                let col = draw.below(banks);
+                run.push(match draw.chance(50) {
+                    true => Access::Load { row },
+                    false => Access::Store { row, col },
+                });
+            }
+        }
+        for _ in 0..draw.below(20) {
+            run.push(Access::Load {
+                row: draw.below(rows_used),
+            });
+        }
+        // Now and then, somewhere nothing may be loaded or stored.
+        if draw.chance(15) {
+            let row = draw.below(rows_used + 2);
+            run.push(match draw.chance(50) {
+                true => Access::Load { row },
+                false => Access::Store {
+                    row,
+                    col: draw.below(banks),
+                },
+            });
+        }
+        for i in (1..run.len()).rev() {
+            run.swap(i, draw.below(i as u32 + 1) as usize);
+        }
+        let layout = OwnedLayout {
+            inputs,
+            outputs,
+            spill_base,
+            rows_used,
+        };
+        (layout, run)
+    }
+
+    /// Owned slots behind a [`LayoutFacts`] view.
+    struct OwnedLayout {
+        inputs: Vec<(u32, u32)>,
+        outputs: Vec<(u32, u32)>,
+        spill_base: u32,
+        rows_used: u32,
+    }
+
+    #[test]
+    fn slot_tables_are_the_linear_reference() {
+        let cases = if cfg!(debug_assertions) { 300 } else { 20_000 };
+        let mut draw = Draws(26);
+        let (mut failing, mut big) = (0, 0);
+        for case in 0..cases {
+            let (owned, run) = random_case(&mut draw);
+            let layout = layout_of(
+                &owned.inputs,
+                &owned.outputs,
+                owned.spill_base,
+                owned.rows_used,
+            );
+            let want = reference_verdict(&layout, &run);
+            assert_eq!(table_verdict(&layout, &run), want, "case {case}");
+            failing += usize::from(want.is_err());
+            big += usize::from(owned.outputs.len() >= 1_000);
+        }
+        // Both verdicts and the big layouts are well represented.
+        assert!(
+            failing > cases / 10 && failing < cases * 9 / 10,
+            "{failing}"
+        );
+        assert!(big > cases / 10, "{big}");
     }
 
     /// Known answer, computed before the hash moved to `dpu_isa::Fnv1a`.
