@@ -159,7 +159,7 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// [`DecodeError::OutOfBits`] if the field runs past the end of the
-    /// buffer; the position is then left where it was.
+    /// buffer.
     ///
     /// # Panics
     ///
@@ -568,15 +568,7 @@ pub fn decode(r: &mut BitReader<'_>, cfg: &ArchConfig) -> Result<Instr, DecodeEr
             let mut pe_ops = Vec::with_capacity(room(r, f.pes));
             while pe_ops.len() < f.pes {
                 let n = (f.pes - pe_ops.len()).min(OPS_PER_GROUP);
-                let Ok(mut bits) = r.read(PeOpcode::BITS * n as u32) else {
-                    // The group runs past the buffer. Report what reading
-                    // one opcode at a time meets first: an unknown opcode
-                    // before the end, if there is one.
-                    for _ in 0..n {
-                        pe_op(r.read(PeOpcode::BITS)?)?;
-                    }
-                    return Err(DecodeError::OutOfBits);
-                };
+                let mut bits = r.read(PeOpcode::BITS * n as u32)?;
                 for _ in 0..n {
                     pe_ops.push(pe_op(bits & ((1 << PeOpcode::BITS) - 1))?);
                     bits >>= PeOpcode::BITS;
@@ -905,48 +897,6 @@ mod tests {
             let bytes = w.into_bytes();
             let back = decode(&mut BitReader::new(&bytes), &cfg).unwrap();
             assert_eq!(back, instr, "{topo}");
-        }
-    }
-
-    /// An image cut inside a group of PE opcodes fails as an opcode-at-a-
-    /// time decoder does: with the first unknown opcode before the cut, if
-    /// there is one, else with `OutOfBits`.
-    #[test]
-    fn a_cut_opcode_group_reports_the_first_bad_opcode_before_the_cut() {
-        let cfg = cfg();
-        let Instr::Exec(mut e) = sample_exec(&cfg) else {
-            unreachable!()
-        };
-        // The opcodes start after the opcode field and the port reads.
-        let ops_at =
-            (OPCODE_BITS + cfg.banks * (2 + cfg.bank_bits() + cfg.reg_addr_bits())) as usize;
-        // The image keeps opcodes 0..5 of the first group of eight.
-        let keep = ops_at + 5 * PeOpcode::BITS as usize;
-        assert_eq!(keep % 8, 0);
-        for (bad, want) in [
-            (None, DecodeError::OutOfBits),
-            (Some(1), DecodeError::BadPeOpcode(15)),
-            (Some(5), DecodeError::OutOfBits),
-        ] {
-            e.pe_ops.fill(PeOpcode::Nop);
-            if let Some(pe) = bad {
-                e.pe_ops[pe] = PeOpcode::BypassR; // code 8, patched to 15 below
-            }
-            let mut w = BitWriter::new();
-            encode(&mut w, &cfg, &Instr::Exec(e.clone()));
-            let mut bytes = w.into_bytes();
-            if let Some(pe) = bad {
-                let bit = ops_at + pe * PeOpcode::BITS as usize;
-                for b in bit..bit + PeOpcode::BITS as usize {
-                    bytes[b / 8] |= 1 << (b % 8);
-                }
-            }
-            bytes.truncate(keep / 8);
-            assert_eq!(
-                decode(&mut BitReader::new(&bytes), &cfg),
-                Err(want),
-                "bad opcode at {bad:?}"
-            );
         }
     }
 

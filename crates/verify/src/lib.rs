@@ -576,11 +576,11 @@ fn write(regs: &mut RegFile<()>, bank: u32) -> Result<u32, VerifyError> {
 /// output slot with the stores that hit it.
 struct Slots<'a> {
     layout: &'a LayoutFacts<'a>,
-    /// One bit per row below the spill base, up to the highest such row
-    /// holding an input or output slot: rows staged by the host or
-    /// written by the program. Slot rows were bounds-checked first, so the
-    /// table is at most one bit per data-memory row of the configuration.
-    loadable: Vec<u64>,
+    /// Rows below the spill base holding an input or output slot, sorted
+    /// and distinct: rows staged by the host or written by the program.
+    /// Sized by the slot count, never by a row value, so a hostile
+    /// configuration with a huge data memory allocates nothing extra.
+    loadable: Vec<u32>,
     /// One entry per distinct output slot (duplicate output ids share one
     /// slot, which must still be stored exactly once), sorted by slot.
     outputs: Vec<Output>,
@@ -606,18 +606,14 @@ fn slot_key((row, col): (u32, u32)) -> u64 {
 impl<'a> Slots<'a> {
     /// The tables of `layout`, whose slots lie inside its footprint.
     fn new(layout: &'a LayoutFacts<'a>) -> Self {
-        let mut loadable = Vec::new();
-        let slot_rows = layout.input_slots.iter().chain(layout.output_slots);
-        for &(row, _) in slot_rows {
-            // An unread input's row, `u32::MAX`, is below no spill base.
-            if row < layout.spill_base {
-                let word = row as usize / 64;
-                if word >= loadable.len() {
-                    loadable.resize(word + 1, 0);
-                }
-                loadable[word] |= 1 << (row % 64);
-            }
-        }
+        // An unread input's row, `u32::MAX`, is below no spill base.
+        let mut loadable: Vec<u32> = (layout.input_slots.iter())
+            .chain(layout.output_slots)
+            .map(|&(row, _)| row)
+            .filter(|&row| row < layout.spill_base)
+            .collect();
+        loadable.sort_unstable();
+        loadable.dedup();
         let mut outputs: Vec<Output> = layout
             .output_slots
             .iter()
@@ -647,23 +643,17 @@ impl<'a> Slots<'a> {
 
     /// The [`Slots::outputs`] entry of `slot`, if it is an output slot.
     fn output(&self, slot: (u32, u32)) -> Option<usize> {
-        let key = slot_key(slot);
-        let (low, high) = (self.outputs.first()?.slot, self.outputs.last()?.slot);
-        if key < low || key > high {
-            return None;
-        }
-        self.outputs.binary_search_by_key(&key, |o| o.slot).ok()
+        self.outputs
+            .binary_search_by_key(&slot_key(slot), |o| o.slot)
+            .ok()
     }
 
     /// Whether a `load` may read `row`: inside the footprint, and either
     /// in the spill region or a row holding an input or output slot.
     /// Anything else is uninitialized memory.
     fn loadable(&self, row: u32) -> bool {
-        let slot_row = || {
-            let word = self.loadable.get(row as usize / 64).copied().unwrap_or(0);
-            word >> (row % 64) & 1 == 1
-        };
-        row < self.layout.rows_used && (row >= self.layout.spill_base || slot_row())
+        row < self.layout.rows_used
+            && (row >= self.layout.spill_base || self.loadable.binary_search(&row).is_ok())
     }
 
     /// Classifies one stored word: counts it against its output slot,
@@ -771,6 +761,41 @@ mod tests {
         assert_eq!(rep.facts.min_data_mem_rows, 2);
         // No exec at all: every topology realizes the program.
         assert_eq!(rep.facts.topology_mask, 0b1111);
+    }
+
+    /// A configuration read from a blob may claim a data memory of
+    /// `u32::MAX` rows; the slot tables are sized by the slots, so one
+    /// output slot near the top costs nothing.
+    #[test]
+    fn a_huge_data_memory_with_one_high_slot_verifies_cheaply() {
+        let mut cfg = cfg();
+        cfg.data_mem_rows = u32::MAX;
+        let high = u32::MAX - 1;
+        let outputs = [(high, 0)];
+        let layout = layout_of(&[], &outputs, u32::MAX, u32::MAX);
+        let load_store = |load_row| {
+            let mut mask = vec![false; cfg.banks as usize];
+            mask[0] = true;
+            let load = Instr::Load {
+                row: load_row,
+                mask,
+            };
+            let store = Instr::StoreK {
+                row: high,
+                reads: vec![read(0, 0, true)],
+            };
+            Program::new(cfg, vec![load, store]).unwrap()
+        };
+        let rep = verify_program(&load_store(high), &layout).unwrap();
+        assert_eq!(rep.facts.min_data_mem_rows, u32::MAX);
+        // A row that holds no slot is still not loadable.
+        assert_eq!(
+            verify_program(&load_store(high - 1), &layout).unwrap_err(),
+            VerifyError::UnexpectedLoad {
+                pc: 0,
+                row: high - 1
+            }
+        );
     }
 
     #[test]
