@@ -97,7 +97,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -113,6 +113,7 @@ use crate::ingest::{
 use crate::latency::{Clock, LatencyHistogram, LatencyReport, Timeline};
 use crate::pool::{Engine, EngineOptions, ProgramStore, Request, ServeError};
 use crate::report::{ClassReport, DispatchReport, ShardReport};
+use crate::wake::Waiters;
 use crate::{dag_fingerprint, DagKey, DPU_V2_L_CORES};
 
 /// Sizing and policy knobs of a [`Dispatcher`]. None of them selects a
@@ -325,11 +326,11 @@ struct QueueState {
 
 /// The shared queue fabric: one lock over all shard queues and lease
 /// slots, so stealing, recovery and the exit condition need no lock
-/// ordering; one condvar signalled on every push, on close, on a death
-/// and when a steal class goes idle.
+/// ordering; one condvar, signalled — when a worker is parked on it — on
+/// every push, on close, on a death and when a steal class goes idle.
 struct Queues {
     inner: Mutex<Vec<QueueState>>,
-    work: Condvar,
+    work: Waiters,
 }
 
 impl Queues {
@@ -343,30 +344,43 @@ impl Queues {
         });
         Queues {
             inner: Mutex::new(states.collect()),
-            work: Condvar::new(),
+            work: Waiters::default(),
         }
     }
 }
 
 /// Outstanding accepted-but-not-completed job count (mirror copies
-/// included), for [`Dispatcher::drain`].
+/// included), for [`Dispatcher::drain`]. The count is an atomic; the
+/// mutex and condvar are touched only on a zero crossing, and signalled
+/// only while a `drain` waits for one.
+#[derive(Default)]
 struct InFlight {
-    count: Mutex<u64>,
-    zero: Condvar,
+    count: AtomicU64,
+    /// Orders a zero crossing against a `drain` checking the count and
+    /// going to sleep.
+    lock: Mutex<()>,
+    zero: Waiters,
 }
 
 impl InFlight {
     fn inc(&self) {
-        *self.count.lock().expect("in-flight poisoned") += 1;
+        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// `Release`, paired with the `Acquire` load in [`InFlight::get`]: a
+    /// `drain` that reads zero sees everything the completed jobs did.
     fn dec(&self) {
-        let mut c = self.count.lock().expect("in-flight poisoned");
-        *c -= 1;
-        if *c == 0 {
-            drop(c);
-            self.zero.notify_all();
+        if self.count.fetch_sub(1, Ordering::Release) == 1 {
+            // A `drain` that read the count before this decrement holds
+            // the lock until it sleeps, counted; one that locks after it
+            // reads zero.
+            self.zero
+                .wake_all(self.lock.lock().expect("in-flight poisoned"));
         }
+    }
+
+    fn get(&self) -> u64 {
+        self.count.load(Ordering::Acquire)
     }
 }
 
@@ -601,10 +615,7 @@ impl Dispatcher {
             primaries: p,
             steal_class,
             queues: Queues::new(n),
-            in_flight: InFlight {
-                count: Mutex::new(0),
-                zero: Condvar::new(),
-            },
+            in_flight: InFlight::default(),
             window: ServingWindow::new(),
             clock: Arc::new(Clock::from_epoch(started)),
             admission: Arc::new(Admission::new(p, options.queue_capacity, options.max_wait)),
@@ -707,12 +718,7 @@ impl Dispatcher {
     /// [`Dispatcher::drain`] (whose flush marker is ordered behind every
     /// earlier submit) as the quiescence barrier, not this counter.
     pub fn in_flight(&self) -> u64 {
-        *self
-            .shared
-            .in_flight
-            .count
-            .lock()
-            .expect("in-flight poisoned")
+        self.shared.in_flight.get()
     }
 
     /// Forces every pending round closed now (instead of waiting out the
@@ -731,9 +737,9 @@ impl Dispatcher {
     pub fn drain(&self) {
         self.flush();
         let in_flight = &self.shared.in_flight;
-        let mut count = in_flight.count.lock().expect("in-flight poisoned");
-        while *count > 0 {
-            count = in_flight.zero.wait(count).expect("in-flight poisoned");
+        let mut held = in_flight.lock.lock().expect("in-flight poisoned");
+        while in_flight.get() > 0 {
+            held = in_flight.zero.wait(held).expect("in-flight poisoned");
         }
     }
 
@@ -946,9 +952,12 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
     let n = shared.shards.len();
     let mut stats = IngestStats::default();
     let mut pending: Vec<PendingRound> = (0..n).map(|_| PendingRound::new()).collect();
-    let mut first_at: Vec<Option<Instant>> = vec![None; n];
+    // When each shard's pending round exhausts its latency budget: `None`
+    // while nothing is pending, or when `max_wait` is too long to put a
+    // date on (`Duration::MAX`) — that round closes by size or flush only.
+    let mut due: Vec<Option<Instant>> = vec![None; n];
 
-    let close = |s: usize, pending: &mut Vec<PendingRound>, first_at: &mut Vec<Option<Instant>>| {
+    let close = |s: usize, pending: &mut Vec<PendingRound>, due: &mut Vec<Option<Instant>>| {
         if pending[s].is_empty() {
             return false;
         }
@@ -968,7 +977,7 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
             closed_at: Instant::now(),
             jobs,
         }));
-        first_at[s] = None;
+        due[s] = None;
         let mut qs = queues.inner.lock().expect("queues poisoned");
         if qs[s].dead {
             // The home shard died since these jobs were routed: hand the
@@ -977,62 +986,57 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
             recover_or_fail(shared, qs, s, vec![round]);
         } else {
             qs[s].rounds.push_back(round);
-            drop(qs);
-            queues.work.notify_all();
+            queues.work.wake_all(qs);
         }
         true
     };
 
-    // Appends one job to shard `s`'s pending round, closing it when full.
+    // Appends one job, picked up at `picked`, to shard `s`'s pending
+    // round, closing it when full.
     let push = |s: usize,
                 job: TrackedJob,
+                picked: Instant,
                 pending: &mut Vec<PendingRound>,
-                first_at: &mut Vec<Option<Instant>>,
+                due: &mut Vec<Option<Instant>>,
                 stats: &mut IngestStats| {
         shared.in_flight.inc();
         if pending[s].is_empty() {
-            first_at[s] = Some(Instant::now());
+            due[s] = picked.checked_add(options.max_wait);
         }
         let class = job.priority.index();
         pending[s].by_class[class].push(job);
-        if pending[s].len() >= options.max_batch && close(s, pending, first_at) {
+        if pending[s].len() >= options.max_batch && close(s, pending, due) {
             stats.closed_full += 1;
         }
     };
 
     loop {
-        // Close every round that has exhausted its latency budget.
-        let now = Instant::now();
-        for s in 0..n {
-            if first_at[s].is_some_and(|t0| now.duration_since(t0) >= options.max_wait)
-                && close(s, &mut pending, &mut first_at)
-            {
-                stats.closed_timer += 1;
-            }
-        }
-
-        // Sleep until the next message or the next round deadline.
-        let next_deadline = first_at
-            .iter()
-            .flatten()
-            .map(|&t0| t0 + options.max_wait)
-            .min();
-        let msg = match next_deadline {
-            Some(deadline) => {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(timeout) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => None,
+        // Close every round that has exhausted its latency budget, then
+        // sleep until the next message or the next round's deadline.
+        let mut next_deadline = None;
+        if due.iter().any(Option::is_some) {
+            let now = Instant::now();
+            for s in 0..n {
+                if due[s].is_some_and(|d| now >= d) && close(s, &mut pending, &mut due) {
+                    stats.closed_timer += 1;
                 }
             }
+            next_deadline = due.iter().flatten().min().copied();
+        }
+        let msg = match next_deadline {
+            Some(deadline) => match rx.recv_deadline(deadline) {
+                Ok(m) => Some(m),
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => None,
+            },
             None => rx.recv().ok(),
         };
 
         match msg {
             Some(Job::Request(sub)) => {
                 stats.submitted += 1;
-                let accepted_ns = clock.now_ns();
+                let picked = Instant::now();
+                let accepted_ns = clock.ns_at(picked);
                 window.mark_accept(accepted_ns);
                 let timeline = Timeline {
                     arrival_ns: sub.arrival_ns,
@@ -1087,8 +1091,9 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
                             },
                             claimed: AtomicBool::new(false),
                         },
+                        picked,
                         &mut pending,
-                        &mut first_at,
+                        &mut due,
                         &mut stats,
                     );
                 }
@@ -1101,14 +1106,15 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
                         timeline,
                         claimed: AtomicBool::new(false),
                     },
+                    picked,
                     &mut pending,
-                    &mut first_at,
+                    &mut due,
                     &mut stats,
                 );
             }
             Some(Job::Flush(gate)) => {
                 for s in 0..n {
-                    if close(s, &mut pending, &mut first_at) {
+                    if close(s, &mut pending, &mut due) {
                         stats.closed_flush += 1;
                     }
                 }
@@ -1118,7 +1124,7 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
             // the dispatcher gone.
             Some(Job::Shutdown) | None => {
                 for s in 0..n {
-                    if close(s, &mut pending, &mut first_at) {
+                    if close(s, &mut pending, &mut due) {
                         stats.closed_flush += 1;
                     }
                 }
@@ -1126,8 +1132,7 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
                 for q in qs.iter_mut() {
                     q.closed = true;
                 }
-                drop(qs);
-                queues.work.notify_all();
+                queues.work.wake_all(qs);
                 return stats;
             }
         }
@@ -1217,8 +1222,7 @@ fn recover_or_fail(
         }
         Err(rounds) => rounds,
     };
-    drop(qs);
-    shared.queues.work.notify_all();
+    shared.queues.work.wake_all(qs);
     for entry in &failed {
         for job in &entry.round.jobs {
             fail_job(shared, &entry.round, job, job.timeline, from);
@@ -1476,13 +1480,12 @@ fn supervisor_loop(shared: &Shared) {
         if let Some(timeout) = options.stall_timeout {
             let mut qs = shared.queues.inner.lock().expect("queues poisoned");
             let recovered = reclaim_stalled(&mut qs, &shared.steal_class, timeout, Instant::now());
-            drop(qs);
             if recovered > 0 {
+                shared.queues.work.wake_all(qs);
                 shared
                     .admission
                     .recovered
                     .fetch_add(recovered, Ordering::Relaxed);
-                shared.queues.work.notify_all();
             }
         }
         if let Some(hedge) = &options.hedge {
@@ -1575,15 +1578,14 @@ fn hedge_pass(shared: &Shared, hedge: &HedgeOptions) {
             pushed = true;
         }
     }
-    drop(qs);
+    if pushed {
+        shared.queues.work.wake_all(qs);
+    }
     if hedged_jobs > 0 {
         shared
             .admission
             .hedged
             .fetch_add(hedged_jobs, Ordering::Relaxed);
-    }
-    if pushed {
-        shared.queues.work.notify_all();
     }
 }
 
@@ -1660,8 +1662,7 @@ fn next_round(
             .filter(|&j| steal_class[j] == steal_class[me])
             .all(|j| qs[j].closed && qs[j].rounds.is_empty() && qs[j].in_hand.is_none());
         if class_idle {
-            drop(qs);
-            queues.work.notify_all();
+            queues.work.wake_all(qs);
             return None;
         }
         qs = queues.work.wait(qs).expect("queues poisoned");
@@ -1671,6 +1672,8 @@ fn next_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::Ticket;
+    use crate::wake::within;
     use std::sync::mpsc;
 
     const AGING: Duration = Duration::from_millis(20);
@@ -1808,5 +1811,124 @@ mod tests {
             );
             idle.join().unwrap();
         }
+    }
+
+    const LIMIT: Duration = Duration::from_secs(30);
+
+    fn arch() -> ArchConfig {
+        ArchConfig::new(2, 8, 16).unwrap()
+    }
+
+    fn tiny_dag() -> Dag {
+        let mut b = dpu_dag::DagBuilder::new();
+        let x = b.input();
+        let y = b.input();
+        let s = b.node(dpu_dag::Op::Add, &[x, y]).unwrap();
+        b.node(dpu_dag::Op::Mul, &[s, s]).unwrap();
+        b.finish().unwrap()
+    }
+
+    fn dispatcher(options: DispatchOptions) -> (Dispatcher, DagKey) {
+        let d = Dispatcher::new(arch(), CompileOptions::default(), options);
+        let key = d.register(tiny_dag());
+        (d, key)
+    }
+
+    /// Spins until `n` shard workers are parked on the queues' condvar.
+    fn until_parked(d: &Dispatcher, n: usize) {
+        let queues = &d.shared.queues;
+        while {
+            let _held = queues.inner.lock().unwrap();
+            queues.work.waiting() != n
+        } {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_workers_wake_for_a_round_close_and_for_shutdown() {
+        within(LIMIT, || {
+            let (d, key) = dispatcher(DispatchOptions {
+                max_batch: 1,
+                ..Default::default()
+            });
+            let sub = d.submitter();
+            until_parked(&d, 2);
+            let ticket = sub.submit(Request::new(key, vec![1.0, 2.0])).unwrap();
+            assert!(ticket.wait().is_completed());
+            until_parked(&d, 2);
+            assert_eq!(d.shutdown().served, 1);
+        });
+    }
+
+    #[test]
+    fn a_chaos_kill_wakes_the_parked_peer_that_inherits_the_round() {
+        let home = home_shard(dag_fingerprint(&tiny_dag()), 2);
+        let report = within(LIMIT, move || {
+            let (d, key) = dispatcher(DispatchOptions {
+                max_batch: 1,
+                // The peer never takes work on its own: only the requeue
+                // from the dying home shard, and its wake-up, reach it.
+                work_stealing: false,
+                chaos: Some(ChaosPlan::new(5).kill_shard(home, 0)),
+                ..Default::default()
+            });
+            let sub = d.submitter();
+            until_parked(&d, 2);
+            let ticket = sub.submit(Request::new(key, vec![1.0, 2.0])).unwrap();
+            assert!(ticket.wait().is_completed());
+            d.shutdown()
+        });
+        assert_eq!(report.recovered, 1);
+        assert_eq!(report.shards[home].requests, 0);
+        assert_eq!(report.shards[1 - home].requests, 1);
+    }
+
+    #[test]
+    fn drain_returns_while_completions_race_it() {
+        within(LIMIT, || {
+            let (d, key) = dispatcher(DispatchOptions {
+                max_batch: 4,
+                ..Default::default()
+            });
+            let sub = d.submitter();
+            for i in 0..200_usize {
+                let tickets: Vec<_> = (0..1 + i % 7)
+                    .map(|j| sub.submit(Request::new(key, vec![j as f32, 1.0])).unwrap())
+                    .collect();
+                d.drain();
+                assert_eq!(d.in_flight(), 0, "iteration {i}");
+                assert!(tickets.iter().all(Ticket::is_done), "iteration {i}");
+            }
+            d.shutdown();
+        });
+    }
+
+    /// `Instant::now() + Duration::MAX` overflows: such a budget must mean
+    /// "close by size or flush only", not a dead ingest thread.
+    #[test]
+    fn rounds_close_and_drain_returns_under_a_max_wait_of_duration_max() {
+        let report = within(LIMIT, || {
+            let (d, key) = dispatcher(DispatchOptions {
+                shards: 1,
+                max_batch: 2,
+                max_wait: Duration::MAX,
+                ..Default::default()
+            });
+            let sub = d.submitter();
+            let full: Vec<_> = (0..2)
+                .map(|i| sub.submit(Request::new(key, vec![i as f32, 1.0])).unwrap())
+                .collect();
+            for ticket in full {
+                assert!(ticket.wait().is_completed());
+            }
+            let lone = sub.submit(Request::new(key, vec![5.0, 1.0])).unwrap();
+            d.drain();
+            assert!(lone.is_done());
+            d.shutdown()
+        });
+        assert_eq!(report.rounds_closed_full, 1);
+        assert_eq!(report.rounds_closed_flush, 1);
+        assert_eq!(report.rounds_closed_timer, 0);
     }
 }

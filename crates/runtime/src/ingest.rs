@@ -41,7 +41,7 @@
 //! precedes the marker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use dpu_sim::RunResult;
@@ -49,6 +49,7 @@ use dpu_sim::RunResult;
 use crate::dispatch::home_shard;
 use crate::latency::{Clock, Timeline};
 use crate::pool::{Request, ServeError};
+use crate::wake::Waiters;
 
 /// Urgency class of a submitted request. Interactive traffic preempts
 /// lower classes in round packing, shard-queue ordering, and work
@@ -409,14 +410,15 @@ pub(crate) struct Completion {
 #[derive(Debug)]
 pub(crate) struct TicketState {
     slot: Mutex<Option<Completion>>,
-    done: Condvar,
+    /// Signalled on fulfilment only if a `wait*` call actually blocked.
+    done: Waiters,
 }
 
 impl TicketState {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(TicketState {
             slot: Mutex::new(None),
-            done: Condvar::new(),
+            done: Waiters::default(),
         })
     }
 
@@ -426,8 +428,7 @@ impl TicketState {
         let mut slot = self.slot.lock().expect("ticket poisoned");
         debug_assert!(slot.is_none(), "ticket fulfilled twice");
         *slot = Some(Completion { outcome, timeline });
-        drop(slot);
-        self.done.notify_all();
+        self.done.wake_all(slot);
     }
 }
 
@@ -501,15 +502,18 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// `Err(self)` on timeout — the ticket remains valid.
+    /// `Err(self)` on timeout — the ticket remains valid. A `timeout` too
+    /// long to put a date on (`Duration::MAX`) never elapses.
     pub fn wait_timeout_detailed(self, timeout: Duration) -> Result<(Outcome, Timeline), Ticket> {
-        let deadline = std::time::Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Ok(self.wait_detailed());
+        };
         let mut slot = self.state.slot.lock().expect("ticket poisoned");
         loop {
             if let Some(completion) = slot.take() {
                 return Ok((completion.outcome, completion.timeline));
             }
-            let Some(remaining) = deadline.checked_duration_since(std::time::Instant::now()) else {
+            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 drop(slot);
                 return Err(self);
             };
@@ -533,13 +537,14 @@ impl Ticket {
 #[derive(Debug, Default)]
 pub(crate) struct Gate {
     open: Mutex<bool>,
-    cv: Condvar,
+    cv: Waiters,
 }
 
 impl Gate {
     pub(crate) fn open(&self) {
-        *self.open.lock().expect("gate poisoned") = true;
-        self.cv.notify_all();
+        let mut open = self.open.lock().expect("gate poisoned");
+        *open = true;
+        self.cv.wake_all(open);
     }
 
     pub(crate) fn wait(&self) {
@@ -921,5 +926,90 @@ impl Submitter {
             }
         }
         Ok(accepted)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wake::within;
+    use std::thread::JoinHandle;
+
+    const LIMIT: Duration = Duration::from_secs(30);
+
+    fn lost() -> Outcome {
+        Outcome::Failed(ServeError::ShardLost { shard: 7 })
+    }
+
+    /// Fulfils `state` from another thread once a `wait*` call has blocked
+    /// on it: the wake-up, not a sleep, is what the waiter depends on.
+    fn fulfil_once_blocked(state: Arc<TicketState>) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            while {
+                let _held = state.slot.lock().expect("ticket poisoned");
+                state.done.waiting() == 0
+            } {
+                std::thread::yield_now();
+            }
+            state.fulfill(lost(), Timeline::default());
+        })
+    }
+
+    #[test]
+    fn a_ticket_fulfilled_before_the_wait_returns_its_outcome() {
+        let state = TicketState::new();
+        let timeline = Timeline {
+            completed_ns: 5,
+            ..Timeline::default()
+        };
+        state.fulfill(lost(), timeline);
+        let ticket = Ticket::new(state);
+        assert!(ticket.is_done());
+        assert_eq!(ticket.timeline(), Some(timeline));
+        let (outcome, got) = within(LIMIT, move || ticket.wait_detailed());
+        assert!(outcome.is_failed());
+        assert_eq!(got, timeline);
+    }
+
+    #[test]
+    fn a_ticket_fulfilled_during_the_wait_wakes_the_waiter() {
+        for bounded in [false, true] {
+            let state = TicketState::new();
+            let ticket = Ticket::new(Arc::clone(&state));
+            let fulfiller = fulfil_once_blocked(state);
+            let outcome = within(LIMIT, move || {
+                if bounded {
+                    ticket.wait_timeout(Duration::from_secs(3600)).ok()
+                } else {
+                    Some(ticket.wait())
+                }
+            });
+            assert!(outcome.is_some_and(|o| o.is_failed()), "bounded {bounded}");
+            fulfiller.join().expect("fulfiller");
+        }
+    }
+
+    #[test]
+    fn a_ticket_survives_an_expired_wait_timeout_and_wakes_the_next_wait() {
+        let state = TicketState::new();
+        let ticket = Ticket::new(Arc::clone(&state))
+            .wait_timeout(Duration::from_micros(100))
+            .expect_err("nothing fulfilled it");
+        assert_eq!(state.done.waiting(), 0, "the expired wait deregistered");
+        let fulfiller = fulfil_once_blocked(state);
+        assert!(within(LIMIT, move || ticket.wait()).is_failed());
+        fulfiller.join().expect("fulfiller");
+    }
+
+    /// `Instant::now() + Duration::MAX` overflows: such a timeout must
+    /// block without a deadline, not panic.
+    #[test]
+    fn wait_timeout_of_duration_max_waits_for_a_later_fulfilment() {
+        let state = TicketState::new();
+        let ticket = Ticket::new(Arc::clone(&state));
+        let fulfiller = fulfil_once_blocked(state);
+        let outcome = within(LIMIT, move || ticket.wait_timeout(Duration::MAX).ok());
+        assert!(outcome.is_some_and(|o| o.is_failed()));
+        fulfiller.join().expect("fulfiller");
     }
 }

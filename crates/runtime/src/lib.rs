@@ -109,6 +109,7 @@ pub mod latency;
 pub mod planner;
 pub mod pool;
 pub mod report;
+mod wake;
 
 pub use backend::{Backend, BaselineBackend, Scratch, StealClass};
 pub use cache::{CacheKey, CacheStats, ProgramCache, SpillLookup, SpillStore};

@@ -4,7 +4,8 @@
 //! value tape — allocates nothing, touches no register file and counts
 //! nothing, groups run through it eight lanes at a time, the runtime's
 //! backpressure story stays intact (exactly one deliberately unbounded
-//! channel, behind the admission gate), the oracle interpreter stays off
+//! channel, behind the admission gate), a condvar is signalled only when
+//! a thread waits on it, the oracle interpreter stays off
 //! every production path, the dispatcher keeps one path that shares
 //! rounds instead of copying them, a dispatcher's engine shards are built
 //! in one place over one program store, the register file's write policy
@@ -69,7 +70,10 @@ fn offenders_outside_fns(
         let mut enclosing_fn = "";
         for (idx, line) in text.lines().enumerate() {
             let code = line.trim_start();
-            if code.starts_with("fn ") || code.starts_with("pub fn ") {
+            if ["fn ", "pub fn ", "pub(crate) fn "]
+                .iter()
+                .any(|h| code.starts_with(h))
+            {
                 enclosing_fn = code;
             }
             let sanctioned = allowed
@@ -180,6 +184,49 @@ fn runtime_builds_no_unbounded_channels_outside_the_ingest_gate() {
     assert!(
         hits.is_empty(),
         "dpu-runtime must not construct unbounded channels outside ingest.rs:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn condvars_are_signalled_only_behind_a_waiter_count() {
+    // `std`'s futex `Condvar` makes a `FUTEX_WAKE` system call on every
+    // `notify_*`, whether or not a thread waits, and a request crosses
+    // three hand-offs (submit → ingest, ingest → shard, shard → ticket).
+    // So the runtime signals through `wake::Waiters::wake_all`, which
+    // reads its waiter count under the state's mutex, and the crossbeam
+    // stub through `send`, `slot_freed` and its `Drop`s, which count
+    // blocked peers in the channel state. Anywhere else — or not directly
+    // under an `if` on that count — a bare notify is back.
+    const SANCTIONED: [(&str, &str); 4] = [
+        ("wake.rs", "fn wake_all<"),
+        ("channel.rs", "fn send("),
+        ("channel.rs", "fn slot_freed("),
+        ("channel.rs", "fn drop("),
+    ];
+    let root = repo_root();
+    let mut files = rust_sources(&root.join("crates/runtime/src"));
+    files.extend(rust_sources(&root.join("vendor/crossbeam/src")));
+    let notify = ["notify_one(", "notify_all("];
+    let mut hits = offenders_outside_fns(&files, &notify, &SANCTIONED);
+    let mut signals = 0;
+    for path in &files {
+        let text = fs::read_to_string(path).expect("source file is UTF-8");
+        let lines: Vec<&str> = text.lines().map(str::trim).collect();
+        for (idx, line) in lines.iter().enumerate() {
+            if !notify.iter().any(|p| line.contains(p)) {
+                continue;
+            }
+            signals += 1;
+            if !(idx > 0 && lines[idx - 1] == "if waiting {") {
+                hits.push(format!("{}:{}: {line}", path.display(), idx + 1));
+            }
+        }
+    }
+    assert_eq!(signals, 5, "the helper's signal and the stub's four");
+    assert!(
+        hits.is_empty(),
+        "signal a condvar only behind a waiter count (`wake::Waiters`):\n{}",
         hits.join("\n")
     );
 }
