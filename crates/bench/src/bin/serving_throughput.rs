@@ -10,8 +10,7 @@
 //!
 //! Run with `cargo run --release -p dpu-bench --bin serving_throughput --
 //! [--json <path>]` — the `--json` flag additionally writes the perf line
-//! to a file for CI artifacts (shared across the serving benches, see
-//! `dpu_bench::report`).
+//! to a file (see `dpu_bench::report`).
 
 use dpu_bench::report::{emit, json_path_flag, Json};
 use dpu_core::prelude::*;

@@ -2,9 +2,9 @@
 //!
 //! Each function regenerates the corresponding result from scratch
 //! (workload generation → compile → simulate → measure) and renders the
-//! same rows/series the paper reports, returning the text. The binaries in
-//! `src/bin/` are one-line wrappers; `all_experiments` runs everything and
-//! is the source of EXPERIMENTS.md's measured numbers.
+//! same rows/series the paper reports, returning the text. The
+//! `all_experiments` binary runs them by their [`experiments`] registry
+//! names (all of them when given none).
 
 use dpu_core::baselines::cpu::CpuModel;
 use dpu_core::baselines::dpu_v1::DpuV1Model;
@@ -712,20 +712,6 @@ pub fn footprint_reduction() -> String {
         &rows,
     );
     out.push_str("paper: 48% smaller than CSR on average\n");
-    out
-}
-
-/// Runs every experiment, concatenating the reports.
-pub fn all_experiments() -> String {
-    let mut out = String::new();
-    for (name, f) in experiments() {
-        let t0 = std::time::Instant::now();
-        out.push_str(&f());
-        out.push_str(&format!(
-            "[{name} took {:.1}s]\n\n",
-            t0.elapsed().as_secs_f64()
-        ));
-    }
     out
 }
 

@@ -1,7 +1,8 @@
 //! Shared harness for the experiment binaries.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` (see DESIGN.md §3 for the index); this library holds the
+//! Every table and figure of the paper's evaluation is one entry of
+//! [`experiments::experiments`], run by name through the `all_experiments`
+//! binary (see DESIGN.md §3 for the index); this library holds the
 //! common plumbing: suite loading at a configurable scale, DPU-v2
 //! compile+simulate+measure runs, baseline evaluation, and plain-text
 //! table/series rendering.

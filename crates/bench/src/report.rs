@@ -1,22 +1,16 @@
 //! Machine-readable bench reports: a minimal JSON value type with a
-//! renderer and parser, plus the shared `--json <path>` flag handling.
+//! renderer, plus the shared `--json <path>` flag handling.
 //!
 //! The vendored `serde` stub has no serializer (the real workspace never
-//! needed one at runtime), so the bench binaries build their perf lines
+//! needed one at runtime), so `serving_throughput` builds its perf line
 //! through this module instead: [`Json`] is a tiny JSON document model,
-//! rendered deterministically (object keys keep insertion order) and
-//! parsed back by the `bench_gate` binary when it compares a fresh
-//! `BENCH_serving.json` against the committed `bench/baseline.json`.
+//! rendered deterministically (object keys keep insertion order).
 
 use std::fmt::Write as _;
-
-use dpu_core::runtime::LatencyHistogram;
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null`.
-    Null,
     /// `true` / `false`.
     Bool(bool),
     /// Any number (integers render without a decimal point).
@@ -48,38 +42,6 @@ impl Json {
         self
     }
 
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Renders the document as compact single-line JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -89,7 +51,6 @@ impl Json {
 
     fn render_into(&self, out: &mut String) {
         match self {
-            Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9e15 {
@@ -138,23 +99,6 @@ impl Json {
             }
         }
     }
-
-    /// Parses a JSON document (the subset this module renders, which is
-    /// all the bench files contain).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
 }
 
 impl From<bool> for Json {
@@ -187,155 +131,8 @@ impl From<&str> for Json {
     }
 }
 
-impl From<Vec<Json>> for Json {
-    fn from(items: Vec<Json>) -> Json {
-        Json::Arr(items)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}"))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
-                fields.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(_) => parse_number(b, pos).map(Json::Num),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, "\"")?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-/// Renders a latency histogram as the standard quantile row every
-/// serving bench emits: count, p50/p99/p999, max, mean. `scale`
-/// converts the recorded unit into the reported one (1.0 keeps modelled
-/// cycles as-is; `1e-3` renders nanoseconds as microseconds).
-pub fn latency_row(h: &LatencyHistogram, scale: f64) -> Json {
-    Json::obj()
-        .field("count", h.count())
-        .field("p50", h.p50() as f64 * scale)
-        .field("p99", h.p99() as f64 * scale)
-        .field("p999", h.p999() as f64 * scale)
-        .field("max", h.max() as f64 * scale)
-        .field("mean", h.mean() * scale)
-}
-
 /// Extracts the value of a `--json <path>` flag from command-line
-/// arguments (`None` when absent). Shared by every serving bench binary.
+/// arguments (`None` when absent).
 ///
 /// # Panics
 ///
@@ -375,60 +172,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrips_a_report() {
+    fn renders_a_report() {
         let doc = Json::obj()
-            .field("bench", "async_serving")
+            .field("bench", "serving_throughput")
             .field("requests", 500u64)
             .field("simulated_gops", 12.51)
             .field("verified", true)
-            .field("families", Json::Arr(vec!["pc".into(), "sptrsv".into()]))
-            .field(
-                "nested",
-                Json::obj().field("a", 1u64).field("b", Json::Null),
-            );
-        let text = doc.render();
-        assert_eq!(Json::parse(&text).unwrap(), doc);
-        // Integers render without a decimal point, floats keep one.
-        assert!(text.contains("\"requests\":500"));
-        assert!(text.contains("\"simulated_gops\":12.51"));
-    }
-
-    #[test]
-    fn latency_row_scales_and_names_quantiles() {
-        let mut h = LatencyHistogram::new();
-        for v in [1_000u64, 2_000, 4_000, 8_000] {
-            h.record(v);
-        }
-        let row = latency_row(&h, 1e-3);
-        assert_eq!(row.get("count").and_then(Json::as_f64), Some(4.0));
+            .field("families", Json::Arr(vec!["pc".into(), "sp\"trsv".into()]))
+            .field("nested", Json::obj().field("a", 1u64).field("b", false));
+        // Keys keep insertion order; integers render without a decimal
+        // point, floats keep one.
         assert_eq!(
-            row.get("max").and_then(Json::as_f64),
-            Some(8.0),
-            "ns render as µs at 1e-3"
+            doc.render(),
+            r#"{"bench":"serving_throughput","requests":500,"simulated_gops":12.51,"verified":true,"families":["pc","sp\"trsv"],"nested":{"a":1,"b":false}}"#
         );
-        let p50 = row.get("p50").and_then(Json::as_f64).unwrap();
-        assert!((2.0..=2.2).contains(&p50), "p50 {p50}");
-        assert!(row.get("p99").is_some() && row.get("p999").is_some());
-    }
-
-    #[test]
-    fn parses_pretty_printed_input() {
-        let text = "{\n  \"a\": [1, 2.5, -3e2],\n  \"s\": \"x\\\"y\\n\"\n}";
-        let doc = Json::parse(text).unwrap();
-        assert_eq!(
-            doc.get("a").unwrap(),
-            &Json::Arr(vec![Json::Num(1.0), Json::Num(2.5), Json::Num(-300.0)])
-        );
-        assert_eq!(doc.get("s").unwrap().as_str(), Some("x\"y\n"));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-        assert!(Json::parse("{\"a\" 1}").is_err());
-        // Truncated \u escape must be an Err, not a slice panic.
-        assert!(Json::parse("\"\\u12").is_err());
-        assert!(Json::parse("\"\\uZZZZ\"").is_err());
     }
 }

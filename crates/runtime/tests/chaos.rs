@@ -65,18 +65,17 @@ fn assert_identical(got: &RunResult, want: &RunResult, ctx: &str) {
     assert_eq!(got.cycles, want.cycles, "{ctx}: cycles differ");
 }
 
-/// Property: killing *any* one of four shards mid-stream under a seeded
-/// mixed request stream loses nothing — every ticket resolves exactly
-/// once, `Completed`, with outputs byte-identical to a serial engine
-/// pass; the ledger balances with zero failures.
-#[test]
-fn killing_any_shard_is_loss_free_and_byte_identical_to_serial() {
-    const SHARDS: usize = 4;
-    const REQUESTS: usize = 60;
+/// A seeded mixed stream of `n` requests — three salted families plus a
+/// PC workload — with a priority class per request, and a serial engine's
+/// replies to it.
+struct MixedStream {
+    dags: Vec<Dag>,
+    requests: Vec<Request>,
+    priorities: Vec<Priority>,
+    reference: Vec<RunResult>,
+}
 
-    // One mixed stream, reused for every victim and the serial
-    // reference: three dag families plus a pc workload, with a seeded
-    // priority mix.
+fn mixed_stream(n: usize) -> MixedStream {
     let dags: Vec<Dag> = vec![
         salted_dag(0),
         salted_dag(1),
@@ -103,7 +102,7 @@ fn killing_any_shard_is_loss_free_and_byte_identical_to_serial() {
     };
     let mut requests: Vec<Request> = Vec::new();
     let mut priorities: Vec<Priority> = Vec::new();
-    for i in 0..REQUESTS {
+    for i in 0..n {
         let f = (draw() % dags.len() as u64) as usize;
         let inputs = if f == 3 {
             pc_inputs(&dags[3], i as u64)
@@ -119,7 +118,51 @@ fn killing_any_shard_is_loss_free_and_byte_identical_to_serial() {
     }
     let reference = serial.serve(&requests);
     assert!(reference.failures.is_empty());
+    MixedStream {
+        dags,
+        requests,
+        priorities,
+        reference: reference.results,
+    }
+}
 
+/// Submits the whole stream with its priorities, drains, and checks every
+/// ticket `Completed` and byte-identical to the serial replies.
+fn serve_mixed(d: &Dispatcher, stream: &MixedStream, ctx: &str) {
+    for dag in &stream.dags {
+        d.register(dag.clone());
+    }
+    let sub = d.submitter();
+    let tickets: Vec<Ticket> = stream
+        .requests
+        .iter()
+        .zip(&stream.priorities)
+        .map(|(r, &p)| {
+            sub.submit_with(r.clone(), SubmitOptions::default().priority(p))
+                .expect("no capacity bound, no deadline: always accepted")
+        })
+        .collect();
+    d.drain();
+    for (i, t) in tickets.into_iter().enumerate() {
+        match t.wait() {
+            Outcome::Completed(res) => {
+                assert_identical(&res, &stream.reference[i], &format!("{ctx}, request {i}"));
+            }
+            other => panic!("{ctx}: request {i} resolved {other:?}"),
+        }
+    }
+}
+
+/// Property: killing *any* one of four shards mid-stream under a seeded
+/// mixed request stream loses nothing — every ticket resolves exactly
+/// once, `Completed`, with outputs byte-identical to a serial engine
+/// pass; the ledger balances with zero failures.
+#[test]
+fn killing_any_shard_is_loss_free_and_byte_identical_to_serial() {
+    const SHARDS: usize = 4;
+    const REQUESTS: usize = 60;
+
+    let stream = mixed_stream(REQUESTS);
     for victim in 0..SHARDS {
         let d = Dispatcher::new(
             arch(),
@@ -133,31 +176,7 @@ fn killing_any_shard_is_loss_free_and_byte_identical_to_serial() {
                 ..Default::default()
             },
         );
-        for dag in &dags {
-            d.register(dag.clone());
-        }
-        let sub = d.submitter();
-        let tickets: Vec<Ticket> = requests
-            .iter()
-            .zip(&priorities)
-            .map(|(r, &p)| {
-                sub.submit_with(r.clone(), SubmitOptions::default().priority(p))
-                    .expect("no capacity bound, no deadline: always accepted")
-            })
-            .collect();
-        d.drain();
-        for (i, t) in tickets.into_iter().enumerate() {
-            match t.wait() {
-                Outcome::Completed(res) => {
-                    assert_identical(
-                        &res,
-                        &reference.results[i],
-                        &format!("victim {victim}, request {i}"),
-                    );
-                }
-                other => panic!("victim {victim}: request {i} resolved {other:?}"),
-            }
-        }
+        serve_mixed(&d, &stream, &format!("victim {victim}"));
         let report = d.shutdown();
         assert_eq!(report.served, REQUESTS as u64, "victim {victim}");
         assert_eq!(report.submitted, REQUESTS as u64, "victim {victim}");
@@ -171,6 +190,62 @@ fn killing_any_shard_is_loss_free_and_byte_identical_to_serial() {
             );
         }
     }
+}
+
+/// A kill, a straggler and hedging at once, over four shards with stealing
+/// off: the first family's home dies at its third round checkout while
+/// its neighbour stalls ~3 ms on every round and rounds queued past the
+/// hedge trigger get copies. Every ticket still completes byte-identical
+/// to serial, nothing fails, the dead shard's work provably moved through
+/// recovery, and the per-class ledger balances.
+#[test]
+fn kill_stall_and_hedging_together_lose_nothing() {
+    const SHARDS: usize = 4;
+    const REQUESTS: usize = 120;
+
+    let stream = mixed_stream(REQUESTS);
+    let killed = home_shard(dag_fingerprint(&stream.dags[0]), SHARDS);
+    let stalled = (killed + 1) % SHARDS;
+    let d = Dispatcher::new(
+        arch(),
+        CompileOptions::default(),
+        DispatchOptions {
+            shards: SHARDS,
+            max_batch: 4,
+            max_wait: Duration::from_micros(500),
+            work_stealing: false,
+            chaos: Some(
+                ChaosPlan::new(42)
+                    .kill_shard(killed, 2)
+                    .stall_shard(stalled, Duration::from_millis(3)),
+            ),
+            hedge: Some(HedgeOptions {
+                trigger_percentile: 95,
+                min_wait: Duration::from_millis(5),
+            }),
+            stall_timeout: Some(Duration::from_millis(50)),
+            ..Default::default()
+        },
+    );
+    serve_mixed(&d, &stream, "kill + stall + hedge");
+    let report = d.shutdown();
+    let classes = [Priority::Interactive, Priority::Standard, Priority::Batch];
+    let completed: u64 = classes.iter().map(|&p| report.class(p).completed).sum();
+    assert_eq!(completed, REQUESTS as u64, "{report:?}");
+    for p in classes {
+        let c = report.class(p);
+        assert_eq!(c.failed, 0, "{p:?}: survivors absorb every failure");
+        assert_eq!(
+            c.offered,
+            c.completed + c.failed + c.shed + c.rejected,
+            "{p:?} ledger"
+        );
+    }
+    assert!(
+        report.recovered >= 1,
+        "the killed shard's rounds never recovered: {report:?}"
+    );
+    assert!(report.hedge_wins <= report.hedged, "{report:?}");
 }
 
 /// A killed shard with no surviving same-class peer cannot recover its

@@ -3,7 +3,8 @@
 //! Sweeps tree depth, bank count and register-file size on a small PC
 //! workload, printing latency / energy / EDP per operation and the chosen
 //! optimum — the same methodology as Fig. 11 at toy scale (the full
-//! 48-point sweep lives in `cargo run -p dpu-bench --bin fig11_dse`).
+//! 48-point sweep lives in `cargo run -p dpu-bench --bin all_experiments
+//! fig11_dse`).
 //!
 //! Run with `cargo run --release --example design_space`.
 
