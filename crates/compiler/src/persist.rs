@@ -41,7 +41,7 @@
 use std::error::Error;
 use std::fmt;
 
-use dpu_dag::{Dag, DagBuilder, NodeId, Op};
+use dpu_dag::{Dag, NodeId, Op};
 use dpu_isa::{ArchConfig, Fnv1a, InstrBreakdown, Program, Topology};
 
 use crate::driver::{CompileStats, Compiled};
@@ -337,23 +337,18 @@ fn write_dag(w: &mut Writer, dag: &Dag) {
 
 fn read_dag(r: &mut Reader<'_>) -> Result<Dag, PersistError> {
     let n = r.len()?;
-    let mut b = DagBuilder::with_capacity(n, n * 2);
-    let mut preds: Vec<NodeId> = Vec::new();
-    for i in 0..n {
-        let op = op_from_tag(r.u8()?)?;
+    let mut ops = Vec::with_capacity(n);
+    let mut pred_offsets = Vec::with_capacity(n + 1);
+    pred_offsets.push(0);
+    let mut pred_data = Vec::with_capacity(n * 2);
+    for _ in 0..n {
+        ops.push(op_from_tag(r.u8()?)?);
         let arity = r.u32()? as usize;
-        preds.clear();
-        preds.extend(words(r.u32s(arity)?).map(NodeId));
-        let id = if op == Op::Input && preds.is_empty() {
-            b.input()
-        } else {
-            b.node(op, &preds)
-                .map_err(|e| PersistError::Malformed(format!("dag node {i}: {e:?}")))?
-        };
-        debug_assert_eq!(id.index(), i, "builder assigns ids in insertion order");
+        pred_data.extend(words(r.u32s(arity)?).map(NodeId));
+        pred_offsets.push(pred_data.len() as u32);
     }
-    b.finish()
-        .map_err(|e| PersistError::Malformed(format!("dag: {e:?}")))
+    Dag::from_rows(ops, pred_offsets, pred_data)
+        .map_err(|e| PersistError::Malformed(format!("dag: {e}")))
 }
 
 impl Compiled {
@@ -511,7 +506,7 @@ impl Compiled {
 mod tests {
     use super::*;
     use crate::driver::{compile, CompileOptions};
-    use dpu_dag::Op;
+    use dpu_dag::DagBuilder;
 
     fn sample() -> Compiled {
         let mut b = DagBuilder::new();

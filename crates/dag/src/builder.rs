@@ -78,26 +78,7 @@ impl DagBuilder {
     ///   `preds.len() != 2`.
     pub fn node(&mut self, op: Op, preds: &[NodeId]) -> Result<NodeId, DagError> {
         let id = NodeId(self.ops.len() as u32);
-        if op == Op::Input {
-            if preds.is_empty() {
-                return Ok(self.input());
-            }
-            return Err(DagError::InputWithPredecessors(id));
-        }
-        if preds.is_empty() {
-            return Err(DagError::MissingInputs(id));
-        }
-        if op.is_strictly_binary() && preds.len() != 2 {
-            return Err(DagError::ArityMismatch {
-                node: id,
-                got: preds.len(),
-            });
-        }
-        for &p in preds {
-            if p.index() >= self.ops.len() {
-                return Err(DagError::UnknownPredecessor { node: id, pred: p });
-            }
-        }
+        check_row(id, op, preds)?;
         self.ops.push(op);
         self.pred_data.extend_from_slice(preds);
         self.pred_offsets.push(self.pred_data.len() as u32);
@@ -114,6 +95,31 @@ impl DagBuilder {
             return Err(DagError::Empty);
         }
         Ok(Dag::from_csr(self.ops, self.pred_offsets, self.pred_data))
+    }
+}
+
+/// The rules a node `id` reading `preds` must meet, in the order
+/// [`DagBuilder::node`] reports them: what it accepts, and what
+/// [`Dag::from_rows`] accepts row by row.
+pub(crate) fn check_row(id: NodeId, op: Op, preds: &[NodeId]) -> Result<(), DagError> {
+    if op == Op::Input {
+        return match preds {
+            [] => Ok(()),
+            _ => Err(DagError::InputWithPredecessors(id)),
+        };
+    }
+    if preds.is_empty() {
+        return Err(DagError::MissingInputs(id));
+    }
+    if op.is_strictly_binary() && preds.len() != 2 {
+        return Err(DagError::ArityMismatch {
+            node: id,
+            got: preds.len(),
+        });
+    }
+    match preds.iter().find(|p| p.index() >= id.index()) {
+        Some(&pred) => Err(DagError::UnknownPredecessor { node: id, pred }),
+        None => Ok(()),
     }
 }
 
@@ -160,5 +166,42 @@ mod tests {
         assert_eq!(a, NodeId(0));
         let dag = b.finish().unwrap();
         assert_eq!(dag.op(a), Op::Input);
+    }
+
+    #[test]
+    fn from_rows_accepts_what_node_accepts() {
+        // One row appended to two inputs: every rule, each way.
+        let n = NodeId;
+        let rows: [(Op, &[NodeId]); 9] = [
+            (Op::Add, &[n(0), n(1)]),
+            (Op::Max, &[n(1), n(0), n(1)]),
+            (Op::Input, &[]),
+            (Op::Input, &[n(0)]),
+            (Op::Mul, &[]),
+            (Op::Div, &[n(0), n(1), n(0)]),
+            (Op::Sub, &[n(1)]),
+            (Op::Add, &[n(0), n(2)]),
+            (Op::Min, &[n(5), n(0)]),
+        ];
+        for (op, preds) in rows {
+            let mut b = DagBuilder::new();
+            b.input();
+            b.input();
+            let built = b.node(op, preds).and_then(|_| b.finish());
+            let direct = Dag::from_rows(
+                vec![Op::Input, Op::Input, op],
+                vec![0, 0, 0, preds.len() as u32],
+                preds.to_vec(),
+            );
+            assert_eq!(
+                built.as_ref().map(|d| d.preds(n(2))).map_err(Clone::clone),
+                direct.as_ref().map(|d| d.preds(n(2))).map_err(Clone::clone),
+                "{op:?} {preds:?}"
+            );
+        }
+        assert_eq!(
+            Dag::from_rows(Vec::new(), vec![0], Vec::new()).unwrap_err(),
+            DagError::Empty
+        );
     }
 }

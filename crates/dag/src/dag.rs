@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use crate::builder::check_row;
 use crate::{DagBuilder, DagError, NodeId, Op};
 
 /// An immutable computation DAG with CSR adjacency in both directions.
@@ -49,6 +50,42 @@ impl Dag {
             succ_offsets,
             succ_data,
         }
+    }
+
+    /// A DAG from its predecessor CSR: node `v` is `ops[v]` reading
+    /// `pred_data[pred_offsets[v]..pred_offsets[v + 1]]`. It accepts
+    /// exactly what adding the rows to a [`DagBuilder`] in order and
+    /// finishing it accepts, without the per-node calls.
+    ///
+    /// # Errors
+    ///
+    /// The error of the first row [`DagBuilder::node`] would refuse, or
+    /// [`DagError::Empty`] for no rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pred_offsets` is not a CSR index over `pred_data`:
+    /// `ops.len() + 1` non-decreasing offsets from 0 to `pred_data.len()`.
+    pub fn from_rows(
+        ops: Vec<Op>,
+        pred_offsets: Vec<u32>,
+        pred_data: Vec<NodeId>,
+    ) -> Result<Self, DagError> {
+        assert!(
+            pred_offsets.len() == ops.len() + 1
+                && pred_offsets[0] == 0
+                && pred_offsets.windows(2).all(|w| w[0] <= w[1])
+                && pred_offsets[ops.len()] as usize == pred_data.len(),
+            "pred_offsets must index pred_data"
+        );
+        if ops.is_empty() {
+            return Err(DagError::Empty);
+        }
+        for (v, (&op, row)) in ops.iter().zip(pred_offsets.windows(2)).enumerate() {
+            let preds = &pred_data[row[0] as usize..row[1] as usize];
+            check_row(NodeId(v as u32), op, preds)?;
+        }
+        Ok(Dag::from_csr(ops, pred_offsets, pred_data))
     }
 
     /// Number of nodes.

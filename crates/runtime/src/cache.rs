@@ -93,9 +93,6 @@ pub struct CacheStats {
     /// with different options (the cache compiled instead). Includes
     /// [`CacheStats::spill_unverifiable`].
     pub spill_rejects: u64,
-    /// Spill-loaded programs that passed static verification
-    /// (`dpu-verify`) before being admitted.
-    pub spill_verified: u64,
     /// Spill files that decoded cleanly (magic, version, checksum and key
     /// all valid) but whose program failed static verification — the
     /// checksum-alone trust gap. Also counted in
@@ -360,19 +357,19 @@ impl SpillStore {
     /// Forwards I/O errors; the cache treats spilling as best-effort.
     pub fn store(&self, key: &CacheKey, compiled: &Compiled) -> std::io::Result<()> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SPILL_MAGIC);
-        bytes.extend_from_slice(&SPILL_VERSION.to_le_bytes());
-        write_key(&mut bytes, key);
-        bytes.extend_from_slice(&self.options_tag.to_le_bytes());
-        bytes.extend_from_slice(&compiled.to_bytes());
+        let mut header = Vec::with_capacity(SPILL_HEADER_LEN);
+        header.extend_from_slice(&SPILL_MAGIC);
+        header.extend_from_slice(&SPILL_VERSION.to_le_bytes());
+        write_key(&mut header, key);
+        header.extend_from_slice(&self.options_tag.to_le_bytes());
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
+        f.write_all(&header)?;
+        f.write_all(&compiled.to_bytes())?;
         drop(f);
         let result = std::fs::rename(&tmp, self.path_for(key));
         if result.is_err() {
@@ -503,7 +500,6 @@ pub struct ProgramCache {
     spill_hits: AtomicU64,
     spill_writes: AtomicU64,
     spill_rejects: AtomicU64,
-    spill_verified: AtomicU64,
     spill_unverifiable: AtomicU64,
     decode_count: AtomicU64,
     /// Reason of the most recent spill rejection, for diagnostics
@@ -563,7 +559,6 @@ impl ProgramCache {
             spill_hits: AtomicU64::new(0),
             spill_writes: AtomicU64::new(0),
             spill_rejects: AtomicU64::new(0),
-            spill_verified: AtomicU64::new(0),
             spill_unverifiable: AtomicU64::new(0),
             decode_count: AtomicU64::new(0),
             last_reject: Mutex::new(None),
@@ -719,7 +714,6 @@ impl ProgramCache {
             match store.load(key) {
                 SpillLookup::Loaded(compiled) => {
                     self.spill_hits.fetch_add(1, Ordering::Relaxed);
-                    self.spill_verified.fetch_add(1, Ordering::Relaxed);
                     slot.compiled.get_or_init(|| Arc::new(*compiled));
                     return Ok(Fill::Loaded);
                 }
@@ -876,7 +870,6 @@ impl ProgramCache {
             spill_hits: self.spill_hits.load(Ordering::Relaxed),
             spill_writes: self.spill_writes.load(Ordering::Relaxed),
             spill_rejects: self.spill_rejects.load(Ordering::Relaxed),
-            spill_verified: self.spill_verified.load(Ordering::Relaxed),
             spill_unverifiable: self.spill_unverifiable.load(Ordering::Relaxed),
             decode_count: self.decode_count.load(Ordering::Relaxed),
         }
@@ -1506,7 +1499,7 @@ mod tests {
                     s.misses,
                     s.spill_rejects,
                     s.spill_unverifiable,
-                    s.spill_verified
+                    s.spill_hits
                 ),
                 (1, 1, 1, 0)
             );

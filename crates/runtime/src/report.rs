@@ -304,7 +304,6 @@ impl DispatchReport {
             total.spill_hits += s.spill_hits;
             total.spill_writes += s.spill_writes;
             total.spill_rejects += s.spill_rejects;
-            total.spill_verified += s.spill_verified;
             total.spill_unverifiable += s.spill_unverifiable;
             total.decode_count += s.decode_count;
         }

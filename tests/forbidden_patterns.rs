@@ -9,8 +9,9 @@
 //! every production path, the dispatcher keeps one path that shares
 //! rounds instead of copying them, a dispatcher's engine shards are built
 //! in one place over one program store, the register file's write policy
-//! stays stated once, and the compiler's passes keep no table whose order
-//! depends on the process and no ordered map on their hot path.
+//! stays stated once, the compiler's passes keep no table whose order
+//! depends on the process and no ordered map on their hot path, and
+//! FNV-1a is implemented once.
 //!
 //! Plain text scanning is crude but cheap, runs in the ordinary test
 //! suite, and fails with the offending file + line so violations are
@@ -444,6 +445,36 @@ fn compiler_passes_keep_no_ordered_maps() {
     assert!(
         hits.is_empty(),
         "dpu-compiler's passes keep no ordered map (use ir::PosSet):\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn fnv_is_implemented_once() {
+    // `dpu_isa::Fnv1a` folds zero runs into one multiply and is checked
+    // against the byte-serial definition in its own tests; a second
+    // hand-rolled loop elsewhere would be the slow one, and could drift.
+    // The prime is spelt here in pieces so this file does not match.
+    let patterns = [
+        concat!("0100", "_0000_01b3"),
+        concat!("10000", "0001b3"),
+        concat!("10995", "11628211"),
+    ];
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "perfbench/src"] {
+        files.extend(rust_sources(&root.join(dir)));
+    }
+    // The simulator's golden anchors pin hashes of `f32` bit patterns
+    // folded a word at a time: another function of those bytes, whose
+    // pinned values are the record.
+    files.retain(|f| {
+        !f.ends_with("crates/isa/src/fnv.rs") && !f.ends_with("crates/sim/tests/golden_anchors.rs")
+    });
+    let hits = offenders_outside_fns(&files, &patterns, &[]);
+    assert!(
+        hits.is_empty(),
+        "FNV-1a is dpu_isa::Fnv1a, in crates/isa/src/fnv.rs only:\n{}",
         hits.join("\n")
     );
 }

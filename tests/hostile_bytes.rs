@@ -10,11 +10,13 @@
 //!   the fields decoding drops (the idle entries of `store_4`/`copy_4`,
 //!   the fields behind a clear `present` bit), which re-pack as zeros;
 //! - `verify_program` on every program that unpacks;
-//! - `Compiled::from_bytes` on arbitrary blobs, and on valid blobs with
-//!   bytes flipped under a recomputed checksum;
+//! - `Compiled::from_bytes` on arbitrary blobs, on valid blobs with
+//!   bytes flipped under a recomputed checksum, and on DAG sections that
+//!   break a rule of `DagBuilder::node` or end inside an operand list;
 //! - the spill-file header, through the two `SpillStore` calls that parse
 //!   it: `keys` on arbitrary 41-byte headers, `load` on corrupted files.
 
+use dpu_core::compiler::PersistError;
 use dpu_core::isa::encode::{self, BitReader};
 use dpu_core::isa::{Fnv1a, Program};
 use dpu_core::prelude::*;
@@ -109,6 +111,120 @@ fn reseal(blob: &mut [u8]) {
     h.bytes(&blob[24..]);
     let check = h.finish();
     blob[16..24].copy_from_slice(&check.to_le_bytes());
+}
+
+/// Where `c.to_bytes()`'s binary-DAG section starts: after the header,
+/// config, program image, input and output slots, spill base and rows
+/// used.
+fn dag_section_start(c: &Compiled) -> usize {
+    let slots = c.layout.input_slots.len() + c.layout.output_slots.len();
+    24 + 17 + 8 + 8 + c.program.pack().len() + 8 + 8 + 8 * slots + 8
+}
+
+/// A DAG row as the format spells it: op tag, declared operand count,
+/// operand ids.
+type Row<'a> = (u8, u32, &'a [u32]);
+
+/// `c.to_bytes()` with its binary-DAG section replaced by `rows`, cut after `keep` bytes of that
+/// section if given, and resealed.
+fn with_dag_rows(c: &Compiled, rows: &[Row<'_>], keep: Option<usize>) -> Vec<u8> {
+    let blob = c.to_bytes();
+    let start = dag_section_start(c);
+    let old_len = 8 + c
+        .bin_dag
+        .nodes()
+        .map(|n| 5 + 4 * c.bin_dag.preds(n).len())
+        .sum::<usize>();
+    assert_eq!(
+        blob[start..start + 8],
+        (c.bin_dag.len() as u64).to_le_bytes(),
+        "DAG section located"
+    );
+    let mut section = (rows.len() as u64).to_le_bytes().to_vec();
+    for &(tag, arity, preds) in rows {
+        section.push(tag);
+        section.extend_from_slice(&arity.to_le_bytes());
+        for p in preds {
+            section.extend_from_slice(&p.to_le_bytes());
+        }
+    }
+    let mut out = blob[..start].to_vec();
+    match keep {
+        Some(keep) => out.extend_from_slice(&section[..keep]),
+        None => {
+            out.extend_from_slice(&section);
+            out.extend_from_slice(&blob[start + old_len..]);
+        }
+    }
+    let len = out.len() as u64 - 24;
+    out[8..16].copy_from_slice(&len.to_le_bytes());
+    reseal(&mut out);
+    out
+}
+
+#[test]
+fn from_bytes_refuses_dag_rows_the_builder_refuses() {
+    let c = compiled(7, config(1, 0));
+    let refused_as_dag = |what: &str, blob: &[u8]| match Compiled::from_bytes(blob) {
+        Err(PersistError::Malformed(why)) => {
+            assert!(why.starts_with("dag:"), "{what}: refused for {why}")
+        }
+        other => panic!("{what}: {other:?}"),
+    };
+    refused_as_dag("no nodes", &with_dag_rows(&c, &[], None));
+    // Two inputs, then the row under test; tags 0 input, 1 add, 2 mul,
+    // 3 sub, 4 div.
+    let refused: [(&str, Row<'_>); 7] = [
+        ("forward operand", (1, 2, &[0, 3])),
+        ("self operand", (1, 2, &[2, 0])),
+        ("no operands", (2, 0, &[])),
+        ("input with operands", (0, 1, &[1])),
+        ("three-operand sub", (3, 3, &[0, 1, 0])),
+        ("three-operand div", (4, 3, &[1, 0, 1])),
+        ("one-operand div", (4, 1, &[1])),
+    ];
+    for (what, row) in refused {
+        refused_as_dag(
+            what,
+            &with_dag_rows(&c, &[(0, 0, &[]), (0, 0, &[]), row], None),
+        );
+    }
+    // The same rows, legal, get past the DAG section (and are refused
+    // later, for not being the DAG the program computes).
+    let blob = with_dag_rows(&c, &[(0, 0, &[]), (0, 0, &[]), (3, 2, &[1, 0])], None);
+    if let Err(PersistError::Malformed(why)) = Compiled::from_bytes(&blob) {
+        assert!(!why.starts_with("dag:"), "legal rows refused: {why}");
+    }
+}
+
+#[test]
+fn from_bytes_refuses_counts_past_the_end_without_allocating() {
+    let c = compiled(8, config(1, 0));
+    let two: &[u32] = &[0, 1];
+    // A blob that ends inside an operand list, after the first of two
+    // operands; then an operand count as large as a `u32` allows.
+    let rows = [(0, 0, &[][..]), (0, 0, &[][..]), (1, 2, two)];
+    let cut = 8 + 5 + 5 + 5 + 4;
+    let blob = with_dag_rows(&c, &rows, Some(cut));
+    assert_eq!(
+        Compiled::from_bytes(&blob).err(),
+        Some(PersistError::Truncated)
+    );
+    let rows = [(0, 0, &[][..]), (1, u32::MAX, two)];
+    let blob = with_dag_rows(&c, &rows, None);
+    assert_eq!(
+        Compiled::from_bytes(&blob).err(),
+        Some(PersistError::Truncated)
+    );
+    // A node count past the end of the blob.
+    let mut blob = c.to_bytes();
+    let start = dag_section_start(&c);
+    blob[start..start + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    reseal(&mut blob);
+    assert_eq!(
+        Compiled::from_bytes(&blob).err(),
+        Some(PersistError::Truncated)
+    );
 }
 
 /// A temporary spill directory for one test.
