@@ -2,9 +2,10 @@
 //! production-serving counterpart of the paper's §V-C2 batch mode).
 //!
 //! Serves ≥ 1000 requests drawn from three workload families — sparse
-//! (SpMV), SpTRSV, and probabilistic circuits — across ≥ 4 worker
-//! threads on the DPU-v2 (L) configuration, verifies the aggregate
-//! outputs are byte-identical to a serial reference pass, and emits one
+//! (SpMV), SpTRSV, and probabilistic circuits — through `Engine::serve`,
+//! on a dispatcher of ≥ 4 shards, on the DPU-v2 (L) configuration,
+//! verifies the aggregate outputs are byte-identical to a serial
+//! reference pass, and emits one
 //! JSON perf line with cache hit rate, simulated GOPS, and host
 //! wall-clock.
 //!
@@ -115,7 +116,7 @@ fn main() {
         n
     };
 
-    // Threaded serving pass.
+    // Dispatcher-backed serving pass.
     let engine = dpu.engine(opts.clone());
     let stream = build_stream(&engine, &fams);
     let report = engine.serve(&stream);
@@ -135,7 +136,7 @@ fn main() {
         let want_bits: Vec<u32> = want.outputs.iter().map(|v| v.to_bits()).collect();
         verified &= got_bits == want_bits && got.cycles == want.cycles;
     }
-    assert!(verified, "threaded outputs differ from serial reference");
+    assert!(verified, "served outputs differ from serial reference");
     assert!(
         report.cache.hit_rate() > 0.9,
         "cache hit rate {:.3} not > 0.9",

@@ -145,7 +145,8 @@ impl Dpu {
     }
 
     /// Builds a serving [`Engine`] for this instance: a compile-once
-    /// program cache plus a multi-threaded core pool (see `dpu-runtime`).
+    /// program cache whose `serve` runs a batch on a dispatcher of
+    /// `options.workers` shards (see `dpu-runtime`).
     /// Use this form to keep the engine alive across batches so the cache
     /// stays warm.
     pub fn engine(&self, options: EngineOptions) -> Engine {

@@ -14,10 +14,13 @@
 //! Contract every backend must honor (the dispatcher's determinism
 //! guarantees are built on it):
 //!
-//! - **Pure results.** [`Backend::execute`] must be a pure function of
-//!   (backend construction parameters, registered DAG, request inputs) —
-//!   no time-, scheduling- or history-dependence. The per-worker
-//!   [`Scratch`] exists *only* to reuse allocations.
+//! - **Pure results.** [`Backend::execute_round`]'s outcome for each
+//!   request must be a pure function of (backend construction parameters,
+//!   registered DAG, request inputs) — no time-, scheduling- or
+//!   history-dependence, and no dependence on the round's other members:
+//!   a request fails or succeeds alone, exactly as it would in a round of
+//!   its own. The per-worker [`Scratch`] exists *only* to reuse
+//!   allocations.
 //! - **Stable keys.** [`Backend::register`] must file the DAG under the
 //!   [`DagKey`] it is handed — the DAG's
 //!   [`dag_fingerprint`](crate::dag_fingerprint()), computed once by the
@@ -38,7 +41,7 @@
 //! priority-aware round selection happen in the dispatcher *before* a
 //! round reaches this seam. A job shed for a hopeless deadline is resolved
 //! ([`Outcome::Shed`](crate::Outcome)) without ever being passed to
-//! [`Backend::execute`], so a backend never sees — and never needs to
+//! [`Backend::execute_round`], so a backend never sees — and never needs to
 //! reason about — deadlines, priorities, or queue capacity.
 
 use std::any::Any;
@@ -110,36 +113,22 @@ pub trait Backend: Send + Sync {
     /// thread).
     fn scratch(&self) -> Scratch;
 
-    /// Executes one request.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServeError`].
-    fn execute(&self, scratch: &mut Scratch, request: &Request) -> Result<RunResult, ServeError>;
-
     /// Executes one dispatcher round's worth of requests, returning one
-    /// outcome per request in request order. The default loops
-    /// [`Backend::execute`], so simple backends need nothing extra;
-    /// backends with per-program setup cost may override it to amortize
-    /// that cost across the round's repeat-program requests ([`Engine`]
-    /// runs one pre-decoded program over all of a group's input sets).
+    /// outcome per request in request order — the backend's one execution
+    /// method. A backend with per-program setup cost amortizes it across
+    /// the round's repeat-program requests ([`Engine`] runs one
+    /// pre-decoded program over all of a group's input sets).
     ///
-    /// Overrides must preserve per-request semantics exactly: outcome
-    /// `i` must be byte-identical to what `execute` would return for
-    /// request `i` alone, including which requests fail — the purity
-    /// contract above applies to the round as a whole. Admission control
-    /// still happens in the dispatcher: a round reaching this seam
-    /// contains only jobs that passed the deadline gate.
+    /// Outcome `i` must be byte-identical to what a round of request `i`
+    /// alone returns, including whether it fails (see the purity contract
+    /// in the module docs). Admission control happens in the dispatcher: a
+    /// round reaching this seam contains only jobs that passed the
+    /// deadline gate.
     fn execute_round(
         &self,
         scratch: &mut Scratch,
         requests: &[&Request],
-    ) -> Vec<Result<RunResult, ServeError>> {
-        requests
-            .iter()
-            .map(|request| self.execute(scratch, request))
-            .collect()
-    }
+    ) -> Vec<Result<RunResult, ServeError>>;
 
     /// Modelled cycles one closed round costs on this platform, given
     /// each member's per-request cycles and the dispatcher's modelled
@@ -189,13 +178,6 @@ impl Backend for Engine {
 
     fn scratch(&self) -> Scratch {
         Box::new(Machine::new(*self.config()))
-    }
-
-    fn execute(&self, scratch: &mut Scratch, request: &Request) -> Result<RunResult, ServeError> {
-        let machine = scratch
-            .downcast_mut::<Machine>()
-            .expect("engine scratch is a Machine");
-        Engine::execute(self, machine, request)
     }
 
     fn execute_round(
@@ -321,23 +303,30 @@ impl Backend for BaselineBackend {
         Box::new(())
     }
 
-    fn execute(&self, _scratch: &mut Scratch, request: &Request) -> Result<RunResult, ServeError> {
+    fn execute_round(
+        &self,
+        _scratch: &mut Scratch,
+        requests: &[&Request],
+    ) -> Vec<Result<RunResult, ServeError>> {
         let dags = self.dags.read().expect("dag registry poisoned");
-        let entry = dags
-            .get(&request.dag)
-            .ok_or(ServeError::UnknownDag(request.dag))?;
-        let (dag, cycles, dag_ops) = (Arc::clone(&entry.dag), entry.cycles, entry.dag_ops);
-        drop(dags);
-        let run = self
-            .model
-            .execute(&dag, &request.inputs)
-            .map_err(ServeError::Inputs)?;
-        Ok(RunResult {
-            cycles,
-            outputs: run.outputs,
-            activity: Activity::default(),
-            dag_ops,
-        })
+        requests
+            .iter()
+            .map(|request| {
+                let entry = dags
+                    .get(&request.dag)
+                    .ok_or(ServeError::UnknownDag(request.dag))?;
+                let run = self
+                    .model
+                    .execute(&entry.dag, &request.inputs)
+                    .map_err(ServeError::Inputs)?;
+                Ok(RunResult {
+                    cycles: entry.cycles,
+                    outputs: run.outputs,
+                    activity: Activity::default(),
+                    dag_ops: entry.dag_ops,
+                })
+            })
+            .collect()
     }
 
     fn round_cycles(&self, costs: &[u64], _cores: usize) -> u64 {
@@ -395,10 +384,11 @@ mod tests {
         assert_eq!(backend.platform(), "dpu_v2");
         let key = register(backend, small_dag());
         let mut scratch = backend.scratch();
-        let got = backend
-            .execute(&mut scratch, &Request::new(key, vec![2.0, 3.0]))
-            .unwrap();
-        assert_eq!(got.outputs, vec![25.0]);
+        let request = Request::new(key, vec![2.0, 3.0]);
+        let got = backend.execute_round(&mut scratch, &[&request]);
+        let mut machine = Machine::new(*engine.config());
+        assert_eq!(got, engine.execute_round(&mut machine, &[&request]));
+        assert_eq!(got[0].as_ref().unwrap().outputs, vec![25.0]);
         assert_eq!(
             backend.steal_class(),
             StealClass::Sim(*engine.config()),
@@ -417,7 +407,8 @@ mod tests {
         assert_eq!(register(&backend, dag.clone()), key);
         let mut scratch = backend.scratch();
         let got = backend
-            .execute(&mut scratch, &Request::new(key, vec![2.0, 3.0]))
+            .execute_round(&mut scratch, &[&Request::new(key, vec![2.0, 3.0])])
+            .remove(0)
             .unwrap();
         assert_eq!(
             got.outputs,
@@ -431,19 +422,35 @@ mod tests {
         assert_eq!(backend.power_w(), Some(BaselineModel::cpu().power_w()));
     }
 
+    /// One round mixing good requests with an unknown DAG and a
+    /// wrong-arity request: only the bad members fail, and the good ones
+    /// get the reference evaluator's outputs.
     #[test]
     fn baseline_backend_rejects_unknown_dag_and_bad_arity() {
+        let dag = small_dag();
         let backend = BaselineBackend::new(BaselineModel::gpu(), 300e6);
-        let mut scratch = backend.scratch();
-        let err = backend
-            .execute(&mut scratch, &Request::new(DagKey(0xbad), vec![]))
-            .unwrap_err();
-        assert!(matches!(err, ServeError::UnknownDag(_)));
-        let key = register(&backend, small_dag());
-        let err = backend
-            .execute(&mut scratch, &Request::new(key, vec![1.0]))
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Inputs(_)));
+        let key = register(&backend, dag.clone());
+        let round = [
+            Request::new(key, vec![2.0, 3.0]),
+            Request::new(DagKey(0xbad), vec![]),
+            Request::new(key, vec![-1.0, 0.5]),
+            Request::new(key, vec![1.0]),
+            Request::new(key, vec![4.0, 4.0]),
+        ];
+        let refs: Vec<&Request> = round.iter().collect();
+        let outcomes = backend.execute_round(&mut backend.scratch(), &refs);
+        assert_eq!(outcomes.len(), round.len());
+        for (i, (outcome, request)) in outcomes.into_iter().zip(&round).enumerate() {
+            match i {
+                1 => assert!(matches!(outcome, Err(ServeError::UnknownDag(_)))),
+                3 => assert!(matches!(outcome, Err(ServeError::Inputs(_)))),
+                _ => assert_eq!(
+                    outcome.unwrap().outputs,
+                    eval::evaluate_sinks(&dag, &request.inputs).unwrap(),
+                    "member {i}"
+                ),
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! closing, key-affinity routing, work stealing, and live DPU-vs-baseline
 //! mirroring.
 //!
-//! The [`Dispatcher`] is the layer above the execution backends: where an
-//! engine serves a pre-collected slice of requests, the dispatcher
-//! accepts requests **continuously** through [`Submitter`] handles and
-//! serves them across `N` shards. A shard is any [`Backend`]: a simulated
+//! The [`Dispatcher`] is the layer above the execution backends and the
+//! runtime's one serving stack: it accepts requests **continuously**
+//! through [`Submitter`] handles and serves them across `N` shards
+//! ([`Engine::serve`] is a dispatcher fed a pre-collected slice, flushed
+//! and waited). A shard is any [`Backend`]: a simulated
 //! DPU-v2 [`Engine`] (replicas of one [`ArchConfig`], or distinct
 //! configuration points — see [`Dispatcher::with_configs`]) or an
 //! analytic baseline platform

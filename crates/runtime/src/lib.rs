@@ -24,11 +24,14 @@
 //!   engine shards of a [`Dispatcher`] are siblings over **one**
 //!   ([`Engine::sharing`], [`engine_shards`]), so a DAG is registered,
 //!   compiled and decoded once per dispatcher, not once per shard.
-//! - [`Engine`] fans a stream of [`Request`]s out over `N` host worker
-//!   threads. Each worker owns one reusable [`Machine`](dpu_sim::Machine)
-//!   and calls [`Machine::reset`](dpu_sim::Machine::reset) between
-//!   requests, so the hot path allocates nothing per request. Results are
-//!   byte-identical to serial execution regardless of worker count.
+//! - [`Engine`] is the one executor: [`Engine::execute_round`] runs a
+//!   round's requests grouped by DAG, one pre-decoded program over up to
+//!   eight input sets per pass, on a caller-owned
+//!   [`Machine`](dpu_sim::Machine). [`Engine::serve`] spawns nothing of its
+//!   own: it serves a slice of [`Request`]s on a [`Dispatcher`] of
+//!   [`EngineOptions::workers`] sibling shards, so a batch runs in grouped
+//!   rounds. Results are byte-identical to serial execution regardless of
+//!   shard count.
 //! - [`Dispatcher`] is the async layer above the engine: [`Submitter`]
 //!   handles feed requests continuously through a channel, rounds close
 //!   adaptively under a latency budget ([`DispatchOptions::max_wait`] /

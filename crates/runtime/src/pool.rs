@@ -1,31 +1,28 @@
 //! The serving engine: a program store (the registry of DAGs plus the
 //! shared program cache — [`ProgramStore`], one per engine or one per
-//! dispatcher) and a pool of host worker threads each owning one reusable
-//! machine.
+//! dispatcher) and the one executor every serving path runs through.
 //!
-//! Execution model: host workers (`EngineOptions::workers` threads) pull
-//! requests from a shared queue, compile and decode through the
-//! [`ProgramCache`] on first touch, and run the pre-decoded program on
-//! their private [`Machine`] (reset, not reallocated, between requests).
-//! There is one executor: [`Engine::execute`], [`Engine::serve`] and the
-//! dispatcher all go through [`Engine::execute_round`]. Only
-//! [`Engine::serve_serial`] — the reference pass — interprets. The
-//! *modelled*
-//! hardware parallelism — the paper's DPU-v2 (L) cores — is accounted
-//! separately by [`plan_rounds`]: host threads decide how fast the
-//! simulation runs on this machine, cores decide how many simulated
-//! cycles the batch takes on the modelled accelerator.
+//! Execution model: [`Engine::execute_round`] groups a round's requests
+//! by DAG, compiles and decodes through the [`ProgramCache`] on first
+//! touch, and runs each group's pre-decoded program over all of its input
+//! sets on one caller-owned [`Machine`]. The engine spawns no thread of
+//! its own: [`Engine::serve`] submits a stream to a [`Dispatcher`] of
+//! `EngineOptions::workers` sibling shards over this engine's store, which
+//! closes it into rounds. Only [`Engine::serve_serial`] — the reference
+//! pass — interprets. The *modelled* hardware parallelism — the paper's
+//! DPU-v2 (L) cores — is accounted separately by [`plan_rounds`]: shards
+//! decide how fast the simulation runs on this machine, cores decide how
+//! many simulated cycles the batch takes on the modelled accelerator.
 //!
 //! Determinism: a request's [`RunResult`] depends only on its compiled
 //! program and inputs (compilation is seeded and deterministic, and a
-//! reset machine is indistinguishable from a fresh one), so serving the
-//! same request stream with 1 or `N` workers produces byte-identical
+//! group member's result is the one it would get alone), so serving the
+//! same request stream with 1 or `N` shards produces byte-identical
 //! outputs in the same order. `Engine::serve` relies on nothing
 //! time- or scheduling-dependent except the host wall-clock it reports.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use dpu_compiler::{CompileError, CompileOptions, Compiled};
@@ -34,7 +31,10 @@ use dpu_isa::ArchConfig;
 use dpu_sim::{run_decoded_group, run_on, Activity, DecodedProgram, Machine, RunResult, SimError};
 use serde::{Deserialize, Serialize};
 
+use crate::backend::Backend;
 use crate::cache::{read, write, CacheStats, ProgramCache, SpillStore};
+use crate::dispatch::{DispatchOptions, Dispatcher};
+use crate::ingest::{Outcome, Ticket};
 use crate::planner::{plan_rounds, BatchPlan};
 use crate::{dag_fingerprint, DagKey, DPU_V2_L_CORES};
 
@@ -57,7 +57,8 @@ impl Request {
 /// Engine sizing knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Host worker threads simulating requests in parallel.
+    /// Dispatcher shards [`Engine::serve`] runs a batch on, each a host
+    /// thread simulating rounds in parallel.
     pub workers: usize,
     /// Modelled DPU-v2 parallel cores for the batch plan (the paper's
     /// (L) configuration has [`DPU_V2_L_CORES`]).
@@ -98,13 +99,10 @@ pub enum ServeError {
     /// Compilation of a registered DAG failed.
     Compile(CompileError),
     /// Simulation of one request failed (always a compiler/runtime bug,
-    /// never a data-dependent condition — see [`SimError`]).
-    Sim {
-        /// Index of the failing request in the served stream.
-        request: usize,
-        /// The underlying simulator error.
-        error: SimError,
-    },
+    /// never a data-dependent condition — see [`SimError`]). Which request
+    /// is the caller's to know: [`ServingReport::failures`] pairs each
+    /// error with its stream index.
+    Sim(SimError),
     /// A backend rejected the request's inputs (arity mismatch against
     /// the registered DAG) — raised by an engine before it stages a round,
     /// and by analytic baseline backends, which evaluate through the
@@ -125,9 +123,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::UnknownDag(k) => write!(f, "unknown DAG {k}"),
             ServeError::Compile(e) => write!(f, "compile failed: {e}"),
-            ServeError::Sim { request, error } => {
-                write!(f, "request {request}: simulation failed: {error}")
-            }
+            ServeError::Sim(e) => write!(f, "simulation failed: {e}"),
             ServeError::Inputs(e) => write!(f, "inputs rejected: {e:?}"),
             ServeError::ShardLost { shard } => write!(
                 f,
@@ -149,10 +145,9 @@ impl From<CompileError> for ServeError {
 ///
 /// Failures do not fate-share: a failing request lands in
 /// [`ServingReport::failures`] while its co-batched successes keep their
-/// results — the same per-request isolation the async
-/// [`Ticket`](crate::Ticket) path has always had. When `failures` is
-/// empty (the common case), `results[i]` corresponds to request `i`
-/// exactly as a serial pass would produce it.
+/// results: [`Engine::serve`] waits one [`Ticket`] per request. When
+/// `failures` is empty (the common case), `results[i]` corresponds to
+/// request `i` exactly as a serial pass would produce it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// Results of the successful requests, in request order — identical
@@ -160,7 +155,7 @@ pub struct ServingReport {
     pub results: Vec<RunResult>,
     /// Failed requests as `(stream index, error)`, index-ascending.
     /// Deterministic: which requests fail depends only on the stream,
-    /// never on worker interleaving.
+    /// never on shard interleaving.
     pub failures: Vec<(usize, ServeError)>,
     /// Sum of all per-request activity counters.
     pub activity: Activity,
@@ -171,7 +166,7 @@ pub struct ServingReport {
     pub plan: BatchPlan,
     /// Program-cache statistics accumulated on this engine so far.
     pub cache: CacheStats,
-    /// Host worker threads used.
+    /// Dispatcher shards used (1 for the serial pass).
     pub workers: usize,
     /// Host wall-clock seconds for the whole batch.
     pub host_seconds: f64,
@@ -266,8 +261,8 @@ impl ProgramStore {
 }
 
 /// The serving engine. All methods take `&self`; an `Engine` can be
-/// shared across threads (`Engine: Sync`) and serves batches through its
-/// internal worker pool.
+/// shared across threads (`Engine: Sync`) and is itself a dispatcher
+/// shard ([`Backend`]).
 pub struct Engine {
     config: ArchConfig,
     options: EngineOptions,
@@ -385,62 +380,63 @@ impl Engine {
         self.store.stats()
     }
 
-    /// Serves `requests` across the engine's worker threads — each worker
-    /// owns one machine and calls [`Engine::execute`] per request — and
-    /// packs the results into a batch plan over the modelled cores.
+    /// Serves `requests` on a [`Dispatcher`] of `workers` sibling shards
+    /// over this engine's program store (no more shards than requests): the
+    /// stream is submitted, flushed into rounds — each round runs a
+    /// program once per eight of its same-DAG requests
+    /// ([`Engine::execute_round`]) — and the tickets are waited in order.
+    /// The results are packed into a batch plan over the modelled cores.
     ///
     /// Outputs are byte-identical to [`Engine::serve_serial`] on the same
-    /// stream — worker count affects only host wall-clock, and the
-    /// executor (decoded here, interpreted there) affects nothing.
+    /// stream — shard count and round grouping affect only host
+    /// wall-clock, and the executor (decoded here, interpreted there)
+    /// affects nothing.
     ///
     /// Failures are isolated per request, never fate-shared across a
     /// batch: every failing request is reported in
     /// [`ServingReport::failures`] and every other request keeps its
-    /// result, matching the async [`Ticket`](crate::Ticket) path's
-    /// semantics.
+    /// result. A shard that panics is contained by the dispatcher like any
+    /// other: its rounds are recovered onto a surviving shard, or their
+    /// requests fail as [`ServeError::ShardLost`].
     pub fn serve(&self, requests: &[Request]) -> ServingReport {
         let started = Instant::now();
         let workers = self.options.workers.clamp(1, requests.len().max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<RunResult, ServeError>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut machine = Machine::new(self.config);
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= requests.len() {
-                            break;
-                        }
-                        let mut outcome = self.execute(&mut machine, &requests[idx]);
-                        if let Err(ServeError::Sim { request, .. }) = &mut outcome {
-                            *request = idx; // `execute` cannot know the stream position
-                        }
-                        *slots[idx].lock().expect("result slot poisoned") = Some(outcome);
-                    }
-                });
-            }
-        });
-
+        let shards = (0..workers)
+            .map(|_| Arc::new(self.sharing(self.config)) as Arc<dyn Backend>)
+            .collect();
+        let dispatcher = Dispatcher::with_backends(
+            shards,
+            Vec::new(),
+            DispatchOptions {
+                cores: self.options.cores.max(1),
+                ..Default::default()
+            },
+        );
+        let submitter = dispatcher.submitter();
+        let tickets: Vec<Ticket> = requests
+            .iter()
+            .map(|request| {
+                submitter
+                    .submit(request.clone())
+                    .expect("an open, unbounded dispatcher accepts")
+            })
+            .collect();
+        dispatcher.flush();
         let mut results = Vec::with_capacity(requests.len());
         let mut failures = Vec::new();
-        for (idx, slot) in slots.into_iter().enumerate() {
-            match slot
-                .into_inner()
-                .expect("result slot poisoned")
-                .expect("every request was executed")
-            {
-                Ok(result) => results.push(result),
-                Err(e) => failures.push((idx, e)),
+        for (idx, ticket) in tickets.into_iter().enumerate() {
+            match ticket.wait() {
+                Outcome::Completed(result) => results.push(result),
+                Outcome::Failed(e) => failures.push((idx, e)),
+                Outcome::Shed { reason } => unreachable!("no deadline, yet shed: {reason}"),
             }
         }
+        dispatcher.shutdown();
         self.finish_report(results, failures, workers, started)
     }
 
     /// Serves `requests` strictly serially on one reusable machine — *the
-    /// reference pass* that threaded serving and the dispatcher are
+    /// reference pass* that [`Engine::serve`] and the dispatcher are
     /// verified against. It is deliberately the one caller of the oracle
     /// interpreter ([`dpu_sim::run_on`]) outside tests: every
     /// "byte-identical to serial" assertion in the test suite and the bench
@@ -455,15 +451,12 @@ impl Engine {
         let started = Instant::now();
         let mut machine = Machine::new(self.config);
         let mut results = Vec::with_capacity(requests.len());
-        for (idx, request) in requests.iter().enumerate() {
+        for request in requests {
             let key = request.dag;
             let dag = self.dag(key).ok_or(ServeError::UnknownDag(key))?;
             let compiled = self.store.cache.get_or_compile(&dag, key, &self.config)?;
             let run = run_on(&mut machine, &compiled, &request.inputs);
-            results.push(run.map_err(|error| ServeError::Sim {
-                request: idx,
-                error,
-            })?);
+            results.push(run.map_err(ServeError::Sim)?);
         }
         Ok(self.finish_report(results, Vec::new(), 1, started))
     }
@@ -476,8 +469,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// See [`ServeError`]; a [`ServeError::Sim`] carries request index 0
-    /// (there is no stream here).
+    /// See [`ServeError`].
     pub fn execute(
         &self,
         machine: &mut Machine,
@@ -491,7 +483,7 @@ impl Engine {
     /// Executes one dispatcher round's worth of requests on one
     /// caller-owned machine, returning per-request outcomes in request
     /// order — the one-program/many-inputs hot path behind
-    /// [`Backend::execute_round`](crate::Backend::execute_round).
+    /// [`Backend::execute_round`].
     ///
     /// The round is grouped by [`Request::dag`] (first-appearance order)
     /// and each group runs its **pre-decoded** program (one visit to its
@@ -544,8 +536,7 @@ impl Engine {
                         idxs.iter().map(|&i| &requests[i].inputs[..]).collect();
                     let runs = run_decoded_group(machine, &compiled, &decoded, &inputs);
                     for (i, run) in idxs.into_iter().zip(runs) {
-                        outcomes[i] =
-                            Some(run.map_err(|error| ServeError::Sim { request: 0, error }));
+                        outcomes[i] = Some(run.map_err(ServeError::Sim));
                     }
                 }
                 Err(e) => {
@@ -563,15 +554,11 @@ impl Engine {
 
     /// Everything a group of `requests` requests for `key` runs, in one
     /// registry read and one visit to the program's cache slot (compiled
-    /// and decoded on first use).
-    ///
-    /// Errors use the same shapes as [`Engine::execute`] — a
-    /// [`ServeError::Sim`] carries request index 0, since there is no
-    /// stream here.
+    /// and decoded on first use), with the errors of [`Engine::execute`].
     fn decoded_for(&self, key: DagKey, requests: u64) -> Result<GroupProgram, ServeError> {
         let dag = self.dag(key).ok_or(ServeError::UnknownDag(key))?;
         let (compiled, decoded) = self.store.cache.lookup(&dag, key, &self.config, requests)?;
-        let decoded = decoded.map_err(|error| ServeError::Sim { request: 0, error })?;
+        let decoded = decoded.map_err(ServeError::Sim)?;
         Ok((dag, compiled, decoded))
     }
 
@@ -743,10 +730,7 @@ mod tests {
                     };
                     assert_eq!(
                         outcome,
-                        Err(ServeError::Sim {
-                            request: 0,
-                            error: want
-                        }),
+                        Err(ServeError::Sim(want)),
                         "round {round}, member {i} of the refused group"
                     );
                 } else {
@@ -810,6 +794,25 @@ mod tests {
         assert_eq!(a.register(simple_dag(1)), k);
         let report = a.serve(&[Request::new(k, vec![1.0, 2.0])]);
         assert_eq!(report.results[0].outputs, vec![6.0]);
+    }
+
+    /// The batch plan has always read zero modelled cores as one; the
+    /// dispatcher `serve` runs on refuses zero, so `serve` passes it one.
+    #[test]
+    fn zero_cores_serve_as_one() {
+        let e = Engine::new(
+            ArchConfig::new(2, 8, 16).unwrap(),
+            CompileOptions::default(),
+            EngineOptions {
+                workers: 2,
+                cores: 0,
+                ..Default::default()
+            },
+        );
+        let k = e.register(simple_dag(0));
+        let report = e.serve(&[Request::new(k, vec![1.0, 2.0])]);
+        assert_eq!(report.results[0].outputs, vec![3.0]);
+        assert_eq!(report.plan.cores, 1);
     }
 
     #[test]

@@ -420,12 +420,16 @@ impl Backend for PanicBackend {
     fn scratch(&self) -> Scratch {
         self.inner.scratch()
     }
-    fn execute(&self, scratch: &mut Scratch, request: &Request) -> Result<RunResult, ServeError> {
+    fn execute_round(
+        &self,
+        scratch: &mut Scratch,
+        requests: &[&Request],
+    ) -> Vec<Result<RunResult, ServeError>> {
         assert!(
-            request.inputs.first() != Some(&666.0),
+            requests.iter().all(|r| r.inputs.first() != Some(&666.0)),
             "poison request reached the backend"
         );
-        self.inner.execute(scratch, request)
+        self.inner.execute_round(scratch, requests)
     }
     fn round_cycles(&self, costs: &[u64], cores: usize) -> u64 {
         self.inner.round_cycles(costs, cores)

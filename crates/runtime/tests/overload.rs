@@ -523,9 +523,6 @@ impl Backend for SlowBackend {
     fn scratch(&self) -> Scratch {
         self.inner.scratch()
     }
-    fn execute(&self, scratch: &mut Scratch, request: &Request) -> Result<RunResult, ServeError> {
-        self.inner.execute(scratch, request)
-    }
     fn execute_round(
         &self,
         scratch: &mut Scratch,

@@ -583,22 +583,16 @@ impl Machine {
     /// A decoded program *is* a schedule resolved from power-on, so the
     /// run neither reads nor updates the register file [`Machine::step`]
     /// drives, and the cycle count and counters it leaves are the
-    /// program's, not added to what was there.
-    ///
-    /// # Errors
-    ///
-    /// None: every fault a run could meet was raised by
-    /// [`DecodedProgram::decode`]. The `Result` is the signature callers
-    /// were written against.
+    /// program's, not added to what was there. It cannot fail: every
+    /// fault a run could meet was raised by [`DecodedProgram::decode`].
     ///
     /// # Panics
     ///
     /// Panics if the machine's configuration differs from the one the
     /// program was decoded for ([`crate::run_decoded_on`] re-builds the
     /// machine instead of panicking).
-    pub fn run_decoded(&mut self, prog: &DecodedProgram) -> Result<(), SimError> {
+    pub fn run_decoded(&mut self, prog: &DecodedProgram) {
         self.scalar.run_decoded(prog);
-        Ok(())
     }
 }
 

@@ -13,7 +13,8 @@ use dpu_core::{energy, runtime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A persistent engine on DPU-v2 (L): the cache stays warm across
-    // batches, the worker pool owns one reusable machine per thread.
+    // batches, and each batch runs on a dispatcher of four shards, each
+    // owning one reusable machine.
     let dpu = Dpu::large();
     let engine = dpu.engine(EngineOptions {
         workers: 4,
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let freq = energy::calib::FREQ_HZ;
     println!("\n== serving report ==");
     println!("requests served      : {}", report.results.len());
-    println!("host workers         : {}", report.workers);
+    println!("dispatcher shards    : {}", report.workers);
     println!("host wall-clock      : {:.1} ms", report.host_seconds * 1e3);
     println!(
         "host throughput      : {:.0} req/s",

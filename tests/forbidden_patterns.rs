@@ -7,8 +7,9 @@
 //! channel, behind the admission gate), a condvar is signalled only when
 //! a thread waits on it, the oracle interpreter stays off
 //! every production path, the dispatcher keeps one path that shares
-//! rounds instead of copying them, a dispatcher's engine shards are built
-//! in one place over one program store, the register file's write policy
+//! rounds instead of copying them and is the runtime's one serving stack
+//! (the only place it spawns threads), a dispatcher's engine shards are
+//! built in one place over one program store, the register file's write policy
 //! stays stated once, the compiler's passes keep no table whose order
 //! depends on the process and no ordered map on their hot path, and
 //! FNV-1a is implemented once.
@@ -298,15 +299,20 @@ fn groups_run_as_lane_chunks_not_one_request_at_a_time() {
 fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
     // A closed round is immutable and shared by `Arc`: a lease, a hedge
     // or a recovery requeue is another handle to it, never a copy of its
-    // request payloads. The one sanctioned payload copy is the mirror
+    // request payloads. Two payload copies are sanctioned: the mirror
     // fan-out in `ingest_loop` — one copy per mirror shard is the
-    // feature. And claims and leases are always on: the names the
+    // feature — and `Engine::serve`, which borrows its stream while
+    // `submit` takes each request by value, one copy per request at the
+    // edge. And claims and leases are always on: the names the
     // supervised/default fork was built from must not come back.
     let files = rust_sources(&repo_root().join("crates/runtime/src"));
     let mut hits = offenders_outside_fns(
         &files,
         &["request.clone()"],
-        &[("dispatch.rs", "fn ingest_loop(")],
+        &[
+            ("dispatch.rs", "fn ingest_loop("),
+            ("pool.rs", "pub fn serve("),
+        ],
     );
     hits.extend(offenders_outside_fns(
         &files,
@@ -316,6 +322,36 @@ fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
     assert!(
         hits.is_empty(),
         "dpu-runtime must not copy a round's payloads or re-grow the dispatch fork:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn runtime_spawns_threads_only_in_the_dispatcher() {
+    // There is one serving stack: the `Dispatcher`'s ingest, shard and
+    // supervisor threads. `Engine::serve` submits to a dispatcher instead
+    // of running a pool of its own (it had a `thread::scope` one, with
+    // every request run alone, one lane wide). A thread spawned anywhere
+    // else in the runtime's production code is a second stack growing
+    // back. Unit tests below a file's `#[cfg(test)]` may spawn what they
+    // like.
+    let mut hits = Vec::new();
+    for path in rust_sources(&repo_root().join("crates/runtime/src")) {
+        if path.ends_with("dispatch.rs") {
+            continue;
+        }
+        let text = fs::read_to_string(&path).expect("source file is UTF-8");
+        let production = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+        for (idx, line) in production.enumerate() {
+            let spawns = ["thread::scope", "thread::spawn", "thread::Builder"];
+            if spawns.iter().any(|p| line.contains(p)) {
+                hits.push(format!("{}:{}: {}", path.display(), idx + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "dpu-runtime spawns threads in dispatch.rs only — serve through a Dispatcher:\n{}",
         hits.join("\n")
     );
 }
