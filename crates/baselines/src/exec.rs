@@ -1,5 +1,6 @@
-//! DAG-level execution API over the analytic platform models — the seam
-//! the serving runtime's multi-backend dispatch plugs into.
+//! DAG-level execution API over the analytic platform models — what the
+//! serving runtime prices served traffic with
+//! (`dpu_runtime::PlatformSummary::modelled`).
 //!
 //! The per-platform modules ([`cpu`](crate::cpu), [`gpu`](crate::gpu),
 //! [`dpu_v1`](crate::dpu_v1), [`spu`](crate::spu)) answer "how long would
@@ -16,7 +17,8 @@
 //!
 //! Everything here is a pure function of (model parameters, DAG
 //! structure, inputs): repeated executions are deterministic, which is
-//! what lets the serving runtime gate multi-backend comparisons in CI.
+//! what lets the serving runtime compute a baseline's cost for served
+//! traffic instead of executing it, and CI gate the result.
 
 use dpu_dag::{eval, Dag, DagError};
 
@@ -42,8 +44,7 @@ pub struct BaselineRun {
 ///
 /// Constructed from published defaults ([`BaselineModel::cpu`] etc.) or
 /// from explicit model parameters; two values compare equal iff they
-/// model the same platform with the same parameters, which is the
-/// identity the runtime's work-stealing classes key on.
+/// model the same platform with the same parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BaselineModel {
     /// 18-core Xeon running GRAPHOPT super-layers.

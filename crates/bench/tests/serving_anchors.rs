@@ -2,10 +2,10 @@
 //!
 //! One 600-request stream over three families (a probabilistic circuit, an
 //! SpTRSV and an SpMV DAG) is served on DPU-v2 (L) four ways: a 4-shard
-//! dispatcher with rounds closed by size or flush only, a 2-primary
-//! dispatcher mirrored by the CPU and GPU models, fixed 32-request rounds
-//! through `Engine::execute_round`, and a cold → restarted → pre-warmed
-//! engine over one spill directory. Routing, round composition, the
+//! dispatcher with rounds closed by size or flush only, a 2-shard one whose
+//! served traffic is then priced on the CPU and GPU models, fixed
+//! 32-request rounds through `Engine::execute_round`, and a cold →
+//! restarted → pre-warmed engine over one spill directory. Routing, round composition, the
 //! program cache and the modelled clock are then pure functions of the
 //! stream, so every number below is exact: floats are compared with
 //! `assert_eq!`, never a tolerance. A deliberate model change updates the
@@ -19,6 +19,7 @@ use std::time::Duration;
 
 use dpu_core::energy::calib::FREQ_HZ;
 use dpu_core::prelude::*;
+use dpu_core::runtime::dag_fingerprint;
 use dpu_core::sim::Machine;
 use dpu_core::workloads::pc::{generate_pc, pc_inputs, PcParams};
 use dpu_core::workloads::sparse::{generate_lower_triangular, LowerTriangularParams, SpmvDag};
@@ -180,39 +181,40 @@ fn four_shard_dispatch_pins_gops_latency_and_routing() {
     );
 }
 
+/// The DPU-v2 row is a 2-shard run's own; the CPU and GPU rows price the
+/// same served traffic — each family's DAG times its completions — on the
+/// analytic models, which is what shadowing every request on a baseline
+/// shard used to measure.
 #[test]
 fn mirrored_cpu_and_gpu_shards_pin_per_platform_gops() {
-    let baselines: Vec<BaselineModel> = ["cpu", "gpu"]
+    let f = fixture();
+    let report = serve_checked(Dpu::large().dispatcher(deterministic(2)), "2-shard");
+    let served: Vec<(&Dag, u64)> = f
+        .dags
         .iter()
-        .map(|n| BaselineModel::by_name(n).expect("known platform"))
-        .collect();
-    let report = serve_checked(
-        Dpu::large().mirrored_dispatcher(deterministic(2), &baselines),
-        "mirrored",
-    );
-    assert_eq!(
-        report.mirrored, 1_200,
-        "every baseline shadowed every request"
-    );
-    let rows: Vec<(&str, bool, u64, u64, f64)> = report
-        .platforms()
-        .iter()
-        .map(|p| {
-            (
-                p.platform,
-                p.mirror,
-                p.modelled_cycles,
-                p.dag_ops,
-                p.gops(FREQ_HZ),
-            )
+        .map(|dag| {
+            let key = dag_fingerprint(dag);
+            let count = f.requests.iter().filter(|r| r.dag == key).count();
+            (dag, count as u64)
         })
         .collect();
+    let mut rows: Vec<(&str, u64, u64, f64)> = vec![(
+        "dpu_v2",
+        report.modelled_cycles(),
+        report.total_dag_ops(),
+        report.gops(FREQ_HZ),
+    )];
+    for name in ["cpu", "gpu"] {
+        let model = BaselineModel::by_name(name).expect("known platform");
+        let p = PlatformSummary::modelled(&model, &served, FREQ_HZ);
+        rows.push((p.platform, p.modelled_cycles, p.dag_ops, p.gops(FREQ_HZ)));
+    }
     assert_eq!(
         rows,
         [
-            ("dpu_v2", false, 14_218, 954_736, 20.144943029962022),
-            ("cpu", true, 484_212, 954_736, 0.5915194171148175),
-            ("gpu", true, 4_542_258, 954_736, 0.06305692014852525),
+            ("dpu_v2", 14_218, 954_736, 20.144943029962022),
+            ("cpu", 484_212, 954_736, 0.5915194171148175),
+            ("gpu", 4_542_258, 954_736, 0.06305692014852525),
         ]
     );
 }

@@ -41,17 +41,11 @@ pub use dpu_sim as sim;
 pub use dpu_verify as verify;
 pub use dpu_workloads as workloads;
 
-use std::sync::Arc;
-
-use dpu_baselines::BaselineModel;
 use dpu_compiler::{compile, CompileError, CompileOptions, Compiled};
 use dpu_dag::Dag;
 use dpu_energy::Metrics;
 use dpu_isa::ArchConfig;
-use dpu_runtime::{
-    Backend, BaselineBackend, DispatchOptions, Dispatcher, Engine, EngineOptions, Request,
-    ServingReport,
-};
+use dpu_runtime::{DispatchOptions, Dispatcher, Engine, EngineOptions, Request, ServingReport};
 use dpu_sim::{RunResult, SimError, VerifyReport};
 
 /// Convenience prelude: the types most programs need.
@@ -63,11 +57,11 @@ pub mod prelude {
     pub use dpu_energy::Metrics;
     pub use dpu_isa::{ArchConfig, Topology};
     pub use dpu_runtime::{
-        Backend, BaselineBackend, CacheStats, ChaosEvent, ChaosPlan, ClassReport, DagKey,
-        DispatchOptions, DispatchReport, Dispatcher, Engine, EngineOptions, HedgeOptions,
-        LatencyHistogram, LatencyReport, Outcome, PlatformSummary, Priority, ProgramCache,
-        ProgramStore, Request, ServeError, ServingReport, ShedReason, SpillStore, StealClass,
-        SubmitAllError, SubmitOptions, SubmitRejection, Submitter, Ticket, Timeline,
+        Backend, CacheStats, ChaosEvent, ChaosPlan, ClassReport, DagKey, DispatchOptions,
+        DispatchReport, Dispatcher, Engine, EngineOptions, HedgeOptions, LatencyHistogram,
+        LatencyReport, Outcome, PlatformSummary, Priority, ProgramCache, ProgramStore, Request,
+        ServeError, ServingReport, ShedReason, SpillStore, SubmitAllError, SubmitOptions,
+        SubmitRejection, Submitter, Ticket, Timeline,
     };
     pub use dpu_sim::{RunResult, VerifyReport};
     // The static analyzer's report type stays behind its crate path
@@ -164,40 +158,6 @@ impl Dpu {
         Dispatcher::new(self.config, self.options.clone(), options)
     }
 
-    /// Builds an async sharded [`Dispatcher`] of `options.shards` DPU-v2
-    /// engine shards (over one program store, as [`Dpu::dispatcher`]'s)
-    /// that is **shadowed** by one analytic baseline shard
-    /// per entry of `baselines` (CPU / GPU / DPU-v1 / SPU models from
-    /// `dpu-baselines`): every accepted request is served by a DPU shard
-    /// (tickets, byte-identical results) *and* replayed ticketlessly on
-    /// each baseline, so
-    /// [`DispatchReport::platforms`](dpu_runtime::DispatchReport::platforms)
-    /// reports live per-platform throughput/GOPS/EDP for the same
-    /// traffic — the paper's §V-C comparison at serving time. Baseline
-    /// model seconds are expressed in cycles of the DPU reference clock
-    /// ([`energy::calib::FREQ_HZ`](dpu_energy::calib)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options.shards == 0`, `options.max_batch == 0` or
-    /// `options.cores == 0`.
-    pub fn mirrored_dispatcher(
-        &self,
-        options: DispatchOptions,
-        baselines: &[BaselineModel],
-    ) -> Dispatcher {
-        assert!(options.shards > 0, "at least one shard required");
-        let configs = vec![self.config; options.shards];
-        let primaries = dpu_runtime::engine_shards(&configs, self.options.clone(), &options);
-        let mirrors: Vec<Arc<dyn Backend>> = baselines
-            .iter()
-            .map(|&m| {
-                Arc::new(BaselineBackend::new(m, dpu_energy::calib::FREQ_HZ)) as Arc<dyn Backend>
-            })
-            .collect();
-        Dispatcher::with_backends(primaries, mirrors, options)
-    }
-
     /// One-call batch serving: registers `dags`, then serves `requests`
     /// given as `(dag index, inputs)` pairs. Outputs are byte-identical
     /// to running each request serially through [`Dpu::execute`];
@@ -283,23 +243,22 @@ mod tests {
         assert_eq!(report.served, 9);
     }
 
+    /// The baselines are priced on what a dispatcher served, not served:
+    /// every row divides the DPU's operations by its own modelled time.
     #[test]
-    fn facade_mirrors_baselines() {
+    fn facade_prices_baselines() {
         let mut b = DagBuilder::new();
         let x = b.input();
         let y = b.input();
         b.node(Op::Add, &[x, y]).unwrap();
         let dag = b.finish().unwrap();
         let dpu = Dpu::new(ArchConfig::new(2, 8, 16).unwrap());
-        let dispatcher = dpu.mirrored_dispatcher(
-            DispatchOptions {
-                shards: 2,
-                max_batch: 4,
-                ..Default::default()
-            },
-            &[BaselineModel::cpu(), BaselineModel::gpu()],
-        );
-        let key = dispatcher.register(dag);
+        let dispatcher = dpu.dispatcher(DispatchOptions {
+            shards: 2,
+            max_batch: 4,
+            ..Default::default()
+        });
+        let key = dispatcher.register(dag.clone());
         let submitter = dispatcher.submitter();
         let tickets: Vec<Ticket> = (0..8)
             .map(|i| {
@@ -313,22 +272,18 @@ mod tests {
         }
         let report = dispatcher.shutdown();
         assert_eq!(report.served, 8);
-        assert_eq!(report.mirrored, 16, "each baseline shadows every request");
-        // The two DPU primaries serve from one program store.
+        // The two DPU shards serve from one program store.
         assert_eq!(report.stores.len(), 1);
         let cache = report.cache_totals();
         assert_eq!((cache.misses, cache.decode_count, cache.entries), (1, 1, 1));
         assert_eq!(cache.hits + cache.misses, 8);
-        let platforms = report.platforms();
-        let names: Vec<&str> = platforms.iter().map(|p| p.platform).collect();
-        assert_eq!(names, vec!["dpu_v2", "cpu", "gpu"]);
         let freq = crate::energy::calib::FREQ_HZ;
-        for p in &platforms {
-            assert_eq!(p.requests, 8);
-            assert!(p.gops(freq) > 0.0, "{}: no throughput", p.platform);
-            if p.mirror {
-                assert!(p.edp_pj_ns(freq).unwrap() > 0.0);
-            }
+        for model in [BaselineModel::cpu(), BaselineModel::gpu()] {
+            let row = PlatformSummary::modelled(&model, &[(&dag, report.served)], freq);
+            assert_eq!(row.requests, 8);
+            assert_eq!(row.dag_ops, report.total_dag_ops(), "{}", row.platform);
+            assert!(row.gops(freq) > 0.0, "{}: no throughput", row.platform);
+            assert!(row.edp_pj_ns(freq).unwrap() > 0.0);
         }
     }
 

@@ -30,7 +30,7 @@ pub enum ChaosEvent {
     /// whole queue (both recovered through the lease slot and requeue) and
     /// exits — a crash with maximal strand surface.
     KillShard {
-        /// Victim shard index (primaries and mirrors both count).
+        /// Victim shard index.
         shard: usize,
         /// Rounds the victim executes normally before dying.
         after_rounds: u64,

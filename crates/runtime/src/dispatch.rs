@@ -1,18 +1,14 @@
-//! Sharded multi-backend dispatcher: continuous ingestion, adaptive round
-//! closing, key-affinity routing, work stealing, and live DPU-vs-baseline
-//! mirroring.
+//! Sharded dispatcher: continuous ingestion, adaptive round closing,
+//! key-affinity routing and work stealing.
 //!
-//! The [`Dispatcher`] is the layer above the execution backends and the
-//! runtime's one serving stack: it accepts requests **continuously**
-//! through [`Submitter`] handles and serves them across `N` shards
+//! The [`Dispatcher`] is the layer above the engines and the runtime's
+//! one serving stack: it accepts requests **continuously** through
+//! [`Submitter`] handles and serves them across `N` shards
 //! ([`Engine::serve`] is a dispatcher fed a pre-collected slice, flushed
-//! and waited). A shard is any [`Backend`]: a simulated
-//! DPU-v2 [`Engine`] (replicas of one [`ArchConfig`], or distinct
-//! configuration points — see [`Dispatcher::with_configs`]) or an
-//! analytic baseline platform
-//! ([`BaselineBackend`](crate::BaselineBackend)), so one request stream
-//! can be served across heterogeneous hardware models — the paper's
-//! §V-C comparison, live.
+//! and waited). Each shard is a simulated DPU-v2 [`Engine`] — replicas of
+//! one [`ArchConfig`], or distinct configuration points (see
+//! [`Dispatcher::with_configs`]) — behind the [`Backend`] seam, which lets
+//! a test wrap one to inject a fault.
 //!
 //! - **One program store.** The engine shards of a dispatcher
 //!   ([`engine_shards`]) share one [`ProgramStore`]:
@@ -20,10 +16,10 @@
 //!   whichever shard touches it first — and every other shard, home or
 //!   thief, serves from the same `Arc`s.
 //! - **Routing.** Each request's [`DagKey`] fingerprint picks a *home
-//!   shard* ([`home_shard`]) among the **primary** shards, so repeat
-//!   traffic for a DAG lands in the same shard's rounds. With one store
-//!   the affinity is no longer about who holds the compiled program; what
-//!   routing by key still buys is *lane grouping*: a round runs one
+//!   shard* ([`home_shard`]), so repeat traffic for a DAG lands in the
+//!   same shard's rounds. With one store the affinity is no longer about
+//!   who holds the compiled program; what routing by key still buys is
+//!   *lane grouping*: a round runs one
 //!   pre-decoded program over all of its same-key requests, eight input
 //!   sets per pass, so the fewer distinct keys a round holds
 //!   (`groups_per_round`) the fewer passes it costs.
@@ -34,11 +30,12 @@
 //!   first. Bursts get full rounds; trickles get bounded latency.
 //! - **Work stealing.** An idle shard steals the most recently queued
 //!   round from the deepest backlog among shards in the same *steal
-//!   class* ([`StealClass`](crate::StealClass)): identical backends with
-//!   identical parameters, and the same primary/mirror role. Stealing
-//!   across distinct classes would change per-request results or
-//!   accounting, breaking determinism. The thief finds the victim's
-//!   program in the shared store: a steal costs no compile and no decode.
+//!   class*: shards whose engines' configurations are
+//!   [`dpu_verify::steal_compatible`] — equal on every field code
+//!   generation reads, so statically proven to produce byte-identical
+//!   results. Stealing across distinct classes would change per-request
+//!   results, breaking determinism. The thief finds the victim's program
+//!   in the shared store: a steal costs no compile and no decode.
 //! - **Overload protection.** Admission is bounded per home shard
 //!   ([`DispatchOptions::queue_capacity`]): a full queue rejects at the
 //!   submission edge with
@@ -70,14 +67,6 @@
 //!   surviving results stay byte-identical to a serial pass.
 //!   [`DispatchReport::recovered`] / [`DispatchReport::hedged`] /
 //!   [`DispatchReport::hedge_wins`] report the recovery traffic.
-//! - **Mirror mode.** [`Dispatcher::with_backends`] optionally takes
-//!   *mirror* shards: every accepted request is additionally executed,
-//!   ticketless, on each mirror — e.g. a DPU-v2 fleet serving the
-//!   traffic while CPU/GPU baseline models shadow it, so
-//!   [`DispatchReport::platforms`] answers "what would this live traffic
-//!   cost on a Xeon?" from the **same** dispatcher run. Mirrors never
-//!   touch ticket results: per-request outputs remain byte-identical to
-//!   a serial DPU pass.
 //! - **Closed-loop latency accounting.** Every ticketed request carries a
 //!   [`Timeline`] through the path (arrival → accepted →
 //!   round-closed → execute-start → completed, monotonic ns from the
@@ -85,7 +74,7 @@
 //!   service time derive. Each shard records completed timelines into a
 //!   [`LatencyReport`] of mergeable histograms;
 //!   [`DispatchReport::latency`] is their order-independent merge over
-//!   the primary shards, and every [`Ticket`](crate::Ticket) exposes its
+//!   the shards, and every [`Ticket`](crate::Ticket) exposes its
 //!   own timeline on completion
 //!   ([`Ticket::wait_detailed`](crate::Ticket::wait_detailed)).
 //! - **Deterministic, loss-free shutdown.** Every request accepted by
@@ -93,7 +82,7 @@
 //!   fulfilled before [`Dispatcher::shutdown`] returns; per-request
 //!   results are byte-identical to a serial pass regardless of shard
 //!   count, stealing, or timing (a request's result depends only on its
-//!   backend's parameters, its program, and its inputs).
+//!   engine's configuration, its program, and its inputs).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -105,6 +94,7 @@ use std::time::{Duration, Instant};
 use dpu_compiler::CompileOptions;
 use dpu_dag::Dag;
 use dpu_isa::ArchConfig;
+use dpu_sim::Machine;
 
 use crate::backend::Backend;
 use crate::chaos::{ChaosPlan, HedgeOptions};
@@ -112,6 +102,7 @@ use crate::ingest::{
     job_channel, Admission, Gate, Job, Outcome, Priority, ShedReason, Submitter, TicketState,
 };
 use crate::latency::{Clock, LatencyHistogram, LatencyReport, Timeline};
+use crate::planner::plan_rounds;
 use crate::pool::{Engine, EngineOptions, ProgramStore, Request, ServeError};
 use crate::report::{ClassReport, DispatchReport, ShardReport};
 use crate::wake::Waiters;
@@ -134,8 +125,8 @@ pub struct DispatchOptions {
     /// Allow idle shards to steal queued rounds from same-class shards.
     pub work_stealing: bool,
     /// Modelled DPU cores per shard, for the simulated-clock accounting
-    /// (each executed round is packed onto these cores by the backend's
-    /// round-cost model).
+    /// (each executed round is packed onto these cores by
+    /// [`plan_rounds`]).
     pub cores: usize,
     /// Capacity of the program store the engine shards share, in entries
     /// over all shards and configs (`None` = unbounded).
@@ -196,7 +187,7 @@ impl Default for DispatchOptions {
     }
 }
 
-/// The home shard of a DAG key among `shards` primary shards — the
+/// The home shard of a DAG key among `shards` shards — the
 /// affinity half of the routing policy. [`DagKey`] is already a
 /// structural hash, so a plain modulus spreads distinct DAGs uniformly.
 ///
@@ -213,7 +204,7 @@ pub fn home_shard(key: DagKey, shards: usize) -> usize {
 /// ([`Engine::sharing`]) sized by `options`. The one place a
 /// [`DispatchOptions`] becomes engines — [`Dispatcher::with_configs`]
 /// passes the result to [`Dispatcher::with_backends`] as is, and a caller
-/// adding mirror shards passes it as the primaries.
+/// wrapping a shard (a fault-injecting test backend) starts from it.
 pub fn engine_shards(
     configs: &[ArchConfig],
     compile_opts: CompileOptions,
@@ -245,8 +236,7 @@ pub fn engine_shards(
 /// holder's lease slot and any hedge or recovery handle all point at the
 /// same round, so none of them copies a request payload.
 struct Round {
-    /// The shard this round was routed to (its keys' home, or the mirror
-    /// shard it shadows traffic for).
+    /// The shard this round was routed to: its keys' home.
     home: usize,
     /// The round's dispatch class: the most urgent [`Priority`] among its
     /// jobs. Shard queues and work stealing serve interactive rounds
@@ -350,10 +340,10 @@ impl Queues {
     }
 }
 
-/// Outstanding accepted-but-not-completed job count (mirror copies
-/// included), for [`Dispatcher::drain`]. The count is an atomic; the
-/// mutex and condvar are touched only on a zero crossing, and signalled
-/// only while a `drain` waits for one.
+/// Outstanding accepted-but-not-completed job count, for
+/// [`Dispatcher::drain`]. The count is an atomic; the mutex and condvar
+/// are touched only on a zero crossing, and signalled only while a
+/// `drain` waits for one.
 #[derive(Default)]
 struct InFlight {
     count: AtomicU64,
@@ -412,8 +402,7 @@ impl ServingWindow {
         self.first_ns.fetch_min(now_ns, Ordering::Relaxed);
     }
 
-    /// Stamps a completed job (ticketed or mirror copy), with the job's
-    /// completion stamp.
+    /// Stamps a completed job, with the job's completion stamp.
     fn mark_complete(&self, now_ns: u64) {
         self.last_ns.fetch_max(now_ns, Ordering::Relaxed);
     }
@@ -434,15 +423,12 @@ impl ServingWindow {
 /// shard's worker thread; read at shutdown).
 struct ShardState {
     backend: Arc<dyn Backend>,
-    /// Mirror shards shadow the full request stream without fulfilling
-    /// tickets.
-    mirror: bool,
     requests: AtomicU64,
     rounds: AtomicU64,
     /// Rounds this shard executed that were homed on another shard.
     stolen: AtomicU64,
-    /// Simulated cycles of this shard's executed rounds, per the
-    /// backend's round-cost model.
+    /// Simulated cycles of this shard's executed rounds, each packed onto
+    /// the modelled cores by [`plan_rounds`].
     modelled_cycles: AtomicU64,
     dag_ops: AtomicU64,
     /// Per-request latency distributions of this shard. Written only by
@@ -463,15 +449,12 @@ struct IngestStats {
 /// Everything the ingestion thread, the shard workers and the supervisor
 /// share, behind one `Arc`.
 struct Shared {
-    /// Primaries first, then mirrors.
     shards: Vec<ShardState>,
-    /// Primary shard count; shards `[primaries..]` are mirrors.
-    primaries: usize,
     /// Steal classes: shard j may steal from — and recover onto — shard k
-    /// iff they share a class: same primary/mirror role and *compatible*
-    /// backend `StealClass` (statically proven identical per-request
-    /// results; see [`StealClass::compatible`](crate::StealClass)) —
-    /// represented as the index of the first shard of the class.
+    /// iff their engines' configurations are
+    /// [`dpu_verify::steal_compatible`] (statically proven identical
+    /// per-request results) — represented as the index of the first shard
+    /// of the class.
     steal_class: Vec<usize>,
     queues: Queues,
     in_flight: InFlight,
@@ -507,7 +490,6 @@ impl std::fmt::Debug for Dispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dispatcher")
             .field("shards", &self.shared.shards.len())
-            .field("primaries", &self.shared.primaries)
             .field("options", &self.shared.options)
             .finish()
     }
@@ -541,34 +523,23 @@ impl Dispatcher {
         options: DispatchOptions,
     ) -> Self {
         let backends = engine_shards(&configs, compile_opts, &options);
-        Self::with_backends(backends, Vec::new(), options)
+        Self::with_backends(backends, options)
     }
 
-    /// Builds a dispatcher over arbitrary [`Backend`]s — the multi-layer
-    /// seam behind every other constructor.
-    ///
-    /// `primaries` serve the ticketed request stream (routing and
-    /// stealing as in the module docs). Each entry of `mirrors`
-    /// additionally shadows **every** accepted request, ticketless, so
-    /// one run yields a live per-platform comparison
-    /// ([`DispatchReport::platforms`]) without perturbing primary
-    /// results.
+    /// Builds a dispatcher with one shard per [`Backend`] — the
+    /// constructor behind every other, and the seam a test uses to wrap a
+    /// shard's engine (routing and stealing as in the module docs).
     ///
     /// # Panics
     ///
-    /// Panics if `primaries` is empty, `options.max_batch == 0` or
+    /// Panics if `backends` is empty, `options.max_batch == 0` or
     /// `options.cores == 0`.
-    pub fn with_backends(
-        primaries: Vec<Arc<dyn Backend>>,
-        mirrors: Vec<Arc<dyn Backend>>,
-        mut options: DispatchOptions,
-    ) -> Self {
-        assert!(!primaries.is_empty(), "at least one primary shard required");
+    pub fn with_backends(backends: Vec<Arc<dyn Backend>>, mut options: DispatchOptions) -> Self {
+        assert!(!backends.is_empty(), "at least one shard required");
         assert!(options.max_batch > 0, "max_batch must be positive");
         assert!(options.cores > 0, "cores must be positive");
-        options.shards = primaries.len();
-        let p = primaries.len();
-        let n = p + mirrors.len();
+        let n = backends.len();
+        options.shards = n;
         if let Some(max) = options.chaos.as_ref().and_then(ChaosPlan::max_shard) {
             assert!(
                 max < n,
@@ -576,13 +547,10 @@ impl Dispatcher {
             );
         }
 
-        let shards: Vec<ShardState> = primaries
+        let shards: Vec<ShardState> = backends
             .into_iter()
-            .map(|b| (b, false))
-            .chain(mirrors.into_iter().map(|b| (b, true)))
-            .map(|(backend, mirror)| ShardState {
+            .map(|backend| ShardState {
                 backend,
-                mirror,
                 requests: AtomicU64::new(0),
                 rounds: AtomicU64::new(0),
                 stolen: AtomicU64::new(0),
@@ -595,16 +563,11 @@ impl Dispatcher {
         // Compatibility is an equivalence relation (field-wise equality
         // with `data_mem_rows` projected out), so first-match
         // classification is well defined.
+        let config = |k: usize| shards[k].backend.engine().config();
         let steal_class: Vec<usize> = (0..n)
             .map(|j| {
                 (0..n)
-                    .position(|k| {
-                        shards[k].mirror == shards[j].mirror
-                            && shards[k]
-                                .backend
-                                .steal_class()
-                                .compatible(&shards[j].backend.steal_class())
-                    })
+                    .position(|k| dpu_verify::steal_compatible(config(k), config(j)))
                     .expect("self always matches")
             })
             .collect();
@@ -613,13 +576,12 @@ impl Dispatcher {
         let started = Instant::now();
         let shared = Arc::new(Shared {
             shards,
-            primaries: p,
             steal_class,
             queues: Queues::new(n),
             in_flight: InFlight::default(),
             window: ServingWindow::new(),
             clock: Arc::new(Clock::from_epoch(started)),
-            admission: Arc::new(Admission::new(p, options.queue_capacity, options.max_wait)),
+            admission: Arc::new(Admission::new(n, options.queue_capacity, options.max_wait)),
             round_waits: Mutex::new(LatencyHistogram::new()),
             supervisor_stop: AtomicBool::new(false),
             options,
@@ -663,30 +625,27 @@ impl Dispatcher {
     }
 
     /// The options this dispatcher runs with (with `shards` normalized to
-    /// the actual primary shard count).
+    /// the actual shard count).
     pub fn options(&self) -> &DispatchOptions {
         &self.shared.options
     }
 
-    /// Number of shards, mirrors included.
+    /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shared.shards.len()
     }
 
-    /// Number of primary (ticket-serving) shards.
-    pub fn primary_shards(&self) -> usize {
-        self.shared.primaries
-    }
-
-    /// Registers a DAG on **every** shard (stealing, rebalancing and
-    /// mirroring mean any shard may end up executing it) and returns its
-    /// content key. The DAG is fingerprinted once and every backend is
-    /// handed the same `Arc`: one copy per dispatcher.
+    /// Registers a DAG in every shard's program store (stealing and
+    /// recovery mean any shard may end up executing it) and returns its
+    /// content key. The DAG is fingerprinted once and every store is
+    /// handed the same `Arc`: one copy per dispatcher, and one entry per
+    /// store however many shards share it.
     pub fn register(&self, dag: Dag) -> DagKey {
         let key = dag_fingerprint(&dag);
         let dag = Arc::new(dag);
         for shard in &self.shared.shards {
-            shard.backend.register(key, Arc::clone(&dag));
+            let store = shard.backend.engine().program_store();
+            store.register(key, Arc::clone(&dag));
         }
         key
     }
@@ -702,20 +661,21 @@ impl Dispatcher {
         )
     }
 
-    /// Pre-warms every shard that supports it from its spill store (see
-    /// [`Backend::prewarm`] / [`Engine::prewarm`]), returning the total
-    /// number of programs loaded — each once, however many shards share
-    /// the store. Call before submitting traffic so the first requests hit
-    /// a warm store when a previous run (or a peer fleet) already
-    /// populated the spill directory.
+    /// Pre-warms every shard's program store from its spill directory
+    /// ([`Engine::prewarm`]), returning the total number of programs
+    /// loaded — each once, however many shards share the store. Call
+    /// before submitting traffic so the first requests hit a warm store
+    /// when a previous run (or a peer fleet) already populated the spill
+    /// directory.
     pub fn prewarm(&self) -> usize {
-        self.shared.shards.iter().map(|s| s.backend.prewarm()).sum()
+        let engines = self.shared.shards.iter().map(|s| s.backend.engine());
+        engines.map(Engine::prewarm).sum()
     }
 
     /// Jobs the ingestion thread has picked up but that have not yet
-    /// completed (mirror copies included). A request sits briefly in the
-    /// ingestion channel between `submit` and pickup, so this can read 0
-    /// while accepted requests are still queued — use
+    /// completed. A request sits briefly in the ingestion channel between
+    /// `submit` and pickup, so this can read 0 while accepted requests are
+    /// still queued — use
     /// [`Dispatcher::drain`] (whose flush marker is ordered behind every
     /// earlier submit) as the quiescence barrier, not this counter.
     pub fn in_flight(&self) -> u64 {
@@ -733,8 +693,8 @@ impl Dispatcher {
     }
 
     /// Flushes, then blocks until every request accepted before the flush
-    /// has completed (its ticket fulfilled, its mirror copies executed).
-    /// The dispatcher keeps serving; this is a barrier, not a shutdown.
+    /// has completed (its ticket fulfilled). The dispatcher keeps
+    /// serving; this is a barrier, not a shutdown.
     pub fn drain(&self) {
         self.flush();
         let in_flight = &self.shared.in_flight;
@@ -757,30 +717,27 @@ impl Dispatcher {
             .shards
             .iter()
             .map(|s| ShardReport {
-                platform: s.backend.platform(),
-                mirror: s.mirror,
                 requests: s.requests.load(Ordering::Relaxed),
                 rounds: s.rounds.load(Ordering::Relaxed),
                 stolen_rounds: s.stolen.load(Ordering::Relaxed),
                 modelled_cycles: s.modelled_cycles.load(Ordering::Relaxed),
                 dag_ops: s.dag_ops.load(Ordering::Relaxed),
-                power_w: s.backend.power_w(),
                 latency: s.latency.lock().expect("latency poisoned").clone(),
             })
             .collect();
-        // Each distinct program store behind the primaries, once.
+        // Each distinct program store, once.
         let mut stores: Vec<&Arc<ProgramStore>> = Vec::new();
-        let primaries = &self.shared.shards[..self.shared.primaries];
-        for store in primaries.iter().filter_map(|s| s.backend.program_store()) {
+        for shard in &self.shared.shards {
+            let store = shard.backend.engine().program_store();
             if !stores.iter().any(|seen| Arc::ptr_eq(seen, store)) {
                 stores.push(store);
             }
         }
         let stores = stores.into_iter().map(|store| store.stats()).collect();
-        // Merge the primaries' latency distributions; fold order cannot
+        // Merge the shards' latency distributions; fold order cannot
         // matter (histogram merge is associative and commutative).
         let mut latency = LatencyReport::default();
-        for s in shards.iter().filter(|s| !s.mirror) {
+        for s in &shards {
             latency.merge(&s.latency);
         }
         // The admission ledger is coherent here: every submitter that
@@ -807,12 +764,7 @@ impl Dispatcher {
         );
         DispatchReport {
             submitted: ingest.submitted,
-            served: shards
-                .iter()
-                .filter(|s| !s.mirror)
-                .map(|s| s.requests)
-                .sum(),
-            mirrored: shards.iter().filter(|s| s.mirror).map(|s| s.requests).sum(),
+            served: shards.iter().map(|s| s.requests).sum(),
             rounds_closed_full: ingest.closed_full,
             rounds_closed_timer: ingest.closed_timer,
             rounds_closed_flush: ingest.closed_flush,
@@ -878,13 +830,13 @@ impl Drop for Dispatcher {
     }
 }
 
-/// One pending job: a request, its completion handle (`None` on mirror
-/// copies), its priority class, its latency timeline as stamped by the
-/// ingestion thread through round close (the executing shard continues
-/// it in a worker-local copy), and its claim.
+/// One pending job: a request, its completion handle, its priority class,
+/// its latency timeline as stamped by the ingestion thread through round
+/// close (the executing shard continues it in a worker-local copy), and
+/// its claim.
 struct TrackedJob {
     request: Request,
-    ticket: Option<Arc<TicketState>>,
+    ticket: Arc<TicketState>,
     priority: Priority,
     timeline: Timeline,
     /// First-completion-wins arbiter: every handle to the round (the
@@ -935,9 +887,8 @@ impl PendingRound {
     }
 }
 
-/// The ingestion loop: route among the primaries, fan copies out to the
-/// mirror shards, shed provably late requests at the door, accumulate,
-/// close rounds adaptively.
+/// The ingestion loop: route to home shards, shed provably late requests
+/// at the door, accumulate, close rounds adaptively.
 fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> IngestStats {
     use crossbeam::channel::RecvTimeoutError;
 
@@ -949,7 +900,6 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
         options,
         ..
     } = shared;
-    let p = shared.primaries;
     let n = shared.shards.len();
     let mut stats = IngestStats::default();
     let mut pending: Vec<PendingRound> = (0..n).map(|_| PendingRound::new()).collect();
@@ -1045,11 +995,11 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
                     deadline_ns: sub.deadline_ns,
                     ..Timeline::default()
                 };
-                let s = home_shard(sub.request.dag, p);
+                let s = home_shard(sub.request.dag, n);
                 // Shed-before-queue: when the live queueing + service
                 // estimate already proves the deadline unmeetable, resolve
-                // the ticket now instead of spending a round slot (and
-                // mirror executions) on a result nobody can use in time.
+                // the ticket now instead of spending a round slot on a
+                // result nobody can use in time.
                 if sub.deadline_ns != 0 {
                     let projected_ns = admission.projected_completion_ns(accepted_ns);
                     if projected_ns > sub.deadline_ns {
@@ -1076,33 +1026,11 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
                         continue;
                     }
                 }
-                // Mirror copies first (so the request moves last). Mirror
-                // copies carry no deadline: they shadow accepted traffic
-                // for the platform comparison and are never shed.
-                for m in p..n {
-                    push(
-                        m,
-                        TrackedJob {
-                            request: sub.request.clone(),
-                            ticket: None,
-                            priority: sub.priority,
-                            timeline: Timeline {
-                                deadline_ns: 0,
-                                ..timeline
-                            },
-                            claimed: AtomicBool::new(false),
-                        },
-                        picked,
-                        &mut pending,
-                        &mut due,
-                        &mut stats,
-                    );
-                }
                 push(
                     s,
                     TrackedJob {
                         request: sub.request,
-                        ticket: Some(sub.ticket),
+                        ticket: sub.ticket,
                         priority: sub.priority,
                         timeline,
                         claimed: AtomicBool::new(false),
@@ -1188,15 +1116,13 @@ fn fail_job(
         return; // another handle already resolved this ticket
     }
     timeline.completed_ns = shared.clock.now_ns();
-    if let Some(ticket) = &job.ticket {
-        shared
-            .admission
-            .note_failed(job.priority.index(), round.home);
-        ticket.fulfill(
-            Outcome::Failed(ServeError::ShardLost { shard: lost_shard }),
-            timeline,
-        );
-    }
+    shared
+        .admission
+        .note_failed(job.priority.index(), round.home);
+    job.ticket.fulfill(
+        Outcome::Failed(ServeError::ShardLost { shard: lost_shard }),
+        timeline,
+    );
     shared.window.mark_complete(timeline.completed_ns);
     shared.in_flight.dec();
 }
@@ -1276,7 +1202,7 @@ fn shard_loop(shared: &Shared, me: usize) {
         ..
     } = shared;
     let my = &shared.shards[me];
-    let mut scratch = my.backend.scratch();
+    let mut machine = Machine::new(*my.backend.engine().config());
     let mut costs: Vec<u64> = Vec::new();
     // The executing half of each job's timeline (execute-start,
     // completed, service cycles): per handle, so it lives here and not in
@@ -1328,8 +1254,7 @@ fn shard_loop(shared: &Shared, me: usize) {
         // writes it, and shutdown reads it after joining every worker.
         let mut latency = my.latency.lock().expect("latency poisoned");
         // Pass 1 — admission: stamp each job's own execute-start and run
-        // the last-chance deadline check (primary copies only — a mirror
-        // job's deadline stamp is always 0): if the deadline passed in
+        // the last-chance deadline check: if the deadline passed in
         // queue, or the remaining service estimate no longer fits it,
         // shed instead of executing. Shed jobs are fully resolved here
         // and never reach the backend seam. Sheds are attributed to
@@ -1353,9 +1278,7 @@ fn shard_loop(shared: &Shared, me: usize) {
                         deadline_ns: timeline.deadline_ns,
                     };
                     admission.note_shed(job.priority.index(), round.home, reason);
-                    if let Some(ticket) = &job.ticket {
-                        ticket.fulfill(Outcome::Shed { reason }, *timeline);
-                    }
+                    job.ticket.fulfill(Outcome::Shed { reason }, *timeline);
                     window.mark_complete(timeline.completed_ns);
                     in_flight.dec();
                     continue;
@@ -1364,19 +1287,19 @@ fn shard_loop(shared: &Shared, me: usize) {
             exec_idx.push(i);
         }
         // Pass 2 — execute the survivors as one round through the seam:
-        // backends with per-program setup cost amortize it across the
-        // round's repeat-program jobs ([`Backend::execute_round`]), and a
-        // stolen round flows through identically to a home round. An
-        // empty survivor set never reaches the seam — a round of expired
-        // deadlines (or fully claimed-away jobs) must not charge a
-        // backend its per-round setup cost for zero requests.
+        // the engine runs each program once per eight of the round's
+        // same-DAG jobs ([`Backend::execute_round`]), and a stolen round
+        // flows through identically to a home round. An empty survivor
+        // set never reaches the seam — a round of expired deadlines (or
+        // fully claimed-away jobs) must not charge its per-round setup
+        // cost for zero requests.
         let outcomes = if exec_idx.is_empty() {
             Vec::new()
         } else {
             let requests: Vec<&Request> =
                 exec_idx.iter().map(|&i| &round.jobs[i].request).collect();
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                my.backend.execute_round(&mut scratch, &requests)
+                my.backend.execute_round(&mut machine, &requests)
             }));
             match caught {
                 Ok(outcomes) => outcomes,
@@ -1401,8 +1324,8 @@ fn shard_loop(shared: &Shared, me: usize) {
         // ticket outcome, exactly as when jobs executed one by one. The
         // claim gate makes resolution exactly-once against recovered and
         // hedged handles; whichever claims first wins, and because
-        // identical-class backends are result-identical the outcome bytes
-        // are the same either way.
+        // same-class shards are result-identical the outcome bytes are the
+        // same either way.
         for (i, result) in exec_idx.into_iter().zip(outcomes) {
             let job = &round.jobs[i];
             if !job.claim() {
@@ -1417,33 +1340,27 @@ fn shard_loop(shared: &Shared, me: usize) {
             timeline.completed_ns = clock.now_ns();
             if result.is_ok() {
                 latency.record(timeline);
-                if !my.mirror {
-                    // Feed the live estimates the shed projections run on
-                    // (primary observations only — mirrors model other
-                    // hardware and would skew the serving estimate).
-                    admission.observe(timeline.queueing_delay_ns(), timeline.service_ns());
-                }
+                // Feed the live estimates the shed projections run on.
+                admission.observe(timeline.queueing_delay_ns(), timeline.service_ns());
             }
-            if let Some(ticket) = &job.ticket {
-                let outcome = match result {
-                    Ok(res) => {
-                        admission.note_completed(job.priority.index(), round.home);
-                        Outcome::Completed(res)
-                    }
-                    Err(e) => {
-                        // A backend that *returns* an error (vs. one that
-                        // panics) is a per-job failure, not a completion:
-                        // ledger it as `failed` so the balance equation
-                        // stays honest.
-                        admission.note_failed(job.priority.index(), round.home);
-                        Outcome::Failed(e)
-                    }
-                };
-                if entry.hedge {
-                    admission.hedge_wins.fetch_add(1, Ordering::Relaxed);
+            let outcome = match result {
+                Ok(res) => {
+                    admission.note_completed(job.priority.index(), round.home);
+                    Outcome::Completed(res)
                 }
-                ticket.fulfill(outcome, *timeline);
+                Err(e) => {
+                    // A backend that *returns* an error (vs. one that
+                    // panics) is a per-job failure, not a completion:
+                    // ledger it as `failed` so the balance equation stays
+                    // honest.
+                    admission.note_failed(job.priority.index(), round.home);
+                    Outcome::Failed(e)
+                }
+            };
+            if entry.hedge {
+                admission.hedge_wins.fetch_add(1, Ordering::Relaxed);
             }
+            job.ticket.fulfill(outcome, *timeline);
             window.mark_complete(timeline.completed_ns);
             in_flight.dec();
         }
@@ -1451,7 +1368,7 @@ fn shard_loop(shared: &Shared, me: usize) {
         my.requests.fetch_add(executed, Ordering::Relaxed);
         if !costs.is_empty() {
             my.modelled_cycles.fetch_add(
-                my.backend.round_cycles(&costs, options.cores),
+                plan_rounds(&costs, options.cores).total_cycles,
                 Ordering::Relaxed,
             );
         }
@@ -1521,7 +1438,7 @@ fn reclaim_stalled(
     recovered
 }
 
-/// One hedge sweep: any queued round on a live primary that has waited
+/// One hedge sweep: any queued round on a live shard that has waited
 /// past `max(observed wait at trigger_percentile, min_wait)` gets a
 /// second handle pushed to an idle (empty-queue, live) shard of the same
 /// steal class. The original is marked `hedged` (never hedged twice), the
@@ -1547,7 +1464,7 @@ fn hedge_pass(shared: &Shared, hedge: &HedgeOptions) {
         .collect();
     let mut hedged_jobs = 0u64;
     let mut pushed = false;
-    for s in 0..shared.primaries {
+    for s in 0..n {
         if qs[s].dead {
             continue;
         }
@@ -1691,7 +1608,7 @@ mod tests {
             closed_at: Instant::now(),
             jobs: vec![TrackedJob {
                 request: Request::new(DagKey(1), Vec::new()),
-                ticket: None,
+                ticket: TicketState::new(),
                 priority: Priority::Standard,
                 timeline: Timeline::default(),
                 claimed: AtomicBool::new(false),
@@ -1844,6 +1761,29 @@ mod tests {
         } {
             std::thread::yield_now();
         }
+    }
+
+    /// Steal classes are the statically proven relation, not config
+    /// equality: shards differing only in `data_mem_rows` (which code
+    /// generation never reads) share a class; any codegen-relevant
+    /// difference splits them.
+    #[test]
+    fn steal_classes_are_proven_compatibility_not_equality() {
+        let more_rows = ArchConfig {
+            data_mem_rows: arch().data_mem_rows * 2,
+            ..arch()
+        };
+        let more_regs = ArchConfig {
+            regs_per_bank: 32,
+            ..arch()
+        };
+        let d = Dispatcher::with_configs(
+            vec![arch(), more_regs, more_rows, more_regs],
+            CompileOptions::default(),
+            DispatchOptions::default(),
+        );
+        assert_eq!(d.shared.steal_class, [0, 1, 0, 1]);
+        d.shutdown();
     }
 
     #[test]

@@ -613,8 +613,8 @@ fn ewma_update(cell: &AtomicU64, observed: u64) {
 /// expired-deadline sheds) — all through relaxed atomics: the ledger is
 /// read coherently only at shutdown, after every thread has been joined.
 pub(crate) struct Admission {
-    /// Primary shard count, for home-shard routing at admission time.
-    pub(crate) primaries: usize,
+    /// Shard count, for home-shard routing at admission time.
+    pub(crate) shards: usize,
     /// Per-home-shard admission bound (`None` = unbounded, the default).
     pub(crate) capacity: Option<u64>,
     /// The dispatcher's `max_wait`, the retry-hint fallback before any
@@ -660,12 +660,12 @@ pub(crate) struct Admission {
 }
 
 impl Admission {
-    pub(crate) fn new(primaries: usize, capacity: Option<usize>, max_wait: Duration) -> Self {
+    pub(crate) fn new(shards: usize, capacity: Option<usize>, max_wait: Duration) -> Self {
         Admission {
-            primaries,
+            shards,
             capacity: capacity.map(|c| c as u64),
             max_wait_ns: u64::try_from(max_wait.as_nanos()).unwrap_or(u64::MAX),
-            depth: (0..primaries).map(|_| AtomicU64::new(0)).collect(),
+            depth: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             accepted: Default::default(),
             completed: Default::default(),
             failed: Default::default(),
@@ -684,7 +684,7 @@ impl Admission {
         }
     }
 
-    /// Feeds one completed primary request's observed delays into the
+    /// Feeds one completed request's observed delays into the
     /// live estimates.
     pub(crate) fn observe(&self, queueing_ns: u64, service_ns: u64) {
         ewma_update(&self.queueing_estimate_ns, queueing_ns);
@@ -851,7 +851,7 @@ impl Submitter {
         // it back and reject if the queue is at capacity. (The claim-
         // then-check order admits at most one transient overshoot per
         // concurrent submitter — bounded, and free of a CAS loop.)
-        let home = home_shard(request.dag, self.admission.primaries);
+        let home = home_shard(request.dag, self.admission.shards);
         let prev = self.admission.depth[home].fetch_add(1, Ordering::Relaxed);
         if let Some(cap) = self.admission.capacity {
             if prev >= cap {

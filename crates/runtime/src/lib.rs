@@ -46,13 +46,14 @@
 //!   into [`DispatchReport::latency`]
 //!   — p50/p99/p999 queueing, batching, service and end-to-end response
 //!   time, the closed-loop half of the serving claim.
-//! - [`Backend`] is the dispatcher's execution seam: a shard can be a
-//!   simulated DPU-v2 [`Engine`] **or** an analytic baseline platform
-//!   ([`BaselineBackend`] over `dpu_baselines::BaselineModel` — the
-//!   paper's CPU/GPU/DPU-v1/SPU comparison points), including *mirror*
-//!   shards that shadow the full stream ticketlessly so one run reports
-//!   live per-platform throughput/GOPS/EDP side by side
-//!   ([`DispatchReport::platforms`]).
+//! - [`Backend`] is the dispatcher's execution seam: every shard serves
+//!   with an [`Engine`] ([`Backend::engine`]), and a test can wrap one to
+//!   inject a fault into [`Backend::execute_round`].
+//! - [`PlatformSummary::modelled`] prices the traffic a run served on the
+//!   paper's baseline platforms (`dpu_baselines::BaselineModel` — the
+//!   CPU/GPU/DPU-v1/SPU comparison points, §V-C / Table III): the models
+//!   are pure functions of DAG shape, so a baseline's cycles, GOPS and EDP
+//!   are computed from each DAG's completion count, not served.
 //! - [`plan_rounds`] packs the heterogeneous requests into rounds over
 //!   the modelled DPU-v2 (L) cores exactly the way
 //!   [`BatchResult`](dpu_sim::BatchResult) models batch wall-clock:
@@ -114,7 +115,7 @@ pub mod pool;
 pub mod report;
 mod wake;
 
-pub use backend::{Backend, BaselineBackend, Scratch, StealClass};
+pub use backend::Backend;
 pub use cache::{CacheKey, CacheStats, ProgramCache, SpillLookup, SpillStore};
 pub use chaos::{ChaosEvent, ChaosPlan, HedgeOptions};
 pub use dispatch::{engine_shards, home_shard, DispatchOptions, Dispatcher};

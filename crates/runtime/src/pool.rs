@@ -406,7 +406,6 @@ impl Engine {
             .collect();
         let dispatcher = Dispatcher::with_backends(
             shards,
-            Vec::new(),
             DispatchOptions {
                 cores: self.options.cores.max(1),
                 ..Default::default()

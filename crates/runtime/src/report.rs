@@ -1,9 +1,12 @@
 //! What a dispatcher run reports: per-shard counters ([`ShardReport`]),
-//! the per-platform comparison ([`PlatformSummary`]), the per-class
-//! admission ledger ([`ClassReport`]) and the lifetime aggregate
-//! ([`DispatchReport`]) returned by [`Dispatcher::shutdown`]. Plain data
-//! and arithmetic over it — nothing here knows how rounds are queued,
-//! leased or recovered.
+//! the per-class admission ledger ([`ClassReport`]) and the lifetime
+//! aggregate ([`DispatchReport`]) returned by [`Dispatcher::shutdown`];
+//! and the paper's baseline platforms priced on the served traffic
+//! ([`PlatformSummary::modelled`]). Plain data and arithmetic over it —
+//! nothing here knows how rounds are queued, leased or recovered.
+
+use dpu_baselines::BaselineModel;
+use dpu_dag::Dag;
 
 use crate::cache::CacheStats;
 use crate::ingest::Priority;
@@ -14,57 +17,73 @@ use crate::{DispatchOptions, Dispatcher, Outcome};
 /// Per-shard slice of a [`DispatchReport`].
 #[derive(Debug, Clone)]
 pub struct ShardReport {
-    /// Platform key of the backend this shard serves (`dpu_v2`, `cpu`,
-    /// ...).
-    pub platform: &'static str,
-    /// Whether this shard mirrored traffic instead of serving tickets.
-    pub mirror: bool,
     /// Requests this shard executed.
     pub requests: u64,
     /// Rounds this shard executed.
     pub rounds: u64,
     /// Of those, rounds stolen from another shard's queue.
     pub stolen_rounds: u64,
-    /// Simulated cycles of this shard's work on its modelled platform.
+    /// Simulated cycles of this shard's work on its modelled DPU-v2
+    /// cores.
     pub modelled_cycles: u64,
     /// Arithmetic DAG operations served.
     pub dag_ops: u64,
-    /// Declared average platform power (analytic backends), if any.
-    pub power_w: Option<f64>,
     /// This shard's per-request latency distributions (successful
     /// requests only). [`DispatchReport::latency`] is the order-
-    /// independent merge of these across primary shards.
+    /// independent merge of these across shards.
     pub latency: LatencyReport,
 }
 
-/// Live per-platform aggregate over a dispatcher's shards — one row of
-/// the side-by-side DPU-vs-baseline comparison
-/// ([`DispatchReport::platforms`]).
+/// One platform's row of the paper's Table III comparison (§V-C) over the
+/// traffic a DPU-v2 run served. A baseline's row is computed by
+/// [`PlatformSummary::modelled`], not served: the analytic models are pure
+/// functions of DAG shape, so a platform's cycles and operations depend
+/// only on how many times each DAG completed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSummary {
-    /// Platform key (`dpu_v2`, `cpu`, `gpu`, `dpu_v1`, `spu`, ...).
+    /// Platform key (`dpu_v2`, `cpu`, `gpu`, `dpu_v1`, `spu`).
     pub platform: &'static str,
-    /// Shards of this platform.
-    pub shards: usize,
-    /// Whether these shards mirrored traffic (vs serving tickets).
-    pub mirror: bool,
-    /// Requests executed across the platform's shards.
+    /// Requests priced.
     pub requests: u64,
-    /// Arithmetic DAG operations served.
+    /// Arithmetic operations of the binarized DAGs, over every request —
+    /// the numerator the simulated DPU reports, so every platform divides
+    /// the same work by its own time.
     pub dag_ops: u64,
-    /// Modelled makespan: the platform's shards are independent devices
-    /// running in parallel, so this is the busiest shard's cycles.
+    /// Modelled time in cycles of the reference clock: the platform runs
+    /// its requests back to back, each occupying the whole device.
     pub modelled_cycles: u64,
-    /// Declared average power **per device** (one shard), if the backend
-    /// models one. Fleet-level metrics scale this by [`shards`].
-    ///
-    /// [`shards`]: PlatformSummary::shards
-    pub power_w: Option<f64>,
+    /// Average power while executing, in watts.
+    pub power_w: f64,
 }
 
 impl PlatformSummary {
+    /// Prices `served` — each DAG with the number of requests for it that
+    /// completed — on `model`, in cycles of the reference clock
+    /// `freq_hz`. A request costs the model's execution time rounded up to
+    /// a whole cycle, never less than one (a sub-cycle prediction is not
+    /// free), and counts the operations of the *binarized* DAG. The
+    /// execution time itself is layered over the source DAG: the measured
+    /// platforms ran n-ary nodes natively.
+    pub fn modelled(model: &BaselineModel, served: &[(&Dag, u64)], freq_hz: f64) -> Self {
+        let mut row = PlatformSummary {
+            platform: model.platform(),
+            requests: 0,
+            dag_ops: 0,
+            modelled_cycles: 0,
+            power_w: model.power_w(),
+        };
+        for &(dag, count) in served {
+            let cycles = ((model.exec_time_s(dag) * freq_hz).ceil() as u64).max(1);
+            let ops = dag.binarize().0.op_count() as u64;
+            row.requests += count;
+            row.dag_ops += ops * count;
+            row.modelled_cycles += cycles * count;
+        }
+        row
+    }
+
     /// Throughput in operations per second at the reference clock
-    /// `freq_hz` (DAG operations over the platform's modelled makespan).
+    /// `freq_hz` (DAG operations over the modelled time).
     pub fn throughput_ops(&self, freq_hz: f64) -> f64 {
         self.dag_ops as f64 * freq_hz / self.modelled_cycles.max(1) as f64
     }
@@ -75,18 +94,14 @@ impl PlatformSummary {
     }
 
     /// Energy-delay product per operation in pJ·ns — the Table III
-    /// metric, `(power / throughput) × (1 / throughput)` — when the
-    /// platform declares a power figure and served any work. Throughput
-    /// here is the *fleet's* (ops over the parallel makespan), so power
-    /// is the fleet's too: per-device [`PlatformSummary::power_w`] times
-    /// [`PlatformSummary::shards`].
+    /// metric, `(power / throughput) × (1 / throughput)` — or `None` when
+    /// no work was priced.
     pub fn edp_pj_ns(&self, freq_hz: f64) -> Option<f64> {
         let gops = self.gops(freq_hz);
-        let power = self.power_w? * self.shards as f64;
         if gops <= 0.0 {
             return None;
         }
-        Some((power / gops * 1e3) * (1.0 / gops))
+        Some((self.power_w / gops * 1e3) * (1.0 / gops))
     }
 }
 
@@ -119,13 +134,6 @@ pub struct ClassReport {
 /// Aggregate result of a dispatcher's lifetime, returned by
 /// [`Dispatcher::shutdown`].
 ///
-/// Headline aggregates ([`DispatchReport::total_dag_ops`],
-/// [`DispatchReport::modelled_cycles`], [`DispatchReport::gops`],
-/// [`DispatchReport::shard_balance`], [`DispatchReport::cache_totals`])
-/// cover the **primary** shards — the serving system itself. Mirror
-/// shards are observers; they appear in [`DispatchReport::shards`] and in
-/// the per-platform comparison ([`DispatchReport::platforms`]).
-///
 /// Overload accounting lives in [`DispatchReport::classes`] (per
 /// [`Priority`] class) plus the by-kind splits: rejected-at-shutdown
 /// ([`DispatchReport::rejected_queue_closed`]) is reported separately
@@ -137,16 +145,13 @@ pub struct ClassReport {
 pub struct DispatchReport {
     /// Requests accepted over the dispatcher's lifetime.
     pub submitted: u64,
-    /// Requests executed on primary shards (equals `submitted` minus
+    /// Requests executed (equals `submitted` minus
     /// [`DispatchReport::shed`](DispatchReport::shed) — and exactly
     /// `submitted` when nothing was shed: shutdown is loss-free). Under
     /// hedging this counts *executions*, so losing hedge copies can push
     /// it past `submitted`; the ticket ledger in
     /// [`DispatchReport::classes`] stays exact either way.
     pub served: u64,
-    /// Shadow executions on mirror shards (`submitted ×` mirror count
-    /// when mirrors are configured).
-    pub mirrored: u64,
     /// Rounds closed because they reached
     /// [`DispatchOptions::max_batch`].
     pub rounds_closed_full: u64,
@@ -154,10 +159,10 @@ pub struct DispatchReport {
     pub rounds_closed_timer: u64,
     /// Rounds closed by [`Dispatcher::flush`] / shutdown.
     pub rounds_closed_flush: u64,
-    /// Per-shard execution counters (primaries first, then mirrors).
+    /// Per-shard execution counters, in shard order.
     pub shards: Vec<ShardReport>,
     /// Final program-cache statistics of each **distinct** program store
-    /// behind the primary shards, in first-shard order. The engine shards
+    /// behind the shards, in first-shard order. The engine shards
     /// a dispatcher builds share one store, so this holds one entry for
     /// them however many they are — a store's counters are the store's,
     /// not any one shard's — and one more per separately built engine
@@ -175,13 +180,12 @@ pub struct DispatchReport {
     /// `host_seconds` total, kept as its own field so dashboards and
     /// baselines switch to the serving window consciously, not silently.
     pub lifetime_seconds: f64,
-    /// Per-request latency distributions over the **primary** shards,
-    /// merged from [`ShardReport::latency`]. The host-time histograms
+    /// Per-request latency distributions over every shard, merged from
+    /// [`ShardReport::latency`]. The host-time histograms
     /// (queueing, batching, service, total) measure this machine; the
     /// modelled [`LatencyReport::service_cycles`] histogram is a pure
     /// function of the request stream — byte-identical across shard
-    /// counts, stealing, and timing — and is what CI gates. Mirror shards
-    /// are observers and contribute nothing here.
+    /// counts, stealing, and timing — and is what CI gates.
     pub latency: LatencyReport,
     /// Per-priority-class admission/outcome ledger, indexed by
     /// [`Priority::index`]. Each class (and the aggregate) satisfies
@@ -216,10 +220,6 @@ pub struct DispatchReport {
 }
 
 impl DispatchReport {
-    fn primaries(&self) -> impl Iterator<Item = &ShardReport> {
-        self.shards.iter().filter(|s| !s.mirror)
-    }
-
     /// Submit attempts over the dispatcher's lifetime, all classes
     /// (`accepted + rejected`).
     pub fn offered(&self) -> u64 {
@@ -241,16 +241,17 @@ impl DispatchReport {
         &self.classes[priority.index()]
     }
 
-    /// Total arithmetic DAG operations served by primary shards.
+    /// Total arithmetic DAG operations served.
     pub fn total_dag_ops(&self) -> u64 {
-        self.primaries().map(|s| s.dag_ops).sum()
+        self.shards.iter().map(|s| s.dag_ops).sum()
     }
 
-    /// Simulated wall-clock of the serving system: primary shards are
-    /// independent modelled devices running in parallel, so the makespan
-    /// is the busiest one's cycles.
+    /// Simulated wall-clock of the serving system: shards are independent
+    /// modelled devices running in parallel, so the makespan is the
+    /// busiest one's cycles.
     pub fn modelled_cycles(&self) -> u64 {
-        self.primaries()
+        self.shards
+            .iter()
             .map(|s| s.modelled_cycles)
             .max()
             .unwrap_or(0)
@@ -267,18 +268,17 @@ impl DispatchReport {
         self.throughput_ops(freq_hz) / 1e9
     }
 
-    /// Shard load balance over primary shards: busiest shard's requests
-    /// over the per-shard mean. 1.0 is perfect balance; `k` means the
-    /// busiest shard carried `k×` its fair share. 0.0 when nothing was
-    /// served.
+    /// Shard load balance: busiest shard's requests over the per-shard
+    /// mean. 1.0 is perfect balance; `k` means the busiest shard carried
+    /// `k×` its fair share. 0.0 when nothing was served.
     pub fn shard_balance(&self) -> f64 {
-        let n = self.primaries().count();
-        let total: u64 = self.primaries().map(|s| s.requests).sum();
+        let n = self.shards.len();
+        let total: u64 = self.shards.iter().map(|s| s.requests).sum();
         if total == 0 || n == 0 {
             return 0.0;
         }
         let mean = total as f64 / n as f64;
-        let max = self.primaries().map(|s| s.requests).max().unwrap_or(0);
+        let max = self.shards.iter().map(|s| s.requests).max().unwrap_or(0);
         max as f64 / mean
     }
 
@@ -309,39 +309,111 @@ impl DispatchReport {
         }
         total
     }
+}
 
-    /// The live side-by-side platform comparison: shards grouped by
-    /// platform key (in first-appearance order, primaries before
-    /// mirrors), each with its own requests / DAG-op / makespan / power
-    /// aggregate. Query [`PlatformSummary::gops`] and
-    /// [`PlatformSummary::edp_pj_ns`] at the reference clock to get the
-    /// paper's Table III metrics per platform.
-    pub fn platforms(&self) -> Vec<PlatformSummary> {
-        let mut out: Vec<PlatformSummary> = Vec::new();
-        for s in &self.shards {
-            if let Some(p) = out
-                .iter_mut()
-                .find(|p| p.platform == s.platform && p.mirror == s.mirror)
-            {
-                p.shards += 1;
-                p.requests += s.requests;
-                p.dag_ops += s.dag_ops;
-                p.modelled_cycles = p.modelled_cycles.max(s.modelled_cycles);
-                if p.power_w.is_none() {
-                    p.power_w = s.power_w;
-                }
-            } else {
-                out.push(PlatformSummary {
-                    platform: s.platform,
-                    shards: 1,
-                    mirror: s.mirror,
-                    requests: s.requests,
-                    dag_ops: s.dag_ops,
-                    modelled_cycles: s.modelled_cycles,
-                    power_w: s.power_w,
-                });
-            }
-        }
-        out
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpu_dag::{DagBuilder, Op};
+
+    const FREQ: f64 = 300e6;
+
+    /// `(x + y)²`: binary, so its binarized op count is its own.
+    fn binary_dag() -> Dag {
+        let mut b = DagBuilder::new();
+        let x = b.input();
+        let y = b.input();
+        let s = b.node(Op::Add, &[x, y]).unwrap();
+        b.node(Op::Mul, &[s, s]).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// `x²`: one operation.
+    fn square_dag() -> Dag {
+        let mut b = DagBuilder::new();
+        let x = b.input();
+        b.node(Op::Mul, &[x, x]).unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn a_request_costs_the_ceiled_model_time_and_rows_run_serially() {
+        let dag = binary_dag();
+        let cpu = BaselineModel::cpu();
+        let row = PlatformSummary::modelled(&cpu, &[(&dag, 5)], FREQ);
+        let cycles = ((cpu.exec_time_s(&dag) * FREQ).ceil() as u64).max(1);
+        assert_eq!(row.platform, "cpu");
+        assert_eq!(row.requests, 5);
+        assert_eq!(row.modelled_cycles, 5 * cycles);
+        assert_eq!(row.dag_ops, 5 * dag.op_count() as u64);
+        assert_eq!(row.power_w, cpu.power_w());
+    }
+
+    /// The numerator is the binarized DAG's operations: a three-input add
+    /// is one source operation but two on every platform's ledger, so
+    /// baseline GOPS divide the same work the DPU reports.
+    #[test]
+    fn operations_are_counted_on_the_binarized_dag() {
+        let mut b = DagBuilder::new();
+        let x = b.input();
+        let y = b.input();
+        let z = b.input();
+        let s = b.node(Op::Add, &[x, y, z]).unwrap();
+        b.node(Op::Mul, &[s, x]).unwrap();
+        let dag = b.finish().unwrap();
+        assert_eq!(dag.op_count(), 2);
+        assert_eq!(dag.binarize().0.op_count(), 3);
+        let row = PlatformSummary::modelled(&BaselineModel::gpu(), &[(&dag, 4)], FREQ);
+        assert_eq!(row.dag_ops, 4 * 3);
+    }
+
+    /// A prediction shorter than a reference cycle still costs one: no
+    /// DAG is modelled as free.
+    #[test]
+    fn a_sub_cycle_request_costs_one_cycle() {
+        let dag = binary_dag();
+        let model = BaselineModel::dpu_v1();
+        let slow_clock = 1.0;
+        assert!(model.exec_time_s(&dag) * slow_clock < 1.0);
+        let row = PlatformSummary::modelled(&model, &[(&dag, 3)], slow_clock);
+        assert_eq!(row.modelled_cycles, 3);
+    }
+
+    /// A row is a sum over its DAGs, so pricing a stream per family and
+    /// pricing it whole agree.
+    #[test]
+    fn rows_add_up_over_dags() {
+        let (a, b) = (binary_dag(), square_dag());
+        let gpu = BaselineModel::gpu();
+        let whole = PlatformSummary::modelled(&gpu, &[(&a, 3), (&b, 5)], FREQ);
+        let (ra, rb) = (
+            PlatformSummary::modelled(&gpu, &[(&a, 3)], FREQ),
+            PlatformSummary::modelled(&gpu, &[(&b, 5)], FREQ),
+        );
+        assert_eq!(whole.requests, ra.requests + rb.requests);
+        assert_eq!(whole.dag_ops, ra.dag_ops + rb.dag_ops);
+        assert_eq!(
+            whole.modelled_cycles,
+            ra.modelled_cycles + rb.modelled_cycles
+        );
+    }
+
+    #[test]
+    fn nothing_served_prices_to_no_throughput_and_no_edp() {
+        let row = PlatformSummary::modelled(&BaselineModel::spu(), &[], FREQ);
+        assert_eq!((row.requests, row.dag_ops, row.modelled_cycles), (0, 0, 0));
+        assert_eq!(row.gops(FREQ), 0.0);
+        assert_eq!(row.edp_pj_ns(FREQ), None);
+    }
+
+    #[test]
+    fn edp_is_power_over_gops_squared() {
+        let (a, b) = (binary_dag(), square_dag());
+        let row = PlatformSummary::modelled(&BaselineModel::cpu(), &[(&a, 7), (&b, 2)], FREQ);
+        let gops = row.gops(FREQ);
+        assert!(gops > 0.0);
+        let want = row.power_w / (gops * gops) * 1e3;
+        let got = row.edp_pj_ns(FREQ).expect("work was priced");
+        assert!((got - want).abs() <= 1e-12 * want, "{got} vs {want}");
     }
 }

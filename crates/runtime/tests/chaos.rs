@@ -11,11 +11,10 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    dag_fingerprint, home_shard, Backend, ChaosPlan, DagKey, DispatchOptions, Dispatcher, Engine,
-    EngineOptions, HedgeOptions, Outcome, Priority, ProgramStore, Request, Scratch, ServeError,
-    StealClass, SubmitOptions, Ticket,
+    dag_fingerprint, home_shard, Backend, ChaosPlan, DispatchOptions, Dispatcher, Engine,
+    EngineOptions, HedgeOptions, Outcome, Priority, Request, ServeError, SubmitOptions, Ticket,
 };
-use dpu_sim::RunResult;
+use dpu_sim::{Machine, RunResult};
 use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
 
 fn arch() -> ArchConfig {
@@ -411,34 +410,19 @@ struct PanicBackend {
 }
 
 impl Backend for PanicBackend {
-    fn platform(&self) -> &'static str {
-        self.inner.platform()
-    }
-    fn register(&self, key: DagKey, dag: Arc<Dag>) {
-        self.inner.register(key, dag);
-    }
-    fn scratch(&self) -> Scratch {
-        self.inner.scratch()
+    fn engine(&self) -> &Engine {
+        self.inner.engine()
     }
     fn execute_round(
         &self,
-        scratch: &mut Scratch,
+        machine: &mut Machine,
         requests: &[&Request],
     ) -> Vec<Result<RunResult, ServeError>> {
         assert!(
             requests.iter().all(|r| r.inputs.first() != Some(&666.0)),
             "poison request reached the backend"
         );
-        self.inner.execute_round(scratch, requests)
-    }
-    fn round_cycles(&self, costs: &[u64], cores: usize) -> u64 {
-        self.inner.round_cycles(costs, cores)
-    }
-    fn steal_class(&self) -> StealClass {
-        self.inner.steal_class()
-    }
-    fn program_store(&self) -> Option<&Arc<ProgramStore>> {
-        self.inner.program_store()
+        self.inner.execute_round(machine, requests)
     }
 }
 
@@ -459,7 +443,6 @@ fn backend_panic_is_contained_and_recovered() {
         .collect();
     let d = Dispatcher::with_backends(
         backends,
-        Vec::new(),
         DispatchOptions {
             max_batch: 1,
             // Stealing off: the poison round provably executes on its
@@ -541,7 +524,6 @@ fn a_panicking_shard_leaves_the_shared_store_serving() {
     ];
     let d = Dispatcher::with_backends(
         backends,
-        Vec::new(),
         DispatchOptions {
             max_batch: 1,
             // Stealing off: the poison round provably executes on shard 0.

@@ -1,20 +1,18 @@
 //! Closed-loop latency accounting tests: histogram properties (quantile
 //! error bound, merge determinism, edge cases) and the dispatcher-level
 //! guarantees built on them — `max_wait` actually bounds the reported
-//! batching delay, mirror shards add zero latency to primary tickets,
-//! and the merged deterministic histogram is byte-identical across shard
-//! counts.
+//! batching delay, and the merged deterministic histogram is
+//! byte-identical across shard counts.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpu_baselines::BaselineModel;
 use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    Backend, BaselineBackend, DispatchOptions, DispatchReport, Dispatcher, Engine, EngineOptions,
-    LatencyHistogram, LatencyReport, Request, Ticket,
+    Backend, DispatchOptions, DispatchReport, Dispatcher, Engine, EngineOptions, LatencyHistogram,
+    LatencyReport, Request, Ticket,
 };
 use proptest::prelude::*;
 
@@ -180,10 +178,9 @@ fn engine_backends(n: usize) -> Vec<Arc<dyn Backend>> {
 /// Runs the 200-request deterministic stream (stealing off, effectively
 /// infinite latency budget, rounds close by size or flush) on the given
 /// shard layout and returns the shutdown report.
-fn deterministic_run(primaries: usize, mirrors: Vec<Arc<dyn Backend>>) -> DispatchReport {
+fn deterministic_run(shards: usize) -> DispatchReport {
     let dispatcher = Dispatcher::with_backends(
-        engine_backends(primaries),
-        mirrors,
+        engine_backends(shards),
         DispatchOptions {
             max_batch: 16,
             max_wait: Duration::from_secs(3600),
@@ -222,8 +219,8 @@ fn deterministic_run(primaries: usize, mirrors: Vec<Arc<dyn Backend>>) -> Dispat
 
 #[test]
 fn merged_histograms_are_byte_identical_across_shard_counts() {
-    let two = deterministic_run(2, Vec::new());
-    let four = deterministic_run(4, Vec::new());
+    let two = deterministic_run(2);
+    let four = deterministic_run(4);
     assert_eq!(two.latency.service_cycles.count(), 200);
     assert_eq!(
         two.latency.service_cycles.to_bytes(),
@@ -233,35 +230,10 @@ fn merged_histograms_are_byte_identical_across_shard_counts() {
     // The report's merged latency is exactly the fold of the per-shard
     // reports (merge is order-independent, so fold order is free).
     let mut refold = LatencyReport::default();
-    for s in four.shards.iter().filter(|s| !s.mirror) {
+    for s in &four.shards {
         refold.merge(&s.latency);
     }
     assert_eq!(refold, four.latency);
-}
-
-#[test]
-fn mirrors_add_zero_latency_to_primary_tickets() {
-    let without = deterministic_run(2, Vec::new());
-    let mirror: Arc<dyn Backend> = Arc::new(BaselineBackend::new(BaselineModel::cpu(), 300e6));
-    let with = deterministic_run(2, vec![mirror]);
-    assert_eq!(with.mirrored, 200, "mirror shadowed every request");
-    // Mirrors are ticketless shadows: the deterministic latency of the
-    // primary tickets — the whole histogram, hence p50/p99/p999 — is
-    // identical with and without them.
-    assert_eq!(
-        without.latency.service_cycles.to_bytes(),
-        with.latency.service_cycles.to_bytes()
-    );
-    assert_eq!(
-        without.latency.service_cycles.p99(),
-        with.latency.service_cycles.p99()
-    );
-    // And the mirror's own distribution never leaks into the merged
-    // primary report: its shard report records cpu-model cycles, which
-    // are disjoint from the DPU's.
-    let mirror_shard = with.shards.iter().find(|s| s.mirror).unwrap();
-    assert_eq!(mirror_shard.latency.service_cycles.count(), 200);
-    assert_eq!(with.latency.service_cycles.count(), 200);
 }
 
 #[test]

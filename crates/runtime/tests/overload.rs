@@ -13,11 +13,10 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    dag_fingerprint, home_shard, Backend, DagKey, DispatchOptions, Dispatcher, Engine,
-    EngineOptions, Outcome, Priority, ProgramStore, Request, Scratch, ServeError, ShedReason,
-    StealClass, SubmitOptions, SubmitRejection, Ticket,
+    dag_fingerprint, home_shard, Backend, DispatchOptions, Dispatcher, Engine, EngineOptions,
+    Outcome, Priority, Request, ServeError, ShedReason, SubmitOptions, SubmitRejection, Ticket,
 };
-use dpu_sim::RunResult;
+use dpu_sim::{Machine, RunResult};
 
 fn arch() -> ArchConfig {
     ArchConfig::new(2, 8, 32).unwrap()
@@ -506,39 +505,24 @@ fn cold_retry_after_is_floored_at_max_wait() {
 }
 
 /// A pass-through backend that sleeps `delay` per round before
-/// executing, keeping the inner engine's steal class (the results really
-/// are byte-identical — only the host-side timing differs).
+/// executing, keeping the inner engine (so its steal class: the results
+/// really are byte-identical — only the host-side timing differs).
 struct SlowBackend {
     inner: Arc<dyn Backend>,
     delay: Duration,
 }
 
 impl Backend for SlowBackend {
-    fn platform(&self) -> &'static str {
-        self.inner.platform()
-    }
-    fn register(&self, key: DagKey, dag: Arc<Dag>) {
-        self.inner.register(key, dag);
-    }
-    fn scratch(&self) -> Scratch {
-        self.inner.scratch()
+    fn engine(&self) -> &Engine {
+        self.inner.engine()
     }
     fn execute_round(
         &self,
-        scratch: &mut Scratch,
+        machine: &mut Machine,
         requests: &[&Request],
     ) -> Vec<Result<RunResult, ServeError>> {
         std::thread::sleep(self.delay);
-        self.inner.execute_round(scratch, requests)
-    }
-    fn round_cycles(&self, costs: &[u64], cores: usize) -> u64 {
-        self.inner.round_cycles(costs, cores)
-    }
-    fn steal_class(&self) -> StealClass {
-        self.inner.steal_class()
-    }
-    fn program_store(&self) -> Option<&Arc<ProgramStore>> {
-        self.inner.program_store()
+        self.inner.execute_round(machine, requests)
     }
 }
 
@@ -580,7 +564,6 @@ fn stolen_round_shed_is_attributed_to_home_shard() {
     }
     let d = Dispatcher::with_backends(
         backends,
-        Vec::new(),
         DispatchOptions {
             max_batch: 1,
             work_stealing: true,

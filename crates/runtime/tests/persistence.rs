@@ -9,7 +9,7 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::Dag;
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    Backend, DispatchOptions, Dispatcher, Engine, EngineOptions, Request, SpillStore, Ticket,
+    DispatchOptions, Dispatcher, Engine, EngineOptions, Request, SpillStore, Ticket,
 };
 use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
 use dpu_workloads::sparse::{generate_lower_triangular, LowerTriangularParams, SpmvDag};
@@ -249,12 +249,11 @@ fn new_shard_prewarms_from_peer_spill_before_taking_traffic() {
     let shard_a = std::sync::Arc::new(engine_over(&dir));
     let shard_b = std::sync::Arc::new(engine_over(&dir));
     assert_eq!(shard_a.prewarm(), dags.len());
-    assert_eq!(Backend::prewarm(shard_b.as_ref()), dags.len());
+    assert_eq!(shard_b.prewarm(), dags.len());
     assert_eq!(shard_a.cache_stats().entries, dags.len());
 
     let d = Dispatcher::with_backends(
         vec![shard_a, shard_b],
-        Vec::new(),
         DispatchOptions {
             max_batch: 8,
             max_wait: Duration::from_micros(200),

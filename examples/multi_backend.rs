@@ -1,25 +1,15 @@
-//! Multi-backend serving demo: one live request stream, every platform
-//! of the paper's §V-C comparison answering it side by side.
+//! Baseline comparison demo: one live request stream served on DPU-v2,
+//! every other platform of the paper's §V-C comparison priced on it.
 //!
-//! Two parts:
-//!
-//! 1. **Mirror mode** — two DPU-v2 engine shards serve a seeded
-//!    open-loop stream (tickets, byte-identical to a serial pass) while
-//!    four analytic baseline shards (CPU, GPU, DPU-v1, SPU from
-//!    `dpu-baselines`) shadow every request through the same [`Backend`]
-//!    seam. The dispatcher report then carries live per-platform
-//!    throughput/GOPS/EDP — Table III, measured on *your* traffic
-//!    instead of the paper's offline suite.
-//! 2. **Heterogeneous primaries** — a dispatcher whose primary shards
-//!    are *different platforms* (a DPU-v2 engine and a CPU model
-//!    shard): requests route by DAG fingerprint, each ticket is
-//!    fulfilled by whichever platform owns its key, and work stealing
-//!    stays within a platform (cross-platform stealing would change
-//!    results).
+//! Two DPU-v2 engine shards serve a seeded open-loop stream (tickets,
+//! byte-identical to a serial pass). The CPU, GPU, DPU-v1 and SPU models
+//! from `dpu-baselines` are pure functions of DAG shape, so their rows are
+//! computed from how many times each DAG completed
+//! ([`PlatformSummary::modelled`]) — Table III, on *your* traffic instead
+//! of the paper's offline suite — with no second execution of anything.
 //!
 //! Run with `cargo run --release --example multi_backend`.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use dpu_core::energy;
@@ -33,9 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let freq = energy::calib::FREQ_HZ;
 
     // Two workload families and a seeded open-loop schedule over them.
-    // (Seeds chosen so the two DAG fingerprints home onto *different*
-    // shards of a 2-primary dispatcher — part 2 shows per-platform
-    // routing.)
     let pc = generate_pc(&PcParams::with_targets(1_500, 12), 90);
     let a = generate_lower_triangular(
         &LowerTriangularParams {
@@ -67,128 +54,89 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
 
-    // ── Part 1: DPU-v2 primaries, every baseline platform mirroring. ──
-    let dispatcher = dpu.mirrored_dispatcher(
-        DispatchOptions {
-            shards: 2,
-            max_batch: 24,
-            max_wait: Duration::from_micros(500),
-            ..Default::default()
-        },
-        &[
-            BaselineModel::cpu(),
-            BaselineModel::gpu(),
-            BaselineModel::dpu_v1(),
-            BaselineModel::spu(),
-        ],
-    );
-    let keys = [
-        dispatcher.register(pc.clone()),
-        dispatcher.register(spmv.dag.clone()),
-    ];
-    let submitter = dispatcher.submitter();
-    let tickets: Vec<Ticket> = schedule
+    let dispatcher = dpu.dispatcher(DispatchOptions {
+        shards: 2,
+        max_batch: 24,
+        max_wait: Duration::from_micros(500),
+        ..Default::default()
+    });
+    let dags = [pc.clone(), spmv.dag.clone()];
+    let keys = dags.clone().map(|dag| dispatcher.register(dag));
+    let requests: Vec<Request> = schedule
         .iter()
-        .map(|arr| {
-            submitter.submit(Request::new(
-                keys[arr.family],
-                inputs_for(arr.family, arr.seq),
-            ))
-        })
+        .map(|arr| Request::new(keys[arr.family], inputs_for(arr.family, arr.seq)))
+        .collect();
+    let submitter = dispatcher.submitter();
+    let tickets: Vec<Ticket> = requests
+        .iter()
+        .map(|r| submitter.submit(r.clone()))
         .collect::<Result<_, _>>()?;
     dispatcher.drain();
+
+    // Every reply is byte-identical to a serial pass over the same stream.
+    let serial = dpu.engine(EngineOptions::default());
+    for dag in &dags {
+        serial.register(dag.clone());
+    }
+    let reference = serial.serve_serial(&requests)?.results;
+    let mut completed = [0u64; 2];
     let mut total_cycles = 0u64;
     let mut total_pj = 0.0f64;
-    for t in tickets {
+    for ((t, want), arr) in tickets.into_iter().zip(&reference).zip(&schedule) {
         let r = t.wait().expect("no deadlines set, nothing can be shed");
+        let bits = |r: &RunResult| r.outputs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&r), bits(want), "request {}", arr.seq);
+        assert_eq!(r.cycles, want.cycles, "request {}", arr.seq);
+        completed[arr.family] += 1;
         total_pj += energy::energy_pj(&dpu.config, &r.activity, r.cycles);
         total_cycles += r.cycles;
     }
-    // The DPU's power is activity-dependent; derive the average from the
-    // energy model so its row gets an EDP like the flat-power baselines.
-    let dpu_power_w = total_pj * 1e-12 / (total_cycles as f64 / freq).max(1e-30);
     let report = dispatcher.shutdown();
 
-    println!("== live DPU-vs-baseline comparison ==");
+    // The DPU row is the run's own. Its power is activity-dependent;
+    // derive the average from the energy model so it gets an EDP like the
+    // flat-power baselines.
+    let mut rows = vec![PlatformSummary {
+        platform: "dpu_v2",
+        requests: report.served,
+        dag_ops: report.total_dag_ops(),
+        modelled_cycles: report.modelled_cycles(),
+        power_w: total_pj * 1e-12 / (total_cycles as f64 / freq).max(1e-30),
+    }];
+    let served = [(&dags[0], completed[0]), (&dags[1], completed[1])];
+    for model in [
+        BaselineModel::cpu(),
+        BaselineModel::gpu(),
+        BaselineModel::dpu_v1(),
+        BaselineModel::spu(),
+    ] {
+        rows.push(PlatformSummary::modelled(&model, &served, freq));
+    }
+
+    println!("== DPU-v2 served, baselines priced on the same traffic ==");
     println!(
-        "submitted / served / mirrored : {} / {} / {}",
-        report.submitted, report.served, report.mirrored
+        "submitted / served : {} / {}",
+        report.submitted, report.served
     );
-    println!("total DPU request cycles      : {total_cycles}");
+    println!("total DPU request cycles : {total_cycles}");
     println!(
-        "\n{:<8} {:>6} {:>9} {:>12} {:>10} {:>9} {:>12}",
-        "platform", "shards", "requests", "GOPS", "power W", "EDP", "role"
+        "\n{:<8} {:>9} {:>12} {:>10} {:>9}",
+        "platform", "requests", "GOPS", "power W", "EDP"
     );
-    for mut p in report.platforms() {
-        if p.platform == "dpu_v2" && p.power_w.is_none() {
-            p.power_w = Some(dpu_power_w);
-        }
+    for p in &rows {
+        // Every platform divides the same work by its own time.
+        assert_eq!(p.dag_ops, report.total_dag_ops(), "{}", p.platform);
         let edp = p
             .edp_pj_ns(freq)
             .map_or("-".to_string(), |e| format!("{e:.1}"));
-        let power = p.power_w.map_or("-".to_string(), |w| format!("{w:.2}"));
         println!(
-            "{:<8} {:>6} {:>9} {:>12.3} {:>10} {:>9} {:>12}",
+            "{:<8} {:>9} {:>12.3} {:>10.2} {:>9}",
             p.platform,
-            p.shards,
             p.requests,
             p.gops(freq),
-            power,
-            edp,
-            if p.mirror { "mirror" } else { "primary" }
+            p.power_w,
+            edp
         );
     }
-
-    // ── Part 2: heterogeneous primaries — different platforms serving
-    // tickets for the same stream, routed by DAG fingerprint. ──
-    let engine = dpu.engine(EngineOptions {
-        workers: 1,
-        cores: 8,
-        cache_capacity: None,
-        spill_dir: None,
-    });
-    let cpu_shard = BaselineBackend::new(BaselineModel::cpu(), freq);
-    let het = Dispatcher::with_backends(
-        vec![
-            Arc::new(engine) as Arc<dyn Backend>,
-            Arc::new(cpu_shard) as Arc<dyn Backend>,
-        ],
-        Vec::new(),
-        DispatchOptions {
-            max_batch: 16,
-            max_wait: Duration::from_micros(500),
-            ..Default::default()
-        },
-    );
-    let keys = [het.register(pc.clone()), het.register(spmv.dag.clone())];
-    let submitter = het.submitter();
-    let requests: Vec<Request> = schedule
-        .iter()
-        .take(100)
-        .map(|arr| Request::new(keys[arr.family], inputs_for(arr.family, arr.seq)))
-        .collect();
-    let tickets = submitter
-        .submit_all(requests, SubmitOptions::default())
-        .map_err(|e| e.to_string())?;
-    for t in tickets {
-        // Whichever platform owns this request's key produced the result.
-        assert!(!t.wait().unwrap().outputs.is_empty());
-    }
-    let het_report = het.shutdown();
-    println!("\n== heterogeneous primaries (routing by DAG key) ==");
-    for s in &het_report.shards {
-        println!(
-            "{:<8} served {:>4} requests in {:>3} rounds ({} stolen — cross-platform stealing is impossible)",
-            s.platform, s.requests, s.rounds, s.stolen_rounds
-        );
-    }
-    assert!(
-        het_report.shards.iter().all(|s| s.stolen_rounds == 0),
-        "distinct platforms must never steal from each other"
-    );
-    assert!(
-        het_report.shards.iter().all(|s| s.requests > 0),
-        "both platforms own traffic (the seeds split the DAG keys)"
-    );
     Ok(())
 }

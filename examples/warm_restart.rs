@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sharded : {} served over {} shards, {} pre-warmed programs, {} compiles, \
          serving window {:.1} ms",
         report.served,
-        report.shards.iter().filter(|s| !s.mirror).count(),
+        report.shards.len(),
         warmed,
         totals.misses,
         report.host_seconds * 1e3
