@@ -1,144 +1,8 @@
-//! Ablation study of the compiler's design choices (DESIGN.md §4):
-//!
-//! 1. reordering window (§IV-C) — 1 (off) / 8 / 300 (paper);
-//! 2. spill victim policy (§IV-D) — Belady / nearest-next-use / arbitrary;
-//! 3. bank allocation (§IV-B) — conflict-aware vs random;
-//! 4. interconnect topology (§III-C) — crossbar vs per-layer vs one-PE.
-//!
-//! Each knob is varied in isolation on two representative workloads, with
-//! everything measured in real simulated cycles.
-
-use dpu_bench::{env_scale, load_small_suite, render_table, Workload};
-use dpu_core::compiler::{compile, BankPolicy, CompileOptions, SpillPolicy};
-use dpu_core::prelude::*;
-
-fn cycles(w: &Workload, cfg: &ArchConfig, opts: &CompileOptions) -> (u64, u64) {
-    let c = compile(&w.dag, cfg, opts).unwrap_or_else(|e| panic!("{}: {e}", w.spec.name));
-    (
-        c.stats.total_cycles,
-        c.stats.spill_stores + c.stats.conflicts.copies_inserted,
-    )
-}
+//! Ablation study of the compiler's design choices (DESIGN.md §4): prints
+//! [`dpu_bench::experiments::ablations`] — the reordering window, spill
+//! victim policy, bank allocation and output interconnect, each varied in
+//! isolation on two representative workloads, in simulated cycles.
 
 fn main() {
-    let scale = env_scale(0.5);
-    let workloads: Vec<Workload> = load_small_suite(scale)
-        .into_iter()
-        .filter(|w| ["tretail", "rdb968"].contains(&w.spec.name))
-        .collect();
-    let cfg = ArchConfig::min_edp();
-
-    // 1. Reordering window.
-    let mut rows = Vec::new();
-    for window in [1usize, 8, 64, 300] {
-        let opts = CompileOptions {
-            window,
-            ..Default::default()
-        };
-        let mut total = 0u64;
-        for w in &workloads {
-            total += cycles(w, &cfg, &opts).0;
-        }
-        rows.push(vec![window.to_string(), total.to_string()]);
-    }
-    print!(
-        "{}",
-        render_table(
-            "Ablation 1: reordering window (§IV-C)",
-            &["window", "total cycles"],
-            &rows
-        )
-    );
-    println!("expected: window 1 pays a nop for every hazard; 300 is the paper's choice\n");
-
-    // 2. Spill policy (small R to force pressure).
-    let tight = ArchConfig::new(3, 64, 16).expect("valid");
-    let mut rows = Vec::new();
-    for (name, policy) in [
-        ("furthest-next-use (Belady)", SpillPolicy::FurthestNextUse),
-        ("nearest-next-use", SpillPolicy::NearestNextUse),
-        ("arbitrary", SpillPolicy::Arbitrary),
-    ] {
-        let opts = CompileOptions {
-            spill_policy: policy,
-            ..Default::default()
-        };
-        let (mut total, mut traffic) = (0u64, 0u64);
-        for w in &workloads {
-            let (cy, tr) = cycles(w, &tight, &opts);
-            total += cy;
-            traffic += tr;
-        }
-        rows.push(vec![
-            name.to_string(),
-            total.to_string(),
-            traffic.to_string(),
-        ]);
-    }
-    print!(
-        "{}",
-        render_table(
-            "Ablation 2: spill victim policy at R=16 (§IV-D)",
-            &["policy", "total cycles", "spill+copy traffic"],
-            &rows,
-        )
-    );
-    println!("expected: compile-time lookahead (Belady) minimizes traffic\n");
-
-    // 3. Bank allocation policy.
-    let mut rows = Vec::new();
-    for (name, policy) in [
-        ("conflict-aware (Algorithm 2)", BankPolicy::ConflictAware),
-        ("random", BankPolicy::Random),
-    ] {
-        let opts = CompileOptions {
-            bank_policy: policy,
-            ..Default::default()
-        };
-        let (mut total, mut traffic) = (0u64, 0u64);
-        for w in &workloads {
-            let (cy, tr) = cycles(w, &cfg, &opts);
-            total += cy;
-            traffic += tr;
-        }
-        rows.push(vec![
-            name.to_string(),
-            total.to_string(),
-            traffic.to_string(),
-        ]);
-    }
-    print!(
-        "{}",
-        render_table(
-            "Ablation 3: bank allocation (§IV-B)",
-            &["policy", "total cycles", "spill+copy traffic"],
-            &rows,
-        )
-    );
-    println!();
-
-    // 4. Output interconnect.
-    let mut rows = Vec::new();
-    for topo in [
-        Topology::CrossbarBoth,
-        Topology::CrossbarInPerLayerOut,
-        Topology::CrossbarInOnePeOut,
-    ] {
-        let mut c = cfg;
-        c.topology = topo;
-        let mut total = 0u64;
-        for w in &workloads {
-            total += cycles(w, &c, &CompileOptions::default()).0;
-        }
-        rows.push(vec![topo.to_string(), total.to_string()]);
-    }
-    print!(
-        "{}",
-        render_table(
-            "Ablation 4: output interconnect (§III-C)",
-            &["topology", "total cycles"],
-            &rows
-        )
-    );
-    println!("(scale {scale}; workloads: tretail, rdb968)");
+    print!("{}", dpu_bench::experiments::ablations());
 }

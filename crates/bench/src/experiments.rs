@@ -11,7 +11,7 @@ use dpu_core::baselines::dpu_v1::DpuV1Model;
 use dpu_core::baselines::gpu::GpuModel;
 use dpu_core::baselines::spatial;
 use dpu_core::baselines::spu::SpuModel;
-use dpu_core::compiler::{compile, BankPolicy, CompileOptions};
+use dpu_core::compiler::{compile, BankPolicy, CompileOptions, SpillPolicy};
 use dpu_core::dse;
 use dpu_core::energy;
 use dpu_core::prelude::*;
@@ -712,6 +712,119 @@ pub fn footprint_reduction() -> String {
         &rows,
     );
     out.push_str("paper: 48% smaller than CSR on average\n");
+    out
+}
+
+/// Ablation study of the compiler's design choices (DESIGN.md §4), each
+/// knob varied in isolation on tretail and rdb968 and measured in
+/// simulated cycles:
+///
+/// 1. reordering window (§IV-C) — 1 (off) / 8 / 64 / 300 (paper);
+/// 2. spill victim policy (§IV-D) — Belady / nearest-next-use / arbitrary;
+/// 3. bank allocation (§IV-B) — conflict-aware vs random;
+/// 4. interconnect topology (§III-C) — crossbar vs per-layer vs one-PE.
+pub fn ablations() -> String {
+    let scale = env_scale(0.5);
+    let workloads: Vec<Workload> = load_small_suite(scale)
+        .into_iter()
+        .filter(|w| ["tretail", "rdb968"].contains(&w.spec.name))
+        .collect();
+    // Total cycles and spill + copy traffic over both workloads.
+    let totals = |cfg: &ArchConfig, opts: &CompileOptions| {
+        workloads.iter().fold((0u64, 0u64), |(cy, tr), w| {
+            let c = compile(&w.dag, cfg, opts).unwrap_or_else(|e| panic!("{}: {e}", w.spec.name));
+            (
+                cy + c.stats.total_cycles,
+                tr + c.stats.spill_stores + c.stats.conflicts.copies_inserted,
+            )
+        })
+    };
+    let cfg = ArchConfig::min_edp();
+    let mut out = String::new();
+
+    // 1. Reordering window.
+    let rows: Vec<Vec<String>> = [1usize, 8, 64, 300]
+        .into_iter()
+        .map(|window| {
+            let opts = CompileOptions {
+                window,
+                ..Default::default()
+            };
+            vec![window.to_string(), totals(&cfg, &opts).0.to_string()]
+        })
+        .collect();
+    out.push_str(&render_table(
+        "Ablation 1: reordering window (§IV-C)",
+        &["window", "total cycles"],
+        &rows,
+    ));
+    out.push_str("expected: window 1 pays a nop for every hazard; 300 is the paper's choice\n\n");
+
+    // 2. Spill policy (small R to force pressure).
+    let tight = ArchConfig::new(3, 64, 16).expect("valid");
+    let rows: Vec<Vec<String>> = [
+        ("furthest-next-use (Belady)", SpillPolicy::FurthestNextUse),
+        ("nearest-next-use", SpillPolicy::NearestNextUse),
+        ("arbitrary", SpillPolicy::Arbitrary),
+    ]
+    .into_iter()
+    .map(|(name, spill_policy)| {
+        let opts = CompileOptions {
+            spill_policy,
+            ..Default::default()
+        };
+        let (total, traffic) = totals(&tight, &opts);
+        vec![name.to_string(), total.to_string(), traffic.to_string()]
+    })
+    .collect();
+    out.push_str(&render_table(
+        "Ablation 2: spill victim policy at R=16 (§IV-D)",
+        &["policy", "total cycles", "spill+copy traffic"],
+        &rows,
+    ));
+    out.push_str("expected: compile-time lookahead (Belady) minimizes traffic\n\n");
+
+    // 3. Bank allocation policy.
+    let rows: Vec<Vec<String>> = [
+        ("conflict-aware (Algorithm 2)", BankPolicy::ConflictAware),
+        ("random", BankPolicy::Random),
+    ]
+    .into_iter()
+    .map(|(name, bank_policy)| {
+        let opts = CompileOptions {
+            bank_policy,
+            ..Default::default()
+        };
+        let (total, traffic) = totals(&cfg, &opts);
+        vec![name.to_string(), total.to_string(), traffic.to_string()]
+    })
+    .collect();
+    out.push_str(&render_table(
+        "Ablation 3: bank allocation (§IV-B)",
+        &["policy", "total cycles", "spill+copy traffic"],
+        &rows,
+    ));
+    out.push('\n');
+
+    // 4. Output interconnect.
+    let rows: Vec<Vec<String>> = [
+        Topology::CrossbarBoth,
+        Topology::CrossbarInPerLayerOut,
+        Topology::CrossbarInOnePeOut,
+    ]
+    .into_iter()
+    .map(|topology| {
+        let c = ArchConfig { topology, ..cfg };
+        let total = totals(&c, &CompileOptions::default()).0;
+        vec![topology.to_string(), total.to_string()]
+    })
+    .collect();
+    out.push_str(&render_table(
+        "Ablation 4: output interconnect (§III-C)",
+        &["topology", "total cycles"],
+        &rows,
+    ));
+    out.push_str(&format!("(scale {scale}; workloads: tretail, rdb968)\n"));
     out
 }
 
