@@ -4,7 +4,7 @@
 //! the analyzer, since every compiler-emitted program is well-formed by
 //! construction (the simulator would otherwise fault on it).
 //!
-//! Three properties are checked per `(workload, config)` point:
+//! Four properties are checked per `(workload, config)` point:
 //!
 //! 1. `Compiled::verify()` accepts the program (zero false positives);
 //! 2. the replayed cycle count equals the finalizer's declared
@@ -12,7 +12,10 @@
 //!    its `CycleMismatch`);
 //! 3. the derived [`ConfigFacts`](dpu_core::verify::ConfigFacts) admit
 //!    the very configuration the program was compiled for (the
-//!    steal-class fingerprint is never self-contradictory).
+//!    steal-class fingerprint is never self-contradictory);
+//! 4. a program without spill stores has no finalize stall `nop`s: step 3
+//!    (`reorder`) already spaced every hazard and reserved every write
+//!    port, so only traffic the spiller inserts after it may stall.
 //!
 //! Workloads: the full `pc` + `sptrsv` suites (scaled down for CI time)
 //! plus the tiny suite at full size — `sparse` workloads are the
@@ -70,6 +73,14 @@ fn main() {
                 }
             };
             programs += 1;
+            let stats = &compiled.stats;
+            if stats.spill_stores == 0 && stats.stall_nops > 0 {
+                failures += 1;
+                println!(
+                    "  FAIL  {name} @ D={} B={} R={} {}: {} stall nops without spills",
+                    cfg.depth, cfg.banks, cfg.regs_per_bank, cfg.topology, stats.stall_nops
+                );
+            }
             match compiled.verify() {
                 Ok(report) => {
                     if !report.facts.admits(cfg) {

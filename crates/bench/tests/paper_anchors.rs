@@ -27,22 +27,22 @@
 
 const TABLE3_SMALL_AT_SCALE_1: &str = r"== Fig. 14(a) / Table III: throughput in GOPS (scale 1) ==
 workload  DPU-v2   DPU   CPU   GPU
- tretail    2.62  1.60  0.68  0.10
-   mnist    2.81  1.97  0.88  0.21
-   nltcs    2.94  2.10  0.96  0.28
-   msnbc    1.34  2.39  1.16  0.82
-   msweb    2.68  2.21  1.04  0.37
-bnetflix    2.22  2.32  1.11  0.54
-  bp_200    2.55  0.65  0.30  0.03
-west2021    1.86  0.72  0.33  0.03
-  sieber    2.28  0.99  0.45  0.05
-jagmesh4    1.83  1.16  0.54  0.08
-  rdb968    1.96  1.16  0.53  0.08
-  dw2048    1.12  0.76  0.36  0.04
-    MEAN    2.18  1.50  0.70  0.22
-speedups over CPU — DPU-v2: 3.1x  DPU: 2.2x  GPU: 0.32x (paper: 3.5x / 2.6x / 0.3x)
-power W — DPU-v2: 0.09 (paper 0.11)  DPU: 0.07 (paper 0.07)  CPU: 55 (paper 55)  GPU: 98 (paper 98)
-EDP pJ*ns — DPU-v2: 19.9 (paper 6.0)  DPU: 31.0 (paper 7.1)  CPU: 114k (paper 38k)  GPU: 2040k (paper 1000k)
+ tretail    2.78  1.60  0.68  0.10
+   mnist    3.00  1.97  0.88  0.21
+   nltcs    3.18  2.10  0.96  0.28
+   msnbc    1.38  2.39  1.16  0.82
+   msweb    2.87  2.21  1.04  0.37
+bnetflix    2.33  2.32  1.11  0.54
+  bp_200    2.92  0.65  0.30  0.03
+west2021    2.02  0.72  0.33  0.03
+  sieber    2.62  0.99  0.45  0.05
+jagmesh4    1.85  1.16  0.54  0.08
+  rdb968    2.02  1.16  0.53  0.08
+  dw2048    1.13  0.76  0.36  0.04
+    MEAN    2.34  1.50  0.70  0.22
+speedups over CPU — DPU-v2: 3.4x  DPU: 2.2x  GPU: 0.32x (paper: 3.5x / 2.6x / 0.3x)
+power W — DPU-v2: 0.10 (paper 0.11)  DPU: 0.07 (paper 0.07)  CPU: 55 (paper 55)  GPU: 98 (paper 98)
+EDP pJ*ns — DPU-v2: 17.7 (paper 6.0)  DPU: 31.0 (paper 7.1)  CPU: 114k (paper 38k)  GPU: 2040k (paper 1000k)
 ";
 
 #[test]
@@ -72,18 +72,18 @@ fn fig10_conflicts_reproduces_the_committed_text() {
 
 const FIG13_INSTR_BREAKDOWN: &str = r"== Fig. 13: instruction breakdown (scale 1) ==
 workload  exec  copy  load  store  nop  total
- tretail   26%    6%    3%     0%  64%   1690
-   mnist   27%    6%    3%     0%  63%   1704
-   nltcs   28%    9%    3%     0%  60%   2294
-   msnbc   13%    5%   30%    29%  24%  17154
-   msweb   27%    8%    5%     2%  57%   9489
-bnetflix   22%    8%   13%    11%  45%  12232
-  bp_200   27%    3%   27%     1%  41%    654
-west2021   26%    0%   26%     2%  45%    945
-  sieber   25%    7%   34%     9%  24%   2114
-jagmesh4   15%    9%   41%    26%   9%   6420
-  rdb968   16%    7%   41%    26%  10%   7107
-  dw2048   10%    5%   43%    33%   8%  19519
+ tretail   28%    7%    3%     0%  62%   1591
+   mnist   29%    7%    3%     0%  60%   1593
+   nltcs   31%   10%    4%     0%  56%   2119
+   msnbc   13%    5%   31%    30%  21%  16728
+   msweb   29%    9%    6%     2%  55%   8860
+bnetflix   23%    9%   14%    12%  42%  11635
+  bp_200   31%    4%   31%     2%  33%    570
+west2021   28%    0%   28%     2%  41%    873
+  sieber   29%    8%   37%     9%  17%   1846
+jagmesh4   15%    9%   42%    27%   7%   6348
+  rdb968   16%    7%   42%    26%   9%   6887
+  dw2048   10%    5%   43%    33%   8%  19294
 ";
 
 #[test]
@@ -124,9 +124,9 @@ pinned!(
 
 const FIG06_INTERCONNECT: &str = r"== Fig. 6(e): bank conflicts & latency by output-interconnect topology ==
               topology  conflicts  cycles  latency vs (a)
- (a) crossbar/crossbar          0    3629           +0.0%
-(b) crossbar/per-layer        333    3816           +5.2%
-   (c) crossbar/one-PE       8480    6325          +74.3%
+ (a) crossbar/crossbar          0    3309           +0.0%
+(b) crossbar/per-layer        333    3452           +4.3%
+   (c) crossbar/one-PE       8480    5576          +68.5%
 paper: conflicts (a) 1x, (b) 2.4x, (c) 19x; (b) costs +1% latency, -9% power; (d) not evaluated
 ";
 
@@ -152,28 +152,28 @@ pinned!(
     FIG07_INSTR_LENGTHS
 );
 
-const FIG10_OCCUPANCY: &str = r"-- without spilling (R=512): spills=0 peak/bank=39 --
+const FIG10_OCCUPANCY: &str = r"-- without spilling (R=512): spills=0 peak/bank=38 --
 cycle  max/bank  mean/bank
      1        1       1.0
-   471       34      25.6
-   941       35      24.8
-  1411       32      23.1
-  1881       35      21.1
-  2351       29      19.1
-  2821       25      16.1
-  3291       17      12.2
-  3761        4       1.7
--- with spilling (R=32): spills=71 peak/bank=32 --
+   431       33      25.8
+   861       33      24.5
+  1291       33      23.1
+  1721       34      21.4
+  2151       29      19.1
+  2581       26      16.0
+  3011       19      11.2
+  3441        4       1.7
+-- with spilling (R=32): spills=78 peak/bank=32 --
 cycle  max/bank  mean/bank
      1        1       1.0
-   491       32      25.6
-   981       32      23.8
-  1471       29      22.5
-  1961       30      20.8
-  2451       30      19.0
-  2941       24      16.2
-  3431       17      12.3
-  3921        1       0.0
+   451       32      25.4
+   901       31      23.6
+  1351       28      21.6
+  1801       31      21.0
+  2251       30      19.1
+  2701       24      16.1
+  3151       17      12.2
+  3601        4       1.7
 paper Fig. 10(c,d): balanced occupancy; spilling caps it at R
 ";
 
@@ -185,18 +185,18 @@ pinned!(
 
 const TABLE2_AREA_POWER: &str = r"== Table II: area & power of the min-EDP design (ours vs paper) ==
                    component   mm2  mm2(paper)    mW  mW(paper)
-                         PEs  0.13        0.13   6.6       11.9
+                         PEs  0.13        0.13   7.0       11.9
         Pipelining registers  0.04        0.04   8.0        8.0
-          Input interconnect  0.14        0.14   4.0       10.0
+          Input interconnect  0.14        0.14   4.2       10.0
          Output interconnect  0.01        0.01   0.4        0.5
-              Register banks  0.35        0.35   9.7       24.0
+              Register banks  0.35        0.35  10.3       24.0
            Wr addr generator  0.03        0.03   7.8        7.8
                  Instr fetch  0.06        0.06   7.0        7.0
                       Decode  0.04        0.04   2.6        2.6
 Control pipelining registers  0.01        0.01   0.7        2.7
           Instruction memory  1.20        1.20  27.7       27.7
-                 Data memory  1.20        1.20   2.1        6.7
-                       TOTAL  3.21        3.21  76.4      108.9
+                 Data memory  1.20        1.20   2.2        6.7
+                       TOTAL  3.21        3.21  77.9      108.9
 ";
 
 pinned!(
@@ -207,19 +207,19 @@ pinned!(
 
 const AUTOWRITE_REDUCTION: &str = r"== Automatic write addressing: program-size reduction (§III-B) ==
 workload  bits (auto)  bits (explicit)  reduction
- tretail       284499           363939        22%
-   mnist       300642           384822        22%
-   nltcs       424067           543187        22%
-   msnbc      1447721          1868021        22%
-   msweb      1685608          2162228        22%
-bnetflix      1751960          2237620        22%
-  bp_200       128981           188601        32%
-west2021       178471           260391        31%
-  sieber       354132           518172        32%
-jagmesh4       696979          1027459        32%
-  rdb968       715223          1057363        32%
-  dw2048      1438868          2308508        38%
-   TOTAL      9407151         12920311        27%
+ tretail       284283           363723        22%
+   mnist       300426           384606        22%
+   nltcs       423767           542887        22%
+   msnbc      1447762          1870302        23%
+   msweb      1684448          2161068        22%
+bnetflix      1750576          2236236        22%
+  bp_200       128905           188525        32%
+west2021       178391           260311        31%
+  sieber       353640           517680        32%
+jagmesh4       694234          1021194        32%
+  rdb968       708547          1040447        32%
+  dw2048      1427971          2280011        37%
+   TOTAL      9382950         12866990        27%
 paper: ~30% average reduction
 ";
 
@@ -231,19 +231,19 @@ pinned!(
 
 const FOOTPRINT_REDUCTION: &str = r"== Memory footprint vs CSR (§IV-E), bytes ==
 workload     ours      CSR  reduction
- tretail    42218   137671        69%
-   mnist    44748   150123        70%
-   nltcs    63248   212155        70%
-   msnbc   211941   723616        71%
-   msweb   253453   795967        68%
-bnetflix   254835   846450        70%
-  bp_200    41466    70928        42%
-west2021    57636    85413        33%
-  sieber   112362   203446        45%
-jagmesh4   218706   452939        52%
-  rdb968   224058   520449        57%
-  dw2048   423826   834787        49%
-   TOTAL  1948501  5033947        61%
+ tretail    42191   137671        69%
+   mnist    44721   150123        70%
+   nltcs    63210   212155        70%
+   msnbc   211946   723616        71%
+   msweb   253308   795967        68%
+bnetflix   254662   846450        70%
+  bp_200    41457    70928        42%
+west2021    57626    85413        33%
+  sieber   112301   203446        45%
+jagmesh4   217595   452939        52%
+  rdb968   221688   520449        57%
+  dw2048   421696   834787        49%
+   TOTAL  1942404  5033947        61%
 paper: 48% smaller than CSR on average
 ";
 
@@ -255,29 +255,29 @@ pinned!(
 
 const ABLATIONS: &str = r"== Ablation 1: reordering window (§IV-C) ==
 window  total cycles
-     1          2809
-     8          2512
-    64          3726
-   300          3829
+     1          2782
+     8          2288
+    64          2189
+   300          2128
 expected: window 1 pays a nop for every hazard; 300 is the paper's choice
 
 == Ablation 2: spill victim policy at R=16 (§IV-D) ==
                     policy  total cycles  spill+copy traffic
-furthest-next-use (Belady)          4892                1395
-          nearest-next-use         24945               11404
-                 arbitrary         17789                7859
+furthest-next-use (Belady)          4067                1013
+          nearest-next-use         18224                8052
+                 arbitrary         11182                4557
 expected: compile-time lookahead (Belady) minimizes traffic
 
 == Ablation 3: bank allocation (§IV-B) ==
                       policy  total cycles  spill+copy traffic
-conflict-aware (Algorithm 2)          2545                 200
-                      random          7675                5068
+conflict-aware (Algorithm 2)          2254                 168
+                      random          7263                5081
 
 == Ablation 4: output interconnect (§III-C) ==
               topology  total cycles
- (a) crossbar/crossbar          2419
-(b) crossbar/per-layer          2545
-   (c) crossbar/one-PE          4276
+ (a) crossbar/crossbar          2143
+(b) crossbar/per-layer          2254
+   (c) crossbar/one-PE          3839
 (scale 0.5; workloads: tretail, rdb968)
 ";
 

@@ -16,8 +16,12 @@
 //! - `valid_rst`, computed as "last read of the residency";
 //! - stalling with `nop`s while an operand has not cleared the pipeline,
 //!   or while a `load`/`copy` would collide with an `exec` writeback due
-//!   on the same bank — the safety net behind §IV-C/§IV-D's "inserted in a
-//!   way that avoids new RAW hazards".
+//!   on the same bank. Step 3 ([`crate::reorder`]) already spaces every
+//!   hazard and reserves every write port in the list it schedules, so a
+//!   program without spill traffic never stalls here (`verify_all` checks
+//!   it). The stall is the safety net for the stores and reloads step 4
+//!   ([`crate::spill`]) inserts afterwards, which shift every later cycle —
+//!   §IV-C/§IV-D's "inserted in a way that avoids new RAW hazards".
 
 use dpu_dag::NodeId;
 use dpu_isa::{

@@ -11,8 +11,10 @@
 //!    padding, Fig. 9(c)) and every block input/output value is assigned a
 //!    register bank by the conflict-aware allocator (Algorithm 2, Fig. 10).
 //! 3. **Pipeline-aware reordering** ([`reorder`]) — dependent instructions
-//!    are pushed ≥ `D+1` slots apart by a windowed list scheduler; residual
-//!    hazards become `nop`s (§IV-C).
+//!    are pushed ≥ `D+1` slots apart by a windowed list scheduler that
+//!    issues the ready instruction with the longest dependence path first
+//!    and keeps `load`/`copy` writes off the bank write ports that `exec`
+//!    writebacks hold; residual hazards become `nop`s (§IV-C).
 //! 4. **Register spilling** ([`spill`]) — a live-range walk inserts
 //!    `store_4`/`load` pairs when a bank's live set exceeds `R` (§IV-D).
 //!

@@ -10,11 +10,24 @@
 //!
 //! This implementation is the equivalent list-scheduling formulation: walk
 //! cycles forward, keep a ready set ordered by original position (a bitset
-//! over positions), and at each cycle issue the first ready instruction
-//! (scanning at most `window` candidates) whose operands have cleared the
-//! pipeline; if none qualifies, issue a `nop`. Original order is used as
-//! the priority, which preserves the emission's locality and matches the
-//! paper's "insert independent instructions in between" behaviour.
+//! over positions), and at each cycle look at the `window` lowest ready
+//! positions; if none of them may issue, issue a `nop`. One may issue when
+//! its operands have cleared the pipeline, it moves no more than `window`
+//! slots ahead of its original position, and its register writes find a
+//! free write port.
+//!
+//! - **Priority.** Among those that may issue, the one with the longest
+//!   latency-weighted dependence path to the end of the program (its
+//!   *height*) goes first, the standard list-scheduling heuristic
+//!   (Gibbons and Muchnick, SIGPLAN '86); ties go to the lowest original
+//!   position, which keeps the emission's locality and the output
+//!   deterministic.
+//! - **Write ports.** A bank takes one write per cycle. An `exec` issued
+//!   at cycle `c` writes its banks at the end of `c + D`, so a ring of
+//!   `D + 1` reservation slots records those banks, and a `load` or `copy`
+//!   that would write one of them in the same cycle waits while other work
+//!   issues. [`crate::finalize`] would otherwise stall the whole program
+//!   for it.
 
 use dpu_isa::ArchConfig;
 
@@ -29,9 +42,9 @@ struct Touched {
     last_read: Option<usize>,
 }
 
-/// Reorders `instrs` to minimize read-after-write stalls; returns the new
-/// list (with `nop`s where no independent work was available) and the
-/// number of `nop`s inserted.
+/// Reorders `instrs` to minimize read-after-write and write-port stalls;
+/// returns the new list (with `nop`s where no independent work was
+/// available) and the number of `nop`s inserted.
 pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AInstr>, u64) {
     let n = instrs.len();
     let exec_latency = cfg.pipeline_stages() as u64; // D + 1
@@ -87,11 +100,30 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
     }
     // What each instruction's issue releases: `(later, min distance)`.
     let succs = Csr::new(n, edges.iter().map(|&(j, i, lat)| (j, (i, lat))));
+    // Priority: the longest latency-weighted path to a sink. Every edge
+    // points forward, so one reverse walk settles each height.
+    let mut height: Vec<u64> = vec![0; n];
+    for j in (0..n).rev() {
+        height[j] = succs
+            .row(j)
+            .iter()
+            .map(|&(i, lat)| lat + height[i])
+            .max()
+            .unwrap_or(0);
+    }
 
     let mut ready = PosSet::new(n);
     for i in (0..n).filter(|&i| n_unmet[i] == 0) {
         ready.insert(i);
     }
+    // Write-port reservations: an `exec` issued at cycle `c` writes its
+    // banks at the end of `c + D`, the cycle a `load` or `copy` issued
+    // then would write too. `lands[slot * banks + b]` is the cycle the
+    // latest writeback into bank `b` due in ring slot `slot` lands.
+    let banks = cfg.banks as usize;
+    let depth = exec_latency - 1;
+    let mut lands: Vec<u64> = vec![u64::MAX; exec_latency as usize * banks];
+    let slot = |cycle: u64| (cycle % exec_latency) as usize * banks;
     let mut earliest: Vec<u64> = vec![0; n];
     let mut out: Vec<AInstr> = Vec::with_capacity(n);
     let mut cycle: u64 = 0;
@@ -100,18 +132,34 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
     let mut instrs: Vec<Option<AInstr>> = instrs.into_iter().map(Some).collect();
 
     while scheduled < n {
-        // First ready instruction whose earliest-issue has passed, scanning
-        // up to `window` candidates in original order. Displacement is also
-        // bounded by the window (an instruction may not run more than
-        // `window` slots before its original position): hoisting
+        // Displacement is bounded by the window (an instruction may not run
+        // more than `window` slots before its original position): hoisting
         // independent work arbitrarily far — e.g. pulling loads to the
         // front — lengthens register lifetimes and turns into spill
         // traffic, outweighing the bubbles it fills.
         let horizon = scheduled + window.max(1);
-        match pick(&mut ready, window, horizon, &earliest, cycle) {
+        let now = slot(cycle);
+        let issuable = |i: usize| {
+            let ins = instrs[i]
+                .as_ref()
+                .expect("ready instructions are unscheduled");
+            i <= horizon
+                && earliest[i] <= cycle
+                // An exec's own writes land `D` cycles later.
+                && (ins.is_exec()
+                    || ins.bank_writes().all(|(b, _)| lands[now + b as usize] != cycle))
+        };
+        match pick(&mut ready, window, &height, issuable) {
             Some(i) => {
                 ready.remove(i);
-                out.push(instrs[i].take().expect("scheduled once"));
+                let ins = instrs[i].take().expect("scheduled once");
+                if ins.is_exec() {
+                    let due = slot(cycle + depth);
+                    for (b, _) in ins.bank_writes() {
+                        lands[due + b as usize] = cycle + depth;
+                    }
+                }
+                out.push(ins);
                 scheduled += 1;
                 for &(j, lat) in succs.row(i) {
                     earliest[j] = earliest[j].max(cycle + lat);
@@ -131,27 +179,32 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
     (out, nops)
 }
 
-/// The first of the `window` lowest ready positions that may issue at
-/// `cycle`: its earliest issue cycle has passed and it is no further than
-/// `horizon`.
+/// Among the `window` lowest ready positions, the `issuable` one with the
+/// greatest `height`; ties go to the lowest position.
 fn pick(
     ready: &mut PosSet,
     window: usize,
-    horizon: usize,
-    earliest: &[u64],
-    cycle: u64,
+    height: &[u64],
+    issuable: impl Fn(usize) -> bool,
 ) -> Option<usize> {
-    ready
+    let mut best: Option<usize> = None;
+    for i in ready
         .ascending()
         .take(window.max(1))
-        .find(|&i| i <= horizon && earliest[i] <= cycle)
+        .filter(|&i| issuable(i))
+    {
+        if best.is_none_or(|b| height[i] > height[b]) {
+            best = Some(i);
+        }
+    }
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpu_dag::NodeId;
-    use dpu_isa::{PeId, PeOpcode};
+    use dpu_isa::{PeId, PeOpcode, Topology};
 
     fn exec(reads: Vec<(u32, u32, NodeId)>, writes: Vec<(u32, PeId, NodeId)>) -> AInstr {
         AInstr::Exec {
@@ -220,10 +273,54 @@ mod tests {
         assert!(matches!(out[1], AInstr::Load { .. }));
     }
 
+    #[test]
+    fn load_waits_for_the_exec_writeback_on_its_bank() {
+        // D = 2; the output crossbar lets one PE write any bank.
+        let cfg = ArchConfig::with_topology(2, 8, 16, Topology::CrossbarBoth).unwrap();
+        let pe = PeId::new(0, 1, 0);
+        // a's writeback lands in bank 1 at the end of cycle 2; after a and
+        // the independent b, the load into bank 1 would issue at cycle 2.
+        let a = exec(vec![], vec![(1, pe, NodeId(1))]);
+        let b = exec(vec![], vec![(2, pe, NodeId(2))]);
+        let ld = AInstr::Load {
+            row: 0,
+            dests: vec![(1, NodeId(3))],
+        };
+        let c = exec(vec![], vec![(3, pe, NodeId(4))]);
+        let (out, nops) = reorder(&cfg, vec![a, b, ld, c], 16);
+        // c takes cycle 2 and the load the cycle after.
+        assert_eq!(nops, 0);
+        assert!(matches!(&out[2], AInstr::Exec { writes, .. } if writes[0].0 == 3));
+        assert!(matches!(out[3], AInstr::Load { .. }));
+        let fin = crate::finalize::finalize(&cfg, &out).unwrap();
+        assert_eq!(fin.stall_nops, 0);
+    }
+
+    #[test]
+    fn chain_head_outranks_an_earlier_leaf_and_ties_go_low() {
+        let cfg = ArchConfig::new(2, 8, 16).unwrap(); // D+1 = 3
+        let pe = PeId::new(0, 1, 0);
+        let leaf = |bank, v| exec(vec![], vec![(bank, pe, NodeId(v))]);
+        // 0 and 1 are leaves; 2 heads the chain 2 -> 3 -> 4.
+        let head = leaf(2, 2);
+        let mid = exec(vec![(0, 2, NodeId(2))], vec![(3, pe, NodeId(3))]);
+        let tail = exec(vec![(0, 3, NodeId(3))], vec![]);
+        let (out, _) = reorder(&cfg, vec![leaf(0, 0), leaf(1, 1), head, mid, tail], 16);
+        let first_write = |ins: &AInstr| match ins {
+            AInstr::Exec { writes, .. } => writes.first().map(|w| w.0),
+            _ => None,
+        };
+        // The head (height 6) goes before both leaves (height 0), and the
+        // leaves keep their order.
+        let order: Vec<Option<u32>> = out.iter().take(3).map(first_write).collect();
+        assert_eq!(order, [Some(2), Some(0), Some(1)]);
+    }
+
     /// The ready set against the `BTreeSet<usize>` it replaced: seeded
-    /// inserts and removes, each followed by a pick that must be the first
-    /// of the set's `window` lowest members within `horizon` whose earliest
-    /// cycle has passed.
+    /// inserts and removes, each followed by a pick that must be the
+    /// greatest height among the set's `window` lowest members that are
+    /// within `horizon` and whose earliest cycle has passed, the lowest
+    /// position on a tie.
     #[test]
     fn ready_pick_is_the_btreeset_walk() {
         use rand::rngs::SmallRng;
@@ -238,6 +335,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(26);
         let n = 700; // eleven words
         let earliest: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..40)).collect();
+        // Few distinct heights, so ties are common.
+        let height: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..6)).collect();
         let mut ready = PosSet::new(n);
         let mut model: BTreeSet<usize> = BTreeSet::new();
         for step in 0..steps {
@@ -264,12 +363,14 @@ mod tests {
             let window = [0, 1, 2, 63, 64, 65, 300][rng.gen_range(0usize..7)];
             let horizon = rng.gen_range(0..n + 64);
             let cycle = rng.gen_range(0u64..45);
+            let issuable = |i: usize| i <= horizon && earliest[i] <= cycle;
             let want = model
                 .iter()
                 .take(window.max(1))
-                .find(|&&i| i <= horizon && earliest[i] <= cycle)
+                .filter(|&&i| issuable(i))
+                .min_by_key(|&&i| (std::cmp::Reverse(height[i]), i))
                 .copied();
-            let got = pick(&mut ready, window, horizon, &earliest, cycle);
+            let got = pick(&mut ready, window, &height, issuable);
             assert_eq!(
                 got, want,
                 "window {window}, horizon {horizon}, cycle {cycle}"

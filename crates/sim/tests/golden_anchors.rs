@@ -7,7 +7,10 @@
 //! exactly what a PR that rewrites one and re-routes every experiment
 //! binary onto the other could do. These values were read from the
 //! interpreter as it stood before `Machine::step` was rewritten as the
-//! plain specification (commit 6ac556e). A change here is a change to the
+//! plain specification (commit 6ac556e); the cycle counts and
+//! `instr_bits_fetched` were re-read when the compiler's step 3 took its
+//! critical-path priority (fewer `nop` cycles), while the output bits and
+//! every other counter held. A change here is a change to the
 //! reproduction's modelled numbers (cycles feed GOPS, `Activity` feeds the
 //! energy model) and must be deliberate.
 
@@ -64,7 +67,7 @@ fn check(name: &str, dag: &Dag, inputs: &[f32], want: &Anchor) {
 fn pc_anchor() {
     let dag = generate_pc(&PcParams::with_targets(400, 8), 81);
     let want = Anchor {
-        cycles: 79,
+        cycles: 76,
         outputs: 1,
         output_bits: 0x0999_eae0_5f4b_c809,
         activity: Activity {
@@ -76,7 +79,7 @@ fn pc_anchor() {
             pe_bypass_ops: 268,
             execs: 19,
             crossbar_hops: 749,
-            instr_bits_fetched: 98_908,
+            instr_bits_fetched: 95_152,
         },
     };
     check("pc", &dag, &pc_inputs(&dag, 0), &want);
@@ -87,7 +90,7 @@ fn sptrsv_anchor() {
     let l = generate_lower_triangular(&LowerTriangularParams::for_target_path(40, 1.5, 10), 82);
     let dag = SptrsvDag::build(&l).dag;
     let want = Anchor {
-        cycles: 47,
+        cycles: 46,
         outputs: 19,
         output_bits: 0x414b_47a4_7f2a_8244,
         activity: Activity {
@@ -99,7 +102,7 @@ fn sptrsv_anchor() {
             pe_bypass_ops: 122,
             execs: 11,
             crossbar_hops: 219,
-            instr_bits_fetched: 58_844,
+            instr_bits_fetched: 57_592,
         },
     };
     check("sptrsv", &dag, &smooth_inputs(&dag), &want);
@@ -118,7 +121,7 @@ fn spmv_anchor() {
     );
     let dag = SpmvDag::build(&a).dag;
     let want = Anchor {
-        cycles: 24,
+        cycles: 23,
         outputs: 50,
         output_bits: 0x3b65_3963_392e_7237,
         activity: Activity {
@@ -130,7 +133,7 @@ fn spmv_anchor() {
             pe_bypass_ops: 33,
             execs: 8,
             crossbar_hops: 410,
-            instr_bits_fetched: 30_048,
+            instr_bits_fetched: 28_796,
         },
     };
     check("spmv", &dag, &smooth_inputs(&dag), &want);
