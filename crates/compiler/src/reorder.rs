@@ -29,6 +29,8 @@
 //!   issues. [`crate::finalize`] would otherwise stall the whole program
 //!   for it.
 
+use std::cmp::Reverse;
+
 use dpu_isa::ArchConfig;
 
 use crate::ir::{AInstr, Csr, PosSet, Residency};
@@ -118,10 +120,10 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
     }
     // Write-port reservations: an `exec` issued at cycle `c` writes its
     // banks at the end of `c + D`, the cycle a `load` or `copy` issued
-    // then would write too. `lands[slot * banks + b]` is the cycle the
-    // latest writeback into bank `b` due in ring slot `slot` lands.
+    // then would write too. `lands[slot(t) + b] == t` says an `exec`
+    // writes bank `b` at the end of cycle `t`.
     let banks = cfg.banks as usize;
-    let depth = exec_latency - 1;
+    let depth = u64::from(cfg.depth);
     let mut lands: Vec<u64> = vec![u64::MAX; exec_latency as usize * banks];
     let slot = |cycle: u64| (cycle % exec_latency) as usize * banks;
     let mut earliest: Vec<u64> = vec![0; n];
@@ -140,14 +142,16 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
         let horizon = scheduled + window.max(1);
         let now = slot(cycle);
         let issuable = |i: usize| {
-            let ins = instrs[i]
-                .as_ref()
-                .expect("ready instructions are unscheduled");
-            i <= horizon
-                && earliest[i] <= cycle
+            i <= horizon && earliest[i] <= cycle && {
+                let ins = instrs[i]
+                    .as_ref()
+                    .expect("ready instructions are unscheduled");
                 // An exec's own writes land `D` cycles later.
-                && (ins.is_exec()
-                    || ins.bank_writes().all(|(b, _)| lands[now + b as usize] != cycle))
+                ins.is_exec()
+                    || ins
+                        .bank_writes()
+                        .all(|(b, _)| lands[now + b as usize] != cycle)
+            }
         };
         match pick(&mut ready, window, &height, issuable) {
             Some(i) => {
@@ -187,17 +191,11 @@ fn pick(
     height: &[u64],
     issuable: impl Fn(usize) -> bool,
 ) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for i in ready
+    ready
         .ascending()
         .take(window.max(1))
         .filter(|&i| issuable(i))
-    {
-        if best.is_none_or(|b| height[i] > height[b]) {
-            best = Some(i);
-        }
-    }
-    best
+        .max_by_key(|&i| (height[i], Reverse(i)))
 }
 
 #[cfg(test)]
@@ -364,12 +362,14 @@ mod tests {
             let horizon = rng.gen_range(0..n + 64);
             let cycle = rng.gen_range(0u64..45);
             let issuable = |i: usize| i <= horizon && earliest[i] <= cycle;
-            let want = model
+            let candidates: Vec<usize> = model
                 .iter()
                 .take(window.max(1))
-                .filter(|&&i| issuable(i))
-                .min_by_key(|&&i| (std::cmp::Reverse(height[i]), i))
-                .copied();
+                .copied()
+                .filter(|&i| issuable(i))
+                .collect();
+            let top = candidates.iter().map(|&i| height[i]).max();
+            let want = candidates.into_iter().find(|&i| Some(height[i]) == top);
             let got = pick(&mut ready, window, &height, issuable);
             assert_eq!(
                 got, want,
