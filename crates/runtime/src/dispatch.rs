@@ -6,9 +6,22 @@
 //! [`Submitter`] handles and serves them across `N` shards
 //! ([`Engine::serve`] is a dispatcher fed a pre-collected slice, flushed
 //! and waited). Each shard is a simulated DPU-v2 [`Engine`] — replicas of
-//! one [`ArchConfig`], or distinct configuration points (see
-//! [`Dispatcher::with_configs`]) — behind the [`Backend`] seam, which lets
-//! a test wrap one to inject a fault.
+//! one [`ArchConfig`], or distinct configuration points ([`engine_shards`]
+//! over a list of configs, passed to [`Dispatcher::with_backends`]) —
+//! behind the [`Backend`] seam, which lets a test wrap one to inject a
+//! fault.
+//!
+//! **Decisions and threads.** Every scheduling decision below — round
+//! closing, routing of a round around a dead home, pop, steal, lease,
+//! recovery, stall reclaim and hedging — is made by the clock-free state
+//! machines in `sched.rs`: the ingest thread's `Batcher` and the `Core`
+//! under the one queues lock. This file holds the threads that act on
+//! them: `shards + 1` per dispatcher, one ingest thread and one worker
+//! per shard. They read the [`Clock`], lock, call the core, unlock, run
+//! rounds on the shard's backend outside the lock, resolve tickets and
+//! wake parked workers when the core asks for it. When stall reclaim or
+//! hedging is configured, a parked worker's wait is timed so that its
+//! checkout runs the core's periodic sweep; otherwise it is untimed.
 //!
 //! - **One program store.** The engine shards of a dispatcher
 //!   ([`engine_shards`]) share one [`ProgramStore`]:
@@ -41,7 +54,7 @@
 //!   submission edge with
 //!   [`SubmitRejection::WouldBlock`](crate::SubmitRejection) instead of
 //!   queueing without bound. Requests may carry a deadline and a
-//!   [`Priority`]: a deadline the live queueing estimate proves
+//!   [`Priority`](crate::Priority): a deadline the live queueing estimate proves
 //!   unmeetable is shed *before* execution (the ticket resolves to
 //!   [`Outcome::Shed`](crate::Outcome)), interactive rounds preempt
 //!   batch rounds in packing, dispatch, and stealing, and an aging floor
@@ -59,7 +72,8 @@
 //!   proves result-identical) whether the death is a contained backend
 //!   panic or a scripted kill ([`DispatchOptions::chaos`], a seeded
 //!   [`ChaosPlan`]); [`DispatchOptions::stall_timeout`] reclaims a
-//!   straggler's in-hand round the same way, and optional hedging
+//!   straggler's in-hand round the same way (at the sweep a checkout runs),
+//!   and optional hedging
 //!   ([`DispatchOptions::hedge`]) enqueues a second handle to a
 //!   straggling round on an idle identical-class shard — first completion
 //!   per job wins its claim, the loser is discarded *before* ticket
@@ -84,9 +98,8 @@
 //!   count, stealing, or timing (a request's result depends only on its
 //!   engine's configuration, its program, and its inputs).
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -98,13 +111,12 @@ use dpu_sim::Machine;
 
 use crate::backend::Backend;
 use crate::chaos::{ChaosPlan, HedgeOptions};
-use crate::ingest::{
-    job_channel, Admission, Gate, Job, Outcome, Priority, ShedReason, Submitter, TicketState,
-};
-use crate::latency::{Clock, LatencyHistogram, LatencyReport, Timeline};
+use crate::ingest::{job_channel, Admission, Gate, Job, Outcome, ShedReason, Submitter};
+use crate::latency::{Clock, LatencyReport, Timeline};
 use crate::planner::plan_rounds;
 use crate::pool::{Engine, EngineOptions, ProgramStore, Request, ServeError};
 use crate::report::{ClassReport, DispatchReport, ShardReport};
+use crate::sched::{Batcher, Checkout, Core, QueuedRound, Round, TrackedJob};
 use crate::wake::Waiters;
 use crate::{dag_fingerprint, DagKey, DPU_V2_L_CORES};
 
@@ -113,9 +125,8 @@ use crate::{dag_fingerprint, DagKey, DPU_V2_L_CORES};
 /// on; `chaos` is a script, `hedge` a policy, `stall_timeout` a timeout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchOptions {
-    /// Number of engine shards (ignored by [`Dispatcher::with_configs`]
-    /// and [`Dispatcher::with_backends`], which take one shard per
-    /// config/backend).
+    /// Number of engine shards (ignored by [`Dispatcher::with_backends`],
+    /// which takes one shard per backend).
     pub shards: usize,
     /// Close a shard's pending round once it holds this many requests.
     pub max_batch: usize,
@@ -144,9 +155,11 @@ pub struct DispatchOptions {
     /// behavior.
     pub queue_capacity: Option<usize>,
     /// Anti-starvation floor for priority scheduling: a queued round of
-    /// any class is treated as [`Priority::Interactive`] once it has
+    /// any class is treated as
+    /// [`Priority::Interactive`](crate::Priority::Interactive) once it has
     /// waited this long, so sustained interactive load can delay
-    /// [`Priority::Batch`] work but never starve it forever.
+    /// [`Priority::Batch`](crate::Priority::Batch) work but never starve it
+    /// forever.
     pub priority_aging: Duration,
     /// Deterministic failure script ([`ChaosPlan`]): kill or stall
     /// specific shards at specific points. `None` (the default) injects
@@ -202,9 +215,10 @@ pub fn home_shard(key: DagKey, shards: usize) -> usize {
 /// The engine shards of a dispatcher: one [`Engine`] per entry of
 /// `configs`, siblings over **one** program store
 /// ([`Engine::sharing`]) sized by `options`. The one place a
-/// [`DispatchOptions`] becomes engines — [`Dispatcher::with_configs`]
-/// passes the result to [`Dispatcher::with_backends`] as is, and a caller
-/// wrapping a shard (a fault-injecting test backend) starts from it.
+/// [`DispatchOptions`] becomes engines — [`Dispatcher::new`] passes the
+/// result to [`Dispatcher::with_backends`] as is, a caller serving
+/// distinct configuration points does the same, and a caller wrapping a
+/// shard (a fault-injecting test backend) starts from it.
 pub fn engine_shards(
     configs: &[ArchConfig],
     compile_opts: CompileOptions,
@@ -231,111 +245,26 @@ pub fn engine_shards(
     shards
 }
 
-/// One closed round: the unit of dispatch between ingestion and shards.
-/// Immutable once closed and shared by `Arc`: the queue entry, the
-/// holder's lease slot and any hedge or recovery handle all point at the
-/// same round, so none of them copies a request payload.
-struct Round {
-    /// The shard this round was routed to: its keys' home.
-    home: usize,
-    /// The round's dispatch class: the most urgent [`Priority`] among its
-    /// jobs. Shard queues and work stealing serve interactive rounds
-    /// first (subject to the aging floor).
-    priority: Priority,
-    /// When the round closed — the reference point for
-    /// [`DispatchOptions::priority_aging`] promotion.
-    closed_at: Instant,
-    /// Requests in class-then-arrival order (interactive first within the
-    /// round), each with its completion handle and its latency timeline
-    /// as stamped through round close.
-    jobs: Vec<TrackedJob>,
-}
-
-impl Round {
-    /// Dispatch rank of the round: its class index, collapsed to the
-    /// interactive rank once the round has aged past the anti-starvation
-    /// floor. Lower dispatches first.
-    fn effective_rank(&self, aging: Duration, now: Instant) -> usize {
-        let rank = self.priority.index();
-        if rank > 0 && now.duration_since(self.closed_at) >= aging {
-            0
-        } else {
-            rank
-        }
-    }
-
-    /// Jobs no handle to this round has resolved yet.
-    fn unresolved(&self) -> u64 {
-        self.jobs.iter().filter(|j| !j.already_resolved()).count() as u64
-    }
-}
-
-/// One queue entry: a handle to a round plus the bits that differ per
-/// handle.
-struct QueuedRound {
-    round: Arc<Round>,
-    /// Whether a hedge handle to this round has been enqueued (set on
-    /// both the original and the hedge), so a round is hedged at most
-    /// once.
-    hedged: bool,
-    /// Whether this entry *is* a hedge — wins by its jobs are counted as
-    /// hedge wins.
-    hedge: bool,
-}
-
-impl QueuedRound {
-    fn new(round: Arc<Round>) -> Self {
-        QueuedRound {
-            round,
-            hedged: false,
-            hedge: false,
-        }
-    }
-}
-
-/// Per-shard queue state behind the shared lock.
-struct QueueState {
-    rounds: VecDeque<QueuedRound>,
-    /// The lease: the round this shard's worker has checked out and when,
-    /// until the worker returns for its next one. Filled and cleared by
-    /// [`next_round`] under the lock acquisition it makes anyway; taken
-    /// by the recovery paths (the shard died, or held the round past
-    /// [`DispatchOptions::stall_timeout`]) so a dead or stalled holder's
-    /// in-hand work is requeued without its cooperation. The claim on
-    /// every job keeps a late original and a requeued handle from both
-    /// fulfilling a ticket.
-    in_hand: Option<(Arc<Round>, Instant)>,
-    /// Set once, by the ingestion thread, after the final rounds have
-    /// been queued; a shard exits when every queue of its steal class is
-    /// closed, empty and holds no lease.
-    closed: bool,
-    /// Set once the shard's worker died (a chaos kill or a contained
-    /// panic). A dead queue is permanently empty: its backlog was
-    /// requeued at death and ingestion reroutes later rounds around it.
-    dead: bool,
-}
-
-/// The shared queue fabric: one lock over all shard queues and lease
-/// slots, so stealing, recovery and the exit condition need no lock
-/// ordering; one condvar, signalled — when a worker is parked on it — on
-/// every push, on close, on a death and when a steal class goes idle.
+/// The shared queue fabric: one lock over the scheduling [`Core`], so
+/// stealing, recovery and the exit condition need no lock ordering; one
+/// condvar, signalled — when a worker is parked on it — whenever a core
+/// call raises its wake flag (a push, a close, a death, a sweep that moved
+/// rounds, a steal class going idle).
 struct Queues {
-    inner: Mutex<Vec<QueueState>>,
+    core: Mutex<Core>,
     work: Waiters,
 }
 
 impl Queues {
-    /// `shards` open, live, empty queues.
-    fn new(shards: usize) -> Self {
-        let states = (0..shards).map(|_| QueueState {
-            rounds: VecDeque::new(),
-            in_hand: None,
-            closed: false,
-            dead: false,
-        });
-        Queues {
-            inner: Mutex::new(states.collect()),
-            work: Waiters::default(),
+    fn lock(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().expect("queues poisoned")
+    }
+
+    /// Releases `core`, waking every parked worker if a call made under
+    /// this acquisition asked for it.
+    fn unlock(&self, mut core: MutexGuard<'_, Core>) {
+        if core.take_wake() {
+            self.work.wake_all(core);
         }
     }
 }
@@ -446,26 +375,15 @@ struct IngestStats {
     closed_flush: u64,
 }
 
-/// Everything the ingestion thread, the shard workers and the supervisor
-/// share, behind one `Arc`.
+/// Everything the ingestion thread and the shard workers share, behind
+/// one `Arc`.
 struct Shared {
     shards: Vec<ShardState>,
-    /// Steal classes: shard j may steal from — and recover onto — shard k
-    /// iff their engines' configurations are
-    /// [`dpu_verify::steal_compatible`] (statically proven identical
-    /// per-request results) — represented as the index of the first shard
-    /// of the class.
-    steal_class: Vec<usize>,
     queues: Queues,
     in_flight: InFlight,
     window: ServingWindow,
     clock: Arc<Clock>,
     admission: Arc<Admission>,
-    /// Observed round queue waits (close → checkout, ns), feeding the
-    /// hedge percentile trigger. Written by workers only when hedging is
-    /// configured.
-    round_waits: Mutex<LatencyHistogram>,
-    supervisor_stop: AtomicBool,
     options: DispatchOptions,
 }
 
@@ -477,9 +395,6 @@ pub struct Dispatcher {
     shut_down: Arc<RwLock<bool>>,
     ingest: Option<JoinHandle<IngestStats>>,
     workers: Vec<JoinHandle<()>>,
-    /// The supervision thread (stall reclaim + hedging), spawned only
-    /// when a policy needing one is configured.
-    supervisor: Option<JoinHandle<()>>,
     started: Instant,
     /// Filled by [`Dispatcher::stop`] so `shutdown` can build the report
     /// after `Drop`-safe teardown.
@@ -505,30 +420,16 @@ impl Dispatcher {
     /// `options.cores == 0`.
     pub fn new(config: ArchConfig, compile_opts: CompileOptions, options: DispatchOptions) -> Self {
         assert!(options.shards > 0, "at least one shard required");
-        Self::with_configs(vec![config; options.shards], compile_opts, options)
-    }
-
-    /// Builds a dispatcher with one engine shard per entry of `configs`
-    /// ([`engine_shards`]: all over one program store) — distinct
-    /// architecture points are allowed (work stealing then only happens
-    /// between shards with identical configs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty, `options.max_batch == 0` or
-    /// `options.cores == 0`.
-    pub fn with_configs(
-        configs: Vec<ArchConfig>,
-        compile_opts: CompileOptions,
-        options: DispatchOptions,
-    ) -> Self {
-        let backends = engine_shards(&configs, compile_opts, &options);
+        let backends = engine_shards(&vec![config; options.shards], compile_opts, &options);
         Self::with_backends(backends, options)
     }
 
     /// Builds a dispatcher with one shard per [`Backend`] — the
-    /// constructor behind every other, and the seam a test uses to wrap a
-    /// shard's engine (routing and stealing as in the module docs).
+    /// constructor behind [`Dispatcher::new`], the way to serve distinct
+    /// architecture points ([`engine_shards`] over their configs; work
+    /// stealing then only happens between steal-compatible shards), and
+    /// the seam a test uses to wrap a shard's engine (routing and stealing
+    /// as in the module docs).
     ///
     /// # Panics
     ///
@@ -576,14 +477,14 @@ impl Dispatcher {
         let started = Instant::now();
         let shared = Arc::new(Shared {
             shards,
-            steal_class,
-            queues: Queues::new(n),
+            queues: Queues {
+                core: Mutex::new(Core::new(steal_class, &options)),
+                work: Waiters::default(),
+            },
             in_flight: InFlight::default(),
             window: ServingWindow::new(),
             clock: Arc::new(Clock::from_epoch(started)),
             admission: Arc::new(Admission::new(n, options.queue_capacity, options.max_wait)),
-            round_waits: Mutex::new(LatencyHistogram::new()),
-            supervisor_stop: AtomicBool::new(false),
             options,
         });
 
@@ -603,14 +504,6 @@ impl Dispatcher {
                     .expect("spawn shard thread")
             })
             .collect();
-        let supervisor = (shared.options.hedge.is_some() || shared.options.stall_timeout.is_some())
-            .then(|| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name("dpu-supervisor".into())
-                    .spawn(move || supervisor_loop(&shared))
-                    .expect("spawn supervisor thread")
-            });
 
         Dispatcher {
             shared,
@@ -618,7 +511,6 @@ impl Dispatcher {
             shut_down: Arc::new(RwLock::new(false)),
             ingest: Some(ingest),
             workers,
-            supervisor,
             started,
             final_ingest_stats: None,
         }
@@ -744,6 +636,7 @@ impl Dispatcher {
         // returned has finished its counter updates (the write-locked
         // flag flipped before the marker), and every worker is joined.
         let adm = &self.shared.admission;
+        let core = self.shared.queues.lock();
         let classes: [ClassReport; 3] = std::array::from_fn(|i| {
             let accepted = adm.accepted[i].load(Ordering::Relaxed);
             let rejected = adm.rejected[i].load(Ordering::Relaxed);
@@ -779,8 +672,8 @@ impl Dispatcher {
             rejected_deadline_past: adm.rejected_deadline_past.load(Ordering::Relaxed),
             shed_unmeetable: adm.shed_unmeetable.load(Ordering::Relaxed),
             shed_expired: adm.shed_expired.load(Ordering::Relaxed),
-            recovered: adm.recovered.load(Ordering::Relaxed),
-            hedged: adm.hedged.load(Ordering::Relaxed),
+            recovered: core.recovered,
+            hedged: core.hedged,
             hedge_wins: adm.hedge_wins.load(Ordering::Relaxed),
         }
     }
@@ -803,22 +696,9 @@ impl Dispatcher {
         for w in self.workers.drain(..) {
             w.join().expect("shard thread panicked");
         }
-        // The supervisor outlives the workers so stall reclaim and
-        // hedging keep helping the final drain; with the workers joined
-        // there is nothing left for it to supervise.
-        self.shared.supervisor_stop.store(true, Ordering::Relaxed);
-        if let Some(sup) = self.supervisor.take() {
-            sup.join().expect("supervisor thread panicked");
-        }
         debug_assert_eq!(self.in_flight(), 0, "shutdown left requests in flight");
         debug_assert!(
-            self.shared
-                .queues
-                .inner
-                .lock()
-                .expect("queues poisoned")
-                .iter()
-                .all(|q| q.rounds.is_empty() && q.in_hand.is_none()),
+            self.shared.queues.lock().is_drained(),
             "shutdown left rounds queued or leased"
         );
     }
@@ -830,70 +710,13 @@ impl Drop for Dispatcher {
     }
 }
 
-/// One pending job: a request, its completion handle, its priority class,
-/// its latency timeline as stamped by the ingestion thread through round
-/// close (the executing shard continues it in a worker-local copy), and
-/// its claim.
-struct TrackedJob {
-    request: Request,
-    ticket: Arc<TicketState>,
-    priority: Priority,
-    timeline: Timeline,
-    /// First-completion-wins arbiter: every handle to the round (the
-    /// original, a recovery requeue, a hedge) shares this job, so
-    /// whichever resolves it first flips the flag and the rest stand
-    /// down.
-    claimed: AtomicBool,
-}
-
-impl TrackedJob {
-    /// Wins the exclusive right to resolve this job: exactly one caller
-    /// ever sees `true`.
-    fn claim(&self) -> bool {
-        self.claimed
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Whether this job is already resolved — a cheap pre-check so a
-    /// losing handle skips the backend seam entirely.
-    fn already_resolved(&self) -> bool {
-        self.claimed.load(Ordering::Acquire)
-    }
-}
-
-/// Per-shard pending-round state: one job list per priority class. Round
-/// closing drains interactive first, then standard, then batch — within a
-/// class, arrival order — so an interactive request never queues behind
-/// batch work inside its own round. With single-class traffic this packs
-/// exactly the old single-list order.
-struct PendingRound {
-    by_class: [Vec<TrackedJob>; 3],
-}
-
-impl PendingRound {
-    fn new() -> Self {
-        PendingRound {
-            by_class: [Vec::new(), Vec::new(), Vec::new()],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.by_class.iter().map(Vec::len).sum()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.by_class.iter().all(Vec::is_empty)
-    }
-}
-
 /// The ingestion loop: route to home shards, shed provably late requests
-/// at the door, accumulate, close rounds adaptively.
+/// at the door, and feed the [`Batcher`], queueing every round it closes
+/// (full, due, or flushed).
 fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> IngestStats {
     use crossbeam::channel::RecvTimeoutError;
 
     let Shared {
-        queues,
         window,
         clock,
         admission,
@@ -902,80 +725,19 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
     } = shared;
     let n = shared.shards.len();
     let mut stats = IngestStats::default();
-    let mut pending: Vec<PendingRound> = (0..n).map(|_| PendingRound::new()).collect();
-    // When each shard's pending round exhausts its latency budget: `None`
-    // while nothing is pending, or when `max_wait` is too long to put a
-    // date on (`Duration::MAX`) — that round closes by size or flush only.
-    let mut due: Vec<Option<Instant>> = vec![None; n];
-
-    let close = |s: usize, pending: &mut Vec<PendingRound>, due: &mut Vec<Option<Instant>>| {
-        if pending[s].is_empty() {
-            return false;
-        }
-        let closed_ns = clock.now_ns();
-        let mut jobs: Vec<TrackedJob> = Vec::with_capacity(pending[s].len());
-        for class in pending[s].by_class.iter_mut() {
-            jobs.append(class);
-        }
-        let mut priority = Priority::Batch;
-        for job in &mut jobs {
-            job.timeline.round_closed_ns = closed_ns;
-            priority = priority.min(job.priority);
-        }
-        let round = QueuedRound::new(Arc::new(Round {
-            home: s,
-            priority,
-            closed_at: Instant::now(),
-            jobs,
-        }));
-        due[s] = None;
-        let mut qs = queues.inner.lock().expect("queues poisoned");
-        if qs[s].dead {
-            // The home shard died since these jobs were routed: hand the
-            // round straight to the recovery path. `home` stays `s`, so
-            // depth slots and ledger attribution are unchanged.
-            recover_or_fail(shared, qs, s, vec![round]);
-        } else {
-            qs[s].rounds.push_back(round);
-            queues.work.wake_all(qs);
-        }
-        true
-    };
-
-    // Appends one job, picked up at `picked`, to shard `s`'s pending
-    // round, closing it when full.
-    let push = |s: usize,
-                job: TrackedJob,
-                picked: Instant,
-                pending: &mut Vec<PendingRound>,
-                due: &mut Vec<Option<Instant>>,
-                stats: &mut IngestStats| {
-        shared.in_flight.inc();
-        if pending[s].is_empty() {
-            due[s] = picked.checked_add(options.max_wait);
-        }
-        let class = job.priority.index();
-        pending[s].by_class[class].push(job);
-        if pending[s].len() >= options.max_batch && close(s, pending, due) {
-            stats.closed_full += 1;
-        }
-    };
+    let mut batcher = Batcher::new(n, options.max_batch, options.max_wait);
 
     loop {
         // Close every round that has exhausted its latency budget, then
-        // sleep until the next message or the next round's deadline.
-        let mut next_deadline = None;
-        if due.iter().any(Option::is_some) {
-            let now = Instant::now();
-            for s in 0..n {
-                if due[s].is_some_and(|d| now >= d) && close(s, &mut pending, &mut due) {
-                    stats.closed_timer += 1;
-                }
+        // sleep until the next message or the next round's due stamp.
+        if batcher.next_due().is_some() {
+            for round in batcher.close_due(clock.now_ns()) {
+                stats.closed_timer += 1;
+                queue_round(shared, round);
             }
-            next_deadline = due.iter().flatten().min().copied();
         }
-        let msg = match next_deadline {
-            Some(deadline) => match rx.recv_deadline(deadline) {
+        let msg = match batcher.next_due() {
+            Some(due) => match rx.recv_deadline(clock.instant_at(due)) {
                 Ok(m) => Some(m),
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => None,
@@ -986,8 +748,7 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
         match msg {
             Some(Job::Request(sub)) => {
                 stats.submitted += 1;
-                let picked = Instant::now();
-                let accepted_ns = clock.ns_at(picked);
+                let accepted_ns = clock.now_ns();
                 window.mark_accept(accepted_ns);
                 let timeline = Timeline {
                     arrival_ns: sub.arrival_ns,
@@ -1006,99 +767,50 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
                         let mut timeline = timeline;
                         timeline.completed_ns = clock.now_ns();
                         window.mark_complete(timeline.completed_ns);
-                        admission.note_shed(
-                            sub.priority.index(),
-                            s,
-                            ShedReason::DeadlineUnmeetable {
-                                projected_ns,
-                                deadline_ns: sub.deadline_ns,
-                            },
-                        );
-                        sub.ticket.fulfill(
-                            Outcome::Shed {
-                                reason: ShedReason::DeadlineUnmeetable {
-                                    projected_ns,
-                                    deadline_ns: sub.deadline_ns,
-                                },
-                            },
-                            timeline,
-                        );
+                        let reason = ShedReason::DeadlineUnmeetable {
+                            projected_ns,
+                            deadline_ns: sub.deadline_ns,
+                        };
+                        admission.note_shed(sub.priority.index(), s, reason);
+                        sub.ticket.fulfill(Outcome::Shed { reason }, timeline);
                         continue;
                     }
                 }
-                push(
-                    s,
-                    TrackedJob {
-                        request: sub.request,
-                        ticket: sub.ticket,
-                        priority: sub.priority,
-                        timeline,
-                        claimed: AtomicBool::new(false),
-                    },
-                    picked,
-                    &mut pending,
-                    &mut due,
-                    &mut stats,
-                );
+                shared.in_flight.inc();
+                let job = TrackedJob::new(sub.request, sub.ticket, sub.priority, timeline);
+                if let Some(round) = batcher.add(s, job, accepted_ns) {
+                    stats.closed_full += 1;
+                    queue_round(shared, round);
+                }
             }
-            Some(Job::Flush(gate)) => {
-                for s in 0..n {
-                    if close(s, &mut pending, &mut due) {
-                        stats.closed_flush += 1;
-                    }
+            // A flush, or the end of stream: the shutdown marker, or every
+            // submitter and the dispatcher gone.
+            msg => {
+                for round in batcher.close_all(clock.now_ns()) {
+                    stats.closed_flush += 1;
+                    queue_round(shared, round);
                 }
-                gate.open();
-            }
-            // End of stream: the shutdown marker, or every submitter and
-            // the dispatcher gone.
-            Some(Job::Shutdown) | None => {
-                for s in 0..n {
-                    if close(s, &mut pending, &mut due) {
-                        stats.closed_flush += 1;
-                    }
+                if let Some(Job::Flush(gate)) = msg {
+                    gate.open();
+                    continue;
                 }
-                let mut qs = queues.inner.lock().expect("queues poisoned");
-                for q in qs.iter_mut() {
-                    q.closed = true;
-                }
-                queues.work.wake_all(qs);
+                let mut core = shared.queues.lock();
+                core.close();
+                shared.queues.unlock(core);
                 return stats;
             }
         }
     }
 }
 
-/// Pushes the still-unresolved `rounds` onto the first surviving shard of
-/// `from`'s steal class — the only requeue target statically proven
-/// result-identical — under the queues lock the *caller* already holds.
-/// Returns the recovered job count (jobs not already resolved through
-/// another handle), or the rounds back when no survivor exists so the
-/// caller can pick its no-survivor policy (fail vs. drop).
-///
-/// Taking the lock as a parameter is what makes every recovery move
-/// atomic with the liveness checks around it: a peer deciding to exit
-/// serializes against this push on the same lock, so it either sees the
-/// requeued rounds or the requeue sees it still alive.
-fn requeue_locked(
-    qs: &mut [QueueState],
-    from: usize,
-    rounds: Vec<QueuedRound>,
-    steal_class: &[usize],
-) -> Result<u64, Vec<QueuedRound>> {
-    let target =
-        (0..qs.len()).find(|&t| t != from && !qs[t].dead && steal_class[t] == steal_class[from]);
-    let Some(t) = target else {
-        return Err(rounds);
-    };
-    let mut recovered = 0u64;
-    for round in rounds {
-        let unresolved = round.round.unresolved();
-        if unresolved > 0 {
-            recovered += unresolved;
-            qs[t].rounds.push_back(round);
-        }
-    }
-    Ok(recovered)
+/// Queues a closed round on its home shard ([`Core::push`]), failing its
+/// jobs when the home died and no same-class shard is left to take it.
+fn queue_round(shared: &Shared, round: Round) {
+    let home = round.home;
+    let mut core = shared.queues.lock();
+    let lost = core.push(round);
+    shared.queues.unlock(core);
+    fail_lost(shared, &lost, home);
 }
 
 /// Resolves one job of a lost round, if still unclaimed: the typed
@@ -1127,58 +839,25 @@ fn fail_job(
     shared.in_flight.dec();
 }
 
-/// The one recovery move for rounds stranded on dead shard `from`:
-/// requeue them onto a live steal-compatible peer under the queues lock
-/// the caller took to observe the death, release it, wake everyone
-/// (exit-waiters re-check against the dead flag and the requeued rounds),
-/// and — with no survivor — fail the stranded jobs typed
-/// ([`fail_job`]).
-fn recover_or_fail(
-    shared: &Shared,
-    mut qs: MutexGuard<'_, Vec<QueueState>>,
-    from: usize,
-    rounds: Vec<QueuedRound>,
-) {
-    let failed = match requeue_locked(&mut qs, from, rounds, &shared.steal_class) {
-        Ok(recovered) => {
-            shared
-                .admission
-                .recovered
-                .fetch_add(recovered, Ordering::Relaxed);
-            Vec::new()
-        }
-        Err(rounds) => rounds,
-    };
-    shared.queues.work.wake_all(qs);
-    for entry in &failed {
+/// Fails every job of the rounds the core could not requeue after shard
+/// `lost_shard` died ([`fail_job`]), outside the queues lock.
+fn fail_lost(shared: &Shared, lost: &[QueuedRound], lost_shard: usize) {
+    for entry in lost {
         for job in &entry.round.jobs {
-            fail_job(shared, &entry.round, job, job.timeline, from);
+            fail_job(shared, &entry.round, job, job.timeline, lost_shard);
         }
     }
 }
 
-/// A worker's dying act (chaos kill or contained panic): marks the shard
-/// dead, then moves its entire failure domain — queued rounds plus the
-/// round it holds on lease — onto one surviving same-class shard, all
-/// under a single queues-lock acquisition. The atomicity is load-bearing:
-/// between the drain and the push no peer can observe "class idle" and
-/// exit, so the requeued rounds always land on a live worker. With no
-/// survivor, the stranded jobs fail typed ([`fail_job`]).
-///
-/// Requeueing ignores [`DispatchOptions::work_stealing`], exactly as
-/// ingestion's rerouting of later traffic for the dead home does:
-/// steal-class compatibility is the static proof of result identity,
-/// stealing is just a scheduling policy, and every worker's exit
-/// condition is class-wide, so the peer is still there to take the
-/// backlog.
+/// A worker's dying act (chaos kill or contained panic): [`Core::kill`]
+/// moves its queued and in-hand rounds onto a surviving same-class shard
+/// under one lock acquisition; with no survivor, the stranded jobs fail
+/// typed.
 fn abandon_shard(shared: &Shared, me: usize) {
-    let mut qs = shared.queues.inner.lock().expect("queues poisoned");
-    qs[me].dead = true;
-    let mut stranded: Vec<QueuedRound> = qs[me].rounds.drain(..).collect();
-    if let Some((round, _)) = qs[me].in_hand.take() {
-        stranded.push(QueuedRound::new(round));
-    }
-    recover_or_fail(shared, qs, me, stranded);
+    let mut core = shared.queues.lock();
+    let lost = core.kill(me);
+    shared.queues.unlock(core);
+    fail_lost(shared, &lost, me);
 }
 
 /// One shard's worker loop: pop own rounds (interactive first), steal
@@ -1212,27 +891,13 @@ fn shard_loop(shared: &Shared, me: usize) {
     let kill_after = chaos.and_then(|c| c.kill_after(me));
     let stall = chaos.and_then(|c| c.stall(me));
     let mut rounds_done: u64 = 0;
+    let mut finished: Option<QueuedRound> = None;
 
     loop {
-        let Some(entry) = next_round(
-            me,
-            &shared.queues,
-            &shared.steal_class,
-            options.work_stealing,
-            options.priority_aging,
-        ) else {
+        let Some(entry) = next_round(shared, me, finished.take()) else {
             return; // my steal class is closed, empty and lease-free
         };
         let round = &*entry.round;
-        if options.hedge.is_some() {
-            // Feed the observed queue wait to the hedge trigger.
-            let waited = Instant::now().duration_since(round.closed_at).as_nanos() as u64;
-            shared
-                .round_waits
-                .lock()
-                .expect("round waits poisoned")
-                .record(waited);
-        }
         if kill_after.is_some_and(|after| rounds_done >= after) {
             // Scripted death at checkout: the lease slot owns the in-hand
             // round's recovery.
@@ -1372,219 +1037,48 @@ fn shard_loop(shared: &Shared, me: usize) {
                 Ordering::Relaxed,
             );
         }
+        finished = Some(entry);
     }
 }
 
-/// The failure supervisor, spawned only when stall reclaim or hedging is
-/// configured. Each tick it (1) runs the stalled-holder sweep
-/// ([`reclaim_stalled`]) under the queues lock, like every recovery move,
-/// and (2) runs the hedge pass. The supervisor outlives the workers (it
-/// is stopped after they join) so a stall detected during the final drain
-/// still recovers.
-fn supervisor_loop(shared: &Shared) {
-    let options = &shared.options;
-    let tick = {
-        let mut t = Duration::from_millis(10);
-        if let Some(stall) = options.stall_timeout {
-            t = t.min(stall / 4);
-        }
-        if let Some(hedge) = &options.hedge {
-            t = t.min(hedge.min_wait / 4);
-        }
-        t.max(Duration::from_micros(100))
-    };
-    while !shared.supervisor_stop.load(Ordering::Relaxed) {
-        std::thread::sleep(tick);
-        if let Some(timeout) = options.stall_timeout {
-            let mut qs = shared.queues.inner.lock().expect("queues poisoned");
-            let recovered = reclaim_stalled(&mut qs, &shared.steal_class, timeout, Instant::now());
-            if recovered > 0 {
-                shared.queues.work.wake_all(qs);
-                shared
-                    .admission
-                    .recovered
-                    .fetch_add(recovered, Ordering::Relaxed);
+/// Hands `finished` back and blocks until shard `me` has its next round
+/// ([`Core::checkout`], which releases the lease and picks the next one
+/// under one lock acquisition), or returns `None` once `me`'s steal class
+/// is idle. A parked worker waits untimed, or — with stall reclaim or
+/// hedging on — until the core's next sweep is due, so its next checkout
+/// runs it.
+///
+/// `finished` is usually the last handle to the round it names: it is
+/// dropped after the unlock, because freeing a round's payloads is not
+/// work to do under the lock.
+fn next_round(shared: &Shared, me: usize, finished: Option<QueuedRound>) -> Option<QueuedRound> {
+    let Shared { queues, clock, .. } = shared;
+    let mut core = queues.lock();
+    let next = loop {
+        match core.checkout(me, clock.now_ns()) {
+            Checkout::Run(entry) => break Some(entry),
+            Checkout::Exit => break None,
+            // A sweep moved rounds onto other queues: wake their workers
+            // before parking.
+            Checkout::Wait if core.take_wake() => {
+                queues.work.wake_all(core);
+                core = queues.lock();
+            }
+            Checkout::Wait => {
+                core = match core.next_sweep_ns() {
+                    None => queues.work.wait(core).expect("queues poisoned"),
+                    Some(at) => {
+                        let wait = Duration::from_nanos(at.saturating_sub(clock.now_ns()));
+                        let woken = queues.work.wait_timeout(core, wait);
+                        woken.expect("queues poisoned").0
+                    }
+                };
             }
         }
-        if let Some(hedge) = &options.hedge {
-            hedge_pass(shared, hedge);
-        }
-    }
-}
-
-/// The stalled-holder sweep: takes every lease checked out at least
-/// `timeout` before `now` out of its slot — so each is reclaimed at most
-/// once — and requeues a handle to the round onto a live same-class
-/// shard. The holder is *not* dead: it keeps running and may still
-/// resolve the round itself; claims arbitrate. With no surviving peer the
-/// handle is *dropped*, not failed, for the same reason. Returns the
-/// recovered job count (zero iff nothing was pushed).
-fn reclaim_stalled(
-    qs: &mut [QueueState],
-    steal_class: &[usize],
-    timeout: Duration,
-    now: Instant,
-) -> u64 {
-    let mut recovered = 0u64;
-    for holder in 0..qs.len() {
-        let overdue = qs[holder]
-            .in_hand
-            .take_if(|(_, since)| now.duration_since(*since) >= timeout);
-        if let Some((round, _)) = overdue {
-            let rounds = vec![QueuedRound::new(round)];
-            recovered += requeue_locked(qs, holder, rounds, steal_class).unwrap_or(0);
-        }
-    }
-    recovered
-}
-
-/// One hedge sweep: any queued round on a live shard that has waited
-/// past `max(observed wait at trigger_percentile, min_wait)` gets a
-/// second handle pushed to an idle (empty-queue, live) shard of the same
-/// steal class. The original is marked `hedged` (never hedged twice), the
-/// new entry `hedge` (its claimed-job completions count as hedge wins).
-/// The busy map keeps two hedges from landing on one idle shard in a
-/// single pass.
-fn hedge_pass(shared: &Shared, hedge: &HedgeOptions) {
-    let steal_class = &shared.steal_class;
-    let threshold = {
-        let waits = shared.round_waits.lock().expect("round waits poisoned");
-        let observed_ns = if waits.is_empty() {
-            0
-        } else {
-            waits.value_at_quantile(f64::from(hedge.trigger_percentile) / 100.0)
-        };
-        Duration::from_nanos(observed_ns).max(hedge.min_wait)
     };
-    let now = Instant::now();
-    let mut qs = shared.queues.inner.lock().expect("queues poisoned");
-    let n = qs.len();
-    let mut busy: Vec<bool> = (0..n)
-        .map(|t| qs[t].dead || !qs[t].rounds.is_empty())
-        .collect();
-    let mut hedged_jobs = 0u64;
-    let mut pushed = false;
-    for s in 0..n {
-        if qs[s].dead {
-            continue;
-        }
-        // Plan against the immutable queue first, then apply: indices
-        // stay valid because the plan only reads and the apply only
-        // mutates flags and *other* shards' queues.
-        let mut plan: Vec<(usize, usize)> = Vec::new();
-        for (i, r) in qs[s].rounds.iter().enumerate() {
-            if r.hedged || r.hedge || now.duration_since(r.round.closed_at) < threshold {
-                continue;
-            }
-            let Some(t) = (0..n).find(|&t| t != s && !busy[t] && steal_class[t] == steal_class[s])
-            else {
-                break; // no idle same-class peer left this pass
-            };
-            busy[t] = true;
-            plan.push((i, t));
-        }
-        for (i, t) in plan {
-            let original = &mut qs[s].rounds[i];
-            original.hedged = true;
-            let copy = QueuedRound {
-                round: Arc::clone(&original.round),
-                hedged: true,
-                hedge: true,
-            };
-            hedged_jobs += copy.round.unresolved();
-            qs[t].rounds.push_back(copy);
-            pushed = true;
-        }
-    }
-    if pushed {
-        shared.queues.work.wake_all(qs);
-    }
-    if hedged_jobs > 0 {
-        shared
-            .admission
-            .hedged
-            .fetch_add(hedged_jobs, Ordering::Relaxed);
-    }
-}
-
-/// Releases the round shard `me` holds on lease, then blocks until it has
-/// the next one to execute and checks that out — release, pop and
-/// checkout under one queues-lock acquisition. Selection is
-/// priority-aware on both paths:
-///
-/// - **Own queue:** the best-ranked round, oldest first within a rank
-///   ([`Round::effective_rank`] — interactive rounds jump ahead of
-///   earlier-closed batch rounds, and the aging floor promotes anything
-///   that has waited out [`DispatchOptions::priority_aging`]).
-/// - **Stealing:** from the deepest same-class backlog, the best-ranked
-///   round, *newest* first within a rank (the victim drains oldest-first,
-///   so thief and victim meet in the middle).
-///
-/// With single-class traffic and no aged rounds this degrades exactly to
-/// the old FIFO-pop / newest-steal behavior.
-///
-/// Returns `None` once `me`'s steal class is idle: every queue in it
-/// closed and empty, and no lease out. The condition is class-wide even
-/// with stealing off — recovery and hedging requeue onto same-class
-/// peers regardless of the stealing policy — and lease-aware because a
-/// peer holding a round could still die and requeue it here. Once the
-/// class is idle no new work can materialize (every producer path starts
-/// from a queued round or a lease), so the condition is stable, and it
-/// is the same for every member: the worker whose release makes it true
-/// is the one that observes it, and it wakes the rest on its way out —
-/// no per-round wake-up is needed.
-fn next_round(
-    me: usize,
-    queues: &Queues,
-    steal_class: &[usize],
-    stealing: bool,
-    aging: Duration,
-) -> Option<QueuedRound> {
-    let mut qs = queues.inner.lock().expect("queues poisoned");
-    // Usually the last handle to the finished round. It lives to the end
-    // of the function, past the `drop(qs)` on both ways out: freeing a
-    // round's payloads is not work to do under the lock.
-    let _released = qs[me].in_hand.take();
-    loop {
-        // Own queue first; else, when stealing, the deepest backlog among
-        // shards whose class matches mine.
-        let source = if !qs[me].rounds.is_empty() {
-            Some(me)
-        } else if stealing {
-            (0..qs.len())
-                .filter(|&j| j != me && steal_class[j] == steal_class[me])
-                .max_by_key(|&j| qs[j].rounds.len())
-                .filter(|&j| !qs[j].rounds.is_empty())
-        } else {
-            None
-        };
-        if let Some(j) = source {
-            let now = Instant::now();
-            let len = qs[j].rounds.len();
-            let best = qs[j]
-                .rounds
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, r)| {
-                    let tie = if j == me { *i } else { len - *i };
-                    (r.round.effective_rank(aging, now), tie)
-                })
-                .map(|(i, _)| i)
-                .expect("nonempty queue");
-            let entry = qs[j].rounds.remove(best).expect("index in range");
-            qs[me].in_hand = Some((Arc::clone(&entry.round), now));
-            drop(qs);
-            return Some(entry);
-        }
-        let class_idle = (0..qs.len())
-            .filter(|&j| steal_class[j] == steal_class[me])
-            .all(|j| qs[j].closed && qs[j].rounds.is_empty() && qs[j].in_hand.is_none());
-        if class_idle {
-            queues.work.wake_all(qs);
-            return None;
-        }
-        qs = queues.work.wait(qs).expect("queues poisoned");
-    }
+    queues.unlock(core);
+    drop(finished);
+    next
 }
 
 #[cfg(test)]
@@ -1592,144 +1086,6 @@ mod tests {
     use super::*;
     use crate::ingest::Ticket;
     use crate::wake::within;
-    use std::sync::mpsc;
-
-    const AGING: Duration = Duration::from_millis(20);
-
-    /// `n` queues of one steal class.
-    fn queues(n: usize) -> (Queues, Vec<usize>) {
-        (Queues::new(n), vec![0; n])
-    }
-
-    fn round(home: usize) -> Arc<Round> {
-        Arc::new(Round {
-            home,
-            priority: Priority::Standard,
-            closed_at: Instant::now(),
-            jobs: vec![TrackedJob {
-                request: Request::new(DagKey(1), Vec::new()),
-                ticket: TicketState::new(),
-                priority: Priority::Standard,
-                timeline: Timeline::default(),
-                claimed: AtomicBool::new(false),
-            }],
-        })
-    }
-
-    fn push(queues: &Queues, shard: usize, round: &Arc<Round>) {
-        let mut qs = queues.inner.lock().unwrap();
-        qs[shard]
-            .rounds
-            .push_back(QueuedRound::new(Arc::clone(round)));
-    }
-
-    fn close_all(queues: &Queues) {
-        for q in queues.inner.lock().unwrap().iter_mut() {
-            q.closed = true;
-        }
-    }
-
-    /// The round in `shard`'s lease slot, if any.
-    fn leased(queues: &Queues, shard: usize) -> Option<Arc<Round>> {
-        let qs = queues.inner.lock().unwrap();
-        qs[shard].in_hand.as_ref().map(|(r, _)| Arc::clone(r))
-    }
-
-    #[test]
-    fn checkout_fills_the_lease_slot_and_the_next_call_releases_it() {
-        let (queues, class) = queues(1);
-        let (r1, r2) = (round(0), round(0));
-        push(&queues, 0, &r1);
-        push(&queues, 0, &r2);
-
-        let got = next_round(0, &queues, &class, true, AGING).expect("r1 queued");
-        assert!(Arc::ptr_eq(&got.round, &r1));
-        assert!(Arc::ptr_eq(&leased(&queues, 0).expect("r1 on lease"), &r1));
-
-        // One call releases r1 and leases r2: nobody can observe the slot
-        // empty in between, and nothing copied the round.
-        let got = next_round(0, &queues, &class, true, AGING).expect("r2 queued");
-        assert!(Arc::ptr_eq(&got.round, &r2));
-        assert!(Arc::ptr_eq(&leased(&queues, 0).expect("r2 on lease"), &r2));
-
-        close_all(&queues);
-        assert!(next_round(0, &queues, &class, true, AGING).is_none());
-        assert!(leased(&queues, 0).is_none());
-    }
-
-    #[test]
-    fn stall_reclaim_takes_a_lease_once_and_releases_touch_only_the_own_slot() {
-        let (queues, class) = queues(2);
-        let (r1, r2) = (round(0), round(0));
-        push(&queues, 0, &r1);
-        let original = next_round(0, &queues, &class, false, AGING).expect("r1 queued");
-
-        // Shard 0 stalls: the sweep moves a handle to r1 onto shard 1,
-        // exactly once.
-        let sweep = || {
-            let mut qs = queues.inner.lock().unwrap();
-            reclaim_stalled(&mut qs, &class, Duration::ZERO, Instant::now())
-        };
-        assert_eq!(sweep(), 1);
-        assert_eq!(sweep(), 0);
-        assert!(leased(&queues, 0).is_none());
-        assert_eq!(queues.inner.lock().unwrap()[1].rounds.len(), 1);
-
-        let requeued = next_round(1, &queues, &class, false, AGING).expect("reclaimed r1");
-        assert!(Arc::ptr_eq(&requeued.round, &r1));
-
-        // The stalled holder comes back: its release is a no-op on its
-        // own (already taken) slot and cannot clear shard 1's newer lease
-        // on the same round.
-        push(&queues, 0, &r2);
-        let next = next_round(0, &queues, &class, false, AGING).expect("r2 queued");
-        assert!(Arc::ptr_eq(&next.round, &r2));
-        assert!(Arc::ptr_eq(
-            &leased(&queues, 1).expect("r1 still leased"),
-            &r1
-        ));
-
-        // Two handles, one job: exactly one of them resolves it.
-        assert!(requeued.round.jobs[0].claim());
-        assert!(!original.round.jobs[0].claim());
-    }
-
-    #[test]
-    fn an_idle_worker_waits_out_a_same_class_lease() {
-        for stealing in [true, false] {
-            let (queues, class) = queues(2);
-            let queues = Arc::new(queues);
-            push(&queues, 1, &round(1));
-            next_round(1, &queues, &class, stealing, AGING).expect("shard 1 checks out");
-            close_all(&queues);
-
-            // A plain spawn, joined only on success: a wrong exit
-            // condition then fails the test instead of hanging it.
-            let (tx, rx) = mpsc::channel();
-            let idle = {
-                let (queues, class) = (Arc::clone(&queues), class.clone());
-                std::thread::spawn(move || {
-                    let got = next_round(0, &queues, &class, stealing, AGING);
-                    tx.send(got.is_none()).unwrap();
-                })
-            };
-            // Shard 0's own queue is closed and empty, but shard 1 could
-            // still die and requeue its in-hand round here.
-            assert!(
-                rx.recv_timeout(Duration::from_millis(50)).is_err(),
-                "stealing {stealing}: exited while a peer held a lease"
-            );
-            // Shard 1 comes back: its release idles the class, it exits,
-            // and it wakes shard 0 on the way out.
-            assert!(next_round(1, &queues, &class, stealing, AGING).is_none());
-            assert!(
-                rx.recv_timeout(Duration::from_secs(10))
-                    .expect("woken by the release"),
-                "stealing {stealing}: a round appeared from nowhere"
-            );
-            idle.join().unwrap();
-        }
-    }
 
     const LIMIT: Duration = Duration::from_secs(30);
 
@@ -1756,7 +1112,7 @@ mod tests {
     fn until_parked(d: &Dispatcher, n: usize) {
         let queues = &d.shared.queues;
         while {
-            let _held = queues.inner.lock().unwrap();
+            let _held = queues.lock();
             queues.work.waiting() != n
         } {
             std::thread::yield_now();
@@ -1777,12 +1133,13 @@ mod tests {
             regs_per_bank: 32,
             ..arch()
         };
-        let d = Dispatcher::with_configs(
-            vec![arch(), more_regs, more_rows, more_regs],
-            CompileOptions::default(),
-            DispatchOptions::default(),
+        let configs = [arch(), more_regs, more_rows, more_regs];
+        let options = DispatchOptions::default();
+        let d = Dispatcher::with_backends(
+            engine_shards(&configs, CompileOptions::default(), &options),
+            options,
         );
-        assert_eq!(d.shared.steal_class, [0, 1, 0, 1]);
+        assert_eq!(d.shared.queues.lock().steal_class, [0, 1, 0, 1]);
         d.shutdown();
     }
 

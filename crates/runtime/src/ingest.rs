@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use dpu_sim::RunResult;
 
 use crate::dispatch::home_shard;
-use crate::latency::{Clock, Timeline};
+use crate::latency::{nanos, Clock, Timeline};
 use crate::pool::{Request, ServeError};
 use crate::wake::Waiters;
 
@@ -647,15 +647,8 @@ pub(crate) struct Admission {
     pub(crate) queueing_estimate_ns: AtomicU64,
     /// Live EWMA of observed host-side service time.
     pub(crate) service_estimate_ns: AtomicU64,
-    /// Jobs rescued from a dead or stalled shard: requeued onto a
-    /// surviving compatible shard by the recovery path. Overlay
-    /// counters — recovery moves work, it does not change any outcome,
-    /// so these stay outside the per-class balance equation.
-    pub(crate) recovered: AtomicU64,
-    /// Jobs for which a hedge copy was enqueued on an idle
-    /// identical-class shard.
-    pub(crate) hedged: AtomicU64,
-    /// Hedged jobs whose *copy* won the completion claim.
+    /// Hedged jobs whose *copy* won the completion claim. An overlay
+    /// counter, outside the per-class balance equation.
     pub(crate) hedge_wins: AtomicU64,
 }
 
@@ -664,7 +657,7 @@ impl Admission {
         Admission {
             shards,
             capacity: capacity.map(|c| c as u64),
-            max_wait_ns: u64::try_from(max_wait.as_nanos()).unwrap_or(u64::MAX),
+            max_wait_ns: nanos(max_wait),
             depth: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             accepted: Default::default(),
             completed: Default::default(),
@@ -678,8 +671,6 @@ impl Admission {
             shed_expired: AtomicU64::new(0),
             queueing_estimate_ns: AtomicU64::new(0),
             service_estimate_ns: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
-            hedged: AtomicU64::new(0),
             hedge_wins: AtomicU64::new(0),
         }
     }

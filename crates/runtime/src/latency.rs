@@ -36,7 +36,7 @@
 //! function of the *multiset* of recorded values, never of which shard
 //! recorded them or in what order the shards were folded.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Sub-bucket resolution: 2^4 = 16 linear sub-buckets per power of two.
 const SUB_BITS: u32 = 4;
@@ -286,9 +286,18 @@ impl Clock {
 
     /// Nanoseconds from the epoch to `t` (0 if `t` precedes the epoch).
     pub fn ns_at(&self, t: Instant) -> u64 {
-        t.checked_duration_since(self.epoch)
-            .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+        t.checked_duration_since(self.epoch).map_or(0, nanos)
     }
+
+    /// The instant `ns` nanoseconds after the epoch.
+    pub(crate) fn instant_at(&self, ns: u64) -> Instant {
+        self.epoch + Duration::from_nanos(ns)
+    }
+}
+
+/// `d` in nanoseconds, saturating at `u64::MAX` (585 years).
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl Default for Clock {

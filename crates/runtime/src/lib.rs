@@ -113,6 +113,7 @@ pub mod latency;
 pub mod planner;
 pub mod pool;
 pub mod report;
+mod sched;
 mod wake;
 
 pub use backend::Backend;

@@ -104,9 +104,8 @@ pub enum ServeError {
     /// error with its stream index.
     Sim(SimError),
     /// A backend rejected the request's inputs (arity mismatch against
-    /// the registered DAG) — raised by an engine before it stages a round,
-    /// and by analytic baseline backends, which evaluate through the
-    /// reference interpreter instead of compiling.
+    /// the registered DAG) — raised by an engine before it stages a
+    /// round.
     Inputs(dpu_dag::DagError),
     /// The shard holding the request died (a chaos-plan kill or a
     /// contained worker panic) and no surviving shard of the same steal

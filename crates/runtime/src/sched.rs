@@ -1,0 +1,893 @@
+//! The dispatcher's scheduling decisions as two plain state machines,
+//! with no clock of their own, no lock and no thread.
+//!
+//! Every decision the [`Dispatcher`](crate::Dispatcher) makes about *where*
+//! and *when* work runs lives here; `dispatch.rs` only drives it. Its
+//! threads read the dispatcher's [`Clock`](crate::Clock) and pass the stamp
+//! in as `now_ns`, hold the one queues lock across a [`Core`] call, run
+//! rounds on the engines outside it, resolve tickets and wake parked
+//! workers when the core says to. A single-threaded test can therefore
+//! replay any schedule on a virtual clock, the way a sans-I/O protocol
+//! state machine (`quinn-proto`) or a deterministic simulation
+//! (FoundationDB) is tested.
+//!
+//! - [`Batcher`] is the ingest side: each shard's pending round, split by
+//!   priority class, and the stamp at which it exhausts its latency
+//!   budget. [`Batcher::add`] closes a round when it is full,
+//!   [`Batcher::close_due`] when its budget is spent,
+//!   [`Batcher::close_all`] on a flush or at the end of the stream. It is
+//!   owned by the ingest thread alone, outside the queues lock.
+//! - [`Core`] is everything under the queues lock: each shard's queue of
+//!   closed rounds, its lease (the round its worker has checked out, and
+//!   since when), its `closed` and `dead` flags, the steal classes, the
+//!   hedge trigger's wait histogram and the next sweep stamp.
+//!   [`Core::push`] queues a round, [`Core::checkout`] hands a worker its
+//!   next round (own queue, else a steal), [`Core::kill`] recovers a dead
+//!   shard's rounds, [`Core::sweep`] reclaims stalled leases and places
+//!   hedges, [`Core::close`] marks the end of the stream. A state change
+//!   another worker must see raises [`Core::take_wake`].
+
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use crate::chaos::HedgeOptions;
+use crate::dispatch::DispatchOptions;
+use crate::ingest::{Priority, TicketState};
+use crate::latency::{nanos, LatencyHistogram, Timeline};
+use crate::pool::Request;
+
+/// One pending job: a request, its completion handle, its priority class,
+/// its latency timeline as stamped by the ingestion thread through round
+/// close (the executing shard continues it in a worker-local copy), and
+/// its claim.
+pub(crate) struct TrackedJob {
+    pub(crate) request: Request,
+    pub(crate) ticket: Arc<TicketState>,
+    pub(crate) priority: Priority,
+    pub(crate) timeline: Timeline,
+    /// First-completion-wins arbiter: every handle to the round (the
+    /// original, a recovery requeue, a hedge) shares this job, so
+    /// whichever resolves it first flips the flag and the rest stand
+    /// down.
+    claimed: AtomicBool,
+}
+
+impl TrackedJob {
+    pub(crate) fn new(
+        request: Request,
+        ticket: Arc<TicketState>,
+        priority: Priority,
+        timeline: Timeline,
+    ) -> Self {
+        TrackedJob {
+            request,
+            ticket,
+            priority,
+            timeline,
+            claimed: AtomicBool::new(false),
+        }
+    }
+
+    /// Wins the exclusive right to resolve this job: exactly one caller
+    /// ever sees `true`.
+    pub(crate) fn claim(&self) -> bool {
+        self.claimed
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    /// Whether this job is already resolved — a cheap pre-check so a
+    /// losing handle skips the engine entirely.
+    pub(crate) fn already_resolved(&self) -> bool {
+        self.claimed.load(Ordering::Acquire)
+    }
+}
+
+/// One closed round: the unit of dispatch between ingestion and shards.
+/// Immutable once closed and shared by `Arc`: the queue entry, the
+/// holder's lease and any hedge or recovery handle all point at the same
+/// round, so none of them copies a request payload.
+pub(crate) struct Round {
+    /// The shard this round was routed to: its keys' home.
+    pub(crate) home: usize,
+    /// The round's dispatch class: the most urgent [`Priority`] among its
+    /// jobs. Shard queues and work stealing serve interactive rounds
+    /// first (subject to the aging floor).
+    pub(crate) priority: Priority,
+    /// When the round closed (ns on the dispatcher's clock, equal to each
+    /// job's `round_closed_ns`) — the reference point for the aging floor,
+    /// the hedge trigger and the recorded queue wait.
+    pub(crate) closed_ns: u64,
+    /// Requests in class-then-arrival order (interactive first within the
+    /// round), each with its completion handle and its latency timeline
+    /// as stamped through round close.
+    pub(crate) jobs: Vec<TrackedJob>,
+}
+
+impl Round {
+    /// Dispatch rank of the round: its class index, collapsed to the
+    /// interactive rank once the round has aged past the anti-starvation
+    /// floor. Lower dispatches first.
+    fn effective_rank(&self, aging_ns: u64, now_ns: u64) -> usize {
+        let rank = self.priority.index();
+        if rank > 0 && now_ns.saturating_sub(self.closed_ns) >= aging_ns {
+            0
+        } else {
+            rank
+        }
+    }
+
+    /// Jobs no handle to this round has resolved yet.
+    fn unresolved(&self) -> u64 {
+        self.jobs.iter().filter(|j| !j.already_resolved()).count() as u64
+    }
+}
+
+/// One queue entry: a handle to a round plus the bits that differ per
+/// handle.
+pub(crate) struct QueuedRound {
+    pub(crate) round: Arc<Round>,
+    /// Whether a hedge handle to this round has been enqueued (set on
+    /// both the original and the hedge), so a round is hedged at most
+    /// once.
+    hedged: bool,
+    /// Whether this entry *is* a hedge — wins by its jobs are counted as
+    /// hedge wins.
+    pub(crate) hedge: bool,
+}
+
+impl QueuedRound {
+    fn new(round: Arc<Round>) -> Self {
+        QueuedRound {
+            round,
+            hedged: false,
+            hedge: false,
+        }
+    }
+}
+
+/// Per-shard queue state.
+#[derive(Default)]
+struct QueueState {
+    rounds: VecDeque<QueuedRound>,
+    /// The lease: the round this shard's worker has checked out and when
+    /// (ns), until the worker comes back for its next one. Filled and
+    /// cleared by [`Core::checkout`]; taken by the recovery moves (the
+    /// shard died, or held the round past
+    /// [`DispatchOptions::stall_timeout`]) so a dead or stalled holder's
+    /// in-hand work is requeued without its cooperation. The claim on
+    /// every job keeps a late original and a requeued handle from both
+    /// resolving a ticket.
+    in_hand: Option<(Arc<Round>, u64)>,
+    /// Set once, at the end of the stream; a shard exits when every queue
+    /// of its steal class is closed, empty and holds no lease.
+    closed: bool,
+    /// Set once the shard's worker died (a chaos kill or a contained
+    /// panic). A dead queue is permanently empty: its backlog was
+    /// requeued at death and [`Core::push`] reroutes later rounds around
+    /// it.
+    dead: bool,
+}
+
+/// What [`Core::checkout`] tells a worker to do.
+pub(crate) enum Checkout {
+    /// Execute this round; it is on lease until the next checkout.
+    Run(QueuedRound),
+    /// Nothing to run yet: park until woken (or until
+    /// [`Core::next_sweep_ns`], when one is set).
+    Wait,
+    /// The steal class is idle — every queue closed and empty, no lease
+    /// out — so no new work can reach this worker: exit.
+    Exit,
+}
+
+/// The shard queues, leases and recovery state of a dispatcher; see the
+/// module docs. Every method is a decision on the state it is handed and
+/// the `now_ns` it is given.
+pub(crate) struct Core {
+    queues: Vec<QueueState>,
+    /// Steal classes: shard j may steal from — and recover onto — shard k
+    /// iff their engines' configurations are
+    /// [`dpu_verify::steal_compatible`] (statically proven identical
+    /// per-request results) — represented as the index of the first shard
+    /// of the class.
+    pub(crate) steal_class: Vec<usize>,
+    stealing: bool,
+    aging_ns: u64,
+    stall_timeout_ns: Option<u64>,
+    hedge: Option<HedgeOptions>,
+    /// Observed round queue waits (close → checkout, ns), feeding the
+    /// hedge percentile trigger. Recorded only when hedging is on.
+    waits: LatencyHistogram,
+    /// Time between sweeps; a checkout runs one once `next_sweep_ns` has
+    /// passed. `None` when neither stall reclaim nor hedging is on.
+    tick_ns: u64,
+    next_sweep_ns: Option<u64>,
+    /// Jobs rescued from a dead or stalled shard onto a surviving
+    /// compatible one. Overlay counters — recovery moves work, it does
+    /// not change any outcome, so these stay outside the per-class
+    /// balance equation.
+    pub(crate) recovered: u64,
+    /// Jobs for which a hedge copy was enqueued on an idle
+    /// identical-class shard.
+    pub(crate) hedged: u64,
+    wake: bool,
+}
+
+impl Core {
+    /// Open, live, empty queues, one per entry of `steal_class`.
+    pub(crate) fn new(steal_class: Vec<usize>, options: &DispatchOptions) -> Self {
+        let hedge_wait = options.hedge.as_ref().map(|h| h.min_wait);
+        let tick = [options.stall_timeout, hedge_wait]
+            .into_iter()
+            .flatten()
+            .fold(Duration::from_millis(10), |t, d| t.min(d / 4))
+            .max(Duration::from_micros(100));
+        let sweeps = options.stall_timeout.is_some() || options.hedge.is_some();
+        Core {
+            queues: steal_class.iter().map(|_| QueueState::default()).collect(),
+            steal_class,
+            stealing: options.work_stealing,
+            aging_ns: nanos(options.priority_aging),
+            stall_timeout_ns: options.stall_timeout.map(nanos),
+            hedge: options.hedge.clone(),
+            waits: LatencyHistogram::new(),
+            tick_ns: nanos(tick),
+            next_sweep_ns: sweeps.then_some(nanos(tick)),
+            recovered: 0,
+            hedged: 0,
+            wake: false,
+        }
+    }
+
+    /// Whether a state change since the last call needs the parked
+    /// workers woken; clears the flag.
+    pub(crate) fn take_wake(&mut self) -> bool {
+        std::mem::take(&mut self.wake)
+    }
+
+    /// When a parked worker should come back to run [`Core::sweep`]
+    /// through its checkout; `None` (wait untimed) unless stall reclaim
+    /// or hedging is on.
+    pub(crate) fn next_sweep_ns(&self) -> Option<u64> {
+        self.next_sweep_ns
+    }
+
+    /// Whether no round is queued or on lease anywhere.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.queues
+            .iter()
+            .all(|q| q.rounds.is_empty() && q.in_hand.is_none())
+    }
+
+    /// Queues a closed round on its home shard. When the home died after
+    /// the round's jobs were routed to it, the round goes through the
+    /// same requeue as [`Core::kill`]'s backlog (`home` stays, so ledger
+    /// attribution is unchanged); the rounds no live same-class shard
+    /// can take come back for the caller to fail.
+    pub(crate) fn push(&mut self, round: Round) -> Vec<QueuedRound> {
+        let home = round.home;
+        let entry = QueuedRound::new(Arc::new(round));
+        self.wake = true;
+        if self.queues[home].dead {
+            return self.requeue(home, vec![entry]).err().unwrap_or_default();
+        }
+        self.queues[home].rounds.push_back(entry);
+        Vec::new()
+    }
+
+    /// Marks the end of the stream: every shard exits once its class is
+    /// idle.
+    pub(crate) fn close(&mut self) {
+        for q in &mut self.queues {
+            q.closed = true;
+        }
+        self.wake = true;
+    }
+
+    /// Releases the round `me` holds on lease and picks its next one,
+    /// running the due [`Core::sweep`] first. Selection is priority-aware
+    /// on both paths:
+    ///
+    /// - **Own queue:** the best-ranked round, oldest first within a rank
+    ///   ([`Round::effective_rank`] — interactive rounds jump ahead of
+    ///   earlier-closed batch rounds, and the aging floor promotes
+    ///   anything that has waited out
+    ///   [`DispatchOptions::priority_aging`]).
+    /// - **Stealing:** from the deepest same-class backlog, the
+    ///   best-ranked round, *newest* first within a rank (the victim
+    ///   drains oldest-first, so thief and victim meet in the middle).
+    ///
+    /// The picked round goes on lease, and its queue wait feeds the hedge
+    /// trigger when hedging is on. With nothing to pick, the answer is
+    /// [`Checkout::Exit`] once `me`'s steal class is idle — every queue
+    /// in it closed and empty, and no lease out — and [`Checkout::Wait`]
+    /// before. The condition is class-wide even with stealing off —
+    /// recovery and hedging requeue onto same-class peers regardless of
+    /// the stealing policy — and lease-aware because a peer holding a
+    /// round could still die and requeue it here. Once the class is idle
+    /// no new work can materialize (every producer path starts from a
+    /// queued round or a lease), so the condition is stable, and it is
+    /// the same for every member: the worker whose release makes it true
+    /// is the one that observes it, and it raises the wake on its way
+    /// out.
+    ///
+    /// The released lease is usually not the last handle to its round:
+    /// the worker keeps its own until it has unlocked, so a round's
+    /// payloads are not freed under the lock.
+    pub(crate) fn checkout(&mut self, me: usize, now_ns: u64) -> Checkout {
+        self.queues[me].in_hand = None;
+        if self.next_sweep_ns.is_some_and(|at| now_ns >= at) {
+            self.sweep(now_ns);
+        }
+        let class = self.steal_class[me];
+        let source = if !self.queues[me].rounds.is_empty() {
+            Some(me)
+        } else if self.stealing {
+            (0..self.queues.len())
+                .filter(|&j| j != me && self.steal_class[j] == class)
+                .max_by_key(|&j| self.queues[j].rounds.len())
+                .filter(|&j| !self.queues[j].rounds.is_empty())
+        } else {
+            None
+        };
+        let Some(j) = source else {
+            let idle = (0..self.queues.len())
+                .filter(|&j| self.steal_class[j] == class)
+                .all(|j| {
+                    let q = &self.queues[j];
+                    q.closed && q.rounds.is_empty() && q.in_hand.is_none()
+                });
+            self.wake |= idle;
+            return if idle { Checkout::Exit } else { Checkout::Wait };
+        };
+        let aging_ns = self.aging_ns;
+        let rounds = &mut self.queues[j].rounds;
+        let len = rounds.len();
+        let best = rounds
+            .iter()
+            .enumerate()
+            .min_by_key(|(i, r)| {
+                let tie = if j == me { *i } else { len - *i };
+                (r.round.effective_rank(aging_ns, now_ns), tie)
+            })
+            .map(|(i, _)| i)
+            .expect("nonempty queue");
+        let entry = rounds.remove(best).expect("index in range");
+        if self.hedge.is_some() {
+            let waited = now_ns.saturating_sub(entry.round.closed_ns);
+            self.waits.record(waited);
+        }
+        self.queues[me].in_hand = Some((Arc::clone(&entry.round), now_ns));
+        Checkout::Run(entry)
+    }
+
+    /// Shard `me` died (a chaos kill or a contained panic): marks it dead
+    /// and moves its entire failure domain — queued rounds plus the round
+    /// on lease — onto one surviving same-class shard, in one call, so no
+    /// peer can observe "class idle" between the drain and the push.
+    /// Returns the rounds no survivor can take, for the caller to fail.
+    ///
+    /// Requeueing ignores [`DispatchOptions::work_stealing`], exactly as
+    /// [`Core::push`]'s rerouting of later traffic for the dead home
+    /// does: steal-class compatibility is the static proof of result
+    /// identity, stealing is just a scheduling policy, and every worker's
+    /// exit condition is class-wide, so the peer is still there to take
+    /// the backlog.
+    pub(crate) fn kill(&mut self, me: usize) -> Vec<QueuedRound> {
+        let q = &mut self.queues[me];
+        q.dead = true;
+        let mut stranded: Vec<QueuedRound> = q.rounds.drain(..).collect();
+        if let Some((round, _)) = q.in_hand.take() {
+            stranded.push(QueuedRound::new(round));
+        }
+        self.wake = true;
+        self.requeue(me, stranded).err().unwrap_or_default()
+    }
+
+    /// The stalled-lease reclaim plus the hedge pass, and the next sweep
+    /// stamp. Returns the jobs this sweep recovered and hedged (also added
+    /// to [`Core::recovered`] and [`Core::hedged`]).
+    ///
+    /// - **Reclaim** (with [`DispatchOptions::stall_timeout`]): every lease
+    ///   checked out at least the timeout before `now_ns` is taken out of
+    ///   its slot — so each is reclaimed at most once — and a handle to
+    ///   the round is requeued onto a live same-class shard. The holder is
+    ///   *not* dead: it keeps running and may still resolve the round
+    ///   itself; claims arbitrate. With no surviving peer the handle is
+    ///   *dropped*, not failed, for the same reason.
+    /// - **Hedge** (with [`DispatchOptions::hedge`]): any queued round on a
+    ///   live shard that has waited past `max(observed wait at
+    ///   trigger_percentile, min_wait)` gets a second handle pushed to an
+    ///   idle (empty-queue, live) shard of the same steal class. The
+    ///   original is marked `hedged` (never hedged twice), the copy
+    ///   `hedge`. A pass puts at most one hedge on each idle shard.
+    pub(crate) fn sweep(&mut self, now_ns: u64) -> (u64, u64) {
+        self.next_sweep_ns = self
+            .next_sweep_ns
+            .map(|_| now_ns.saturating_add(self.tick_ns));
+        let n = self.queues.len();
+        let mut recovered = 0u64;
+        if let Some(timeout_ns) = self.stall_timeout_ns {
+            for holder in 0..n {
+                let overdue = self.queues[holder]
+                    .in_hand
+                    .take_if(|(_, since)| now_ns.saturating_sub(*since) >= timeout_ns);
+                if let Some((round, _)) = overdue {
+                    let rounds = vec![QueuedRound::new(round)];
+                    recovered += self.requeue(holder, rounds).unwrap_or(0);
+                }
+            }
+        }
+        let mut hedged = 0u64;
+        if let Some(hedge) = &self.hedge {
+            // An empty histogram reads 0: the floor alone sets the trigger.
+            let quantile = f64::from(hedge.trigger_percentile) / 100.0;
+            let observed_ns = self.waits.value_at_quantile(quantile);
+            let threshold_ns = observed_ns.max(nanos(hedge.min_wait));
+            let qs = &mut self.queues;
+            let mut busy: Vec<bool> = qs.iter().map(|q| q.dead || !q.rounds.is_empty()).collect();
+            for s in 0..n {
+                if qs[s].dead {
+                    continue;
+                }
+                // Plan against the immutable queue first, then apply:
+                // indices stay valid because the plan only reads and the
+                // apply only mutates flags and *other* shards' queues.
+                let mut plan: Vec<(usize, usize)> = Vec::new();
+                for (i, r) in qs[s].rounds.iter().enumerate() {
+                    let waited_ns = now_ns.saturating_sub(r.round.closed_ns);
+                    if r.hedged || r.hedge || waited_ns < threshold_ns {
+                        continue;
+                    }
+                    let class = self.steal_class[s];
+                    let Some(t) =
+                        (0..n).find(|&t| t != s && !busy[t] && self.steal_class[t] == class)
+                    else {
+                        break; // no idle same-class peer left this pass
+                    };
+                    busy[t] = true;
+                    plan.push((i, t));
+                }
+                for (i, t) in plan {
+                    let original = &mut qs[s].rounds[i];
+                    original.hedged = true;
+                    let copy = QueuedRound {
+                        round: Arc::clone(&original.round),
+                        hedged: true,
+                        hedge: true,
+                    };
+                    hedged += copy.round.unresolved();
+                    qs[t].rounds.push_back(copy);
+                    self.wake = true;
+                }
+            }
+        }
+        self.hedged += hedged;
+        (recovered, hedged)
+    }
+
+    /// Pushes the still-unresolved `rounds` onto the first live shard of
+    /// `from`'s steal class other than `from` — the only requeue target
+    /// statically proven result-identical — and adds them to
+    /// [`Core::recovered`]. Returns the recovered job count (jobs not
+    /// already resolved through another handle), or the rounds back when
+    /// no such shard exists, so the caller can pick its no-survivor policy
+    /// (fail vs. drop).
+    fn requeue(&mut self, from: usize, rounds: Vec<QueuedRound>) -> Result<u64, Vec<QueuedRound>> {
+        let class = self.steal_class[from];
+        let target = (0..self.queues.len())
+            .find(|&t| t != from && !self.queues[t].dead && self.steal_class[t] == class);
+        let Some(t) = target else {
+            return Err(rounds);
+        };
+        let mut recovered = 0u64;
+        for round in rounds {
+            let unresolved = round.round.unresolved();
+            if unresolved > 0 {
+                recovered += unresolved;
+                self.queues[t].rounds.push_back(round);
+            }
+        }
+        self.recovered += recovered;
+        self.wake |= recovered > 0;
+        Ok(recovered)
+    }
+}
+
+/// The ingest thread's pending rounds: per shard, one job list per
+/// priority class and the stamp at which the round exhausts its latency
+/// budget. Round closing drains interactive first, then standard, then
+/// batch — within a class, arrival order — so an interactive request
+/// never queues behind batch work inside its own round.
+pub(crate) struct Batcher {
+    pending: Vec<[Vec<TrackedJob>; 3]>,
+    /// When each shard's pending round is due: `None` while nothing is
+    /// pending, or when `max_wait` is too long to put a date on — that
+    /// round closes by size or flush only.
+    due: Vec<Option<u64>>,
+    max_batch: usize,
+    max_wait_ns: Option<u64>,
+}
+
+impl Batcher {
+    /// Empty pending rounds for `shards` shards, closing at `max_batch`
+    /// jobs or `max_wait` after their first job, whichever comes first.
+    pub(crate) fn new(shards: usize, max_batch: usize, max_wait: Duration) -> Self {
+        Batcher {
+            pending: (0..shards).map(|_| Default::default()).collect(),
+            due: vec![None; shards],
+            max_batch,
+            max_wait_ns: u64::try_from(max_wait.as_nanos()).ok(),
+        }
+    }
+
+    /// Appends `job`, accepted at `now_ns`, to `shard`'s pending round;
+    /// returns the round, closed at `now_ns`, once it is full.
+    pub(crate) fn add(&mut self, shard: usize, job: TrackedJob, now_ns: u64) -> Option<Round> {
+        let pending = &mut self.pending[shard];
+        if pending.iter().all(Vec::is_empty) {
+            self.due[shard] = self.max_wait_ns.and_then(|w| now_ns.checked_add(w));
+        }
+        pending[job.priority.index()].push(job);
+        let full = pending.iter().map(Vec::len).sum::<usize>() >= self.max_batch;
+        full.then(|| self.close(shard, now_ns)).flatten()
+    }
+
+    /// The earliest stamp at which a pending round is due.
+    pub(crate) fn next_due(&self) -> Option<u64> {
+        self.due.iter().flatten().min().copied()
+    }
+
+    /// Closes, at `now_ns`, every pending round due by then.
+    pub(crate) fn close_due(&mut self, now_ns: u64) -> impl Iterator<Item = Round> + '_ {
+        (0..self.due.len()).filter_map(move |s| {
+            let due = self.due[s].is_some_and(|due| now_ns >= due);
+            due.then(|| self.close(s, now_ns)).flatten()
+        })
+    }
+
+    /// Closes, at `now_ns`, every nonempty pending round.
+    pub(crate) fn close_all(&mut self, now_ns: u64) -> impl Iterator<Item = Round> + '_ {
+        (0..self.due.len()).filter_map(move |s| self.close(s, now_ns))
+    }
+
+    /// Closes `shard`'s pending round at `now_ns`, if it holds a job.
+    fn close(&mut self, shard: usize, now_ns: u64) -> Option<Round> {
+        let pending = &mut self.pending[shard];
+        let len: usize = pending.iter().map(Vec::len).sum();
+        if len == 0 {
+            return None;
+        }
+        let mut jobs: Vec<TrackedJob> = Vec::with_capacity(len);
+        for class in pending.iter_mut() {
+            jobs.append(class);
+        }
+        let mut priority = Priority::Batch;
+        for job in &mut jobs {
+            job.timeline.round_closed_ns = now_ns;
+            priority = priority.min(job.priority);
+        }
+        self.due[shard] = None;
+        Some(Round {
+            home: shard,
+            priority,
+            closed_ns: now_ns,
+            jobs,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DagKey;
+
+    const MS: u64 = 1_000_000;
+
+    fn job() -> TrackedJob {
+        TrackedJob::new(
+            Request::new(DagKey(1), Vec::new()),
+            TicketState::new(),
+            Priority::Standard,
+            Timeline::default(),
+        )
+    }
+
+    /// A one-job round homed on `home`, closed at `closed_ns`.
+    fn round(home: usize, closed_ns: u64) -> Round {
+        Round {
+            home,
+            priority: Priority::Standard,
+            closed_ns,
+            jobs: vec![job()],
+        }
+    }
+
+    /// `n` shards of one steal class.
+    fn core(n: usize, options: DispatchOptions) -> Core {
+        Core::new(vec![0; n], &options)
+    }
+
+    fn run(checkout: Checkout) -> QueuedRound {
+        match checkout {
+            Checkout::Run(entry) => entry,
+            Checkout::Wait => panic!("expected a round, got Wait"),
+            Checkout::Exit => panic!("expected a round, got Exit"),
+        }
+    }
+
+    fn leased(core: &Core, shard: usize) -> Option<&Arc<Round>> {
+        core.queues[shard].in_hand.as_ref().map(|(r, _)| r)
+    }
+
+    #[test]
+    fn checkout_fills_the_lease_slot_and_the_next_call_releases_it() {
+        let mut core = core(1, DispatchOptions::default());
+        assert!(core.push(round(0, 0)).is_empty());
+        assert!(core.push(round(0, 0)).is_empty());
+        let (r1, r2) = {
+            let q = &core.queues[0].rounds;
+            (Arc::clone(&q[0].round), Arc::clone(&q[1].round))
+        };
+
+        let got = run(core.checkout(0, 1));
+        assert!(Arc::ptr_eq(&got.round, &r1));
+        assert!(Arc::ptr_eq(leased(&core, 0).expect("r1 on lease"), &r1));
+
+        // One call releases r1 and leases r2: nobody can observe the slot
+        // empty in between, and nothing copied the round.
+        let got = run(core.checkout(0, 2));
+        assert!(Arc::ptr_eq(&got.round, &r2));
+        assert!(Arc::ptr_eq(leased(&core, 0).expect("r2 on lease"), &r2));
+
+        core.close();
+        assert!(matches!(core.checkout(0, 3), Checkout::Exit));
+        assert!(leased(&core, 0).is_none());
+        assert!(core.is_drained());
+    }
+
+    #[test]
+    fn stall_reclaim_takes_a_lease_once_and_releases_touch_only_the_own_slot() {
+        let mut core = core(
+            2,
+            DispatchOptions {
+                work_stealing: false,
+                stall_timeout: Some(Duration::ZERO),
+                ..Default::default()
+            },
+        );
+        core.push(round(0, 0));
+        let original = run(core.checkout(0, 0));
+
+        // Shard 0 stalls: the sweep moves a handle to its round onto
+        // shard 1, exactly once.
+        assert_eq!(core.sweep(0), (1, 0));
+        assert_eq!(core.sweep(0), (0, 0));
+        assert!(leased(&core, 0).is_none());
+        assert_eq!(core.queues[1].rounds.len(), 1);
+
+        let requeued = run(core.checkout(1, 0));
+        assert!(Arc::ptr_eq(&requeued.round, &original.round));
+
+        // The stalled holder comes back: its release is a no-op on its
+        // own (already taken) slot and cannot clear shard 1's newer lease
+        // on the same round.
+        core.push(round(0, 0));
+        let next = run(core.checkout(0, 0));
+        assert!(!Arc::ptr_eq(&next.round, &original.round));
+        let still = leased(&core, 1).expect("still leased");
+        assert!(Arc::ptr_eq(still, &original.round));
+
+        // Two handles, one job: exactly one of them resolves it.
+        assert!(requeued.round.jobs[0].claim());
+        assert!(!original.round.jobs[0].claim());
+    }
+
+    #[test]
+    fn an_idle_worker_waits_out_a_same_class_lease() {
+        for stealing in [true, false] {
+            let mut core = core(
+                2,
+                DispatchOptions {
+                    work_stealing: stealing,
+                    ..Default::default()
+                },
+            );
+            core.push(round(1, 0));
+            let held = run(core.checkout(1, 0));
+            core.close();
+            core.take_wake();
+
+            // Shard 0's own queue is closed and empty, but shard 1 could
+            // still die and requeue its in-hand round here.
+            assert!(
+                matches!(core.checkout(0, 1), Checkout::Wait),
+                "stealing {stealing}: exited while a peer held a lease"
+            );
+            assert!(!core.take_wake());
+            // Shard 1 comes back: its release idles the class, it exits
+            // and asks for the parked peer to be woken, which exits too.
+            assert!(matches!(core.checkout(1, 2), Checkout::Exit));
+            assert!(core.take_wake());
+            assert!(matches!(core.checkout(0, 3), Checkout::Exit));
+            drop(held);
+        }
+    }
+
+    /// One class of three shards on a virtual clock: a steal, a kill whose
+    /// backlog is requeued, a hedge placed only once a round has waited
+    /// `min_wait`, and a stall reclaim only once a lease has been out
+    /// `stall_timeout`. A worker "finishes" its round — claims its jobs —
+    /// when it next checks out; the dead worker never does. Every job's
+    /// claim is won exactly once.
+    #[test]
+    fn a_virtual_clock_script_steals_kills_hedges_and_reclaims_each_job_once() {
+        let mut core = core(
+            3,
+            DispatchOptions {
+                stall_timeout: Some(Duration::from_millis(10)),
+                hedge: Some(HedgeOptions {
+                    trigger_percentile: 95,
+                    min_wait: Duration::from_millis(5),
+                }),
+                ..Default::default()
+            },
+        );
+        let mut held: [Option<QueuedRound>; 3] = [None, None, None];
+        let mut wins = 0u64;
+        let mut hedge_wins = 0u64;
+        let mut checkout = |core: &mut Core, w: usize, now_ns: u64| {
+            if let Some(done) = held[w].take() {
+                let won = done.round.jobs.iter().filter(|j| j.claim()).count() as u64;
+                wins += won;
+                hedge_wins += if done.hedge { won } else { 0 };
+            }
+            let got = core.checkout(w, now_ns);
+            if let Checkout::Run(entry) = &got {
+                held[w] = Some(QueuedRound {
+                    round: Arc::clone(&entry.round),
+                    hedged: entry.hedged,
+                    hedge: entry.hedge,
+                });
+            }
+            got
+        };
+        for _ in 0..3 {
+            core.push(round(0, 0));
+        }
+        let queued: Vec<Arc<Round>> = core.queues[0]
+            .rounds
+            .iter()
+            .map(|q| Arc::clone(&q.round))
+            .collect();
+        let [a, b, c] = [&queued[0], &queued[1], &queued[2]];
+
+        // Shard 0 takes its oldest round; shard 1 steals the newest.
+        assert!(Arc::ptr_eq(&run(checkout(&mut core, 0, MS)).round, a));
+        assert!(Arc::ptr_eq(&run(checkout(&mut core, 1, MS)).round, c));
+
+        // Shard 1 dies holding `c`: it goes back to shard 0, the first
+        // live shard of the class.
+        assert!(core.kill(1).is_empty());
+        assert_eq!(core.recovered, 1);
+        assert_eq!(core.queues[0].rounds.len(), 2);
+
+        // Shard 2 steals `c` back from shard 0's queue.
+        assert!(Arc::ptr_eq(&run(checkout(&mut core, 2, 3 * MS)).round, c));
+
+        // `b` has waited just under `min_wait`: no hedge. At `min_wait` it
+        // is hedged onto shard 2, whose queue is empty.
+        assert_eq!(core.sweep(5 * MS - 1), (0, 0));
+        assert_eq!(core.sweep(5 * MS), (0, 1));
+        assert_eq!(core.queues[2].rounds.len(), 1);
+        assert!(core.queues[2].rounds[0].hedge);
+
+        // Shard 0 has held `a` since 1 ms: not reclaimed a nanosecond
+        // before `stall_timeout`, reclaimed at it, onto shard 2.
+        assert_eq!(core.sweep(11 * MS - 1), (0, 0));
+        assert_eq!(core.sweep(11 * MS), (1, 0));
+        assert!(leased(&core, 0).is_none());
+
+        // Shard 2 finishes `c`, then runs the hedge copy of `b`, then `a`.
+        let hedge_copy = run(checkout(&mut core, 2, 12 * MS));
+        assert!(Arc::ptr_eq(&hedge_copy.round, b) && hedge_copy.hedge);
+        assert!(Arc::ptr_eq(&run(checkout(&mut core, 2, 12 * MS)).round, a));
+
+        // The stalled shard 0 comes back and finishes `a` before shard 2
+        // does; its original handle to `b` finds the job already claimed,
+        // and so does shard 2's late copy of `a`.
+        let original = run(checkout(&mut core, 0, 13 * MS));
+        assert!(Arc::ptr_eq(&original.round, b) && !original.hedge);
+
+        core.close();
+        assert!(matches!(checkout(&mut core, 0, 14 * MS), Checkout::Wait));
+        assert!(matches!(checkout(&mut core, 2, 14 * MS), Checkout::Exit));
+        assert!(matches!(checkout(&mut core, 0, 14 * MS), Checkout::Exit));
+        assert!(core.is_drained());
+
+        assert_eq!(wins, 3, "each job's claim is won exactly once");
+        assert_eq!(hedge_wins, 1);
+        assert!(queued.iter().all(|r| r.jobs[0].already_resolved()));
+        assert_eq!((core.recovered, core.hedged), (2, 1));
+    }
+
+    #[test]
+    fn a_dead_home_reroutes_a_pushed_round_or_hands_it_back() {
+        let mut pair = core(2, DispatchOptions::default());
+        assert!(pair.kill(0).is_empty());
+        assert!(pair.push(round(0, 0)).is_empty());
+        assert_eq!((pair.queues[1].rounds.len(), pair.recovered), (1, 1));
+
+        let mut alone = core(1, DispatchOptions::default());
+        assert!(alone.kill(0).is_empty());
+        assert_eq!(alone.push(round(0, 0)).len(), 1);
+        assert_eq!(alone.recovered, 0);
+    }
+
+    #[test]
+    fn checkout_runs_the_sweep_once_its_tick_has_passed() {
+        // Tick: a quarter of the stall timeout, 1 ms.
+        let mut core = core(
+            2,
+            DispatchOptions {
+                stall_timeout: Some(Duration::from_millis(4)),
+                ..Default::default()
+            },
+        );
+        assert_eq!(core.next_sweep_ns(), Some(MS));
+        core.push(round(0, 0));
+        let _stalled = run(core.checkout(0, 0));
+        assert!(core.take_wake(), "a push wakes the parked workers");
+        assert!(matches!(core.checkout(1, 4 * MS - 1), Checkout::Wait));
+        assert_eq!(core.next_sweep_ns(), Some(5 * MS - 1));
+        assert!(matches!(core.checkout(1, 5 * MS - 2), Checkout::Wait));
+        assert!(!core.take_wake(), "a sweep that moved nothing wakes nobody");
+        let reclaimed = run(core.checkout(1, 5 * MS - 1));
+        assert_eq!(core.recovered, 1);
+        assert!(core.take_wake());
+        drop(reclaimed);
+
+        let untimed = Core::new(vec![0], &DispatchOptions::default());
+        assert_eq!(untimed.next_sweep_ns(), None);
+    }
+
+    #[test]
+    fn a_max_wait_of_duration_max_never_puts_a_due_stamp_on_a_round() {
+        let mut batcher = Batcher::new(1, 2, Duration::MAX);
+        assert!(batcher.add(0, job(), 5).is_none());
+        assert_eq!(batcher.next_due(), None);
+        assert_eq!(batcher.close_due(u64::MAX).count(), 0);
+        let full = batcher.add(0, job(), 6).expect("full at max_batch");
+        assert_eq!((full.jobs.len(), full.closed_ns), (2, 6));
+        assert!(full.jobs.iter().all(|j| j.timeline.round_closed_ns == 6));
+        assert_eq!(batcher.close_all(7).count(), 0);
+
+        let mut batcher = Batcher::new(2, 8, Duration::from_millis(1));
+        batcher.add(1, job(), 5);
+        batcher.add(1, job(), 9);
+        assert_eq!(batcher.next_due(), Some(MS + 5));
+        assert_eq!(batcher.close_due(MS + 4).count(), 0);
+        let due: Vec<Round> = batcher.close_due(MS + 5).collect();
+        assert_eq!(due.len(), 1);
+        assert_eq!((due[0].home, due[0].jobs.len()), (1, 2));
+        assert_eq!(batcher.next_due(), None);
+    }
+
+    #[test]
+    fn a_round_packs_interactive_jobs_first_and_takes_their_class() {
+        let mut batcher = Batcher::new(1, 3, Duration::from_millis(1));
+        for priority in [Priority::Batch, Priority::Interactive] {
+            let mut j = job();
+            j.priority = priority;
+            assert!(batcher.add(0, j, 1).is_none());
+        }
+        let full = batcher.add(0, job(), 2).expect("full");
+        let order: Vec<Priority> = full.jobs.iter().map(|j| j.priority).collect();
+        let want = [Priority::Interactive, Priority::Standard, Priority::Batch];
+        assert_eq!(order, want);
+        assert_eq!(full.priority, Priority::Interactive);
+    }
+}

@@ -11,6 +11,9 @@
 //! - The dispatcher's submit → flush → wait path stays under a pinned
 //!   allocations-per-request bound (round composition depends on thread
 //!   timing, so it is a bound, not an equality).
+//! - A warm restart — `Compiled::from_bytes`, the verification a spill
+//!   load runs, then `DecodedProgram::decode` — allocates an exact count
+//!   per program.
 //!
 //! A change that adds an allocation per request edits a literal here.
 
@@ -18,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use dpu_compiler::{compile, CompileOptions};
+use dpu_compiler::{compile, CompileOptions, Compiled};
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{DispatchOptions, Dispatcher, Engine, EngineOptions, Request, Ticket};
@@ -86,6 +89,7 @@ fn allocation_pins() {
     warm_decoded_runs_allocate_only_their_results();
     warm_execute_round_allocates_a_fixed_count_per_round();
     dispatcher_round_trip_stays_under_its_per_request_bound();
+    warm_restart_allocates_a_fixed_count_per_program();
 }
 
 /// `Machine::run_decoded` allocates nothing on a warm machine, and
@@ -223,3 +227,27 @@ fn dispatcher_round_trip_stays_under_its_per_request_bound() {
 /// release runs on a 2-vCPU x86-64 Linux VM, idle and beside two busy
 /// loops; the bound sits just above.
 const DISPATCH_ALLOCS_PER_REQUEST: f64 = 2.8;
+
+/// The restart side of the spill cache for four families, from the bytes
+/// `Compiled::to_bytes` writes (the spill directory itself stays out of
+/// the count, and with it every filesystem allocation): parse, verify as
+/// `SpillStore::load` does, decode — counted per stage.
+fn warm_restart_allocates_a_fixed_count_per_program() {
+    let mut counts = Vec::new();
+    for salt in 0..4 {
+        let compiled = compile(&salted_dag(salt), &arch(), &CompileOptions::default());
+        let bytes = compiled.unwrap().to_bytes();
+        let (parse, compiled) = counted(|| Compiled::from_bytes(&bytes).expect("round-trips"));
+        let (verify, report) = counted(|| compiled.verify().expect("verifies"));
+        assert!(report.facts.admits(&arch()));
+        let (decode, decoded) = counted(|| DecodedProgram::decode(&compiled.program));
+        decoded.expect("decodes");
+        counts.push([parse, verify, decode]);
+    }
+    eprintln!("warm restart (from_bytes, verify, decode): {counts:?}");
+    assert_eq!(
+        counts,
+        [[17, 7, 12], [20, 7, 13], [20, 7, 13], [23, 7, 13]],
+        "allocations of a warm restart per program: (from_bytes, verify, decode)"
+    );
+}

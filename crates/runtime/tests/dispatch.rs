@@ -9,7 +9,7 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    home_shard, DispatchOptions, Dispatcher, Engine, EngineOptions, Request, Ticket,
+    engine_shards, home_shard, DispatchOptions, Dispatcher, Engine, EngineOptions, Request, Ticket,
 };
 use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
 use dpu_workloads::sparse::{generate_lower_triangular, LowerTriangularParams, SpmvDag};
@@ -256,14 +256,14 @@ fn a_dispatcher_compiles_and_decodes_each_family_once() {
 fn shards_of_distinct_configs_share_one_store() {
     let configs = vec![arch(), ArchConfig::new(3, 16, 32).unwrap()];
     let dags = workload_dags();
-    let d = Dispatcher::with_configs(
-        configs.clone(),
-        CompileOptions::default(),
-        DispatchOptions {
-            max_batch: 4,
-            max_wait: Duration::from_micros(200),
-            ..Default::default()
-        },
+    let options = DispatchOptions {
+        max_batch: 4,
+        max_wait: Duration::from_micros(200),
+        ..Default::default()
+    };
+    let d = Dispatcher::with_backends(
+        engine_shards(&configs, CompileOptions::default(), &options),
+        options,
     );
     let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();
     let homes: Vec<usize> = keys.iter().map(|&k| home_shard(k, 2)).collect();
@@ -381,15 +381,15 @@ fn heterogeneous_shards_route_by_key_and_never_cross_steal() {
         ArchConfig::new(2, 8, 32).unwrap(),
         ArchConfig::new(3, 16, 32).unwrap(),
     ];
-    let d = Dispatcher::with_configs(
-        configs.clone(),
-        CompileOptions::default(),
-        DispatchOptions {
-            max_batch: 4,
-            max_wait: Duration::from_micros(200),
-            work_stealing: true, // on, but classes differ -> no stealing
-            ..Default::default()
-        },
+    let options = DispatchOptions {
+        max_batch: 4,
+        max_wait: Duration::from_micros(200),
+        work_stealing: true, // on, but classes differ -> no stealing
+        ..Default::default()
+    };
+    let d = Dispatcher::with_backends(
+        engine_shards(&configs, CompileOptions::default(), &options),
+        options,
     );
     let dags = workload_dags();
     let sub = d.submitter();

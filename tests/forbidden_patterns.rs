@@ -8,7 +8,8 @@
 //! a thread waits on it, the oracle interpreter stays off
 //! every production path, the dispatcher keeps one path that shares
 //! rounds instead of copying them and is the runtime's one serving stack
-//! (the only place it spawns threads), a dispatcher's engine shards are
+//! (the only place it spawns threads, two kinds of them), its scheduling
+//! core reads no clock and takes no lock, a dispatcher's engine shards are
 //! built in one place over one program store, the register file's write policy
 //! stays stated once, the compiler's passes keep no table whose order
 //! depends on the process and no ordered map on their hot path, and
@@ -333,30 +334,79 @@ fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
 
 #[test]
 fn runtime_spawns_threads_only_in_the_dispatcher() {
-    // There is one serving stack: the `Dispatcher`'s ingest, shard and
-    // supervisor threads. `Engine::serve` submits to a dispatcher instead
-    // of running a pool of its own (it had a `thread::scope` one, with
-    // every request run alone, one lane wide). A thread spawned anywhere
-    // else in the runtime's production code is a second stack growing
-    // back. Unit tests below a file's `#[cfg(test)]` may spawn what they
-    // like.
+    // There is one serving stack: the `Dispatcher`'s ingest thread and one
+    // worker per shard, spawned at exactly two `thread::Builder` sites in
+    // `dispatch.rs`. `Engine::serve` submits to a dispatcher instead of
+    // running a pool of its own (it had a `thread::scope` one, with every
+    // request run alone, one lane wide), and stall reclaim and hedging run
+    // in the scheduling core's sweep at a worker's checkout (they had a
+    // supervisor thread). Any other spawn in the runtime's production code
+    // is a second stack or a second scheduler growing back. Unit tests
+    // below a file's `#[cfg(test)]` may spawn what they like.
+    let spawns = ["thread::scope", "thread::spawn", "thread::Builder"];
     let mut hits = Vec::new();
+    let mut dispatcher_spawns = Vec::new();
     for path in rust_sources(&repo_root().join("crates/runtime/src")) {
-        if path.ends_with("dispatch.rs") {
-            continue;
-        }
         let text = fs::read_to_string(&path).expect("source file is UTF-8");
         let production = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
         for (idx, line) in production.enumerate() {
-            let spawns = ["thread::scope", "thread::spawn", "thread::Builder"];
             if spawns.iter().any(|p| line.contains(p)) {
-                hits.push(format!("{}:{}: {}", path.display(), idx + 1, line.trim()));
+                let at = format!("{}:{}: {}", path.display(), idx + 1, line.trim());
+                if path.ends_with("dispatch.rs") && line.contains("thread::Builder") {
+                    dispatcher_spawns.push(at);
+                } else {
+                    hits.push(at);
+                }
             }
         }
     }
     assert!(
         hits.is_empty(),
-        "dpu-runtime spawns threads in dispatch.rs only — serve through a Dispatcher:\n{}",
+        "dpu-runtime spawns threads in dispatch.rs only, with thread::Builder:\n{}",
+        hits.join("\n")
+    );
+    assert_eq!(
+        dispatcher_spawns.len(),
+        2,
+        "the dispatcher spawns an ingest thread and the shard workers, nothing else: {dispatcher_spawns:?}"
+    );
+}
+
+#[test]
+fn dispatch_core_reads_no_clock_and_takes_no_lock() {
+    // Every scheduling decision — round closing, pop, steal, lease,
+    // recovery, stall reclaim, hedging — lives in `sched.rs` as plain state
+    // machines that take `now_ns` and return what to do, so a
+    // single-threaded test can replay any schedule on a virtual clock. A
+    // clock read, a lock, a thread, a condvar, a backend call or a ticket
+    // fulfilment in there ties a decision back to real time and real
+    // threads. Its unit tests below `#[cfg(test)]` are exempt.
+    let path = repo_root().join("crates/runtime/src/sched.rs");
+    let text = fs::read_to_string(&path).expect("source file is UTF-8");
+    let banned = [
+        "Instant",
+        "SystemTime",
+        "thread::",
+        "Mutex",
+        "RwLock",
+        "Condvar",
+        "Waiters",
+        "Backend",
+        "fulfill(",
+    ];
+    let production = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+    let hits: Vec<String> = production
+        .enumerate()
+        .filter(|(_, line)| banned.iter().any(|p| line.contains(p)))
+        .map(|(idx, line)| format!("{}:{}: {}", path.display(), idx + 1, line.trim()))
+        .collect();
+    assert!(
+        text.contains("#[cfg(test)]"),
+        "sched.rs keeps its single-threaded tests"
+    );
+    assert!(
+        hits.is_empty(),
+        "the dispatch core takes `now_ns` and returns decisions; the threads in dispatch.rs do the rest:\n{}",
         hits.join("\n")
     );
 }
@@ -367,7 +417,7 @@ fn engine_shards_are_built_in_one_place() {
     // `Engine::new`, then `Engine::sharing` siblings. That only holds while
     // one function turns a `DispatchOptions` into engines — a second
     // `EngineOptions { cores, cache_capacity, spill_dir }` copy (there was
-    // one in `Dispatcher::with_configs`) or an `Engine::new` per shard is a
+    // one in a former per-config constructor) or an `Engine::new` per shard is a
     // store, a registry and a compile per shard coming back. Unit tests
     // below a file's `#[cfg(test)]` may build what they like.
     let mut literals = Vec::new();
