@@ -45,7 +45,9 @@ use dpu_compiler::{compile, CompileError, CompileOptions, Compiled};
 use dpu_dag::Dag;
 use dpu_energy::Metrics;
 use dpu_isa::ArchConfig;
-use dpu_runtime::{DispatchOptions, Dispatcher, Engine, EngineOptions, Request, ServingReport};
+use dpu_runtime::{
+    engine_shards, DispatchOptions, Dispatcher, Engine, EngineOptions, Request, ServingReport,
+};
 use dpu_sim::{RunResult, SimError, VerifyReport};
 
 /// Convenience prelude: the types most programs need.
@@ -57,11 +59,11 @@ pub mod prelude {
     pub use dpu_energy::Metrics;
     pub use dpu_isa::{ArchConfig, Topology};
     pub use dpu_runtime::{
-        Backend, CacheStats, ChaosEvent, ChaosPlan, ClassReport, DagKey, DispatchOptions,
-        DispatchReport, Dispatcher, Engine, EngineOptions, HedgeOptions, LatencyHistogram,
-        LatencyReport, Outcome, PlatformSummary, Priority, ProgramCache, ProgramStore, Request,
-        ServeError, ServingReport, ShedReason, SpillStore, SubmitAllError, SubmitOptions,
-        SubmitRejection, Submitter, Ticket, Timeline,
+        CacheStats, ChaosEvent, ChaosPlan, ClassReport, DagKey, DispatchOptions, DispatchReport,
+        Dispatcher, Engine, EngineOptions, HedgeOptions, LatencyHistogram, LatencyReport, Outcome,
+        PlatformSummary, Priority, ProgramCache, ProgramStore, Request, ServeError, ServingReport,
+        ShedReason, SpillStore, SubmitAllError, SubmitOptions, SubmitRejection, Submitter, Ticket,
+        Timeline,
     };
     pub use dpu_sim::{RunResult, VerifyReport};
     // The static analyzer's report type stays behind its crate path
@@ -155,7 +157,11 @@ impl Dpu {
     /// replicas share one program store, so a DAG is compiled and decoded
     /// once per dispatcher. See `dpu-runtime`'s `dispatch` module docs.
     pub fn dispatcher(&self, options: DispatchOptions) -> Dispatcher {
-        Dispatcher::new(self.config, self.options.clone(), options)
+        let configs = vec![self.config; options.shards];
+        Dispatcher::new(
+            engine_shards(&configs, self.options.clone(), &options),
+            options,
+        )
     }
 
     /// One-call batch serving: registers `dags`, then serves `requests`

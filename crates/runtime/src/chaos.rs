@@ -2,16 +2,17 @@
 //! [`Dispatcher`](crate::Dispatcher).
 //!
 //! A [`ChaosPlan`] scripts shard failures up front — kill shard *k* after
-//! it has executed *n* rounds, or stall it for *d* per round — so a test
-//! or bench run can replay the exact same failure against the exact same
-//! request stream and compare outputs byte-for-byte against a serial
+//! it has checked out *n* rounds, or stall it for *d* per round — so a
+//! test or bench run can replay the exact same failure against the exact
+//! same request stream and compare outputs byte-for-byte against a serial
 //! reference. The plan is injected through
 //! [`DispatchOptions::chaos`](crate::DispatchOptions::chaos) and is only
-//! a script: the recovery it exercises (see `dispatch.rs`) is the one
-//! every dispatcher runs with — a dead shard's queued rounds and the
-//! round in its lease slot are requeued onto a surviving
-//! [`steal_compatible`](dpu_verify::steal_compatible) shard, the only
-//! moves statically proven to preserve per-request results.
+//! a script: a kill is a panic at the execute site, caught where an
+//! engine's own panic is, so the containment it exercises (see
+//! `dispatch.rs`) is the one every dispatcher runs with — the jobs in hand
+//! fail typed, and the dead shard's queued rounds are requeued onto a
+//! surviving [`steal_compatible`](dpu_verify::steal_compatible) shard, the
+//! only moves statically proven to preserve per-request results.
 //!
 //! [`HedgeOptions`] is the independent straggler policy: a round that has
 //! waited in queue past a latency-percentile trigger gets a second handle
@@ -25,14 +26,18 @@ use std::time::Duration;
 /// One scripted failure event of a [`ChaosPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChaosEvent {
-    /// Kill shard `shard` at the checkout of its `after_rounds + 1`-th
-    /// round: the worker abandons the round it just checked out plus its
-    /// whole queue (both recovered through the lease slot and requeue) and
-    /// exits — a crash with maximal strand surface.
+    /// Kill shard `shard` with a panic at the execute site of the first
+    /// round it takes to the engine after `after_rounds` checkouts — the
+    /// same unwind, caught in the same place, as a buggy engine's. The
+    /// jobs handed to the engine fail
+    /// [`ServeError::ShardLost`](crate::ServeError::ShardLost) (the
+    /// dispatcher cannot tell this crash from a poison round, which must
+    /// not be retried), the victim's queued backlog is requeued onto a
+    /// surviving same-class shard, and the worker exits.
     KillShard {
         /// Victim shard index.
         shard: usize,
-        /// Rounds the victim executes normally before dying.
+        /// Rounds the victim checks out before the one it dies on.
         after_rounds: u64,
     },
     /// Stall shard `shard` for about `per_round` (seeded jitter around

@@ -7,9 +7,7 @@
 //! ([`Engine::serve`] is a dispatcher fed a pre-collected slice, flushed
 //! and waited). Each shard is a simulated DPU-v2 [`Engine`] — replicas of
 //! one [`ArchConfig`], or distinct configuration points ([`engine_shards`]
-//! over a list of configs, passed to [`Dispatcher::with_backends`]) —
-//! behind the [`Backend`] seam, which lets a test wrap one to inject a
-//! fault.
+//! over a list of configs, passed to [`Dispatcher::new`]).
 //!
 //! **Decisions and threads.** Every scheduling decision below — round
 //! closing, routing of a round around a dead home, pop, steal, lease,
@@ -18,7 +16,7 @@
 //! under the one queues lock. This file holds the threads that act on
 //! them: `shards + 1` per dispatcher, one ingest thread and one worker
 //! per shard. They read the [`Clock`], lock, call the core, unlock, run
-//! rounds on the shard's backend outside the lock, resolve tickets and
+//! rounds on the shard's engine outside the lock, resolve tickets and
 //! wake parked workers when the core asks for it. When stall reclaim or
 //! hedging is configured, a parked worker's wait is timed so that its
 //! checkout runs the core's periodic sweep; otherwise it is untimed.
@@ -66,12 +64,15 @@
 //!   carries an inline one-shot claim that each resolution path (shed,
 //!   complete, fail) must win before touching the ticket, and the round a
 //!   worker has checked out stays visible in its shard's queue slot (the
-//!   *lease*) until the worker comes back for the next one. A dying
-//!   shard's queued *and* in-hand rounds are therefore requeued onto a
-//!   surviving same-class shard (the moves `steal_compatible` statically
-//!   proves result-identical) whether the death is a contained backend
-//!   panic or a scripted kill ([`DispatchOptions::chaos`], a seeded
-//!   [`ChaosPlan`]); [`DispatchOptions::stall_timeout`] reclaims a
+//!   *lease*) until the worker comes back for the next one. A shard dies
+//!   one way: a panic out of its engine, caught where the round executes
+//!   — a scripted kill ([`DispatchOptions::chaos`], a seeded
+//!   [`ChaosPlan`]) raises one there too. The jobs already handed to the
+//!   engine fail [`ServeError::ShardLost`] (a round that panics is never
+//!   retried: it could kill every peer in turn), and the dead shard's
+//!   queued backlog is requeued onto a surviving same-class shard (the
+//!   moves `steal_compatible` statically proves result-identical);
+//!   [`DispatchOptions::stall_timeout`] reclaims a
 //!   straggler's in-hand round the same way (at the sweep a checkout runs),
 //!   and optional hedging
 //!   ([`DispatchOptions::hedge`]) enqueues a second handle to a
@@ -98,7 +99,7 @@
 //!   count, stealing, or timing (a request's result depends only on its
 //!   engine's configuration, its program, and its inputs).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
@@ -109,7 +110,6 @@ use dpu_dag::Dag;
 use dpu_isa::ArchConfig;
 use dpu_sim::Machine;
 
-use crate::backend::Backend;
 use crate::chaos::{ChaosPlan, HedgeOptions};
 use crate::ingest::{job_channel, Admission, Gate, Job, Outcome, ShedReason, Submitter};
 use crate::latency::{Clock, LatencyReport, Timeline};
@@ -125,8 +125,8 @@ use crate::{dag_fingerprint, DagKey, DPU_V2_L_CORES};
 /// on; `chaos` is a script, `hedge` a policy, `stall_timeout` a timeout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchOptions {
-    /// Number of engine shards (ignored by [`Dispatcher::with_backends`],
-    /// which takes one shard per backend).
+    /// Number of engine shards: how many replicas [`engine_shards`] is
+    /// asked for. [`Dispatcher::new`] sets it to the engines it is given.
     pub shards: usize,
     /// Close a shard's pending round once it holds this many requests.
     pub max_batch: usize,
@@ -214,16 +214,14 @@ pub fn home_shard(key: DagKey, shards: usize) -> usize {
 
 /// The engine shards of a dispatcher: one [`Engine`] per entry of
 /// `configs`, siblings over **one** program store
-/// ([`Engine::sharing`]) sized by `options`. The one place a
-/// [`DispatchOptions`] becomes engines — [`Dispatcher::new`] passes the
-/// result to [`Dispatcher::with_backends`] as is, a caller serving
-/// distinct configuration points does the same, and a caller wrapping a
-/// shard (a fault-injecting test backend) starts from it.
+/// ([`Engine::sharing`]) sized by `options`: the one place a
+/// [`DispatchOptions`] becomes engines, for [`Dispatcher::new`] — replicas
+/// of one config, or distinct configuration points.
 pub fn engine_shards(
     configs: &[ArchConfig],
     compile_opts: CompileOptions,
     options: &DispatchOptions,
-) -> Vec<Arc<dyn Backend>> {
+) -> Vec<Engine> {
     let Some((&first, rest)) = configs.split_first() else {
         return Vec::new();
     };
@@ -237,11 +235,8 @@ pub fn engine_shards(
             spill_dir: options.spill_dir.clone(),
         },
     );
-    let mut shards: Vec<Arc<dyn Backend>> = rest
-        .iter()
-        .map(|&config| Arc::new(first.sharing(config)) as Arc<dyn Backend>)
-        .collect();
-    shards.insert(0, Arc::new(first));
+    let mut shards: Vec<Engine> = rest.iter().map(|&config| first.sharing(config)).collect();
+    shards.insert(0, first);
     shards
 }
 
@@ -348,10 +343,10 @@ impl ServingWindow {
     }
 }
 
-/// One backend shard plus its execution counters (written only by the
+/// One engine shard plus its execution counters (written only by the
 /// shard's worker thread; read at shutdown).
 struct ShardState {
-    backend: Arc<dyn Backend>,
+    engine: Engine,
     requests: AtomicU64,
     rounds: AtomicU64,
     /// Rounds this shard executed that were homed on another shard.
@@ -411,35 +406,21 @@ impl std::fmt::Debug for Dispatcher {
 }
 
 impl Dispatcher {
-    /// Builds a dispatcher of [`DispatchOptions::shards`] replica engine
-    /// shards, every shard serving `config`.
+    /// Builds a dispatcher with one shard per engine: replicas of one
+    /// configuration or distinct configuration points ([`engine_shards`]
+    /// over their configs; work stealing and recovery then only move
+    /// rounds between steal-compatible shards). `options.shards` is set to
+    /// the number of engines.
     ///
     /// # Panics
     ///
-    /// Panics if `options.shards == 0`, `options.max_batch == 0` or
+    /// Panics if `engines` is empty, `options.max_batch == 0` or
     /// `options.cores == 0`.
-    pub fn new(config: ArchConfig, compile_opts: CompileOptions, options: DispatchOptions) -> Self {
-        assert!(options.shards > 0, "at least one shard required");
-        let backends = engine_shards(&vec![config; options.shards], compile_opts, &options);
-        Self::with_backends(backends, options)
-    }
-
-    /// Builds a dispatcher with one shard per [`Backend`] — the
-    /// constructor behind [`Dispatcher::new`], the way to serve distinct
-    /// architecture points ([`engine_shards`] over their configs; work
-    /// stealing then only happens between steal-compatible shards), and
-    /// the seam a test uses to wrap a shard's engine (routing and stealing
-    /// as in the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backends` is empty, `options.max_batch == 0` or
-    /// `options.cores == 0`.
-    pub fn with_backends(backends: Vec<Arc<dyn Backend>>, mut options: DispatchOptions) -> Self {
-        assert!(!backends.is_empty(), "at least one shard required");
+    pub fn new(engines: Vec<Engine>, mut options: DispatchOptions) -> Self {
+        assert!(!engines.is_empty(), "at least one shard required");
         assert!(options.max_batch > 0, "max_batch must be positive");
         assert!(options.cores > 0, "cores must be positive");
-        let n = backends.len();
+        let n = engines.len();
         options.shards = n;
         if let Some(max) = options.chaos.as_ref().and_then(ChaosPlan::max_shard) {
             assert!(
@@ -448,10 +429,10 @@ impl Dispatcher {
             );
         }
 
-        let shards: Vec<ShardState> = backends
+        let shards: Vec<ShardState> = engines
             .into_iter()
-            .map(|backend| ShardState {
-                backend,
+            .map(|engine| ShardState {
+                engine,
                 requests: AtomicU64::new(0),
                 rounds: AtomicU64::new(0),
                 stolen: AtomicU64::new(0),
@@ -464,7 +445,7 @@ impl Dispatcher {
         // Compatibility is an equivalence relation (field-wise equality
         // with `data_mem_rows` projected out), so first-match
         // classification is well defined.
-        let config = |k: usize| shards[k].backend.engine().config();
+        let config = |k: usize| shards[k].engine.config();
         let steal_class: Vec<usize> = (0..n)
             .map(|j| {
                 (0..n)
@@ -536,7 +517,7 @@ impl Dispatcher {
         let key = dag_fingerprint(&dag);
         let dag = Arc::new(dag);
         for shard in &self.shared.shards {
-            let store = shard.backend.engine().program_store();
+            let store = shard.engine.program_store();
             store.register(key, Arc::clone(&dag));
         }
         key
@@ -560,7 +541,7 @@ impl Dispatcher {
     /// when a previous run (or a peer fleet) already populated the spill
     /// directory.
     pub fn prewarm(&self) -> usize {
-        let engines = self.shared.shards.iter().map(|s| s.backend.engine());
+        let engines = self.shared.shards.iter().map(|s| &s.engine);
         engines.map(Engine::prewarm).sum()
     }
 
@@ -620,7 +601,7 @@ impl Dispatcher {
         // Each distinct program store, once.
         let mut stores: Vec<&Arc<ProgramStore>> = Vec::new();
         for shard in &self.shared.shards {
-            let store = shard.backend.engine().program_store();
+            let store = shard.engine.program_store();
             if !stores.iter().any(|seen| Arc::ptr_eq(seen, store)) {
                 stores.push(store);
             }
@@ -849,10 +830,10 @@ fn fail_lost(shared: &Shared, lost: &[QueuedRound], lost_shard: usize) {
     }
 }
 
-/// A worker's dying act (chaos kill or contained panic): [`Core::kill`]
-/// moves its queued and in-hand rounds onto a surviving same-class shard
-/// under one lock acquisition; with no survivor, the stranded jobs fail
-/// typed.
+/// A worker's dying act, after its in-hand jobs failed: [`Core::kill`]
+/// moves its queued rounds (and what is left of the one on lease) onto a
+/// surviving same-class shard under one lock acquisition; with no
+/// survivor, the stranded jobs fail typed.
 fn abandon_shard(shared: &Shared, me: usize) {
     let mut core = shared.queues.lock();
     let lost = core.kill(me);
@@ -862,15 +843,16 @@ fn abandon_shard(shared: &Shared, me: usize) {
 
 /// One shard's worker loop: pop own rounds (interactive first), steal
 /// when idle, shed queue-expired deadlines, execute the rest on the
-/// shard's backend, stamp/record latency, fulfill tickets.
+/// shard's engine, stamp/record latency, fulfill tickets.
 ///
 /// The checked-out round stays on lease in the shard's queue slot until
-/// the worker comes back for the next one, scripted chaos events
-/// (kill/stall) fire at checkout, and every job resolution is gated by
-/// its claim so a recovered or hedged handle can never double-fulfil a
-/// ticket. A backend panic is contained here: the in-hand jobs fail
-/// typed, the shard abandons its queue, the worker exits — the dispatcher
-/// keeps serving on the survivors.
+/// the worker comes back for the next one, a scripted stall fires at
+/// checkout, and every job resolution is gated by its claim so a
+/// recovered or hedged handle can never double-fulfil a ticket. A panic
+/// at the execute site — the engine's, or a scripted kill's — is
+/// contained here: the in-hand jobs fail typed, the shard abandons its
+/// queue, the worker exits — the dispatcher keeps serving on the
+/// survivors.
 fn shard_loop(shared: &Shared, me: usize) {
     let Shared {
         in_flight,
@@ -881,7 +863,7 @@ fn shard_loop(shared: &Shared, me: usize) {
         ..
     } = shared;
     let my = &shared.shards[me];
-    let mut machine = Machine::new(*my.backend.engine().config());
+    let mut machine = Machine::new(*my.engine.config());
     let mut costs: Vec<u64> = Vec::new();
     // The executing half of each job's timeline (execute-start,
     // completed, service cycles): per handle, so it lives here and not in
@@ -898,12 +880,6 @@ fn shard_loop(shared: &Shared, me: usize) {
             return; // my steal class is closed, empty and lease-free
         };
         let round = &*entry.round;
-        if kill_after.is_some_and(|after| rounds_done >= after) {
-            // Scripted death at checkout: the lease slot owns the in-hand
-            // round's recovery.
-            abandon_shard(shared, me);
-            return;
-        }
         if let (Some(plan), Some(base)) = (chaos, stall) {
             std::thread::sleep(plan.stall_for(me, rounds_done, base));
         }
@@ -922,7 +898,7 @@ fn shard_loop(shared: &Shared, me: usize) {
         // the last-chance deadline check: if the deadline passed in
         // queue, or the remaining service estimate no longer fits it,
         // shed instead of executing. Shed jobs are fully resolved here
-        // and never reach the backend seam. Sheds are attributed to
+        // and never reach the engine. Sheds are attributed to
         // `round.home` — the shard whose backlog cost the job its
         // deadline — not the executing shard.
         let mut exec_idx: Vec<usize> = Vec::with_capacity(round.jobs.len());
@@ -951,29 +927,35 @@ fn shard_loop(shared: &Shared, me: usize) {
             }
             exec_idx.push(i);
         }
-        // Pass 2 — execute the survivors as one round through the seam:
-        // the engine runs each program once per eight of the round's
-        // same-DAG jobs ([`Backend::execute_round`]), and a stolen round
-        // flows through identically to a home round. An empty survivor
-        // set never reaches the seam — a round of expired deadlines (or
-        // fully claimed-away jobs) must not charge its per-round setup
-        // cost for zero requests.
+        // Pass 2 — execute the survivors as one round: the engine runs
+        // each program once per eight of the round's same-DAG jobs
+        // ([`Engine::execute_round`]), and a stolen round flows through
+        // identically to a home round. An empty survivor set never
+        // reaches the engine — a round of expired deadlines (or fully
+        // claimed-away jobs) must not charge its per-round setup cost for
+        // zero requests, and does not fire a scripted kill either.
         let outcomes = if exec_idx.is_empty() {
             Vec::new()
         } else {
             let requests: Vec<&Request> =
                 exec_idx.iter().map(|&i| &round.jobs[i].request).collect();
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                my.backend.execute_round(&mut machine, &requests)
+                if kill_after.is_some_and(|after| rounds_done > after) {
+                    // A scripted kill is a panic here, silent: no hook
+                    // runs for a resumed unwind.
+                    resume_unwind(Box::new("scripted chaos kill"));
+                }
+                my.engine.execute_round(&mut machine, &requests)
             }));
             match caught {
                 Ok(outcomes) => outcomes,
                 Err(_) => {
-                    // Contained backend panic: the in-hand jobs fail
-                    // typed (the panicking round must terminate, not
-                    // requeue forever — `abandon_shard` finds nothing
-                    // unresolved left in the lease slot), the queue
-                    // backlog recovers, the worker exits.
+                    // The one death: the in-hand jobs fail typed (the
+                    // dispatcher cannot tell a scripted kill from a
+                    // poison round, and requeueing a poison round would
+                    // kill each same-class peer in turn — `abandon_shard`
+                    // finds nothing unresolved left in the lease slot),
+                    // the queue backlog recovers, the worker exits.
                     drop(latency);
                     for i in exec_idx {
                         fail_job(shared, round, &round.jobs[i], timelines[i], me);
@@ -1014,7 +996,7 @@ fn shard_loop(shared: &Shared, me: usize) {
                     Outcome::Completed(res)
                 }
                 Err(e) => {
-                    // A backend that *returns* an error (vs. one that
+                    // An engine that *returns* an error (vs. one that
                     // panics) is a per-job failure, not a completion:
                     // ledger it as `failed` so the balance equation stays
                     // honest.
@@ -1103,7 +1085,11 @@ mod tests {
     }
 
     fn dispatcher(options: DispatchOptions) -> (Dispatcher, DagKey) {
-        let d = Dispatcher::new(arch(), CompileOptions::default(), options);
+        let configs = vec![arch(); options.shards];
+        let d = Dispatcher::new(
+            engine_shards(&configs, CompileOptions::default(), &options),
+            options,
+        );
         let key = d.register(tiny_dag());
         (d, key)
     }
@@ -1135,7 +1121,7 @@ mod tests {
         };
         let configs = [arch(), more_regs, more_rows, more_regs];
         let options = DispatchOptions::default();
-        let d = Dispatcher::with_backends(
+        let d = Dispatcher::new(
             engine_shards(&configs, CompileOptions::default(), &options),
             options,
         );
@@ -1168,18 +1154,32 @@ mod tests {
                 // The peer never takes work on its own: only the requeue
                 // from the dying home shard, and its wake-up, reach it.
                 work_stealing: false,
-                chaos: Some(ChaosPlan::new(5).kill_shard(home, 0)),
+                // Home stalls on its first round, so the second is queued
+                // behind it when the kill fires at the execute site.
+                chaos: Some(
+                    ChaosPlan::new(5)
+                        .kill_shard(home, 0)
+                        .stall_shard(home, Duration::from_millis(100)),
+                ),
                 ..Default::default()
             });
             let sub = d.submitter();
             until_parked(&d, 2);
-            let ticket = sub.submit(Request::new(key, vec![1.0, 2.0])).unwrap();
-            assert!(ticket.wait().is_completed());
+            let in_hand = sub.submit(Request::new(key, vec![1.0, 2.0])).unwrap();
+            let queued = sub.submit(Request::new(key, vec![2.0, 2.0])).unwrap();
+            assert!(matches!(
+                in_hand.wait(),
+                Outcome::Failed(ServeError::ShardLost { shard }) if shard == home
+            ));
+            assert_eq!(queued.wait().unwrap().outputs, vec![16.0]);
             d.shutdown()
         });
         assert_eq!(report.recovered, 1);
         assert_eq!(report.shards[home].requests, 0);
         assert_eq!(report.shards[1 - home].requests, 1);
+        let c = report.class(crate::Priority::Standard);
+        assert_eq!((c.completed, c.failed), (1, 1));
+        assert_eq!(c.offered, c.completed + c.failed + c.shed + c.rejected);
     }
 
     #[test]

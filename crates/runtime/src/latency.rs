@@ -342,7 +342,7 @@ pub struct Timeline {
     /// shows the budget the request ran against.
     pub deadline_ns: u64,
     /// Modelled service time in simulated cycles on the executing
-    /// backend — the deterministic half of the accounting (a pure
+    /// engine — the deterministic half of the accounting (a pure
     /// function of program and inputs, unlike the host-side stamps).
     pub service_cycles: u64,
 }
@@ -407,7 +407,7 @@ impl Timeline {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyReport {
     /// Modelled service time per request, in simulated cycles of the
-    /// executing backend. Deterministic: the merged multiset depends only
+    /// executing engine. Deterministic: the merged multiset depends only
     /// on the request stream, never on sharding, stealing, or timing —
     /// this is the histogram CI gates.
     pub service_cycles: LatencyHistogram,

@@ -46,9 +46,6 @@
 //!   into [`DispatchReport::latency`]
 //!   — p50/p99/p999 queueing, batching, service and end-to-end response
 //!   time, the closed-loop half of the serving claim.
-//! - [`Backend`] is the dispatcher's execution seam: every shard serves
-//!   with an [`Engine`] ([`Backend::engine`]), and a test can wrap one to
-//!   inject a fault into [`Backend::execute_round`].
 //! - [`PlatformSummary::modelled`] prices the traffic a run served on the
 //!   paper's baseline platforms (`dpu_baselines::BaselineModel` — the
 //!   CPU/GPU/DPU-v1/SPU comparison points, §V-C / Table III): the models
@@ -104,7 +101,6 @@ use dpu_dag::Dag;
 use dpu_isa::Fnv1a;
 use serde::{Deserialize, Serialize};
 
-pub mod backend;
 pub mod cache;
 pub mod chaos;
 pub mod dispatch;
@@ -116,7 +112,6 @@ pub mod report;
 mod sched;
 mod wake;
 
-pub use backend::Backend;
 pub use cache::{CacheKey, CacheStats, ProgramCache, SpillLookup, SpillStore};
 pub use chaos::{ChaosEvent, ChaosPlan, HedgeOptions};
 pub use dispatch::{engine_shards, home_shard, DispatchOptions, Dispatcher};

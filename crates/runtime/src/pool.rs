@@ -31,7 +31,6 @@ use dpu_isa::ArchConfig;
 use dpu_sim::{run_decoded_group, run_on, Activity, DecodedProgram, Machine, RunResult, SimError};
 use serde::{Deserialize, Serialize};
 
-use crate::backend::Backend;
 use crate::cache::{read, write, CacheStats, ProgramCache, SpillStore};
 use crate::dispatch::{DispatchOptions, Dispatcher};
 use crate::ingest::{Outcome, Ticket};
@@ -103,14 +102,14 @@ pub enum ServeError {
     /// is the caller's to know: [`ServingReport::failures`] pairs each
     /// error with its stream index.
     Sim(SimError),
-    /// A backend rejected the request's inputs (arity mismatch against
+    /// An engine rejected the request's inputs (arity mismatch against
     /// the registered DAG) — raised by an engine before it stages a
     /// round.
     Inputs(dpu_dag::DagError),
-    /// The shard holding the request died (a chaos-plan kill or a
-    /// contained worker panic) and no surviving shard of the same steal
-    /// class existed to recover it onto. Raised by the dispatcher's
-    /// recovery path, never by an engine.
+    /// The shard holding the request died — a panic at its execute site,
+    /// the engine's or a chaos-plan kill's — with the request in hand, or
+    /// with it queued and no surviving shard of the same steal class to
+    /// recover it onto. Raised by the dispatcher, never by an engine.
     ShardLost {
         /// Index of the lost shard.
         shard: usize,
@@ -245,7 +244,7 @@ impl ProgramStore {
 
     /// Registers `dag` under `key`, its fingerprint. Idempotent; the same
     /// `Arc` again (a sibling shard registering what the dispatcher handed
-    /// every backend) skips the O(nodes) collision check.
+    /// every shard) skips the O(nodes) collision check.
     pub(crate) fn register(&self, key: DagKey, dag: Arc<Dag>) {
         match write(&self.dags).entry(key) {
             Entry::Occupied(existing) => assert!(
@@ -260,8 +259,8 @@ impl ProgramStore {
 }
 
 /// The serving engine. All methods take `&self`; an `Engine` can be
-/// shared across threads (`Engine: Sync`) and is itself a dispatcher
-/// shard ([`Backend`]).
+/// shared across threads (`Engine: Sync`), and every dispatcher shard is
+/// one.
 pub struct Engine {
     config: ArchConfig,
     options: EngineOptions,
@@ -395,15 +394,14 @@ impl Engine {
     /// batch: every failing request is reported in
     /// [`ServingReport::failures`] and every other request keeps its
     /// result. A shard that panics is contained by the dispatcher like any
-    /// other: its rounds are recovered onto a surviving shard, or their
-    /// requests fail as [`ServeError::ShardLost`].
+    /// other: the requests it held fail as [`ServeError::ShardLost`], and
+    /// its queued rounds are recovered onto a surviving shard (or fail the
+    /// same way when none is left).
     pub fn serve(&self, requests: &[Request]) -> ServingReport {
         let started = Instant::now();
         let workers = self.options.workers.clamp(1, requests.len().max(1));
-        let shards = (0..workers)
-            .map(|_| Arc::new(self.sharing(self.config)) as Arc<dyn Backend>)
-            .collect();
-        let dispatcher = Dispatcher::with_backends(
+        let shards = (0..workers).map(|_| self.sharing(self.config)).collect();
+        let dispatcher = Dispatcher::new(
             shards,
             DispatchOptions {
                 cores: self.options.cores.max(1),
@@ -480,8 +478,8 @@ impl Engine {
 
     /// Executes one dispatcher round's worth of requests on one
     /// caller-owned machine, returning per-request outcomes in request
-    /// order — the one-program/many-inputs hot path behind
-    /// [`Backend::execute_round`].
+    /// order — the one-program/many-inputs hot path every dispatcher
+    /// shard runs its rounds on.
     ///
     /// The round is grouped by [`Request::dag`] (first-appearance order)
     /// and each group runs its **pre-decoded** program (one visit to its

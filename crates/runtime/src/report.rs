@@ -119,9 +119,9 @@ pub struct ClassReport {
     /// Accepted requests executed to successful completion.
     pub completed: u64,
     /// Accepted requests that resolved
-    /// [`Outcome::Failed`]: a per-request backend
-    /// error, or a shard loss with no surviving compatible shard to
-    /// recover onto. (Before the failure ledger these were miscounted as
+    /// [`Outcome::Failed`]: a per-request engine
+    /// error, or a shard loss — in the dying shard's hand, or with no
+    /// surviving compatible shard to recover onto. (Before the failure ledger these were miscounted as
     /// completions.)
     pub failed: u64,
     /// Accepted requests shed before execution to protect a deadline.
@@ -166,7 +166,7 @@ pub struct DispatchReport {
     /// a dispatcher builds share one store, so this holds one entry for
     /// them however many they are — a store's counters are the store's,
     /// not any one shard's — and one more per separately built engine
-    /// passed to [`Dispatcher::with_backends`].
+    /// passed to [`Dispatcher::new`].
     pub stores: Vec<CacheStats>,
     /// Host wall-clock seconds of the **serving window**: first accepted
     /// request → last completed job. This is the denominator host-side
@@ -206,8 +206,8 @@ pub struct DispatchReport {
     /// Accepted requests shed at execute time: the deadline expired while
     /// the request sat in queue.
     pub shed_expired: u64,
-    /// Jobs rescued from a dead or stalled shard: requeued onto a
-    /// surviving same-class shard by the recovery path. An overlay
+    /// Jobs rescued from a dead shard's queue or a stalled shard's lease:
+    /// requeued onto a surviving same-class shard by the recovery path. An overlay
     /// counter — recovery moves work without changing any outcome, so it
     /// sits outside the class balance equation.
     pub recovered: u64,

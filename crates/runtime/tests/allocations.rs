@@ -24,7 +24,9 @@ use std::time::Duration;
 use dpu_compiler::{compile, CompileOptions, Compiled};
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
-use dpu_runtime::{DispatchOptions, Dispatcher, Engine, EngineOptions, Request, Ticket};
+use dpu_runtime::{
+    engine_shards, DispatchOptions, Dispatcher, Engine, EngineOptions, Request, Ticket,
+};
 use dpu_sim::{run_decoded_group, DecodedProgram, Machine};
 
 struct Counting;
@@ -184,15 +186,15 @@ fn pushed_vec_allocations(len: usize) -> u64 {
 /// shard's execution and the ticket.
 fn dispatcher_round_trip_stays_under_its_per_request_bound() {
     const REQUESTS: usize = 512;
+    let options = DispatchOptions {
+        shards: 2,
+        max_batch: 32,
+        max_wait: Duration::from_secs(3600),
+        ..Default::default()
+    };
     let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 2,
-            max_batch: 32,
-            max_wait: Duration::from_secs(3600),
-            ..Default::default()
-        },
+        engine_shards(&[arch(); 2], CompileOptions::default(), &options),
+        options,
     );
     let keys: Vec<_> = (0..4).map(|s| d.register(salted_dag(s))).collect();
     let requests: Vec<Request> = (0..REQUESTS)

@@ -1,7 +1,7 @@
-//! Integration tests of the dispatcher's `Backend` seam and submission
-//! edge: baseline platforms priced on the served stream, one registered
-//! DAG shared by every shard, the `submit_all` loss-freedom regression,
-//! and `Ticket::wait_timeout` deadline edge cases.
+//! Integration tests of what a dispatcher's engine shards share and of its
+//! submission edge: baseline platforms priced on the served stream, one
+//! registered DAG shared by every shard, the `submit_all` loss-freedom
+//! regression, and `Ticket::wait_timeout` deadline edge cases.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -11,7 +11,7 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    Backend, DispatchOptions, Dispatcher, Engine, EngineOptions, PlatformSummary, Request,
+    engine_shards, DispatchOptions, Dispatcher, Engine, EngineOptions, PlatformSummary, Request,
     SubmitOptions, SubmitRejection,
 };
 use dpu_sim::RunResult;
@@ -22,17 +22,14 @@ fn arch() -> ArchConfig {
     ArchConfig::new(2, 8, 32).unwrap()
 }
 
-fn engine_backend() -> Arc<dyn Backend> {
-    Arc::new(Engine::new(
-        arch(),
-        CompileOptions::default(),
-        EngineOptions {
-            workers: 1,
-            cores: 8,
-            cache_capacity: None,
-            spill_dir: None,
-        },
-    ))
+/// A dispatcher of `options.shards` replica shards of [`arch`], over one
+/// program store.
+fn dispatcher(options: DispatchOptions) -> Dispatcher {
+    let configs = vec![arch(); options.shards];
+    Dispatcher::new(
+        engine_shards(&configs, CompileOptions::default(), &options),
+        options,
+    )
 }
 
 /// Three real workload families plus a hand-built DAG.
@@ -96,16 +93,12 @@ fn baselines_are_priced_on_the_served_stream_at_any_shard_count() {
 
     let mut rows_by_layout = Vec::new();
     for shards in [2usize, 4] {
-        let d = Dispatcher::new(
-            arch(),
-            CompileOptions::default(),
-            DispatchOptions {
-                shards,
-                max_batch: 16,
-                max_wait: Duration::from_micros(200),
-                ..Default::default()
-            },
-        );
+        let d = dispatcher(DispatchOptions {
+            shards,
+            max_batch: 16,
+            max_wait: Duration::from_micros(200),
+            ..Default::default()
+        });
         for dag in &dags {
             d.register(dag.clone());
         }
@@ -147,14 +140,12 @@ fn baselines_are_priced_on_the_served_stream_at_any_shard_count() {
 #[test]
 fn submit_all_mid_shutdown_keeps_accepted_tickets() {
     let dags = workload_dags();
-    let d = Dispatcher::with_backends(
-        vec![engine_backend()],
-        DispatchOptions {
-            max_batch: 4,
-            max_wait: Duration::from_micros(100),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 1,
+        max_batch: 4,
+        max_wait: Duration::from_micros(100),
+        ..Default::default()
+    });
     let key = d.register(dags[2].clone());
     let sub = d.submitter();
 
@@ -196,11 +187,7 @@ fn submit_all_mid_shutdown_keeps_accepted_tickets() {
 /// request with nothing accepted.
 #[test]
 fn submit_all_after_shutdown_rejects_everything() {
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions::default(),
-    );
+    let d = dispatcher(DispatchOptions::default());
     let key = d.register(workload_dags()[2].clone());
     let sub = d.submitter();
     d.shutdown();
@@ -221,16 +208,12 @@ fn submit_all_after_shutdown_rejects_everything() {
 #[test]
 fn wait_timeout_zero_and_elapsed_deadlines() {
     let dags = workload_dags();
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 1,
-            max_batch: 64,
-            max_wait: Duration::from_millis(2),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 1,
+        max_batch: 64,
+        max_wait: Duration::from_millis(2),
+        ..Default::default()
+    });
     let key = d.register(dags[2].clone());
     let sub = d.submitter();
 
@@ -264,8 +247,8 @@ fn wait_timeout_zero_and_elapsed_deadlines() {
 /// separately built engines have two stores, and both hold that one
 /// `Arc`.
 #[test]
-fn every_backend_of_a_dispatcher_holds_the_same_dag() {
-    let primary = Arc::new(Engine::new(
+fn every_shard_of_a_dispatcher_holds_the_same_dag() {
+    let primary = Engine::new(
         arch(),
         CompileOptions::default(),
         EngineOptions {
@@ -274,15 +257,17 @@ fn every_backend_of_a_dispatcher_holds_the_same_dag() {
             cache_capacity: None,
             spill_dir: None,
         },
-    ));
-    let sibling = Arc::new(primary.sharing(arch()));
-    let separate = Arc::new(Engine::new(
-        arch(),
-        CompileOptions::default(),
-        EngineOptions::default(),
-    ));
-    let d = Dispatcher::with_backends(
-        vec![primary.clone(), sibling.clone(), separate.clone()],
+    );
+    let sibling = primary.sharing(arch());
+    let separate = Engine::new(arch(), CompileOptions::default(), EngineOptions::default());
+    // The shards are siblings of these engines: the test keeps a handle on
+    // each of the two stores.
+    let d = Dispatcher::new(
+        vec![
+            primary.sharing(arch()),
+            sibling.sharing(arch()),
+            separate.sharing(arch()),
+        ],
         DispatchOptions::default(),
     );
     for dag in workload_dags() {

@@ -1,8 +1,9 @@
-//! Failure-injection and hedged-recovery tests: scripted shard kills
-//! with loss-free round requeue (byte-identical to the serial reference,
-//! every ticket resolved exactly once), typed no-survivor failures,
-//! stall-lease reclaim, hedging first-completion-wins, and contained
-//! backend panics.
+//! Failure-injection and hedged-recovery tests: scripted shard kills —
+//! a panic at the execute site, contained like an engine's own — that
+//! fail only the round in hand and requeue the backlog (everything else
+//! byte-identical to the serial reference, every ticket resolved exactly
+//! once), typed no-survivor failures, stall-lease reclaim, and hedging
+//! first-completion-wins.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,14 +12,25 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    dag_fingerprint, home_shard, Backend, ChaosPlan, DispatchOptions, Dispatcher, Engine,
-    EngineOptions, HedgeOptions, Outcome, Priority, Request, ServeError, SubmitOptions, Ticket,
+    dag_fingerprint, engine_shards, home_shard, ChaosPlan, DispatchOptions, DispatchReport,
+    Dispatcher, Engine, EngineOptions, HedgeOptions, Outcome, Priority, Request, ServeError,
+    SubmitOptions, Ticket,
 };
-use dpu_sim::{Machine, RunResult};
+use dpu_sim::RunResult;
 use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
 
 fn arch() -> ArchConfig {
     ArchConfig::new(2, 8, 32).unwrap()
+}
+
+/// A dispatcher of `options.shards` replica shards of [`arch`], over one
+/// program store.
+fn dispatcher(options: DispatchOptions) -> Dispatcher {
+    let configs = vec![arch(); options.shards];
+    Dispatcher::new(
+        engine_shards(&configs, CompileOptions::default(), &options),
+        options,
+    )
 }
 
 fn small_dag() -> Dag {
@@ -42,19 +54,6 @@ fn salted_dag(salt: usize) -> Dag {
         m = b.node(Op::Add, &[m, s]).unwrap();
     }
     b.finish().unwrap()
-}
-
-fn engine_backend() -> Arc<dyn Backend> {
-    Arc::new(Engine::new(
-        arch(),
-        CompileOptions::default(),
-        EngineOptions {
-            workers: 1,
-            cores: 8,
-            cache_capacity: None,
-            spill_dir: None,
-        },
-    ))
 }
 
 fn assert_identical(got: &RunResult, want: &RunResult, ctx: &str) {
@@ -126,8 +125,9 @@ fn mixed_stream(n: usize) -> MixedStream {
 }
 
 /// Submits the whole stream with its priorities, drains, and checks every
-/// ticket `Completed` and byte-identical to the serial replies.
-fn serve_mixed(d: &Dispatcher, stream: &MixedStream, ctx: &str) {
+/// ticket either `Failed(ShardLost)` naming `victim` or `Completed` and
+/// byte-identical to the serial replies. Returns the `ShardLost` count.
+fn serve_mixed(d: &Dispatcher, stream: &MixedStream, victim: usize, ctx: &str) -> u64 {
     for dag in &stream.dags {
         d.register(dag.clone());
     }
@@ -142,104 +142,113 @@ fn serve_mixed(d: &Dispatcher, stream: &MixedStream, ctx: &str) {
         })
         .collect();
     d.drain();
+    let mut lost = 0;
     for (i, t) in tickets.into_iter().enumerate() {
         match t.wait() {
             Outcome::Completed(res) => {
                 assert_identical(&res, &stream.reference[i], &format!("{ctx}, request {i}"));
             }
+            Outcome::Failed(ServeError::ShardLost { shard }) if shard == victim => lost += 1,
             other => panic!("{ctx}: request {i} resolved {other:?}"),
         }
+    }
+    lost
+}
+
+/// The settled kill contract on a shut-down report: the `lost` tickets
+/// are the ledger's whole `failed`, they are at most one round of
+/// `max_batch` — the round the victim had handed to its engine — and every
+/// class balances.
+fn assert_one_round_lost(report: &DispatchReport, lost: u64, max_batch: usize, ctx: &str) {
+    let classes = [Priority::Interactive, Priority::Standard, Priority::Batch];
+    let failed: u64 = classes.iter().map(|&p| report.class(p).failed).sum();
+    assert_eq!(
+        lost, failed,
+        "{ctx}: ShardLost tickets vs the ledger's failed"
+    );
+    assert!(
+        lost <= max_batch as u64,
+        "{ctx}: {lost} lost, more than a round"
+    );
+    for p in classes {
+        let c = report.class(p);
+        assert_eq!(
+            c.offered,
+            c.completed + c.failed + c.shed + c.rejected,
+            "{ctx}: {p:?} ledger"
+        );
     }
 }
 
 /// Property: killing *any* one of four shards mid-stream under a seeded
-/// mixed request stream loses nothing — every ticket resolves exactly
-/// once, `Completed`, with outputs byte-identical to a serial engine
-/// pass; the ledger balances with zero failures.
+/// mixed request stream costs at most the round it had handed to its
+/// engine — those tickets fail `ShardLost` naming the victim — and every
+/// other ticket resolves exactly once, `Completed`, with outputs
+/// byte-identical to a serial engine pass; the ledger balances.
 #[test]
-fn killing_any_shard_is_loss_free_and_byte_identical_to_serial() {
+fn killing_any_shard_loses_at_most_its_in_hand_round() {
     const SHARDS: usize = 4;
     const REQUESTS: usize = 60;
+    const MAX_BATCH: usize = 4;
 
     let stream = mixed_stream(REQUESTS);
     for victim in 0..SHARDS {
-        let d = Dispatcher::new(
-            arch(),
-            CompileOptions::default(),
-            DispatchOptions {
-                shards: SHARDS,
-                max_batch: 4,
-                max_wait: Duration::from_micros(200),
-                work_stealing: true,
-                chaos: Some(ChaosPlan::new(42).kill_shard(victim, 2)),
-                ..Default::default()
-            },
-        );
-        serve_mixed(&d, &stream, &format!("victim {victim}"));
+        let d = dispatcher(DispatchOptions {
+            shards: SHARDS,
+            max_batch: MAX_BATCH,
+            max_wait: Duration::from_micros(200),
+            work_stealing: true,
+            chaos: Some(ChaosPlan::new(42).kill_shard(victim, 2)),
+            ..Default::default()
+        });
+        let ctx = format!("victim {victim}");
+        let lost = serve_mixed(&d, &stream, victim, &ctx);
         let report = d.shutdown();
-        assert_eq!(report.served, REQUESTS as u64, "victim {victim}");
-        assert_eq!(report.submitted, REQUESTS as u64, "victim {victim}");
-        for p in [Priority::Interactive, Priority::Standard, Priority::Batch] {
-            let c = report.class(p);
-            assert_eq!(c.failed, 0, "victim {victim}: {p:?}");
-            assert_eq!(
-                c.offered,
-                c.completed + c.failed + c.shed + c.rejected,
-                "victim {victim}: {p:?} ledger"
-            );
-        }
+        assert_eq!(report.served, REQUESTS as u64 - lost, "{ctx}");
+        assert_eq!(report.submitted, REQUESTS as u64, "{ctx}");
+        assert_one_round_lost(&report, lost, MAX_BATCH, &ctx);
     }
 }
 
 /// A kill, a straggler and hedging at once, over four shards with stealing
-/// off: the first family's home dies at its third round checkout while
-/// its neighbour stalls ~3 ms on every round and rounds queued past the
-/// hedge trigger get copies. Every ticket still completes byte-identical
-/// to serial, nothing fails, the dead shard's work provably moved through
-/// recovery, and the per-class ledger balances.
+/// off: the first family's home dies on its third round while its
+/// neighbour stalls ~3 ms on every round and rounds queued past the hedge
+/// trigger get copies. At most the dead shard's in-hand round fails
+/// `ShardLost`; every other ticket completes byte-identical to serial, the
+/// dead shard's backlog provably moved through recovery, and the
+/// per-class ledger balances.
 #[test]
-fn kill_stall_and_hedging_together_lose_nothing() {
+fn kill_stall_and_hedging_together_lose_only_the_in_hand_round() {
     const SHARDS: usize = 4;
     const REQUESTS: usize = 120;
+    const MAX_BATCH: usize = 4;
 
     let stream = mixed_stream(REQUESTS);
     let killed = home_shard(dag_fingerprint(&stream.dags[0]), SHARDS);
     let stalled = (killed + 1) % SHARDS;
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: SHARDS,
-            max_batch: 4,
-            max_wait: Duration::from_micros(500),
-            work_stealing: false,
-            chaos: Some(
-                ChaosPlan::new(42)
-                    .kill_shard(killed, 2)
-                    .stall_shard(stalled, Duration::from_millis(3)),
-            ),
-            hedge: Some(HedgeOptions {
-                trigger_percentile: 95,
-                min_wait: Duration::from_millis(5),
-            }),
-            stall_timeout: Some(Duration::from_millis(50)),
-            ..Default::default()
-        },
-    );
-    serve_mixed(&d, &stream, "kill + stall + hedge");
+    let d = dispatcher(DispatchOptions {
+        shards: SHARDS,
+        max_batch: MAX_BATCH,
+        max_wait: Duration::from_micros(500),
+        work_stealing: false,
+        chaos: Some(
+            ChaosPlan::new(42)
+                .kill_shard(killed, 2)
+                .stall_shard(stalled, Duration::from_millis(3)),
+        ),
+        hedge: Some(HedgeOptions {
+            trigger_percentile: 95,
+            min_wait: Duration::from_millis(5),
+        }),
+        stall_timeout: Some(Duration::from_millis(50)),
+        ..Default::default()
+    });
+    let lost = serve_mixed(&d, &stream, killed, "kill + stall + hedge");
     let report = d.shutdown();
     let classes = [Priority::Interactive, Priority::Standard, Priority::Batch];
     let completed: u64 = classes.iter().map(|&p| report.class(p).completed).sum();
-    assert_eq!(completed, REQUESTS as u64, "{report:?}");
-    for p in classes {
-        let c = report.class(p);
-        assert_eq!(c.failed, 0, "{p:?}: survivors absorb every failure");
-        assert_eq!(
-            c.offered,
-            c.completed + c.failed + c.shed + c.rejected,
-            "{p:?} ledger"
-        );
-    }
+    assert_eq!(completed, REQUESTS as u64 - lost, "{report:?}");
+    assert_one_round_lost(&report, lost, MAX_BATCH, "kill + stall + hedge");
     assert!(
         report.recovered >= 1,
         "the killed shard's rounds never recovered: {report:?}"
@@ -248,21 +257,17 @@ fn kill_stall_and_hedging_together_lose_nothing() {
 }
 
 /// A killed shard with no surviving same-class peer cannot recover its
-/// work: every stranded ticket resolves the typed
+/// backlog: the round in hand and every stranded ticket resolve the typed
 /// `Failed(ShardLost)` — never a hang, never a silent drop — and the
 /// ledger counts them as failures, not completions.
 #[test]
 fn kill_with_no_survivor_fails_typed() {
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 1,
-            max_batch: 1,
-            chaos: Some(ChaosPlan::new(1).kill_shard(0, 0)),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 1,
+        max_batch: 1,
+        chaos: Some(ChaosPlan::new(1).kill_shard(0, 0)),
+        ..Default::default()
+    });
     let key = d.register(small_dag());
     let sub = d.submitter();
     let tickets: Vec<Ticket> = (0..4)
@@ -293,18 +298,14 @@ fn kill_with_no_survivor_fails_typed() {
 fn stalled_lease_is_reclaimed_onto_peer() {
     let dag = small_dag();
     let home = home_shard(dag_fingerprint(&dag), 2);
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 2,
-            max_batch: 1,
-            work_stealing: false,
-            chaos: Some(ChaosPlan::new(7).stall_shard(home, Duration::from_millis(100))),
-            stall_timeout: Some(Duration::from_millis(25)),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 2,
+        max_batch: 1,
+        work_stealing: false,
+        chaos: Some(ChaosPlan::new(7).stall_shard(home, Duration::from_millis(100))),
+        stall_timeout: Some(Duration::from_millis(25)),
+        ..Default::default()
+    });
     let key = d.register(dag);
     let sub = d.submitter();
     let tickets: Vec<Ticket> = (0..4)
@@ -331,17 +332,13 @@ fn stalled_lease_is_reclaimed_onto_peer() {
 /// originals. Every ticket completes.
 #[test]
 fn stall_reclaim_with_no_survivor_drops_the_copy() {
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 1,
-            max_batch: 1,
-            chaos: Some(ChaosPlan::new(3).stall_shard(0, Duration::from_millis(60))),
-            stall_timeout: Some(Duration::from_millis(15)),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 1,
+        max_batch: 1,
+        chaos: Some(ChaosPlan::new(3).stall_shard(0, Duration::from_millis(60))),
+        stall_timeout: Some(Duration::from_millis(15)),
+        ..Default::default()
+    });
     let key = d.register(small_dag());
     let sub = d.submitter();
     let tickets: Vec<Ticket> = (0..2)
@@ -365,21 +362,17 @@ fn stall_reclaim_with_no_survivor_drops_the_copy() {
 fn hedged_rounds_win_on_the_idle_peer() {
     let dag = small_dag();
     let home = home_shard(dag_fingerprint(&dag), 2);
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 2,
-            max_batch: 1,
-            work_stealing: false,
-            chaos: Some(ChaosPlan::new(11).stall_shard(home, Duration::from_millis(120))),
-            hedge: Some(HedgeOptions {
-                trigger_percentile: 95,
-                min_wait: Duration::from_millis(5),
-            }),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 2,
+        max_batch: 1,
+        work_stealing: false,
+        chaos: Some(ChaosPlan::new(11).stall_shard(home, Duration::from_millis(120))),
+        hedge: Some(HedgeOptions {
+            trigger_percentile: 95,
+            min_wait: Duration::from_millis(5),
+        }),
+        ..Default::default()
+    });
     let key = d.register(dag);
     let sub = d.submitter();
     let tickets: Vec<Ticket> = (0..4)
@@ -403,63 +396,33 @@ fn hedged_rounds_win_on_the_idle_peer() {
     assert_eq!(c.offered, c.completed + c.failed + c.shed + c.rejected);
 }
 
-/// A pass-through backend that panics on a magic input — a buggy engine,
-/// not a scripted kill.
-struct PanicBackend {
-    inner: Arc<dyn Backend>,
-}
-
-impl Backend for PanicBackend {
-    fn engine(&self) -> &Engine {
-        self.inner.engine()
-    }
-    fn execute_round(
-        &self,
-        machine: &mut Machine,
-        requests: &[&Request],
-    ) -> Vec<Result<RunResult, ServeError>> {
-        assert!(
-            requests.iter().all(|r| r.inputs.first() != Some(&666.0)),
-            "poison request reached the backend"
-        );
-        self.inner.execute_round(machine, requests)
-    }
-}
-
-/// A backend panic is contained to its round: the in-hand jobs fail
-/// typed (`ShardLost`), the dead shard's backlog is requeued onto the
-/// peer, later ingestion reroutes around the corpse, and the dispatcher
-/// keeps serving.
+/// A scripted kill is contained to its round: with one request per round
+/// and stealing off, home dies on its second round — that ticket alone
+/// fails `ShardLost` — the backlog behind it is requeued onto the peer,
+/// later ingestion reroutes around the corpse, and the dispatcher keeps
+/// serving.
 #[test]
-fn backend_panic_is_contained_and_recovered() {
+fn a_kill_is_contained_to_its_round_and_recovered() {
     let dag = small_dag();
     let home = home_shard(dag_fingerprint(&dag), 2);
-    let backends: Vec<Arc<dyn Backend>> = (0..2)
-        .map(|_| {
-            Arc::new(PanicBackend {
-                inner: engine_backend(),
-            }) as Arc<dyn Backend>
-        })
-        .collect();
-    let d = Dispatcher::with_backends(
-        backends,
-        DispatchOptions {
-            max_batch: 1,
-            // Stealing off: the poison round provably executes on its
-            // home shard, and recovery still requeues.
-            work_stealing: false,
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 2,
+        max_batch: 1,
+        // Stealing off: the killed round provably executes on its home
+        // shard, and recovery still requeues.
+        work_stealing: false,
+        chaos: Some(ChaosPlan::new(1).kill_shard(home, 1)),
+        ..Default::default()
+    });
     let key = d.register(dag);
     let sub = d.submitter();
 
     let good1 = sub.submit(Request::new(key, vec![1.0, 1.0])).unwrap();
-    let poison = sub.submit(Request::new(key, vec![666.0, 1.0])).unwrap();
+    let killed = sub.submit(Request::new(key, vec![0.5, 1.0])).unwrap();
     let good2 = sub.submit(Request::new(key, vec![2.0, 2.0])).unwrap();
 
-    // The poison round kills its home worker...
-    match poison.wait() {
+    // The kill takes the round in its home worker's hand...
+    match killed.wait() {
         Outcome::Failed(ServeError::ShardLost { shard }) => assert_eq!(shard, home),
         other => panic!("expected ShardLost, got {other:?}"),
     }
@@ -467,7 +430,7 @@ fn backend_panic_is_contained_and_recovered() {
     // post-mortem submissions reroute around the dead home shard.
     let good3 = sub
         .submit(Request::new(key, vec![3.0, 3.0]))
-        .expect("the dispatcher keeps admitting after a contained panic");
+        .expect("the dispatcher keeps admitting after a contained kill");
     d.drain();
     assert_eq!(good1.wait().unwrap().outputs, vec![4.0]);
     assert_eq!(good2.wait().unwrap().outputs, vec![16.0]);
@@ -481,9 +444,9 @@ fn backend_panic_is_contained_and_recovered() {
     assert_eq!(c.offered, c.completed + c.failed + c.shed + c.rejected);
 }
 
-/// Containment over one program store: shard 0's backend panics
-/// mid-stream while both shards serve from the same store. The survivor
-/// takes the dead shard's backlog and later traffic, answers
+/// Containment over one program store: shard 0 is killed on its fifth
+/// round mid-stream while both shards serve from the same store. The
+/// survivor takes the dead shard's backlog and later traffic, answers
 /// byte-identically to a serial pass, finds every program the dead shard
 /// had compiled still in the store (nothing is compiled twice), every
 /// ticket resolves exactly once and the ledger balances.
@@ -516,18 +479,14 @@ fn a_panicking_shard_leaves_the_shared_store_serving() {
         primary.program_store(),
         sibling.program_store()
     ));
-    let backends: Vec<Arc<dyn Backend>> = vec![
-        Arc::new(PanicBackend {
-            inner: Arc::new(primary),
-        }),
-        Arc::new(sibling),
-    ];
-    let d = Dispatcher::with_backends(
-        backends,
+    let d = Dispatcher::new(
+        vec![primary, sibling],
         DispatchOptions {
             max_batch: 1,
-            // Stealing off: the poison round provably executes on shard 0.
+            // Stealing off: shard 0's rounds provably execute on shard 0,
+            // in order, so request `KILLED` is its fifth.
             work_stealing: false,
+            chaos: Some(ChaosPlan::new(1).kill_shard(0, 4)),
             ..Default::default()
         },
     );
@@ -538,14 +497,11 @@ fn a_panicking_shard_leaves_the_shared_store_serving() {
     }
 
     const REQUESTS: usize = 48;
-    const POISON: usize = 8; // a request for `doomed[0]`, homed on shard 0
+    const KILLED: usize = 8; // shard 0's fifth request: 0, 1, 4, 5, 8
     let requests: Vec<Request> = (0..REQUESTS)
-        .map(|i| {
-            let x = if i == POISON { 666.0 } else { i as f32 + 0.5 };
-            Request::new(keys[i % 2 + 2 * (i / 2 % 2)], vec![x, 1.25])
-        })
+        .map(|i| Request::new(keys[i % 2 + 2 * (i / 2 % 2)], vec![i as f32 + 0.5, 1.25]))
         .collect();
-    assert_eq!(requests[POISON].dag, keys[0]);
+    assert_eq!(requests[KILLED].dag, keys[0]);
     let reference = serial.serve(&requests);
     let sub = d.submitter();
     let tickets: Vec<Ticket> = requests
@@ -556,8 +512,8 @@ fn a_panicking_shard_leaves_the_shared_store_serving() {
     for (i, t) in tickets.into_iter().enumerate() {
         assert!(t.is_done(), "ticket {i} unresolved after drain");
         match t.wait() {
-            Outcome::Failed(ServeError::ShardLost { shard: 0 }) if i == POISON => {}
-            Outcome::Completed(got) if i != POISON => {
+            Outcome::Failed(ServeError::ShardLost { shard: 0 }) if i == KILLED => {}
+            Outcome::Completed(got) if i != KILLED => {
                 assert_identical(&got, &reference.results[i], &format!("request {i}"));
             }
             other => panic!("request {i}: {other:?}"),

@@ -12,8 +12,8 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    DispatchOptions, Dispatcher, Engine, EngineOptions, Outcome, Priority, Request, ShedReason,
-    SubmitOptions, Ticket,
+    engine_shards, DispatchOptions, Dispatcher, Engine, EngineOptions, Outcome, Priority, Request,
+    ShedReason, SubmitOptions, Ticket,
 };
 use dpu_sim::Machine;
 use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
@@ -22,6 +22,16 @@ use dpu_workloads::sptrsv::SptrsvDag;
 
 fn arch() -> ArchConfig {
     ArchConfig::new(2, 8, 32).unwrap()
+}
+
+/// A dispatcher of `options.shards` replica shards of [`arch`], over one
+/// program store.
+fn dispatcher(options: DispatchOptions) -> Dispatcher {
+    let configs = vec![arch(); options.shards];
+    Dispatcher::new(
+        engine_shards(&configs, CompileOptions::default(), &options),
+        options,
+    )
 }
 
 fn workload_dags() -> Vec<Dag> {
@@ -174,22 +184,18 @@ fn ragged_four_family_round_equals_serial_and_keeps_cache_accounting() {
 /// Regression: a request with the wrong number of inputs used to reach
 /// the simulator's input-count assertion through the public `Submitter`,
 /// panic the shard thread, fail every well-formed request that shared its
-/// round and abandon the shard. It now fails alone, typed, the way the
-/// baseline backends already reject it, and the shard keeps serving.
+/// round and abandon the shard. It now fails alone, typed, and the shard
+/// keeps serving.
 #[test]
 fn wrong_arity_fails_alone_and_the_shard_survives() {
     let dags = workload_dags();
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 1,
-            max_batch: 16,
-            // One round holds all nine: it closes on the timer.
-            max_wait: Duration::from_millis(50),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 1,
+        max_batch: 16,
+        // One round holds all nine: it closes on the timer.
+        max_wait: Duration::from_millis(50),
+        ..Default::default()
+    });
     let key = d.register(dags[3].clone());
     let sub = d.submitter();
     let good = |i: usize| Request::new(key, vec![i as f32, 1.0]);
@@ -262,16 +268,12 @@ fn dispatched_rounds_are_byte_identical_to_serial_at_1_2_4_shards() {
     let reference = ref_engine.serve_serial(&ref_stream).unwrap();
 
     for shards in [1, 2, 4] {
-        let d = Dispatcher::new(
-            arch(),
-            CompileOptions::default(),
-            DispatchOptions {
-                shards,
-                max_batch: 16,
-                max_wait: Duration::from_micros(200),
-                ..Default::default()
-            },
-        );
+        let d = dispatcher(DispatchOptions {
+            shards,
+            max_batch: 16,
+            max_wait: Duration::from_micros(200),
+            ..Default::default()
+        });
         let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();
         assert_eq!(keys, ref_keys, "fingerprints are engine-independent");
         let sub = d.submitter();
@@ -301,16 +303,12 @@ fn dispatched_rounds_are_byte_identical_to_serial_at_1_2_4_shards() {
 #[test]
 fn grouped_round_preserves_per_request_latency_accounting() {
     let dags = workload_dags();
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 1,
-            max_batch: 16,
-            max_wait: Duration::from_millis(20),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 1,
+        max_batch: 16,
+        max_wait: Duration::from_millis(20),
+        ..Default::default()
+    });
     let key = d.register(dags[0].clone());
     // Expected modelled cost of each request, from a direct run.
     let compiled = dpu_compiler::compile(&dags[0], &arch(), &CompileOptions::default()).unwrap();
@@ -354,19 +352,15 @@ fn grouped_round_preserves_per_request_latency_accounting() {
 #[test]
 fn expired_deadline_inside_grouped_round_is_shed_before_execution() {
     let dags = workload_dags();
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 1,
-            max_batch: 1024,
-            // The round closes by timer after 100 ms — long past the
-            // doomed job's 5 ms deadline, so it shares a round with the
-            // healthy jobs and is shed inside it.
-            max_wait: Duration::from_millis(100),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 1,
+        max_batch: 1024,
+        // The round closes by timer after 100 ms — long past the
+        // doomed job's 5 ms deadline, so it shares a round with the
+        // healthy jobs and is shed inside it.
+        max_wait: Duration::from_millis(100),
+        ..Default::default()
+    });
     let key = d.register(dags[3].clone());
     let sub = d.submitter();
     let healthy: Vec<Ticket> = (0..4)

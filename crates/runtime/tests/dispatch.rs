@@ -19,6 +19,16 @@ fn arch() -> ArchConfig {
     ArchConfig::new(2, 8, 32).unwrap()
 }
 
+/// A dispatcher of `options.shards` replica shards of [`arch`], over one
+/// program store.
+fn replicas(options: DispatchOptions) -> Dispatcher {
+    let configs = vec![arch(); options.shards];
+    Dispatcher::new(
+        engine_shards(&configs, CompileOptions::default(), &options),
+        options,
+    )
+}
+
 /// Three real workload families plus a hand-built DAG.
 fn workload_dags() -> Vec<Dag> {
     let pc = generate_pc(&PcParams::with_targets(500, 8), 71);
@@ -54,16 +64,12 @@ fn inputs_for(dag: &Dag, request_idx: usize) -> Vec<f32> {
 }
 
 fn dispatcher(shards: usize, max_batch: usize) -> Dispatcher {
-    Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards,
-            max_batch,
-            max_wait: Duration::from_micros(200),
-            ..Default::default()
-        },
-    )
+    replicas(DispatchOptions {
+        shards,
+        max_batch,
+        max_wait: Duration::from_micros(200),
+        ..Default::default()
+    })
 }
 
 fn assert_identical(got: &dpu_sim::RunResult, want: &dpu_sim::RunResult, ctx: &str) {
@@ -261,7 +267,7 @@ fn shards_of_distinct_configs_share_one_store() {
         max_wait: Duration::from_micros(200),
         ..Default::default()
     };
-    let d = Dispatcher::with_backends(
+    let d = Dispatcher::new(
         engine_shards(&configs, CompileOptions::default(), &options),
         options,
     );
@@ -387,7 +393,7 @@ fn heterogeneous_shards_route_by_key_and_never_cross_steal() {
         work_stealing: true, // on, but classes differ -> no stealing
         ..Default::default()
     };
-    let d = Dispatcher::with_backends(
+    let d = Dispatcher::new(
         engine_shards(&configs, CompileOptions::default(), &options),
         options,
     );
@@ -421,16 +427,12 @@ fn heterogeneous_shards_route_by_key_and_never_cross_steal() {
 #[test]
 fn rounds_close_by_size_under_burst_and_by_timer_under_trickle() {
     let dags = workload_dags();
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 1,
-            max_batch: 10,
-            max_wait: Duration::from_millis(5),
-            ..Default::default()
-        },
-    );
+    let d = replicas(DispatchOptions {
+        shards: 1,
+        max_batch: 10,
+        max_wait: Duration::from_millis(5),
+        ..Default::default()
+    });
     let key = d.register(dags[3].clone());
     let sub = d.submitter();
     // Burst: 30 requests at once -> three full rounds of 10.

@@ -4,15 +4,14 @@
 //! batching delay, and the merged deterministic histogram is
 //! byte-identical across shard counts.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    Backend, DispatchOptions, DispatchReport, Dispatcher, Engine, EngineOptions, LatencyHistogram,
-    LatencyReport, Request, Ticket,
+    engine_shards, DispatchOptions, DispatchReport, Dispatcher, Engine, EngineOptions,
+    LatencyHistogram, LatencyReport, Request, Ticket,
 };
 use proptest::prelude::*;
 
@@ -144,6 +143,16 @@ fn arch() -> ArchConfig {
     ArchConfig::new(2, 8, 32).unwrap()
 }
 
+/// A dispatcher of `options.shards` replica shards of [`arch`], over one
+/// program store.
+fn dispatcher(options: DispatchOptions) -> Dispatcher {
+    let configs = vec![arch(); options.shards];
+    Dispatcher::new(
+        engine_shards(&configs, CompileOptions::default(), &options),
+        options,
+    )
+}
+
 fn small_dags() -> Vec<Dag> {
     (1..=3usize)
         .map(|extra| {
@@ -159,10 +168,10 @@ fn small_dags() -> Vec<Dag> {
         .collect()
 }
 
-fn engine_backends(n: usize) -> Vec<Arc<dyn Backend>> {
+fn engines(n: usize) -> Vec<Engine> {
     (0..n)
         .map(|_| {
-            Arc::new(Engine::new(
+            Engine::new(
                 arch(),
                 CompileOptions::default(),
                 EngineOptions {
@@ -170,7 +179,7 @@ fn engine_backends(n: usize) -> Vec<Arc<dyn Backend>> {
                     cores: 4,
                     ..Default::default()
                 },
-            )) as Arc<dyn Backend>
+            )
         })
         .collect()
 }
@@ -179,8 +188,8 @@ fn engine_backends(n: usize) -> Vec<Arc<dyn Backend>> {
 /// infinite latency budget, rounds close by size or flush) on the given
 /// shard layout and returns the shutdown report.
 fn deterministic_run(shards: usize) -> DispatchReport {
-    let dispatcher = Dispatcher::with_backends(
-        engine_backends(shards),
+    let dispatcher = Dispatcher::new(
+        engines(shards),
         DispatchOptions {
             max_batch: 16,
             max_wait: Duration::from_secs(3600),
@@ -245,18 +254,14 @@ fn max_wait_bounds_reported_batching_delay() {
     // the submit: accounting that measured from the epoch (construction)
     // instead of from acceptance would report ≳1 s and fail the bound.
     let max_wait = Duration::from_millis(100);
-    let dispatcher = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 1,
-            max_batch: 64,
-            max_wait,
-            work_stealing: false,
-            cores: 4,
-            ..Default::default()
-        },
-    );
+    let dispatcher = dispatcher(DispatchOptions {
+        shards: 1,
+        max_batch: 64,
+        max_wait,
+        work_stealing: false,
+        cores: 4,
+        ..Default::default()
+    });
     let key = dispatcher.register(small_dags().remove(0));
     std::thread::sleep(Duration::from_millis(1_000)); // idle gap trap
     let submitter = dispatcher.submitter();

@@ -13,10 +13,9 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    dag_fingerprint, home_shard, Backend, DispatchOptions, Dispatcher, Engine, EngineOptions,
-    Outcome, Priority, Request, ServeError, ShedReason, SubmitOptions, SubmitRejection, Ticket,
+    dag_fingerprint, engine_shards, home_shard, ChaosPlan, DispatchOptions, Dispatcher, Outcome,
+    Priority, Request, ShedReason, SubmitOptions, SubmitRejection, Ticket,
 };
-use dpu_sim::{Machine, RunResult};
 
 fn arch() -> ArchConfig {
     ArchConfig::new(2, 8, 32).unwrap()
@@ -33,7 +32,11 @@ fn small_dag() -> Dag {
 }
 
 fn dispatcher(options: DispatchOptions) -> Dispatcher {
-    Dispatcher::new(arch(), CompileOptions::default(), options)
+    let configs = vec![arch(); options.shards];
+    Dispatcher::new(
+        engine_shards(&configs, CompileOptions::default(), &options),
+        options,
+    )
 }
 
 /// Regression: a full home-shard queue must reject with `WouldBlock` and
@@ -504,41 +507,6 @@ fn cold_retry_after_is_floored_at_max_wait() {
     d.shutdown();
 }
 
-/// A pass-through backend that sleeps `delay` per round before
-/// executing, keeping the inner engine (so its steal class: the results
-/// really are byte-identical — only the host-side timing differs).
-struct SlowBackend {
-    inner: Arc<dyn Backend>,
-    delay: Duration,
-}
-
-impl Backend for SlowBackend {
-    fn engine(&self) -> &Engine {
-        self.inner.engine()
-    }
-    fn execute_round(
-        &self,
-        machine: &mut Machine,
-        requests: &[&Request],
-    ) -> Vec<Result<RunResult, ServeError>> {
-        std::thread::sleep(self.delay);
-        self.inner.execute_round(machine, requests)
-    }
-}
-
-fn engine_backend(arch: ArchConfig) -> Arc<dyn Backend> {
-    Arc::new(Engine::new(
-        arch,
-        CompileOptions::default(),
-        EngineOptions {
-            workers: 1,
-            cores: 8,
-            cache_capacity: None,
-            spill_dir: None,
-        },
-    ))
-}
-
 /// Regression: a round stolen by a fast shard and shed there must charge
 /// the shed — and release the admission depth slot — against the round's
 /// *home* shard, whose backlog cost the job its deadline. Misattribution
@@ -548,29 +516,22 @@ fn engine_backend(arch: ArchConfig) -> Arc<dyn Backend> {
 fn stolen_round_shed_is_attributed_to_home_shard() {
     let dag = small_dag();
     let home = home_shard(dag_fingerprint(&dag), 2);
-    // The home shard is 6× slower than its same-class peer, so the peer
-    // provably frees first and steals the doomed round off the home
-    // backlog — after the round's deadline has already expired.
-    let mut backends: Vec<Arc<dyn Backend>> = Vec::new();
-    for s in 0..2 {
-        backends.push(Arc::new(SlowBackend {
-            inner: engine_backend(arch()),
-            delay: if s == home {
-                Duration::from_millis(300)
-            } else {
-                Duration::from_millis(50)
-            },
-        }));
-    }
-    let d = Dispatcher::with_backends(
-        backends,
-        DispatchOptions {
-            max_batch: 1,
-            work_stealing: true,
-            queue_capacity: Some(2),
-            ..Default::default()
-        },
-    );
+    // The home shard stalls 6× longer per round than its same-class peer:
+    // home's jittered floor (150 ms) sits above the peer's ceiling (50 ms),
+    // so the peer provably frees first and steals the doomed round off the
+    // home backlog — after the round's deadline has already expired.
+    let home_floor = Duration::from_millis(150);
+    let d = dispatcher(DispatchOptions {
+        max_batch: 1,
+        work_stealing: true,
+        queue_capacity: Some(2),
+        chaos: Some(
+            ChaosPlan::new(9)
+                .stall_shard(home, 2 * home_floor)
+                .stall_shard(1 - home, Duration::from_millis(50)),
+        ),
+        ..Default::default()
+    });
     let key = d.register(dag);
     // A second family routed to the peer shard, to occupy it while the
     // doomed round's deadline burns down.
@@ -608,20 +569,28 @@ fn stolen_round_shed_is_attributed_to_home_shard() {
         )
         .expect("accepted: deadline still in the future");
 
-    // The peer frees at ~50 ms (home is busy until ~300 ms), steals the
-    // doomed round, and sheds it — the deadline died at 20 ms.
-    match doomed.wait() {
+    // The peer frees by ~50 ms (home is busy for at least 150 ms), steals
+    // the doomed round, and sheds it — the deadline died at 20 ms.
+    let (outcome, timeline) = doomed.wait_detailed();
+    match outcome {
         Outcome::Shed {
             reason: ShedReason::DeadlineExpired { .. },
         } => {}
         other => panic!("expected DeadlineExpired shed, got {other:?}"),
     }
+    // Home cannot check out a second round before its first stall ends,
+    // at least 150 ms after the dispatcher's epoch: a shed before then
+    // happened on the thief.
+    assert!(
+        timeline.completed_ns < home_floor.as_nanos() as u64,
+        "the doomed round resolved after home's stall floor: {timeline:?}"
+    );
 
     // The shed must have released the *home* depth slot: home offered 2
     // (busy + doomed) against capacity 2, so a third home submission is
     // admitted only if the stolen shed came back to the home ledger. The
-    // home worker is still busy (~300 ms), so no completion can mask a
-    // misattributed release.
+    // home worker is still stalled (at least 150 ms), so no completion can
+    // mask a misattributed release.
     let probe = sub
         .submit(Request::new(key, vec![3.0, 3.0]))
         .expect("stolen shed must release the home shard's depth slot");

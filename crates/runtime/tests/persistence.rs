@@ -9,7 +9,7 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::Dag;
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    DispatchOptions, Dispatcher, Engine, EngineOptions, Request, SpillStore, Ticket,
+    engine_shards, DispatchOptions, Dispatcher, Engine, EngineOptions, Request, SpillStore, Ticket,
 };
 use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
 use dpu_workloads::sparse::{generate_lower_triangular, LowerTriangularParams, SpmvDag};
@@ -17,6 +17,16 @@ use dpu_workloads::sptrsv::SptrsvDag;
 
 fn arch() -> ArchConfig {
     ArchConfig::new(2, 8, 32).unwrap()
+}
+
+/// A dispatcher of `options.shards` replica shards of [`arch`], over one
+/// program store.
+fn dispatcher(options: DispatchOptions) -> Dispatcher {
+    let configs = vec![arch(); options.shards];
+    Dispatcher::new(
+        engine_shards(&configs, CompileOptions::default(), &options),
+        options,
+    )
 }
 
 /// A unique, initially empty spill directory per test.
@@ -188,18 +198,14 @@ fn four_shards_warm_start_concurrently_from_one_spill_dir() {
     let want = seed_engine.serve_serial(&requests).expect("seed pass");
     drop(seed_engine);
 
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 4,
-            max_batch: 8,
-            max_wait: Duration::from_micros(200),
-            work_stealing: true,
-            spill_dir: Some(dir.clone()),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 4,
+        max_batch: 8,
+        max_wait: Duration::from_micros(200),
+        work_stealing: true,
+        spill_dir: Some(dir.clone()),
+        ..Default::default()
+    });
     let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();
     let submitter = d.submitter();
     let tickets: Vec<Ticket> = (0..len_for_shard_test())
@@ -246,13 +252,13 @@ fn new_shard_prewarms_from_peer_spill_before_taking_traffic() {
 
     // Scale-out: two fresh engines over the peer's spill. Pre-warm pulls
     // every program into memory up front.
-    let shard_a = std::sync::Arc::new(engine_over(&dir));
-    let shard_b = std::sync::Arc::new(engine_over(&dir));
+    let shard_a = engine_over(&dir);
+    let shard_b = engine_over(&dir);
     assert_eq!(shard_a.prewarm(), dags.len());
     assert_eq!(shard_b.prewarm(), dags.len());
     assert_eq!(shard_a.cache_stats().entries, dags.len());
 
-    let d = Dispatcher::with_backends(
+    let d = Dispatcher::new(
         vec![shard_a, shard_b],
         DispatchOptions {
             max_batch: 8,
@@ -294,17 +300,13 @@ fn dispatcher_prewarm_loads_each_program_once_for_all_shards() {
     let want = peer.serve_serial(&requests).expect("peer pass");
     drop(peer);
 
-    let d = Dispatcher::new(
-        arch(),
-        CompileOptions::default(),
-        DispatchOptions {
-            shards: 4,
-            max_batch: 8,
-            max_wait: Duration::from_micros(200),
-            spill_dir: Some(dir.clone()),
-            ..Default::default()
-        },
-    );
+    let d = dispatcher(DispatchOptions {
+        shards: 4,
+        max_batch: 8,
+        max_wait: Duration::from_micros(200),
+        spill_dir: Some(dir.clone()),
+        ..Default::default()
+    });
     assert_eq!(d.prewarm(), dags.len(), "once per program, not per shard");
     assert_eq!(d.prewarm(), 0, "everything is already resident");
     let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();

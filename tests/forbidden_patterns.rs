@@ -8,7 +8,8 @@
 //! a thread waits on it, the oracle interpreter stays off
 //! every production path, the dispatcher keeps one path that shares
 //! rounds instead of copying them and is the runtime's one serving stack
-//! (the only place it spawns threads, two kinds of them), its scheduling
+//! (the only place it spawns threads, two kinds of them), a shard dies at
+//! one contained site, its scheduling
 //! core reads no clock and takes no lock, a dispatcher's engine shards are
 //! built in one place over one program store, the register file's write policy
 //! stays stated once, the compiler's passes keep no table whose order
@@ -305,8 +306,9 @@ fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
     // copy per request at the edge; ingestion moves each request into
     // exactly one job. Claims and leases are always on: the names the
     // supervised/default fork was built from must not come back. And
-    // every shard is an `Engine` behind `Backend::engine`: a type-erased
-    // per-worker scratch with a downcast is the analytic-shard seam
+    // every shard is an `Engine`, held as one: a shard trait object, a
+    // second constructor that takes one, or a type-erased per-worker
+    // scratch with a downcast is the test seam or the analytic-shard seam
     // growing back.
     let files = rust_sources(&repo_root().join("crates/runtime/src"));
     let mut hits = offenders_outside_fns(
@@ -322,6 +324,9 @@ fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
             "Option<Arc<AtomicBool>>",
             "Box<dyn Any",
             "downcast_mut",
+            "dyn Backend",
+            "trait Backend",
+            "with_backends",
         ],
         &[],
     ));
@@ -373,12 +378,44 @@ fn runtime_spawns_threads_only_in_the_dispatcher() {
 }
 
 #[test]
+fn a_shard_dies_at_one_contained_site() {
+    // A shard has one way to die: a panic where its round executes,
+    // caught by the one `catch_unwind` around the engine call — a
+    // scripted chaos kill raises its unwind there too — after which the
+    // in-hand jobs fail and `abandon_shard` recovers the backlog. A second
+    // catch site or a second caller of `abandon_shard` (a kill at checkout
+    // was one) is a second death path for the failure tests to miss.
+    let path = repo_root().join("crates/runtime/src/dispatch.rs");
+    let text = fs::read_to_string(&path).expect("source file is UTF-8");
+    let code: Vec<&str> = text
+        .lines()
+        .take_while(|l| l.trim() != "#[cfg(test)]")
+        .map(|l| l.split("//").next().unwrap_or(""))
+        .collect();
+    let sites = |pattern: &str| -> Vec<String> {
+        code.iter()
+            .enumerate()
+            .filter(|(_, line)| line.contains(pattern) && !line.contains("fn "))
+            .map(|(idx, line)| format!("{}:{}: {}", path.display(), idx + 1, line.trim()))
+            .collect()
+    };
+    for pattern in ["catch_unwind(", "abandon_shard("] {
+        let hits = sites(pattern);
+        assert_eq!(
+            hits.len(),
+            1,
+            "dispatch.rs has one `{pattern}` call, at the execute site: {hits:?}"
+        );
+    }
+}
+
+#[test]
 fn dispatch_core_reads_no_clock_and_takes_no_lock() {
     // Every scheduling decision — round closing, pop, steal, lease,
     // recovery, stall reclaim, hedging — lives in `sched.rs` as plain state
     // machines that take `now_ns` and return what to do, so a
     // single-threaded test can replay any schedule on a virtual clock. A
-    // clock read, a lock, a thread, a condvar, a backend call or a ticket
+    // clock read, a lock, a thread, a condvar, an engine call or a ticket
     // fulfilment in there ties a decision back to real time and real
     // threads. Its unit tests below `#[cfg(test)]` are exempt.
     let path = repo_root().join("crates/runtime/src/sched.rs");
@@ -391,7 +428,7 @@ fn dispatch_core_reads_no_clock_and_takes_no_lock() {
         "RwLock",
         "Condvar",
         "Waiters",
-        "Backend",
+        "execute_round",
         "fulfill(",
     ];
     let production = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
