@@ -1,44 +1,28 @@
-//! DAG-level execution API over the analytic platform models — what the
-//! serving runtime prices served traffic with
+//! The analytic platform models behind one value type — what the serving
+//! runtime prices served traffic with
 //! (`dpu_runtime::PlatformSummary::modelled`).
 //!
 //! The per-platform modules ([`cpu`](crate::cpu), [`gpu`](crate::gpu),
 //! [`dpu_v1`](crate::dpu_v1), [`spu`](crate::spu)) answer "how long would
-//! one evaluation of this DAG take, and at what power" — enough for the
-//! offline Table III / Fig. 14 binaries, but not for *serving*: a live
-//! request also needs output values. [`BaselineModel`] packages all four
-//! models behind one type and adds [`BaselineModel::execute`], which
-//! combines the platform's modelled time with the reference DAG
-//! evaluator's sink values. The outputs are the mathematically exact DAG
-//! results (what the measured platform's FP32 kernels compute, up to
-//! re-association), and the timing is the same analytic model the paper's
-//! comparison figures are built from — see DESIGN.md §1 for why the
-//! baselines are modelled rather than measured.
+//! one evaluation of this DAG take, and at what power". [`BaselineModel`]
+//! packages all four models behind one type, so a serving report asks
+//! every platform the same questions ([`BaselineModel::exec_time_s`],
+//! [`BaselineModel::power_w`]). The timing is the same analytic model the
+//! paper's comparison figures are built from — see DESIGN.md §1 for why
+//! the baselines are modelled rather than measured.
 //!
 //! Everything here is a pure function of (model parameters, DAG
-//! structure, inputs): repeated executions are deterministic, which is
+//! structure): a baseline's time needs no inputs and no outputs, which is
 //! what lets the serving runtime compute a baseline's cost for served
 //! traffic instead of executing it, and CI gate the result.
 
-use dpu_dag::{eval, Dag, DagError};
+use dpu_dag::Dag;
 
 use crate::cpu::CpuModel;
 use crate::dpu_v1::DpuV1Model;
 use crate::gpu::GpuModel;
 use crate::spu::SpuModel;
 use crate::PlatformResult;
-
-/// One evaluation of a DAG on an analytic baseline platform.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineRun {
-    /// Sink values from the reference evaluator, in sink id order.
-    pub outputs: Vec<f32>,
-    /// Modelled execution time of this evaluation on the platform, in
-    /// seconds (input-independent: the models are shape-driven).
-    pub seconds: f64,
-    /// Arithmetic DAG operations evaluated.
-    pub dag_ops: u64,
-}
 
 /// Any of the paper's four comparison platforms, behind one value type.
 ///
@@ -139,21 +123,6 @@ impl BaselineModel {
             BaselineModel::Spu(m) => m.evaluate(dag),
         }
     }
-
-    /// Executes one evaluation of `dag` on this platform: reference
-    /// evaluator sink values plus the platform's modelled time.
-    ///
-    /// # Errors
-    ///
-    /// [`DagError`] if `inputs` does not match the DAG's input count.
-    pub fn execute(&self, dag: &Dag, inputs: &[f32]) -> Result<BaselineRun, DagError> {
-        let outputs = eval::evaluate_sinks(dag, inputs)?;
-        Ok(BaselineRun {
-            outputs,
-            seconds: self.exec_time_s(dag),
-            dag_ops: dag.op_count() as u64,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -177,27 +146,6 @@ mod tests {
         }
         assert_eq!(BaselineModel::by_name("CPU"), Some(BaselineModel::cpu()));
         assert_eq!(BaselineModel::by_name("xeon"), None);
-    }
-
-    #[test]
-    fn execute_returns_reference_outputs_and_model_time() {
-        let dag = small_dag();
-        for model in BaselineModel::all() {
-            let run = model.execute(&dag, &[2.0, 3.0]).unwrap();
-            assert_eq!(run.outputs, vec![25.0], "{}", model.platform());
-            assert_eq!(run.seconds, model.exec_time_s(&dag));
-            assert_eq!(run.dag_ops, dag.op_count() as u64);
-            assert!(run.seconds > 0.0);
-        }
-    }
-
-    #[test]
-    fn execute_rejects_wrong_arity() {
-        let dag = small_dag();
-        assert!(BaselineModel::cpu().execute(&dag, &[1.0]).is_err());
-        assert!(BaselineModel::cpu()
-            .execute(&dag, &[1.0, 2.0, 3.0])
-            .is_err());
     }
 
     #[test]

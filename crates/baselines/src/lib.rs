@@ -23,7 +23,7 @@ pub mod gpu;
 pub mod spatial;
 pub mod spu;
 
-pub use exec::{BaselineModel, BaselineRun};
+pub use exec::BaselineModel;
 
 use serde::{Deserialize, Serialize};
 

@@ -53,7 +53,7 @@ use dpu_sim::{RunResult, SimError, VerifyReport};
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
     pub use crate::Dpu;
-    pub use dpu_baselines::{BaselineModel, BaselineRun};
+    pub use dpu_baselines::BaselineModel;
     pub use dpu_compiler::{CompileOptions, Compiled};
     pub use dpu_dag::{Dag, DagBuilder, NodeId, Op};
     pub use dpu_energy::Metrics;
@@ -155,13 +155,15 @@ impl Dpu {
     /// each request is routed to one of `options.shards` engine replicas
     /// by its DAG fingerprint (key affinity, work-stealing fallback); the
     /// replicas share one program store, so a DAG is compiled and decoded
-    /// once per dispatcher. See `dpu-runtime`'s `dispatch` module docs.
+    /// once per dispatcher. The replicas are built from
+    /// [`EngineOptions::default()`]; for other engine settings (modelled
+    /// cores, store capacity, spill directory) pass your own options to
+    /// [`runtime::engine_shards`] and hand its engines to
+    /// [`Dispatcher::new`]. See `dpu-runtime`'s `dispatch` module docs.
     pub fn dispatcher(&self, options: DispatchOptions) -> Dispatcher {
         let configs = vec![self.config; options.shards];
-        Dispatcher::new(
-            engine_shards(&configs, self.options.clone(), &options),
-            options,
-        )
+        let engines = engine_shards(&configs, self.options.clone(), &EngineOptions::default());
+        Dispatcher::new(engines, options)
     }
 
     /// One-call batch serving: registers `dags`, then serves `requests`

@@ -522,20 +522,11 @@ impl ProgramCache {
         Self::with_store(options, None, None)
     }
 
-    /// A cache holding at most `capacity` programs; the least recently
-    /// used entry is evicted to admit a new key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn with_capacity(options: CompileOptions, capacity: usize) -> Self {
-        Self::with_store(options, Some(capacity), None)
-    }
-
     /// The fully general constructor: optional capacity bound (`None` =
-    /// unbounded) and optional [`SpillStore`] persistence. With a store,
-    /// misses check the spill directory before compiling and fresh
-    /// compiles are spilled back — see the [module docs](self).
+    /// unbounded; at `Some(n)` the least recently used entry is evicted to
+    /// admit an `n + 1`-th key) and optional [`SpillStore`] persistence.
+    /// With a store, misses check the spill directory before compiling
+    /// and fresh compiles are spilled back — see the [module docs](self).
     ///
     /// # Panics
     ///
@@ -1004,7 +995,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_capacity() {
-        let cache = ProgramCache::with_capacity(CompileOptions::default(), 2);
+        let cache = ProgramCache::with_store(CompileOptions::default(), Some(2), None);
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
         let dags: Vec<Dag> = (0..3).map(dag).collect();
         let keys: Vec<DagKey> = dags.iter().map(dag_fingerprint).collect();
@@ -1048,7 +1039,7 @@ mod tests {
     /// while stats still counted the eviction.
     #[test]
     fn eviction_skips_in_flight_slots() {
-        let cache = ProgramCache::with_capacity(CompileOptions::default(), 1);
+        let cache = ProgramCache::with_store(CompileOptions::default(), Some(1), None);
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
         let dags: Vec<Dag> = (0..4).map(dag).collect();
         let keys: Vec<CacheKey> = dags
@@ -1101,7 +1092,7 @@ mod tests {
     /// capacity until the key's next lookup recompiled it.
     #[test]
     fn decode_after_eviction_makes_no_entry() {
-        let cache = ProgramCache::with_capacity(CompileOptions::default(), 1);
+        let cache = ProgramCache::with_store(CompileOptions::default(), Some(1), None);
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
         let (da, db) = (dag(1), dag(2));
         let (ka, kb) = (dag_fingerprint(&da), dag_fingerprint(&db));
@@ -1230,7 +1221,7 @@ mod tests {
     /// the one slot the map still holds, and the slot still empty.
     #[test]
     fn slow_compile_survives_capacity_pressure() {
-        let cache = ProgramCache::with_capacity(CompileOptions::default(), 2);
+        let cache = ProgramCache::with_store(CompileOptions::default(), Some(2), None);
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
         let big = chain_dag(1_500, 0);
         let big_key = CacheKey {

@@ -7,7 +7,11 @@
 //! ([`Engine::serve`] is a dispatcher fed a pre-collected slice, flushed
 //! and waited). Each shard is a simulated DPU-v2 [`Engine`] — replicas of
 //! one [`ArchConfig`], or distinct configuration points ([`engine_shards`]
-//! over a list of configs, passed to [`Dispatcher::new`]).
+//! over a list of configs, passed to [`Dispatcher::new`]). The engines own
+//! their settings ([`EngineOptions`]: the modelled cores a shard prices its
+//! rounds on, the program store's capacity and spill directory); the
+//! [`DispatchOptions`] hold only how requests are batched, routed and
+//! recovered.
 //!
 //! **Decisions and threads.** Every scheduling decision below — round
 //! closing, routing of a round around a dead home, pop, steal, lease,
@@ -118,15 +122,18 @@ use crate::pool::{Engine, EngineOptions, ProgramStore, Request, ServeError};
 use crate::report::{ClassReport, DispatchReport, ShardReport};
 use crate::sched::{Batcher, Checkout, Core, QueuedRound, Round, TrackedJob};
 use crate::wake::Waiters;
-use crate::{dag_fingerprint, DagKey, DPU_V2_L_CORES};
+use crate::{dag_fingerprint, DagKey};
 
-/// Sizing and policy knobs of a [`Dispatcher`]. None of them selects a
-/// different dispatcher: claims, leases and dead-shard recovery are always
-/// on; `chaos` is a script, `hedge` a policy, `stall_timeout` a timeout.
+/// Scheduling knobs of a [`Dispatcher`]: batching, routing, admission and
+/// recovery. What a shard models and where its programs live are its
+/// engine's ([`EngineOptions`]). None of them selects a different
+/// dispatcher: claims, leases and dead-shard recovery are always on;
+/// `chaos` is a script, `hedge` a policy, `stall_timeout` a timeout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchOptions {
-    /// Number of engine shards: how many replicas [`engine_shards`] is
-    /// asked for. [`Dispatcher::new`] sets it to the engines it is given.
+    /// Number of engine shards: how many replicas
+    /// `dpu_core::Dpu::dispatcher` builds. [`Dispatcher::new`] sets it to
+    /// the engines it is given.
     pub shards: usize,
     /// Close a shard's pending round once it holds this many requests.
     pub max_batch: usize,
@@ -135,18 +142,6 @@ pub struct DispatchOptions {
     pub max_wait: Duration,
     /// Allow idle shards to steal queued rounds from same-class shards.
     pub work_stealing: bool,
-    /// Modelled DPU cores per shard, for the simulated-clock accounting
-    /// (each executed round is packed onto these cores by
-    /// [`plan_rounds`]).
-    pub cores: usize,
-    /// Capacity of the program store the engine shards share, in entries
-    /// over all shards and configs (`None` = unbounded).
-    pub cache_capacity: Option<usize>,
-    /// Spill directory of the engine shards' program store (`None` =
-    /// in-memory only). Compiles are spilled into — and misses back-filled
-    /// from — this content-addressed directory, so a restarted dispatcher
-    /// starts warm. See [`EngineOptions::spill_dir`].
-    pub spill_dir: Option<std::path::PathBuf>,
     /// Bounded admission: maximum accepted-but-unresolved requests per
     /// home shard. A submit against a full home-shard queue fails fast
     /// with [`SubmitRejection::WouldBlock`](crate::SubmitRejection) and a
@@ -188,9 +183,6 @@ impl Default for DispatchOptions {
             max_batch: 32,
             max_wait: Duration::from_millis(1),
             work_stealing: true,
-            cores: DPU_V2_L_CORES,
-            cache_capacity: None,
-            spill_dir: None,
             queue_capacity: None,
             priority_aging: Duration::from_millis(20),
             chaos: None,
@@ -213,28 +205,20 @@ pub fn home_shard(key: DagKey, shards: usize) -> usize {
 }
 
 /// The engine shards of a dispatcher: one [`Engine`] per entry of
-/// `configs`, siblings over **one** program store
-/// ([`Engine::sharing`]) sized by `options`: the one place a
-/// [`DispatchOptions`] becomes engines, for [`Dispatcher::new`] — replicas
-/// of one config, or distinct configuration points.
+/// `configs`, siblings over **one** program store ([`Engine::sharing`]),
+/// all built with `options` — the modelled cores each shard prices its
+/// rounds on, and the store's capacity and spill directory. Pass them to
+/// [`Dispatcher::new`]: replicas of one config, or distinct configuration
+/// points.
 pub fn engine_shards(
     configs: &[ArchConfig],
     compile_opts: CompileOptions,
-    options: &DispatchOptions,
+    options: &EngineOptions,
 ) -> Vec<Engine> {
     let Some((&first, rest)) = configs.split_first() else {
         return Vec::new();
     };
-    let first = Engine::new(
-        first,
-        compile_opts,
-        EngineOptions {
-            workers: 1,
-            cores: options.cores,
-            cache_capacity: options.cache_capacity,
-            spill_dir: options.spill_dir.clone(),
-        },
-    );
+    let first = Engine::new(first, compile_opts, options.clone());
     let mut shards: Vec<Engine> = rest.iter().map(|&config| first.sharing(config)).collect();
     shards.insert(0, first);
     shards
@@ -352,7 +336,8 @@ struct ShardState {
     /// Rounds this shard executed that were homed on another shard.
     stolen: AtomicU64,
     /// Simulated cycles of this shard's executed rounds, each packed onto
-    /// the modelled cores by [`plan_rounds`].
+    /// its engine's modelled cores ([`EngineOptions::cores`]) by
+    /// [`plan_rounds`].
     modelled_cycles: AtomicU64,
     dag_ops: AtomicU64,
     /// Per-request latency distributions of this shard. Written only by
@@ -414,12 +399,10 @@ impl Dispatcher {
     ///
     /// # Panics
     ///
-    /// Panics if `engines` is empty, `options.max_batch == 0` or
-    /// `options.cores == 0`.
+    /// Panics if `engines` is empty or `options.max_batch == 0`.
     pub fn new(engines: Vec<Engine>, mut options: DispatchOptions) -> Self {
         assert!(!engines.is_empty(), "at least one shard required");
         assert!(options.max_batch > 0, "max_batch must be positive");
-        assert!(options.cores > 0, "cores must be positive");
         let n = engines.len();
         options.shards = n;
         if let Some(max) = options.chaos.as_ref().and_then(ChaosPlan::max_shard) {
@@ -1015,7 +998,7 @@ fn shard_loop(shared: &Shared, me: usize) {
         my.requests.fetch_add(executed, Ordering::Relaxed);
         if !costs.is_empty() {
             my.modelled_cycles.fetch_add(
-                plan_rounds(&costs, options.cores).total_cycles,
+                plan_rounds(&costs, my.engine.options().cores).total_cycles,
                 Ordering::Relaxed,
             );
         }
@@ -1086,10 +1069,12 @@ mod tests {
 
     fn dispatcher(options: DispatchOptions) -> (Dispatcher, DagKey) {
         let configs = vec![arch(); options.shards];
-        let d = Dispatcher::new(
-            engine_shards(&configs, CompileOptions::default(), &options),
-            options,
+        let engines = engine_shards(
+            &configs,
+            CompileOptions::default(),
+            &EngineOptions::default(),
         );
+        let d = Dispatcher::new(engines, options);
         let key = d.register(tiny_dag());
         (d, key)
     }
@@ -1120,11 +1105,12 @@ mod tests {
             ..arch()
         };
         let configs = [arch(), more_regs, more_rows, more_regs];
-        let options = DispatchOptions::default();
-        let d = Dispatcher::new(
-            engine_shards(&configs, CompileOptions::default(), &options),
-            options,
+        let engines = engine_shards(
+            &configs,
+            CompileOptions::default(),
+            &EngineOptions::default(),
         );
+        let d = Dispatcher::new(engines, DispatchOptions::default());
         assert_eq!(d.shared.queues.lock().steal_class, [0, 1, 0, 1]);
         d.shutdown();
     }

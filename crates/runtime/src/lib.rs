@@ -55,8 +55,10 @@
 //!   the modelled DPU-v2 (L) cores exactly the way
 //!   [`BatchResult`](dpu_sim::BatchResult) models batch wall-clock:
 //!   every round runs up to `cores` requests in parallel and costs its
-//!   longest member's cycles. The [`ServingReport`] therefore carries
-//!   *both* clocks: simulated-hardware cycles (and GOPS as
+//!   longest member's cycles. `cores` is the engine's
+//!   ([`EngineOptions::cores`]) — for [`Engine::serve`]'s batch plan and
+//!   for every round a dispatcher shard runs. The [`ServingReport`]
+//!   therefore carries *both* clocks: simulated-hardware cycles (and GOPS as
 //!   [`throughput_ops`](dpu_sim::throughput_ops) defines it — DAG
 //!   operations over execution time) and host wall-clock.
 //!

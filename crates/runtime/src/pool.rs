@@ -59,8 +59,10 @@ pub struct EngineOptions {
     /// Dispatcher shards [`Engine::serve`] runs a batch on, each a host
     /// thread simulating rounds in parallel.
     pub workers: usize,
-    /// Modelled DPU-v2 parallel cores for the batch plan (the paper's
-    /// (L) configuration has [`DPU_V2_L_CORES`]).
+    /// Modelled DPU-v2 parallel cores (the paper's (L) configuration has
+    /// [`DPU_V2_L_CORES`]): [`Engine::serve`]'s batch plan and every
+    /// dispatcher round this engine runs are packed onto them by
+    /// [`plan_rounds`]. [`Engine::new`] reads zero as one.
     pub cores: usize,
     /// Program-cache capacity in entries (`None` = unbounded) — a bound
     /// on the engine's [`ProgramStore`], so on the store as a whole when
@@ -194,20 +196,6 @@ impl ServingReport {
             0.0
         }
     }
-
-    /// `Ok(results)` when every request succeeded, else the
-    /// lowest-indexed failure — the pre-fate-sharing-fix `serve`
-    /// contract, for callers that treat any failure as fatal.
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-indexed failing request.
-    pub fn into_results(self) -> Result<Vec<RunResult>, ServeError> {
-        match self.failures.into_iter().next() {
-            None => Ok(self.results),
-            Some((_, e)) => Err(e),
-        }
-    }
 }
 
 /// What one group of a round runs: the registered DAG, its compiled
@@ -280,14 +268,20 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// Builds an engine serving `config`, compiling with `compile_opts`,
-    /// over a program store of its own.
+    /// over a program store of its own. Zero [`EngineOptions::cores`] is
+    /// read as one.
     ///
     /// # Panics
     ///
     /// Panics if [`EngineOptions::spill_dir`] is set but the directory
     /// cannot be created — a misconfigured persistence path, like a zero
     /// cache capacity, is a deployment error worth failing loudly on.
-    pub fn new(config: ArchConfig, compile_opts: CompileOptions, options: EngineOptions) -> Self {
+    pub fn new(
+        config: ArchConfig,
+        compile_opts: CompileOptions,
+        mut options: EngineOptions,
+    ) -> Self {
+        options.cores = options.cores.max(1);
         let spill = options.spill_dir.as_ref().map(|dir| {
             SpillStore::new(dir, &compile_opts)
                 .unwrap_or_else(|e| panic!("spill dir {}: {e}", dir.display()))
@@ -401,13 +395,7 @@ impl Engine {
         let started = Instant::now();
         let workers = self.options.workers.clamp(1, requests.len().max(1));
         let shards = (0..workers).map(|_| self.sharing(self.config)).collect();
-        let dispatcher = Dispatcher::new(
-            shards,
-            DispatchOptions {
-                cores: self.options.cores.max(1),
-                ..Default::default()
-            },
-        );
+        let dispatcher = Dispatcher::new(shards, DispatchOptions::default());
         let submitter = dispatcher.submitter();
         let tickets: Vec<Ticket> = requests
             .iter()
@@ -566,7 +554,7 @@ impl Engine {
         started: Instant,
     ) -> ServingReport {
         let costs: Vec<u64> = results.iter().map(|r| r.cycles).collect();
-        let plan = plan_rounds(&costs, self.options.cores.max(1));
+        let plan = plan_rounds(&costs, self.options.cores);
         let mut activity = Activity::default();
         let mut total_dag_ops = 0;
         for r in &results {
@@ -653,10 +641,6 @@ mod tests {
             report.failures,
             vec![(0, ServeError::UnknownDag(DagKey(0xdead)))]
         );
-        assert_eq!(
-            report.into_results(),
-            Err(ServeError::UnknownDag(DagKey(0xdead)))
-        );
     }
 
     #[test]
@@ -680,7 +664,6 @@ mod tests {
             assert_eq!(r.outputs, vec![i as f32 + 3.0]);
         }
         assert_eq!(report.total_dag_ops, 9);
-        assert!(report.into_results().is_err());
     }
 
     /// A program decode refuses — here `R + 1` loads into bank 0, planted
@@ -792,8 +775,9 @@ mod tests {
         assert_eq!(report.results[0].outputs, vec![6.0]);
     }
 
-    /// The batch plan has always read zero modelled cores as one; the
-    /// dispatcher `serve` runs on refuses zero, so `serve` passes it one.
+    /// Zero modelled cores are read as one, once, by `Engine::new`: the
+    /// batch plan and the dispatcher `serve` runs on both price on the
+    /// engine's one core.
     #[test]
     fn zero_cores_serve_as_one() {
         let e = Engine::new(

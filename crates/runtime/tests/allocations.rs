@@ -192,10 +192,12 @@ fn dispatcher_round_trip_stays_under_its_per_request_bound() {
         max_wait: Duration::from_secs(3600),
         ..Default::default()
     };
-    let d = Dispatcher::new(
-        engine_shards(&[arch(); 2], CompileOptions::default(), &options),
-        options,
+    let engines = engine_shards(
+        &[arch(); 2],
+        CompileOptions::default(),
+        &EngineOptions::default(),
     );
+    let d = Dispatcher::new(engines, options);
     let keys: Vec<_> = (0..4).map(|s| d.register(salted_dag(s))).collect();
     let requests: Vec<Request> = (0..REQUESTS)
         .map(|i| Request::new(keys[i % keys.len()], vec![i as f32, 2.0]))

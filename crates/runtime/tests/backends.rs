@@ -26,10 +26,12 @@ fn arch() -> ArchConfig {
 /// program store.
 fn dispatcher(options: DispatchOptions) -> Dispatcher {
     let configs = vec![arch(); options.shards];
-    Dispatcher::new(
-        engine_shards(&configs, CompileOptions::default(), &options),
-        options,
-    )
+    let engines = engine_shards(
+        &configs,
+        CompileOptions::default(),
+        &EngineOptions::default(),
+    );
+    Dispatcher::new(engines, options)
 }
 
 /// Three real workload families plus a hand-built DAG.

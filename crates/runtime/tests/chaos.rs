@@ -27,10 +27,12 @@ fn arch() -> ArchConfig {
 /// program store.
 fn dispatcher(options: DispatchOptions) -> Dispatcher {
     let configs = vec![arch(); options.shards];
-    Dispatcher::new(
-        engine_shards(&configs, CompileOptions::default(), &options),
-        options,
-    )
+    let engines = engine_shards(
+        &configs,
+        CompileOptions::default(),
+        &EngineOptions::default(),
+    );
+    Dispatcher::new(engines, options)
 }
 
 fn small_dag() -> Dag {

@@ -9,7 +9,8 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    engine_shards, home_shard, DispatchOptions, Dispatcher, Engine, EngineOptions, Request, Ticket,
+    engine_shards, home_shard, plan_rounds, DispatchOptions, Dispatcher, Engine, EngineOptions,
+    Request, Ticket,
 };
 use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
 use dpu_workloads::sparse::{generate_lower_triangular, LowerTriangularParams, SpmvDag};
@@ -23,10 +24,12 @@ fn arch() -> ArchConfig {
 /// program store.
 fn replicas(options: DispatchOptions) -> Dispatcher {
     let configs = vec![arch(); options.shards];
-    Dispatcher::new(
-        engine_shards(&configs, CompileOptions::default(), &options),
-        options,
-    )
+    let engines = engine_shards(
+        &configs,
+        CompileOptions::default(),
+        &EngineOptions::default(),
+    );
+    Dispatcher::new(engines, options)
 }
 
 /// Three real workload families plus a hand-built DAG.
@@ -166,6 +169,46 @@ fn single_request_round_trips() {
     assert_eq!(report.rounds_closed_full, 0, "round closed by timer/flush");
 }
 
+/// A shard prices its rounds on its own engine's modelled cores, not on a
+/// dispatcher-wide count: four equal-cost requests in one round on a
+/// one-core engine cost four times one request's cycles.
+#[test]
+fn a_shard_prices_its_rounds_on_its_engines_cores() {
+    let one_core = EngineOptions {
+        cores: 1,
+        ..Default::default()
+    };
+    let engine = Engine::new(arch(), CompileOptions::default(), one_core);
+    let d = Dispatcher::new(
+        vec![engine],
+        DispatchOptions {
+            // Only the flush closes the round.
+            max_wait: Duration::from_secs(3600),
+            ..Default::default()
+        },
+    );
+    let key = d.register(workload_dags().remove(3));
+    let sub = d.submitter();
+    let tickets: Vec<Ticket> = (0..4)
+        .map(|i| sub.submit(Request::new(key, vec![i as f32, 3.0])).unwrap())
+        .collect();
+    d.flush();
+    let costs: Vec<u64> = tickets
+        .into_iter()
+        .map(|t| t.wait().unwrap().cycles)
+        .collect();
+    assert_eq!(costs, [costs[0]; 4], "equal-cost requests");
+    let report = d.shutdown();
+    assert_eq!(
+        (report.shards[0].rounds, report.rounds_closed_flush),
+        (1, 1)
+    );
+    assert_eq!(
+        report.shards[0].modelled_cycles,
+        plan_rounds(&costs, 1).total_cycles
+    );
+}
+
 #[test]
 fn more_shards_than_distinct_keys_still_serves_everything() {
     // 6 shards, 1 distinct DAG: five shards have no home traffic at all.
@@ -267,10 +310,12 @@ fn shards_of_distinct_configs_share_one_store() {
         max_wait: Duration::from_micros(200),
         ..Default::default()
     };
-    let d = Dispatcher::new(
-        engine_shards(&configs, CompileOptions::default(), &options),
-        options,
+    let engines = engine_shards(
+        &configs,
+        CompileOptions::default(),
+        &EngineOptions::default(),
     );
+    let d = Dispatcher::new(engines, options);
     let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();
     let homes: Vec<usize> = keys.iter().map(|&k| home_shard(k, 2)).collect();
     let sub = d.submitter();
@@ -393,10 +438,12 @@ fn heterogeneous_shards_route_by_key_and_never_cross_steal() {
         work_stealing: true, // on, but classes differ -> no stealing
         ..Default::default()
     };
-    let d = Dispatcher::new(
-        engine_shards(&configs, CompileOptions::default(), &options),
-        options,
+    let engines = engine_shards(
+        &configs,
+        CompileOptions::default(),
+        &EngineOptions::default(),
     );
+    let d = Dispatcher::new(engines, options);
     let dags = workload_dags();
     let sub = d.submitter();
     let mut expected = Vec::new();

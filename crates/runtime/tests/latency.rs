@@ -147,10 +147,12 @@ fn arch() -> ArchConfig {
 /// program store.
 fn dispatcher(options: DispatchOptions) -> Dispatcher {
     let configs = vec![arch(); options.shards];
-    Dispatcher::new(
-        engine_shards(&configs, CompileOptions::default(), &options),
-        options,
-    )
+    let engines = engine_shards(
+        &configs,
+        CompileOptions::default(),
+        &EngineOptions::default(),
+    );
+    Dispatcher::new(engines, options)
 }
 
 fn small_dags() -> Vec<Dag> {
@@ -194,7 +196,6 @@ fn deterministic_run(shards: usize) -> DispatchReport {
             max_batch: 16,
             max_wait: Duration::from_secs(3600),
             work_stealing: false,
-            cores: 4,
             ..Default::default()
         },
     );
@@ -259,7 +260,6 @@ fn max_wait_bounds_reported_batching_delay() {
         max_batch: 64,
         max_wait,
         work_stealing: false,
-        cores: 4,
         ..Default::default()
     });
     let key = dispatcher.register(small_dags().remove(0));

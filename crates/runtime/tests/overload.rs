@@ -13,8 +13,8 @@ use dpu_compiler::CompileOptions;
 use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
-    dag_fingerprint, engine_shards, home_shard, ChaosPlan, DispatchOptions, Dispatcher, Outcome,
-    Priority, Request, ShedReason, SubmitOptions, SubmitRejection, Ticket,
+    dag_fingerprint, engine_shards, home_shard, ChaosPlan, DispatchOptions, Dispatcher,
+    EngineOptions, Outcome, Priority, Request, ShedReason, SubmitOptions, SubmitRejection, Ticket,
 };
 
 fn arch() -> ArchConfig {
@@ -33,10 +33,12 @@ fn small_dag() -> Dag {
 
 fn dispatcher(options: DispatchOptions) -> Dispatcher {
     let configs = vec![arch(); options.shards];
-    Dispatcher::new(
-        engine_shards(&configs, CompileOptions::default(), &options),
-        options,
-    )
+    let engines = engine_shards(
+        &configs,
+        CompileOptions::default(),
+        &EngineOptions::default(),
+    );
+    Dispatcher::new(engines, options)
 }
 
 /// Regression: a full home-shard queue must reject with `WouldBlock` and

@@ -20,11 +20,15 @@ fn arch() -> ArchConfig {
 }
 
 /// A dispatcher of `options.shards` replica shards of [`arch`], over one
-/// program store.
-fn dispatcher(options: DispatchOptions) -> Dispatcher {
+/// program store spilling into `dir`.
+fn dispatcher(dir: &Path, options: DispatchOptions) -> Dispatcher {
     let configs = vec![arch(); options.shards];
+    let spilling = EngineOptions {
+        spill_dir: Some(dir.to_path_buf()),
+        ..Default::default()
+    };
     Dispatcher::new(
-        engine_shards(&configs, CompileOptions::default(), &options),
+        engine_shards(&configs, CompileOptions::default(), &spilling),
         options,
     )
 }
@@ -198,14 +202,16 @@ fn four_shards_warm_start_concurrently_from_one_spill_dir() {
     let want = seed_engine.serve_serial(&requests).expect("seed pass");
     drop(seed_engine);
 
-    let d = dispatcher(DispatchOptions {
-        shards: 4,
-        max_batch: 8,
-        max_wait: Duration::from_micros(200),
-        work_stealing: true,
-        spill_dir: Some(dir.clone()),
-        ..Default::default()
-    });
+    let d = dispatcher(
+        &dir,
+        DispatchOptions {
+            shards: 4,
+            max_batch: 8,
+            max_wait: Duration::from_micros(200),
+            work_stealing: true,
+            ..Default::default()
+        },
+    );
     let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();
     let submitter = d.submitter();
     let tickets: Vec<Ticket> = (0..len_for_shard_test())
@@ -300,13 +306,15 @@ fn dispatcher_prewarm_loads_each_program_once_for_all_shards() {
     let want = peer.serve_serial(&requests).expect("peer pass");
     drop(peer);
 
-    let d = dispatcher(DispatchOptions {
-        shards: 4,
-        max_batch: 8,
-        max_wait: Duration::from_micros(200),
-        spill_dir: Some(dir.clone()),
-        ..Default::default()
-    });
+    let d = dispatcher(
+        &dir,
+        DispatchOptions {
+            shards: 4,
+            max_batch: 8,
+            max_wait: Duration::from_micros(200),
+            ..Default::default()
+        },
+    );
     assert_eq!(d.prewarm(), dags.len(), "once per program, not per shard");
     assert_eq!(d.prewarm(), 0, "everything is already resident");
     let keys: Vec<_> = dags.iter().map(|dag| d.register(dag.clone())).collect();

@@ -11,6 +11,7 @@
 //! Run with: `cargo run --release --example warm_restart`
 
 use dpu_core::prelude::*;
+use dpu_core::runtime::engine_shards;
 use dpu_core::workloads::pc::{generate_pc, pc_inputs, PcParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -71,11 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let loaded = new_shard.prewarm();
     println!("pre-warm: {loaded} programs loaded before the first request");
 
-    let dispatcher = dpu.dispatcher(DispatchOptions {
-        shards: 2,
-        spill_dir: Some(spill_dir.clone()),
-        ..Default::default()
-    });
+    let shards = engine_shards(&[dpu.config; 2], dpu.options.clone(), &options);
+    let dispatcher = Dispatcher::new(shards, DispatchOptions::default());
     let keys: Vec<DagKey> = fams
         .iter()
         .map(|d| dispatcher.register(d.clone()))
