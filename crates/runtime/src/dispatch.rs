@@ -65,8 +65,9 @@
 //!   ledger: `offered == completed + failed + shed + rejected`, always.
 //! - **Failure containment and recovery — for every dispatcher.** A
 //!   closed round is immutable and shared (`Arc`); every job in it
-//!   carries an inline one-shot claim that each resolution path (shed,
-//!   complete, fail) must win before touching the ticket, and the round a
+//!   carries an inline one-shot claim, won at the one place a ticket
+//!   resolves — for a shed, a completion or a failure alike — before
+//!   the ticket, the ledger or the admission depth is touched, and the round a
 //!   worker has checked out stays visible in its shard's queue slot (the
 //!   *lease*) until the worker comes back for the next one. A shard dies
 //!   one way: a panic out of its engine, caught where the round executes
@@ -115,7 +116,7 @@ use dpu_isa::ArchConfig;
 use dpu_sim::Machine;
 
 use crate::chaos::{ChaosPlan, HedgeOptions};
-use crate::ingest::{job_channel, Admission, Gate, Job, Outcome, ShedReason, Submitter};
+use crate::ingest::{job_channel, Admission, Entry, Gate, Job, Outcome, ShedReason, Submitter};
 use crate::latency::{Clock, LatencyReport, Timeline};
 use crate::planner::plan_rounds;
 use crate::pool::{Engine, EngineOptions, ProgramStore, Request, ServeError};
@@ -146,8 +147,7 @@ pub struct DispatchOptions {
     /// home shard. A submit against a full home-shard queue fails fast
     /// with [`SubmitRejection::WouldBlock`](crate::SubmitRejection) and a
     /// retry hint instead of growing the ingest queue without bound.
-    /// `None` (the default) keeps admission unbounded — exactly the old
-    /// behavior.
+    /// `None` (the default) keeps admission unbounded.
     pub queue_capacity: Option<usize>,
     /// Anti-starvation floor for priority scheduling: a queued round of
     /// any class is treated as
@@ -248,47 +248,12 @@ impl Queues {
     }
 }
 
-/// Outstanding accepted-but-not-completed job count, for
-/// [`Dispatcher::drain`]. The count is an atomic; the mutex and condvar
-/// are touched only on a zero crossing, and signalled only while a
-/// `drain` waits for one.
-#[derive(Default)]
-struct InFlight {
-    count: AtomicU64,
-    /// Orders a zero crossing against a `drain` checking the count and
-    /// going to sleep.
-    lock: Mutex<()>,
-    zero: Waiters,
-}
-
-impl InFlight {
-    fn inc(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `Release`, paired with the `Acquire` load in [`InFlight::get`]: a
-    /// `drain` that reads zero sees everything the completed jobs did.
-    fn dec(&self) {
-        if self.count.fetch_sub(1, Ordering::Release) == 1 {
-            // A `drain` that read the count before this decrement holds
-            // the lock until it sleeps, counted; one that locks after it
-            // reads zero.
-            self.zero
-                .wake_all(self.lock.lock().expect("in-flight poisoned"));
-        }
-    }
-
-    fn get(&self) -> u64 {
-        self.count.load(Ordering::Acquire)
-    }
-}
-
-/// The serving window: first accepted request → last completion, in
+/// The serving window: first accepted request → last resolution, in
 /// nanoseconds relative to the dispatcher's [`Clock`] epoch (its
 /// construction instant — the same epoch every [`Timeline`] stamp uses,
 /// so callers pass in stamps they already took instead of re-reading the
 /// clock). Lock-free: ingestion stamps the first acceptance with
-/// `fetch_min`, every completing job stamps `fetch_max`. Throughput
+/// `fetch_min`, every resolved ticket stamps `fetch_max`. Throughput
 /// reported over this window measures the system *while it served*,
 /// not however long it happened to sit idle before traffic arrived.
 struct ServingWindow {
@@ -310,7 +275,7 @@ impl ServingWindow {
         self.first_ns.fetch_min(now_ns, Ordering::Relaxed);
     }
 
-    /// Stamps a completed job, with the job's completion stamp.
+    /// Stamps a resolved job, with the job's completion stamp.
     fn mark_complete(&self, now_ns: u64) {
         self.last_ns.fetch_max(now_ns, Ordering::Relaxed);
     }
@@ -349,7 +314,6 @@ struct ShardState {
 /// Counters kept by the ingestion thread, returned when it exits.
 #[derive(Debug, Default, Clone, Copy)]
 struct IngestStats {
-    submitted: u64,
     closed_full: u64,
     closed_timer: u64,
     closed_flush: u64,
@@ -360,7 +324,6 @@ struct IngestStats {
 struct Shared {
     shards: Vec<ShardState>,
     queues: Queues,
-    in_flight: InFlight,
     window: ServingWindow,
     clock: Arc<Clock>,
     admission: Arc<Admission>,
@@ -445,7 +408,6 @@ impl Dispatcher {
                 core: Mutex::new(Core::new(steal_class, &options)),
                 work: Waiters::default(),
             },
-            in_flight: InFlight::default(),
             window: ServingWindow::new(),
             clock: Arc::new(Clock::from_epoch(started)),
             admission: Arc::new(Admission::new(n, options.queue_capacity, options.max_wait)),
@@ -528,14 +490,14 @@ impl Dispatcher {
         engines.map(Engine::prewarm).sum()
     }
 
-    /// Jobs the ingestion thread has picked up but that have not yet
-    /// completed. A request sits briefly in the ingestion channel between
-    /// `submit` and pickup, so this can read 0 while accepted requests are
-    /// still queued — use
-    /// [`Dispatcher::drain`] (whose flush marker is ordered behind every
-    /// earlier submit) as the quiescence barrier, not this counter.
+    /// Requests accepted and not yet resolved: the sum of the home
+    /// shards' admission depths, counted from the `submit` that admits a
+    /// request — so one still in the ingestion channel counts — until its
+    /// ticket is fulfilled. A submit turned away by
+    /// [`DispatchOptions::queue_capacity`] counts for the instant between
+    /// its claim on a slot and giving it back.
     pub fn in_flight(&self) -> u64 {
-        self.shared.in_flight.get()
+        self.shared.admission.in_flight()
     }
 
     /// Forces every pending round closed now (instead of waiting out the
@@ -553,11 +515,7 @@ impl Dispatcher {
     /// serving; this is a barrier, not a shutdown.
     pub fn drain(&self) {
         self.flush();
-        let in_flight = &self.shared.in_flight;
-        let mut held = in_flight.lock.lock().expect("in-flight poisoned");
-        while in_flight.get() > 0 {
-            held = in_flight.zero.wait(held).expect("in-flight poisoned");
-        }
+        self.shared.admission.wait_idle();
     }
 
     /// Stops ingestion, executes everything already accepted, joins all
@@ -601,18 +559,7 @@ impl Dispatcher {
         // flag flipped before the marker), and every worker is joined.
         let adm = &self.shared.admission;
         let core = self.shared.queues.lock();
-        let classes: [ClassReport; 3] = std::array::from_fn(|i| {
-            let accepted = adm.accepted[i].load(Ordering::Relaxed);
-            let rejected = adm.rejected[i].load(Ordering::Relaxed);
-            ClassReport {
-                offered: accepted + rejected,
-                accepted,
-                completed: adm.completed[i].load(Ordering::Relaxed),
-                failed: adm.failed[i].load(Ordering::Relaxed),
-                shed: adm.shed[i].load(Ordering::Relaxed),
-                rejected,
-            }
-        });
+        let classes: [ClassReport; 3] = std::array::from_fn(|i| adm.class_report(i));
         debug_assert!(
             classes
                 .iter()
@@ -620,7 +567,7 @@ impl Dispatcher {
             "admission ledger dishonest: {classes:?}"
         );
         DispatchReport {
-            submitted: ingest.submitted,
+            submitted: classes.iter().map(|c| c.accepted).sum(),
             served: shards.iter().map(|s| s.requests).sum(),
             rounds_closed_full: ingest.closed_full,
             rounds_closed_timer: ingest.closed_timer,
@@ -631,11 +578,11 @@ impl Dispatcher {
             lifetime_seconds: self.started.elapsed().as_secs_f64(),
             latency,
             classes,
-            rejected_would_block: adm.rejected_would_block.load(Ordering::Relaxed),
-            rejected_queue_closed: adm.rejected_queue_closed.load(Ordering::Relaxed),
-            rejected_deadline_past: adm.rejected_deadline_past.load(Ordering::Relaxed),
-            shed_unmeetable: adm.shed_unmeetable.load(Ordering::Relaxed),
-            shed_expired: adm.shed_expired.load(Ordering::Relaxed),
+            rejected_would_block: adm.total(Entry::WouldBlock),
+            rejected_queue_closed: adm.total(Entry::QueueClosed),
+            rejected_deadline_past: adm.total(Entry::DeadlinePast),
+            shed_unmeetable: adm.total(Entry::ShedUnmeetable),
+            shed_expired: adm.total(Entry::ShedExpired),
             recovered: core.recovered,
             hedged: core.hedged,
             hedge_wins: adm.hedge_wins.load(Ordering::Relaxed),
@@ -711,7 +658,6 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
 
         match msg {
             Some(Job::Request(sub)) => {
-                stats.submitted += 1;
                 let accepted_ns = clock.now_ns();
                 window.mark_accept(accepted_ns);
                 let timeline = Timeline {
@@ -720,7 +666,8 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
                     deadline_ns: sub.deadline_ns,
                     ..Timeline::default()
                 };
-                let s = home_shard(sub.request.dag, n);
+                let home = home_shard(sub.request.dag, n);
+                let job = TrackedJob::new(sub.request, sub.ticket, sub.priority, timeline);
                 // Shed-before-queue: when the live queueing + service
                 // estimate already proves the deadline unmeetable, resolve
                 // the ticket now instead of spending a round slot on a
@@ -728,21 +675,15 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
                 if sub.deadline_ns != 0 {
                     let projected_ns = admission.projected_completion_ns(accepted_ns);
                     if projected_ns > sub.deadline_ns {
-                        let mut timeline = timeline;
-                        timeline.completed_ns = clock.now_ns();
-                        window.mark_complete(timeline.completed_ns);
                         let reason = ShedReason::DeadlineUnmeetable {
                             projected_ns,
                             deadline_ns: sub.deadline_ns,
                         };
-                        admission.note_shed(sub.priority.index(), s, reason);
-                        sub.ticket.fulfill(Outcome::Shed { reason }, timeline);
+                        resolve(shared, &job, home, Outcome::Shed { reason }, timeline);
                         continue;
                     }
                 }
-                shared.in_flight.inc();
-                let job = TrackedJob::new(sub.request, sub.ticket, sub.priority, timeline);
-                if let Some(round) = batcher.add(s, job, accepted_ns) {
+                if let Some(round) = batcher.add(home, job, accepted_ns) {
                     stats.closed_full += 1;
                     queue_round(shared, round);
                 }
@@ -777,38 +718,42 @@ fn queue_round(shared: &Shared, round: Round) {
     fail_lost(shared, &lost, home);
 }
 
-/// Resolves one job of a lost round, if still unclaimed: the typed
-/// [`ServeError::ShardLost`] failure, ledgered under `failed` against the
-/// round's home shard. `timeline` is the job's stamps as far as the
-/// caller got with it.
-fn fail_job(
+/// Resolves `job`, unless another handle to its round already has — the
+/// one place a ticket resolves. Stamps completion, marks the serving
+/// window and fulfils the ticket with `outcome`; under the ticket's lock,
+/// before a waiter can see the outcome, the ledger takes the entry the
+/// outcome implies and `home` — the round's home shard, whose admission
+/// depth counts the job — releases its slot, so a client that saw its
+/// ticket resolve finds the slot free and a `drain` that saw the slot
+/// free finds the ticket resolved. Returns the completed timeline, or
+/// `None` when the claim was lost.
+fn resolve(
     shared: &Shared,
-    round: &Round,
     job: &TrackedJob,
+    home: usize,
+    outcome: Outcome,
     mut timeline: Timeline,
-    lost_shard: usize,
-) {
+) -> Option<Timeline> {
     if !job.claim() {
-        return; // another handle already resolved this ticket
+        return None;
     }
     timeline.completed_ns = shared.clock.now_ns();
-    shared
-        .admission
-        .note_failed(job.priority.index(), round.home);
-    job.ticket.fulfill(
-        Outcome::Failed(ServeError::ShardLost { shard: lost_shard }),
-        timeline,
-    );
     shared.window.mark_complete(timeline.completed_ns);
-    shared.in_flight.dec();
+    let class = job.priority.index();
+    job.ticket.fulfill(outcome, timeline, |outcome| {
+        shared.admission.resolved(class, home, outcome);
+    });
+    Some(timeline)
 }
 
-/// Fails every job of the rounds the core could not requeue after shard
-/// `lost_shard` died ([`fail_job`]), outside the queues lock.
+/// Fails every still-unclaimed job of the rounds the core could not
+/// requeue after shard `lost_shard` died with
+/// [`ServeError::ShardLost`], outside the queues lock.
 fn fail_lost(shared: &Shared, lost: &[QueuedRound], lost_shard: usize) {
     for entry in lost {
         for job in &entry.round.jobs {
-            fail_job(shared, &entry.round, job, job.timeline, lost_shard);
+            let outcome = Outcome::Failed(ServeError::ShardLost { shard: lost_shard });
+            resolve(shared, job, entry.round.home, outcome, job.timeline);
         }
     }
 }
@@ -826,7 +771,7 @@ fn abandon_shard(shared: &Shared, me: usize) {
 
 /// One shard's worker loop: pop own rounds (interactive first), steal
 /// when idle, shed queue-expired deadlines, execute the rest on the
-/// shard's engine, stamp/record latency, fulfill tickets.
+/// shard's engine, resolve tickets, record latency.
 ///
 /// The checked-out round stays on lease in the shard's queue slot until
 /// the worker comes back for the next one, a scripted stall fires at
@@ -838,8 +783,6 @@ fn abandon_shard(shared: &Shared, me: usize) {
 /// survivors.
 fn shard_loop(shared: &Shared, me: usize) {
     let Shared {
-        in_flight,
-        window,
         clock,
         admission,
         options,
@@ -893,18 +836,11 @@ fn shard_loop(shared: &Shared, me: usize) {
             if timeline.deadline_ns != 0 {
                 let now_ns = timeline.execute_start_ns;
                 if now_ns.saturating_add(admission.service_estimate()) > timeline.deadline_ns {
-                    if !job.claim() {
-                        continue;
-                    }
-                    timeline.completed_ns = clock.now_ns();
                     let reason = ShedReason::DeadlineExpired {
                         now_ns,
                         deadline_ns: timeline.deadline_ns,
                     };
-                    admission.note_shed(job.priority.index(), round.home, reason);
-                    job.ticket.fulfill(Outcome::Shed { reason }, *timeline);
-                    window.mark_complete(timeline.completed_ns);
-                    in_flight.dec();
+                    resolve(shared, job, round.home, Outcome::Shed { reason }, *timeline);
                     continue;
                 }
             }
@@ -941,7 +877,8 @@ fn shard_loop(shared: &Shared, me: usize) {
                     // the queue backlog recovers, the worker exits.
                     drop(latency);
                     for i in exec_idx {
-                        fail_job(shared, round, &round.jobs[i], timelines[i], me);
+                        let outcome = Outcome::Failed(ServeError::ShardLost { shard: me });
+                        resolve(shared, &round.jobs[i], round.home, outcome, timelines[i]);
                     }
                     abandon_shard(shared, me);
                     return;
@@ -949,50 +886,37 @@ fn shard_loop(shared: &Shared, me: usize) {
             }
         };
         let executed = exec_idx.len() as u64;
-        // Pass 3 — per-job accounting in request order: each job keeps
-        // its own completion stamp, service cycles, latency record and
-        // ticket outcome, exactly as when jobs executed one by one. The
-        // claim gate makes resolution exactly-once against recovered and
-        // hedged handles; whichever claims first wins, and because
-        // same-class shards are result-identical the outcome bytes are the
-        // same either way.
+        // Pass 3 — per-job resolution in request order: each job keeps
+        // its own completion stamp, service cycles and ticket outcome,
+        // exactly as when jobs executed one by one. The claim makes
+        // resolution exactly-once against recovered and hedged handles;
+        // whichever claims first wins, and because same-class shards are
+        // result-identical the outcome bytes are the same either way. Only
+        // the winner of a completion feeds the latency record, the live
+        // estimates and the shard's costs.
         for (i, result) in exec_idx.into_iter().zip(outcomes) {
-            let job = &round.jobs[i];
-            if !job.claim() {
+            let mut timeline = timelines[i];
+            let run = result.as_ref().ok().map(|res| (res.cycles, res.dag_ops));
+            if let Some((cycles, _)) = run {
+                timeline.service_cycles = cycles;
+            }
+            // An engine that *returns* an error (vs. one that panics) is a
+            // per-job failure, ledgered as `failed`.
+            let outcome = result.map_or_else(Outcome::Failed, Outcome::Completed);
+            let Some(timeline) = resolve(shared, &round.jobs[i], round.home, outcome, timeline)
+            else {
                 continue; // lost the race to another handle after executing
-            }
-            let timeline = &mut timelines[i];
-            if let Ok(res) = &result {
-                costs.push(res.cycles);
-                my.dag_ops.fetch_add(res.dag_ops, Ordering::Relaxed);
-                timeline.service_cycles = res.cycles;
-            }
-            timeline.completed_ns = clock.now_ns();
-            if result.is_ok() {
-                latency.record(timeline);
-                // Feed the live estimates the shed projections run on.
-                admission.observe(timeline.queueing_delay_ns(), timeline.service_ns());
-            }
-            let outcome = match result {
-                Ok(res) => {
-                    admission.note_completed(job.priority.index(), round.home);
-                    Outcome::Completed(res)
-                }
-                Err(e) => {
-                    // An engine that *returns* an error (vs. one that
-                    // panics) is a per-job failure, not a completion:
-                    // ledger it as `failed` so the balance equation stays
-                    // honest.
-                    admission.note_failed(job.priority.index(), round.home);
-                    Outcome::Failed(e)
-                }
             };
             if entry.hedge {
                 admission.hedge_wins.fetch_add(1, Ordering::Relaxed);
             }
-            job.ticket.fulfill(outcome, *timeline);
-            window.mark_complete(timeline.completed_ns);
-            in_flight.dec();
+            if let Some((cycles, dag_ops)) = run {
+                costs.push(cycles);
+                my.dag_ops.fetch_add(dag_ops, Ordering::Relaxed);
+                latency.record(&timeline);
+                // Feed the live estimates the shed projections run on.
+                admission.observe(timeline.queueing_delay_ns(), timeline.service_ns());
+            }
         }
         drop(latency);
         my.requests.fetch_add(executed, Ordering::Relaxed);

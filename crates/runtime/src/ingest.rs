@@ -49,6 +49,7 @@ use dpu_sim::RunResult;
 use crate::dispatch::home_shard;
 use crate::latency::{nanos, Clock, Timeline};
 use crate::pool::{Request, ServeError};
+use crate::report::ClassReport;
 use crate::wake::Waiters;
 
 /// Urgency class of a submitted request. Interactive traffic preempts
@@ -62,8 +63,8 @@ pub enum Priority {
     /// Latency-sensitive foreground traffic: packed first, dispatched
     /// first, stolen first.
     Interactive,
-    /// The default class — exactly yesterday's behavior when every
-    /// request uses it.
+    /// The default class: rounds of it dispatch after interactive ones
+    /// and before batch ones.
     #[default]
     Standard,
     /// Throughput traffic that tolerates delay; yields to the classes
@@ -100,8 +101,8 @@ impl Priority {
 /// the bare [`Request`] payload cannot say — how urgent, how late is too
 /// late, and when the request *notionally* arrived.
 ///
-/// The default options (`no deadline, Standard, unscheduled`) make
-/// `submit_with` behave exactly like [`Submitter::submit`] always did.
+/// The default options (no deadline, [`Priority::Standard`], arrival
+/// stamped at submit) are what [`Submitter::submit`] passes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
     /// Completion deadline. A request the dispatcher can prove will miss
@@ -112,16 +113,16 @@ pub struct SubmitOptions {
     pub deadline: Option<Instant>,
     /// Urgency class; see [`Priority`].
     pub priority: Priority,
-    /// Scheduled arrival instant for open-loop replay (the old
-    /// `submit_at`): the timeline's arrival stamp is the schedule's
-    /// intended instant, so reported end-to-end latency charges the
-    /// system for any lag between the schedule and the actual submit.
+    /// Scheduled arrival instant for open-loop replay: the timeline's
+    /// arrival stamp is the schedule's intended instant, so reported
+    /// end-to-end latency charges the system for any lag between the
+    /// schedule and the actual submit.
     pub scheduled: Option<Instant>,
 }
 
 impl SubmitOptions {
     /// Options whose arrival stamp is the scheduled instant `t` — the
-    /// open-loop replay constructor (the old `submit_at`).
+    /// open-loop replay constructor.
     pub fn at(t: Instant) -> Self {
         SubmitOptions::default().scheduled(t)
     }
@@ -364,14 +365,6 @@ impl Outcome {
         }
     }
 
-    /// The shed reason, if the request was shed.
-    pub fn shed_reason(&self) -> Option<ShedReason> {
-        match self {
-            Outcome::Shed { reason } => Some(*reason),
-            _ => None,
-        }
-    }
-
     /// The error, if the request failed.
     pub fn failure(&self) -> Option<&ServeError> {
         match self {
@@ -383,11 +376,6 @@ impl Outcome {
     /// Whether the request executed to completion.
     pub fn is_completed(&self) -> bool {
         matches!(self, Outcome::Completed(_))
-    }
-
-    /// Whether the request was shed before execution.
-    pub fn is_shed(&self) -> bool {
-        matches!(self, Outcome::Shed { .. })
     }
 
     /// Whether the request failed.
@@ -423,11 +411,20 @@ impl TicketState {
     }
 
     /// Resolves the ticket. Called exactly once per accepted request, by
-    /// whichever thread decided its outcome.
-    pub(crate) fn fulfill(&self, outcome: Outcome, timeline: Timeline) {
+    /// whichever thread decided its outcome. `settle` runs under the
+    /// ticket's lock, after the outcome is in place and before any waiter
+    /// can see it: what it records is visible to whoever sees the ticket
+    /// resolved, and a thread that sees what it records finds the ticket
+    /// resolved.
+    pub(crate) fn fulfill(
+        &self,
+        outcome: Outcome,
+        timeline: Timeline,
+        settle: impl FnOnce(&Outcome),
+    ) {
         let mut slot = self.slot.lock().expect("ticket poisoned");
         debug_assert!(slot.is_none(), "ticket fulfilled twice");
-        *slot = Some(Completion { outcome, timeline });
+        settle(&slot.insert(Completion { outcome, timeline }).outcome);
         self.done.wake_all(slot);
     }
 }
@@ -603,50 +600,82 @@ fn ewma_update(cell: &AtomicU64, observed: u64) {
     cell.store(new, Ordering::Relaxed);
 }
 
-/// Shared admission-control state: per-home-shard depth accounting (the
-/// bounded-queue half), live latency estimates (the shed-projection
-/// half), and the per-class accept/reject/shed/complete ledger the
-/// [`DispatchReport`](crate::DispatchReport) is assembled from.
+/// A column of the admission ledger: what became of a submit attempt. An
+/// accepted request is entered twice — [`Entry::Accepted`] at the edge,
+/// then the way its ticket resolved — a rejected attempt once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
+    Accepted,
+    Completed,
+    Failed,
+    /// Shed at ingestion: the live estimate projected completion past the
+    /// deadline.
+    ShedUnmeetable,
+    /// Shed at execute time: the deadline expired in queue.
+    ShedExpired,
+    WouldBlock,
+    QueueClosed,
+    DeadlinePast,
+}
+
+impl Entry {
+    const COUNT: usize = 8;
+
+    /// The entry a resolved ticket's outcome writes.
+    fn resolved(outcome: &Outcome) -> Entry {
+        match outcome {
+            Outcome::Completed(_) => Entry::Completed,
+            Outcome::Failed(_) => Entry::Failed,
+            Outcome::Shed {
+                reason: ShedReason::DeadlineUnmeetable { .. },
+            } => Entry::ShedUnmeetable,
+            Outcome::Shed {
+                reason: ShedReason::DeadlineExpired { .. },
+            } => Entry::ShedExpired,
+        }
+    }
+
+    /// The entry a rejection writes.
+    fn rejected(rejection: &SubmitRejection) -> Entry {
+        match rejection {
+            SubmitRejection::WouldBlock { .. } => Entry::WouldBlock,
+            SubmitRejection::QueueClosed { .. } => Entry::QueueClosed,
+            SubmitRejection::DeadlineAlreadyPast { .. } => Entry::DeadlinePast,
+        }
+    }
+}
+
+/// Shared admission-control state: per-home-shard depth (the bounded-queue
+/// half, and the dispatcher's in-flight count), live latency estimates
+/// (the shed-projection half), and the ledger of every submit attempt by
+/// class and [`Entry`] that the [`DispatchReport`](crate::DispatchReport)
+/// sums at shutdown.
 ///
-/// Written from three sides — submitters (admission), the ingestion
-/// thread (unmeetable-deadline sheds), shard workers (completions and
-/// expired-deadline sheds) — all through relaxed atomics: the ledger is
-/// read coherently only at shutdown, after every thread has been joined.
+/// Written from both sides of a ticket — submitters (accepts and
+/// rejections) and whichever thread resolves it — through relaxed atomics:
+/// the ledger is read coherently only at shutdown, after every thread has
+/// been joined.
 pub(crate) struct Admission {
     /// Shard count, for home-shard routing at admission time.
-    pub(crate) shards: usize,
+    shards: usize,
     /// Per-home-shard admission bound (`None` = unbounded, the default).
-    pub(crate) capacity: Option<u64>,
+    capacity: Option<u64>,
     /// The dispatcher's `max_wait`, the retry-hint fallback before any
     /// latency observations exist.
-    pub(crate) max_wait_ns: u64,
-    /// Accepted-but-unresolved requests per home shard.
-    pub(crate) depth: Vec<AtomicU64>,
-    /// Per-class accepted submissions.
-    pub(crate) accepted: [AtomicU64; 3],
-    /// Per-class executed-to-completion requests (success only; failures
-    /// are ledgered separately in `failed`).
-    pub(crate) completed: [AtomicU64; 3],
-    /// Per-class requests that resolved [`Outcome::Failed`] — executed
-    /// (or tried to) and errored, or stranded by a shard loss with no
-    /// surviving compatible shard to recover onto.
-    pub(crate) failed: [AtomicU64; 3],
-    /// Per-class shed requests.
-    pub(crate) shed: [AtomicU64; 3],
-    /// Per-class rejected submissions (never accepted).
-    pub(crate) rejected: [AtomicU64; 3],
-    /// Rejections by kind, summed over classes.
-    pub(crate) rejected_would_block: AtomicU64,
-    pub(crate) rejected_queue_closed: AtomicU64,
-    pub(crate) rejected_deadline_past: AtomicU64,
-    /// Sheds by stage: projected unmeetable at ingestion vs expired at
-    /// execute time.
-    pub(crate) shed_unmeetable: AtomicU64,
-    pub(crate) shed_expired: AtomicU64,
+    max_wait_ns: u64,
+    /// Accepted-but-unresolved requests per home shard, from the submit
+    /// that claims a slot to the fulfilment that releases it.
+    depth: Vec<AtomicU64>,
+    /// Orders a depth slot's zero crossing against [`Admission::wait_idle`]
+    /// checking the depths and going to sleep.
+    idle_lock: Mutex<()>,
+    idle: Waiters,
+    /// Submit attempts, by class ([`Priority::index`]) and [`Entry`].
+    ledger: [[AtomicU64; Entry::COUNT]; 3],
     /// Live EWMA of observed queueing delay (accepted → execute start).
-    pub(crate) queueing_estimate_ns: AtomicU64,
+    queueing_estimate_ns: AtomicU64,
     /// Live EWMA of observed host-side service time.
-    pub(crate) service_estimate_ns: AtomicU64,
+    service_estimate_ns: AtomicU64,
     /// Hedged jobs whose *copy* won the completion claim. An overlay
     /// counter, outside the per-class balance equation.
     pub(crate) hedge_wins: AtomicU64,
@@ -659,16 +688,9 @@ impl Admission {
             capacity: capacity.map(|c| c as u64),
             max_wait_ns: nanos(max_wait),
             depth: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            accepted: Default::default(),
-            completed: Default::default(),
-            failed: Default::default(),
-            shed: Default::default(),
-            rejected: Default::default(),
-            rejected_would_block: AtomicU64::new(0),
-            rejected_queue_closed: AtomicU64::new(0),
-            rejected_deadline_past: AtomicU64::new(0),
-            shed_unmeetable: AtomicU64::new(0),
-            shed_expired: AtomicU64::new(0),
+            idle_lock: Mutex::new(()),
+            idle: Waiters::default(),
+            ledger: Default::default(),
             queueing_estimate_ns: AtomicU64::new(0),
             service_estimate_ns: AtomicU64::new(0),
             hedge_wins: AtomicU64::new(0),
@@ -703,44 +725,83 @@ impl Admission {
     /// near-zero EWMA must not invite busy-retry against a queue that
     /// cannot possibly drain faster than one round — and clamped to a
     /// sane [100 µs, 1 s] band so callers never spin or stall forever.
-    pub(crate) fn retry_after(&self) -> Duration {
+    fn retry_after(&self) -> Duration {
         let est = self.queueing_estimate_ns.load(Ordering::Relaxed);
         let ns = (est / 2).max(self.max_wait_ns);
         Duration::from_nanos(ns.clamp(100_000, 1_000_000_000))
     }
 
-    /// Records a rejection of `class` by `kind` counter.
-    fn note_rejected(&self, class: usize, kind: &AtomicU64) {
-        self.rejected[class].fetch_add(1, Ordering::Relaxed);
-        kind.fetch_add(1, Ordering::Relaxed);
+    fn note(&self, class: usize, entry: Entry) {
+        self.ledger[class][entry as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a shed of `class`; `home` releases its depth slot.
-    pub(crate) fn note_shed(&self, class: usize, home: usize, reason: ShedReason) {
-        self.shed[class].fetch_add(1, Ordering::Relaxed);
-        match reason {
-            ShedReason::DeadlineUnmeetable { .. } => &self.shed_unmeetable,
-            ShedReason::DeadlineExpired { .. } => &self.shed_expired,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+    /// Ledgers a rejection of `class` and hands it back.
+    fn reject<T>(&self, class: usize, rejection: SubmitRejection) -> Result<T, SubmitRejection> {
+        self.note(class, Entry::rejected(&rejection));
+        Err(rejection)
+    }
+
+    /// Ledgers a resolved ticket of `class` under the entry its `outcome`
+    /// implies and releases its depth slot on `home`, the shard its
+    /// submit claimed the slot on.
+    pub(crate) fn resolved(&self, class: usize, home: usize, outcome: &Outcome) {
+        self.note(class, Entry::resolved(outcome));
         self.release(home);
     }
 
-    /// Records a completion of `class`; `home` releases its depth slot.
-    pub(crate) fn note_completed(&self, class: usize, home: usize) {
-        self.completed[class].fetch_add(1, Ordering::Relaxed);
-        self.release(home);
-    }
-
-    /// Records a failure of `class`; `home` releases its depth slot.
-    pub(crate) fn note_failed(&self, class: usize, home: usize) {
-        self.failed[class].fetch_add(1, Ordering::Relaxed);
-        self.release(home);
-    }
-
+    /// Gives back a depth slot on `home` — every decrement goes through
+    /// here — waking [`Admission::wait_idle`] when the slot's count
+    /// reaches zero. `Release`, paired with the `Acquire` loads in
+    /// [`Admission::in_flight`]: a waiter that reads zero sees everything
+    /// the resolving threads did.
     fn release(&self, home: usize) {
-        let prev = self.depth[home].fetch_sub(1, Ordering::Relaxed);
+        let prev = self.depth[home].fetch_sub(1, Ordering::Release);
         debug_assert!(prev > 0, "depth underflow on shard {home}");
+        if prev == 1 {
+            // A waiter that read the depths before this decrement holds
+            // the lock until it sleeps, counted; one that locks after it
+            // reads the new depth.
+            self.idle
+                .wake_all(self.idle_lock.lock().expect("idle lock poisoned"));
+        }
+    }
+
+    /// Accepted-but-unresolved requests over every home shard.
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.depth.iter().map(|d| d.load(Ordering::Acquire)).sum()
+    }
+
+    /// Blocks until [`Admission::in_flight`] reads zero.
+    pub(crate) fn wait_idle(&self) {
+        let mut held = self.idle_lock.lock().expect("idle lock poisoned");
+        while self.in_flight() > 0 {
+            held = self.idle.wait(held).expect("idle lock poisoned");
+        }
+    }
+
+    /// Ledger entries of `class` under `entry`.
+    fn count(&self, class: usize, entry: Entry) -> u64 {
+        self.ledger[class][entry as usize].load(Ordering::Relaxed)
+    }
+
+    /// Ledger entries under `entry`, summed over classes.
+    pub(crate) fn total(&self, entry: Entry) -> u64 {
+        (0..Priority::ALL.len()).map(|c| self.count(c, entry)).sum()
+    }
+
+    /// The ledger row of `class`, its columns summed over entries.
+    pub(crate) fn class_report(&self, class: usize) -> ClassReport {
+        let n = |entry| self.count(class, entry);
+        let accepted = n(Entry::Accepted);
+        let rejected = n(Entry::WouldBlock) + n(Entry::QueueClosed) + n(Entry::DeadlinePast);
+        ClassReport {
+            offered: accepted + rejected,
+            accepted,
+            completed: n(Entry::Completed),
+            failed: n(Entry::Failed),
+            shed: n(Entry::ShedUnmeetable) + n(Entry::ShedExpired),
+            rejected,
+        }
     }
 }
 
@@ -813,11 +874,10 @@ impl Submitter {
         options: SubmitOptions,
     ) -> Result<Ticket, SubmitRejection> {
         let class = options.priority.index();
+        let admission = &*self.admission;
         if let Some(deadline) = options.deadline {
             if deadline <= Instant::now() {
-                self.admission
-                    .note_rejected(class, &self.admission.rejected_deadline_past);
-                return Err(SubmitRejection::DeadlineAlreadyPast { request });
+                return admission.reject(class, SubmitRejection::DeadlineAlreadyPast { request });
             }
         }
         let arrival_ns = match options.scheduled {
@@ -830,33 +890,31 @@ impl Submitter {
 
         // Hold the read lock across the send: shutdown takes the write
         // lock before enqueueing its marker, so an accepted request always
-        // precedes the marker on the FIFO channel (loss-freedom).
+        // precedes the marker on the FIFO channel (loss-freedom), and its
+        // ledger entry is written before shutdown reads the ledger.
         let guard = self.shut_down.read().expect("flag poisoned");
         if *guard {
-            self.admission
-                .note_rejected(class, &self.admission.rejected_queue_closed);
-            return Err(SubmitRejection::QueueClosed { request });
+            return admission.reject(class, SubmitRejection::QueueClosed { request });
         }
 
         // Bounded admission: claim a depth slot on the home shard; give
         // it back and reject if the queue is at capacity. (The claim-
         // then-check order admits at most one transient overshoot per
         // concurrent submitter — bounded, and free of a CAS loop.)
-        let home = home_shard(request.dag, self.admission.shards);
-        let prev = self.admission.depth[home].fetch_add(1, Ordering::Relaxed);
-        if let Some(cap) = self.admission.capacity {
-            if prev >= cap {
-                self.admission.depth[home].fetch_sub(1, Ordering::Relaxed);
-                self.admission
-                    .note_rejected(class, &self.admission.rejected_would_block);
-                return Err(SubmitRejection::WouldBlock {
-                    retry_after: self.admission.retry_after(),
+        let home = home_shard(request.dag, admission.shards);
+        let prev = admission.depth[home].fetch_add(1, Ordering::Relaxed);
+        if admission.capacity.is_some_and(|cap| prev >= cap) {
+            admission.release(home);
+            let retry_after = admission.retry_after();
+            return admission.reject(
+                class,
+                SubmitRejection::WouldBlock {
+                    retry_after,
                     request,
-                });
-            }
+                },
+            );
         }
 
-        self.admission.accepted[class].fetch_add(1, Ordering::Relaxed);
         let state = TicketState::new();
         let submission = Submission {
             request,
@@ -866,18 +924,17 @@ impl Submitter {
             priority: options.priority,
         };
         match self.tx.send(Job::Request(submission)) {
-            Ok(()) => Ok(Ticket::new(state)),
+            Ok(()) => {
+                admission.note(class, Entry::Accepted);
+                Ok(Ticket::new(state))
+            }
             Err(crossbeam::channel::SendError(Job::Request(sub))) => {
                 // The channel is gone (dispatcher dropped without the
                 // handshake — cannot happen through the public API, but
-                // stay honest): undo the accept and reject as closed.
-                self.admission.accepted[class].fetch_sub(1, Ordering::Relaxed);
-                self.admission.depth[home].fetch_sub(1, Ordering::Relaxed);
-                self.admission
-                    .note_rejected(class, &self.admission.rejected_queue_closed);
-                Err(SubmitRejection::QueueClosed {
-                    request: sub.request,
-                })
+                // stay honest): give the slot back and reject as closed.
+                admission.release(home);
+                let request = sub.request;
+                admission.reject(class, SubmitRejection::QueueClosed { request })
             }
             Err(_) => unreachable!("send returns the job it was given"),
         }
@@ -942,7 +999,7 @@ mod tests {
             } {
                 std::thread::yield_now();
             }
-            state.fulfill(lost(), Timeline::default());
+            state.fulfill(lost(), Timeline::default(), |_| {});
         })
     }
 
@@ -953,7 +1010,7 @@ mod tests {
             completed_ns: 5,
             ..Timeline::default()
         };
-        state.fulfill(lost(), timeline);
+        state.fulfill(lost(), timeline, |_| {});
         let ticket = Ticket::new(state);
         assert!(ticket.is_done());
         assert_eq!(ticket.timeline(), Some(timeline));
@@ -990,6 +1047,155 @@ mod tests {
         let fulfiller = fulfil_once_blocked(state);
         assert!(within(LIMIT, move || ticket.wait()).is_failed());
         fulfiller.join().expect("fulfiller");
+    }
+
+    /// Every ledger cell, class-major.
+    fn cells(admission: &Admission) -> Vec<u64> {
+        let cells = admission.ledger.iter().flatten();
+        cells.map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Runs `step` and asserts it wrote exactly one ledger cell, once.
+    fn lands_in<T>(
+        admission: &Admission,
+        class: Priority,
+        entry: Entry,
+        step: impl FnOnce() -> T,
+    ) -> T {
+        let mut want = cells(admission);
+        want[class.index() * Entry::COUNT + entry as usize] += 1;
+        let out = step();
+        assert_eq!(cells(admission), want, "{class:?} {entry:?}");
+        out
+    }
+
+    /// The ledger, single-threaded, over two classes and two home shards:
+    /// every submit attempt and every resolution — through the ticket, as
+    /// a dispatcher resolves one — writes one cell, each class sees every
+    /// entry, the classes balance, the by-kind totals are sums of the
+    /// class columns, and the depths (so the in-flight count) come back to
+    /// zero, the capacity undo and the dead-channel undo included.
+    #[test]
+    fn every_entry_lands_in_one_cell_and_every_class_balances() {
+        use crate::DagKey;
+        let admission = Arc::new(Admission::new(2, Some(1), Duration::from_millis(1)));
+        let (tx, rx) = job_channel();
+        let shut_down = Arc::new(RwLock::new(false));
+        let clock = Arc::new(Clock::new());
+        let sub = Submitter::new(tx, Arc::clone(&shut_down), clock, Arc::clone(&admission));
+        let classes = [Priority::Interactive, Priority::Batch];
+        let request = |home: u64| Request::new(DagKey(home), vec![1.0]);
+        let resolutions: [(Entry, fn() -> Outcome); 4] = [
+            (Entry::Completed, || {
+                Outcome::Completed(RunResult {
+                    cycles: 1,
+                    outputs: vec![1.0],
+                    activity: Default::default(),
+                    dag_ops: 1,
+                })
+            }),
+            (Entry::Failed, lost),
+            (Entry::ShedUnmeetable, || Outcome::Shed {
+                reason: ShedReason::DeadlineUnmeetable {
+                    projected_ns: 2,
+                    deadline_ns: 1,
+                },
+            }),
+            (Entry::ShedExpired, || Outcome::Shed {
+                reason: ShedReason::DeadlineExpired {
+                    now_ns: 2,
+                    deadline_ns: 1,
+                },
+            }),
+        ];
+        for round in 0..resolutions.len() {
+            for (c, &class) in classes.iter().enumerate() {
+                let options = SubmitOptions::default().priority(class);
+                for home in 0..2u64 {
+                    let ticket = lands_in(&admission, class, Entry::Accepted, || {
+                        sub.submit_with(request(home), options)
+                            .expect("a free slot")
+                    });
+                    let full = lands_in(&admission, class, Entry::WouldBlock, || {
+                        sub.submit_with(request(home), options)
+                    });
+                    assert!(matches!(full, Err(SubmitRejection::WouldBlock { .. })));
+                    assert_eq!(
+                        admission.in_flight(),
+                        1,
+                        "the capacity undo gave its slot back"
+                    );
+                    let Ok(Job::Request(job)) = rx.try_recv() else {
+                        panic!("the accepted request is on the channel");
+                    };
+                    let (entry, outcome) =
+                        resolutions[(round + c + home as usize) % resolutions.len()];
+                    lands_in(&admission, class, entry, || {
+                        job.ticket
+                            .fulfill(outcome(), Timeline::default(), |outcome| {
+                                admission.resolved(class.index(), home as usize, outcome);
+                            });
+                    });
+                    assert!(ticket.is_done());
+                    assert_eq!(admission.in_flight(), 0);
+                }
+                let past = options.deadline(Instant::now() - Duration::from_millis(1));
+                let stale = lands_in(&admission, class, Entry::DeadlinePast, || {
+                    sub.submit_with(request(0), past)
+                });
+                assert!(matches!(
+                    stale,
+                    Err(SubmitRejection::DeadlineAlreadyPast { .. })
+                ));
+                *shut_down.write().unwrap() = true;
+                let closed = lands_in(&admission, class, Entry::QueueClosed, || {
+                    sub.submit_with(request(1), options)
+                });
+                assert!(matches!(closed, Err(SubmitRejection::QueueClosed { .. })));
+                *shut_down.write().unwrap() = false;
+            }
+        }
+        drop(rx);
+        let batch = SubmitOptions::default().priority(Priority::Batch);
+        let dead = lands_in(&admission, Priority::Batch, Entry::QueueClosed, || {
+            sub.submit_with(request(1), batch)
+        });
+        assert!(matches!(dead, Err(SubmitRejection::QueueClosed { .. })));
+        admission.wait_idle();
+        assert_eq!(admission.in_flight(), 0);
+
+        let rows = Priority::ALL.map(|p| admission.class_report(p.index()));
+        for (p, row) in Priority::ALL.iter().zip(&rows) {
+            assert_eq!(
+                row.offered,
+                row.completed + row.failed + row.shed + row.rejected,
+                "{p:?}"
+            );
+            assert_eq!(row.accepted, row.completed + row.failed + row.shed, "{p:?}");
+        }
+        // Each class resolved 4 rounds × 2 homes, each outcome twice.
+        for class in classes {
+            let row = rows[class.index()];
+            assert_eq!(
+                (row.completed, row.failed, row.shed),
+                (2, 2, 4),
+                "{class:?}"
+            );
+        }
+        let sum = |column: fn(&ClassReport) -> u64| rows.iter().map(column).sum::<u64>();
+        let rejected = [Entry::WouldBlock, Entry::QueueClosed, Entry::DeadlinePast];
+        let shed = [Entry::ShedUnmeetable, Entry::ShedExpired];
+        assert_eq!(
+            rejected.map(|e| admission.total(e)).iter().sum::<u64>(),
+            sum(|r| r.rejected)
+        );
+        assert_eq!(
+            shed.map(|e| admission.total(e)).iter().sum::<u64>(),
+            sum(|r| r.shed)
+        );
+        assert_eq!(admission.total(Entry::Completed), sum(|r| r.completed));
+        assert_eq!(admission.total(Entry::Failed), sum(|r| r.failed));
+        assert_eq!(admission.total(Entry::Accepted), sum(|r| r.accepted));
     }
 
     /// `Instant::now() + Duration::MAX` overflows: such a timeout must

@@ -130,17 +130,9 @@ impl LatencyHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` identical samples (a no-op when `n == 0`).
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[bucket_index(value)] += n;
-        self.count += n;
-        self.sum += u128::from(value) * u128::from(n);
+        self.counts[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum += u128::from(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -223,11 +215,6 @@ impl LatencyHistogram {
     /// 99th percentile — the serving tail CI gates on.
     pub fn p99(&self) -> u64 {
         self.value_at_quantile(0.99)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.value_at_quantile(0.999)
     }
 
     /// Deterministic byte encoding of the full state (sparse, ascending
@@ -380,13 +367,6 @@ impl Timeline {
     /// End-to-end response time: scheduled arrival until completion.
     pub fn total_ns(&self) -> u64 {
         self.completed_ns.saturating_sub(self.arrival_ns)
-    }
-
-    /// Nanoseconds of deadline budget left at completion (`None` when the
-    /// request carried no deadline, `Some(0)` when it completed exactly
-    /// at — or past — its deadline; see [`Timeline::missed_deadline`]).
-    pub fn deadline_slack_ns(&self) -> Option<u64> {
-        (self.deadline_ns != 0).then(|| self.deadline_ns.saturating_sub(self.completed_ns))
     }
 
     /// Whether the request completed after its deadline (always `false`
@@ -555,20 +535,17 @@ mod tests {
         assert_eq!(t.queueing_delay_ns(), 450);
         assert_eq!(t.service_ns(), 400);
         assert_eq!(t.total_ns(), 900);
-        assert_eq!(t.deadline_slack_ns(), Some(200));
         assert!(!t.missed_deadline());
         let late = Timeline {
             deadline_ns: 900,
             ..t
         };
-        assert_eq!(late.deadline_slack_ns(), Some(0));
         assert!(late.missed_deadline());
         // Out-of-order stamps saturate instead of wrapping.
         let zero = Timeline::default();
         assert_eq!(zero.total_ns(), 0);
         assert_eq!(zero.queueing_delay_ns(), 0);
-        // No deadline: no slack, never "missed".
-        assert_eq!(zero.deadline_slack_ns(), None);
+        // No deadline: never "missed".
         assert!(!zero.missed_deadline());
     }
 

@@ -44,7 +44,7 @@
 //!   (arrival → accepted → round-closed → execute-start → completed), and
 //!   the dispatcher aggregates per-shard mergeable [`LatencyHistogram`]s
 //!   into [`DispatchReport::latency`]
-//!   — p50/p99/p999 queueing, batching, service and end-to-end response
+//!   — p50/p99 (any quantile) of queueing, batching, service and end-to-end response
 //!   time, the closed-loop half of the serving claim.
 //! - [`PlatformSummary::modelled`] prices the traffic a run served on the
 //!   paper's baseline platforms (`dpu_baselines::BaselineModel` — the

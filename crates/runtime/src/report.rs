@@ -118,11 +118,10 @@ pub struct ClassReport {
     pub accepted: u64,
     /// Accepted requests executed to successful completion.
     pub completed: u64,
-    /// Accepted requests that resolved
-    /// [`Outcome::Failed`]: a per-request engine
-    /// error, or a shard loss — in the dying shard's hand, or with no
-    /// surviving compatible shard to recover onto. (Before the failure ledger these were miscounted as
-    /// completions.)
+    /// Accepted requests that resolved [`Outcome::Failed`]: a
+    /// per-request engine error, or a shard loss — in the dying shard's
+    /// hand, or with no surviving compatible shard to recover onto. Never
+    /// counted under `completed`.
     pub failed: u64,
     /// Accepted requests shed before execution to protect a deadline.
     pub shed: u64,
@@ -135,7 +134,8 @@ pub struct ClassReport {
 /// [`Dispatcher::shutdown`].
 ///
 /// Overload accounting lives in [`DispatchReport::classes`] (per
-/// [`Priority`] class) plus the by-kind splits: rejected-at-shutdown
+/// [`Priority`] class) plus the by-kind splits, each a sum over the
+/// classes of one column of the admission ledger: rejected-at-shutdown
 /// ([`DispatchReport::rejected_queue_closed`]) is reported separately
 /// from shed-by-deadline ([`DispatchReport::shed_unmeetable`] /
 /// [`DispatchReport::shed_expired`]) — an operator must be able to tell
@@ -143,14 +143,17 @@ pub struct ClassReport {
 /// admitted work to protect its deadlines".
 #[derive(Debug, Clone)]
 pub struct DispatchReport {
-    /// Requests accepted over the dispatcher's lifetime.
+    /// Requests accepted over the dispatcher's lifetime: the sum of the
+    /// classes' [`ClassReport::accepted`].
     pub submitted: u64,
-    /// Requests executed (equals `submitted` minus
-    /// [`DispatchReport::shed`](DispatchReport::shed) — and exactly
-    /// `submitted` when nothing was shed: shutdown is loss-free). Under
-    /// hedging this counts *executions*, so losing hedge copies can push
-    /// it past `submitted`; the ticket ledger in
-    /// [`DispatchReport::classes`] stays exact either way.
+    /// Requests executed: run in a round that returned from its engine,
+    /// to a result or an engine error. That is `submitted` minus
+    /// [`DispatchReport::shed`](DispatchReport::shed) and the requests a
+    /// dying shard took down ([`ServeError::ShardLost`](crate::ServeError)),
+    /// so exactly `submitted` when nothing was shed or lost: shutdown is
+    /// loss-free. Under hedging or stall reclaim this counts
+    /// *executions*, so a losing copy can push it past `submitted`; the
+    /// ticket ledger in [`DispatchReport::classes`] stays exact either way.
     pub served: u64,
     /// Rounds closed because they reached
     /// [`DispatchOptions::max_batch`].
@@ -169,16 +172,14 @@ pub struct DispatchReport {
     /// passed to [`Dispatcher::new`].
     pub stores: Vec<CacheStats>,
     /// Host wall-clock seconds of the **serving window**: first accepted
-    /// request → last completed job. This is the denominator host-side
-    /// throughput should divide by; measuring from construction (as this
-    /// field did before the serving-window fix, now
-    /// [`DispatchReport::lifetime_seconds`]) under-reports whenever the
-    /// dispatcher idles before traffic arrives. 0.0 when nothing was
+    /// request → last resolved ticket. This is the denominator host-side
+    /// throughput should divide by: unlike
+    /// [`DispatchReport::lifetime_seconds`], it does not count time the
+    /// dispatcher idled before traffic arrived. 0.0 when nothing was
     /// served.
     pub host_seconds: f64,
-    /// Host wall-clock seconds from construction to shutdown — the old
-    /// `host_seconds` total, kept as its own field so dashboards and
-    /// baselines switch to the serving window consciously, not silently.
+    /// Host wall-clock seconds from construction to shutdown, idle time
+    /// included.
     pub lifetime_seconds: f64,
     /// Per-request latency distributions over every shard, merged from
     /// [`ShardReport::latency`]. The host-time histograms

@@ -301,6 +301,13 @@ fn batch_never_starves_under_sustained_interactive_load() {
 /// dropped — every `Ok` submit resolves to `Completed` or `Shed`, and the
 /// ledger balances exactly: `offered == completed + shed + rejected`.
 ///
+/// A drain waits for the in-flight count (the home shards' admission
+/// depths) to reach zero, and a `WouldBlock` claims a depth slot before
+/// giving it back. So a second drain starts once a producer has bounced,
+/// while producers still bounce and shards still complete: if giving a
+/// slot back could be the last decrement without waking the drain, the
+/// drain would hang here.
+///
 /// The last round is a burst: rounds close only on a 50 ms timer or the
 /// drain, so the 600 submissions overrun `queue_capacity` and bounce with
 /// `WouldBlock`, and tight deadlines are shed. Overload must still
@@ -335,6 +342,8 @@ fn no_accepted_ticket_is_ever_silently_dropped() {
             ..Default::default()
         }));
         let key = d.register(small_dag());
+        let bounced = Arc::new(AtomicBool::new(false));
+        let finished = Arc::new(AtomicBool::new(false));
 
         // Two producers race submissions (mixed priorities, churning
         // deadlines, some already hopeless) against a concurrent drain;
@@ -342,6 +351,7 @@ fn no_accepted_ticket_is_ever_silently_dropped() {
         let mut producers = Vec::new();
         for p in 0..2 {
             let sub = d.submitter();
+            let bounced = Arc::clone(&bounced);
             let mut draw = {
                 let seed = rng() | 1;
                 let mut s = seed;
@@ -384,9 +394,12 @@ fn no_accepted_ticket_is_ever_silently_dropped() {
                             tickets.push(t);
                             accepted += 1;
                         }
+                        Err(SubmitRejection::WouldBlock { .. }) => {
+                            bounced.store(true, Ordering::Relaxed);
+                            rejected += 1;
+                        }
                         Err(
-                            SubmitRejection::WouldBlock { .. }
-                            | SubmitRejection::DeadlineAlreadyPast { .. }
+                            SubmitRejection::DeadlineAlreadyPast { .. }
                             | SubmitRejection::QueueClosed { .. },
                         ) => rejected += 1,
                     }
@@ -398,11 +411,17 @@ fn no_accepted_ticket_is_ever_silently_dropped() {
             }));
         }
 
-        // A concurrent drain mid-stream: a barrier, not a shutdown.
+        // A concurrent drain mid-stream: a barrier, not a shutdown. Then
+        // another once a submit has bounced (or the producers are done).
         let drainer = {
             let d = Arc::clone(&d);
+            let (bounced, finished) = (Arc::clone(&bounced), Arc::clone(&finished));
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(2));
+                d.drain();
+                while !bounced.load(Ordering::Relaxed) && !finished.load(Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
                 d.drain();
             })
         };
@@ -416,7 +435,10 @@ fn no_accepted_ticket_is_ever_silently_dropped() {
             accepted += a;
             rejected += r;
         }
+        finished.store(true, Ordering::Relaxed);
         drainer.join().unwrap();
+        d.drain();
+        assert_eq!(d.in_flight(), 0, "round {round}: drained, yet in flight");
 
         let report = Arc::try_unwrap(d)
             .unwrap_or_else(|_| panic!("sole owner"))

@@ -9,7 +9,7 @@
 //! every production path, the dispatcher keeps one path that shares
 //! rounds instead of copying them and is the runtime's one serving stack
 //! (the only place it spawns threads, two kinds of them), a shard dies at
-//! one contained site, its scheduling
+//! one contained site, a ticket resolves at one site, its scheduling
 //! core reads no clock and takes no lock, a dispatcher's engine shards are
 //! built in one place over one program store, the register file's write policy
 //! stays stated once, the compiler's passes keep no table whose order
@@ -377,6 +377,21 @@ fn runtime_spawns_threads_only_in_the_dispatcher() {
     );
 }
 
+/// Lines of the runtime's `file` production code (cut at `#[cfg(test)]`,
+/// comments stripped) that call `pattern` — a `fn` line declares, it does
+/// not call.
+fn runtime_call_sites(file: &str, pattern: &str) -> Vec<String> {
+    let path = repo_root().join("crates/runtime/src").join(file);
+    let text = fs::read_to_string(&path).expect("source file is UTF-8");
+    text.lines()
+        .take_while(|l| l.trim() != "#[cfg(test)]")
+        .map(|l| l.split("//").next().unwrap_or(""))
+        .enumerate()
+        .filter(|(_, line)| line.contains(pattern) && !line.contains("fn "))
+        .map(|(idx, line)| format!("{}:{}: {}", path.display(), idx + 1, line.trim()))
+        .collect()
+}
+
 #[test]
 fn a_shard_dies_at_one_contained_site() {
     // A shard has one way to die: a panic where its round executes,
@@ -385,28 +400,42 @@ fn a_shard_dies_at_one_contained_site() {
     // in-hand jobs fail and `abandon_shard` recovers the backlog. A second
     // catch site or a second caller of `abandon_shard` (a kill at checkout
     // was one) is a second death path for the failure tests to miss.
-    let path = repo_root().join("crates/runtime/src/dispatch.rs");
-    let text = fs::read_to_string(&path).expect("source file is UTF-8");
-    let code: Vec<&str> = text
-        .lines()
-        .take_while(|l| l.trim() != "#[cfg(test)]")
-        .map(|l| l.split("//").next().unwrap_or(""))
-        .collect();
-    let sites = |pattern: &str| -> Vec<String> {
-        code.iter()
-            .enumerate()
-            .filter(|(_, line)| line.contains(pattern) && !line.contains("fn "))
-            .map(|(idx, line)| format!("{}:{}: {}", path.display(), idx + 1, line.trim()))
-            .collect()
-    };
     for pattern in ["catch_unwind(", "abandon_shard("] {
-        let hits = sites(pattern);
+        let hits = runtime_call_sites("dispatch.rs", pattern);
         assert_eq!(
             hits.len(),
             1,
             "dispatch.rs has one `{pattern}` call, at the execute site: {hits:?}"
         );
     }
+}
+
+#[test]
+fn a_ticket_resolves_at_one_site() {
+    // Every accepted ticket resolves exactly once, and one function does
+    // it for a shed at ingestion, a shed at execute time, a completion and
+    // a failure alike: it claims the job, stamps completion, writes the
+    // ledger entry, releases the home shard's depth slot (the in-flight
+    // count `drain` waits on) and fulfils the ticket. A second claim or
+    // fulfilment is a second copy of that sequence, free to drift from it.
+    for pattern in [".fulfill(", ".claim()"] {
+        let hits = runtime_call_sites("dispatch.rs", pattern);
+        assert_eq!(
+            hits.len(),
+            1,
+            "dispatch.rs has one `{pattern}` call, in `resolve`: {hits:?}"
+        );
+    }
+    // Every depth decrement — a resolution's, and a submit's giving back
+    // a slot it claimed — goes through `Admission::release`, the one that
+    // wakes a `drain` when a slot reaches zero; a silent decrement can be
+    // the last one and leave the drain asleep.
+    let hits = runtime_call_sites("ingest.rs", "fetch_sub(");
+    assert_eq!(
+        hits.len(),
+        1,
+        "ingest.rs decrements a depth slot only in `Admission::release`: {hits:?}"
+    );
 }
 
 #[test]
