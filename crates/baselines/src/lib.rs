@@ -25,10 +25,8 @@ pub mod spu;
 
 pub use exec::BaselineModel;
 
-use serde::{Deserialize, Serialize};
-
 /// A platform measurement for one workload (one bar of Fig. 14).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformResult {
     /// Platform name as used in Table III.
     pub platform: &'static str,

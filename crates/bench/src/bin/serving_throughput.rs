@@ -144,8 +144,7 @@ fn main() {
     );
 
     let freq = energy::calib::FREQ_HZ;
-    // One machine-readable perf line (built through `dpu_bench::report`:
-    // the vendored serde stub has no serializer).
+    // One machine-readable perf line, built through `dpu_bench::report`.
     let line = Json::obj()
         .field("bench", "serving_throughput")
         .field("requests", report.results.len())

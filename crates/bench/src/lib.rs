@@ -106,22 +106,6 @@ pub fn measure(dpu: &Dpu, w: &Workload) -> DpuRun {
     }
 }
 
-/// Like [`measure`] but verifying outputs against the reference evaluator.
-pub fn measure_verified(dpu: &Dpu, w: &Workload) -> DpuRun {
-    let compiled = dpu
-        .compile(&w.dag)
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.spec.name));
-    let rep = dpu
-        .execute_verified(&compiled, &w.inputs)
-        .unwrap_or_else(|e| panic!("{}: verification failed: {e}", w.spec.name));
-    let metrics = dpu.metrics(&rep.result);
-    DpuRun {
-        compiled,
-        run: rep.result,
-        metrics,
-    }
-}
-
 /// Throughput in GOPS for a simulated run at the calibrated frequency.
 pub fn gops(run: &RunResult) -> f64 {
     sim::throughput_ops(run, dpu_core::energy::calib::FREQ_HZ) / 1e9
@@ -193,7 +177,7 @@ mod tests {
         let inputs = inputs_for(&spec, &dag);
         let w = Workload { spec, dag, inputs };
         let dpu = Dpu::new(ArchConfig::new(2, 8, 32).unwrap());
-        let r = measure_verified(&dpu, &w);
+        let r = measure(&dpu, &w);
         assert!(r.run.cycles > 0);
         assert!(gops(&r.run) > 0.0);
     }

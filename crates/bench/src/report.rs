@@ -1,10 +1,10 @@
 //! Machine-readable bench reports: a minimal JSON value type with a
 //! renderer, plus the shared `--json <path>` flag handling.
 //!
-//! The vendored `serde` stub has no serializer (the real workspace never
-//! needed one at runtime), so `serving_throughput` builds its perf line
-//! through this module instead: [`Json`] is a tiny JSON document model,
-//! rendered deterministically (object keys keep insertion order).
+//! The workspace serializes nothing through serde (no type derives its
+//! traits), so `serving_throughput` builds its perf line through this
+//! module instead: [`Json`] is a tiny JSON document model, rendered
+//! deterministically (object keys keep insertion order).
 
 use std::fmt::Write as _;
 

@@ -4,7 +4,6 @@ use std::time::Instant;
 
 use dpu_dag::{partition, Dag, NodeId};
 use dpu_isa::{ArchConfig, InstrBreakdown, Program};
-use serde::{Deserialize, Serialize};
 
 use crate::emit::{emit, EmitError};
 use crate::finalize::{finalize, FinalizeError};
@@ -108,7 +107,7 @@ impl From<dpu_verify::VerifyError> for CompileError {
 
 /// Compilation statistics (feeds Table I's compile-time column, Fig. 10's
 /// conflict study, Fig. 13's instruction breakdown and §IV-E's footprint).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompileStats {
     /// Blocks produced by step 1.
     pub blocks: u64,

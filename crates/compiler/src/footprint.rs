@@ -9,10 +9,9 @@
 
 use dpu_dag::{Dag, Op};
 use dpu_isa::Program;
-use serde::{Deserialize, Serialize};
 
 /// Footprint comparison for one compiled workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Footprint {
     /// Instruction bits of the compiled program.
     pub instr_bits: u64,

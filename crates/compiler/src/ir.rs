@@ -1,6 +1,5 @@
 use dpu_dag::NodeId;
 use dpu_isa::{PeId, PeOpcode};
-use serde::{Deserialize, Serialize};
 
 /// A tree-shaped subgraph selected by block decomposition (§IV-A), placed
 /// into a subtree *slot* of one PE tree.
@@ -353,7 +352,7 @@ impl<T: Copy + Default> Csr<T> {
 }
 
 /// Data-memory layout of a compiled program.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataLayout {
     /// `(row, column)` of every DAG input value, indexed by input ordinal
     /// (the order [`dpu_dag::eval::evaluate`] consumes inputs).
@@ -368,7 +367,7 @@ pub struct DataLayout {
 }
 
 /// Bank-conflict and repair statistics (Fig. 6(e), Fig. 10(b)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConflictStats {
     /// Block inputs that had to be copied because another input of the same
     /// exec lived in the same bank (constraint F violations).

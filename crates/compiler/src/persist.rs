@@ -9,9 +9,9 @@
 //! panic, never silently trusted) and the caller falls back to
 //! compiling.
 //!
-//! The vendored `serde` stub has no runtime serializer (see
-//! `vendor/README.md`), so the format is hand-rolled. The instruction
-//! stream reuses the ISA's dense bit-packing
+//! No type derives serde's traits (the vendored stub has no runtime
+//! serializer; see `vendor/README.md`), so the format is hand-rolled.
+//! The instruction stream reuses the ISA's dense bit-packing
 //! ([`Program::pack`]/[`Program::unpack`] — the Fig. 7(b)
 //! instruction-memory image), which the ISA crate already round-trip
 //! tests; everything else is written field by field.

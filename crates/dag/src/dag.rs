@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::builder::check_row;
 use crate::{DagBuilder, DagError, NodeId, Op};
 
@@ -9,7 +7,7 @@ use crate::{DagBuilder, DagError, NodeId, Op};
 /// (guaranteed by [`DagBuilder`]). Edges carry operand *position*: the k-th
 /// predecessor of a node is its k-th operand, which matters for the
 /// non-commutative ops `Sub` and `Div`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dag {
     ops: Vec<Op>,
     pred_offsets: Vec<u32>,
@@ -134,23 +132,9 @@ impl Dag {
         &self.succ_data[s..e]
     }
 
-    /// Out-degree of node `n` (counting duplicate uses).
-    pub fn out_degree(&self, n: NodeId) -> usize {
-        self.succs(n).len()
-    }
-
     /// In-degree (operand count) of node `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
         self.preds(n).len()
-    }
-
-    /// Maximum out-degree over all nodes (Δ(G) in the paper's complexity
-    /// analysis of Algorithm 2).
-    pub fn max_out_degree(&self) -> usize {
-        (0..self.len())
-            .map(|i| self.out_degree(NodeId(i as u32)))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Iterator over all node ids in topological (= id) order.
@@ -339,9 +323,7 @@ mod tests {
         assert_eq!(d.preds(s), &[l, r]);
         assert_eq!(d.succs(a), &[l, l, r, r]);
         assert_eq!(d.succs(l), &[s]);
-        assert_eq!(d.out_degree(a), 4);
         assert_eq!(d.in_degree(s), 2);
-        assert_eq!(d.max_out_degree(), 4);
     }
 
     #[test]

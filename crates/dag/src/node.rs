@@ -1,13 +1,11 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node within a [`Dag`](crate::Dag).
 ///
 /// Node ids are dense indices assigned in insertion order by
 /// [`DagBuilder`](crate::DagBuilder); they index directly into the DAG's
 /// internal arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -38,7 +36,7 @@ impl fmt::Display for NodeId {
 /// `x_i = (b_i - Σ L_ij·x_j) / L_ii`), so the reproduction's PEs support the
 /// full set below; this does not change any architectural claim because all
 /// ops are single-cycle two-input scalar operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// External input (a DAG source); holds no operation.
     Input,

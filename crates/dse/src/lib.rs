@@ -7,15 +7,13 @@
 //! workloads. The minimum-EDP design is `(D=3, B=64, R=32)`.
 //!
 //! This crate reproduces that sweep with the real compiler + simulator +
-//! energy model, fanning configurations out over threads (crossbeam
-//! scoped threads; compilation dominates the cost).
+//! energy model, fanning configurations out over threads (std scoped
+//! threads; compilation dominates the cost).
 
-use crossbeam::thread;
 use dpu_compiler::{compile, CompileOptions};
 use dpu_dag::Dag;
 use dpu_energy::Metrics;
 use dpu_isa::ArchConfig;
-use serde::{Deserialize, Serialize};
 
 /// The paper's sweep grid.
 pub fn paper_grid() -> Vec<ArchConfig> {
@@ -31,7 +29,7 @@ pub fn paper_grid() -> Vec<ArchConfig> {
 }
 
 /// One evaluated design point (averaged over the workload set).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DsePoint {
     /// Tree depth.
     pub depth: u32,
@@ -115,11 +113,11 @@ pub fn explore(
 ) -> Result<Vec<DsePoint>, DseError> {
     let threads = threads.clamp(1, grid.len().max(1));
     let chunks: Vec<&[ArchConfig]> = grid.chunks(grid.len().div_ceil(threads)).collect();
-    let results = thread::scope(|s| {
+    let results = std::thread::scope(|s| {
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     chunk
                         .iter()
                         .map(|cfg| evaluate_config(cfg, workloads))
@@ -131,13 +129,12 @@ pub fn explore(
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect::<Result<Vec<Vec<DsePoint>>, DseError>>()
-    })
-    .expect("scope panicked")?;
+    })?;
     Ok(results.into_iter().flatten().collect())
 }
 
 /// The three optima the paper highlights in Fig. 11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Optima {
     /// Minimum latency-per-op point.
     pub min_latency: DsePoint,

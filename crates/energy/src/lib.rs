@@ -40,7 +40,6 @@
 
 use dpu_isa::{encode, ArchConfig};
 use dpu_sim::{Activity, RunResult};
-use serde::{Deserialize, Serialize};
 
 /// Calibration constants (anchored at the min-EDP point, see module docs).
 pub mod calib {
@@ -89,7 +88,7 @@ pub mod calib {
 }
 
 /// One row of the Table II style breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaPowerRow {
     /// Component name (Table II wording).
     pub name: &'static str,
@@ -230,7 +229,7 @@ pub fn table2(cfg: &ArchConfig, act: &Activity, cycles: u64) -> Vec<AreaPowerRow
 }
 
 /// The objectives of the design-space exploration (Fig. 11).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Latency per DAG operation (ns).
     pub latency_per_op_ns: f64,

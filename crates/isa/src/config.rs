@@ -1,8 +1,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Datapath ↔ register-bank interconnect topology (Fig. 6 of the paper).
 ///
 /// The *input* side (register banks → tree input ports) and the *output*
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// restricted connection. The paper explores the four options below and
 /// selects (b): crossbar input, one-PE-per-layer output, which costs 1.4×
 /// the conflicts of (a) but 9% less power.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// Fig. 6(a): full crossbars on both input and output.
     CrossbarBoth,
@@ -107,7 +105,7 @@ impl Error for ConfigError {}
 /// tree depth `D`, bank count `B`, registers per bank `R`, plus the
 /// interconnect [`Topology`]. Everything else — number of trees, PE count,
 /// pipeline depth, instruction field widths — is derived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArchConfig {
     /// Depth of each PE tree (number of PE layers).
     pub depth: u32,

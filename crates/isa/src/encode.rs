@@ -49,8 +49,6 @@
 //! Grouping changes no bit of the image: a group's first field is its
 //! lowest bits, exactly where a field-at-a-time writer would put it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     ArchConfig, CopyMove, ExecInstr, Instr, InstrKind, PeId, PeOpcode, PortRead, RegRead, Topology,
 };
@@ -64,7 +62,7 @@ pub const ROW_BITS: u32 = 32;
 pub const COUNT_BITS: u32 = 3;
 
 /// Append-only bit buffer, LSB-first within each byte.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BitWriter {
     bytes: Vec<u8>,
     len_bits: usize,

@@ -1,14 +1,12 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{interconnect, ArchConfig};
 
 /// Identifies one processing element inside the datapath.
 ///
 /// PEs are arranged in `T` trees of `D` layers; layer `l` (1-based, counted
 /// from the leaves) of a tree contains `2^(D-l)` PEs indexed left to right.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PeId {
     /// Tree index (`0..T`).
     pub tree: u32,
@@ -88,7 +86,7 @@ impl fmt::Display for PeId {
 
 /// Per-PE operation selector within an `exec` instruction (§III-A: each PE
 /// performs a basic arithmetic op or bypasses one of its inputs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeOpcode {
     /// PE idle; output undefined and must not be written anywhere.
     Nop,
@@ -170,7 +168,7 @@ impl PeOpcode {
 /// A register-file read: bank, address, and the `valid_rst` last-read marker
 /// (§III-B — resetting the valid bit frees the register for the automatic
 /// write-address generator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegRead {
     /// Bank to read.
     pub bank: u32,
@@ -181,7 +179,7 @@ pub struct RegRead {
 }
 
 /// A read routed through the input crossbar to a tree input port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PortRead {
     /// Source bank (must equal the port id under topology (d)).
     pub bank: u32,
@@ -194,7 +192,7 @@ pub struct PortRead {
 /// One bank-to-bank move of a `copy` instruction (§III-D, Fig. 5(c)): data
 /// are read from `src`, routed through the input crossbar, and written to
 /// the automatically chosen address of `dst_bank`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CopyMove {
     /// Source read (bank, address, last-read marker).
     pub src: RegRead,
@@ -204,7 +202,7 @@ pub struct CopyMove {
 
 /// The `exec` instruction: configures every tree for one pipelined pass
 /// (Fig. 5(a)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecInstr {
     /// Per tree-input-port operand fetch; `None` leaves the port undriven
     /// (its leaf PE must then bypass the other side or be `Nop`).
@@ -218,7 +216,7 @@ pub struct ExecInstr {
 }
 
 /// A decoded DPU-v2 instruction (Fig. 7(a)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// No operation (also used to fill unresolved pipeline hazards).
     Nop,
@@ -260,7 +258,7 @@ pub enum Instr {
 }
 
 /// Instruction category, used for statistics and the Fig. 13 breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrKind {
     /// `nop`
     Nop,
@@ -516,11 +514,6 @@ impl ExecInstr {
             }
         }
         Ok(())
-    }
-
-    /// Number of active (non-`Nop`) PEs — the datapath utilization counter.
-    pub fn active_pes(&self) -> usize {
-        self.pe_ops.iter().filter(|&&o| o != PeOpcode::Nop).count()
     }
 }
 

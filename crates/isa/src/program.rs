@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::encode::{self, BitWriter, DecodeError};
 use crate::{ArchConfig, Instr, InstrKind};
 
 /// Per-category instruction counts — the data behind Fig. 13.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct InstrBreakdown {
     /// `exec` count.
     pub exec: u64,
@@ -43,7 +41,7 @@ impl InstrBreakdown {
 /// The program can be [packed](Program::pack) into the dense instruction-
 /// memory image of Fig. 7(b) and decoded back (the shifter model); the
 /// simulator executes the decoded form directly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Architecture configuration the program targets.
     pub config: ArchConfig,

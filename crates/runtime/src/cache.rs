@@ -49,7 +49,6 @@ use dpu_compiler::{compile, CompileError, CompileOptions, Compiled};
 use dpu_dag::Dag;
 use dpu_isa::{ArchConfig, Fnv1a, Topology};
 use dpu_sim::{DecodedProgram, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::DagKey;
 
@@ -69,7 +68,7 @@ pub struct CacheKey {
 }
 
 /// Point-in-time cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a compiled program (including threads that
     /// waited on a concurrent compile of the same key rather than
@@ -559,11 +558,6 @@ impl ProgramCache {
     /// The compiler options every entry is compiled with.
     pub fn options(&self) -> &CompileOptions {
         &self.options
-    }
-
-    /// The spill store this cache persists through, if any.
-    pub fn spill_store(&self) -> Option<&SpillStore> {
-        self.spill.as_ref()
     }
 
     /// Why the most recent spill file was rejected, if any ever was —
@@ -1461,7 +1455,10 @@ mod tests {
             })
             .expect("program stores its outputs");
         bad.program.instrs.remove(last_store);
-        cache.spill_store().unwrap().store(&key, &bad).unwrap();
+        SpillStore::new(&dir, &CompileOptions::default())
+            .unwrap()
+            .store(&key, &bad)
+            .unwrap();
 
         // A restarted cache must refuse the entry at load (typed, counted)
         // and compile instead — never panic, never serve the bad program.
@@ -1504,7 +1501,10 @@ mod tests {
         // spilled a good entry back; this overwrites it).
         let mut bad = (*good).clone();
         bad.stats.total_cycles += 1;
-        cache.spill_store().unwrap().store(&key, &bad).unwrap();
+        SpillStore::new(&dir, &CompileOptions::default())
+            .unwrap()
+            .store(&key, &bad)
+            .unwrap();
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
         match store.load(&key) {
             SpillLookup::Unverifiable(dpu_verify::VerifyError::CycleMismatch {
@@ -1534,10 +1534,12 @@ mod tests {
         assert!(cache.last_spill_reject().is_none());
 
         // Corrupt the spilled file, then look it up through a fresh cache.
-        let path = cache.spill_store().unwrap().path_for(&CacheKey {
-            dag: k,
-            config: cfg,
-        });
+        let path = SpillStore::new(&dir, &CompileOptions::default())
+            .unwrap()
+            .path_for(&CacheKey {
+                dag: k,
+                config: cfg,
+            });
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;

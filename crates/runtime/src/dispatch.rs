@@ -116,12 +116,14 @@ use dpu_isa::ArchConfig;
 use dpu_sim::Machine;
 
 use crate::chaos::{ChaosPlan, HedgeOptions};
-use crate::ingest::{job_channel, Admission, Entry, Gate, Job, Outcome, ShedReason, Submitter};
+use crate::ingest::{job_channel, Admission, Entry, Gate, Job, Outcome, Submitter};
 use crate::latency::{Clock, LatencyReport, Timeline};
 use crate::planner::plan_rounds;
 use crate::pool::{Engine, EngineOptions, ProgramStore, Request, ServeError};
 use crate::report::{ClassReport, DispatchReport, ShardReport};
-use crate::sched::{Batcher, Checkout, Core, QueuedRound, Round, TrackedJob};
+use crate::sched::{
+    shed_at_execute, shed_at_ingest, Batcher, Checkout, Core, QueuedRound, Round, TrackedJob,
+};
 use crate::wake::Waiters;
 use crate::{dag_fingerprint, DagKey};
 
@@ -668,20 +670,10 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
                 };
                 let home = home_shard(sub.request.dag, n);
                 let job = TrackedJob::new(sub.request, sub.ticket, sub.priority, timeline);
-                // Shed-before-queue: when the live queueing + service
-                // estimate already proves the deadline unmeetable, resolve
-                // the ticket now instead of spending a round slot on a
-                // result nobody can use in time.
-                if sub.deadline_ns != 0 {
-                    let projected_ns = admission.projected_completion_ns(accepted_ns);
-                    if projected_ns > sub.deadline_ns {
-                        let reason = ShedReason::DeadlineUnmeetable {
-                            projected_ns,
-                            deadline_ns: sub.deadline_ns,
-                        };
-                        resolve(shared, &job, home, Outcome::Shed { reason }, timeline);
-                        continue;
-                    }
+                let projected_ns = || admission.projected_completion_ns(accepted_ns);
+                if let Some(reason) = shed_at_ingest(sub.deadline_ns, projected_ns) {
+                    resolve(shared, &job, home, Outcome::Shed { reason }, timeline);
+                    continue;
                 }
                 if let Some(round) = batcher.add(home, job, accepted_ns) {
                     stats.closed_full += 1;
@@ -821,28 +813,21 @@ fn shard_loop(shared: &Shared, me: usize) {
         // writes it, and shutdown reads it after joining every worker.
         let mut latency = my.latency.lock().expect("latency poisoned");
         // Pass 1 — admission: stamp each job's own execute-start and run
-        // the last-chance deadline check: if the deadline passed in
-        // queue, or the remaining service estimate no longer fits it,
-        // shed instead of executing. Shed jobs are fully resolved here
-        // and never reach the engine. Sheds are attributed to
-        // `round.home` — the shard whose backlog cost the job its
-        // deadline — not the executing shard.
+        // the last-chance deadline check ([`shed_at_execute`]). Shed jobs
+        // are fully resolved here and never reach the engine. Sheds are
+        // attributed to `round.home` — the shard whose backlog cost the
+        // job its deadline — not the executing shard.
         let mut exec_idx: Vec<usize> = Vec::with_capacity(round.jobs.len());
         for (i, (job, timeline)) in round.jobs.iter().zip(&mut timelines).enumerate() {
             if job.already_resolved() {
                 continue; // another handle won the claim while we queued
             }
-            timeline.execute_start_ns = clock.now_ns();
-            if timeline.deadline_ns != 0 {
-                let now_ns = timeline.execute_start_ns;
-                if now_ns.saturating_add(admission.service_estimate()) > timeline.deadline_ns {
-                    let reason = ShedReason::DeadlineExpired {
-                        now_ns,
-                        deadline_ns: timeline.deadline_ns,
-                    };
-                    resolve(shared, job, round.home, Outcome::Shed { reason }, *timeline);
-                    continue;
-                }
+            let now_ns = clock.now_ns();
+            timeline.execute_start_ns = now_ns;
+            let estimate = || admission.service_estimate();
+            if let Some(reason) = shed_at_execute(timeline.deadline_ns, now_ns, estimate) {
+                resolve(shared, job, round.home, Outcome::Shed { reason }, *timeline);
+                continue;
             }
             exec_idx.push(i);
         }

@@ -377,11 +377,6 @@ impl Outcome {
     pub fn is_completed(&self) -> bool {
         matches!(self, Outcome::Completed(_))
     }
-
-    /// Whether the request failed.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, Outcome::Failed(_))
-    }
 }
 
 /// What a shard (or the shedding ingestion thread) hands back through a
@@ -741,6 +736,19 @@ impl Admission {
         Err(rejection)
     }
 
+    /// Claims a depth slot on `home`; gives it back and returns `false`
+    /// when the shard is at capacity. (The claim-then-check order admits
+    /// at most one transient overshoot per concurrent submitter — bounded,
+    /// and free of a CAS loop.)
+    pub(crate) fn admit(&self, home: usize) -> bool {
+        let prev = self.depth[home].fetch_add(1, Ordering::Relaxed);
+        if self.capacity.is_some_and(|cap| prev >= cap) {
+            self.release(home);
+            return false;
+        }
+        true
+    }
+
     /// Ledgers a resolved ticket of `class` under the entry its `outcome`
     /// implies and releases its depth slot on `home`, the shard its
     /// submit claimed the slot on.
@@ -897,14 +905,10 @@ impl Submitter {
             return admission.reject(class, SubmitRejection::QueueClosed { request });
         }
 
-        // Bounded admission: claim a depth slot on the home shard; give
-        // it back and reject if the queue is at capacity. (The claim-
-        // then-check order admits at most one transient overshoot per
-        // concurrent submitter — bounded, and free of a CAS loop.)
+        // Bounded admission: claim a depth slot on the home shard, or
+        // reject if the queue is at capacity.
         let home = home_shard(request.dag, admission.shards);
-        let prev = admission.depth[home].fetch_add(1, Ordering::Relaxed);
-        if admission.capacity.is_some_and(|cap| prev >= cap) {
-            admission.release(home);
+        if !admission.admit(home) {
             let retry_after = admission.retry_after();
             return admission.reject(
                 class,
@@ -1015,7 +1019,7 @@ mod tests {
         assert!(ticket.is_done());
         assert_eq!(ticket.timeline(), Some(timeline));
         let (outcome, got) = within(LIMIT, move || ticket.wait_detailed());
-        assert!(outcome.is_failed());
+        assert!(outcome.failure().is_some());
         assert_eq!(got, timeline);
     }
 
@@ -1032,7 +1036,10 @@ mod tests {
                     Some(ticket.wait())
                 }
             });
-            assert!(outcome.is_some_and(|o| o.is_failed()), "bounded {bounded}");
+            assert!(
+                outcome.is_some_and(|o| o.failure().is_some()),
+                "bounded {bounded}"
+            );
             fulfiller.join().expect("fulfiller");
         }
     }
@@ -1045,7 +1052,7 @@ mod tests {
             .expect_err("nothing fulfilled it");
         assert_eq!(state.done.waiting(), 0, "the expired wait deregistered");
         let fulfiller = fulfil_once_blocked(state);
-        assert!(within(LIMIT, move || ticket.wait()).is_failed());
+        assert!(within(LIMIT, move || ticket.wait()).failure().is_some());
         fulfiller.join().expect("fulfiller");
     }
 
@@ -1206,7 +1213,7 @@ mod tests {
         let ticket = Ticket::new(Arc::clone(&state));
         let fulfiller = fulfil_once_blocked(state);
         let outcome = within(LIMIT, move || ticket.wait_timeout(Duration::MAX).ok());
-        assert!(outcome.is_some_and(|o| o.is_failed()));
+        assert!(outcome.is_some_and(|o| o.failure().is_some()));
         fulfiller.join().expect("fulfiller");
     }
 }

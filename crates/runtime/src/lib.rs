@@ -101,18 +101,18 @@
 use dpu_compiler::persist::op_tag;
 use dpu_dag::Dag;
 use dpu_isa::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 pub mod cache;
 pub mod chaos;
 pub mod dispatch;
 pub mod ingest;
 pub mod latency;
-pub mod planner;
 pub mod pool;
 pub mod report;
 mod sched;
 mod wake;
+
+pub use dpu_sim::planner;
 
 pub use cache::{CacheKey, CacheStats, ProgramCache, SpillLookup, SpillStore};
 pub use chaos::{ChaosEvent, ChaosPlan, HedgeOptions};
@@ -137,7 +137,7 @@ pub const DPU_V2_L_CORES: usize = 8;
 /// is semantically significant for `Sub`/`Div`). The fingerprint is
 /// platform- and process-independent (FNV-1a, no randomized hashing), so
 /// keys are stable across runs and machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DagKey(pub u64);
 
 impl std::fmt::Display for DagKey {

@@ -29,7 +29,6 @@ use dpu_compiler::{CompileError, CompileOptions, Compiled};
 use dpu_dag::{Dag, DagError, NodeId};
 use dpu_isa::ArchConfig;
 use dpu_sim::{run_decoded_group, run_on, Activity, DecodedProgram, Machine, RunResult, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{read, write, CacheStats, ProgramCache, SpillStore};
 use crate::dispatch::{DispatchOptions, Dispatcher};
@@ -38,7 +37,7 @@ use crate::planner::{plan_rounds, BatchPlan};
 use crate::{dag_fingerprint, DagKey, DPU_V2_L_CORES};
 
 /// One serving request: which registered DAG to run, on which inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Key of a DAG previously added with [`Engine::register`].
     pub dag: DagKey,

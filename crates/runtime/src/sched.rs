@@ -26,6 +26,9 @@
 //!   shard's rounds, [`Core::sweep`] reclaims stalled leases and places
 //!   hedges, [`Core::close`] marks the end of the stream. A state change
 //!   another worker must see raises [`Core::take_wake`].
+//! - [`shed_at_ingest`] and [`shed_at_execute`] are the two deadline
+//!   decisions: whether the ingest thread sheds a request at the door, and
+//!   whether a shard sheds a job it is about to execute.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,7 +37,7 @@ use std::time::Duration;
 
 use crate::chaos::HedgeOptions;
 use crate::dispatch::DispatchOptions;
-use crate::ingest::{Priority, TicketState};
+use crate::ingest::{Priority, ShedReason, TicketState};
 use crate::latency::{nanos, LatencyHistogram, Timeline};
 use crate::pool::Request;
 
@@ -580,6 +583,46 @@ impl Batcher {
     }
 }
 
+/// Shed-before-queue: a request with a deadline (`deadline_ns != 0`, 0
+/// meaning none) is shed at the door when the live queueing + service
+/// estimate already projects its completion past the deadline — a round
+/// slot is not spent on a result nobody can use in time.
+///
+/// The estimates are counters every shard writes on each completion, so
+/// `projected_ns` is read only for a request that has a deadline.
+pub(crate) fn shed_at_ingest(
+    deadline_ns: u64,
+    projected_ns: impl FnOnce() -> u64,
+) -> Option<ShedReason> {
+    if deadline_ns == 0 {
+        return None;
+    }
+    let projected_ns = projected_ns();
+    (projected_ns > deadline_ns).then_some(ShedReason::DeadlineUnmeetable {
+        projected_ns,
+        deadline_ns,
+    })
+}
+
+/// The last-chance check at execute-start `now_ns`: a job whose deadline
+/// passed in queue, or whose remaining service estimate no longer fits
+/// it, is shed instead of executed. As at ingest, the estimate is read
+/// only for a job that has a deadline.
+pub(crate) fn shed_at_execute(
+    deadline_ns: u64,
+    now_ns: u64,
+    service_estimate_ns: impl FnOnce() -> u64,
+) -> Option<ShedReason> {
+    if deadline_ns == 0 {
+        return None;
+    }
+    let late = now_ns.saturating_add(service_estimate_ns()) > deadline_ns;
+    late.then_some(ShedReason::DeadlineExpired {
+        now_ns,
+        deadline_ns,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -889,5 +932,127 @@ mod tests {
         let want = [Priority::Interactive, Priority::Standard, Priority::Batch];
         assert_eq!(order, want);
         assert_eq!(full.priority, Priority::Interactive);
+    }
+
+    #[test]
+    fn the_two_shed_rules_compare_against_the_deadline_strictly() {
+        // 0 is no deadline, and then the shared estimate is not read.
+        let unread = || -> u64 { panic!("estimate read without a deadline") };
+        assert_eq!(shed_at_ingest(0, unread), None);
+        assert_eq!(shed_at_ingest(10, || 10), None);
+        assert_eq!(
+            shed_at_ingest(10, || 11),
+            Some(ShedReason::DeadlineUnmeetable {
+                projected_ns: 11,
+                deadline_ns: 10
+            })
+        );
+        assert_eq!(shed_at_execute(0, u64::MAX, unread), None);
+        assert_eq!(shed_at_execute(10, 4, || 6), None);
+        assert_eq!(
+            shed_at_execute(10, 4, || 7),
+            Some(ShedReason::DeadlineExpired {
+                now_ns: 4,
+                deadline_ns: 10
+            })
+        );
+        assert!(shed_at_execute(10, u64::MAX, || 1).is_some(), "saturates");
+    }
+
+    /// The steal-then-shed schedule, step by step on a virtual clock, in
+    /// both orders two threads can run it. Home (shard 0) holds `busy_home`
+    /// and the `doomed` round, whose deadline is 20 ms; its peer holds
+    /// `busy_other`; each shard admits at most two requests.
+    ///
+    /// - The peer finishes first, past the deadline, and steals `doomed`
+    ///   off home's backlog: the thief sheds it.
+    /// - The peer steals `busy_home` before home's worker wakes: home
+    ///   checks out `doomed` itself and sheds it after its own stall.
+    ///
+    /// Either way the shed is a `DeadlineExpired`, written to the ledger
+    /// against the round's home: home's depth slot is released, so home
+    /// admits again, and the peer's is untouched.
+    #[test]
+    fn a_stolen_round_past_its_deadline_is_shed_against_its_home() {
+        use crate::ingest::{Admission, Entry, Outcome, Ticket};
+
+        let (home, peer) = (0, 1);
+        let deadline_ns = 20 * MS;
+        for thief_steals_doomed in [true, false] {
+            let admission = Admission::new(2, Some(2), Duration::from_millis(1));
+            let mut core = core(2, DispatchOptions::default());
+            let doomed_ticket = TicketState::new();
+            let admit =
+                |core: &mut Core, shard: usize, ticket: Arc<TicketState>, deadline_ns: u64| {
+                    assert!(admission.admit(shard));
+                    let timeline = Timeline {
+                        deadline_ns,
+                        ..Timeline::default()
+                    };
+                    let request = Request::new(DagKey(shard as u64), Vec::new());
+                    let job = TrackedJob::new(request, ticket, Priority::Standard, timeline);
+                    core.push(Round {
+                        home: shard,
+                        priority: Priority::Standard,
+                        closed_ns: 0,
+                        jobs: vec![job],
+                    });
+                };
+
+            // Who sheds `doomed`, and at which stamp.
+            let (shedder, now_ns, entry) = if thief_steals_doomed {
+                admit(&mut core, home, TicketState::new(), 0);
+                admit(&mut core, home, Arc::clone(&doomed_ticket), deadline_ns);
+                admit(&mut core, peer, TicketState::new(), 0);
+                // Home takes `busy_home`, the peer `busy_other`; the peer
+                // finishes at 50 ms and its next checkout steals `doomed`.
+                let busy_home = run(core.checkout(home, MS));
+                assert_eq!(busy_home.round.jobs[0].timeline.deadline_ns, 0);
+                run(core.checkout(peer, MS));
+                let stolen = run(core.checkout(peer, 50 * MS));
+                (peer, 50 * MS, stolen)
+            } else {
+                admit(&mut core, home, TicketState::new(), 0);
+                // The idle peer steals `busy_home` before home wakes.
+                let stolen = run(core.checkout(peer, MS));
+                assert_eq!(stolen.round.home, home);
+                admit(&mut core, home, Arc::clone(&doomed_ticket), deadline_ns);
+                admit(&mut core, peer, TicketState::new(), 0);
+                // Home's first checkout is `doomed`, from its own queue;
+                // its stall ends at 240 ms, when it stamps execute-start.
+                let own = run(core.checkout(home, 2 * MS));
+                (home, 240 * MS, own)
+            };
+            assert!(Arc::ptr_eq(&entry.round.jobs[0].ticket, &doomed_ticket));
+            assert_eq!(entry.round.home, home, "stealing keeps the round's home");
+            assert_eq!(admission.in_flight(), 3);
+
+            // The shard's pass-1 decision, then what `resolve` does with
+            // it: claim, and fulfil with the ledger write against the
+            // round's home.
+            let job = &entry.round.jobs[0];
+            let reason = shed_at_execute(job.timeline.deadline_ns, now_ns, || 0);
+            let expected = ShedReason::DeadlineExpired {
+                now_ns,
+                deadline_ns,
+            };
+            assert_eq!(reason, Some(expected), "shed by shard {shedder}");
+            assert!(job.claim());
+            let outcome = Outcome::Shed { reason: expected };
+            job.ticket.fulfill(outcome, job.timeline, |outcome| {
+                admission.resolved(job.priority.index(), entry.round.home, outcome);
+            });
+
+            match Ticket::new(doomed_ticket).wait() {
+                Outcome::Shed { reason } => assert_eq!(reason, expected),
+                other => panic!("expected a DeadlineExpired shed, got {other:?}"),
+            }
+            assert_eq!(admission.total(Entry::ShedExpired), 1);
+            assert_eq!(admission.in_flight(), 2);
+            // Home's slot came back: it admits one more, then is full. The
+            // peer still holds `busy_other`'s slot: one more fills it too.
+            assert!(admission.admit(home) && !admission.admit(home));
+            assert!(admission.admit(peer) && !admission.admit(peer));
+        }
     }
 }

@@ -1,8 +1,13 @@
 //! Allocation pins: host costs that a wall clock cannot resolve, counted
 //! exactly. A counting global allocator tallies every `alloc`,
-//! `alloc_zeroed` and `realloc` in the process, so the three phases below
-//! run one after another inside one test: a second test running beside
-//! them would add its allocations to theirs.
+//! `alloc_zeroed` and `realloc`, in the process and per thread, so the
+//! phases below run one after another inside one test: a second test
+//! running beside them would add its allocations to theirs. The phases
+//! whose code runs on the calling thread alone count that thread's
+//! allocations, so the test harness's own thread, which can still be
+//! finishing its bookkeeping for this test when the first phases run on a
+//! loaded host, cannot add to their exact counts; the dispatcher's phase
+//! counts every thread.
 //!
 //! - The decoded walk on a warm machine allocates nothing, and a group
 //!   run allocates only what it returns.
@@ -18,6 +23,7 @@
 //! A change that adds an allocation per request edits a literal here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -33,21 +39,34 @@ struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: every method forwards to `System` unchanged; the counter is a
-// relaxed atomic that never allocates.
+thread_local! {
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation, in the process and on the calling thread.
+fn note() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // A thread being torn down has no slot left; its allocations still
+    // count in the process total.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counters are a
+// relaxed atomic and a const-initialised thread-local `Cell` without a
+// destructor, neither of which allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -65,6 +84,15 @@ fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let result = f();
     (ALLOCATIONS.load(Ordering::SeqCst) - before, result)
+}
+
+/// Allocations the calling thread made while `f` runs, and its result,
+/// for code that runs on the calling thread alone. The result is dropped
+/// by the caller, outside the count.
+fn counted_here<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (THREAD_ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 fn arch() -> ArchConfig {
@@ -114,7 +142,7 @@ fn warm_decoded_runs_allocate_only_their_results() {
     ));
     machine.run_decoded(&decoded);
 
-    let (walk, ()) = counted(|| machine.run_decoded(&decoded));
+    let (walk, ()) = counted_here(|| machine.run_decoded(&decoded));
     assert_eq!(walk, 0, "the decoded walk allocates nothing");
 
     for (n, want) in [
@@ -125,7 +153,7 @@ fn warm_decoded_runs_allocate_only_their_results() {
         (17, 1 + 16 + 1),
     ] {
         let (got, runs) =
-            counted(|| run_decoded_group(&mut machine, &compiled, &decoded, &inputs[..n]));
+            counted_here(|| run_decoded_group(&mut machine, &compiled, &decoded, &inputs[..n]));
         assert_eq!(runs.len(), n);
         assert_eq!(got, want, "run_decoded_group over {n} inputs");
     }
@@ -157,7 +185,7 @@ fn warm_execute_round_allocates_a_fixed_count_per_round() {
         let refs: Vec<&Request> = round.iter().collect();
         // Warm-up: compile, decode and the machine's lane state.
         drop(engine.execute_round(&mut machine, &refs));
-        let (got, outcomes) = counted(|| engine.execute_round(&mut machine, &refs));
+        let (got, outcomes) = counted_here(|| engine.execute_round(&mut machine, &refs));
         assert!(outcomes.iter().all(Result::is_ok));
         let members = 32 / families;
         let want = 32 + 2 + families as u64 * (2 + pushed_vec_allocations(members));
@@ -241,10 +269,10 @@ fn warm_restart_allocates_a_fixed_count_per_program() {
     for salt in 0..4 {
         let compiled = compile(&salted_dag(salt), &arch(), &CompileOptions::default());
         let bytes = compiled.unwrap().to_bytes();
-        let (parse, compiled) = counted(|| Compiled::from_bytes(&bytes).expect("round-trips"));
-        let (verify, report) = counted(|| compiled.verify().expect("verifies"));
+        let (parse, compiled) = counted_here(|| Compiled::from_bytes(&bytes).expect("round-trips"));
+        let (verify, report) = counted_here(|| compiled.verify().expect("verifies"));
         assert!(report.facts.admits(&arch()));
-        let (decode, decoded) = counted(|| DecodedProgram::decode(&compiled.program));
+        let (decode, decoded) = counted_here(|| DecodedProgram::decode(&compiled.program));
         decoded.expect("decodes");
         counts.push([parse, verify, decode]);
     }

@@ -536,13 +536,20 @@ fn cold_retry_after_is_floored_at_max_wait() {
 /// *home* shard, whose backlog cost the job its deadline. Misattribution
 /// leaks the home slot (the queue stays "full" forever) and underflows
 /// the thief's.
+///
+/// Which shard sheds depends on the OS scheduler: usually the peer frees
+/// first and steals the doomed round, but it can steal `busy_home` before
+/// home's worker wakes, and home then sheds the doomed round itself. Both
+/// are correct, so this test asserts only what holds in either order;
+/// `sched.rs`'s `a_stolen_round_past_its_deadline_is_shed_against_its_home`
+/// scripts each order step by step.
 #[test]
 fn stolen_round_shed_is_attributed_to_home_shard() {
     let dag = small_dag();
     let home = home_shard(dag_fingerprint(&dag), 2);
     // The home shard stalls 6× longer per round than its same-class peer:
     // home's jittered floor (150 ms) sits above the peer's ceiling (50 ms),
-    // so the peer provably frees first and steals the doomed round off the
+    // so the peer usually frees first and steals the doomed round off the
     // home backlog — after the round's deadline has already expired.
     let home_floor = Duration::from_millis(150);
     let d = dispatcher(DispatchOptions {
@@ -593,28 +600,18 @@ fn stolen_round_shed_is_attributed_to_home_shard() {
         )
         .expect("accepted: deadline still in the future");
 
-    // The peer frees by ~50 ms (home is busy for at least 150 ms), steals
-    // the doomed round, and sheds it — the deadline died at 20 ms.
-    let (outcome, timeline) = doomed.wait_detailed();
-    match outcome {
+    // Whichever shard checks the doomed round out sheds it: the deadline
+    // died at 20 ms, before either stall ends.
+    match doomed.wait() {
         Outcome::Shed {
             reason: ShedReason::DeadlineExpired { .. },
         } => {}
         other => panic!("expected DeadlineExpired shed, got {other:?}"),
     }
-    // Home cannot check out a second round before its first stall ends,
-    // at least 150 ms after the dispatcher's epoch: a shed before then
-    // happened on the thief.
-    assert!(
-        timeline.completed_ns < home_floor.as_nanos() as u64,
-        "the doomed round resolved after home's stall floor: {timeline:?}"
-    );
 
     // The shed must have released the *home* depth slot: home offered 2
     // (busy + doomed) against capacity 2, so a third home submission is
-    // admitted only if the stolen shed came back to the home ledger. The
-    // home worker is still stalled (at least 150 ms), so no completion can
-    // mask a misattributed release.
+    // admitted only if the shed came back to the home ledger.
     let probe = sub
         .submit(Request::new(key, vec![3.0, 3.0]))
         .expect("stolen shed must release the home shard's depth slot");

@@ -76,10 +76,10 @@ use dpu_compiler::Compiled;
 use dpu_dag::eval;
 use dpu_isa::{encode, ArchConfig, Fault, Instr, PeOpcode, Program, RegFile};
 
-use serde::{Deserialize, Serialize};
-
 mod decoded;
+pub mod planner;
 pub use decoded::{execute, run_decoded_group, run_decoded_on, DecodedProgram};
+pub use planner::{plan_rounds, BatchPlan, RoundPlan};
 
 /// Simulation errors — every variant indicates a compiler bug or a corrupt
 /// program, never a data-dependent condition.
@@ -177,7 +177,7 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Activity counters feeding the energy model (`dpu-energy`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Activity {
     /// Register-file reads (one per distinct bank read per instruction).
     pub reg_reads: u64,
@@ -230,7 +230,7 @@ impl Activity {
 }
 
 /// Result of one program run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Total cycles including the pipeline drain.
     pub cycles: u64,
@@ -451,11 +451,6 @@ impl Machine {
     /// metric.
     pub fn occupancy_per_bank(&self) -> Vec<u32> {
         self.regs.occupancy().collect()
-    }
-
-    /// Total valid registers across all banks.
-    pub fn live_registers(&self) -> u32 {
-        self.regs.occupancy().sum()
     }
 
     /// Accumulated activity counters.
@@ -757,15 +752,15 @@ pub fn throughput_ops(result: &RunResult, freq_hz: f64) -> f64 {
 }
 
 /// Result of a batch run across parallel cores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchResult {
     /// Per-input run results, in input order.
     pub runs: Vec<RunResult>,
     /// Number of parallel cores modelled.
     pub cores: usize,
-    /// Wall-clock cycles of the batch: cores execute independent inputs in
-    /// parallel, so the batch takes `ceil(inputs/cores)` rounds of the
-    /// (identical) program length.
+    /// Wall-clock cycles of the batch as [`plan_rounds`] prices it: cores
+    /// execute independent inputs in parallel, so the batch takes
+    /// `ceil(inputs/cores)` rounds of the (identical) program length.
     pub batch_cycles: u64,
 }
 
@@ -782,7 +777,8 @@ impl BatchResult {
 /// either perform batch execution (used for benchmarking) or execute
 /// different DAGs"). Cores are independent DPU-v2 instances running the
 /// same program on different data, so there is no inter-core
-/// synchronization; wall-clock is the longest round.
+/// synchronization; wall-clock is [`plan_rounds`]' total, the sum of
+/// each round's longest member.
 ///
 /// # Errors
 ///
@@ -807,12 +803,11 @@ pub fn run_batch(
     let runs = run_decoded_group(&mut m, compiled, &decoded, batch)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
-    let rounds = batch.len().div_ceil(cores) as u64;
-    let per_run = runs.iter().map(|r| r.cycles).max().expect("non-empty");
+    let costs: Vec<u64> = runs.iter().map(|r| r.cycles).collect();
     Ok(BatchResult {
+        batch_cycles: plan_rounds(&costs, cores).total_cycles,
         runs,
         cores,
-        batch_cycles: rounds * per_run,
     })
 }
 
@@ -1087,6 +1082,37 @@ mod tests {
         }
         // 7 inputs on 4 cores -> 2 rounds of the program length.
         assert_eq!(res.batch_cycles, 2 * res.runs[0].cycles);
+    }
+
+    /// The batch mode has one price: a homogeneous batch costs what the
+    /// round planner charges for its per-input costs, which is
+    /// `ceil(inputs/cores)` rounds of the program length, whether or not
+    /// the batch fills its last round.
+    #[test]
+    fn run_batch_agrees_with_plan_rounds_on_a_homogeneous_batch() {
+        let mut b = DagBuilder::new();
+        let x = b.input();
+        let y = b.input();
+        let s = b.node(Op::Add, &[x, y]).unwrap();
+        b.node(Op::Mul, &[s, x]).unwrap();
+        let dag = b.finish().unwrap();
+        let cfg = ArchConfig::new(2, 8, 16).unwrap();
+        let compiled = compile(&dag, &cfg, &CompileOptions::default()).unwrap();
+        let per_run = run(&compiled, &[1.0, 2.0]).unwrap().cycles;
+        assert!(per_run > 0);
+        for cores in [1, 3, 4, 8] {
+            for n in [1, 3, 4, 5, 8, 9, 12, 17] {
+                let batch: Vec<Vec<f32>> = (0..n).map(|i| vec![i as f32, 2.0]).collect();
+                let res = run_batch(&compiled, &batch, cores).unwrap();
+                let plan = plan_rounds(&vec![per_run; n], cores);
+                assert_eq!(res.batch_cycles, plan.total_cycles, "{n} on {cores}");
+                assert_eq!(
+                    res.batch_cycles,
+                    n.div_ceil(cores) as u64 * per_run,
+                    "{n} on {cores}"
+                );
+            }
+        }
     }
 
     #[test]

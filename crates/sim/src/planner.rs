@@ -3,11 +3,11 @@
 //!
 //! The paper's batch mode (§V-C2) runs up to `cores` independent DAG
 //! executions in parallel; a *round* finishes when its longest member
-//! does, exactly as [`BatchResult`](dpu_sim::BatchResult) models batch
-//! wall-clock for a homogeneous batch. For a heterogeneous request
-//! stream the packing matters: this planner sorts requests by cycle cost
-//! (descending) and fills rounds with consecutive runs of that order, so
-//! each round groups similar-length programs.
+//! does. [`run_batch`](crate::run_batch) prices a homogeneous batch with
+//! this planner, and the serving runtime every round it runs. For a
+//! heterogeneous request stream the packing matters: the planner sorts
+//! requests by cycle cost (descending) and fills rounds with consecutive
+//! runs of that order, so each round groups similar-length programs.
 //!
 //! That greedy packing is *optimal* for the simulated makespan: any
 //! partition into rounds of at most `cores` members has total cost at
@@ -15,10 +15,8 @@
 //! max is ≥ the (k·cores)-th largest cost for some distinct k), and the
 //! consecutive packing achieves that bound.
 
-use serde::{Deserialize, Serialize};
-
 /// One round: up to `cores` requests executing in parallel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundPlan {
     /// Indices into the request stream, longest first.
     pub requests: Vec<usize>,
@@ -27,7 +25,7 @@ pub struct RoundPlan {
 }
 
 /// A full batch plan over the modelled cores.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPlan {
     /// Modelled parallel core count.
     pub cores: usize,

@@ -72,7 +72,6 @@
 //! ```
 
 use dpu_isa::{interconnect, ArchConfig, Fault, Fnv1a, Instr, Program, RegFile, Topology};
-use serde::{Deserialize, Serialize};
 
 /// A typed verification failure: the first invariant violation found, with
 /// enough position information to pinpoint the offending instruction.
@@ -274,7 +273,7 @@ pub struct LayoutFacts<'a> {
 /// the high-water mark, extra data-memory rows never change addressing,
 /// and a topology is interchangeable if it realizes every routing the
 /// program uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConfigFacts {
     /// Exact tree depth the program schedules around (pipeline latency and
     /// PE indexing).

@@ -13,13 +13,12 @@ use std::fmt;
 use dpu_dag::{Dag, DagBuilder, NodeId, Op};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed-sparse-row (CSR) form.
 ///
 /// Row `i`'s entries occupy `indices[offsets[i]..offsets[i+1]]` /
 /// `values[..]`, with column indices strictly increasing within a row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     /// Number of rows (== columns; only square matrices are used here).
     pub dim: usize,
@@ -123,7 +122,7 @@ impl CsrMatrix {
 }
 
 /// Parameters of the synthetic lower-triangular matrix generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LowerTriangularParams {
     /// Matrix dimension.
     pub dim: usize,
@@ -388,16 +387,16 @@ impl SpmvDag {
     }
 }
 
-/// Reference `y = A·x` for verifying [`SpmvDag`].
-pub fn spmv_reference(a: &CsrMatrix, x: &[f32]) -> Vec<f32> {
-    (0..a.dim)
-        .map(|i| a.row(i).map(|(c, v)| v * x[c]).sum())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference `y = A·x` for verifying [`SpmvDag`].
+    fn spmv_reference(a: &CsrMatrix, x: &[f32]) -> Vec<f32> {
+        (0..a.dim)
+            .map(|i| a.row(i).map(|(c, v)| v * x[c]).sum())
+            .collect()
+    }
 
     #[test]
     fn spmv_dag_matches_reference() {

@@ -7,14 +7,13 @@
 //! reproducible run to run.
 
 use dpu_dag::Dag;
-use serde::{Deserialize, Serialize};
 
 use crate::pc::{generate_pc, PcParams};
 use crate::sparse::{generate_lower_triangular, LowerTriangularParams};
 use crate::sptrsv::SptrsvDag;
 
 /// Which Table I section a workload belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Table I(a): probabilistic circuits.
     Pc,
@@ -60,7 +59,7 @@ pub struct BenchmarkSpec {
 }
 
 /// Measured statistics of a generated DAG, mirroring Table I's columns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadStats {
     /// Node count `n`.
     pub nodes: usize,

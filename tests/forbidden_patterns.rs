@@ -13,8 +13,9 @@
 //! core reads no clock and takes no lock, a dispatcher's engine shards are
 //! built in one place over one program store, the register file's write policy
 //! stays stated once, the compiler's passes keep no table whose order
-//! depends on the process and no ordered map on their hot path, and
-//! FNV-1a is implemented once.
+//! depends on the process and no ordered map on their hot path,
+//! FNV-1a and the batch-mode price are each implemented once, and no
+//! production type derives a serde trait.
 //!
 //! Plain text scanning is crude but cheap, runs in the ordinary test
 //! suite, and fails with the offending file + line so violations are
@@ -270,8 +271,23 @@ fn groups_run_as_lane_chunks_not_one_request_at_a_time() {
     // A round's group and a batch share one program: they go through
     // `run_decoded_group`, which walks it once per eight input sets. A
     // `run_decoded_on` call in the runtime (`pool.rs` held the loop) or
-    // in `run_batch` is the per-request loop coming back.
+    // in `run_batch` is the per-request loop coming back. And a batch
+    // shares one price with a round: the paper's batch mode (`cores`
+    // runs side by side, a round lasting as long as its longest member)
+    // is `dpu_sim::plan_rounds`, defined once, and `run_batch` prices
+    // through it instead of restating the rule.
     let root = repo_root();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "perfbench/src"] {
+        sources.extend(rust_sources(&root.join(dir)));
+    }
+    // Spelt in pieces so this file does not match.
+    let definition = concat!("fn plan", "_rounds(");
+    let definitions = offenders_outside_fns(&sources, &[definition], &[]);
+    assert!(
+        definitions.len() == 1 && definitions[0].contains("crates/sim/src/"),
+        "the batch model is one function, `plan_rounds` in crates/sim/src: {definitions:?}"
+    );
     let mut hits = offenders(&root.join("crates/runtime/src"), "run_decoded_on(", &[]);
     let sim_lib = root.join("crates/sim/src/lib.rs");
     let text = fs::read_to_string(&sim_lib).expect("sim lib.rs is UTF-8");
@@ -283,6 +299,10 @@ fn groups_run_as_lane_chunks_not_one_request_at_a_time() {
     assert!(
         body.contains("run_decoded_group("),
         "run_batch runs its batch as a group"
+    );
+    assert!(
+        body.contains("plan_rounds("),
+        "run_batch prices its batch through plan_rounds"
     );
     if body.contains("run_decoded_on(") {
         hits.push(format!(
@@ -624,6 +644,40 @@ fn fnv_is_implemented_once() {
     assert!(
         hits.is_empty(),
         "FNV-1a is dpu_isa::Fnv1a, in crates/isa/src/fnv.rs only:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn production_code_derives_no_serde_traits() {
+    // The vendored serde stub's derives expand to nothing and nothing in
+    // the workspace serializes through them: a `Serialize`/`Deserialize`
+    // derive or import is a claim of a wire format that does not exist.
+    // The byte formats that do exist are hand-written and tested
+    // (`Compiled::to_bytes`, `LatencyHistogram::to_bytes`).
+    let mut hits = Vec::new();
+    for entry in fs::read_dir(repo_root().join("crates")).expect("crates/ exists") {
+        let src = entry.expect("readable dir entry").path().join("src");
+        if !src.is_dir() {
+            continue;
+        }
+        for path in rust_sources(&src) {
+            let text = fs::read_to_string(&path).expect("source file is UTF-8");
+            let production = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+            for (idx, line) in production.enumerate() {
+                let code = line.split("//").next().unwrap_or("");
+                if ["Serialize", "Deserialize", "serde::"]
+                    .iter()
+                    .any(|p| code.contains(p))
+                {
+                    hits.push(format!("{}:{}: {}", path.display(), idx + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "no serde derives or imports under crates/*/src:\n{}",
         hits.join("\n")
     );
 }
