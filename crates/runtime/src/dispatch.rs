@@ -106,6 +106,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -336,7 +337,7 @@ struct Shared {
 /// execution model.
 pub struct Dispatcher {
     shared: Arc<Shared>,
-    tx: crossbeam::channel::Sender<Job>,
+    tx: mpsc::Sender<Job>,
     shut_down: Arc<RwLock<bool>>,
     ingest: Option<JoinHandle<IngestStats>>,
     workers: Vec<JoinHandle<()>>,
@@ -626,9 +627,7 @@ impl Drop for Dispatcher {
 /// The ingestion loop: route to home shards, shed provably late requests
 /// at the door, and feed the [`Batcher`], queueing every round it closes
 /// (full, due, or flushed).
-fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> IngestStats {
-    use crossbeam::channel::RecvTimeoutError;
-
+fn ingest_loop(shared: &Shared, rx: &mpsc::Receiver<Job>) -> IngestStats {
     let Shared {
         window,
         clock,
@@ -650,7 +649,11 @@ fn ingest_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) -> Inges
             }
         }
         let msg = match batcher.next_due() {
-            Some(due) => match rx.recv_deadline(clock.instant_at(due)) {
+            Some(due) => match rx.recv_timeout(
+                clock
+                    .instant_at(due)
+                    .saturating_duration_since(Instant::now()),
+            ) {
                 Ok(m) => Some(m),
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => None,
@@ -1034,7 +1037,7 @@ mod tests {
             let sub = d.submitter();
             until_parked(&d, 2);
             let ticket = sub.submit(Request::new(key, vec![1.0, 2.0])).unwrap();
-            assert!(ticket.wait().is_completed());
+            assert!(matches!(ticket.wait(), Outcome::Completed(_)));
             until_parked(&d, 2);
             assert_eq!(d.shutdown().served, 1);
         });
@@ -1113,7 +1116,7 @@ mod tests {
                 .map(|i| sub.submit(Request::new(key, vec![i as f32, 1.0])).unwrap())
                 .collect();
             for ticket in full {
-                assert!(ticket.wait().is_completed());
+                assert!(matches!(ticket.wait(), Outcome::Completed(_)));
             }
             let lone = sub.submit(Request::new(key, vec![5.0, 1.0])).unwrap();
             d.drain();

@@ -41,7 +41,7 @@
 //! precedes the marker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use dpu_sim::RunResult;
@@ -372,11 +372,6 @@ impl Outcome {
             _ => None,
         }
     }
-
-    /// Whether the request executed to completion.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, Outcome::Completed(_))
-    }
 }
 
 /// What a shard (or the shedding ingestion thread) hands back through a
@@ -571,16 +566,15 @@ pub(crate) enum Job {
     Shutdown,
 }
 
-/// Constructs the ingestion channel. This is the **only** place in
-/// `dpu-runtime` allowed to build an unbounded channel (CI's
-/// forbidden-pattern lint enforces it): the channel may be unbounded
-/// precisely because admission control ([`Admission`]) bounds what enters
-/// it — overload is refused at submission, not buffered here.
-pub(crate) fn job_channel() -> (
-    crossbeam::channel::Sender<Job>,
-    crossbeam::channel::Receiver<Job>,
-) {
-    crossbeam::channel::unbounded::<Job>()
+/// Constructs the ingestion channel: `std`'s multi-producer,
+/// single-consumer FIFO, whose `send` wakes the ingest thread only when it
+/// sleeps on the channel. This is the **only** place in `dpu-runtime`
+/// allowed to build an unbounded channel (CI's forbidden-pattern lint
+/// enforces it): the channel may be unbounded precisely because admission
+/// control ([`Admission`]) bounds what enters it — overload is refused at
+/// submission, not buffered here.
+pub(crate) fn job_channel() -> (mpsc::Sender<Job>, mpsc::Receiver<Job>) {
+    mpsc::channel()
 }
 
 /// Exponentially weighted moving average cell (α = 1/8), racy by design:
@@ -818,7 +812,7 @@ impl Admission {
 /// to producer threads.
 #[derive(Clone)]
 pub struct Submitter {
-    tx: crossbeam::channel::Sender<Job>,
+    tx: mpsc::Sender<Job>,
     shut_down: Arc<RwLock<bool>>,
     clock: Arc<Clock>,
     admission: Arc<Admission>,
@@ -834,7 +828,7 @@ impl std::fmt::Debug for Submitter {
 
 impl Submitter {
     pub(crate) fn new(
-        tx: crossbeam::channel::Sender<Job>,
+        tx: mpsc::Sender<Job>,
         shut_down: Arc<RwLock<bool>>,
         clock: Arc<Clock>,
         admission: Arc<Admission>,
@@ -932,7 +926,7 @@ impl Submitter {
                 admission.note(class, Entry::Accepted);
                 Ok(Ticket::new(state))
             }
-            Err(crossbeam::channel::SendError(Job::Request(sub))) => {
+            Err(mpsc::SendError(Job::Request(sub))) => {
                 // The channel is gone (dispatcher dropped without the
                 // handshake — cannot happen through the public API, but
                 // stay honest): give the slot back and reject as closed.

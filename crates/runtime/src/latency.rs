@@ -368,14 +368,6 @@ impl Timeline {
     pub fn total_ns(&self) -> u64 {
         self.completed_ns.saturating_sub(self.arrival_ns)
     }
-
-    /// Whether the request completed after its deadline (always `false`
-    /// without one). Shed requests complete the moment they are shed, so
-    /// an accepted-then-shed request normally reads `false` here — the
-    /// shed *reason* carries the projection that condemned it.
-    pub fn missed_deadline(&self) -> bool {
-        self.deadline_ns != 0 && self.completed_ns > self.deadline_ns
-    }
 }
 
 /// The per-request latency distributions of a dispatcher (or one shard of
@@ -535,18 +527,10 @@ mod tests {
         assert_eq!(t.queueing_delay_ns(), 450);
         assert_eq!(t.service_ns(), 400);
         assert_eq!(t.total_ns(), 900);
-        assert!(!t.missed_deadline());
-        let late = Timeline {
-            deadline_ns: 900,
-            ..t
-        };
-        assert!(late.missed_deadline());
         // Out-of-order stamps saturate instead of wrapping.
         let zero = Timeline::default();
         assert_eq!(zero.total_ns(), 0);
         assert_eq!(zero.queueing_delay_ns(), 0);
-        // No deadline: never "missed".
-        assert!(!zero.missed_deadline());
     }
 
     #[test]

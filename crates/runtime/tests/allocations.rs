@@ -255,10 +255,12 @@ fn dispatcher_round_trip_stays_under_its_per_request_bound() {
     d.shutdown();
 }
 
-/// Measured at 2.74–2.79 per request (1404–1425 for 512) over 55 debug and
+/// Measured at 2.78–2.81 per request (1421–1437 for 512) over 60 debug and
 /// release runs on a 2-vCPU x86-64 Linux VM, idle and beside two busy
-/// loops; the bound sits just above.
-const DISPATCH_ALLOCS_PER_REQUEST: f64 = 2.8;
+/// loops. The bound is the 2.8 that sat just above the 1404–1425 of the
+/// earlier job channel, plus the one block of 31 messages that `std`'s
+/// channel allocates per 31 sends.
+const DISPATCH_ALLOCS_PER_REQUEST: f64 = 2.8 + 1.0 / 31.0;
 
 /// The restart side of the spill cache for four families, from the bytes
 /// `Compiled::to_bytes` writes (the spill directory itself stays out of

@@ -391,7 +391,7 @@ fn expired_deadline_inside_grouped_round_is_shed_before_execution() {
         ),
         other => panic!("expected Shed, got {other:?}"),
     }
-    assert!(timeline.missed_deadline());
+    assert!(timeline.deadline_ns != 0 && timeline.completed_ns > timeline.deadline_ns);
     for (i, t) in healthy.into_iter().enumerate() {
         let want = (i as f32 + 1.0) * (i as f32 + 1.0);
         assert_eq!(t.wait().unwrap().outputs, vec![want], "healthy req {i}");
