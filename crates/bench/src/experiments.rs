@@ -11,7 +11,7 @@ use dpu_core::baselines::dpu_v1::DpuV1Model;
 use dpu_core::baselines::gpu::GpuModel;
 use dpu_core::baselines::spatial;
 use dpu_core::baselines::spu::SpuModel;
-use dpu_core::compiler::{compile, BankPolicy, CompileOptions, SpillPolicy};
+use dpu_core::compiler::{compile, compile_with_bounds, BankPolicy, CompileOptions, SpillPolicy};
 use dpu_core::dse;
 use dpu_core::energy;
 use dpu_core::prelude::*;
@@ -648,6 +648,98 @@ pub fn fig13_instr_breakdown() -> String {
     )
 }
 
+/// The compiler's own bounds per small-suite workload on the min-EDP
+/// design: how far the longest `exec` chain is from `⌈l/D⌉` (step 1),
+/// how far step 3 lands from max(instructions, critical path), and how
+/// much of the final count is spill traffic (step 4).
+pub fn schedule_bounds() -> String {
+    let scale = env_scale(1.0);
+    let dpu = Dpu::min_edp();
+    let d = u64::from(dpu.config.depth);
+    let ratio = |a: u64, b: u64| a as f64 / b as f64;
+    let mut rows = Vec::new();
+    let (mut floor_sum, mut after_sum, mut final_sum) = (0u64, 0u64, 0u64);
+    let (mut gops_sum, mut perfect_sum, mut n) = (0.0, 0.0, 0.0);
+    for w in load_small_suite(scale) {
+        let (c, b) = compile_with_bounds(&w.dag, &dpu.config, &dpu.options).expect("compiles");
+        let run = dpu.execute(&c, &w.inputs).expect("runs");
+        let levels = u64::from(c.bin_dag.longest_path_len());
+        let execs = levels.div_ceil(d);
+        let floor = b.instrs_into_reorder.max(b.critical_path_cycles);
+        let after = b.instrs_into_reorder + c.stats.reorder_nops;
+        let total = c.stats.total_cycles;
+        rows.push(vec![
+            w.spec.name.to_string(),
+            levels.to_string(),
+            execs.to_string(),
+            b.exec_chain.to_string(),
+            format!("{:.1}x", ratio(b.exec_chain, execs)),
+            b.depth_bound_cycles.to_string(),
+            b.critical_path_cycles.to_string(),
+            b.instrs_into_reorder.to_string(),
+            after.to_string(),
+            total.to_string(),
+            format!("{:.0}%", ratio(floor, total) * 100.0),
+            format!("{:.0}%", ratio(total - after, total) * 100.0),
+        ]);
+        floor_sum += floor;
+        after_sum += after;
+        final_sum += total;
+        gops_sum += gops(&run);
+        // A perfect step 3 with free spills runs at the floor.
+        perfect_sum += gops(&run) * ratio(total, floor);
+        n += 1.0;
+    }
+    let dash = || "-".to_string();
+    rows.push(vec![
+        "SUITE".into(),
+        dash(),
+        dash(),
+        dash(),
+        dash(),
+        dash(),
+        dash(),
+        dash(),
+        after_sum.to_string(),
+        final_sum.to_string(),
+        format!("{:.0}%", ratio(floor_sum, final_sum) * 100.0),
+        format!("{:.0}%", ratio(final_sum - after_sum, final_sum) * 100.0),
+    ]);
+    let cfg = &dpu.config;
+    let mut out = render_table(
+        &format!(
+            "Schedule bounds on ({},{},{}) (scale {scale})",
+            cfg.depth, cfg.banks, cfg.regs_per_bank
+        ),
+        &[
+            "workload",
+            "l",
+            "l/D",
+            "exec chain",
+            "chain/(l/D)",
+            "depth bound",
+            "critical path",
+            "instrs",
+            "after step 3",
+            "final",
+            "efficiency",
+            "spill share",
+        ],
+        &rows,
+    );
+    out.push_str(&format!(
+        "Table III DPU-v2 mean: {:.2} GOPS; at max(instrs, critical path) per row: {:.2} GOPS
+",
+        gops_sum / n,
+        perfect_sum / n,
+    ));
+    out.push_str(
+        "efficiency: max(instrs, critical path) / final; spill share: (final - after step 3) / final
+",
+    );
+    out
+}
+
 /// §III-B: program-size reduction from the automatic write-address policy.
 pub fn autowrite_reduction() -> String {
     let scale = env_scale(0.5);
@@ -847,5 +939,6 @@ pub fn experiments() -> Vec<(&'static str, fn() -> String)> {
         ("table2_area_power", table2_area_power),
         ("autowrite_reduction", autowrite_reduction),
         ("footprint_reduction", footprint_reduction),
+        ("schedule_bounds", schedule_bounds),
     ]
 }

@@ -1,8 +1,9 @@
 //! Paper anchors: the text of every experiment CI can afford, pinned —
 //! Table III / Fig. 14(a), Fig. 10(b) and Fig. 13 first, then Fig. 3(c),
 //! Fig. 6(e), Fig. 7(a), Fig. 10(c,d), Table II, the automatic-write and
-//! footprint reductions and the four compiler ablation tables. Table I is
-//! not pinned: its `compile ms` column is host time.
+//! footprint reductions, the four compiler ablation tables and the
+//! compiler's schedule bounds. Table I is not pinned: its `compile ms`
+//! column is host time.
 //!
 //! The compiler's address resolution and the simulator's state are what
 //! every reproduced number hangs off, and CI runs none of the `fig*` /
@@ -285,4 +286,29 @@ pinned!(
     ablations_reproduces_the_committed_text,
     ablations,
     ABLATIONS
+);
+
+const SCHEDULE_BOUNDS: &str = r"== Schedule bounds on (3,64,32) (scale 1) ==
+workload     l  l/D  exec chain  chain/(l/D)  depth bound  critical path  instrs  after step 3  final  efficiency  spill share
+ tretail   105   35         366        10.5x          140           1499     607          1591   1591         94%           0%
+   mnist    59   20         333        16.6x           80           1357     631          1593   1593         85%           0%
+   nltcs    61   21         453        21.6x           84           1854     928          2119   2119         87%           0%
+   msnbc    65   22         940        42.7x           88           3871    3300          6633  16728         23%          60%
+   msweb   156   52        1801        34.6x          208           7411    3710          8501   8860         84%           4%
+bnetflix   115   39        1758        45.1x          156           7246    3991          8820  11635         62%          24%
+  bp_200   154   52         134         2.6x          208            545     383           570    570         96%           0%
+west2021   142   48         217         4.5x          192            870     517           873    873        100%           0%
+  sieber   233   78         275         3.5x          312           1154    1239          1515   1846         67%          18%
+jagmesh4   313  105         331         3.2x          420           1433    2523          2837   6348         40%          55%
+  rdb968   372  124         379         3.1x          496           1620    2731          3130   6887         40%          55%
+  dw2048  1273  425         821         1.9x         1700           3567    4860          5725  19294         25%          70%
+   SUITE     -    -           -            -            -              -       -         43907  78344         46%          44%
+Table III DPU-v2 mean: 2.34 GOPS; at max(instrs, critical path) per row: 3.87 GOPS
+efficiency: max(instrs, critical path) / final; spill share: (final - after step 3) / final
+";
+
+pinned!(
+    schedule_bounds_reproduces_the_committed_text,
+    schedule_bounds,
+    SCHEDULE_BOUNDS
 );

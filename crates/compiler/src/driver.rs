@@ -9,7 +9,7 @@ use crate::emit::{emit, EmitError};
 use crate::finalize::{finalize, FinalizeError};
 use crate::footprint::{footprint, Footprint};
 use crate::ir::{ConflictStats, DataLayout};
-use crate::reorder::reorder;
+use crate::reorder::{reorder, ReorderStats};
 use crate::spill::{insert_spills_with, SpillError, SpillPolicy};
 use crate::step1::{decompose, RawBlock};
 use crate::step2::{assign_banks, compute_needs_store, place_blocks, BankPolicy};
@@ -187,6 +187,25 @@ impl Compiled {
     }
 }
 
+/// What bounds a compiled program's cycles from below, read off the
+/// compile that produced it. An analysis, not part of [`CompileStats`]:
+/// it is not persisted with the program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleBounds {
+    /// The latency-weighted longest path of the dependence graph step 3
+    /// schedules, in cycles.
+    pub critical_path_cycles: u64,
+    /// The most `exec`s on one dependence chain of that graph.
+    pub exec_chain: u64,
+    /// Instructions handed to step 3; with the critical path, no step-3
+    /// schedule beats the larger of the two.
+    pub instrs_into_reorder: u64,
+    /// `⌈l/D⌉·(D+1)`, where `l` is the binarized DAG's longest path: one
+    /// `exec` covers at most `D` levels, and a dependent one issues `D + 1`
+    /// cycles later.
+    pub depth_bound_cycles: u64,
+}
+
 /// Compiles `dag` for `cfg`: binarize → blocks → mapping → emission →
 /// reorder → spill → finalize. The program stores the value of every sink
 /// of `dag` to data memory (see [`DataLayout::output_slots`]).
@@ -200,6 +219,36 @@ pub fn compile(
     cfg: &ArchConfig,
     opts: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
+    Ok(compile_reordered(dag, cfg, opts)?.0)
+}
+
+/// [`compile`], also returning the [`ScheduleBounds`] of the program.
+///
+/// # Errors
+///
+/// See [`CompileError`].
+pub fn compile_with_bounds(
+    dag: &Dag,
+    cfg: &ArchConfig,
+    opts: &CompileOptions,
+) -> Result<(Compiled, ScheduleBounds), CompileError> {
+    let (c, step3) = compile_reordered(dag, cfg, opts)?;
+    let d = u64::from(cfg.depth);
+    let levels = u64::from(c.bin_dag.longest_path_len());
+    let bounds = ScheduleBounds {
+        critical_path_cycles: step3.critical_path_cycles,
+        exec_chain: step3.exec_chain,
+        instrs_into_reorder: step3.instrs,
+        depth_bound_cycles: levels.div_ceil(d) * (d + 1),
+    };
+    Ok((c, bounds))
+}
+
+fn compile_reordered(
+    dag: &Dag,
+    cfg: &ArchConfig,
+    opts: &CompileOptions,
+) -> Result<(Compiled, ReorderStats), CompileError> {
     // Table I's compile-time column covers binarization too.
     let started = Instant::now();
     let (bin, map) = dag.binarize();
@@ -210,9 +259,9 @@ pub fn compile(
             .filter(|o| !std::mem::replace(&mut seen[o.index()], true))
             .collect()
     };
-    let mut c = compile_from(started, &bin, cfg, &outputs, opts)?;
+    let (mut c, step3) = compile_from(started, &bin, cfg, &outputs, opts)?;
     c.orig_to_bin = map;
-    Ok(c)
+    Ok((c, step3))
 }
 
 /// Compiles an already-binary DAG, storing the listed `outputs`.
@@ -230,18 +279,18 @@ pub fn compile_binary(
     outputs: &[NodeId],
     opts: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
-    compile_from(Instant::now(), bin, cfg, outputs, opts)
+    Ok(compile_from(Instant::now(), bin, cfg, outputs, opts)?.0)
 }
 
 /// [`compile_binary`], with [`CompileStats::compile_ms`] counted from
-/// `started`.
+/// `started`, and what step 3 reported.
 fn compile_from(
     started: Instant,
     bin: &Dag,
     cfg: &ArchConfig,
     outputs: &[NodeId],
     opts: &CompileOptions,
-) -> Result<Compiled, CompileError> {
+) -> Result<(Compiled, ReorderStats), CompileError> {
     assert!(bin.is_binary(), "compile_binary requires a binary DAG");
     for &o in outputs {
         bin.check_node(o).expect("output id in range");
@@ -279,7 +328,7 @@ fn compile_from(
     let conflicts = emitted.conflicts;
 
     // Step 3.
-    let (reordered, reorder_nops) = reorder(cfg, emitted.instrs, opts.window);
+    let (reordered, step3) = reorder(cfg, emitted.instrs, opts.window);
 
     // Step 4.
     let (spilled, spill_stats) =
@@ -298,7 +347,7 @@ fn compile_from(
         blocks: n_blocks,
         pe_utilization,
         conflicts,
-        reorder_nops,
+        reorder_nops: step3.nops,
         spill_stores: spill_stats.stores,
         spill_reloads: spill_stats.reloads,
         stall_nops: fin.stall_nops,
@@ -325,7 +374,7 @@ fn compile_from(
         compiled.verify()?;
     }
 
-    Ok(compiled)
+    Ok((compiled, step3))
 }
 
 #[cfg(test)]
@@ -385,6 +434,31 @@ mod tests {
                 if c.stats.spill_stores == 0 {
                     assert_eq!(c.stats.stall_nops, 0, "seed {seed}, D={d} B={b} R={r}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_bounds_bound_the_schedule() {
+        for seed in 0..4 {
+            let dag = random_dag(300, 60 + seed);
+            for (d, b, r) in [(1u32, 8u32, 16u32), (2, 8, 16), (3, 64, 32)] {
+                let cfg = ArchConfig::new(d, b, r).unwrap();
+                let (c, bounds) =
+                    compile_with_bounds(&dag, &cfg, &CompileOptions::default()).unwrap();
+                let what = format!("seed {seed}, D={d} B={b} R={r}");
+                let levels = u64::from(c.bin_dag.longest_path_len());
+                // Each exec covers at most D levels of the longest path.
+                assert!(bounds.exec_chain >= levels.div_ceil(u64::from(d)), "{what}");
+                assert!(
+                    bounds.depth_bound_cycles <= bounds.critical_path_cycles,
+                    "{what}"
+                );
+                let floor = bounds.instrs_into_reorder.max(bounds.critical_path_cycles);
+                assert!(floor <= c.stats.total_cycles, "{what}");
+                // The bounds are an analysis: the program is `compile`'s.
+                let plain = compile(&dag, &cfg, &CompileOptions::default()).unwrap();
+                assert_eq!(plain.program, c.program, "{what}");
             }
         }
     }

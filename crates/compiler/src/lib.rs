@@ -63,7 +63,10 @@ mod driver;
 mod ir;
 
 pub use dpu_verify::{ConfigFacts, LayoutFacts, VerifyError, VerifyReport};
-pub use driver::{compile, compile_binary, CompileError, CompileOptions, CompileStats, Compiled};
+pub use driver::{
+    compile, compile_binary, compile_with_bounds, CompileError, CompileOptions, CompileStats,
+    Compiled, ScheduleBounds,
+};
 pub use ir::{AInstr, BankAssignment, Block, ConflictStats, DataLayout, PlacedNode, Subgraph};
 pub use persist::PersistError;
 pub use spill::SpillPolicy;

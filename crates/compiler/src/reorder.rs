@@ -44,10 +44,29 @@ struct Touched {
     last_read: Option<usize>,
 }
 
+/// What step 3 did, and what its dependence graph bounds any schedule of
+/// its input by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReorderStats {
+    /// `nop`s inserted.
+    pub nops: u64,
+    /// Instructions handed to step 3.
+    pub instrs: u64,
+    /// The latency-weighted longest dependence path, in cycles: no
+    /// schedule of these instructions is shorter.
+    pub critical_path_cycles: u64,
+    /// The most `exec`s on one dependence chain.
+    pub exec_chain: u64,
+}
+
 /// Reorders `instrs` to minimize read-after-write and write-port stalls;
 /// returns the new list (with `nop`s where no independent work was
-/// available) and the number of `nop`s inserted.
-pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AInstr>, u64) {
+/// available) and what it did.
+pub fn reorder(
+    cfg: &ArchConfig,
+    instrs: Vec<AInstr>,
+    window: usize,
+) -> (Vec<AInstr>, ReorderStats) {
     let n = instrs.len();
     let exec_latency = cfg.pipeline_stages() as u64; // D + 1
 
@@ -103,16 +122,23 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
     // What each instruction's issue releases: `(later, min distance)`.
     let succs = Csr::new(n, edges.iter().map(|&(j, i, lat)| (j, (i, lat))));
     // Priority: the longest latency-weighted path to a sink. Every edge
-    // points forward, so one reverse walk settles each height.
+    // points forward, so one reverse walk settles each height, and the
+    // most `exec`s on a path from each instruction.
     let mut height: Vec<u64> = vec![0; n];
+    let mut execs: Vec<u64> = vec![0; n];
     for j in (0..n).rev() {
-        height[j] = succs
-            .row(j)
-            .iter()
-            .map(|&(i, lat)| lat + height[i])
-            .max()
-            .unwrap_or(0);
+        for &(i, lat) in succs.row(j) {
+            height[j] = height[j].max(lat + height[i]);
+            execs[j] = execs[j].max(execs[i]);
+        }
+        execs[j] += u64::from(instrs[j].is_exec());
     }
+    let mut stats = ReorderStats {
+        nops: 0,
+        instrs: n as u64,
+        critical_path_cycles: height.iter().max().map_or(0, |h| h + 1),
+        exec_chain: execs.into_iter().max().unwrap_or(0),
+    };
 
     let mut ready = PosSet::new(n);
     for i in (0..n).filter(|&i| n_unmet[i] == 0) {
@@ -130,7 +156,6 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
     let mut out: Vec<AInstr> = Vec::with_capacity(n);
     let mut cycle: u64 = 0;
     let mut scheduled = 0usize;
-    let mut nops: u64 = 0;
     let mut instrs: Vec<Option<AInstr>> = instrs.into_iter().map(Some).collect();
 
     while scheduled < n {
@@ -175,12 +200,12 @@ pub fn reorder(cfg: &ArchConfig, instrs: Vec<AInstr>, window: usize) -> (Vec<AIn
             }
             None => {
                 out.push(AInstr::Nop);
-                nops += 1;
+                stats.nops += 1;
             }
         }
         cycle += 1;
     }
-    (out, nops)
+    (out, stats)
 }
 
 /// Among the `window` lowest ready positions, the `issuable` one with the
@@ -218,9 +243,11 @@ mod tests {
         let pe = PeId::new(0, 1, 0);
         let a = exec(vec![], vec![(0, pe, NodeId(1))]);
         let b = exec(vec![(0, 0, NodeId(1))], vec![(1, pe, NodeId(2))]);
-        let (out, nops) = reorder(&cfg, vec![a, b], 300);
-        assert_eq!(nops, 2);
+        let (out, stats) = reorder(&cfg, vec![a, b], 300);
+        assert_eq!(stats.nops, 2);
         assert_eq!(out.len(), 4);
+        // b issues D + 1 cycles after a, so no schedule is shorter.
+        assert_eq!((stats.critical_path_cycles, stats.exec_chain), (4, 2));
         assert!(matches!(out[1], AInstr::Nop));
         assert!(matches!(out[2], AInstr::Nop));
     }
@@ -233,9 +260,10 @@ mod tests {
         let b = exec(vec![(0, 0, NodeId(1))], vec![(1, pe, NodeId(2))]);
         let c = exec(vec![], vec![(2, pe, NodeId(3))]);
         let d = exec(vec![], vec![(3, pe, NodeId(4))]);
-        let (out, nops) = reorder(&cfg, vec![a, b, c, d], 300);
+        let (out, stats) = reorder(&cfg, vec![a, b, c, d], 300);
         // c and d slide into the bubble between a and b.
-        assert_eq!(nops, 0);
+        assert_eq!(stats.nops, 0);
+        assert_eq!((stats.instrs, stats.exec_chain), (4, 2));
         assert_eq!(out.len(), 4);
         assert!(matches!(&out[3], AInstr::Exec { reads, .. } if reads.len() == 1));
     }
@@ -248,8 +276,10 @@ mod tests {
             dests: vec![(0, NodeId(1))],
         };
         let ex = exec(vec![(0, 0, NodeId(1))], vec![]);
-        let (out, nops) = reorder(&cfg, vec![ld, ex], 300);
-        assert_eq!(nops, 0);
+        let (out, stats) = reorder(&cfg, vec![ld, ex], 300);
+        assert_eq!(stats.nops, 0);
+        // A load's writeback is read the next cycle; it is not an exec.
+        assert_eq!((stats.critical_path_cycles, stats.exec_chain), (2, 1));
         assert_eq!(out.len(), 2);
         let _ = out;
     }
@@ -285,9 +315,9 @@ mod tests {
             dests: vec![(1, NodeId(3))],
         };
         let c = exec(vec![], vec![(3, pe, NodeId(4))]);
-        let (out, nops) = reorder(&cfg, vec![a, b, ld, c], 16);
+        let (out, stats) = reorder(&cfg, vec![a, b, ld, c], 16);
         // c takes cycle 2 and the load the cycle after.
-        assert_eq!(nops, 0);
+        assert_eq!(stats.nops, 0);
         assert!(matches!(&out[2], AInstr::Exec { writes, .. } if writes[0].0 == 3));
         assert!(matches!(out[3], AInstr::Load { .. }));
         let fin = crate::finalize::finalize(&cfg, &out).unwrap();
@@ -303,7 +333,8 @@ mod tests {
         let head = leaf(2, 2);
         let mid = exec(vec![(0, 2, NodeId(2))], vec![(3, pe, NodeId(3))]);
         let tail = exec(vec![(0, 3, NodeId(3))], vec![]);
-        let (out, _) = reorder(&cfg, vec![leaf(0, 0), leaf(1, 1), head, mid, tail], 16);
+        let (out, stats) = reorder(&cfg, vec![leaf(0, 0), leaf(1, 1), head, mid, tail], 16);
+        assert_eq!((stats.critical_path_cycles, stats.exec_chain), (7, 3));
         let first_write = |ins: &AInstr| match ins {
             AInstr::Exec { writes, .. } => writes.first().map(|w| w.0),
             _ => None,
@@ -381,8 +412,14 @@ mod tests {
     #[test]
     fn empty_list() {
         let cfg = ArchConfig::new(1, 2, 4).unwrap();
-        let (out, nops) = reorder(&cfg, vec![], 300);
+        let (out, stats) = reorder(&cfg, vec![], 300);
         assert!(out.is_empty());
-        assert_eq!(nops, 0);
+        let none = ReorderStats {
+            nops: 0,
+            instrs: 0,
+            critical_path_cycles: 0,
+            exec_chain: 0,
+        };
+        assert_eq!(stats, none);
     }
 }
