@@ -9,9 +9,9 @@
 //! every reproduced number hangs off, and CI runs none of the `fig*` /
 //! `table*` binaries — so a refactor of either could move the DESIGN.md §3
 //! headline numbers unnoticed. Table III is pinned whole: 12 workload rows
-//! (including the two Fig. 14 crossover rows, `msnbc` and `bnetflix`, where
-//! DPU beats DPU-v2), the suite means, the speedups over CPU and the EDP
-//! line. Release only (about 3 s for the whole file there, minutes in a
+//! (including the Fig. 14 crossover row, `msnbc`, where DPU beats DPU-v2),
+//! the suite means, the speedups over CPU and the EDP line. Release only
+//! (about 5 s for the whole file there, minutes in a
 //! debug build): `cargo test --release -p dpu-bench --test paper_anchors`.
 //!
 //! Fig. 10(b) is the bank allocator's published number (conflict-aware vs
@@ -28,22 +28,22 @@
 
 const TABLE3_SMALL_AT_SCALE_1: &str = r"== Fig. 14(a) / Table III: throughput in GOPS (scale 1) ==
 workload  DPU-v2   DPU   CPU   GPU
- tretail    2.78  1.60  0.68  0.10
-   mnist    3.00  1.97  0.88  0.21
-   nltcs    3.18  2.10  0.96  0.28
-   msnbc    1.38  2.39  1.16  0.82
-   msweb    2.87  2.21  1.04  0.37
-bnetflix    2.33  2.32  1.11  0.54
-  bp_200    2.92  0.65  0.30  0.03
-west2021    2.02  0.72  0.33  0.03
-  sieber    2.62  0.99  0.45  0.05
-jagmesh4    1.85  1.16  0.54  0.08
-  rdb968    2.02  1.16  0.53  0.08
+ tretail    6.40  1.60  0.68  0.10
+   mnist    7.01  1.97  0.88  0.21
+   nltcs    7.22  2.10  0.96  0.28
+   msnbc    1.27  2.39  1.16  0.82
+   msweb    5.70  2.21  1.04  0.37
+bnetflix    3.53  2.32  1.11  0.54
+  bp_200    3.18  0.65  0.30  0.03
+west2021    2.85  0.72  0.33  0.03
+  sieber    2.83  0.99  0.45  0.05
+jagmesh4    1.86  1.16  0.54  0.08
+  rdb968    2.05  1.16  0.53  0.08
   dw2048    1.13  0.76  0.36  0.04
-    MEAN    2.34  1.50  0.70  0.22
-speedups over CPU — DPU-v2: 3.4x  DPU: 2.2x  GPU: 0.32x (paper: 3.5x / 2.6x / 0.3x)
-power W — DPU-v2: 0.10 (paper 0.11)  DPU: 0.07 (paper 0.07)  CPU: 55 (paper 55)  GPU: 98 (paper 98)
-EDP pJ*ns — DPU-v2: 17.7 (paper 6.0)  DPU: 31.0 (paper 7.1)  CPU: 114k (paper 38k)  GPU: 2040k (paper 1000k)
+    MEAN    3.75  1.50  0.70  0.22
+speedups over CPU — DPU-v2: 5.4x  DPU: 2.2x  GPU: 0.32x (paper: 3.5x / 2.6x / 0.3x)
+power W — DPU-v2: 0.11 (paper 0.11)  DPU: 0.07 (paper 0.07)  CPU: 55 (paper 55)  GPU: 98 (paper 98)
+EDP pJ*ns — DPU-v2: 8.0 (paper 6.0)  DPU: 31.0 (paper 7.1)  CPU: 114k (paper 38k)  GPU: 2040k (paper 1000k)
 ";
 
 #[test]
@@ -57,11 +57,11 @@ fn table3_small_reproduces_the_committed_text() {
 
 const FIG10_CONFLICTS: &str = r"== Fig. 10(b): bank conflicts, conflict-aware vs random ==
 workload  ours  random  ratio
- tretail    67    5340    80x
-   mnist    84    5699    68x
-   nltcs   121    8031    66x
-  bp_200     6    1750   292x
-   TOTAL   278   20820    75x
+ tretail    61    5347    88x
+   mnist    62    5690    92x
+   nltcs   109    8073    74x
+  bp_200    10    1802   180x
+   TOTAL   242   20912    86x
 paper: random/ours = 292x
 ";
 
@@ -73,18 +73,18 @@ fn fig10_conflicts_reproduces_the_committed_text() {
 
 const FIG13_INSTR_BREAKDOWN: &str = r"== Fig. 13: instruction breakdown (scale 1) ==
 workload  exec  copy  load  store  nop  total
- tretail   28%    7%    3%     0%  62%   1591
-   mnist   29%    7%    3%     0%  60%   1593
-   nltcs   31%   10%    4%     0%  56%   2119
-   msnbc   13%    5%   31%    30%  21%  16728
-   msweb   29%    9%    6%     2%  55%   8860
-bnetflix   23%    9%   14%    12%  42%  11635
-  bp_200   31%    4%   31%     2%  33%    570
-west2021   28%    0%   28%     2%  41%    873
-  sieber   29%    8%   37%     9%  17%   1846
-jagmesh4   15%    9%   42%    27%   7%   6348
-  rdb968   16%    7%   42%    26%   9%   6887
-  dw2048   10%    5%   43%    33%   8%  19294
+ tretail   64%   16%    7%     0%  13%    692
+   mnist   68%   16%    7%     0%   8%    683
+   nltcs   69%   18%    8%     0%   5%    934
+   msnbc   12%    5%   41%    40%   3%  18169
+   msweb   58%   14%   16%     9%   4%   4459
+bnetflix   35%   10%   27%    23%   5%   7693
+  bp_200   34%    4%   34%     2%  27%    523
+west2021   40%    0%   40%     3%  17%    617
+  sieber   31%    8%   40%     9%  11%   1708
+jagmesh4   16%    8%   42%    27%   7%   6307
+  rdb968   17%    7%   43%    26%   7%   6783
+  dw2048   10%    5%   44%    34%   7%  19238
 ";
 
 #[test]
@@ -125,9 +125,9 @@ pinned!(
 
 const FIG06_INTERCONNECT: &str = r"== Fig. 6(e): bank conflicts & latency by output-interconnect topology ==
               topology  conflicts  cycles  latency vs (a)
- (a) crossbar/crossbar          0    3309           +0.0%
-(b) crossbar/per-layer        333    3452           +4.3%
-   (c) crossbar/one-PE       8480    5576          +68.5%
+ (a) crossbar/crossbar          0    2522           +0.0%
+(b) crossbar/per-layer        297    2657           +5.4%
+   (c) crossbar/one-PE       8675    5111         +102.7%
 paper: conflicts (a) 1x, (b) 2.4x, (c) 19x; (b) costs +1% latency, -9% power; (d) not evaluated
 ";
 
@@ -153,28 +153,28 @@ pinned!(
     FIG07_INSTR_LENGTHS
 );
 
-const FIG10_OCCUPANCY: &str = r"-- without spilling (R=512): spills=0 peak/bank=38 --
+const FIG10_OCCUPANCY: &str = r"-- without spilling (R=512): spills=0 peak/bank=37 --
 cycle  max/bank  mean/bank
      1        1       1.0
-   431       33      25.8
-   861       33      24.5
-  1291       33      23.1
-  1721       34      21.4
-  2151       29      19.1
-  2581       26      16.0
-  3011       19      11.2
-  3441        4       1.7
--- with spilling (R=32): spills=78 peak/bank=32 --
+   201       24      18.5
+   401       35      24.8
+   601       28      22.7
+   801       30      21.4
+  1001       30      19.1
+  1201       25      17.2
+  1401       19      12.2
+  1601        7       4.0
+-- with spilling (R=32): spills=49 peak/bank=32 --
 cycle  max/bank  mean/bank
      1        1       1.0
-   451       32      25.4
-   901       31      23.6
-  1351       28      21.6
-  1801       31      21.0
-  2251       30      19.1
-  2701       24      16.1
-  3151       17      12.2
-  3601        4       1.7
+   221       26      19.0
+   441       32      24.7
+   661       28      22.8
+   881       31      21.3
+  1101       27      19.5
+  1321       25      16.9
+  1541       19      12.5
+  1761        1       0.0
 paper Fig. 10(c,d): balanced occupancy; spilling caps it at R
 ";
 
@@ -185,19 +185,19 @@ pinned!(
 );
 
 const TABLE2_AREA_POWER: &str = r"== Table II: area & power of the min-EDP design (ours vs paper) ==
-                   component   mm2  mm2(paper)    mW  mW(paper)
-                         PEs  0.13        0.13   7.0       11.9
-        Pipelining registers  0.04        0.04   8.0        8.0
-          Input interconnect  0.14        0.14   4.2       10.0
-         Output interconnect  0.01        0.01   0.4        0.5
-              Register banks  0.35        0.35  10.3       24.0
-           Wr addr generator  0.03        0.03   7.8        7.8
-                 Instr fetch  0.06        0.06   7.0        7.0
-                      Decode  0.04        0.04   2.6        2.6
-Control pipelining registers  0.01        0.01   0.7        2.7
-          Instruction memory  1.20        1.20  27.7       27.7
-                 Data memory  1.20        1.20   2.2        6.7
-                       TOTAL  3.21        3.21  77.9      108.9
+                   component   mm2  mm2(paper)     mW  mW(paper)
+                         PEs  0.13        0.13   16.2       11.9
+        Pipelining registers  0.04        0.04    8.0        8.0
+          Input interconnect  0.14        0.14    9.8       10.0
+         Output interconnect  0.01        0.01    1.0        0.5
+              Register banks  0.35        0.35   23.9       24.0
+           Wr addr generator  0.03        0.03    7.8        7.8
+                 Instr fetch  0.06        0.06    7.0        7.0
+                      Decode  0.04        0.04    2.6        2.6
+Control pipelining registers  0.01        0.01    0.7        2.7
+          Instruction memory  1.20        1.20   27.7       27.7
+                 Data memory  1.20        1.20    5.0        6.7
+                       TOTAL  3.21        3.21  109.6      108.9
 ";
 
 pinned!(
@@ -208,19 +208,19 @@ pinned!(
 
 const AUTOWRITE_REDUCTION: &str = r"== Automatic write addressing: program-size reduction (§III-B) ==
 workload  bits (auto)  bits (explicit)  reduction
- tretail       284283           363723        22%
-   mnist       300426           384606        22%
-   nltcs       423767           542887        22%
-   msnbc      1447762          1870302        23%
-   msweb      1684448          2161068        22%
-bnetflix      1750576          2236236        22%
-  bp_200       128905           188525        32%
-west2021       178391           260311        31%
-  sieber       353640           517680        32%
-jagmesh4       694234          1021194        32%
-  rdb968       708547          1040447        32%
-  dw2048      1427971          2280011        37%
-   TOTAL      9382950         12866990        27%
+ tretail       274065           350825        22%
+   mnist       298296           382116        22%
+   nltcs       418627           536147        22%
+   msnbc      1426652          1837732        22%
+   msweb      1666794          2138014        22%
+bnetflix      1726619          2216039        22%
+  bp_200       130576           190936        32%
+west2021       182914           267394        32%
+  sieber       353301           517321        32%
+jagmesh4       700716          1033816        32%
+  rdb968       705369          1038129        32%
+  dw2048      1433502          2295202        38%
+   TOTAL      9317431         12803671        27%
 paper: ~30% average reduction
 ";
 
@@ -232,19 +232,19 @@ pinned!(
 
 const FOOTPRINT_REDUCTION: &str = r"== Memory footprint vs CSR (§IV-E), bytes ==
 workload     ours      CSR  reduction
- tretail    42191   137671        69%
-   mnist    44721   150123        70%
-   nltcs    63210   212155        70%
-   msnbc   211946   723616        71%
-   msweb   253308   795967        68%
-bnetflix   254662   846450        70%
-  bp_200    41457    70928        42%
-west2021    57626    85413        33%
-  sieber   112301   203446        45%
-jagmesh4   217595   452939        52%
-  rdb968   221688   520449        57%
-  dw2048   421696   834787        49%
-   TOTAL  1942404  5033947        61%
+ tretail    40658   137671        70%
+   mnist    44199   150123        71%
+   nltcs    61800   212155        71%
+   msnbc   209563   723616        71%
+   msweb   248029   795967        69%
+bnetflix   252435   846450        70%
+  bp_200    41922    70928        41%
+west2021    59216    85413        31%
+  sieber   112258   203446        45%
+jagmesh4   220965   452939        51%
+  rdb968   222059   520449        57%
+  dw2048   423923   834787        49%
+   TOTAL  1937030  5033947        62%
 paper: 48% smaller than CSR on average
 ";
 
@@ -256,29 +256,29 @@ pinned!(
 
 const ABLATIONS: &str = r"== Ablation 1: reordering window (§IV-C) ==
 window  total cycles
-     1          2782
-     8          2288
-    64          2189
-   300          2128
+     1          2442
+     8          1974
+    64          1875
+   300          1832
 expected: window 1 pays a nop for every hazard; 300 is the paper's choice
 
 == Ablation 2: spill victim policy at R=16 (§IV-D) ==
                     policy  total cycles  spill+copy traffic
-furthest-next-use (Belady)          4067                1013
-          nearest-next-use         18224                8052
-                 arbitrary         11182                4557
+furthest-next-use (Belady)          3759                 984
+          nearest-next-use         15744                6963
+                 arbitrary         10147                4167
 expected: compile-time lookahead (Belady) minimizes traffic
 
 == Ablation 3: bank allocation (§IV-B) ==
                       policy  total cycles  spill+copy traffic
-conflict-aware (Algorithm 2)          2254                 168
-                      random          7263                5081
+conflict-aware (Algorithm 2)          1954                 148
+                      random          7175                5054
 
 == Ablation 4: output interconnect (§III-C) ==
               topology  total cycles
- (a) crossbar/crossbar          2143
-(b) crossbar/per-layer          2254
-   (c) crossbar/one-PE          3839
+ (a) crossbar/crossbar          1841
+(b) crossbar/per-layer          1954
+   (c) crossbar/one-PE          3631
 (scale 0.5; workloads: tretail, rdb968)
 ";
 
@@ -290,20 +290,20 @@ pinned!(
 
 const SCHEDULE_BOUNDS: &str = r"== Schedule bounds on (3,64,32) (scale 1) ==
 workload     l  l/D  exec chain  chain/(l/D)  depth bound  critical path  instrs  after step 3  final  efficiency  spill share
- tretail   105   35         366        10.5x          140           1499     607          1591   1591         94%           0%
-   mnist    59   20         333        16.6x           80           1357     631          1593   1593         85%           0%
-   nltcs    61   21         453        21.6x           84           1854     928          2119   2119         87%           0%
-   msnbc    65   22         940        42.7x           88           3871    3300          6633  16728         23%          60%
-   msweb   156   52        1801        34.6x          208           7411    3710          8501   8860         84%           4%
-bnetflix   115   39        1758        45.1x          156           7246    3991          8820  11635         62%          24%
-  bp_200   154   52         134         2.6x          208            545     383           570    570         96%           0%
-west2021   142   48         217         4.5x          192            870     517           873    873        100%           0%
-  sieber   233   78         275         3.5x          312           1154    1239          1515   1846         67%          18%
-jagmesh4   313  105         331         3.2x          420           1433    2523          2837   6348         40%          55%
-  rdb968   372  124         379         3.1x          496           1620    2731          3130   6887         40%          55%
-  dw2048  1273  425         821         1.9x         1700           3567    4860          5725  19294         25%          70%
-   SUITE     -    -           -            -            -              -       -         43907  78344         46%          44%
-Table III DPU-v2 mean: 2.34 GOPS; at max(instrs, critical path) per row: 3.87 GOPS
+ tretail   105   35         123         3.5x          140            505     605           692    692         87%           0%
+   mnist    59   20          72         3.6x           80            302     627           683    683         92%           0%
+   nltcs    61   21          73         3.5x           84            309     886           934    934         95%           0%
+   msnbc    65   22          82         3.7x           88            345    3235          3257  18169         18%          82%
+   msweb   156   52         185         3.6x          208            767    3503          3621   4459         79%          19%
+bnetflix   115   39         133         3.4x          156            558    3773          3814   7693         49%          50%
+  bp_200   154   52         102         2.0x          208            417     381           523    523         80%           0%
+west2021   142   48          73         1.5x          192            294     511           617    617         83%           0%
+  sieber   233   78         157         2.0x          312            657    1238          1391   1708         72%          19%
+jagmesh4   313  105         238         2.3x          420           1037    2481          2781   6307         39%          56%
+  rdb968   372  124         239         1.9x          496           1039    2747          2956   6783         40%          56%
+  dw2048  1273  425         753         1.8x         1700           3299    4862          5561  19238         25%          71%
+   SUITE     -    -           -            -            -              -       -         26830  67806         37%          60%
+Table III DPU-v2 mean: 3.75 GOPS; at max(instrs, critical path) per row: 5.81 GOPS
 efficiency: max(instrs, critical path) / final; spill share: (final - after step 3) / final
 ";
 

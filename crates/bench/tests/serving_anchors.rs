@@ -148,8 +148,8 @@ fn four_shard_dispatch_pins_gops_latency_and_routing() {
     let dpu = Dpu::large();
     let report = serve_checked(dpu.dispatcher(deterministic(4)), "4-shard");
 
-    assert_eq!(report.gops(FREQ_HZ), 28.499582089552238);
-    assert_eq!(report.modelled_cycles(), 10_050);
+    assert_eq!(report.gops(FREQ_HZ), 40.66166950596252);
+    assert_eq!(report.modelled_cycles(), 7_044);
     assert_eq!(report.total_dag_ops(), 954_736);
     let cache = report.cache_totals();
     assert_eq!(cache.misses, 3, "one compile per family");
@@ -158,7 +158,7 @@ fn four_shard_dispatch_pins_gops_latency_and_routing() {
     assert_eq!(service.count(), REQUESTS as u64);
     assert_eq!(
         (service.p50(), service.p99(), service.max()),
-        (107, 268, 268)
+        (99, 178, 178)
     );
     let per_shard: Vec<(u64, u64, u64)> = report
         .shards
@@ -167,7 +167,7 @@ fn four_shard_dispatch_pins_gops_latency_and_routing() {
         .collect();
     assert_eq!(
         per_shard,
-        [(406, 13, 10_050), (0, 0, 0), (194, 7, 2_675), (0, 0, 0)]
+        [(406, 13, 7_044), (0, 0, 0), (194, 7, 2_475), (0, 0, 0)]
     );
 
     // The multiset of per-request modelled cycles does not depend on the
@@ -212,7 +212,7 @@ fn mirrored_cpu_and_gpu_shards_pin_per_platform_gops() {
     assert_eq!(
         rows,
         [
-            ("dpu_v2", 13_141, 954_736, 21.795966821398675),
+            ("dpu_v2", 9_691, 954_736, 29.55534000619131),
             ("cpu", 484_212, 954_736, 0.5915194171148175),
             ("gpu", 4_542_258, 954_736, 0.06305692014852525),
         ]

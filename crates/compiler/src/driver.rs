@@ -24,13 +24,14 @@ pub struct CompileOptions {
     ///
     /// On the ablation's two workloads at half scale (`dpu-bench --bin
     /// ablations`, tretail and rdb968 on the min-EDP design), 300 wins:
-    /// 2 128 cycles against 2 288 at a window of 8. Across the small suite
+    /// 1 832 cycles against 1 974 at a window of 8. Across the small suite
     /// at full scale, though, larger windows hoist loads so far ahead that
     /// the extra register lifetime turns into spill traffic: spill stores
-    /// rise from 16 495 at 16 to 18 253 at 300, and west2021 takes 873,
-    /// 1 458 and 3 773 cycles at windows 16, 64 and 300 (sieber and
-    /// dw2048 slow down too). The suite's total falls only 1.8 % at 300, so
-    /// the default stays 16 until the scheduler sees register pressure.
+    /// rise from 19 500 at 16 to 22 554 at 64 and 27 348 at 300, and the
+    /// suite's total from 67 806 cycles to 73 354 and 82 501 (msnbc takes
+    /// 18 169, 19 421 and 22 486 cycles; sieber and dw2048 slow down too,
+    /// while west2021, which does not spill, goes 617, 592, 571). So the
+    /// default stays 16 until the scheduler sees register pressure.
     pub window: usize,
     /// Spill victim-selection policy (§IV-D; the paper's live-range
     /// analysis corresponds to furthest-next-use).

@@ -11,10 +11,22 @@
 //! The paper enumerates depth combinations per block (Fig. 9(d)); this
 //! implementation realizes the same packing with buddy-style *slot
 //! splitting*: placing a depth-`k` subgraph into a free depth-`d` slot
-//! leaves free sibling slots of depths `k, k+1, …, d−1`. Fitness follows
-//! the paper's objectives: prefer larger cones (objective C, datapath
-//! utilization) close in depth-first order to the block's existing nodes
-//! (objective D, fewer inter-block dependencies).
+//! leaves free sibling slots of depths `k, k+1, …, d−1`.
+//!
+//! Blocks are list-scheduled with issue latency (Gibbons and Muchnick,
+//! SIGPLAN '86), one level above step 3. Each block becomes one `exec`,
+//! and an `exec` that reads another's result must issue `D + 1` slots
+//! after it (§IV-C). So a cone is *ready* when none of its inputs was
+//! produced by one of the last `D` blocks; DAG inputs always are. A slot
+//! takes a cone as deep as itself if there is one (a shallower one leaves
+//! part of its PE tree idle). Among those, and failing them among the
+//! shallower ones, ready cones come first: a cone that is not ready enters
+//! only when no ready one fits. Within each readiness class the paper's
+//! objectives rank: larger cones (objective C, datapath utilization) close
+//! in the locality sweep to the last placed one (objective D, short
+//! register lifetimes). Ranked by locality alone, each block would consume
+//! the one just before it and leave step 3 nothing to fill the
+//! `D + 1`-cycle gaps with.
 
 use dpu_dag::{Dag, NodeId, Op};
 use dpu_isa::ArchConfig;
@@ -89,17 +101,108 @@ impl Candidates {
             walk.take(SEARCH_NEIGHBORS).map(|p| self.keys[p])
         })
     }
+
+    /// The best-ranked candidate for a free depth-`slot_d` slot, among
+    /// the keys [`Candidates::around`] yields for each depth `slot_d` down
+    /// to 1 from `cursor` (the last sink's position and key), their cones
+    /// seen through `cones`. Ties keep the first found, so the pick is the
+    /// one a scan of every one of those keys makes.
+    fn fittest(
+        &self,
+        slot_d: usize,
+        (cursor_pos, cursor_key): (usize, u64),
+        cones: &mut impl ConeView,
+    ) -> Option<(Rank, NodeId)> {
+        let mut best: Option<(Rank, NodeId)> = None;
+        let beats = |rank: Rank, best: Option<(Rank, NodeId)>| best.is_none_or(|(b, _)| rank > b);
+        for d in (1..=slot_d).rev() {
+            // A depth-`d` cone has at most 2^d − 1 nodes, so no candidate
+            // here ranks above a ready cone of this depth and that size at
+            // distance `dist`, and `dist` never shrinks along a direction
+            // of the scan. Where that cannot beat `best`, the direction —
+            // at distance 0, this depth and every lower one — is left
+            // unexamined, which leaves the pick what examining it would
+            // make it. So a cone as deep as the slot ends the scan at the
+            // next depth; a `best` that is not ready prunes nothing of its
+            // own depth class, and only a candidate's own bound skips it.
+            let fills = d == slot_d;
+            // Objective C: more nodes; objective D: proximity in the
+            // locality sweep. The distance term is uncapped: a far-away
+            // full cone must lose to nearby work, otherwise the schedule
+            // scatters across the DAG and register liveness (and with it
+            // spill traffic) explodes.
+            let rank = |len: usize, ready: bool, dist: i64| Rank {
+                fills,
+                ready,
+                fitness: len as i64 * 256 - dist * 8,
+            };
+            let beaten = |best, dist| !beats(rank((1 << d) - 1, true, dist), best);
+            if beaten(best, 0) {
+                break;
+            }
+            if self.depth[d].is_empty() {
+                continue;
+            }
+            for direction in self.around(d, cursor_pos) {
+                for key in direction {
+                    let dist = ((key >> 32) as i64 - (cursor_key >> 32) as i64).abs();
+                    if beaten(best, dist) {
+                        break;
+                    }
+                    let cand = NodeId(key as u32);
+                    let known = cones.bound(cand);
+                    if known.is_some_and(|(len, ready)| !beats(rank(len, ready, dist), best)) {
+                        continue;
+                    }
+                    let Some((len, ready)) = cones.exact(cand, d) else {
+                        continue;
+                    };
+                    if beats(rank(len, ready, dist), best) {
+                        best = Some((rank(len, ready, dist), cand));
+                    }
+                }
+            }
+        }
+        best
+    }
+}
+
+/// A candidate's standing for one slot, compared field by field: a cone
+/// as deep as the slot before a shallower one (it keeps the PE tree
+/// whole), then a ready cone before one that is not, then the fitter one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank {
+    fills: bool,
+    ready: bool,
+    fitness: i64,
+}
+
+/// A candidate's cone as [`Candidates::fittest`] ranks it: its node count
+/// and whether it is ready.
+trait ConeView {
+    /// What [`ConeView::exact`] may say of `v` at most, if that is known
+    /// without collecting its cone: a node count it does not exceed, and
+    /// `false` if it cannot be ready.
+    fn bound(&self, v: NodeId) -> Option<(usize, bool)>;
+    /// `v`'s cone, or `None` if it cannot take the slot; `d` is its depth.
+    fn exact(&mut self, v: NodeId, d: usize) -> Option<(usize, bool)>;
 }
 
 /// Unmapped ancestor cones of the candidates looked at while one block is
 /// assembled. `mapped` only changes when a block commits, so a candidate's
 /// cone is the same for every slot of the block: it is collected once into
-/// `arena` and found again through `at[v] = (block stamp, start, len)`. A
-/// stale stamp means "not collected for this block"; length 0, "ruled out
-/// of this block".
+/// `arena` and found again through `at[v] = (block stamp, start, len,
+/// ready at)`. A stale stamp means "not collected for this block", and 0,
+/// "never collected". *Ready at* is the first block the cone may join
+/// without reading a value of one of the `D` blocks before it: the latest
+/// `ready_from` among its mapped predecessors.
+///
+/// As `mapped` grows, a cone only loses nodes, and a predecessor it stops
+/// reading gives way to a later-mapped one on the same path. So a stale
+/// entry still bounds the cone: no more than `len` nodes, ready no sooner.
 struct Cones {
     arena: Vec<NodeId>,
-    at: Vec<(u32, u32, u32)>,
+    at: Vec<(u32, u32, u32, u32)>,
     stamp: u32,
     stack: Vec<NodeId>,
 }
@@ -108,7 +211,7 @@ impl Cones {
     fn new(nodes: usize) -> Self {
         Cones {
             arena: Vec::new(),
-            at: vec![(0, 0, 0); nodes],
+            at: vec![(0, 0, 0, 0); nodes],
             stamp: 0,
             stack: Vec::new(),
         }
@@ -120,17 +223,27 @@ impl Cones {
         self.arena.clear();
     }
 
-    /// `v` and its unmapped ancestors in topological order (sink last), or
-    /// nothing if `v` was ruled out. Cones are small: at most `2^d − 1`
-    /// distinct nodes for depth `d`.
-    fn of(&mut self, dag: &Dag, mapped: &[bool], v: NodeId) -> &[NodeId] {
+    /// `v` and its unmapped ancestors in topological order (sink last), and
+    /// the block the cone is ready at (`ready_from[p]`: the block from
+    /// which a value `p` may be read without waiting). Cones are small: at
+    /// most `2^d − 1` distinct nodes for depth `d`.
+    fn of(
+        &mut self,
+        dag: &Dag,
+        mapped: &[bool],
+        ready_from: &[u32],
+        v: NodeId,
+    ) -> (&[NodeId], u32) {
         if self.at[v.index()].0 != self.stamp {
             let start = self.arena.len();
+            let mut ready_at = 0;
             self.arena.push(v);
             self.stack.push(v);
             while let Some(x) = self.stack.pop() {
                 for &p in dag.preds(x) {
-                    if !mapped[p.index()] && !self.arena[start..].contains(&p) {
+                    if mapped[p.index()] {
+                        ready_at = ready_at.max(ready_from[p.index()]);
+                    } else if !self.arena[start..].contains(&p) {
                         self.arena.push(p);
                         self.stack.push(p);
                     }
@@ -138,15 +251,41 @@ impl Cones {
             }
             self.arena[start..].sort_unstable(); // ids are topological
             let len = self.arena.len() - start;
-            self.at[v.index()] = (self.stamp, start as u32, len as u32);
+            self.at[v.index()] = (self.stamp, start as u32, len as u32, ready_at);
         }
-        let (_, start, len) = self.at[v.index()];
-        &self.arena[start as usize..(start + len) as usize]
+        let (_, start, len, ready_at) = self.at[v.index()];
+        (
+            &self.arena[start as usize..(start + len) as usize],
+            ready_at,
+        )
+    }
+}
+
+/// The cones as the block under construction sees them.
+struct BlockView<'a> {
+    cones: &'a mut Cones,
+    dag: &'a Dag,
+    mapped: &'a [bool],
+    ready_from: &'a [u32],
+    /// Nodes of the block so far.
+    block_flag: &'a [bool],
+    /// The block's index.
+    block: u32,
+}
+
+impl ConeView for BlockView<'_> {
+    fn bound(&self, v: NodeId) -> Option<(usize, bool)> {
+        let (stamp, _, len, ready_at) = self.cones.at[v.index()];
+        (stamp != 0).then_some((len as usize, ready_at <= self.block))
     }
 
-    /// Keeps `v` out of the rest of this block.
-    fn rule_out(&mut self, v: NodeId) {
-        self.at[v.index()].2 = 0;
+    fn exact(&mut self, v: NodeId, d: usize) -> Option<(usize, bool)> {
+        let (cone, ready_at) = self.cones.of(self.dag, self.mapped, self.ready_from, v);
+        debug_assert!(cone.len() < 1 << d, "{v}: cone deeper than {d}");
+        // A cone that overlaps the block under construction waits for the
+        // next one.
+        let free = !cone.iter().any(|x| self.block_flag[x.index()]);
+        free.then_some((cone.len(), ready_at <= self.block))
     }
 }
 
@@ -162,7 +301,8 @@ pub struct RawBlock {
 /// `region` restricts decomposition to a node subset (used by the GRAPHOPT
 /// partitioning path for very large DAGs, §V-B); pass `None` for the whole
 /// DAG. Nodes outside the region and [`Op::Input`] nodes are treated as
-/// already mapped. Returns blocks in execution order.
+/// already mapped, and as ready to read from the first block on. Returns
+/// blocks in execution order.
 ///
 /// # Panics
 ///
@@ -250,6 +390,10 @@ pub fn decompose(
     let mut cones = Cones::new(n);
     // Nodes of the block under construction.
     let mut block_flag = vec![false; n];
+    // ready_from[v]: the first block that may read v without waiting on
+    // the pipeline: `D + 1` after the block that produced it, 0 for values
+    // mapped before this call.
+    let mut ready_from = vec![0u32; n];
 
     let mut blocks = Vec::new();
     let mut done = 0usize;
@@ -272,66 +416,22 @@ pub fn decompose(
             .map(|(i, _)| i)
         {
             let (slot_d, tree, off) = slots[slot_idx];
-            // Find the fittest candidate with udepth <= slot_d whose cone is
+            // The best-ranked candidate with udepth <= slot_d whose cone is
             // disjoint from the block so far.
-            let mut best: Option<(i64, NodeId)> = None;
-            for d in (1..=slot_d as usize).rev() {
-                // A depth-`d` cone has at most 2^d − 1 nodes, so no
-                // candidate here is fitter than `reach − 8·dist`, and `dist`
-                // never shrinks along a direction of the scan. Where that
-                // cannot beat `best` the direction — at distance 0, this
-                // depth and every lower one — is left unexamined, which
-                // leaves the pick what examining it would make it.
-                let reach = ((1i64 << d) - 1) * 256;
-                let beaten = |best: Option<(i64, NodeId)>, dist: i64| {
-                    best.is_some_and(|(bf, _)| reach - dist * 8 <= bf)
-                };
-                if beaten(best, 0) {
-                    break;
-                }
-                if buckets.depth[d].is_empty() {
-                    continue;
-                }
-                for direction in buckets.around(d, cursor_pos) {
-                    for key in direction {
-                        let dist = ((key >> 32) as i64 - (cursor_dfs >> 32) as i64).abs();
-                        if beaten(best, dist) {
-                            break;
-                        }
-                        let cand = NodeId(key as u32);
-                        let cone = cones.of(dag, mapped, cand);
-                        debug_assert!(cone.len() < 1 << d, "{cand}: cone deeper than {d}");
-                        if cone.is_empty() {
-                            continue; // ruled out by an earlier slot
-                        }
-                        if cone.iter().any(|x| block_flag[x.index()]) {
-                            // Overlaps the block under construction, and
-                            // the block only grows.
-                            cones.rule_out(cand);
-                            continue;
-                        }
-                        // Objective C: more nodes; objective D: proximity
-                        // in the locality sweep. The distance term is
-                        // uncapped: a far-away full cone must lose to
-                        // nearby work, otherwise the schedule scatters
-                        // across the DAG and register liveness (and with it
-                        // spill traffic) explodes.
-                        let fitness = cone.len() as i64 * 256 - dist * 8;
-                        if best.is_none_or(|(bf, _)| fitness > bf) {
-                            best = Some((fitness, cand));
-                        }
-                    }
-                }
-                // A full-depth match is as good as it gets for this slot.
-                if best.is_some() && d == slot_d as usize {
-                    break;
-                }
-            }
+            let mut view = BlockView {
+                cones: &mut cones,
+                dag,
+                mapped,
+                ready_from: &ready_from,
+                block_flag: &block_flag,
+                block: blocks.len() as u32,
+            };
+            let best = buckets.fittest(slot_d as usize, (cursor_pos, cursor_dfs), &mut view);
 
             let Some((_, sink)) = best else {
                 break; // no candidate fits the remaining slots
             };
-            let cone = cones.of(dag, mapped, sink);
+            let (cone, _) = cones.of(dag, mapped, &ready_from, sink);
 
             let k = udepth[sink.index()] as u32;
             debug_assert!(k >= 1 && k <= slot_d);
@@ -368,9 +468,11 @@ pub fn decompose(
         }
 
         // Commit the block: mark mapped and propagate udepth decreases.
+        let ready = blocks.len() as u32 + d_max + 1;
         let mut dirty: Vec<NodeId> = Vec::new();
         for &x in &block_nodes {
             mapped[x.index()] = true;
+            ready_from[x.index()] = ready;
             block_flag[x.index()] = false;
             udepth[x.index()] = 0;
             done += 1;
@@ -678,6 +780,154 @@ mod tests {
                 _ => rng.gen_range(0u64..81) << 32,
             };
             check(&cands, &model, cursor);
+        }
+    }
+
+    /// Cones of fixed size and readiness, with bounds that hold them.
+    struct FixedCones {
+        exact: Vec<Option<(usize, bool)>>,
+        bound: Vec<Option<(usize, bool)>>,
+    }
+
+    impl ConeView for FixedCones {
+        fn bound(&self, v: NodeId) -> Option<(usize, bool)> {
+            self.bound[v.index()]
+        }
+
+        fn exact(&mut self, v: NodeId, _: usize) -> Option<(usize, bool)> {
+            self.exact[v.index()]
+        }
+    }
+
+    /// [`Candidates::fittest`] against a scan that ranks every key
+    /// [`Candidates::around`] yields: seeded candidate sets, cone sizes,
+    /// readiness, bounds and cursors, on which the pruned pick must be the
+    /// unpruned one.
+    #[test]
+    fn fittest_is_the_unpruned_scan() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let steps = if cfg!(debug_assertions) {
+            3_000
+        } else {
+            300_000
+        };
+        let mut rng = SmallRng::seed_from_u64(49);
+        let nodes = 300u32;
+        // Few anchors, so that distances tie and 0 is common.
+        let keys: Vec<u64> = (0..nodes)
+            .map(|v| (rng.gen_range(0u64..40) << 32) | u64::from(v))
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        let depths = 4;
+        let mut cands = Candidates::new(keys.clone(), nodes as usize, depths);
+        let mut depth_of = vec![0usize; nodes as usize];
+        let mut cones = FixedCones {
+            exact: vec![None; nodes as usize],
+            bound: vec![None; nodes as usize],
+        };
+        for step in 0..steps {
+            // Move one node to a random depth (or out), with a new cone.
+            let v = rng.gen_range(0..nodes) as usize;
+            if depth_of[v] != 0 {
+                cands.remove(depth_of[v], NodeId(v as u32));
+                depth_of[v] = 0;
+            }
+            if rng.gen_bool(if step < steps / 8 { 0.9 } else { 0.6 }) {
+                let d = rng.gen_range(1..depths);
+                cands.insert(d, NodeId(v as u32));
+                depth_of[v] = d;
+                let exact = rng
+                    .gen_bool(0.9)
+                    .then(|| (rng.gen_range(d..1 << d), rng.gen_bool(0.3)));
+                cones.exact[v] = exact;
+                cones.bound[v] = match exact {
+                    _ if rng.gen_bool(0.3) => None,
+                    Some((len, ready)) => {
+                        Some((len + rng.gen_range(0usize..3), ready || rng.gen_bool(0.3)))
+                    }
+                    None => Some((rng.gen_range(1usize..8), rng.gen_bool(0.5))),
+                };
+            }
+            let cursor_key = match rng.gen_range(0..3) {
+                0 => keys[rng.gen_range(0..nodes) as usize],
+                1 => rng.gen_range(0u64..41) << 32,
+                _ => 0,
+            };
+            let cursor = (sorted.partition_point(|&k| k < cursor_key), cursor_key);
+            let slot_d = rng.gen_range(1..depths);
+
+            let mut want: Option<(Rank, NodeId)> = None;
+            for d in (1..=slot_d).rev() {
+                for key in cands.around(d, cursor.0).into_iter().flatten() {
+                    let v = NodeId(key as u32);
+                    let Some((len, ready)) = cones.exact[v.index()] else {
+                        continue;
+                    };
+                    let dist = ((key >> 32) as i64 - (cursor_key >> 32) as i64).abs();
+                    let rank = Rank {
+                        fills: d == slot_d,
+                        ready,
+                        fitness: len as i64 * 256 - dist * 8,
+                    };
+                    if want.is_none_or(|(b, _)| rank > b) {
+                        want = Some((rank, v));
+                    }
+                }
+            }
+            let got = cands.fittest(slot_d, cursor, &mut cones);
+            assert_eq!(
+                got, want,
+                "step {step}, slot depth {slot_d}, cursor {cursor_key:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn independent_chains_interleave_past_the_pipeline() {
+        // Four chains of twelve links on one tree of depth 3: each block
+        // takes three links of one chain, and a chain's next three are
+        // ready D = 3 blocks later. While a ready cone fits, no block
+        // reads a value of one of the D blocks before it, so the chains
+        // take turns.
+        let mut b = DagBuilder::new();
+        let xs: Vec<NodeId> = (0..4).map(|_| b.input()).collect();
+        let mut heads: Vec<NodeId> = xs
+            .iter()
+            .map(|&x| b.node(Op::Add, &[x, x]).unwrap())
+            .collect();
+        for _ in 1..12 {
+            for (h, &x) in heads.iter_mut().zip(&xs) {
+                *h = b.node(Op::Mul, &[*h, x]).unwrap();
+            }
+        }
+        let dag = b.finish().unwrap();
+        let cfg = ArchConfig::new(3, 8, 32).unwrap();
+        assert_eq!(cfg.trees(), 1);
+        let blocks = decompose_whole(&dag, &cfg);
+        validate_blocks(&dag, &cfg, &blocks).unwrap();
+        assert_eq!(blocks.len(), 16);
+        let mut made_in = vec![usize::MAX; dag.len()];
+        for (i, blk) in blocks.iter().enumerate() {
+            for sg in &blk.subgraphs {
+                for &x in &sg.nodes {
+                    made_in[x.index()] = i;
+                }
+            }
+        }
+        for (i, blk) in blocks.iter().enumerate() {
+            for sg in &blk.subgraphs {
+                for &x in &sg.nodes {
+                    for &p in dag.preds(x) {
+                        let j = made_in[p.index()];
+                        if j != usize::MAX && j != i {
+                            assert!(i - j > 3, "block {i} reads {p} of block {j}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -10,7 +10,10 @@
 //! plain specification (commit 6ac556e); the cycle counts and
 //! `instr_bits_fetched` were re-read when the compiler's step 3 took its
 //! critical-path priority (fewer `nop` cycles), while the output bits and
-//! every other counter held. A change here is a change to the
+//! every other counter held. The PC anchor's cycles and `Activity` were
+//! re-read again when step 1 began to rank ready cones first (one more
+//! block on this near-chain circuit); its output bits held, and the other
+//! two anchors did not move. A change here is a change to the
 //! reproduction's modelled numbers (cycles feed GOPS, `Activity` feeds the
 //! energy model) and must be deliberate.
 
@@ -67,19 +70,19 @@ fn check(name: &str, dag: &Dag, inputs: &[f32], want: &Anchor) {
 fn pc_anchor() {
     let dag = generate_pc(&PcParams::with_targets(400, 8), 81);
     let want = Anchor {
-        cycles: 76,
+        cycles: 80,
         outputs: 1,
         output_bits: 0x0999_eae0_5f4b_c809,
         activity: Activity {
-            reg_reads: 617,
-            reg_writes: 430,
-            mem_reads: 7,
+            reg_reads: 627,
+            reg_writes: 428,
+            mem_reads: 6,
             mem_writes: 1,
-            pe_arith_ops: 592,
-            pe_bypass_ops: 268,
-            execs: 19,
-            crossbar_hops: 749,
-            instr_bits_fetched: 95_152,
+            pe_arith_ops: 593,
+            pe_bypass_ops: 272,
+            execs: 20,
+            crossbar_hops: 743,
+            instr_bits_fetched: 100_160,
         },
     };
     check("pc", &dag, &pc_inputs(&dag, 0), &want);
