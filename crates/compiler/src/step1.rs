@@ -131,12 +131,12 @@ impl Candidates {
             // full cone must lose to nearby work, otherwise the schedule
             // scatters across the DAG and register liveness (and with it
             // spill traffic) explodes.
-            let rank = |len: usize, ready: bool, dist: i64| Rank {
+            let rank = |(len, ready): (usize, bool), dist: i64| Rank {
                 fills,
                 ready,
                 fitness: len as i64 * 256 - dist * 8,
             };
-            let beaten = |best, dist| !beats(rank((1 << d) - 1, true, dist), best);
+            let beaten = |best, dist| !beats(rank(((1 << d) - 1, true), dist), best);
             if beaten(best, 0) {
                 break;
             }
@@ -150,15 +150,17 @@ impl Candidates {
                         break;
                     }
                     let cand = NodeId(key as u32);
-                    let known = cones.bound(cand);
-                    if known.is_some_and(|(len, ready)| !beats(rank(len, ready, dist), best)) {
+                    if cones
+                        .bound(cand)
+                        .is_some_and(|b| !beats(rank(b, dist), best))
+                    {
                         continue;
                     }
-                    let Some((len, ready)) = cones.exact(cand, d) else {
+                    let Some(r) = cones.exact(cand, d).map(|c| rank(c, dist)) else {
                         continue;
                     };
-                    if beats(rank(len, ready, dist), best) {
-                        best = Some((rank(len, ready, dist), cand));
+                    if beats(r, best) {
+                        best = Some((r, cand));
                     }
                 }
             }
