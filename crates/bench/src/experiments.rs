@@ -728,14 +728,12 @@ pub fn schedule_bounds() -> String {
         &rows,
     );
     out.push_str(&format!(
-        "Table III DPU-v2 mean: {:.2} GOPS; at max(instrs, critical path) per row: {:.2} GOPS
-",
+        "Table III DPU-v2 mean: {:.2} GOPS; at max(instrs, critical path) per row: {:.2} GOPS\n",
         gops_sum / n,
         perfect_sum / n,
     ));
     out.push_str(
-        "efficiency: max(instrs, critical path) / final; spill share: (final - after step 3) / final
-",
+        "efficiency: max(instrs, critical path) / final; spill share: (final - after step 3) / final\n",
     );
     out
 }
