@@ -265,7 +265,9 @@ const DISPATCH_ALLOCS_PER_REQUEST: f64 = 2.8 + 1.0 / 31.0;
 /// The restart side of the spill cache for four families, from the bytes
 /// `Compiled::to_bytes` writes (the spill directory itself stays out of
 /// the count, and with it every filesystem allocation): parse, verify as
-/// `SpillStore::load` does, decode — counted per stage.
+/// `SpillStore::load` does, decode — counted per stage. Decode's count
+/// includes its tape's runs vector, which grows by doubling: these
+/// programs have 5–16 runs, so two or three of decode's allocations.
 fn warm_restart_allocates_a_fixed_count_per_program() {
     let mut counts = Vec::new();
     for salt in 0..4 {
@@ -281,7 +283,7 @@ fn warm_restart_allocates_a_fixed_count_per_program() {
     eprintln!("warm restart (from_bytes, verify, decode): {counts:?}");
     assert_eq!(
         counts,
-        [[17, 7, 12], [20, 7, 13], [20, 7, 13], [23, 7, 13]],
+        [[17, 7, 14], [20, 7, 15], [20, 7, 15], [23, 7, 16]],
         "allocations of a warm restart per program: (from_bytes, verify, decode)"
     );
 }

@@ -14,20 +14,24 @@
 //! its instructions, to one flat **value tape** of four kinds of step:
 //!
 //! - data-memory word → slot (a `load` word),
-//! - slot ← op(slot, slot) (an arithmetic PE),
+//! - slot ← op(slot, slot) (an arithmetic PE, one code per opcode),
 //! - slot ← slot (a `copy` move, or an `exec` result landing),
 //! - slot → data-memory word (a `store` word),
 //!
 //! over a compact slot space (see [`DecodedProgram`]). Crossbar ports are
 //! resolved straight to the register slot they read, bypass PEs to
 //! aliases of their operand, idle PEs are absent, and a writeback becomes
-//! a move placed at the end of cycle `issue + D`. What the replay proves
-//! is stored (cycles, [`Activity`]) or returned (every fault the oracle
-//! would raise, as the same [`SimError`] with the same bank, address and
-//! cycle); nothing of it is left for the run.
+//! a move placed at the end of cycle `issue + D`. The tape is stored as
+//! maximal **runs** of one code — an instruction's load words, a PE
+//! layer's adds, a cycle's landings — in the order decode emits the
+//! steps: each step holds only its operands, its code is its run's. What
+//! the replay proves is stored (cycles, [`Activity`]) or returned (every
+//! fault the oracle would raise, as the same [`SimError`] with the same
+//! bank, address and cycle); nothing of it is left for the run.
 //!
-//! [`Machine::run_decoded`] then walks the tape: one loop, no register
-//! file, no counters, **zero allocation** (lint-enforced by
+//! [`Machine::run_decoded`] then walks the tape a run at a time — one
+//! dispatch on the run's code, then a straight loop over its steps — with
+//! no register file, no counters and **zero allocation** (lint-enforced by
 //! `tests/forbidden_patterns.rs`), with outputs, cycle counts and
 //! [`Activity`] byte-identical to the oracle's [`Machine::run_program`]
 //! (differential-fuzzed in `tests/decoded_differential.rs`). The loop is
@@ -52,7 +56,7 @@ const NAN_SLOT: u32 = 0;
 /// "No value" in an `exec`'s source table: an undriven port or idle PE.
 const UNDEF: u32 = u32::MAX;
 
-/// What a tape step does; see [`Step`].
+/// What the steps of a [`Run`] do; see [`Step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Code {
     /// `slots[dst] = data[a]`.
@@ -70,15 +74,42 @@ enum Code {
     Max,
 }
 
-/// One step of the value tape. `dst`, `a` and `b` index the slot space,
-/// except the data-memory side of a load (`a`) or store (`dst`), which is
-/// a word index `row * B + col`.
+/// One step of the value tape; what it does is its run's [`Code`]. `dst`,
+/// `a` and `b` index the slot space, except the data-memory side of a
+/// load (`a`) or store (`dst`), which is a word index `row * B + col`.
 #[derive(Debug, Clone, Copy)]
 struct Step {
-    code: Code,
     dst: u32,
     a: u32,
     b: u32,
+}
+
+/// `len` consecutive steps of the tape that share one [`Code`].
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    code: Code,
+    len: u32,
+}
+
+/// The value tape: its steps in order, and the same steps cut into
+/// maximal runs of one code — adjacent runs differ in code (unless a run
+/// fills its `u32` length), so the walk dispatches once per run instead
+/// of once per step.
+#[derive(Debug, Clone, Default)]
+struct Tape {
+    steps: Vec<Step>,
+    runs: Vec<Run>,
+}
+
+impl Tape {
+    /// Appends a step, extending the last run if it has the same code.
+    fn push(&mut self, code: Code, dst: u32, a: u32, b: u32) {
+        self.steps.push(Step { dst, a, b });
+        match self.runs.last_mut() {
+            Some(run) if run.code == code && run.len < u32::MAX => run.len += 1,
+            _ => self.runs.push(Run { code, len: 1 }),
+        }
+    }
 }
 
 /// A [`Program`] with its schedule resolved — decode once, execute many.
@@ -100,7 +131,7 @@ pub struct DecodedProgram {
     config: ArchConfig,
     /// Source instructions (= issue cycles before drain).
     instrs: usize,
-    tape: Vec<Step>,
+    tape: Tape,
     /// Size of the slot space.
     slots: usize,
     /// Data-memory words, in whole rows from row 0, that cover every row
@@ -119,7 +150,7 @@ struct Lowering {
     /// in. What a *register* holds is never read back — its slot is
     /// `slots.reg(bank, addr).slot` — only whether it is valid.
     regs: RegFile<u32>,
-    tape: Vec<Step>,
+    tape: Tape,
     slots: SlotMap,
     /// Rows of data memory, from row 0, that the tape touches.
     data_rows: usize,
@@ -204,10 +235,6 @@ impl Lowering {
         }
     }
 
-    fn push(&mut self, code: Code, dst: u32, a: u32, b: u32) {
-        self.tape.push(Step { code, dst, a, b });
-    }
-
     /// A register read: the slot of `(bank, addr)` if it is valid, freed
     /// afterwards on a last read.
     fn read(&mut self, bank: u32, addr: u32, valid_rst: bool) -> Result<u32, SimError> {
@@ -266,12 +293,7 @@ impl Lowering {
         } = self;
         let landed = |bank: u32, addr: u32, from: u32| {
             activity.reg_writes += 1;
-            tape.push(Step {
-                code: Code::Move,
-                dst: slots.assign(bank, addr),
-                a: from,
-                b: 0,
-            });
+            tape.push(Code::Move, slots.assign(bank, addr), from, 0);
         };
         let ended = if drain {
             regs.drain(landed)
@@ -286,7 +308,7 @@ impl Lowering {
         self.activity.mem_reads += 1;
         for (bank, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
             let dst = self.write(bank as u32)?;
-            self.push(Code::Load, dst, row + bank as u32, 0);
+            self.tape.push(Code::Load, dst, row + bank as u32, 0);
         }
         Ok(())
     }
@@ -298,7 +320,7 @@ impl Lowering {
         if col >= self.cfg.banks as usize {
             return Err(self.malformed("a store word lies outside its row"));
         }
-        self.push(Code::Store, row + col as u32, from, 0);
+        self.tape.push(Code::Store, row + col as u32, from, 0);
         Ok(())
     }
 
@@ -326,12 +348,12 @@ impl Lowering {
                 self.scratch.push(self.slots.fresh());
             }
             for (i, &(from, _)) in staged.iter().enumerate() {
-                self.push(Code::Move, self.scratch[i], from, 0);
+                self.tape.push(Code::Move, self.scratch[i], from, 0);
             }
         }
         for (i, &(from, dst)) in staged.iter().enumerate() {
             let from = if overlaps { self.scratch[i] } else { from };
-            self.push(Code::Move, dst, from, 0);
+            self.tape.push(Code::Move, dst, from, 0);
         }
         self.staged = staged;
         Ok(())
@@ -412,7 +434,7 @@ impl Lowering {
                     };
                     self.activity.pe_arith_ops += 1;
                     self.src[at as usize] = out_slot(at);
-                    self.push(code, out_slot(at), a, b);
+                    self.tape.push(code, out_slot(at), a, b);
                 }
             }
         }
@@ -435,7 +457,7 @@ impl Lowering {
             // before cycle + D. Its value is snapshotted now, into the
             // bypass PE's own (otherwise unused) ring slot.
             if from >= self.slots.base {
-                self.push(Code::Move, out_slot(at), from, 0);
+                self.tape.push(Code::Move, out_slot(at), from, 0);
                 from = out_slot(at);
             }
             self.regs.schedule([(bank as u32, from)]);
@@ -488,7 +510,7 @@ impl DecodedProgram {
         let mut low = Lowering {
             cfg,
             regs: RegFile::new(&cfg, NAN_SLOT),
-            tape: Vec::new(),
+            tape: Tape::default(),
             slots: SlotMap {
                 banks: cfg.banks as usize,
                 regs: Vec::new(),
@@ -533,7 +555,7 @@ impl DecodedProgram {
             low.end_cycle(false)?;
         }
         low.end_cycle(true)?;
-        low.tape.shrink_to_fit();
+        low.tape.steps.shrink_to_fit();
         low.activity.instr_bits_fetched =
             u64::from(encode::fetch_width(&cfg)) * program.instrs.len() as u64;
         Ok(DecodedProgram {
@@ -623,24 +645,41 @@ impl<const L: usize> Lanes<L> {
         let (slots, data) = (&mut self.slots[..], &mut self.data[..]);
         // BEGIN run_decoded cycle loop (the per-request walk: values only
         // — it allocates nothing, names no register-file method and
-        // counts nothing; lint-enforced by tests/forbidden_patterns.rs)
-        for step in &prog.tape {
-            let (a, b) = (step.a as usize, step.b as usize);
-            let value = match step.code {
-                Code::Load => data[a],
-                Code::Store => {
-                    data[step.dst as usize] = slots[a];
-                    continue;
+        // counts nothing; lint-enforced by tests/forbidden_patterns.rs).
+        // One dispatch per run, then a straight loop over its steps.
+        #[inline(always)]
+        fn pe<const L: usize>(slots: &mut [[f32; L]], steps: &[Step], op: PeOpcode) {
+            for s in steps {
+                slots[s.dst as usize] = op.apply_lanes(slots[s.a as usize], slots[s.b as usize]);
+            }
+        }
+        let mut rest = &prog.tape.steps[..];
+        for run in &prog.tape.runs {
+            let (steps, after) = rest.split_at(run.len as usize);
+            rest = after;
+            match run.code {
+                Code::Load => {
+                    for s in steps {
+                        slots[s.dst as usize] = data[s.a as usize];
+                    }
                 }
-                Code::Move => slots[a],
-                Code::Add => PeOpcode::Add.apply_lanes(slots[a], slots[b]),
-                Code::Mul => PeOpcode::Mul.apply_lanes(slots[a], slots[b]),
-                Code::Sub => PeOpcode::Sub.apply_lanes(slots[a], slots[b]),
-                Code::Div => PeOpcode::Div.apply_lanes(slots[a], slots[b]),
-                Code::Min => PeOpcode::Min.apply_lanes(slots[a], slots[b]),
-                Code::Max => PeOpcode::Max.apply_lanes(slots[a], slots[b]),
-            };
-            slots[step.dst as usize] = value;
+                Code::Store => {
+                    for s in steps {
+                        data[s.dst as usize] = slots[s.a as usize];
+                    }
+                }
+                Code::Move => {
+                    for s in steps {
+                        slots[s.dst as usize] = slots[s.a as usize];
+                    }
+                }
+                Code::Add => pe(slots, steps, PeOpcode::Add),
+                Code::Mul => pe(slots, steps, PeOpcode::Mul),
+                Code::Sub => pe(slots, steps, PeOpcode::Sub),
+                Code::Div => pe(slots, steps, PeOpcode::Div),
+                Code::Min => pe(slots, steps, PeOpcode::Min),
+                Code::Max => pe(slots, steps, PeOpcode::Max),
+            }
         }
         // END run_decoded cycle loop
         self.cycles = prog.cycles;
@@ -686,14 +725,16 @@ impl<const L: usize> Lanes<L> {
 /// A compiled schedule does not depend on the data, so the group is cut
 /// into chunks of eight that each go through the tape **once**, eight
 /// lanes wide. A ragged last chunk of two or more is padded by repeating
-/// its last input; a lone last input runs one lane wide. The rule is
-/// read off the per-`L` table in DESIGN.md §2 "Lanes": an eight-lane pass
-/// costs what 1.2 (PC) to 2.1 (SpMV) one-lane runs do — the walk is bound
-/// by its dispatch, not by the lanes, while staging and read-back are per
-/// lane — so a padded pair gains a third of its time on the PCs and ties
-/// on the sparse kernels. Either way every result is byte-identical to
-/// running that input alone, and to the oracle's [`crate::run_on`]; cycles
-/// and [`Activity`] are the program's, read off `decoded`.
+/// its last input; a lone last input runs one lane wide. The rule was
+/// read off the per-`L` table in DESIGN.md §2 "Lanes" while the walk
+/// dispatched once per step and cost about the same at either width.
+/// Dispatching once per run cut the one-lane walk by more than the
+/// eight-lane one: a pass now costs what 1.7 (PC 6 000) to 4 (SpMV 500)
+/// one-lane runs do, so a padded pair still gains on the largest PC and
+/// loses on the sparse kernels (the table has both). Either way every
+/// result is byte-identical to running that input alone, and to the
+/// oracle's [`crate::run_on`]; cycles and [`Activity`] are the program's,
+/// read off `decoded`.
 ///
 /// The machine's data memory is reset per chunk (the machine is rebuilt
 /// if its configuration is not the program's); its eight-lane state is
@@ -774,4 +815,113 @@ pub fn execute(compiled: &Compiled, inputs: &[f32]) -> Result<RunResult, SimErro
     let decoded = DecodedProgram::decode(&compiled.program)?;
     let mut m = Machine::new(compiled.program.config);
     run_decoded_on(&mut m, compiled, &decoded, inputs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpu_compiler::{compile, CompileOptions};
+    use dpu_dag::{DagBuilder, NodeId, Op};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Each step's code, read back off the runs.
+    fn codes(tape: &Tape) -> Vec<Code> {
+        let mut codes = Vec::new();
+        for run in &tape.runs {
+            codes.extend(std::iter::repeat_n(run.code, run.len as usize));
+        }
+        codes
+    }
+
+    /// The runs are the maximal runs of the codes pushed: none empty,
+    /// adjacent ones different, together every step once, in order.
+    fn assert_maximal_runs(tape: &Tape) {
+        assert!(tape.runs.iter().all(|run| run.len > 0), "an empty run");
+        assert!(
+            tape.runs.windows(2).all(|w| w[0].code != w[1].code),
+            "adjacent runs share a code"
+        );
+        let covered: usize = tape.runs.iter().map(|run| run.len as usize).sum();
+        assert_eq!(covered, tape.steps.len(), "the runs cover every step once");
+    }
+
+    #[test]
+    fn pushes_cut_into_maximal_runs() {
+        use Code::*;
+        let pushed = [
+            Load, Load, Add, Add, Mul, Add, Move, Move, Move, Store, Load,
+        ];
+        let mut tape = Tape::default();
+        for (i, &code) in pushed.iter().enumerate() {
+            tape.push(code, i as u32, 0, 0);
+        }
+        assert_maximal_runs(&tape);
+        let runs: Vec<_> = tape.runs.iter().map(|run| (run.code, run.len)).collect();
+        assert_eq!(
+            runs,
+            [
+                (Load, 2),
+                (Add, 2),
+                (Mul, 1),
+                (Add, 1),
+                (Move, 3),
+                (Store, 1),
+                (Load, 1)
+            ]
+        );
+        assert_eq!(codes(&tape), pushed);
+        let dsts: Vec<_> = tape.steps.iter().map(|s| s.dst).collect();
+        assert_eq!(dsts, (0..pushed.len() as u32).collect::<Vec<_>>());
+    }
+
+    /// A spilling program whose loads, stores, landings and PE layers of
+    /// four opcodes interleave: its tape's runs are maximal, and each
+    /// step's code fits the slots it names — a load fills a register slot
+    /// from a data word, a PE writes the ring, a store writes a data word.
+    #[test]
+    fn a_decoded_tape_is_cut_into_maximal_runs() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut b = DagBuilder::new();
+        let mut ids: Vec<NodeId> = (0..16).map(|_| b.input()).collect();
+        for _ in 0..300 {
+            let i = ids[rng.gen_range(0..ids.len())];
+            let j = ids[rng.gen_range(0..ids.len())];
+            let op = [Op::Add, Op::Mul, Op::Min, Op::Max][rng.gen_range(0..4usize)];
+            ids.push(b.node(op, &[i, j]).unwrap());
+        }
+        let dag = b.finish().unwrap();
+        let cfg = ArchConfig::new(2, 8, 4).unwrap();
+        let compiled = compile(&dag, &cfg, &CompileOptions::default()).unwrap();
+        assert!(compiled.stats.spill_stores > 0, "the program spills");
+        let decoded = DecodedProgram::decode(&compiled.program).unwrap();
+        let tape = &decoded.tape;
+        assert_maximal_runs(tape);
+
+        let ring_end = RING_BASE + (cfg.depth + 1) * cfg.pe_count();
+        let data = decoded.data_words as u32;
+        for (s, code) in tape.steps.iter().zip(codes(tape)) {
+            match code {
+                Code::Load => assert!(s.a < data && s.dst >= ring_end, "load {s:?}"),
+                Code::Store => assert!(s.dst < data && s.a > NAN_SLOT, "store {s:?}"),
+                Code::Move => assert!(s.dst > NAN_SLOT && s.dst < decoded.slots as u32),
+                _ => assert!((RING_BASE..ring_end).contains(&s.dst), "PE {s:?}"),
+            }
+        }
+        // Every kind of step recurs in runs apart from each other, and the
+        // PE layers alternate opcodes.
+        for code in [Code::Load, Code::Store, Code::Move, Code::Add, Code::Max] {
+            let runs = tape.runs.iter().filter(|run| run.code == code).count();
+            assert!(runs > 1, "{code:?} forms {runs} runs");
+        }
+        let pe_to_pe = tape.runs.windows(2).any(|w| {
+            let pe = |c: Code| !matches!(c, Code::Load | Code::Store | Code::Move);
+            pe(w[0].code) && pe(w[1].code)
+        });
+        assert!(pe_to_pe, "no run of one opcode follows another's");
+        assert!(
+            tape.runs.len() < tape.steps.len(),
+            "some run is longer than one step"
+        );
+    }
 }

@@ -116,10 +116,12 @@ fn run_decoded_cycle_loop_never_allocates() {
     // run decides apart from the values — register addresses, valid
     // bits, landings, cycles, `Activity`, every fault — is resolved once,
     // at decode, and the per-request loop only moves values along a flat
-    // tape. A heap allocation in that loop, a register-file call, a
-    // counter bumped or a cycle ended there silently re-introduces the
-    // per-request bookkeeping the decoder exists to remove, so the loop
-    // is fenced with markers and scanned for those idioms.
+    // tape. A heap allocation in that loop (a `Vec`, a `Box`, a
+    // `collect`, a `format!`, a `.clone()` of owned data), a register-file
+    // call, a counter bumped or a cycle ended there silently
+    // re-introduces the per-request bookkeeping the decoder exists to
+    // remove, so the loop is fenced with markers and scanned for those
+    // idioms.
     //
     // There is one such loop, generic over the lane count: the fence must
     // sit inside `impl<const L: usize> Lanes<L>`, and a second marker
@@ -153,6 +155,11 @@ fn run_decoded_cycle_loop_never_allocates() {
             "Vec::new",
             "vec![",
             "to_vec",
+            "collect(",
+            "Box::new",
+            "format!",
+            "with_capacity",
+            ".clone()",
             "regs.",
             "RegFile",
             "activity.",
