@@ -91,16 +91,7 @@ pub fn table2_area_power() -> String {
             continue;
         }
         let r = measure(&dpu, &w);
-        let a = r.run.activity;
-        act.reg_reads += a.reg_reads;
-        act.reg_writes += a.reg_writes;
-        act.mem_reads += a.mem_reads;
-        act.mem_writes += a.mem_writes;
-        act.pe_arith_ops += a.pe_arith_ops;
-        act.pe_bypass_ops += a.pe_bypass_ops;
-        act.execs += a.execs;
-        act.crossbar_hops += a.crossbar_hops;
-        act.instr_bits_fetched += a.instr_bits_fetched;
+        act.absorb(&r.run.activity);
         cycles += r.run.cycles;
     }
     let rows_model = energy::table2(&dpu.config, &act, cycles);

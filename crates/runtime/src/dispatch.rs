@@ -15,15 +15,22 @@
 //!
 //! **Decisions and threads.** Every scheduling decision below — round
 //! closing, routing of a round around a dead home, pop, steal, lease,
-//! recovery, stall reclaim and hedging — is made by the clock-free state
-//! machines in `sched.rs`: the ingest thread's `Batcher` and the `Core`
-//! under the one queues lock. This file holds the threads that act on
-//! them: `shards + 1` per dispatcher, one ingest thread and one worker
-//! per shard. They read the [`Clock`], lock, call the core, unlock, run
+//! recovery, stall reclaim and hedging — is made by the clock-free `Core`
+//! in `sched.rs`, under the one queues lock. Admission has no thread of
+//! its own: [`Submitter::submit_with`](crate::Submitter::submit_with)
+//! takes the lock and adds its job to its home's pending round, closing
+//! the rounds that are full or due. This file holds the threads: one
+//! worker per shard, `shards` per dispatcher. They read the [`Clock`],
+//! lock, close the due rounds and check out the next one, unlock, run
 //! rounds on the shard's engine outside the lock, resolve tickets and
-//! wake parked workers when the core asks for it. When stall reclaim or
-//! hedging is configured, a parked worker's wait is timed so that its
-//! checkout runs the core's periodic sweep; otherwise it is untimed.
+//! wake parked workers when the core asks for it. A parked worker's wait
+//! is timed to the core's next wake stamp — the next due round, or the
+//! next sweep when stall reclaim or hedging is configured — so a round
+//! closes by its timer, and a sweep runs, at that worker's checkout; with
+//! neither pending, the wait is untimed. When every worker is busy and no
+//! submit arrives, a due round closes at the next checkout — the earliest
+//! it could run anyway — so its batching delay can exceed
+//! [`DispatchOptions::max_wait`] by exactly what its queue wait loses.
 //!
 //! - **One program store.** The engine shards of a dispatcher
 //!   ([`engine_shards`]) share one [`ProgramStore`]:
@@ -38,11 +45,11 @@
 //!   pre-decoded program over all of its same-key requests, eight input
 //!   sets per pass, so the fewer distinct keys a round holds
 //!   (`groups_per_round`) the fewer passes it costs.
-//! - **Adaptive round closing.** The ingestion thread accumulates each
-//!   shard's pending requests into a *round* and closes it when the round
-//!   reaches [`DispatchOptions::max_batch`] requests **or** its oldest
-//!   request has waited [`DispatchOptions::max_wait`] — whichever comes
-//!   first. Bursts get full rounds; trickles get bounded latency.
+//! - **Adaptive round closing.** Each shard's pending requests accumulate
+//!   into a *round* that closes when it reaches
+//!   [`DispatchOptions::max_batch`] requests **or** its oldest request has
+//!   waited [`DispatchOptions::max_wait`] — whichever comes first. Bursts
+//!   get full rounds; trickles get bounded latency.
 //! - **Work stealing.** An idle shard steals the most recently queued
 //!   round from the deepest backlog among shards in the same *steal
 //!   class*: shards whose engines' configurations are
@@ -75,7 +82,8 @@
 //!   [`ChaosPlan`]) raises one there too. The jobs already handed to the
 //!   engine fail [`ServeError::ShardLost`] (a round that panics is never
 //!   retried: it could kill every peer in turn), and the dead shard's
-//!   queued backlog is requeued onto a surviving same-class shard (the
+//!   pending and queued backlog is requeued onto a surviving same-class
+//!   shard, as is every later round homed on it (the
 //!   moves `steal_compatible` statically proves result-identical);
 //!   [`DispatchOptions::stall_timeout`] reclaims a
 //!   straggler's in-hand round the same way (at the sweep a checkout runs),
@@ -106,8 +114,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -117,14 +124,12 @@ use dpu_isa::ArchConfig;
 use dpu_sim::Machine;
 
 use crate::chaos::{ChaosPlan, HedgeOptions};
-use crate::ingest::{job_channel, Admission, Entry, Gate, Job, Outcome, Submitter};
+use crate::ingest::{Admission, Entry, Outcome, Submitter};
 use crate::latency::{Clock, LatencyReport, Timeline};
 use crate::planner::plan_rounds;
 use crate::pool::{Engine, EngineOptions, ProgramStore, Request, ServeError};
 use crate::report::{ClassReport, DispatchReport, ShardReport};
-use crate::sched::{
-    shed_at_execute, shed_at_ingest, Batcher, Checkout, Core, QueuedRound, Round, TrackedJob,
-};
+use crate::sched::{shed_at_execute, Checkout, Core, QueuedRound, TrackedJob};
 use crate::wake::Waiters;
 use crate::{dag_fingerprint, DagKey};
 
@@ -149,7 +154,7 @@ pub struct DispatchOptions {
     /// Bounded admission: maximum accepted-but-unresolved requests per
     /// home shard. A submit against a full home-shard queue fails fast
     /// with [`SubmitRejection::WouldBlock`](crate::SubmitRejection) and a
-    /// retry hint instead of growing the ingest queue without bound.
+    /// retry hint instead of growing the pending rounds without bound.
     /// `None` (the default) keeps admission unbounded.
     pub queue_capacity: Option<usize>,
     /// Anti-starvation floor for priority scheduling: a queued round of
@@ -228,23 +233,24 @@ pub fn engine_shards(
 }
 
 /// The shared queue fabric: one lock over the scheduling [`Core`], so
-/// stealing, recovery and the exit condition need no lock ordering; one
-/// condvar, signalled — when a worker is parked on it — whenever a core
-/// call raises its wake flag (a push, a close, a death, a sweep that moved
-/// rounds, a steal class going idle).
-struct Queues {
+/// admission, round closing, stealing, recovery, shutdown and the exit
+/// condition need no lock ordering; one condvar, signalled — when a worker
+/// is parked on it — whenever a core call raises its wake flag (a round
+/// queued, a fresh due stamp, the end of admission, a death, a sweep that
+/// moved rounds, a steal class going idle).
+pub(crate) struct Queues {
     core: Mutex<Core>,
     work: Waiters,
 }
 
 impl Queues {
-    fn lock(&self) -> MutexGuard<'_, Core> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Core> {
         self.core.lock().expect("queues poisoned")
     }
 
     /// Releases `core`, waking every parked worker if a call made under
     /// this acquisition asked for it.
-    fn unlock(&self, mut core: MutexGuard<'_, Core>) {
+    pub(crate) fn unlock(&self, mut core: MutexGuard<'_, Core>) {
         if core.take_wake() {
             self.work.wake_all(core);
         }
@@ -255,11 +261,11 @@ impl Queues {
 /// nanoseconds relative to the dispatcher's [`Clock`] epoch (its
 /// construction instant — the same epoch every [`Timeline`] stamp uses,
 /// so callers pass in stamps they already took instead of re-reading the
-/// clock). Lock-free: ingestion stamps the first acceptance with
+/// clock). Lock-free: admission stamps the first acceptance with
 /// `fetch_min`, every resolved ticket stamps `fetch_max`. Throughput
 /// reported over this window measures the system *while it served*,
 /// not however long it happened to sit idle before traffic arrived.
-struct ServingWindow {
+pub(crate) struct ServingWindow {
     first_ns: AtomicU64,
     last_ns: AtomicU64,
 }
@@ -272,9 +278,9 @@ impl ServingWindow {
         }
     }
 
-    /// Stamps an accepted request (called by ingestion on pickup, with
-    /// the acceptance stamp it just took).
-    fn mark_accept(&self, now_ns: u64) {
+    /// Stamps an accepted request, with the acceptance stamp its submit
+    /// just took.
+    pub(crate) fn mark_accept(&self, now_ns: u64) {
         self.first_ns.fetch_min(now_ns, Ordering::Relaxed);
     }
 
@@ -314,22 +320,37 @@ struct ShardState {
     latency: Mutex<LatencyReport>,
 }
 
-/// Counters kept by the ingestion thread, returned when it exits.
-#[derive(Debug, Default, Clone, Copy)]
-struct IngestStats {
-    closed_full: u64,
-    closed_timer: u64,
-    closed_flush: u64,
+/// What submitters share with the shard workers: the queues, the clock,
+/// the admission state and the serving window — not the engines, so a
+/// [`Submitter`] that outlives its dispatcher keeps none of them alive.
+pub(crate) struct Intake {
+    pub(crate) queues: Queues,
+    pub(crate) clock: Clock,
+    pub(crate) admission: Admission,
+    pub(crate) window: ServingWindow,
 }
 
-/// Everything the ingestion thread and the shard workers share, behind
-/// one `Arc`.
+impl Intake {
+    /// Open, empty queues over shards of the given steal classes, with a
+    /// clock whose epoch is `epoch`.
+    pub(crate) fn new(steal_class: Vec<usize>, options: &DispatchOptions, epoch: Instant) -> Self {
+        let n = steal_class.len();
+        Intake {
+            queues: Queues {
+                core: Mutex::new(Core::new(steal_class, options)),
+                work: Waiters::default(),
+            },
+            clock: Clock::from_epoch(epoch),
+            admission: Admission::new(n, options.queue_capacity, options.max_wait),
+            window: ServingWindow::new(),
+        }
+    }
+}
+
+/// Everything the shard workers share, behind one `Arc`.
 struct Shared {
     shards: Vec<ShardState>,
-    queues: Queues,
-    window: ServingWindow,
-    clock: Arc<Clock>,
-    admission: Arc<Admission>,
+    intake: Arc<Intake>,
     options: DispatchOptions,
 }
 
@@ -337,14 +358,9 @@ struct Shared {
 /// execution model.
 pub struct Dispatcher {
     shared: Arc<Shared>,
-    tx: mpsc::Sender<Job>,
-    shut_down: Arc<RwLock<bool>>,
-    ingest: Option<JoinHandle<IngestStats>>,
+    /// Empty once [`Dispatcher::stop`] has joined them.
     workers: Vec<JoinHandle<()>>,
     started: Instant,
-    /// Filled by [`Dispatcher::stop`] so `shutdown` can build the report
-    /// after `Drop`-safe teardown.
-    final_ingest_stats: Option<IngestStats>,
 }
 
 impl std::fmt::Debug for Dispatcher {
@@ -403,27 +419,12 @@ impl Dispatcher {
             })
             .collect();
 
-        let (tx, rx) = job_channel();
         let started = Instant::now();
         let shared = Arc::new(Shared {
             shards,
-            queues: Queues {
-                core: Mutex::new(Core::new(steal_class, &options)),
-                work: Waiters::default(),
-            },
-            window: ServingWindow::new(),
-            clock: Arc::new(Clock::from_epoch(started)),
-            admission: Arc::new(Admission::new(n, options.queue_capacity, options.max_wait)),
+            intake: Arc::new(Intake::new(steal_class, &options, started)),
             options,
         });
-
-        let ingest = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("dpu-ingest".into())
-                .spawn(move || ingest_loop(&shared, &rx))
-                .expect("spawn ingest thread")
-        };
         let workers = (0..n)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -436,12 +437,8 @@ impl Dispatcher {
 
         Dispatcher {
             shared,
-            tx,
-            shut_down: Arc::new(RwLock::new(false)),
-            ingest: Some(ingest),
             workers,
             started,
-            final_ingest_stats: None,
         }
     }
 
@@ -474,12 +471,7 @@ impl Dispatcher {
     /// A new submission handle. Cheap; clone freely across producer
     /// threads.
     pub fn submitter(&self) -> Submitter {
-        Submitter::new(
-            self.tx.clone(),
-            Arc::clone(&self.shut_down),
-            Arc::clone(&self.shared.clock),
-            Arc::clone(&self.shared.admission),
-        )
+        Submitter::new(Arc::clone(&self.shared.intake))
     }
 
     /// Pre-warms every shard's program store from its spill directory
@@ -495,22 +487,19 @@ impl Dispatcher {
 
     /// Requests accepted and not yet resolved: the sum of the home
     /// shards' admission depths, counted from the `submit` that admits a
-    /// request — so one still in the ingestion channel counts — until its
+    /// request — so one still in a pending round counts — until its
     /// ticket is fulfilled. A submit turned away by
     /// [`DispatchOptions::queue_capacity`] counts for the instant between
     /// its claim on a slot and giving it back.
     pub fn in_flight(&self) -> u64 {
-        self.shared.admission.in_flight()
+        self.shared.intake.admission.in_flight()
     }
 
-    /// Forces every pending round closed now (instead of waiting out the
-    /// latency budget) and returns once the ingestion thread has queued
-    /// them. Does not wait for execution — tickets do that.
+    /// Forces every pending round closed and queued now, instead of
+    /// waiting out the latency budget. Does not wait for execution —
+    /// tickets do that.
     pub fn flush(&self) {
-        let gate = Arc::new(Gate::default());
-        if self.tx.send(Job::Flush(Arc::clone(&gate))).is_ok() {
-            gate.wait();
-        }
+        self.close_pending(false);
     }
 
     /// Flushes, then blocks until every request accepted before the flush
@@ -518,7 +507,24 @@ impl Dispatcher {
     /// serving; this is a barrier, not a shutdown.
     pub fn drain(&self) {
         self.flush();
-        self.shared.admission.wait_idle();
+        self.shared.intake.admission.wait_idle();
+    }
+
+    /// Closes every pending round now — and with `end`, admission too,
+    /// under the same lock acquisition, so a submit that returned `Ok`
+    /// already has its job in a round the workers will run — then fails
+    /// what could not be placed.
+    fn close_pending(&self, end: bool) {
+        let intake = &*self.shared.intake;
+        let mut core = intake.queues.lock();
+        let now_ns = intake.clock.now_ns();
+        let lost = if end {
+            core.close(now_ns)
+        } else {
+            core.flush(now_ns)
+        };
+        intake.queues.unlock(core);
+        fail_lost(intake, &lost, None);
     }
 
     /// Stops ingestion, executes everything already accepted, joins all
@@ -528,7 +534,6 @@ impl Dispatcher {
     /// [`SubmitRejection::QueueClosed`](crate::SubmitRejection).
     pub fn shutdown(mut self) -> DispatchReport {
         self.stop();
-        let ingest = self.final_ingest_stats.unwrap_or_default();
         let shards: Vec<ShardReport> = self
             .shared
             .shards
@@ -557,11 +562,11 @@ impl Dispatcher {
         for s in &shards {
             latency.merge(&s.latency);
         }
-        // The admission ledger is coherent here: every submitter that
-        // returned has finished its counter updates (the write-locked
-        // flag flipped before the marker), and every worker is joined.
-        let adm = &self.shared.admission;
-        let core = self.shared.queues.lock();
+        // The admission ledger is coherent here: every submit admitted
+        // before the close wrote its entry under the queues lock, and
+        // every worker is joined.
+        let adm = &self.shared.intake.admission;
+        let core = self.shared.intake.queues.lock();
         let classes: [ClassReport; 3] = std::array::from_fn(|i| adm.class_report(i));
         debug_assert!(
             classes
@@ -572,12 +577,12 @@ impl Dispatcher {
         DispatchReport {
             submitted: classes.iter().map(|c| c.accepted).sum(),
             served: shards.iter().map(|s| s.requests).sum(),
-            rounds_closed_full: ingest.closed_full,
-            rounds_closed_timer: ingest.closed_timer,
-            rounds_closed_flush: ingest.closed_flush,
+            rounds_closed_full: core.closed_full,
+            rounds_closed_timer: core.closed_timer,
+            rounds_closed_flush: core.closed_flush,
             shards,
             stores,
-            host_seconds: self.shared.window.seconds(),
+            host_seconds: self.shared.intake.window.seconds(),
             lifetime_seconds: self.started.elapsed().as_secs_f64(),
             latency,
             classes,
@@ -593,26 +598,19 @@ impl Dispatcher {
     }
 
     /// Idempotent teardown shared by [`Dispatcher::shutdown`] and `Drop`:
-    /// reject new submissions, send the end-of-stream marker, join every
-    /// thread.
+    /// flush and close admission under one lock acquisition, then join
+    /// every worker.
     fn stop(&mut self) {
-        let Some(ingest) = self.ingest.take() else {
+        if self.workers.is_empty() {
             return; // already stopped
-        };
-        {
-            // Write lock: every submit that already returned Ok has
-            // finished its send; the marker goes behind all of them.
-            let mut flag = self.shut_down.write().expect("flag poisoned");
-            *flag = true;
         }
-        let _ = self.tx.send(Job::Shutdown);
-        self.final_ingest_stats = Some(ingest.join().expect("ingest thread panicked"));
+        self.close_pending(true);
         for w in self.workers.drain(..) {
             w.join().expect("shard thread panicked");
         }
         debug_assert_eq!(self.in_flight(), 0, "shutdown left requests in flight");
         debug_assert!(
-            self.shared.queues.lock().is_drained(),
+            self.shared.intake.queues.lock().is_drained(),
             "shutdown left rounds queued or leased"
         );
     }
@@ -624,95 +622,6 @@ impl Drop for Dispatcher {
     }
 }
 
-/// The ingestion loop: route to home shards, shed provably late requests
-/// at the door, and feed the [`Batcher`], queueing every round it closes
-/// (full, due, or flushed).
-fn ingest_loop(shared: &Shared, rx: &mpsc::Receiver<Job>) -> IngestStats {
-    let Shared {
-        window,
-        clock,
-        admission,
-        options,
-        ..
-    } = shared;
-    let n = shared.shards.len();
-    let mut stats = IngestStats::default();
-    let mut batcher = Batcher::new(n, options.max_batch, options.max_wait);
-
-    loop {
-        // Close every round that has exhausted its latency budget, then
-        // sleep until the next message or the next round's due stamp.
-        if batcher.next_due().is_some() {
-            for round in batcher.close_due(clock.now_ns()) {
-                stats.closed_timer += 1;
-                queue_round(shared, round);
-            }
-        }
-        let msg = match batcher.next_due() {
-            Some(due) => match rx.recv_timeout(
-                clock
-                    .instant_at(due)
-                    .saturating_duration_since(Instant::now()),
-            ) {
-                Ok(m) => Some(m),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => None,
-            },
-            None => rx.recv().ok(),
-        };
-
-        match msg {
-            Some(Job::Request(sub)) => {
-                let accepted_ns = clock.now_ns();
-                window.mark_accept(accepted_ns);
-                let timeline = Timeline {
-                    arrival_ns: sub.arrival_ns,
-                    accepted_ns,
-                    deadline_ns: sub.deadline_ns,
-                    ..Timeline::default()
-                };
-                let home = home_shard(sub.request.dag, n);
-                let job = TrackedJob::new(sub.request, sub.ticket, sub.priority, timeline);
-                let projected_ns = || admission.projected_completion_ns(accepted_ns);
-                if let Some(reason) = shed_at_ingest(sub.deadline_ns, projected_ns) {
-                    resolve(shared, &job, home, Outcome::Shed { reason }, timeline);
-                    continue;
-                }
-                if let Some(round) = batcher.add(home, job, accepted_ns) {
-                    stats.closed_full += 1;
-                    queue_round(shared, round);
-                }
-            }
-            // A flush, or the end of stream: the shutdown marker, or every
-            // submitter and the dispatcher gone.
-            msg => {
-                for round in batcher.close_all(clock.now_ns()) {
-                    stats.closed_flush += 1;
-                    queue_round(shared, round);
-                }
-                if let Some(Job::Flush(gate)) = msg {
-                    gate.open();
-                    continue;
-                }
-                let mut core = shared.queues.lock();
-                core.close();
-                shared.queues.unlock(core);
-                return stats;
-            }
-        }
-    }
-}
-
-/// Queues a closed round on its home shard ([`Core::push`]), failing its
-/// jobs when the home died and no same-class shard is left to take it.
-fn queue_round(shared: &Shared, round: Round) {
-    let home = round.home;
-    let mut core = shared.queues.lock();
-    let lost = core.push(round);
-    shared.queues.unlock(core);
-    fail_lost(shared, &lost, home);
-}
-
 /// Resolves `job`, unless another handle to its round already has — the
 /// one place a ticket resolves. Stamps completion, marks the serving
 /// window and fulfils the ticket with `outcome`; under the ticket's lock,
@@ -722,8 +631,8 @@ fn queue_round(shared: &Shared, round: Round) {
 /// ticket resolve finds the slot free and a `drain` that saw the slot
 /// free finds the ticket resolved. Returns the completed timeline, or
 /// `None` when the claim was lost.
-fn resolve(
-    shared: &Shared,
+pub(crate) fn resolve(
+    intake: &Intake,
     job: &TrackedJob,
     home: usize,
     outcome: Outcome,
@@ -732,36 +641,38 @@ fn resolve(
     if !job.claim() {
         return None;
     }
-    timeline.completed_ns = shared.clock.now_ns();
-    shared.window.mark_complete(timeline.completed_ns);
+    timeline.completed_ns = intake.clock.now_ns();
+    intake.window.mark_complete(timeline.completed_ns);
     let class = job.priority.index();
     job.ticket.fulfill(outcome, timeline, |outcome| {
-        shared.admission.resolved(class, home, outcome);
+        intake.admission.resolved(class, home, outcome);
     });
     Some(timeline)
 }
 
-/// Fails every still-unclaimed job of the rounds the core could not
-/// requeue after shard `lost_shard` died with
-/// [`ServeError::ShardLost`], outside the queues lock.
-fn fail_lost(shared: &Shared, lost: &[QueuedRound], lost_shard: usize) {
+/// Fails every still-unclaimed job of the rounds the core could not place
+/// on a live shard with [`ServeError::ShardLost`], outside the queues
+/// lock: naming `dead`, the shard whose death stranded them, or — for a
+/// round closed onto a dead home — the round's home.
+pub(crate) fn fail_lost(intake: &Intake, lost: &[QueuedRound], dead: Option<usize>) {
     for entry in lost {
+        let shard = dead.unwrap_or(entry.round.home);
         for job in &entry.round.jobs {
-            let outcome = Outcome::Failed(ServeError::ShardLost { shard: lost_shard });
-            resolve(shared, job, entry.round.home, outcome, job.timeline);
+            let outcome = Outcome::Failed(ServeError::ShardLost { shard });
+            resolve(intake, job, entry.round.home, outcome, job.timeline);
         }
     }
 }
 
 /// A worker's dying act, after its in-hand jobs failed: [`Core::kill`]
-/// moves its queued rounds (and what is left of the one on lease) onto a
-/// surviving same-class shard under one lock acquisition; with no
-/// survivor, the stranded jobs fail typed.
-fn abandon_shard(shared: &Shared, me: usize) {
-    let mut core = shared.queues.lock();
-    let lost = core.kill(me);
-    shared.queues.unlock(core);
-    fail_lost(shared, &lost, me);
+/// moves its pending, queued and leased rounds onto a surviving
+/// same-class shard under one lock acquisition; with no survivor, the
+/// stranded jobs fail typed.
+fn abandon_shard(intake: &Intake, me: usize) {
+    let mut core = intake.queues.lock();
+    let lost = core.kill(me, intake.clock.now_ns());
+    intake.queues.unlock(core);
+    fail_lost(intake, &lost, Some(me));
 }
 
 /// One shard's worker loop: pop own rounds (interactive first), steal
@@ -777,12 +688,11 @@ fn abandon_shard(shared: &Shared, me: usize) {
 /// queue, the worker exits — the dispatcher keeps serving on the
 /// survivors.
 fn shard_loop(shared: &Shared, me: usize) {
-    let Shared {
-        clock,
-        admission,
-        options,
-        ..
-    } = shared;
+    let intake = &*shared.intake;
+    let Intake {
+        clock, admission, ..
+    } = intake;
+    let options = &shared.options;
     let my = &shared.shards[me];
     let mut machine = Machine::new(*my.engine.config());
     let mut costs: Vec<u64> = Vec::new();
@@ -797,8 +707,8 @@ fn shard_loop(shared: &Shared, me: usize) {
     let mut finished: Option<QueuedRound> = None;
 
     loop {
-        let Some(entry) = next_round(shared, me, finished.take()) else {
-            return; // my steal class is closed, empty and lease-free
+        let Some(entry) = next_round(intake, me, finished.take()) else {
+            return; // admission is closed and my steal class empty and lease-free
         };
         let round = &*entry.round;
         if let (Some(plan), Some(base)) = (chaos, stall) {
@@ -829,7 +739,7 @@ fn shard_loop(shared: &Shared, me: usize) {
             timeline.execute_start_ns = now_ns;
             let estimate = || admission.service_estimate();
             if let Some(reason) = shed_at_execute(timeline.deadline_ns, now_ns, estimate) {
-                resolve(shared, job, round.home, Outcome::Shed { reason }, *timeline);
+                resolve(intake, job, round.home, Outcome::Shed { reason }, *timeline);
                 continue;
             }
             exec_idx.push(i);
@@ -866,9 +776,9 @@ fn shard_loop(shared: &Shared, me: usize) {
                     drop(latency);
                     for i in exec_idx {
                         let outcome = Outcome::Failed(ServeError::ShardLost { shard: me });
-                        resolve(shared, &round.jobs[i], round.home, outcome, timelines[i]);
+                        resolve(intake, &round.jobs[i], round.home, outcome, timelines[i]);
                     }
-                    abandon_shard(shared, me);
+                    abandon_shard(intake, me);
                     return;
                 }
             }
@@ -891,7 +801,7 @@ fn shard_loop(shared: &Shared, me: usize) {
             // An engine that *returns* an error (vs. one that panics) is a
             // per-job failure, ledgered as `failed`.
             let outcome = result.map_or_else(Outcome::Failed, Outcome::Completed);
-            let Some(timeline) = resolve(shared, &round.jobs[i], round.home, outcome, timeline)
+            let Some(timeline) = resolve(intake, &round.jobs[i], round.home, outcome, timeline)
             else {
                 continue; // lost the race to another handle after executing
             };
@@ -920,19 +830,23 @@ fn shard_loop(shared: &Shared, me: usize) {
 
 /// Hands `finished` back and blocks until shard `me` has its next round
 /// ([`Core::checkout`], which releases the lease and picks the next one
-/// under one lock acquisition), or returns `None` once `me`'s steal class
-/// is idle. A parked worker waits untimed, or — with stall reclaim or
-/// hedging on — until the core's next sweep is due, so its next checkout
-/// runs it.
+/// under one lock acquisition, after [`Core::close_due`] has closed the
+/// rounds whose budget is spent), or returns `None` once admission is
+/// closed and `me`'s steal class is idle. A parked worker waits until the
+/// core's next wake stamp — a due round or a sweep — so that its next
+/// checkout closes or runs it, and untimed when there is neither.
 ///
 /// `finished` is usually the last handle to the round it names: it is
 /// dropped after the unlock, because freeing a round's payloads is not
 /// work to do under the lock.
-fn next_round(shared: &Shared, me: usize, finished: Option<QueuedRound>) -> Option<QueuedRound> {
-    let Shared { queues, clock, .. } = shared;
+fn next_round(intake: &Intake, me: usize, finished: Option<QueuedRound>) -> Option<QueuedRound> {
+    let Intake { queues, clock, .. } = intake;
     let mut core = queues.lock();
+    let mut lost = Vec::new();
     let next = loop {
-        match core.checkout(me, clock.now_ns()) {
+        let now_ns = clock.now_ns();
+        lost.extend(core.close_due(now_ns));
+        match core.checkout(me, now_ns) {
             Checkout::Run(entry) => break Some(entry),
             Checkout::Exit => break None,
             // A sweep moved rounds onto other queues: wake their workers
@@ -942,7 +856,7 @@ fn next_round(shared: &Shared, me: usize, finished: Option<QueuedRound>) -> Opti
                 core = queues.lock();
             }
             Checkout::Wait => {
-                core = match core.next_sweep_ns() {
+                core = match core.next_wake_ns() {
                     None => queues.work.wait(core).expect("queues poisoned"),
                     Some(at) => {
                         let wait = Duration::from_nanos(at.saturating_sub(clock.now_ns()));
@@ -955,6 +869,7 @@ fn next_round(shared: &Shared, me: usize, finished: Option<QueuedRound>) -> Opti
     };
     queues.unlock(core);
     drop(finished);
+    fail_lost(intake, &lost, None);
     next
 }
 
@@ -993,7 +908,7 @@ mod tests {
 
     /// Spins until `n` shard workers are parked on the queues' condvar.
     fn until_parked(d: &Dispatcher, n: usize) {
-        let queues = &d.shared.queues;
+        let queues = &d.shared.intake.queues;
         while {
             let _held = queues.lock();
             queues.work.waiting() != n
@@ -1023,7 +938,7 @@ mod tests {
             &EngineOptions::default(),
         );
         let d = Dispatcher::new(engines, DispatchOptions::default());
-        assert_eq!(d.shared.queues.lock().steal_class, [0, 1, 0, 1]);
+        assert_eq!(d.shared.intake.queues.lock().steal_class, [0, 1, 0, 1]);
         d.shutdown();
     }
 
@@ -1080,6 +995,48 @@ mod tests {
         assert_eq!(c.offered, c.completed + c.failed + c.shed + c.rejected);
     }
 
+    /// With its only shard dead, no worker is left to close a round by its
+    /// timer: the round pending at the death and a request submitted
+    /// after it both fail `ShardLost` at once, without a flush.
+    #[test]
+    fn with_no_shard_left_pending_and_later_requests_fail_without_a_flush() {
+        within(LIMIT, || {
+            let (d, key) = dispatcher(DispatchOptions {
+                shards: 1,
+                max_batch: 2,
+                // The worker stalls on its first round, then dies at its
+                // execute site: the second round is still pending then.
+                chaos: Some(
+                    ChaosPlan::new(5)
+                        .kill_shard(0, 0)
+                        .stall_shard(0, Duration::from_millis(100)),
+                ),
+                ..Default::default()
+            });
+            let sub = d.submitter();
+            let submit = |x: f32| sub.submit(Request::new(key, vec![x, 1.0])).unwrap();
+            let in_hand = [submit(1.0), submit(2.0)];
+            let pending = submit(3.0);
+            let lost = |t: Ticket| {
+                matches!(
+                    t.wait(),
+                    Outcome::Failed(ServeError::ShardLost { shard: 0 })
+                )
+            };
+            assert!(in_hand.into_iter().all(lost));
+            assert!(lost(pending));
+            assert!(lost(submit(4.0)));
+            let report = d.shutdown();
+            assert_eq!(
+                (
+                    report.served,
+                    report.class(crate::Priority::Standard).failed
+                ),
+                (0, 4)
+            );
+        });
+    }
+
     #[test]
     fn drain_returns_while_completions_race_it() {
         within(LIMIT, || {
@@ -1101,7 +1058,7 @@ mod tests {
     }
 
     /// `Instant::now() + Duration::MAX` overflows: such a budget must mean
-    /// "close by size or flush only", not a dead ingest thread.
+    /// "close by size or flush only", not a worker that never parks.
     #[test]
     fn rounds_close_and_drain_returns_under_a_max_wait_of_duration_max() {
         let report = within(LIMIT, || {

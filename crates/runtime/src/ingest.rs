@@ -1,12 +1,13 @@
 //! Async ingestion front-end: typed request submission with bounded
 //! admission, deadlines, priorities, and per-request completion handles.
 //!
-//! [`Submitter`] is the producer half of the serving pipeline: it pushes
-//! requests into the [`Dispatcher`](crate::Dispatcher)'s ingestion channel
-//! and hands back a [`Ticket`] per request — a synchronous future the
-//! caller blocks on (or polls) for that request's [`Outcome`]. Any
-//! number of `Submitter` clones can feed the same dispatcher from any
-//! number of threads; the channel is FIFO across all of them.
+//! [`Submitter`] is the producer half of the serving pipeline: it admits
+//! requests into the [`Dispatcher`](crate::Dispatcher)'s pending rounds
+//! itself, under the dispatcher's queues lock, and hands back a [`Ticket`]
+//! per request — a synchronous future the caller blocks on (or polls) for
+//! that request's [`Outcome`]. Any number of `Submitter` clones can feed
+//! the same dispatcher from any number of threads; the lock orders them,
+//! and within a shard's pending round each class keeps that order.
 //!
 //! # The submission envelope
 //!
@@ -34,22 +35,24 @@
 //!
 //! A submit that returns `Ok` is **accepted** — its ticket is always
 //! fulfilled with an [`Outcome`], even if the dispatcher shuts down
-//! immediately after. This is enforced by a lock handshake: `submit_with`
-//! holds a read lock on the dispatcher's shutdown flag across the channel
-//! send, and shutdown takes the write lock *before* enqueueing its
-//! end-of-stream marker, so on the FIFO channel every accepted request
-//! precedes the marker.
+//! immediately after. Admission, round closing and shutdown serialize on
+//! the one queues lock: `submit_with` checks that admission is open and
+//! adds its job to a pending round under it, and shutdown flushes every
+//! pending round and closes admission under one acquisition of it, so a
+//! submit either has its job pending when the flush runs or sees
+//! admission closed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dpu_sim::RunResult;
 
-use crate::dispatch::home_shard;
-use crate::latency::{nanos, Clock, Timeline};
+use crate::dispatch::{fail_lost, home_shard, resolve, Intake};
+use crate::latency::{nanos, Timeline};
 use crate::pool::{Request, ServeError};
 use crate::report::ClassReport;
+use crate::sched::{shed_at_ingest, TrackedJob};
 use crate::wake::Waiters;
 
 /// Urgency class of a submitted request. Interactive traffic preempts
@@ -271,7 +274,7 @@ impl std::error::Error for SubmitAllError {}
 /// different stages (admission projection vs queue residence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// At ingestion the live queueing + service estimate projected
+    /// At admission the live queueing + service estimate projected
     /// completion past the deadline, so the request never entered a
     /// round.
     DeadlineUnmeetable {
@@ -374,7 +377,7 @@ impl Outcome {
     }
 }
 
-/// What a shard (or the shedding ingestion thread) hands back through a
+/// What a shard (or a submit that sheds its request) hands back through a
 /// ticket: the request's [`Outcome`] plus the completed latency
 /// [`Timeline`].
 #[derive(Debug)]
@@ -423,8 +426,8 @@ impl TicketState {
 /// [`Submitter::submit`] / [`Submitter::submit_with`].
 ///
 /// The ticket is fulfilled by whichever thread decides the request's
-/// [`Outcome`] — the executing shard, or the ingestion thread when it
-/// sheds; [`Ticket::wait`] blocks until then. Dropping a ticket is fine —
+/// [`Outcome`] — the executing shard, or the submit itself when it sheds;
+/// [`Ticket::wait`] blocks until then. Dropping a ticket is fine —
 /// the request still resolves, its outcome is simply discarded.
 #[derive(Debug)]
 pub struct Ticket {
@@ -519,64 +522,6 @@ impl Ticket {
     }
 }
 
-/// A gate for [`Dispatcher::flush`](crate::Dispatcher::flush): opened by
-/// the ingestion thread once the flush marker has been processed.
-#[derive(Debug, Default)]
-pub(crate) struct Gate {
-    open: Mutex<bool>,
-    cv: Waiters,
-}
-
-impl Gate {
-    pub(crate) fn open(&self) {
-        let mut open = self.open.lock().expect("gate poisoned");
-        *open = true;
-        self.cv.wake_all(open);
-    }
-
-    pub(crate) fn wait(&self) {
-        let mut open = self.open.lock().expect("gate poisoned");
-        while !*open {
-            open = self.cv.wait(open).expect("gate poisoned");
-        }
-    }
-}
-
-/// One accepted request in flight through the ingestion channel.
-pub(crate) struct Submission {
-    pub(crate) request: Request,
-    pub(crate) ticket: Arc<TicketState>,
-    /// Scheduled arrival stamp (ns from the dispatcher's clock epoch).
-    pub(crate) arrival_ns: u64,
-    /// Completion deadline stamp (0 = none).
-    pub(crate) deadline_ns: u64,
-    pub(crate) priority: Priority,
-}
-
-/// Messages flowing through the ingestion channel.
-pub(crate) enum Job {
-    /// An accepted request envelope.
-    Request(Submission),
-    /// Close every pending round now (latency escape hatch); open the
-    /// gate once done.
-    Flush(Arc<Gate>),
-    /// End of stream: flush everything, close the shard queues, exit.
-    /// Guaranteed (by the submit/shutdown lock handshake) to follow every
-    /// accepted request in channel order.
-    Shutdown,
-}
-
-/// Constructs the ingestion channel: `std`'s multi-producer,
-/// single-consumer FIFO, whose `send` wakes the ingest thread only when it
-/// sleeps on the channel. This is the **only** place in `dpu-runtime`
-/// allowed to build an unbounded channel (CI's forbidden-pattern lint
-/// enforces it): the channel may be unbounded precisely because admission
-/// control ([`Admission`]) bounds what enters it — overload is refused at
-/// submission, not buffered here.
-pub(crate) fn job_channel() -> (mpsc::Sender<Job>, mpsc::Receiver<Job>) {
-    mpsc::channel()
-}
-
 /// Exponentially weighted moving average cell (α = 1/8), racy by design:
 /// readers want a cheap live estimate, not a ledger.
 fn ewma_update(cell: &AtomicU64, observed: u64) {
@@ -597,7 +542,7 @@ pub(crate) enum Entry {
     Accepted,
     Completed,
     Failed,
-    /// Shed at ingestion: the live estimate projected completion past the
+    /// Shed at admission: the live estimate projected completion past the
     /// deadline.
     ShedUnmeetable,
     /// Shed at execute time: the deadline expired in queue.
@@ -642,7 +587,7 @@ impl Entry {
 ///
 /// Written from both sides of a ticket — submitters (accepts and
 /// rejections) and whichever thread resolves it — through relaxed atomics:
-/// the ledger is read coherently only at shutdown, after every thread has
+/// the ledger is read coherently only at shutdown, after every worker has
 /// been joined.
 pub(crate) struct Admission {
     /// Shard count, for home-shard routing at admission time.
@@ -731,9 +676,8 @@ impl Admission {
     }
 
     /// Claims a depth slot on `home`; gives it back and returns `false`
-    /// when the shard is at capacity. (The claim-then-check order admits
-    /// at most one transient overshoot per concurrent submitter — bounded,
-    /// and free of a CAS loop.)
+    /// when the shard is at capacity. Submits claim under the queues lock,
+    /// one at a time, so only a concurrent release can move the count.
     pub(crate) fn admit(&self, home: usize) -> bool {
         let prev = self.depth[home].fetch_add(1, Ordering::Relaxed);
         if self.capacity.is_some_and(|cap| prev >= cap) {
@@ -809,36 +753,25 @@ impl Admission {
 
 /// Handle for submitting requests to a running
 /// [`Dispatcher`](crate::Dispatcher). Cheap to clone; clones can be moved
-/// to producer threads.
+/// to producer threads. It holds the dispatcher's queues, clock and
+/// admission state, not its engines: after shutdown it only rejects.
 #[derive(Clone)]
 pub struct Submitter {
-    tx: mpsc::Sender<Job>,
-    shut_down: Arc<RwLock<bool>>,
-    clock: Arc<Clock>,
-    admission: Arc<Admission>,
+    intake: Arc<Intake>,
 }
 
 impl std::fmt::Debug for Submitter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let open = self.intake.queues.lock().is_open();
         f.debug_struct("Submitter")
-            .field("shut_down", &*self.shut_down.read().expect("flag poisoned"))
+            .field("shut_down", &!open)
             .finish()
     }
 }
 
 impl Submitter {
-    pub(crate) fn new(
-        tx: mpsc::Sender<Job>,
-        shut_down: Arc<RwLock<bool>>,
-        clock: Arc<Clock>,
-        admission: Arc<Admission>,
-    ) -> Self {
-        Submitter {
-            tx,
-            shut_down,
-            clock,
-            admission,
-        }
+    pub(crate) fn new(intake: Arc<Intake>) -> Self {
+        Submitter { intake }
     }
 
     /// Submits one request with default [`SubmitOptions`] (no deadline,
@@ -862,7 +795,10 @@ impl Submitter {
     /// rejects immediately; a full home-shard queue (when
     /// [`DispatchOptions::queue_capacity`](crate::DispatchOptions::queue_capacity)
     /// bounds admission) rejects with a retry hint instead of blocking or
-    /// queueing without bound.
+    /// queueing without bound. An admitted request is stamped accepted
+    /// and, unless its deadline is already unmeetable, added to its home
+    /// shard's pending round — under the queues lock, which also closes
+    /// the round when it fills and any other round that is due.
     ///
     /// # Errors
     ///
@@ -876,34 +812,48 @@ impl Submitter {
         options: SubmitOptions,
     ) -> Result<Ticket, SubmitRejection> {
         let class = options.priority.index();
-        let admission = &*self.admission;
+        let intake = &*self.intake;
+        let Intake {
+            queues,
+            clock,
+            admission,
+            window,
+        } = intake;
         if let Some(deadline) = options.deadline {
             if deadline <= Instant::now() {
                 return admission.reject(class, SubmitRejection::DeadlineAlreadyPast { request });
             }
         }
         let arrival_ns = match options.scheduled {
-            Some(t) => self.clock.ns_at(t),
-            None => self.clock.now_ns(),
+            Some(t) => clock.ns_at(t),
+            None => clock.now_ns(),
         };
         // A deadline stamp of 0 means "none"; a real deadline at the
         // epoch instant itself is clamped up to 1 ns.
-        let deadline_ns = options.deadline.map_or(0, |t| self.clock.ns_at(t).max(1));
+        let deadline_ns = options.deadline.map_or(0, |t| clock.ns_at(t).max(1));
+        let home = home_shard(request.dag, admission.shards);
+        // Allocate before taking the lock: the critical section is shared
+        // by every submitter and worker.
+        let state = TicketState::new();
+        let timeline = Timeline {
+            arrival_ns,
+            deadline_ns,
+            ..Timeline::default()
+        };
+        let mut job = TrackedJob::new(request, Arc::clone(&state), options.priority, timeline);
 
-        // Hold the read lock across the send: shutdown takes the write
-        // lock before enqueueing its marker, so an accepted request always
-        // precedes the marker on the FIFO channel (loss-freedom), and its
-        // ledger entry is written before shutdown reads the ledger.
-        let guard = self.shut_down.read().expect("flag poisoned");
-        if *guard {
+        let mut core = queues.lock();
+        if !core.is_open() {
+            drop(core);
+            let request = job.request;
             return admission.reject(class, SubmitRejection::QueueClosed { request });
         }
-
         // Bounded admission: claim a depth slot on the home shard, or
         // reject if the queue is at capacity.
-        let home = home_shard(request.dag, admission.shards);
         if !admission.admit(home) {
+            drop(core);
             let retry_after = admission.retry_after();
+            let request = job.request;
             return admission.reject(
                 class,
                 SubmitRejection::WouldBlock {
@@ -912,30 +862,25 @@ impl Submitter {
                 },
             );
         }
-
-        let state = TicketState::new();
-        let submission = Submission {
-            request,
-            ticket: Arc::clone(&state),
-            arrival_ns,
-            deadline_ns,
-            priority: options.priority,
+        admission.note(class, Entry::Accepted);
+        let now_ns = clock.now_ns();
+        window.mark_accept(now_ns);
+        job.timeline.accepted_ns = now_ns;
+        let mut lost = core.close_due(now_ns);
+        let projected_ns = || admission.projected_completion_ns(now_ns);
+        let shed = match shed_at_ingest(deadline_ns, projected_ns) {
+            Some(reason) => Some((job, reason)),
+            None => {
+                lost.extend(core.add(home, job, now_ns));
+                None
+            }
         };
-        match self.tx.send(Job::Request(submission)) {
-            Ok(()) => {
-                admission.note(class, Entry::Accepted);
-                Ok(Ticket::new(state))
-            }
-            Err(mpsc::SendError(Job::Request(sub))) => {
-                // The channel is gone (dispatcher dropped without the
-                // handshake — cannot happen through the public API, but
-                // stay honest): give the slot back and reject as closed.
-                admission.release(home);
-                let request = sub.request;
-                admission.reject(class, SubmitRejection::QueueClosed { request })
-            }
-            Err(_) => unreachable!("send returns the job it was given"),
+        queues.unlock(core);
+        if let Some((job, reason)) = shed {
+            resolve(intake, &job, home, Outcome::Shed { reason }, job.timeline);
         }
+        fail_lost(intake, &lost, None);
+        Ok(Ticket::new(state))
     }
 
     /// Submits a batch under shared `options`, returning one ticket per
@@ -1075,15 +1020,21 @@ mod tests {
     /// a dispatcher resolves one — writes one cell, each class sees every
     /// entry, the classes balance, the by-kind totals are sums of the
     /// class columns, and the depths (so the in-flight count) come back to
-    /// zero, the capacity undo and the dead-channel undo included.
+    /// zero, the capacity undo included. Each shard admits one request at
+    /// a time, and every submit closes its round (`max_batch` 1), which
+    /// the test checks out as that shard's worker would.
     #[test]
     fn every_entry_lands_in_one_cell_and_every_class_balances() {
-        use crate::DagKey;
-        let admission = Arc::new(Admission::new(2, Some(1), Duration::from_millis(1)));
-        let (tx, rx) = job_channel();
-        let shut_down = Arc::new(RwLock::new(false));
-        let clock = Arc::new(Clock::new());
-        let sub = Submitter::new(tx, Arc::clone(&shut_down), clock, Arc::clone(&admission));
+        use crate::sched::Checkout;
+        use crate::{DagKey, DispatchOptions};
+        let options = DispatchOptions {
+            max_batch: 1,
+            queue_capacity: Some(1),
+            ..Default::default()
+        };
+        let intake = Arc::new(Intake::new(vec![0, 1], &options, Instant::now()));
+        let admission = &intake.admission;
+        let sub = Submitter::new(Arc::clone(&intake));
         let classes = [Priority::Interactive, Priority::Batch];
         let request = |home: u64| Request::new(DagKey(home), vec![1.0]);
         let resolutions: [(Entry, fn() -> Outcome); 4] = [
@@ -1113,11 +1064,11 @@ mod tests {
             for (c, &class) in classes.iter().enumerate() {
                 let options = SubmitOptions::default().priority(class);
                 for home in 0..2u64 {
-                    let ticket = lands_in(&admission, class, Entry::Accepted, || {
+                    let ticket = lands_in(admission, class, Entry::Accepted, || {
                         sub.submit_with(request(home), options)
                             .expect("a free slot")
                     });
-                    let full = lands_in(&admission, class, Entry::WouldBlock, || {
+                    let full = lands_in(admission, class, Entry::WouldBlock, || {
                         sub.submit_with(request(home), options)
                     });
                     assert!(matches!(full, Err(SubmitRejection::WouldBlock { .. })));
@@ -1126,12 +1077,14 @@ mod tests {
                         1,
                         "the capacity undo gave its slot back"
                     );
-                    let Ok(Job::Request(job)) = rx.try_recv() else {
-                        panic!("the accepted request is on the channel");
+                    let checkout = intake.queues.lock().checkout(home as usize, 0);
+                    let Checkout::Run(queued) = checkout else {
+                        panic!("the accepted request is queued on its home");
                     };
+                    let job = &queued.round.jobs[0];
                     let (entry, outcome) =
                         resolutions[(round + c + home as usize) % resolutions.len()];
-                    lands_in(&admission, class, entry, || {
+                    lands_in(admission, class, entry, || {
                         job.ticket
                             .fulfill(outcome(), Timeline::default(), |outcome| {
                                 admission.resolved(class.index(), home as usize, outcome);
@@ -1141,27 +1094,23 @@ mod tests {
                     assert_eq!(admission.in_flight(), 0);
                 }
                 let past = options.deadline(Instant::now() - Duration::from_millis(1));
-                let stale = lands_in(&admission, class, Entry::DeadlinePast, || {
+                let stale = lands_in(admission, class, Entry::DeadlinePast, || {
                     sub.submit_with(request(0), past)
                 });
                 assert!(matches!(
                     stale,
                     Err(SubmitRejection::DeadlineAlreadyPast { .. })
                 ));
-                *shut_down.write().unwrap() = true;
-                let closed = lands_in(&admission, class, Entry::QueueClosed, || {
-                    sub.submit_with(request(1), options)
-                });
-                assert!(matches!(closed, Err(SubmitRejection::QueueClosed { .. })));
-                *shut_down.write().unwrap() = false;
             }
         }
-        drop(rx);
-        let batch = SubmitOptions::default().priority(Priority::Batch);
-        let dead = lands_in(&admission, Priority::Batch, Entry::QueueClosed, || {
-            sub.submit_with(request(1), batch)
-        });
-        assert!(matches!(dead, Err(SubmitRejection::QueueClosed { .. })));
+        assert!(intake.queues.lock().close(0).is_empty());
+        for class in classes {
+            let options = SubmitOptions::default().priority(class);
+            let closed = lands_in(admission, class, Entry::QueueClosed, || {
+                sub.submit_with(request(1), options)
+            });
+            assert!(matches!(closed, Err(SubmitRejection::QueueClosed { .. })));
+        }
         admission.wait_idle();
         assert_eq!(admission.in_flight(), 0);
 

@@ -275,11 +275,6 @@ impl Clock {
     pub fn ns_at(&self, t: Instant) -> u64 {
         t.checked_duration_since(self.epoch).map_or(0, nanos)
     }
-
-    /// The instant `ns` nanoseconds after the epoch.
-    pub(crate) fn instant_at(&self, ns: u64) -> Instant {
-        self.epoch + Duration::from_nanos(ns)
-    }
 }
 
 /// `d` in nanoseconds, saturating at `u64::MAX` (585 years).
@@ -313,7 +308,7 @@ pub struct Timeline {
     /// ([`SubmitOptions::scheduled`](crate::SubmitOptions)'s instant, or
     /// the actual submit instant for plain submits).
     pub arrival_ns: u64,
-    /// Picked up by the ingestion thread.
+    /// Admitted by its submit, under the dispatcher's queues lock.
     pub accepted_ns: u64,
     /// The round holding this request closed (by size, timer, or flush).
     pub round_closed_ns: u64,
@@ -335,14 +330,17 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Channel time: accepted minus scheduled arrival.
+    /// Admission lag: accepted minus scheduled arrival — how late a
+    /// replayed submit came, plus its wait for the queues lock.
     pub fn submit_lag_ns(&self) -> u64 {
         self.accepted_ns.saturating_sub(self.arrival_ns)
     }
 
     /// Time spent waiting for the round to fill or time out — bounded by
     /// [`DispatchOptions::max_wait`](crate::DispatchOptions::max_wait)
-    /// plus ingest poll slack.
+    /// plus timer slack, or, when every worker is busy, until the next
+    /// checkout closes the due round (the wait then moves out of
+    /// [`Timeline::queue_wait_ns`], not onto the total).
     pub fn batching_delay_ns(&self) -> u64 {
         self.round_closed_ns.saturating_sub(self.accepted_ns)
     }

@@ -33,7 +33,7 @@
 //!   rounds. Results are byte-identical to serial execution regardless of
 //!   shard count.
 //! - [`Dispatcher`] is the async layer above the engine: [`Submitter`]
-//!   handles feed requests continuously through a channel, rounds close
+//!   handles admit requests continuously into pending rounds, rounds close
 //!   adaptively under a latency budget ([`DispatchOptions::max_wait`] /
 //!   [`DispatchOptions::max_batch`]), each request is routed to one of N
 //!   shards by its [`DagKey`] (so a round holds few distinct programs

@@ -160,7 +160,8 @@ pub struct DispatchReport {
     pub rounds_closed_full: u64,
     /// Rounds closed by the [`DispatchOptions::max_wait`] latency budget.
     pub rounds_closed_timer: u64,
-    /// Rounds closed by [`Dispatcher::flush`] / shutdown.
+    /// Rounds closed by [`Dispatcher::flush`] / shutdown, or at once
+    /// because their home shard had died.
     pub rounds_closed_flush: u64,
     /// Per-shard execution counters, in shard order.
     pub shards: Vec<ShardReport>,
@@ -201,7 +202,7 @@ pub struct DispatchReport {
     /// Rejections at the edge because the deadline was already past at
     /// submit time.
     pub rejected_deadline_past: u64,
-    /// Accepted requests shed at ingestion: the live queueing estimate
+    /// Accepted requests shed at admission: the live queueing estimate
     /// projected completion past the deadline.
     pub shed_unmeetable: u64,
     /// Accepted requests shed at execute time: the deadline expired while

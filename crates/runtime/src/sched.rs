@@ -1,33 +1,34 @@
-//! The dispatcher's scheduling decisions as two plain state machines,
-//! with no clock of their own, no lock and no thread.
+//! The dispatcher's scheduling decisions as a plain state machine, with
+//! no clock of its own, no lock and no thread.
 //!
 //! Every decision the [`Dispatcher`](crate::Dispatcher) makes about *where*
-//! and *when* work runs lives here; `dispatch.rs` only drives it. Its
-//! threads read the dispatcher's [`Clock`](crate::Clock) and pass the stamp
-//! in as `now_ns`, hold the one queues lock across a [`Core`] call, run
-//! rounds on the engines outside it, resolve tickets and wake parked
-//! workers when the core says to. A single-threaded test can therefore
-//! replay any schedule on a virtual clock, the way a sans-I/O protocol
-//! state machine (`quinn-proto`) or a deterministic simulation
-//! (FoundationDB) is tested.
+//! and *when* work runs lives here; `dispatch.rs` and `ingest.rs` only
+//! drive it. Submitters and shard workers read the dispatcher's
+//! [`Clock`](crate::Clock) and pass the stamp in as `now_ns`, hold the one
+//! queues lock across a [`Core`] call, run rounds on the engines outside
+//! it, resolve tickets and wake parked workers when the core says to. A
+//! single-threaded test can therefore replay any schedule on a virtual
+//! clock, the way a sans-I/O protocol state machine (`quinn-proto`) or a
+//! deterministic simulation (FoundationDB) is tested.
 //!
-//! - [`Batcher`] is the ingest side: each shard's pending round, split by
-//!   priority class, and the stamp at which it exhausts its latency
-//!   budget. [`Batcher::add`] closes a round when it is full,
-//!   [`Batcher::close_due`] when its budget is spent,
-//!   [`Batcher::close_all`] on a flush or at the end of the stream. It is
-//!   owned by the ingest thread alone, outside the queues lock.
-//! - [`Core`] is everything under the queues lock: each shard's queue of
-//!   closed rounds, its lease (the round its worker has checked out, and
-//!   since when), its `closed` and `dead` flags, the steal classes, the
-//!   hedge trigger's wait histogram and the next sweep stamp.
-//!   [`Core::push`] queues a round, [`Core::checkout`] hands a worker its
-//!   next round (own queue, else a steal), [`Core::kill`] recovers a dead
-//!   shard's rounds, [`Core::sweep`] reclaims stalled leases and places
-//!   hedges, [`Core::close`] marks the end of the stream. A state change
-//!   another worker must see raises [`Core::take_wake`].
+//! - [`Core`] is everything under the queues lock. Per shard: its pending
+//!   round, split by priority class, and the stamp at which that round
+//!   exhausts its latency budget; its queue of closed rounds; its lease
+//!   (the round its worker has checked out, and since when); its `dead`
+//!   flag. Over all shards: whether admission is open, the steal classes,
+//!   the hedge trigger's wait histogram, the next sweep stamp and the
+//!   round-close counters. [`Core::add`] admits a job to its home's
+//!   pending round and closes the round once it is full,
+//!   [`Core::close_due`] closes the rounds whose budget is spent,
+//!   [`Core::flush`] closes them all, [`Core::checkout`] hands a worker
+//!   its next round (own queue, else a steal), [`Core::kill`] recovers a
+//!   dead shard's rounds, [`Core::sweep`] reclaims stalled leases and
+//!   places hedges, [`Core::close`] flushes and ends admission. A state
+//!   change another thread must see raises [`Core::take_wake`];
+//!   [`Core::next_wake_ns`] is when a parked worker must come back on its
+//!   own, for the next due round or sweep.
 //! - [`shed_at_ingest`] and [`shed_at_execute`] are the two deadline
-//!   decisions: whether the ingest thread sheds a request at the door, and
+//!   decisions: whether a submit sheds its request at the door, and
 //!   whether a shard sheds a job it is about to execute.
 
 use std::collections::VecDeque;
@@ -42,9 +43,8 @@ use crate::latency::{nanos, LatencyHistogram, Timeline};
 use crate::pool::Request;
 
 /// One pending job: a request, its completion handle, its priority class,
-/// its latency timeline as stamped by the ingestion thread through round
-/// close (the executing shard continues it in a worker-local copy), and
-/// its claim.
+/// its latency timeline as stamped by its submit through round close (the
+/// executing shard continues it in a worker-local copy), and its claim.
 pub(crate) struct TrackedJob {
     pub(crate) request: Request,
     pub(crate) ticket: Arc<TicketState>,
@@ -88,7 +88,7 @@ impl TrackedJob {
     }
 }
 
-/// One closed round: the unit of dispatch between ingestion and shards.
+/// One closed round: the unit of dispatch between admission and shards.
 /// Immutable once closed and shared by `Arc`: the queue entry, the
 /// holder's lease and any hedge or recovery handle all point at the same
 /// round, so none of them copies a request payload.
@@ -154,6 +154,16 @@ impl QueuedRound {
 /// Per-shard queue state.
 #[derive(Default)]
 struct QueueState {
+    /// The pending round: jobs homed here since its last round closed, one
+    /// list per priority class. Closing drains interactive first, then
+    /// standard, then batch — within a class, arrival order — so an
+    /// interactive request never queues behind batch work inside its own
+    /// round.
+    pending: [Vec<TrackedJob>; 3],
+    /// When the pending round is due: `None` while nothing is pending, or
+    /// when `max_wait` is too long to put a date on — that round closes by
+    /// size or flush only.
+    due: Option<u64>,
     rounds: VecDeque<QueuedRound>,
     /// The lease: the round this shard's worker has checked out and when
     /// (ns), until the worker comes back for its next one. Filled and
@@ -164,14 +174,18 @@ struct QueueState {
     /// every job keeps a late original and a requeued handle from both
     /// resolving a ticket.
     in_hand: Option<(Arc<Round>, u64)>,
-    /// Set once, at the end of the stream; a shard exits when every queue
-    /// of its steal class is closed, empty and holds no lease.
-    closed: bool,
     /// Set once the shard's worker died (a chaos kill or a contained
-    /// panic). A dead queue is permanently empty: its backlog was
-    /// requeued at death and [`Core::push`] reroutes later rounds around
-    /// it.
+    /// panic). A dead queue is permanently empty and holds no pending
+    /// round: its backlog was requeued at death, and a job [`Core::add`]
+    /// homes here closes its round at once, which [`Core::push`] reroutes.
     dead: bool,
+}
+
+impl QueueState {
+    /// Jobs in the pending round.
+    fn pending_len(&self) -> usize {
+        self.pending.iter().map(Vec::len).sum()
+    }
 }
 
 /// What [`Core::checkout`] tells a worker to do.
@@ -179,16 +193,16 @@ pub(crate) enum Checkout {
     /// Execute this round; it is on lease until the next checkout.
     Run(QueuedRound),
     /// Nothing to run yet: park until woken (or until
-    /// [`Core::next_sweep_ns`], when one is set).
+    /// [`Core::next_wake_ns`], when one is set).
     Wait,
-    /// The steal class is idle — every queue closed and empty, no lease
-    /// out — so no new work can reach this worker: exit.
+    /// Admission is closed and the steal class idle — every queue empty,
+    /// no lease out — so no new work can reach this worker: exit.
     Exit,
 }
 
-/// The shard queues, leases and recovery state of a dispatcher; see the
-/// module docs. Every method is a decision on the state it is handed and
-/// the `now_ns` it is given.
+/// The pending rounds, shard queues, leases and recovery state of a
+/// dispatcher; see the module docs. Every method is a decision on the
+/// state it is handed and the `now_ns` it is given.
 pub(crate) struct Core {
     queues: Vec<QueueState>,
     /// Steal classes: shard j may steal from — and recover onto — shard k
@@ -198,6 +212,9 @@ pub(crate) struct Core {
     /// of the class.
     pub(crate) steal_class: Vec<usize>,
     stealing: bool,
+    max_batch: usize,
+    /// `None` when `max_wait` is too long to put a date on.
+    max_wait_ns: Option<u64>,
     aging_ns: u64,
     stall_timeout_ns: Option<u64>,
     hedge: Option<HedgeOptions>,
@@ -208,6 +225,8 @@ pub(crate) struct Core {
     /// passed. `None` when neither stall reclaim nor hedging is on.
     tick_ns: u64,
     next_sweep_ns: Option<u64>,
+    /// Whether submits are admitted; cleared once, by [`Core::close`].
+    open: bool,
     /// Jobs rescued from a dead or stalled shard onto a surviving
     /// compatible one. Overlay counters — recovery moves work, it does
     /// not change any outcome, so these stay outside the per-class
@@ -216,6 +235,13 @@ pub(crate) struct Core {
     /// Jobs for which a hedge copy was enqueued on an idle
     /// identical-class shard.
     pub(crate) hedged: u64,
+    /// Rounds closed because they reached `max_batch`.
+    pub(crate) closed_full: u64,
+    /// Rounds closed because their latency budget was spent.
+    pub(crate) closed_timer: u64,
+    /// Rounds closed by a flush, at the end of the stream, or at once
+    /// because their home is dead.
+    pub(crate) closed_flush: u64,
     wake: bool,
 }
 
@@ -233,14 +259,20 @@ impl Core {
             queues: steal_class.iter().map(|_| QueueState::default()).collect(),
             steal_class,
             stealing: options.work_stealing,
+            max_batch: options.max_batch,
+            max_wait_ns: u64::try_from(options.max_wait.as_nanos()).ok(),
             aging_ns: nanos(options.priority_aging),
             stall_timeout_ns: options.stall_timeout.map(nanos),
             hedge: options.hedge.clone(),
             waits: LatencyHistogram::new(),
             tick_ns: nanos(tick),
             next_sweep_ns: sweeps.then_some(nanos(tick)),
+            open: true,
             recovered: 0,
             hedged: 0,
+            closed_full: 0,
+            closed_timer: 0,
+            closed_flush: 0,
             wake: false,
         }
     }
@@ -251,18 +283,111 @@ impl Core {
         std::mem::take(&mut self.wake)
     }
 
-    /// When a parked worker should come back to run [`Core::sweep`]
-    /// through its checkout; `None` (wait untimed) unless stall reclaim
-    /// or hedging is on.
-    pub(crate) fn next_sweep_ns(&self) -> Option<u64> {
-        self.next_sweep_ns
+    /// When a parked worker must come back on its own: the earliest due
+    /// pending round, so that it closes on time, or the next sweep, so
+    /// that its checkout runs it. `None` (wait untimed) when neither
+    /// exists.
+    pub(crate) fn next_wake_ns(&self) -> Option<u64> {
+        let due = self.queues.iter().filter_map(|q| q.due);
+        due.chain(self.next_sweep_ns).min()
     }
 
-    /// Whether no round is queued or on lease anywhere.
+    /// Whether submits are admitted: until [`Core::close`].
+    pub(crate) fn is_open(&self) -> bool {
+        self.open
+    }
+
+    /// Whether no job is pending and no round is queued or on lease
+    /// anywhere.
     pub(crate) fn is_drained(&self) -> bool {
         self.queues
             .iter()
-            .all(|q| q.rounds.is_empty() && q.in_hand.is_none())
+            .all(|q| q.pending_len() == 0 && q.rounds.is_empty() && q.in_hand.is_none())
+    }
+
+    /// Appends `job`, admitted at `now_ns`, to the pending round of its
+    /// home shard `home`, and closes that round at once when it is full or
+    /// its home is dead. A fresh round is due `max_wait` after its first
+    /// job; when that is earlier than the wake stamp the parked workers
+    /// timed their waits to, they are woken to re-arm. Returns the rounds
+    /// the close could not place ([`Core::push`]).
+    pub(crate) fn add(&mut self, home: usize, job: TrackedJob, now_ns: u64) -> Vec<QueuedRound> {
+        let q = &mut self.queues[home];
+        let fresh = q.pending_len() == 0;
+        q.pending[job.priority.index()].push(job);
+        if q.dead {
+            self.closed_flush += 1;
+            return self.close_round(home, now_ns);
+        }
+        if q.pending_len() >= self.max_batch {
+            self.closed_full += 1;
+            return self.close_round(home, now_ns);
+        }
+        if fresh {
+            let due = self.max_wait_ns.and_then(|w| now_ns.checked_add(w));
+            let earlier = due.is_some_and(|due| self.next_wake_ns().is_none_or(|at| due < at));
+            self.wake |= earlier;
+            self.queues[home].due = due;
+        }
+        Vec::new()
+    }
+
+    /// Closes, at `now_ns`, every pending round due by then; returns the
+    /// rounds it could not place.
+    pub(crate) fn close_due(&mut self, now_ns: u64) -> Vec<QueuedRound> {
+        let mut lost = Vec::new();
+        for shard in 0..self.queues.len() {
+            if self.queues[shard].due.is_some_and(|due| now_ns >= due) {
+                self.closed_timer += 1;
+                lost.extend(self.close_round(shard, now_ns));
+            }
+        }
+        lost
+    }
+
+    /// Closes, at `now_ns`, every nonempty pending round; returns the
+    /// rounds it could not place.
+    pub(crate) fn flush(&mut self, now_ns: u64) -> Vec<QueuedRound> {
+        let mut lost = Vec::new();
+        for shard in 0..self.queues.len() {
+            if self.queues[shard].pending_len() > 0 {
+                self.closed_flush += 1;
+                lost.extend(self.close_round(shard, now_ns));
+            }
+        }
+        lost
+    }
+
+    /// The end of the stream: flushes at `now_ns` and closes admission,
+    /// so every shard exits once its class is idle. Returns the rounds the
+    /// flush could not place.
+    pub(crate) fn close(&mut self, now_ns: u64) -> Vec<QueuedRound> {
+        let lost = self.flush(now_ns);
+        self.open = false;
+        self.wake = true;
+        lost
+    }
+
+    /// Closes `shard`'s pending round, which holds a job, at `now_ns` and
+    /// queues it; returns what [`Core::push`] could not place.
+    fn close_round(&mut self, shard: usize, now_ns: u64) -> Vec<QueuedRound> {
+        let q = &mut self.queues[shard];
+        let mut jobs: Vec<TrackedJob> = Vec::with_capacity(q.pending_len());
+        for class in &mut q.pending {
+            jobs.append(class);
+        }
+        q.due = None;
+        let mut priority = Priority::Batch;
+        for job in &mut jobs {
+            job.timeline.round_closed_ns = now_ns;
+            priority = priority.min(job.priority);
+        }
+        self.push(Round {
+            home: shard,
+            priority,
+            closed_ns: now_ns,
+            jobs,
+        })
     }
 
     /// Queues a closed round on its home shard. When the home died after
@@ -270,7 +395,7 @@ impl Core {
     /// same requeue as [`Core::kill`]'s backlog (`home` stays, so ledger
     /// attribution is unchanged); the rounds no live same-class shard
     /// can take come back for the caller to fail.
-    pub(crate) fn push(&mut self, round: Round) -> Vec<QueuedRound> {
+    fn push(&mut self, round: Round) -> Vec<QueuedRound> {
         let home = round.home;
         let entry = QueuedRound::new(Arc::new(round));
         self.wake = true;
@@ -279,15 +404,6 @@ impl Core {
         }
         self.queues[home].rounds.push_back(entry);
         Vec::new()
-    }
-
-    /// Marks the end of the stream: every shard exits once its class is
-    /// idle.
-    pub(crate) fn close(&mut self) {
-        for q in &mut self.queues {
-            q.closed = true;
-        }
-        self.wake = true;
     }
 
     /// Releases the round `me` holds on lease and picks its next one,
@@ -305,9 +421,9 @@ impl Core {
     ///
     /// The picked round goes on lease, and its queue wait feeds the hedge
     /// trigger when hedging is on. With nothing to pick, the answer is
-    /// [`Checkout::Exit`] once `me`'s steal class is idle — every queue
-    /// in it closed and empty, and no lease out — and [`Checkout::Wait`]
-    /// before. The condition is class-wide even with stealing off —
+    /// [`Checkout::Exit`] once admission is closed and `me`'s steal class
+    /// is idle — every queue in it empty, and no lease out — and
+    /// [`Checkout::Wait`] before. The condition is class-wide even with stealing off —
     /// recovery and hedging requeue onto same-class peers regardless of
     /// the stealing policy — and lease-aware because a peer holding a
     /// round could still die and requeue it here. Once the class is idle
@@ -337,12 +453,10 @@ impl Core {
             None
         };
         let Some(j) = source else {
-            let idle = (0..self.queues.len())
-                .filter(|&j| self.steal_class[j] == class)
-                .all(|j| {
-                    let q = &self.queues[j];
-                    q.closed && q.rounds.is_empty() && q.in_hand.is_none()
-                });
+            let idle = !self.open
+                && (0..self.queues.len())
+                    .filter(|&j| self.steal_class[j] == class)
+                    .all(|j| self.queues[j].rounds.is_empty() && self.queues[j].in_hand.is_none());
             self.wake |= idle;
             return if idle { Checkout::Exit } else { Checkout::Wait };
         };
@@ -367,11 +481,12 @@ impl Core {
         Checkout::Run(entry)
     }
 
-    /// Shard `me` died (a chaos kill or a contained panic): marks it dead
-    /// and moves its entire failure domain — queued rounds plus the round
-    /// on lease — onto one surviving same-class shard, in one call, so no
-    /// peer can observe "class idle" between the drain and the push.
-    /// Returns the rounds no survivor can take, for the caller to fail.
+    /// Shard `me` died (a chaos kill or a contained panic) at `now_ns`:
+    /// marks it dead and moves its entire failure domain — its pending
+    /// round, closed now, its queued rounds and the round on lease — onto
+    /// one surviving same-class shard, in one call, so no peer can observe
+    /// "class idle" between the drain and the push. Returns the rounds no
+    /// survivor can take, for the caller to fail.
     ///
     /// Requeueing ignores [`DispatchOptions::work_stealing`], exactly as
     /// [`Core::push`]'s rerouting of later traffic for the dead home
@@ -379,15 +494,21 @@ impl Core {
     /// identity, stealing is just a scheduling policy, and every worker's
     /// exit condition is class-wide, so the peer is still there to take
     /// the backlog.
-    pub(crate) fn kill(&mut self, me: usize) -> Vec<QueuedRound> {
+    pub(crate) fn kill(&mut self, me: usize, now_ns: u64) -> Vec<QueuedRound> {
+        self.queues[me].dead = true;
+        let mut lost = Vec::new();
+        if self.queues[me].pending_len() > 0 {
+            self.closed_flush += 1;
+            lost = self.close_round(me, now_ns);
+        }
         let q = &mut self.queues[me];
-        q.dead = true;
         let mut stranded: Vec<QueuedRound> = q.rounds.drain(..).collect();
         if let Some((round, _)) = q.in_hand.take() {
             stranded.push(QueuedRound::new(round));
         }
         self.wake = true;
-        self.requeue(me, stranded).err().unwrap_or_default()
+        lost.extend(self.requeue(me, stranded).err().unwrap_or_default());
+        lost
     }
 
     /// The stalled-lease reclaim plus the hedge pass, and the next sweep
@@ -500,89 +621,6 @@ impl Core {
     }
 }
 
-/// The ingest thread's pending rounds: per shard, one job list per
-/// priority class and the stamp at which the round exhausts its latency
-/// budget. Round closing drains interactive first, then standard, then
-/// batch — within a class, arrival order — so an interactive request
-/// never queues behind batch work inside its own round.
-pub(crate) struct Batcher {
-    pending: Vec<[Vec<TrackedJob>; 3]>,
-    /// When each shard's pending round is due: `None` while nothing is
-    /// pending, or when `max_wait` is too long to put a date on — that
-    /// round closes by size or flush only.
-    due: Vec<Option<u64>>,
-    max_batch: usize,
-    max_wait_ns: Option<u64>,
-}
-
-impl Batcher {
-    /// Empty pending rounds for `shards` shards, closing at `max_batch`
-    /// jobs or `max_wait` after their first job, whichever comes first.
-    pub(crate) fn new(shards: usize, max_batch: usize, max_wait: Duration) -> Self {
-        Batcher {
-            pending: (0..shards).map(|_| Default::default()).collect(),
-            due: vec![None; shards],
-            max_batch,
-            max_wait_ns: u64::try_from(max_wait.as_nanos()).ok(),
-        }
-    }
-
-    /// Appends `job`, accepted at `now_ns`, to `shard`'s pending round;
-    /// returns the round, closed at `now_ns`, once it is full.
-    pub(crate) fn add(&mut self, shard: usize, job: TrackedJob, now_ns: u64) -> Option<Round> {
-        let pending = &mut self.pending[shard];
-        if pending.iter().all(Vec::is_empty) {
-            self.due[shard] = self.max_wait_ns.and_then(|w| now_ns.checked_add(w));
-        }
-        pending[job.priority.index()].push(job);
-        let full = pending.iter().map(Vec::len).sum::<usize>() >= self.max_batch;
-        full.then(|| self.close(shard, now_ns)).flatten()
-    }
-
-    /// The earliest stamp at which a pending round is due.
-    pub(crate) fn next_due(&self) -> Option<u64> {
-        self.due.iter().flatten().min().copied()
-    }
-
-    /// Closes, at `now_ns`, every pending round due by then.
-    pub(crate) fn close_due(&mut self, now_ns: u64) -> impl Iterator<Item = Round> + '_ {
-        (0..self.due.len()).filter_map(move |s| {
-            let due = self.due[s].is_some_and(|due| now_ns >= due);
-            due.then(|| self.close(s, now_ns)).flatten()
-        })
-    }
-
-    /// Closes, at `now_ns`, every nonempty pending round.
-    pub(crate) fn close_all(&mut self, now_ns: u64) -> impl Iterator<Item = Round> + '_ {
-        (0..self.due.len()).filter_map(move |s| self.close(s, now_ns))
-    }
-
-    /// Closes `shard`'s pending round at `now_ns`, if it holds a job.
-    fn close(&mut self, shard: usize, now_ns: u64) -> Option<Round> {
-        let pending = &mut self.pending[shard];
-        let len: usize = pending.iter().map(Vec::len).sum();
-        if len == 0 {
-            return None;
-        }
-        let mut jobs: Vec<TrackedJob> = Vec::with_capacity(len);
-        for class in pending.iter_mut() {
-            jobs.append(class);
-        }
-        let mut priority = Priority::Batch;
-        for job in &mut jobs {
-            job.timeline.round_closed_ns = now_ns;
-            priority = priority.min(job.priority);
-        }
-        self.due[shard] = None;
-        Some(Round {
-            home: shard,
-            priority,
-            closed_ns: now_ns,
-            jobs,
-        })
-    }
-}
-
 /// Shed-before-queue: a request with a deadline (`deadline_ns != 0`, 0
 /// meaning none) is shed at the door when the live queueing + service
 /// estimate already projects its completion past the deadline — a round
@@ -686,7 +724,7 @@ mod tests {
         assert!(Arc::ptr_eq(&got.round, &r2));
         assert!(Arc::ptr_eq(leased(&core, 0).expect("r2 on lease"), &r2));
 
-        core.close();
+        assert!(core.close(3).is_empty());
         assert!(matches!(core.checkout(0, 3), Checkout::Exit));
         assert!(leased(&core, 0).is_none());
         assert!(core.is_drained());
@@ -741,7 +779,7 @@ mod tests {
             );
             core.push(round(1, 0));
             let held = run(core.checkout(1, 0));
-            core.close();
+            assert!(core.close(0).is_empty());
             core.take_wake();
 
             // Shard 0's own queue is closed and empty, but shard 1 could
@@ -814,7 +852,7 @@ mod tests {
 
         // Shard 1 dies holding `c`: it goes back to shard 0, the first
         // live shard of the class.
-        assert!(core.kill(1).is_empty());
+        assert!(core.kill(1, 2 * MS).is_empty());
         assert_eq!(core.recovered, 1);
         assert_eq!(core.queues[0].rounds.len(), 2);
 
@@ -845,7 +883,7 @@ mod tests {
         let original = run(checkout(&mut core, 0, 13 * MS));
         assert!(Arc::ptr_eq(&original.round, b) && !original.hedge);
 
-        core.close();
+        assert!(core.close(14 * MS).is_empty());
         assert!(matches!(checkout(&mut core, 0, 14 * MS), Checkout::Wait));
         assert!(matches!(checkout(&mut core, 2, 14 * MS), Checkout::Exit));
         assert!(matches!(checkout(&mut core, 0, 14 * MS), Checkout::Exit));
@@ -860,12 +898,12 @@ mod tests {
     #[test]
     fn a_dead_home_reroutes_a_pushed_round_or_hands_it_back() {
         let mut pair = core(2, DispatchOptions::default());
-        assert!(pair.kill(0).is_empty());
+        assert!(pair.kill(0, 0).is_empty());
         assert!(pair.push(round(0, 0)).is_empty());
         assert_eq!((pair.queues[1].rounds.len(), pair.recovered), (1, 1));
 
         let mut alone = core(1, DispatchOptions::default());
-        assert!(alone.kill(0).is_empty());
+        assert!(alone.kill(0, 0).is_empty());
         assert_eq!(alone.push(round(0, 0)).len(), 1);
         assert_eq!(alone.recovered, 0);
     }
@@ -880,12 +918,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(core.next_sweep_ns(), Some(MS));
+        assert_eq!(core.next_wake_ns(), Some(MS));
         core.push(round(0, 0));
         let _stalled = run(core.checkout(0, 0));
         assert!(core.take_wake(), "a push wakes the parked workers");
         assert!(matches!(core.checkout(1, 4 * MS - 1), Checkout::Wait));
-        assert_eq!(core.next_sweep_ns(), Some(5 * MS - 1));
+        assert_eq!(core.next_wake_ns(), Some(5 * MS - 1));
         assert!(matches!(core.checkout(1, 5 * MS - 2), Checkout::Wait));
         assert!(!core.take_wake(), "a sweep that moved nothing wakes nobody");
         let reclaimed = run(core.checkout(1, 5 * MS - 1));
@@ -894,44 +932,157 @@ mod tests {
         drop(reclaimed);
 
         let untimed = Core::new(vec![0], &DispatchOptions::default());
-        assert_eq!(untimed.next_sweep_ns(), None);
+        assert_eq!(untimed.next_wake_ns(), None);
     }
 
     #[test]
     fn a_max_wait_of_duration_max_never_puts_a_due_stamp_on_a_round() {
-        let mut batcher = Batcher::new(1, 2, Duration::MAX);
-        assert!(batcher.add(0, job(), 5).is_none());
-        assert_eq!(batcher.next_due(), None);
-        assert_eq!(batcher.close_due(u64::MAX).count(), 0);
-        let full = batcher.add(0, job(), 6).expect("full at max_batch");
-        assert_eq!((full.jobs.len(), full.closed_ns), (2, 6));
-        assert!(full.jobs.iter().all(|j| j.timeline.round_closed_ns == 6));
-        assert_eq!(batcher.close_all(7).count(), 0);
+        let endless = DispatchOptions {
+            max_batch: 2,
+            max_wait: Duration::MAX,
+            ..Default::default()
+        };
+        let mut alone = core(1, endless);
+        assert!(alone.add(0, job(), 5).is_empty());
+        assert_eq!(alone.next_wake_ns(), None);
+        assert!(!alone.take_wake(), "no due stamp, no timer to re-arm");
+        assert!(alone.close_due(u64::MAX).is_empty());
+        assert!(alone.add(0, job(), 6).is_empty(), "full at max_batch");
+        let full = run(alone.checkout(0, 7));
+        assert_eq!((full.round.jobs.len(), full.round.closed_ns), (2, 6));
+        assert!(full
+            .round
+            .jobs
+            .iter()
+            .all(|j| j.timeline.round_closed_ns == 6));
+        assert!(alone.flush(7).is_empty());
+        assert_eq!(
+            (alone.closed_full, alone.closed_timer, alone.closed_flush),
+            (1, 0, 0)
+        );
 
-        let mut batcher = Batcher::new(2, 8, Duration::from_millis(1));
-        batcher.add(1, job(), 5);
-        batcher.add(1, job(), 9);
-        assert_eq!(batcher.next_due(), Some(MS + 5));
-        assert_eq!(batcher.close_due(MS + 4).count(), 0);
-        let due: Vec<Round> = batcher.close_due(MS + 5).collect();
-        assert_eq!(due.len(), 1);
-        assert_eq!((due[0].home, due[0].jobs.len()), (1, 2));
-        assert_eq!(batcher.next_due(), None);
+        let mut pair = core(
+            2,
+            DispatchOptions {
+                max_batch: 8,
+                ..Default::default()
+            },
+        );
+        pair.add(1, job(), 5);
+        pair.add(1, job(), 9);
+        assert_eq!(pair.next_wake_ns(), Some(MS + 5));
+        assert!(pair.close_due(MS + 4).is_empty());
+        assert!(pair.queues[1].rounds.is_empty());
+        assert!(pair.close_due(MS + 5).is_empty());
+        let due = run(pair.checkout(1, MS + 6));
+        assert_eq!((due.round.home, due.round.jobs.len()), (1, 2));
+        assert_eq!(pair.next_wake_ns(), None);
     }
 
     #[test]
     fn a_round_packs_interactive_jobs_first_and_takes_their_class() {
-        let mut batcher = Batcher::new(1, 3, Duration::from_millis(1));
+        let mut core = core(
+            1,
+            DispatchOptions {
+                max_batch: 3,
+                ..Default::default()
+            },
+        );
         for priority in [Priority::Batch, Priority::Interactive] {
             let mut j = job();
             j.priority = priority;
-            assert!(batcher.add(0, j, 1).is_none());
+            assert!(core.add(0, j, 1).is_empty());
         }
-        let full = batcher.add(0, job(), 2).expect("full");
-        let order: Vec<Priority> = full.jobs.iter().map(|j| j.priority).collect();
+        assert!(core.queues[0].rounds.is_empty());
+        assert!(core.add(0, job(), 2).is_empty());
+        let full = run(core.checkout(0, 3));
+        let order: Vec<Priority> = full.round.jobs.iter().map(|j| j.priority).collect();
         let want = [Priority::Interactive, Priority::Standard, Priority::Batch];
         assert_eq!(order, want);
-        assert_eq!(full.priority, Priority::Interactive);
+        assert_eq!(full.round.priority, Priority::Interactive);
+    }
+
+    /// Admission's side of the core on a virtual clock: the wake rule, and
+    /// a round closed by each of its three causes, each counted once.
+    #[test]
+    fn pending_rounds_close_by_size_timer_and_flush_and_wake_only_an_early_timer() {
+        let mut core = core(
+            2,
+            DispatchOptions {
+                max_batch: 3,
+                ..Default::default()
+            },
+        );
+        // The first add dates a round where no wake stamp was: the parked
+        // workers must re-arm. A second add to it changes no stamp.
+        assert!(core.add(0, job(), 10).is_empty());
+        assert!(core.take_wake());
+        assert_eq!(core.next_wake_ns(), Some(MS + 10));
+        assert!(core.add(0, job(), 20).is_empty());
+        assert!(!core.take_wake());
+        // A round due after the earliest stamp needs no re-arm either.
+        assert!(core.add(1, job(), 30).is_empty());
+        assert!(!core.take_wake());
+        assert_eq!(core.next_wake_ns(), Some(MS + 10));
+
+        // Timer: nothing closes before the due stamp; at it, shard 0's
+        // round does, and is queued.
+        assert!(core.close_due(MS + 9).is_empty());
+        assert!(matches!(core.checkout(0, MS + 9), Checkout::Wait));
+        assert!(core.close_due(MS + 10).is_empty());
+        assert!(core.take_wake(), "a closed round wakes the parked workers");
+        assert_eq!(
+            (core.closed_full, core.closed_timer, core.closed_flush),
+            (0, 1, 0)
+        );
+        assert_eq!(core.next_wake_ns(), Some(MS + 30));
+        let timed = run(core.checkout(0, MS + 11));
+        assert_eq!(timed.round.jobs.len(), 2);
+
+        // Size: shard 1's round fills before it is due.
+        assert!(core.add(1, job(), 40).is_empty());
+        assert!(core.add(1, job(), 50).is_empty());
+        assert_eq!(
+            (core.closed_full, core.closed_timer, core.closed_flush),
+            (1, 1, 0)
+        );
+        assert_eq!(core.next_wake_ns(), None);
+        let full = run(core.checkout(1, 60));
+        assert_eq!(full.round.jobs.len(), 3);
+
+        // Flush: whatever is pending closes now, and nothing else does.
+        assert!(core.add(1, job(), 70).is_empty());
+        assert!(core.flush(80).is_empty());
+        assert_eq!(
+            (core.closed_full, core.closed_timer, core.closed_flush),
+            (1, 1, 1)
+        );
+        assert!(core.flush(90).is_empty());
+        assert_eq!(core.closed_flush, 1);
+        let flushed = run(core.checkout(1, 90));
+        assert_eq!((flushed.round.jobs.len(), flushed.round.closed_ns), (1, 80));
+        assert_eq!(core.next_wake_ns(), None);
+
+        // A dead home holds no pending round: its job's round closes at
+        // once and is rerouted to the survivor.
+        assert!(flushed.round.jobs[0].claim(), "shard 1 finished its round");
+        assert!(core.kill(1, 100).is_empty());
+        assert!(core.add(1, job(), 110).is_empty());
+        assert_eq!((core.closed_flush, core.recovered), (2, 1));
+        assert_eq!(run(core.checkout(0, 120)).round.home, 1);
+
+        // A due stamp after the next sweep needs no re-arm: the parked
+        // workers come back for the sweep first.
+        let mut swept = Core::new(
+            vec![0],
+            &DispatchOptions {
+                stall_timeout: Some(Duration::from_millis(4)),
+                ..Default::default()
+            },
+        );
+        assert!(swept.add(0, job(), 5).is_empty());
+        assert!(!swept.take_wake());
+        assert_eq!(swept.next_wake_ns(), Some(MS));
     }
 
     #[test]

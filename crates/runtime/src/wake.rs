@@ -4,8 +4,8 @@
 //! `std`'s futex `Condvar` makes a `FUTEX_WAKE` system call on every
 //! `notify_*`, whether or not anyone waits — on a 2-vCPU VM a lock plus a
 //! `notify_one` with no waiter costs 184–260 ns against 14.5–23 ns for the
-//! lock alone, and the dispatcher hands every request over three times
-//! (submit → ingest, ingest → shard, shard → ticket). [`Waiters`] counts
+//! lock alone, and the dispatcher hands every request over twice (submit
+//! → shard, under the queues lock, and shard → ticket). [`Waiters`] counts
 //! the threads blocked on its condvar and [`Waiters::wake_all`] skips the
 //! call when there are none. `tests/forbidden_patterns.rs` keeps every
 //! other `notify_*` out of `crates/runtime/src`.

@@ -210,8 +210,8 @@ fn pushed_vec_allocations(len: usize) -> u64 {
 
 /// Submit → flush → wait through a two-shard dispatcher whose rounds close
 /// by size (32) or flush only, over four families: the per-request count
-/// covers the submission, the ingest thread's pending lists and round, the
-/// shard's execution and the ticket.
+/// covers the submission, the pending lists and round, the shard's
+/// execution and the ticket.
 fn dispatcher_round_trip_stays_under_its_per_request_bound() {
     const REQUESTS: usize = 512;
     let options = DispatchOptions {
@@ -255,12 +255,11 @@ fn dispatcher_round_trip_stays_under_its_per_request_bound() {
     d.shutdown();
 }
 
-/// Measured at 2.78–2.81 per request (1421–1437 for 512) over 60 debug and
-/// release runs on a 2-vCPU x86-64 Linux VM, idle and beside two busy
-/// loops. The bound is the 2.8 that sat just above the 1404–1425 of the
-/// earlier job channel, plus the one block of 31 messages that `std`'s
-/// channel allocates per 31 sends.
-const DISPATCH_ALLOCS_PER_REQUEST: f64 = 2.8 + 1.0 / 31.0;
+/// Measured at 2.740–2.771 per request (1403–1419 for 512) over 34 debug
+/// and release runs on a 2-vCPU x86-64 Linux VM, idle and beside two busy
+/// loops; the bound sits just above. Submits admit under the queues lock,
+/// so no channel sits between them and the rounds.
+const DISPATCH_ALLOCS_PER_REQUEST: f64 = 2.78;
 
 /// The restart side of the spill cache for four families, from the bytes
 /// `Compiled::to_bytes` writes (the spill directory itself stays out of

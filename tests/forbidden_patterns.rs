@@ -3,12 +3,12 @@
 //! reads), the one per-request loop — the walk of a decoded program's
 //! value tape — allocates nothing, touches no register file and counts
 //! nothing, groups run through it eight lanes at a time, the runtime's
-//! backpressure story stays intact (exactly one deliberately unbounded
-//! channel, behind the admission gate), a condvar is signalled only when
+//! backpressure story stays intact (no unbounded channel: overload is
+//! refused at admission), a condvar is signalled only when
 //! a thread waits on it, the oracle interpreter stays off
 //! every production path, the dispatcher keeps one path that shares
 //! rounds instead of copying them and is the runtime's one serving stack
-//! (the only place it spawns threads, two kinds of them), a shard dies at
+//! (the only place it spawns threads, one worker per shard), a shard dies at
 //! one contained site, a ticket resolves at one site, its scheduling
 //! core reads no clock and takes no lock, a dispatcher's engine shards are
 //! built in one place over one program store, the register file's write policy
@@ -183,20 +183,20 @@ fn run_decoded_cycle_loop_never_allocates() {
 }
 
 #[test]
-fn runtime_builds_no_unbounded_channels_outside_the_ingest_gate() {
+fn runtime_builds_unbounded_channels_only_in_the_test_watchdog() {
     // Every queue in dpu-runtime is bounded so overload sheds at the
-    // admission gate instead of accumulating memory. The one sanctioned
-    // unbounded channel is `ingest::job_channel`, which sits *behind*
-    // the gate and is capped by the admission limits themselves; the
-    // other `mpsc` channel is the test-only watchdog's one-shot reply.
-    const SANCTIONED: [(&str, &str); 2] =
-        [("ingest.rs", "fn job_channel("), ("wake.rs", "fn within<")];
+    // admission gate instead of accumulating memory: submitters admit
+    // under the queues lock, so no channel sits behind the gate either.
+    // The one `mpsc` channel is the test-only watchdog's one-shot reply.
+    // Importing the constructor (`mpsc::channel`, `mpsc::{..}`) counts as
+    // building one, so an unqualified `channel()` cannot slip past.
+    const SANCTIONED: [(&str, &str); 1] = [("wake.rs", "fn within<")];
     let files = rust_sources(&repo_root().join("crates/runtime/src"));
-    let unbounded = ["mpsc::channel(", "mpsc::channel::<"];
+    let unbounded = ["mpsc::channel", "mpsc::{"];
     let hits = offenders_outside_fns(&files, &unbounded, &SANCTIONED);
     assert!(
         hits.is_empty(),
-        "dpu-runtime must not construct unbounded channels outside `job_channel`:\n{}",
+        "dpu-runtime must not construct unbounded channels outside the test watchdog:\n{}",
         hits.join("\n")
     );
 }
@@ -205,12 +205,10 @@ fn runtime_builds_no_unbounded_channels_outside_the_ingest_gate() {
 fn condvars_are_signalled_only_behind_a_waiter_count() {
     // `std`'s futex `Condvar` makes a `FUTEX_WAKE` system call on every
     // `notify_*`, whether or not a thread waits, and a request crosses
-    // three hand-offs (submit → ingest, ingest → shard, shard → ticket).
-    // The first is `std`'s job channel, which wakes only a blocked
-    // receiver; the runtime's own condvars signal through
-    // `wake::Waiters::wake_all`, which reads its waiter count under the
-    // state's mutex. Anywhere else — or not directly under an `if` on
-    // that count — a bare notify is back.
+    // two hand-offs (submit → shard, shard → ticket). The runtime's
+    // condvars signal through `wake::Waiters::wake_all`, which reads its
+    // waiter count under the state's mutex. Anywhere else — or not
+    // directly under an `if` on that count — a bare notify is back.
     const SANCTIONED: [(&str, &str); 1] = [("wake.rs", "fn wake_all<")];
     let files = rust_sources(&repo_root().join("crates/runtime/src"));
     let notify = ["notify_one(", "notify_all("];
@@ -360,9 +358,10 @@ fn runtime_shares_rounds_and_keeps_one_dispatch_path() {
 
 #[test]
 fn runtime_spawns_threads_only_in_the_dispatcher() {
-    // There is one serving stack: the `Dispatcher`'s ingest thread and one
-    // worker per shard, spawned at exactly two `thread::Builder` sites in
-    // `dispatch.rs`. `Engine::serve` submits to a dispatcher instead of
+    // There is one serving stack: the `Dispatcher`'s one worker per shard,
+    // spawned at exactly one `thread::Builder` site in `dispatch.rs`;
+    // admission runs on the submitting thread, so there is no ingest
+    // thread. `Engine::serve` submits to a dispatcher instead of
     // running a pool of its own (it had a `thread::scope` one, with every
     // request run alone, one lane wide), and stall reclaim and hedging run
     // in the scheduling core's sweep at a worker's checkout (they had a
@@ -393,8 +392,8 @@ fn runtime_spawns_threads_only_in_the_dispatcher() {
     );
     assert_eq!(
         dispatcher_spawns.len(),
-        2,
-        "the dispatcher spawns an ingest thread and the shard workers, nothing else: {dispatcher_spawns:?}"
+        1,
+        "the dispatcher spawns the shard workers, nothing else: {dispatcher_spawns:?}"
     );
 }
 
