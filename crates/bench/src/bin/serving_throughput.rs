@@ -106,7 +106,6 @@ fn main() {
     let opts = EngineOptions {
         workers: WORKERS,
         cores: runtime::DPU_V2_L_CORES,
-        cache_capacity: None,
         spill_dir: None,
     };
     let fams = families();

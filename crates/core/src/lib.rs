@@ -60,7 +60,7 @@ pub mod prelude {
     pub use dpu_isa::{ArchConfig, Topology};
     pub use dpu_runtime::{
         CacheStats, ChaosEvent, ChaosPlan, ClassReport, DagKey, DispatchOptions, DispatchReport,
-        Dispatcher, Engine, EngineOptions, HedgeOptions, LatencyHistogram, LatencyReport, Outcome,
+        Dispatcher, Engine, EngineOptions, LatencyHistogram, LatencyReport, Outcome,
         PlatformSummary, Priority, ProgramCache, ProgramStore, Request, ServeError, ServingReport,
         ShedReason, SpillStore, SubmitAllError, SubmitOptions, SubmitRejection, Submitter, Ticket,
         Timeline,

@@ -74,12 +74,11 @@ pub struct CacheStats {
     /// waited on a concurrent compile of the same key rather than
     /// duplicating it, and lookups back-filled from the spill store).
     pub hits: u64,
-    /// Lookups that compiled — exactly one per distinct key unless an
-    /// entry was evicted and re-requested.
+    /// Lookups that compiled — exactly one per distinct key, plus one
+    /// per failed compile (not cached: the next lookup retries).
     pub misses: u64,
-    /// Entries evicted to respect the capacity bound.
-    pub evictions: u64,
-    /// Entries currently resident.
+    /// Programs held: every key a lookup or prewarm filled (the cache
+    /// removes none).
     pub entries: usize,
     /// Programs loaded from the spill store instead of compiled — lookup
     /// back-fills (which also count as [`CacheStats::hits`]) plus
@@ -98,7 +97,8 @@ pub struct CacheStats {
     /// [`CacheStats::spill_rejects`].
     pub spill_unverifiable: u64,
     /// Decodes run ([`ProgramCache::get_decoded`]), refused programs
-    /// included — at most one per resident entry that was ever executed.
+    /// included — at most one per entry that was ever executed, plus one
+    /// per [`ProgramCache::get_decoded`] of a key with no entry.
     /// The decoded form is derived state: it is never spilled, so a warm
     /// restart rebuilds it (counted again here) from the verified
     /// compiled program.
@@ -462,8 +462,6 @@ struct Slot {
     /// cannot run a fallible initializer once, and a failed compile must
     /// leave the slot empty for the next caller to retry.
     compile_lock: Mutex<()>,
-    /// Logical timestamp of the most recent use, for LRU eviction.
-    last_used: AtomicU64,
 }
 
 /// How [`ProgramCache::fill`] left a slot.
@@ -487,15 +485,19 @@ enum Fill {
 /// compilation is seeded and byte-deterministic — the winner's program is
 /// the one every loser would have produced (`tests/golden_bytes.rs`
 /// compiles each of its cells twice and compares bytes).
+///
+/// The cache keeps what it is given and removes nothing. Inside a
+/// [`ProgramStore`](crate::ProgramStore) it holds programs only for the
+/// DAGs the store registered, which the store keeps anyway, plus what a
+/// [`ProgramCache::prewarm`] loads from the spill files of one
+/// configuration. A bound, were one needed, belongs on the store as a
+/// whole.
 pub struct ProgramCache {
     options: CompileOptions,
-    capacity: usize,
     spill: Option<SpillStore>,
     map: RwLock<HashMap<CacheKey, Arc<Slot>>>,
-    clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     spill_hits: AtomicU64,
     spill_writes: AtomicU64,
     spill_rejects: AtomicU64,
@@ -509,43 +511,27 @@ pub struct ProgramCache {
 impl std::fmt::Debug for ProgramCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProgramCache")
-            .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl ProgramCache {
-    /// An unbounded cache compiling with `options`.
+    /// An in-memory cache compiling with `options`.
     pub fn new(options: CompileOptions) -> Self {
-        Self::with_store(options, None, None)
+        Self::with_store(options, None)
     }
 
-    /// The fully general constructor: optional capacity bound (`None` =
-    /// unbounded; at `Some(n)` the least recently used entry is evicted to
-    /// admit an `n + 1`-th key) and optional [`SpillStore`] persistence.
-    /// With a store, misses check the spill directory before compiling
+    /// A cache compiling with `options`, persisted through `spill` when
+    /// there is one: misses check the spill directory before compiling
     /// and fresh compiles are spilled back — see the [module docs](self).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == Some(0)`.
-    pub fn with_store(
-        options: CompileOptions,
-        capacity: Option<usize>,
-        spill: Option<SpillStore>,
-    ) -> Self {
-        let capacity = capacity.unwrap_or(usize::MAX);
-        assert!(capacity > 0, "cache capacity must be positive");
+    pub fn with_store(options: CompileOptions, spill: Option<SpillStore>) -> Self {
         ProgramCache {
             options,
-            capacity,
             spill,
             map: RwLock::new(HashMap::new()),
-            clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             spill_hits: AtomicU64::new(0),
             spill_writes: AtomicU64::new(0),
             spill_rejects: AtomicU64::new(0),
@@ -597,11 +583,10 @@ impl ProgramCache {
     /// `compiled` on first use and sharing the same `Arc<DecodedProgram>`
     /// with every shard and worker thereafter. `compiled` must be the
     /// program [`ProgramCache::get_or_compile`] returned for the same
-    /// key. Between the two calls the caller holds no slot, so a bounded
-    /// cache may have evicted the entry: the program is then decoded and
-    /// returned without being cached — this call never makes an entry.
-    /// (The engine's per-round path visits the slot once for both forms
-    /// and has no such window.)
+    /// key. This call never makes an entry: for a key with none (a
+    /// program compiled elsewhere) it decodes and returns the decode
+    /// uncached. (The engine's per-round path visits the slot once for
+    /// both forms.)
     ///
     /// The decoded form is never spilled: after a warm restart the slot
     /// is back-filled from disk with only the verified compiled program,
@@ -633,11 +618,11 @@ impl ProgramCache {
     /// One visit to `key`'s slot for everything a round group runs: the
     /// compiled program (compiled from `dag` on first use, exactly as
     /// [`ProgramCache::get_or_compile`]) and its decode (as
-    /// [`ProgramCache::get_decoded`]), both taken from the same slot, so
-    /// no eviction can come between them. `requests` is the size of the
-    /// group: each member is served from the cache, so each counts in
-    /// [`CacheStats::hits`] — all but the one that compiled — and grouping
-    /// does not deflate the per-request [`CacheStats::hit_rate`] CI gates.
+    /// [`ProgramCache::get_decoded`]), both taken from the same slot.
+    /// `requests` is the size of the group: each member is served from the
+    /// cache, so each counts in [`CacheStats::hits`] — all but the one
+    /// that compiled — and grouping does not deflate the per-request
+    /// [`CacheStats::hit_rate`] CI gates.
     pub(crate) fn lookup(
         &self,
         dag: &Dag,
@@ -655,8 +640,8 @@ impl ProgramCache {
         Ok((compiled, decoded))
     }
 
-    /// The program in `slot`, filled first if the slot is empty; stamps
-    /// recency and counts `requests` lookups.
+    /// The program in `slot`, filled first if the slot is empty; counts
+    /// `requests` lookups.
     fn compiled_in(
         &self,
         slot: &Arc<Slot>,
@@ -664,10 +649,6 @@ impl ProgramCache {
         dag: &Dag,
         requests: u64,
     ) -> Result<Arc<Compiled>, CompileError> {
-        slot.last_used.store(
-            self.clock.fetch_add(1, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
         let mut hits = requests;
         if slot.compiled.get().is_none() {
             match self.fill(slot, key, Some(dag)) {
@@ -728,8 +709,8 @@ impl ProgramCache {
 
     /// Unmaps the slot a fill left empty (a failed compile, a prewarm with
     /// nothing valid to load), unless another lookup holds it and will
-    /// retry: a resident slot nobody holds always has a program, which is
-    /// what lets eviction read an empty one as a fill in flight.
+    /// retry, so that [`CacheStats::entries`] counts programs: a failed
+    /// compile or a rejected prewarm leaves no empty slot behind.
     fn discard_if_empty(&self, key: &CacheKey, slot: &Arc<Slot>) {
         let mut map = write(&self.map);
         let ours = map.get(key).is_some_and(|s| Arc::ptr_eq(s, slot));
@@ -750,10 +731,10 @@ impl ProgramCache {
     }
 
     /// Back-fills the in-memory cache from the spill store: every spilled
-    /// program for `config` (up to the capacity bound) is loaded without
-    /// waiting for a request to miss on it. Returns the number of
-    /// programs loaded; a key already resident — a sibling shard's
-    /// prewarm got there first — loads nothing.
+    /// program for `config` is loaded without waiting for a request to
+    /// miss on it. Returns the number of programs loaded; a key already
+    /// resident — a sibling shard's prewarm got there first — loads
+    /// nothing.
     ///
     /// This is the scale-out path: point a **new** engine's spill
     /// directory at a peer's (or a copy of it), prewarm, and the shard
@@ -768,9 +749,6 @@ impl ProgramCache {
             if key.config != *config {
                 continue;
             }
-            if self.len() >= self.capacity {
-                break;
-            }
             if read(&self.map).contains_key(&key) {
                 continue;
             }
@@ -784,58 +762,23 @@ impl ProgramCache {
         loaded
     }
 
-    /// Finds or creates the slot for `key`, evicting if needed.
+    /// Finds or creates the slot for `key`.
     fn slot(&self, key: CacheKey) -> Arc<Slot> {
         if let Some(slot) = read(&self.map).get(&key) {
             return Arc::clone(slot);
         }
         let mut map = write(&self.map);
-        // Double-checked: another thread may have created it while we
-        // waited for the write lock.
-        if let Some(slot) = map.get(&key) {
-            return Arc::clone(slot);
-        }
-        // Evict least-recently-used *safe* victims until the insert fits.
-        // A slot is only evictable when (a) it is filled — an empty slot
-        // is a compile in flight, and unmapping it would orphan the
-        // finished program (the compile lands in a slot no lookup can
-        // reach, the work is silently lost, and the next lookup
-        // recompiles) — and (b) no lookup currently holds the slot (the
-        // map's reference is the only `Arc`): a holder is between
-        // `slot()` and its fill/return, which is the same in-flight
-        // window. When every resident slot is busy the cache admits the
-        // new key over capacity; the loop (not a single eviction) lets
-        // later inserts drain any such overshoot back down to the bound
-        // once slots quiesce.
-        while map.len() >= self.capacity {
-            let victim = map
-                .iter()
-                .filter(|(_, s)| Arc::strong_count(s) == 1 && s.compiled.get().is_some())
-                .min_by_key(|(_, s)| s.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else {
-                break; // every resident slot is in flight — admit over capacity
-            };
-            map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let slot = Arc::new(Slot {
-            compiled: OnceLock::new(),
-            decoded: OnceLock::new(),
-            compile_lock: Mutex::new(()),
-            // Seed recency from `fetch_add`, not `load`: a plain load
-            // would make back-to-back creations tie at the same
-            // timestamp, and the eviction tie-break could then evict the
-            // slot that was just inserted (ahead of genuinely colder
-            // entries). `fetch_add` gives every slot a strictly
-            // increasing birth stamp.
-            last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
+        let slot = map.entry(key).or_insert_with(|| {
+            Arc::new(Slot {
+                compiled: OnceLock::new(),
+                decoded: OnceLock::new(),
+                compile_lock: Mutex::new(()),
+            })
         });
-        map.insert(key, Arc::clone(&slot));
-        slot
+        Arc::clone(slot)
     }
 
-    /// Number of resident entries.
+    /// Number of entries.
     pub fn len(&self) -> usize {
         read(&self.map).len()
     }
@@ -850,7 +793,6 @@ impl ProgramCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len(),
             spill_hits: self.spill_hits.load(Ordering::Relaxed),
             spill_writes: self.spill_writes.load(Ordering::Relaxed),
@@ -876,7 +818,6 @@ mod tests {
                 compiled: OnceLock::from(Arc::new(compiled)),
                 decoded: OnceLock::new(),
                 compile_lock: Mutex::new(()),
-                last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
             };
             write(&self.map).insert(key, Arc::new(slot));
         }
@@ -987,131 +928,22 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
+    /// A lookup of a key whose program is not cached yet decodes it,
+    /// counts the decode, and makes no entry: `get_decoded` never creates
+    /// a slot, so `entries` keeps counting programs.
     #[test]
-    fn lru_eviction_respects_capacity() {
-        let cache = ProgramCache::with_store(CompileOptions::default(), Some(2), None);
+    fn decode_of_an_absent_key_makes_no_entry() {
+        let cache = ProgramCache::new(CompileOptions::default());
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
-        let dags: Vec<Dag> = (0..3).map(dag).collect();
-        let keys: Vec<DagKey> = dags.iter().map(dag_fingerprint).collect();
-        cache.get_or_compile(&dags[0], keys[0], &cfg).unwrap();
-        cache.get_or_compile(&dags[1], keys[1], &cfg).unwrap();
-        // Touch 0 so 1 becomes the LRU victim.
-        cache.get_or_compile(&dags[0], keys[0], &cfg).unwrap();
-        cache.get_or_compile(&dags[2], keys[2], &cfg).unwrap();
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 2);
-        // 0 must still be resident; 1 was evicted and recompiles.
-        cache.get_or_compile(&dags[0], keys[0], &cfg).unwrap();
-        assert_eq!(cache.stats().misses, 3);
-        cache.get_or_compile(&dags[1], keys[1], &cfg).unwrap();
-        assert_eq!(cache.stats().misses, 4);
-    }
-
-    /// A chain DAG large enough that compiling takes real time — the
-    /// "slow compile" half of the eviction-race stress test.
-    fn chain_dag(nodes: usize, salt: u32) -> Dag {
-        let mut b = DagBuilder::new();
-        let x = b.input();
-        let y = b.input();
-        let mut acc = b.node(Op::Add, &[x, y]).unwrap();
-        for i in 0..nodes {
-            let op = if (i as u32 + salt).is_multiple_of(2) {
-                Op::Mul
-            } else {
-                Op::Add
-            };
-            acc = b.node(op, &[acc, y]).unwrap();
-        }
-        b.finish().unwrap()
-    }
-
-    /// Regression (mid-compile eviction): a slot that is empty (compile in
-    /// flight) or still referenced by a lookup must never be the LRU
-    /// victim — before the fix, capacity pressure would unmap it, the
-    /// finished compile landed orphaned, and the next lookup recompiled
-    /// while stats still counted the eviction.
-    #[test]
-    fn eviction_skips_in_flight_slots() {
-        let cache = ProgramCache::with_store(CompileOptions::default(), Some(1), None);
-        let cfg = ArchConfig::new(2, 8, 16).unwrap();
-        let dags: Vec<Dag> = (0..4).map(dag).collect();
-        let keys: Vec<CacheKey> = dags
-            .iter()
-            .map(|d| CacheKey {
-                dag: dag_fingerprint(d),
-                config: cfg,
-            })
-            .collect();
-
-        // Simulate an in-flight lookup of key 0: slot created and held
-        // (exactly the state between `slot()` and the compile finishing).
-        let held = cache.slot(keys[0]);
-        assert!(held.compiled.get().is_none());
-
-        // Capacity pressure from two other keys. Key 0's slot is empty
-        // and held, so it must be skipped both times.
-        cache.get_or_compile(&dags[1], keys[1].dag, &cfg).unwrap();
-        cache.get_or_compile(&dags[2], keys[2].dag, &cfg).unwrap();
-        {
-            let map = cache.map.read().unwrap();
-            assert!(
-                map.contains_key(&keys[0]),
-                "in-flight slot was evicted under capacity pressure"
-            );
-            assert!(
-                Arc::ptr_eq(map.get(&keys[0]).unwrap(), &held),
-                "slot was replaced, the in-flight compile would be orphaned"
-            );
-        }
-        // Key 1 (filled, unreferenced, older) was the legitimate victim.
-        assert_eq!(cache.stats().evictions, 1);
-
-        // The in-flight lookup completes into the *live* slot: compiling
-        // key 0 now must be its first and only compile...
-        drop(held);
-        let a = cache.get_or_compile(&dags[0], keys[0].dag, &cfg).unwrap();
-        assert_eq!(cache.stats().misses, 3);
-        // ...and a follow-up lookup shares it instead of recompiling.
-        let b = cache.get_or_compile(&dags[0], keys[0].dag, &cfg).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "finished compile was lost");
-        assert_eq!(cache.stats().misses, 3);
-    }
-
-    /// Regression (decode after eviction): between `get_or_compile` and
-    /// `get_decoded` the caller holds no slot, so a bounded cache can evict
-    /// the entry in between. `get_decoded` used to re-create the slot and
-    /// decode into it with no program beside — a slot the eviction filter
-    /// reads as a compile in flight and can never pick, pinned over
-    /// capacity until the key's next lookup recompiled it.
-    #[test]
-    fn decode_after_eviction_makes_no_entry() {
-        let cache = ProgramCache::with_store(CompileOptions::default(), Some(1), None);
-        let cfg = ArchConfig::new(2, 8, 16).unwrap();
-        let (da, db) = (dag(1), dag(2));
-        let (ka, kb) = (dag_fingerprint(&da), dag_fingerprint(&db));
-        let a = cache.get_or_compile(&da, ka, &cfg).unwrap();
-        cache.get_or_compile(&db, kb, &cfg).unwrap(); // evicts A
-        let key_a = CacheKey {
-            dag: ka,
+        let d = dag(1);
+        let key = CacheKey {
+            dag: dag_fingerprint(&d),
             config: cfg,
         };
-        cache.get_decoded(key_a, &a).unwrap();
-        assert!(cache.len() <= 1, "over capacity: {}", cache.len());
-        assert!(
-            cache
-                .map
-                .read()
-                .unwrap()
-                .values()
-                .all(|s| s.compiled.get().is_some()),
-            "a resident slot holds a decode but no program"
-        );
+        let compiled = compile(&d, &cfg, &CompileOptions::default()).unwrap();
+        cache.get_decoded(key, &compiled).unwrap();
         let s = cache.stats();
-        assert_eq!((s.misses, s.evictions, s.decode_count), (2, 1, 1));
-        // B is still the resident entry: its next lookup hits.
-        cache.get_or_compile(&db, kb, &cfg).unwrap();
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!((s.misses, s.decode_count, s.entries), (0, 1, 0));
     }
 
     /// Containment: one cache serves every shard of a dispatcher, so a
@@ -1162,32 +994,6 @@ mod tests {
         })
     }
 
-    /// Regression (recency seeding): slots created back-to-back must get
-    /// strictly increasing `last_used` stamps. Seeding from `clock.load`
-    /// made them all tie, letting the eviction tie-break throw out the
-    /// slot that was just inserted.
-    #[test]
-    fn slot_creation_seeds_strict_recency_order() {
-        let cache = ProgramCache::new(CompileOptions::default());
-        let cfg = ArchConfig::new(2, 8, 16).unwrap();
-        let stamps: Vec<u64> = (0..16)
-            .map(|i| {
-                let d = chain_dag(i, 7);
-                let slot = cache.slot(CacheKey {
-                    dag: dag_fingerprint(&d),
-                    config: cfg,
-                });
-                slot.last_used.load(Ordering::Relaxed)
-            })
-            .collect();
-        for pair in stamps.windows(2) {
-            assert!(
-                pair[0] < pair[1],
-                "creation stamps not strictly increasing: {stamps:?}"
-            );
-        }
-    }
-
     /// Spins until `ready` holds; a minute without it is a failure (of the
     /// code under test: every wait below is for progress it must make).
     fn wait_until(what: &str, ready: impl Fn() -> bool) {
@@ -1201,87 +1007,39 @@ mod tests {
         }
     }
 
-    /// Stress: one key's fill is in flight while other threads hammer the
-    /// cache with enough distinct keys to keep it permanently over
-    /// capacity. Every lookup of the slow key must share one compile —
-    /// before the eviction fix, pressure could orphan the in-flight slot
-    /// and a later lookup recompiled into a fresh one.
-    ///
-    /// No sleeps: a handshake on the slot. The test holds the slot's
-    /// compile lock, so the fill the first racer enters stays in flight
-    /// until it lets go. Racers 2 and 3 call in only once racer 1 holds
-    /// the slot and the cache has evicted under pressure since; before
-    /// letting go, the test asserts that premise — all three racers inside
-    /// the one slot the map still holds, and the slot still empty.
+    /// Lookups that race on one key share one compile. No sleeps: a
+    /// handshake on the slot. The test holds the slot's compile lock, so
+    /// the fill the first racer enters stays in flight until it lets go;
+    /// before letting go it asserts that all three racers are inside the
+    /// one slot the map holds, and that the slot is still empty.
     #[test]
-    fn slow_compile_survives_capacity_pressure() {
-        let cache = ProgramCache::with_store(CompileOptions::default(), Some(2), None);
+    fn racing_lookups_share_one_compile() {
+        let cache = ProgramCache::new(CompileOptions::default());
         let cfg = ArchConfig::new(2, 8, 16).unwrap();
-        let big = chain_dag(1_500, 0);
-        let big_key = CacheKey {
-            dag: dag_fingerprint(&big),
+        let d = dag(3);
+        let key = CacheKey {
+            dag: dag_fingerprint(&d),
             config: cfg,
         };
-        let small: Vec<Dag> = (0..10).map(|i| chain_dag(i + 3, 1)).collect();
-        let pressing = std::sync::atomic::AtomicBool::new(true);
-
-        /// Ends the pressure when dropped — also when an assertion below
-        /// unwinds, so that a failure fails instead of waiting on the
-        /// pressure threads forever.
-        struct Release<'a>(&'a std::sync::atomic::AtomicBool);
-        impl Drop for Release<'_> {
-            fn drop(&mut self) {
-                self.0.store(false, Ordering::Relaxed);
-            }
-        }
-
-        let slot = cache.slot(big_key);
+        let slot = cache.slot(key);
         let filling = lock(&slot.compile_lock);
         let results: Vec<Arc<Compiled>> = std::thread::scope(|scope| {
-            let release = Release(&pressing);
-            for _ in 0..2 {
-                let (cache, small, pressing) = (&cache, &small, &pressing);
-                scope.spawn(move || {
-                    while pressing.load(Ordering::Relaxed) {
-                        for d in small {
-                            cache.get_or_compile(d, dag_fingerprint(d), &cfg).unwrap();
-                        }
-                    }
-                });
-            }
-            let racer = || {
-                let (cache, big) = (&cache, &big);
-                scope.spawn(move || cache.get_or_compile(big, big_key.dag, &cfg).unwrap())
-            };
+            let racers: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| cache.get_or_compile(&d, key.dag, &cfg).unwrap()))
+                .collect();
             // The slot's holders: the map, this test, one per racer.
-            let mut racers = vec![racer()];
-            wait_until("racer 1 in the slot", || Arc::strong_count(&slot) == 3);
-            let evicted = cache.stats().evictions;
-            wait_until("evictions", || cache.stats().evictions >= evicted + 8);
-            racers.extend([racer(), racer()]);
-            wait_until("racers 2, 3 in the slot", || Arc::strong_count(&slot) == 5);
-            let mapped = read(&cache.map).get(&big_key).cloned();
-            assert!(
-                mapped.is_some_and(|m| Arc::ptr_eq(&m, &slot)),
-                "the in-flight slot was unmapped under capacity pressure"
-            );
+            wait_until("racers in the slot", || Arc::strong_count(&slot) == 5);
+            let mapped = read(&cache.map).get(&key).cloned();
+            assert!(mapped.is_some_and(|m| Arc::ptr_eq(&m, &slot)));
             assert!(slot.compiled.get().is_none(), "the fill was not in flight");
             drop(filling);
-            let results = racers.into_iter().map(|h| h.join().unwrap()).collect();
-            drop(release);
-            results
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
         });
-
         for r in &results {
-            assert!(
-                Arc::ptr_eq(&results[0], r),
-                "an in-flight compile was orphaned and the key recompiled"
-            );
+            assert!(Arc::ptr_eq(&results[0], r), "the key compiled twice");
         }
-        // The slow key compiled exactly once, into the slot every racer
-        // shared, though the cache was over capacity the whole time.
-        let current = slot.compiled.get().expect("the fill completed");
-        assert!(Arc::ptr_eq(current, &results[0]), "slot holds a recompile");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (1, 2, 1));
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -1328,7 +1086,7 @@ mod tests {
 
         // Cold cache compiles and spills.
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-        let cold = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+        let cold = ProgramCache::with_store(CompileOptions::default(), Some(store));
         let compiled = cold.get_or_compile(&d, k, &cfg).unwrap();
         let s = cold.stats();
         assert_eq!((s.misses, s.spill_writes, s.spill_hits), (1, 1, 0));
@@ -1337,7 +1095,7 @@ mod tests {
         // zero compiles, and the reloaded program is exactly the
         // compiled one.
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-        let warm = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+        let warm = ProgramCache::with_store(CompileOptions::default(), Some(store));
         let reloaded = warm.get_or_compile(&d, k, &cfg).unwrap();
         let s = warm.stats();
         assert_eq!((s.hits, s.misses, s.spill_hits), (1, 0, 1));
@@ -1347,7 +1105,7 @@ mod tests {
 
         // Prewarm path: a third cache loads it without any lookup.
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-        let peer = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+        let peer = ProgramCache::with_store(CompileOptions::default(), Some(store));
         assert_eq!(peer.prewarm(&cfg), 1);
         assert_eq!(peer.len(), 1);
         let served = peer.get_or_compile(&d, k, &cfg).unwrap();
@@ -1364,7 +1122,7 @@ mod tests {
         let d = dag(4);
         let k = dag_fingerprint(&d);
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-        let cache = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+        let cache = ProgramCache::with_store(CompileOptions::default(), Some(store));
         cache.get_or_compile(&d, k, &cfg).unwrap();
 
         // Different compiler options: the content address differs (the
@@ -1377,7 +1135,7 @@ mod tests {
         };
         let store = SpillStore::new(&dir, &other_opts).unwrap();
         assert!(store.keys().is_empty(), "foreign options visible in scan");
-        let other = ProgramCache::with_store(other_opts.clone(), None, Some(store));
+        let other = ProgramCache::with_store(other_opts.clone(), Some(store));
         other.get_or_compile(&d, k, &cfg).unwrap();
         let s = other.stats();
         assert_eq!((s.misses, s.spill_hits), (1, 0));
@@ -1390,7 +1148,7 @@ mod tests {
         // Different config: content address differs, so it's absent, and
         // prewarm for that config loads nothing.
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-        let cache2 = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+        let cache2 = ProgramCache::with_store(CompileOptions::default(), Some(store));
         assert_eq!(cache2.prewarm(&ArchConfig::new(3, 16, 32).unwrap()), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1436,7 +1194,7 @@ mod tests {
             config: cfg,
         };
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-        let cache = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+        let cache = ProgramCache::with_store(CompileOptions::default(), Some(store));
         let good = cache.get_or_compile(&d, k, &cfg).unwrap();
 
         // Tamper semantically: drop the program's last store, so an
@@ -1478,7 +1236,7 @@ mod tests {
         }
         let recompiles = || {
             let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-            let fresh = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+            let fresh = ProgramCache::with_store(CompileOptions::default(), Some(store));
             let recompiled = fresh.get_or_compile(&d, k, &cfg).unwrap();
             assert_eq!(recompiled.program, good.program);
             let s = fresh.stats();
@@ -1529,7 +1287,7 @@ mod tests {
         let d = dag(2);
         let k = dag_fingerprint(&d);
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-        let cache = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+        let cache = ProgramCache::with_store(CompileOptions::default(), Some(store));
         cache.get_or_compile(&d, k, &cfg).unwrap();
         assert!(cache.last_spill_reject().is_none());
 
@@ -1548,7 +1306,7 @@ mod tests {
         // A prewarm meets it first: nothing loads, and the rejected file
         // leaves no empty slot behind.
         let store = SpillStore::new(&dir, &CompileOptions::default()).unwrap();
-        let fresh = ProgramCache::with_store(CompileOptions::default(), None, Some(store));
+        let fresh = ProgramCache::with_store(CompileOptions::default(), Some(store));
         assert_eq!((fresh.prewarm(&cfg), fresh.len()), (0, 0));
         assert_eq!(fresh.stats().spill_rejects, 1);
         fresh.get_or_compile(&d, k, &cfg).unwrap();

@@ -14,12 +14,13 @@
 //! surviving [`steal_compatible`](dpu_verify::steal_compatible) shard, the
 //! only moves statically proven to preserve per-request results.
 //!
-//! [`HedgeOptions`] is the independent straggler policy: a round that has
-//! waited in queue past a latency-percentile trigger gets a second handle
-//! enqueued on an idle identical-class shard. First completion wins per
-//! job (its atomic claim); the loser's result is discarded before
-//! ticket fulfilment. Results are byte-identical either way, so hedging
-//! changes tail latency, never answers.
+//! Hedging ([`DispatchOptions::hedge`](crate::DispatchOptions::hedge)) is
+//! the independent straggler policy: a round that has waited in queue past
+//! a latency-percentile trigger gets a second handle enqueued on an idle
+//! identical-class shard. First completion wins per job (its atomic
+//! claim); the loser's result is discarded before ticket fulfilment.
+//! Results are byte-identical either way, so hedging changes tail
+//! latency, never answers.
 
 use std::time::Duration;
 
@@ -160,36 +161,6 @@ impl ChaosPlan {
                 }
             })
             .max()
-    }
-}
-
-/// Straggler-hedging policy, injected through
-/// [`DispatchOptions::hedge`](crate::DispatchOptions::hedge).
-///
-/// With hedging on, workers sample every round's observed queue wait
-/// (round close → worker checkout) into a live histogram; a queued round
-/// that has waited past `max(value_at_quantile(trigger_percentile),
-/// min_wait)` gets one more handle enqueued on an idle shard of the same
-/// steal class. Whichever handle resolves a job first wins its claim; the
-/// loser is discarded before ticket fulfilment, so each ticket is
-/// fulfilled exactly once and — because identical-class shards are
-/// statically proven result-identical — byte-identically either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HedgeOptions {
-    /// Wait-percentile (whole percent, 0–100) past which a queued round
-    /// is hedged. 95 hedges the slowest ~5% of waits.
-    pub trigger_percentile: u8,
-    /// Floor under the percentile trigger, so a cold histogram (or a
-    /// uniformly fast one) never hedges everything instantly.
-    pub min_wait: Duration,
-}
-
-impl Default for HedgeOptions {
-    fn default() -> Self {
-        HedgeOptions {
-            trigger_percentile: 95,
-            min_wait: Duration::from_millis(5),
-        }
     }
 }
 

@@ -9,9 +9,8 @@
 //! one [`ArchConfig`], or distinct configuration points ([`engine_shards`]
 //! over a list of configs, passed to [`Dispatcher::new`]). The engines own
 //! their settings ([`EngineOptions`]: the modelled cores a shard prices its
-//! rounds on, the program store's capacity and spill directory); the
-//! [`DispatchOptions`] hold only how requests are batched, routed and
-//! recovered.
+//! rounds on, the program store's spill directory); the [`DispatchOptions`]
+//! hold only how requests are batched, routed and recovered.
 //!
 //! **Decisions and threads.** Every scheduling decision below — round
 //! closing, routing of a round around a dead home, pop, steal, lease,
@@ -123,7 +122,7 @@ use dpu_dag::Dag;
 use dpu_isa::ArchConfig;
 use dpu_sim::Machine;
 
-use crate::chaos::{ChaosPlan, HedgeOptions};
+use crate::chaos::ChaosPlan;
 use crate::ingest::{Admission, Entry, Outcome, Submitter};
 use crate::latency::{Clock, LatencyReport, Timeline};
 use crate::planner::plan_rounds;
@@ -169,12 +168,12 @@ pub struct DispatchOptions {
     /// nothing; the claims, leases and recovery the script exercises are
     /// the ones every dispatcher runs with.
     pub chaos: Option<ChaosPlan>,
-    /// Straggler hedging policy ([`HedgeOptions`]): enqueue a second
-    /// handle to a round that has waited past a latency-percentile
-    /// trigger on an idle identical-class shard (the round is shared, not
-    /// copied); first completion per job wins. `None` (the default) never
-    /// hedges.
-    pub hedge: Option<HedgeOptions>,
+    /// Straggler hedging: enqueue a second handle to a round that has
+    /// waited past the 95th percentile of observed queue waits, and at
+    /// least 5 ms, on an idle identical-class shard (the round is shared,
+    /// not copied); first completion per job wins. `false` (the default)
+    /// never hedges.
+    pub hedge: bool,
     /// Stalled-shard detection: a round checked out by a worker for
     /// longer than this is presumed stalled and its lease is reclaimed —
     /// a second handle to the round is requeued on a surviving
@@ -194,7 +193,7 @@ impl Default for DispatchOptions {
             queue_capacity: None,
             priority_aging: Duration::from_millis(20),
             chaos: None,
-            hedge: None,
+            hedge: false,
             stall_timeout: None,
         }
     }
@@ -215,7 +214,7 @@ pub fn home_shard(key: DagKey, shards: usize) -> usize {
 /// The engine shards of a dispatcher: one [`Engine`] per entry of
 /// `configs`, siblings over **one** program store ([`Engine::sharing`]),
 /// all built with `options` — the modelled cores each shard prices its
-/// rounds on, and the store's capacity and spill directory. Pass them to
+/// rounds on, and the store's spill directory. Pass them to
 /// [`Dispatcher::new`]: replicas of one config, or distinct configuration
 /// points.
 pub fn engine_shards(

@@ -10,7 +10,7 @@
 //! - [`ProgramCache`] compiles each distinct (DAG, [`ArchConfig`]) pair
 //!   **once**, under concurrent access, and shares the resulting
 //!   [`Arc<Compiled>`](dpu_compiler::Compiled) — and its decode — across
-//!   requests, with hit/miss/eviction statistics ([`CacheStats`]). Built
+//!   requests, with hit/miss/decode statistics ([`CacheStats`]). Built
 //!   over a [`SpillStore`] (a content-addressed spill directory,
 //!   [`EngineOptions::spill_dir`]), it also persists every compile to
 //!   disk and back-fills from disk on miss, so a restarted engine starts
@@ -115,7 +115,7 @@ mod wake;
 pub use dpu_sim::planner;
 
 pub use cache::{CacheKey, CacheStats, ProgramCache, SpillLookup, SpillStore};
-pub use chaos::{ChaosEvent, ChaosPlan, HedgeOptions};
+pub use chaos::{ChaosEvent, ChaosPlan};
 pub use dispatch::{engine_shards, home_shard, DispatchOptions, Dispatcher};
 pub use ingest::{
     Outcome, Priority, ShedReason, SubmitAllError, SubmitOptions, SubmitRejection, Submitter,

@@ -63,10 +63,6 @@ pub struct EngineOptions {
     /// dispatcher round this engine runs are packed onto them by
     /// [`plan_rounds`]. [`Engine::new`] reads zero as one.
     pub cores: usize,
-    /// Program-cache capacity in entries (`None` = unbounded) — a bound
-    /// on the engine's [`ProgramStore`], so on the store as a whole when
-    /// sibling engines ([`Engine::sharing`]) serve from it.
-    pub cache_capacity: Option<usize>,
     /// Directory to persist compiled programs in (`None` = in-memory
     /// only). With a spill directory, fresh compiles are written to disk
     /// and cache misses check the disk before compiling, so an engine
@@ -85,7 +81,6 @@ impl Default for EngineOptions {
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
             cores: DPU_V2_L_CORES,
-            cache_capacity: None,
             spill_dir: None,
         }
     }
@@ -211,11 +206,12 @@ type GroupProgram = (Arc<Dag>, Arc<Compiled>, Arc<DecodedProgram>);
 ///
 /// Three things follow from sharing. *Determinism:* which shard compiles a
 /// key first is a race, sound only because compilation is seeded and
-/// byte-deterministic (see [`ProgramCache`]). *Capacity:*
-/// [`EngineOptions::cache_capacity`] bounds the store, not each shard.
-/// *Containment:* a shard that panics while holding one of the store's
-/// locks does not fail the survivors — lock poison is recovered, never
-/// propagated (see the [`cache`](crate::cache) module docs).
+/// byte-deterministic (see [`ProgramCache`]). *Size:* the store keeps
+/// every DAG registered with it and one program per DAG and config it
+/// served; it removes none. *Containment:* a shard that panics while
+/// holding one of the store's locks does not fail the survivors — lock
+/// poison is recovered, never propagated (see the [`cache`](crate::cache)
+/// module docs).
 pub struct ProgramStore {
     cache: ProgramCache,
     dags: RwLock<HashMap<DagKey, Arc<Dag>>>,
@@ -273,8 +269,8 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if [`EngineOptions::spill_dir`] is set but the directory
-    /// cannot be created — a misconfigured persistence path, like a zero
-    /// cache capacity, is a deployment error worth failing loudly on.
+    /// cannot be created — a misconfigured persistence path is a
+    /// deployment error worth failing loudly on.
     pub fn new(
         config: ArchConfig,
         compile_opts: CompileOptions,
@@ -285,7 +281,7 @@ impl Engine {
             SpillStore::new(dir, &compile_opts)
                 .unwrap_or_else(|e| panic!("spill dir {}: {e}", dir.display()))
         });
-        let cache = ProgramCache::with_store(compile_opts, options.cache_capacity, spill);
+        let cache = ProgramCache::with_store(compile_opts, spill);
         Engine {
             config,
             options,

@@ -301,7 +301,6 @@ impl DispatchReport {
         for s in &self.stores {
             total.hits += s.hits;
             total.misses += s.misses;
-            total.evictions += s.evictions;
             total.entries += s.entries;
             total.spill_hits += s.spill_hits;
             total.spill_writes += s.spill_writes;

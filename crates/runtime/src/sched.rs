@@ -36,11 +36,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::chaos::HedgeOptions;
 use crate::dispatch::DispatchOptions;
 use crate::ingest::{Priority, ShedReason, TicketState};
 use crate::latency::{nanos, LatencyHistogram, Timeline};
 use crate::pool::Request;
+
+/// The quantile of observed queue waits past which a queued round is
+/// hedged ([`DispatchOptions::hedge`]): the slowest ~5% of waits.
+const HEDGE_QUANTILE: f64 = 0.95;
+
+/// Floor under the hedge trigger, so a cold histogram (or a uniformly
+/// fast one) never hedges everything at once.
+const HEDGE_MIN_WAIT: Duration = Duration::from_millis(5);
 
 /// One pending job: a request, its completion handle, its priority class,
 /// its latency timeline as stamped by its submit through round close (the
@@ -217,7 +224,7 @@ pub(crate) struct Core {
     max_wait_ns: Option<u64>,
     aging_ns: u64,
     stall_timeout_ns: Option<u64>,
-    hedge: Option<HedgeOptions>,
+    hedge: bool,
     /// Observed round queue waits (close → checkout, ns), feeding the
     /// hedge percentile trigger. Recorded only when hedging is on.
     waits: LatencyHistogram,
@@ -248,13 +255,13 @@ pub(crate) struct Core {
 impl Core {
     /// Open, live, empty queues, one per entry of `steal_class`.
     pub(crate) fn new(steal_class: Vec<usize>, options: &DispatchOptions) -> Self {
-        let hedge_wait = options.hedge.as_ref().map(|h| h.min_wait);
+        let hedge_wait = options.hedge.then_some(HEDGE_MIN_WAIT);
         let tick = [options.stall_timeout, hedge_wait]
             .into_iter()
             .flatten()
             .fold(Duration::from_millis(10), |t, d| t.min(d / 4))
             .max(Duration::from_micros(100));
-        let sweeps = options.stall_timeout.is_some() || options.hedge.is_some();
+        let sweeps = options.stall_timeout.is_some() || options.hedge;
         Core {
             queues: steal_class.iter().map(|_| QueueState::default()).collect(),
             steal_class,
@@ -263,7 +270,7 @@ impl Core {
             max_wait_ns: u64::try_from(options.max_wait.as_nanos()).ok(),
             aging_ns: nanos(options.priority_aging),
             stall_timeout_ns: options.stall_timeout.map(nanos),
-            hedge: options.hedge.clone(),
+            hedge: options.hedge,
             waits: LatencyHistogram::new(),
             tick_ns: nanos(tick),
             next_sweep_ns: sweeps.then_some(nanos(tick)),
@@ -473,7 +480,7 @@ impl Core {
             .map(|(i, _)| i)
             .expect("nonempty queue");
         let entry = rounds.remove(best).expect("index in range");
-        if self.hedge.is_some() {
+        if self.hedge {
             let waited = now_ns.saturating_sub(entry.round.closed_ns);
             self.waits.record(waited);
         }
@@ -524,7 +531,7 @@ impl Core {
     ///   *dropped*, not failed, for the same reason.
     /// - **Hedge** (with [`DispatchOptions::hedge`]): any queued round on a
     ///   live shard that has waited past `max(observed wait at
-    ///   trigger_percentile, min_wait)` gets a second handle pushed to an
+    ///   HEDGE_QUANTILE, HEDGE_MIN_WAIT)` gets a second handle pushed to an
     ///   idle (empty-queue, live) shard of the same steal class. The
     ///   original is marked `hedged` (never hedged twice), the copy
     ///   `hedge`. A pass puts at most one hedge on each idle shard.
@@ -546,11 +553,10 @@ impl Core {
             }
         }
         let mut hedged = 0u64;
-        if let Some(hedge) = &self.hedge {
+        if self.hedge {
             // An empty histogram reads 0: the floor alone sets the trigger.
-            let quantile = f64::from(hedge.trigger_percentile) / 100.0;
-            let observed_ns = self.waits.value_at_quantile(quantile);
-            let threshold_ns = observed_ns.max(nanos(hedge.min_wait));
+            let observed_ns = self.waits.value_at_quantile(HEDGE_QUANTILE);
+            let threshold_ns = observed_ns.max(nanos(HEDGE_MIN_WAIT));
             let qs = &mut self.queues;
             let mut busy: Vec<bool> = qs.iter().map(|q| q.dead || !q.rounds.is_empty()).collect();
             for s in 0..n {
@@ -800,7 +806,7 @@ mod tests {
 
     /// One class of three shards on a virtual clock: a steal, a kill whose
     /// backlog is requeued, a hedge placed only once a round has waited
-    /// `min_wait`, and a stall reclaim only once a lease has been out
+    /// `HEDGE_MIN_WAIT`, and a stall reclaim only once a lease has been out
     /// `stall_timeout`. A worker "finishes" its round — claims its jobs —
     /// when it next checks out; the dead worker never does. Every job's
     /// claim is won exactly once.
@@ -810,10 +816,7 @@ mod tests {
             3,
             DispatchOptions {
                 stall_timeout: Some(Duration::from_millis(10)),
-                hedge: Some(HedgeOptions {
-                    trigger_percentile: 95,
-                    min_wait: Duration::from_millis(5),
-                }),
+                hedge: true,
                 ..Default::default()
             },
         );
@@ -859,7 +862,7 @@ mod tests {
         // Shard 2 steals `c` back from shard 0's queue.
         assert!(Arc::ptr_eq(&run(checkout(&mut core, 2, 3 * MS)).round, c));
 
-        // `b` has waited just under `min_wait`: no hedge. At `min_wait` it
+        // `b` has waited just under `HEDGE_MIN_WAIT`: no hedge. At it, `b`
         // is hedged onto shard 2, whose queue is empty.
         assert_eq!(core.sweep(5 * MS - 1), (0, 0));
         assert_eq!(core.sweep(5 * MS), (0, 1));

@@ -256,7 +256,6 @@ fn every_shard_of_a_dispatcher_holds_the_same_dag() {
         EngineOptions {
             workers: 1,
             cores: 8,
-            cache_capacity: None,
             spill_dir: None,
         },
     );

@@ -13,8 +13,8 @@ use dpu_dag::{Dag, DagBuilder, Op};
 use dpu_isa::ArchConfig;
 use dpu_runtime::{
     dag_fingerprint, engine_shards, home_shard, ChaosPlan, DispatchOptions, DispatchReport,
-    Dispatcher, Engine, EngineOptions, HedgeOptions, Outcome, Priority, Request, ServeError,
-    SubmitOptions, Ticket,
+    Dispatcher, Engine, EngineOptions, Outcome, Priority, Request, ServeError, SubmitOptions,
+    Ticket,
 };
 use dpu_sim::RunResult;
 use dpu_workloads::pc::{generate_pc, pc_inputs, PcParams};
@@ -88,7 +88,6 @@ fn mixed_stream(n: usize) -> MixedStream {
         EngineOptions {
             workers: 1,
             cores: 8,
-            cache_capacity: None,
             spill_dir: None,
         },
     );
@@ -238,10 +237,7 @@ fn kill_stall_and_hedging_together_lose_only_the_in_hand_round() {
                 .kill_shard(killed, 2)
                 .stall_shard(stalled, Duration::from_millis(3)),
         ),
-        hedge: Some(HedgeOptions {
-            trigger_percentile: 95,
-            min_wait: Duration::from_millis(5),
-        }),
+        hedge: true,
         stall_timeout: Some(Duration::from_millis(50)),
         ..Default::default()
     });
@@ -369,10 +365,7 @@ fn hedged_rounds_win_on_the_idle_peer() {
         max_batch: 1,
         work_stealing: false,
         chaos: Some(ChaosPlan::new(11).stall_shard(home, Duration::from_millis(120))),
-        hedge: Some(HedgeOptions {
-            trigger_percentile: 95,
-            min_wait: Duration::from_millis(5),
-        }),
+        hedge: true,
         ..Default::default()
     });
     let key = d.register(dag);
@@ -472,7 +465,6 @@ fn a_panicking_shard_leaves_the_shared_store_serving() {
     let options = EngineOptions {
         workers: 1,
         cores: 8,
-        cache_capacity: None,
         spill_dir: None,
     };
     let primary = Engine::new(arch(), CompileOptions::default(), options.clone());

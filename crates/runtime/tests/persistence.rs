@@ -47,7 +47,6 @@ fn engine_over(dir: &Path) -> Engine {
         EngineOptions {
             workers: 2,
             cores: 8,
-            cache_capacity: None,
             spill_dir: Some(dir.to_path_buf()),
         },
     )

@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .kill_shard(victim, 2)
                 .stall_shard(straggler, Duration::from_millis(2)),
         ),
-        hedge: Some(HedgeOptions::default()),
+        hedge: true,
         stall_timeout: Some(Duration::from_millis(50)),
         ..base
     })?;

@@ -19,7 +19,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = dpu.engine(EngineOptions {
         workers: 4,
         cores: runtime::DPU_V2_L_CORES,
-        cache_capacity: None,
         spill_dir: None,
     });
 

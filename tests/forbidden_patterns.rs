@@ -14,8 +14,9 @@
 //! built in one place over one program store, the register file's write policy
 //! stays stated once, the compiler's passes keep no table whose order
 //! depends on the process and no ordered map on their hot path,
-//! FNV-1a and the batch-mode price are each implemented once, and no
-//! production type derives a serde trait.
+//! FNV-1a and the batch-mode price are each implemented once, no
+//! production type derives a serde trait, and the dispatcher, engine and
+//! compiler options keep their pinned number of knobs.
 //!
 //! Plain text scanning is crude but cheap, runs in the ordinary test
 //! suite, and fails with the offending file + line so violations are
@@ -680,4 +681,43 @@ fn production_code_derives_no_serde_traits() {
         "no serde derives or imports under crates/*/src:\n{}",
         hits.join("\n")
     );
+}
+
+/// The `pub` fields of `pub struct {name}` in `file`, one per line that
+/// opens with `pub ` between the struct's header and its closing brace.
+fn pub_fields(file: &str, name: &str) -> Vec<String> {
+    let text = fs::read_to_string(repo_root().join(file)).expect("source file is UTF-8");
+    let header = format!("pub struct {name} {{");
+    let mut lines = text.lines().skip_while(|l| l.trim() != header).skip(1);
+    let body = lines.by_ref().take_while(|l| l.trim() != "}");
+    body.map(str::trim)
+        .filter(|l| l.starts_with("pub "))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn option_structs_keep_their_knob_count() {
+    // Every field of these structs is a knob a caller can set, and each
+    // one doubles the configurations tests and benchmarks must cover. A
+    // knob earns its place when two callers need different values; a new
+    // field is a deliberate change that updates the count here and
+    // ROADMAP's knob census.
+    let pinned = [
+        ("crates/runtime/src/dispatch.rs", "DispatchOptions", 9),
+        ("crates/runtime/src/pool.rs", "EngineOptions", 3),
+        ("crates/compiler/src/driver.rs", "CompileOptions", 5),
+    ];
+    for (file, name, want) in pinned {
+        let fields = pub_fields(file, name);
+        assert_eq!(
+            fields.len(),
+            want,
+            "{name} in {file} has {} settable fields, pinned at {want}: ROADMAP's house rule is \
+             \"no new option ... that adds a second way of doing something\" — replace the old \
+             way instead, or update this count and the knob census together:\n{}",
+            fields.len(),
+            fields.join("\n")
+        );
+    }
 }
