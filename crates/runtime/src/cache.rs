@@ -1042,6 +1042,36 @@ mod tests {
         assert_eq!((s.misses, s.hits, s.entries), (1, 2, 1));
     }
 
+    /// A slot held between `slot()` and its fill stays the key's mapped
+    /// slot while other keys compile, and the lookup that follows fills
+    /// that live slot: one compile, which the next lookup shares.
+    #[test]
+    fn held_slot_stays_mapped_while_other_keys_compile() {
+        let cache = ProgramCache::new(CompileOptions::default());
+        let cfg = ArchConfig::new(2, 8, 16).unwrap();
+        let dags: Vec<Dag> = (0..3).map(dag).collect();
+        let key = CacheKey {
+            dag: dag_fingerprint(&dags[0]),
+            config: cfg,
+        };
+        let held = cache.slot(key);
+        assert!(held.compiled.get().is_none());
+        for d in &dags[1..] {
+            cache.get_or_compile(d, dag_fingerprint(d), &cfg).unwrap();
+        }
+        let mapped = read(&cache.map).get(&key).cloned();
+        assert!(
+            mapped.is_some_and(|m| Arc::ptr_eq(&m, &held)),
+            "the held slot was replaced; its fill would be orphaned"
+        );
+        let a = cache.get_or_compile(&dags[0], key.dag, &cfg).unwrap();
+        let b = cache.get_or_compile(&dags[0], key.dag, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "the finished compile was lost");
+        assert!(Arc::ptr_eq(held.compiled.get().unwrap(), &a));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (3, 1, 3));
+    }
+
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dpu-cache-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
